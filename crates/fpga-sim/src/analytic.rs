@@ -8,6 +8,17 @@
 //! channel, critical-section serialization across threads, and the host's
 //! thread-launch ramp.
 //!
+//! Sequential loops are priced as body × trip unless their iterations can
+//! cost differently. A loop of at most `EXACT_SEQ_TRIP` (16) iterations is
+//! walked iteration by iteration when its induction variable steers a
+//! price: an inner loop's bounds, an `If` condition, a DMA burst's length
+//! or offset, or an external-access index
+//! ([`nymble_ir::loops::var_steers_cost`], the predicate
+//! `nymble_lint::perf` calls too). Loops whose inner bounds come from
+//! memory are walked exactly up to `MAX_EXACT_WALK` iterations. Every cost
+//! component is an integer sum, so body × trip is exact for the rest, and
+//! only the loops that steer multiply the walk.
+//!
 //! The model is cross-validated against the cycle-level simulator on the
 //! GEMM/π reproduction suite (see `crates/bench/tests/analytic_validation.rs`)
 //! and is intended for sweep pre-screening: configurations worth a real
@@ -19,7 +30,7 @@ use nymble_hls::accel::Accelerator;
 use nymble_hls::op::OpClass;
 use nymble_ir::expr::Expr;
 use nymble_ir::kernel::{ArgKind, Kernel};
-use nymble_ir::loops::{LoopId, LoopMap};
+use nymble_ir::loops::{var_steers_cost, LoopId, LoopMap};
 use nymble_ir::stmt::{Stmt, Unroll};
 use nymble_ir::{ExprId, MapDir, Value};
 
@@ -70,7 +81,7 @@ struct Ctx<'k> {
     kernel: &'k Kernel,
     accel: &'k Accelerator,
     cfg: &'k SimConfig,
-    loops: LoopMap,
+    loops: &'k LoopMap,
     scalars: &'k ScalarArgs,
     /// Pristine launch-time memory image for resolving loads from
     /// device-read-only (`map(to)`) buffers — lets memory-dependent loop
@@ -172,7 +183,7 @@ fn estimate_impl(
             kernel,
             accel,
             cfg,
-            loops: LoopMap::build(kernel),
+            loops: &loops,
             scalars,
             mem,
             tid: t as i64,
@@ -187,7 +198,6 @@ fn estimate_impl(
         dram_bytes += c.dram_bytes;
         critical_cycles += c.critical;
     }
-    let _ = loops;
 
     // Span model: thread t starts at t·launch_interval and runs its busy
     // cycles; the run ends when the last thread finishes. Cross-thread
@@ -372,10 +382,13 @@ fn stmt_cost(ctx: &mut Ctx<'_>, s: &Stmt) -> Option<BlockCost> {
     }
 }
 
-/// Sequential loops at most this long are walked iteration by iteration
-/// (exact induction values, exact branch resolution) instead of priced as
+/// Sequential loops at most this long whose induction variable steers a
+/// price ([`var_steers_cost`]) are walked iteration by iteration (exact
+/// induction values, exact branch resolution) instead of priced as
 /// body-at-iteration-0 × trip. Keeps double buffering's parity/boundary
-/// guards honest while long loops stay O(1) in their trip count.
+/// guards honest while long loops stay O(1) in their trip count; a short
+/// loop whose iterations all cost the same takes the body × trip path,
+/// which is exact for it.
 const EXACT_SEQ_TRIP: u64 = 16;
 
 /// Ceiling on the image-driven exact walk (per thread): keeps the model
@@ -503,18 +516,19 @@ fn loop_cost(
             // iteration, so body-at-iteration-0 × trip would price every
             // row like the first — walk those exactly whenever the image
             // can resolve them.
-            let exact = trip <= EXACT_SEQ_TRIP
+            let var = match stmt {
+                Stmt::For { var, .. } => *var,
+                _ => unreachable!("loop_cost on non-For"),
+            };
+            let exact = (trip <= EXACT_SEQ_TRIP && var_steers_cost(ctx.kernel, body, var))
                 || (ctx.mem.is_some()
                     && trip <= MAX_EXACT_WALK
                     && has_mem_dependent_loop(ctx.kernel, body));
             if exact {
-                // Short loop: walk every iteration with its true induction
-                // value, so iteration-dependent branches and strides price
-                // exactly (double buffering's `kb < nblocks` guard).
-                let slot = match stmt {
-                    Stmt::For { var, .. } => var.0 as usize,
-                    _ => unreachable!("loop_cost on non-For"),
-                };
+                // Walk every iteration with its true induction value, so
+                // iteration-dependent branches and strides price exactly
+                // (double buffering's `kb < nblocks` guard).
+                let slot = var.0 as usize;
                 let saved_approx = ctx.approx[slot];
                 ctx.approx[slot] = false;
                 let mut total = BlockCost::default();

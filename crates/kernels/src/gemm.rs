@@ -54,21 +54,23 @@ impl GemmParams {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.dim > 0 && self.threads > 0);
-        assert!(
-            self.dim % (self.vec as i64) == 0,
-            "DIM must be a multiple of the vector width"
-        );
-        assert!(
-            self.block % (self.vec as i64) == 0 && self.dim % self.block == 0,
-            "block must divide DIM and be a multiple of the vector width"
-        );
-        assert!(
-            self.dim % (self.threads as i64 * self.block) == 0
-                || self.dim % self.threads as i64 == 0,
-            "threads must evenly divide the iteration space"
-        );
+    /// Check the shape constraints every version relies on; `build` panics
+    /// with the returned message when they fail.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.dim <= 0 || self.threads == 0 {
+            return Err("DIM and the thread count must be positive");
+        }
+        if self.dim % (self.vec as i64) != 0 {
+            return Err("DIM must be a multiple of the vector width");
+        }
+        if self.block % (self.vec as i64) != 0 || self.dim % self.block != 0 {
+            return Err("block must divide DIM and be a multiple of the vector width");
+        }
+        if self.dim % (self.threads as i64 * self.block) != 0 && self.dim % self.threads as i64 != 0
+        {
+            return Err("threads must evenly divide the iteration space");
+        }
+        Ok(())
     }
 }
 
@@ -112,7 +114,9 @@ impl GemmVersion {
 
 /// Build the kernel for one GEMM version.
 pub fn build(version: GemmVersion, p: &GemmParams) -> Kernel {
-    p.validate();
+    if let Err(e) = p.validate() {
+        panic!("{e}");
+    }
     match version {
         GemmVersion::Naive => naive(p),
         GemmVersion::NoCritical => no_critical(p),
@@ -603,6 +607,48 @@ mod tests {
             });
             assert!(!has_crit, "{v:?} must not contain critical sections");
         }
+    }
+
+    /// Whether each loop named `name` steers its static cost
+    /// (`nymble_ir::loops::var_steers_cost`), in pre-order.
+    fn steers(k: &Kernel, name: &str) -> Vec<bool> {
+        let mut out = Vec::new();
+        nymble_ir::stmt::visit_stmts(&k.body, &mut |s| {
+            if let nymble_ir::Stmt::For { var, body, .. } = s {
+                if k.var(*var).name == name {
+                    out.push(nymble_ir::loops::var_steers_cost(k, body, *var));
+                }
+            }
+        });
+        assert!(!out.is_empty(), "no loop named {name}");
+        out
+    }
+
+    #[test]
+    fn double_buffered_block_loop_steers_cost() {
+        let p = GemmParams {
+            dim: 64,
+            ..GemmParams::default()
+        };
+        let k = build(GemmVersion::DoubleBuffered, &p);
+        // Parity and range guards read `kbi`.
+        assert_eq!(steers(&k, "kbi"), [true]);
+    }
+
+    #[test]
+    fn blocked_compute_loops_do_not_steer_cost() {
+        let p = GemmParams {
+            dim: 64,
+            ..GemmParams::default()
+        };
+        let k = build(GemmVersion::Blocked, &p);
+        // The tile compute touches local memory only.
+        assert_eq!(steers(&k, "x"), [false]);
+        assert_eq!(steers(&k, "y"), [false]);
+        // The copy loop's external indices use `r`, `jb` and `kb`.
+        assert_eq!(steers(&k, "r"), [true]);
+        assert_eq!(steers(&k, "jb"), [true]);
+        assert_eq!(steers(&k, "kb"), [true]);
     }
 
     #[test]

@@ -175,4 +175,15 @@ mod tests {
         let expect = m.spmv_ref(&x)[0];
         assert!((got - expect).abs() < 1e-5);
     }
+
+    #[test]
+    fn row_loop_steers_cost() {
+        // The inner loop's bounds load `ROW_PTR[r]` and `ROW_PTR[r + 1]`.
+        let k = build(64, 4);
+        let nymble_ir::Stmt::For { var, body, .. } = &k.body[0] else {
+            panic!("row loop expected first");
+        };
+        assert_eq!(k.var(*var).name, "r");
+        assert!(nymble_ir::loops::var_steers_cost(&k, body, *var));
+    }
 }

@@ -5,7 +5,7 @@
 //! critical section / DMA transfer region. Each region is annotated with a
 //! statically derived *profit* — its expected stall exposure, priced by the
 //! [`nymble_lint::perf`] analytic mirror via
-//! [`nymble_lint::region_profits`] — which the counter-selection optimizer
+//! [`nymble_lint::model_with_regions`] — which the counter-selection optimizer
 //! in [`crate::probe`] trades against the hardware cost of a per-region
 //! cycle counter.
 //!
@@ -17,7 +17,7 @@
 
 use nymble_ir::stmt::{Block, Stmt, Unroll};
 use nymble_ir::Kernel;
-use nymble_lint::{pipeline_eligible, region_profits, PerfParams, RegionProfit};
+use nymble_lint::{model_with_regions, pipeline_eligible, PerfParams, RegionProfit};
 
 /// What kind of IR construct a region corresponds to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,18 +92,18 @@ impl RegionTree {
     /// (callers without a specific simulator configuration use
     /// [`PerfParams::default`], which mirrors `SimConfig::default`).
     pub fn build(kernel: &Kernel, p: &PerfParams) -> RegionTree {
-        let profits = region_profits(kernel, p);
-        let analytic = profits.is_some();
+        let priced = model_with_regions(kernel, p);
+        let analytic = priced.is_some();
         let lookup = |s: &Stmt| -> RegionProfit {
-            profits
+            priced
                 .as_ref()
-                .and_then(|m| m.get(&(s as *const Stmt as usize)).copied())
+                .and_then(|(_, m)| m.get(&(s as *const Stmt as usize)).copied())
                 .unwrap_or_default()
         };
 
         let mut regions = Vec::new();
-        let root_profit = match nymble_lint::perf::model(kernel, p) {
-            Some(m) => RegionProfit {
+        let root_profit = match &priced {
+            Some((m, _)) => RegionProfit {
                 cycles: m.per_thread.iter().sum(),
                 dram_bytes: m.dram_bytes,
                 critical_cycles: m.critical_cycles,

@@ -9,8 +9,13 @@
 //! Identity is keyed on the statement's address inside the kernel's (heap
 //! allocated, hence stable) block vectors, so a `LoopMap` is valid only for
 //! the exact [`Kernel`] value it was built from — not for clones.
+//!
+//! [`var_steers_cost`] is the one static fact the cost walkers need about a
+//! loop beyond its identity: whether its iterations can be priced
+//! differently, or the body priced once stands for all of them.
 
-use crate::kernel::Kernel;
+use crate::expr::{Expr, ExprId};
+use crate::kernel::{Kernel, VarId};
 use crate::stmt::{Block, Stmt, Unroll};
 use std::collections::HashMap;
 
@@ -83,6 +88,81 @@ impl LoopMap {
             .iter()
             .enumerate()
             .map(|(i, info)| (LoopId(i as u32), info))
+    }
+}
+
+/// Does loop variable `var` steer the static cost of `body`, i.e. can two
+/// iterations of the loop be priced differently?
+///
+/// The static cost walkers (`nymble_lint::perf` and `fpga_sim::analytic`)
+/// read the values of only these expressions; everything else prices by
+/// its structure alone:
+///
+/// * an inner loop's `start`/`end`/`step` (its trip count, and the
+///   induction values its own body sees);
+/// * an `If` condition (which branch is priced);
+/// * a `Preload`/`WriteBack` length or offset (the burst);
+/// * an external-access index: a `LoadExt` index anywhere (the loaded
+///   value can itself feed a bound) or a `StoreExt` index (stride and
+///   cross-thread sharing analysis).
+///
+/// The predicate is true when `var` occurs in any of them, at any depth of
+/// `body`. Data flow through assigned scalars and local memory is not
+/// followed: the walkers bind induction variables only, so those values
+/// are equally unknown on every iteration. When it is false, every
+/// iteration costs the same and the body priced once, times the trip, is
+/// exact.
+pub fn var_steers_cost(k: &Kernel, body: &[Stmt], var: VarId) -> bool {
+    let uses = |e: ExprId| expr_uses_var(k, e, var);
+    let ext_index = |e: ExprId| ext_index_uses_var(k, e, var);
+    body.iter().any(|s| match s {
+        Stmt::Assign { expr, .. } => ext_index(*expr),
+        Stmt::StoreExt { index, value, .. } => uses(*index) || ext_index(*value),
+        Stmt::StoreLocal { index, value, .. } => ext_index(*index) || ext_index(*value),
+        Stmt::For {
+            start,
+            end,
+            step,
+            body,
+            ..
+        } => uses(*start) || uses(*end) || uses(*step) || var_steers_cost(k, body, var),
+        Stmt::If {
+            cond,
+            then_b,
+            else_b,
+        } => uses(*cond) || var_steers_cost(k, then_b, var) || var_steers_cost(k, else_b, var),
+        Stmt::Critical { body } => var_steers_cost(k, body, var),
+        Stmt::Preload {
+            src_off,
+            dst_off,
+            len,
+            ..
+        }
+        | Stmt::WriteBack {
+            src_off,
+            dst_off,
+            len,
+            ..
+        } => uses(*src_off) || uses(*dst_off) || uses(*len),
+        Stmt::Barrier => false,
+    })
+}
+
+fn expr_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
+    match k.expr(id) {
+        Expr::Var(v) => *v == var,
+        e => e.children().into_iter().any(|c| expr_uses_var(k, c, var)),
+    }
+}
+
+/// Does an external load inside `id` take an index that uses `var`?
+fn ext_index_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
+    match k.expr(id) {
+        Expr::LoadExt { index, .. } => expr_uses_var(k, *index, var),
+        e => e
+            .children()
+            .into_iter()
+            .any(|c| ext_index_uses_var(k, c, var)),
     }
 }
 
@@ -177,6 +257,67 @@ mod tests {
         assert!(!infos[1].has_inner_loop);
         assert_eq!(infos[2].var_name, "k");
         assert!(!infos[2].has_vlo);
+    }
+
+    #[test]
+    fn only_priced_expressions_steer_cost() {
+        let mut kb = KernelBuilder::new("t", 1);
+        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let c = kb.buffer("C", ScalarType::F32, MapDir::From);
+        let m = kb.local_mem("L", Type::F32, 16);
+        let x = kb.var("x", Type::F32);
+        let n = kb.c_i64(4);
+        // Local memory and scalar data flow: priced by structure alone.
+        kb.for_range("local", n, |kb, i| {
+            let v = kb.load_local(m, i, Type::F32);
+            kb.set(x, v);
+            let z = kb.c_i64(0);
+            let w = kb.get(x);
+            kb.store(c, z, w);
+        });
+        kb.for_range("load", n, |kb, i| {
+            let v = kb.load(a, i, Type::F32);
+            kb.set(x, v);
+        });
+        kb.for_range("store", n, |kb, i| {
+            let w = kb.get(x);
+            kb.store(c, i, w);
+        });
+        kb.for_range("guard", n, |kb, i| {
+            let z = kb.c_i64(0);
+            let gt = kb.bin(crate::BinOp::Gt, i, z);
+            kb.if_then(gt, |_| {});
+        });
+        kb.for_range("bound", n, |kb, i| {
+            kb.for_range("inner", i, |_, _| {});
+        });
+        kb.for_range("burst", n, |kb, i| {
+            let z = kb.c_i64(0);
+            let len = kb.c_i64(4);
+            kb.preload(m, a, i, z, len);
+        });
+        let k = kb.finish();
+        let steers: Vec<(&str, bool)> = k
+            .body
+            .iter()
+            .map(|s| match s {
+                Stmt::For { var, body, .. } => {
+                    (k.var(*var).name.as_str(), var_steers_cost(&k, body, *var))
+                }
+                _ => unreachable!("only loops at top level"),
+            })
+            .collect();
+        assert_eq!(
+            steers,
+            [
+                ("local", false),
+                ("load", true),
+                ("store", true),
+                ("guard", true),
+                ("bound", true),
+                ("burst", true),
+            ]
+        );
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub mod diag;
 pub mod perf;
 
 pub use diag::{Code, Diagnostic, PredMetric, Prediction, Severity, Span};
-pub use perf::{pipeline_eligible, region_profits, PerfModel, PerfParams, RegionProfit};
+pub use perf::{
+    model_with_regions, pipeline_eligible, region_profits, PerfModel, PerfParams, RegionProfit,
+};
 
 use nymble_ir::Kernel;
 use std::collections::BTreeMap;

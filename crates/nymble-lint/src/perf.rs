@@ -11,9 +11,22 @@
 //! [`PerfModel`] is what every diagnostic's quantitative prediction is
 //! priced against, and what `bench` cross-validates against
 //! `fpga_sim::analytic` within 25% on the triggering fixtures.
+//!
+//! Loops are priced by the same invariance rule as the analytic model; both
+//! walkers call the one predicate [`nymble_ir::loops::var_steers_cost`]
+//! rather than each keeping a copy. A sequential loop of at most
+//! `EXACT_SEQ_TRIP` (16) iterations is walked iteration by iteration only
+//! when its induction variable steers a price: an inner loop's bounds, an
+//! `If` condition, a DMA burst's length or offset, or an external-access
+//! index. Any other loop is its body priced once, times the trip. That is
+//! exact, because every cost component is an integer sum and no iteration
+//! prices differently. So only the loops that steer multiply the walk: a
+//! nest costs the product of its steering short trips, not of all its
+//! trips.
 
 use crate::deps;
 use crate::diag::{Code, Diagnostic, PredMetric};
+use nymble_ir::loops::var_steers_cost;
 use nymble_ir::stmt::Unroll;
 use nymble_ir::{Expr, ExprId, Kernel, Stmt, Value, VarId};
 use std::collections::HashMap;
@@ -86,16 +99,45 @@ pub struct PerfModel {
 /// Price the kernel under `p`. `None` when loop bounds are not statically
 /// resolvable (scalar launch arguments, data-dependent trips).
 pub fn model(k: &Kernel, p: &PerfParams) -> Option<PerfModel> {
+    walk(k, p, false).map(|(m, _)| m)
+}
+
+/// [`model`] and [`region_profits`] from a single walk of every thread.
+pub fn model_with_regions(
+    k: &Kernel,
+    p: &PerfParams,
+) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
+    walk(k, p, true)
+}
+
+/// Walk every thread once; with `record`, also sum the subtree cost of
+/// each region-forming statement over the threads.
+fn walk(
+    k: &Kernel,
+    p: &PerfParams,
+    record: bool,
+) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
     let nt = k.num_threads.max(1) as usize;
     let mut per_thread = Vec::with_capacity(nt);
     let mut dram_bytes = 0u64;
     let mut critical_cycles = 0u64;
+    let mut sums: HashMap<usize, RegionProfit> = HashMap::new();
     for t in 0..nt {
         let mut w = CostWalker::new(k, p, t as i64);
+        if record {
+            w.recorded = Some(HashMap::new());
+        }
         let c = w.block_cost(&k.body)?;
         per_thread.push(c.cycles.max(c.dma_busy));
         dram_bytes += c.dram_bytes;
         critical_cycles += c.critical;
+        for (key, c) in w.recorded.take().into_iter().flatten() {
+            let e = sums.entry(key).or_default();
+            e.cycles += c.cycles;
+            e.dram_bytes += c.dram_bytes;
+            e.critical_cycles += c.critical;
+            e.dma_cycles += c.dma_busy;
+        }
     }
     let ramp_span = per_thread
         .iter()
@@ -105,12 +147,15 @@ pub fn model(k: &Kernel, p: &PerfParams) -> Option<PerfModel> {
         .unwrap_or(0);
     let memory_floor = dram_bytes / p.dram_bytes_per_cycle.max(1);
     let total_cycles = ramp_span.max(critical_cycles).max(memory_floor);
-    Some(PerfModel {
-        per_thread,
-        dram_bytes,
-        critical_cycles,
-        total_cycles,
-    })
+    Some((
+        PerfModel {
+            per_thread,
+            dram_bytes,
+            critical_cycles,
+            total_cycles,
+        },
+        sums,
+    ))
 }
 
 /// Statically derived instrumentation profit of one region-forming
@@ -149,21 +194,7 @@ impl RegionProfit {
 /// burst against the statement's address. `None` when the kernel's loop
 /// bounds are not statically resolvable (same condition as [`model`]).
 pub fn region_profits(k: &Kernel, p: &PerfParams) -> Option<HashMap<usize, RegionProfit>> {
-    let nt = k.num_threads.max(1) as usize;
-    let mut sums: HashMap<usize, RegionProfit> = HashMap::new();
-    for t in 0..nt {
-        let mut w = CostWalker::new(k, p, t as i64);
-        w.recorded = Some(HashMap::new());
-        w.block_cost(&k.body)?;
-        for (key, c) in w.recorded.take().unwrap() {
-            let e = sums.entry(key).or_default();
-            e.cycles += c.cycles;
-            e.dram_bytes += c.dram_bytes;
-            e.critical_cycles += c.critical;
-            e.dma_cycles += c.dma_busy;
-        }
-    }
-    Some(sums)
+    model_with_regions(k, p).map(|(_, r)| r)
 }
 
 // ---------------------------------------------------------------------------
@@ -195,8 +226,9 @@ impl Cost {
     }
 }
 
-/// Sequential loops at most this long are walked iteration by iteration
-/// (same constant as the analytical simulator's `EXACT_SEQ_TRIP`).
+/// Sequential loops at most this long whose induction variable steers a
+/// price ([`var_steers_cost`]) are walked iteration by iteration (same
+/// rule as the analytical simulator's `EXACT_SEQ_TRIP`).
 const EXACT_SEQ_TRIP: u64 = 16;
 
 struct CostWalker<'k> {
@@ -382,11 +414,12 @@ impl<'k> CostWalker<'k> {
                 dma_busy: 0,
             })
         } else {
-            if trip <= EXACT_SEQ_TRIP {
-                let slot = match stmt {
-                    Stmt::For { var, .. } => var.0 as usize,
-                    _ => unreachable!("loop_cost on non-For"),
-                };
+            let var = match stmt {
+                Stmt::For { var, .. } => *var,
+                _ => unreachable!("loop_cost on non-For"),
+            };
+            if trip <= EXACT_SEQ_TRIP && var_steers_cost(self.k, body, var) {
+                let slot = var.0 as usize;
                 let saved_approx = self.approx[slot];
                 self.approx[slot] = false;
                 let mut total = Cost::default();
