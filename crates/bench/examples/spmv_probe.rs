@@ -2,7 +2,7 @@
 //! prints simulated vs. predicted cycles plus the simulator's memory
 //! counters (line fetches/hits, contended DRAM grants, stalls) over a
 //! small matrix-shape × thread-count grid. This is the tool the
-//! restart-contention constants in `fpga_sim::analytic::loop_cost` were
+//! restart-contention constants in `nymble_hls::perf` were
 //! fitted with — rerun it after touching the memory system or the model
 //! to see where the error moved before the ±15% validation suite
 //! (`crates/bench/tests/analytic_validation.rs`) turns red.

@@ -78,8 +78,6 @@ fn main() {
     });
     let bench_json = args.path("--bench-json");
     let hls = HlsConfig {
-        lint,
-        perf_lint,
         probe: profile.probe(),
         ..HlsConfig::default()
     };

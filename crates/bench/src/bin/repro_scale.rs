@@ -222,8 +222,6 @@ fn main() {
         matrix: matrix.clone(),
         threads: threads.clone(),
         hls: HlsConfig {
-            lint,
-            perf_lint,
             probe: profile.probe(),
             ..HlsConfig::default()
         },

@@ -23,7 +23,7 @@ use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::reference;
 use kernels::spmv::{self, Csr};
-use nymble_hls::accel::{Accelerator, CompileError, HlsConfig};
+use nymble_hls::accel::{Accelerator, HlsConfig};
 use nymble_hls::{AccelCache, ProbePlan};
 use nymble_ir::{Kernel, Value};
 use nymble_lint::LintLevel;
@@ -31,14 +31,12 @@ use paraver::TraceSink;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Anything that can fail inside one graph node: the compile (e.g. the
-/// `nymble-lint` gate at `deny`), the simulator (typed deadlock / config
-/// errors), the streaming trace pipeline, or the node body itself
-/// panicking (recorded so the rest of the graph still drains).
+/// Anything that can fail inside one graph node: the simulator (typed
+/// deadlock / config errors), the streaming trace pipeline, the profiling
+/// configuration, or the node body itself panicking (recorded so the rest
+/// of the graph still drains).
 #[derive(Debug)]
 pub enum BenchError {
-    /// The HLS compile was refused (e.g. by the lint gate).
-    Compile(CompileError),
     /// The cycle-level simulator rejected the run.
     Sim(SimError),
     /// The background trace pipeline failed.
@@ -60,7 +58,6 @@ pub enum BenchError {
 impl std::fmt::Display for BenchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BenchError::Compile(e) => write!(f, "{e}"),
             BenchError::Sim(e) => write!(f, "{e}"),
             BenchError::Pipeline(e) => write!(f, "{e}"),
             BenchError::Profiling(e) => write!(f, "{e}"),
@@ -74,18 +71,11 @@ impl std::fmt::Display for BenchError {
 impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            BenchError::Compile(e) => Some(e),
             BenchError::Sim(e) => Some(e),
             BenchError::Pipeline(e) => Some(e),
             BenchError::Profiling(e) => Some(e),
             BenchError::NodePanic { .. } => None,
         }
-    }
-}
-
-impl From<CompileError> for BenchError {
-    fn from(e: CompileError) -> Self {
-        BenchError::Compile(e)
     }
 }
 
@@ -138,9 +128,8 @@ pub struct ProfiledRun {
     pub accel: Arc<Accelerator>,
 }
 
-/// [`run_profiled_in`] under an explicit [`HlsConfig`]: the lint gate in
-/// `hls.lint` runs before the compile, and a refused compile surfaces as
-/// [`BenchError::Compile`] instead of panicking.
+/// [`run_profiled_in`] under an explicit [`HlsConfig`] (e.g. an auto-probe
+/// budget, whose empty plan surfaces as [`BenchError::Profiling`]).
 pub fn run_profiled_with(
     cache: &AccelCache,
     kernel: &Kernel,
@@ -149,7 +138,7 @@ pub fn run_profiled_with(
     prof: &ProfilingConfig,
     launch: &[LaunchArg],
 ) -> Result<ProfiledRun, BenchError> {
-    let accel = cache.try_get_or_compile(kernel, hls)?;
+    let accel = cache.get_or_compile(kernel, hls);
     let prof = planned_prof(prof, &accel)?;
     let mut unit = ProfilingUnit::new(&kernel.name, kernel.num_threads, prof);
     let result = Executor::run(kernel, &accel, sim, launch, &mut unit)?;
@@ -172,7 +161,7 @@ pub fn run_profiled_in(
     match run_profiled_with(cache, kernel, &HlsConfig::default(), sim, prof, launch) {
         Ok(run) => Ok(run),
         Err(BenchError::Sim(e)) => Err(e),
-        // The default config has the lint gate off and no pipeline.
+        // The default config plans no probes and runs no pipeline.
         Err(e) => unreachable!("impossible failure under HlsConfig::default(): {e}"),
     }
 }
@@ -191,9 +180,7 @@ pub fn run_profiled(
     run_profiled_in(&AccelCache::new(), kernel, sim, prof, launch).expect("simulation failed")
 }
 
-/// [`run_profiled_streaming_in`] under an explicit [`HlsConfig`]: the lint
-/// gate in `hls.lint` runs before the compile, and a refused compile
-/// surfaces as [`BenchError::Compile`] instead of panicking.
+/// [`run_profiled_streaming_in`] under an explicit [`HlsConfig`].
 #[allow(clippy::too_many_arguments)] // the fully-explicit variant: every knob of the stack
 pub fn run_profiled_streaming_with(
     cache: &AccelCache,
@@ -205,7 +192,7 @@ pub fn run_profiled_streaming_with(
     sink_factory: SinkFactory,
     launch: &[LaunchArg],
 ) -> Result<(RunResult, StreamReport), BenchError> {
-    let accel = cache.try_get_or_compile(kernel, hls)?;
+    let accel = cache.get_or_compile(kernel, hls);
     let prof = planned_prof(prof, &accel)?;
     let mut unit = ProfilingUnit::new_streaming(
         &kernel.name,
@@ -271,8 +258,8 @@ pub fn run_profiled_streaming(
         Ok(ok) => Ok(ok),
         Err(BenchError::Pipeline(e)) => Err(e),
         Err(BenchError::Sim(e)) => panic!("simulation failed: {e}"),
-        // The default config has the lint gate off, and this path never
-        // goes through the graph scheduler.
+        // The default config plans no probes, and this path never goes
+        // through the graph scheduler.
         Err(e) => unreachable!("{e}"),
     }
 }
@@ -319,9 +306,7 @@ pub fn bundle_sink_with_plan(path_stem: PathBuf, plan: Option<Arc<ProbePlan>>) -
     })
 }
 
-/// [`run_unprofiled_in`] under an explicit [`HlsConfig`]: the lint gate in
-/// `hls.lint` runs before the compile, and a refused compile surfaces as
-/// [`BenchError::Compile`] instead of panicking.
+/// [`run_unprofiled_in`] under an explicit [`HlsConfig`].
 pub fn run_unprofiled_with(
     cache: &AccelCache,
     kernel: &Kernel,
@@ -329,7 +314,7 @@ pub fn run_unprofiled_with(
     sim: &SimConfig,
     launch: &[LaunchArg],
 ) -> Result<RunResult, BenchError> {
-    let accel = cache.try_get_or_compile(kernel, hls)?;
+    let accel = cache.get_or_compile(kernel, hls);
     Executor::run(kernel, &accel, sim, launch, &mut NullSnoop).map_err(Into::into)
 }
 

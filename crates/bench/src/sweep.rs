@@ -20,10 +20,10 @@
 //!   order**, so the table text and the trace bundles are byte-identical
 //!   at `--jobs 1` and `--jobs 8`.
 //!
-//! Simulator failures (e.g. a typed [`fpga_sim::SimError::Deadlock`]) and
-//! lint-refused compiles are carried in the node outcomes and rendered as
-//! table diagnostics — one bad configuration never aborts the rest of a
-//! sweep.
+//! Simulator failures (e.g. a typed [`fpga_sim::SimError::Deadlock`]) are
+//! carried in the node outcomes and rendered as table diagnostics — one bad
+//! configuration never aborts the rest of a sweep. Static analysis gates
+//! the kernels before a sweep is built (`crate::lint_gate`).
 
 use crate::engine::{BatchEngine, RunReport, SchedStats};
 use crate::graph::{NodeCtx, NodeKind, TaskGraph};
@@ -178,7 +178,7 @@ fn profiled_streaming_run(
         spill_dir: Some(scratch_dir.to_path_buf()),
         ..env.pipeline.clone()
     };
-    let accel = env.cache.try_get_or_compile(kernel, env.hls)?;
+    let accel = env.cache.get_or_compile(kernel, env.hls);
     let (result, report) = run_profiled_streaming_with(
         env.cache,
         kernel,
@@ -207,8 +207,7 @@ fn profiled_streaming_run(
 /// Configuration of the GEMM version sweep (§V-C).
 pub struct GemmSweepConfig {
     pub params: GemmParams,
-    /// HLS compile options, including the `nymble-lint` gate level; part of
-    /// the compile-cache key.
+    /// HLS compile options; part of the compile-cache key.
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
@@ -277,10 +276,7 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
             format!("compile:{}", v.name()),
             &[],
             move |_: &NodeCtx<'_, GemmNode>| {
-                // A lint-refused compile is cached as a value; the run
-                // node surfaces it as its own typed failure so the table
-                // renders it as a diagnostic row.
-                let _ = env.cache.try_get_or_compile(kernel, env.hls);
+                env.cache.get_or_compile(kernel, env.hls);
                 Ok(GemmNode::Compiled)
             },
         );
@@ -420,8 +416,7 @@ pub struct PiSweepConfig {
     pub steps: Vec<u64>,
     pub threads: u32,
     pub bs: u32,
-    /// HLS compile options, including the `nymble-lint` gate level; part of
-    /// the compile-cache key.
+    /// HLS compile options; part of the compile-cache key.
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
@@ -491,7 +486,7 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
         "compile:pi",
         &[],
         move |_: &NodeCtx<'_, PiNode>| {
-            let _ = env.cache.try_get_or_compile(&shared_kernel, env.hls);
+            env.cache.get_or_compile(&shared_kernel, env.hls);
             Ok(PiNode::Compiled)
         },
     );
@@ -637,8 +632,7 @@ pub struct SpmvSweepConfig {
     pub matrix: Csr,
     /// Thread counts to sweep (each is a distinct kernel and compile).
     pub threads: Vec<u32>,
-    /// HLS compile options, including the `nymble-lint` gate level; part of
-    /// the compile-cache key.
+    /// HLS compile options; part of the compile-cache key.
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
@@ -716,7 +710,7 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
             format!("compile:spmv_t{t}"),
             &[],
             move |_: &NodeCtx<'_, SpmvNode>| {
-                let _ = env.cache.try_get_or_compile(kernel, env.hls);
+                env.cache.get_or_compile(kernel, env.hls);
                 Ok(SpmvNode::Compiled)
             },
         );

@@ -1,7 +1,8 @@
 //! The `--lint` gate must be *observationally free*: the analyzer runs
-//! before scheduling and never touches the compiled artifact, so a GEMM
-//! sweep at `lint: Deny` must produce byte-identical trace bundles and an
-//! identical result table to the same sweep at `lint: Off`.
+//! before the sweep compiles anything and never touches the compiled
+//! artifact, so a GEMM sweep gated at `Deny` must produce byte-identical
+//! trace bundles and an identical result table to the same sweep gated at
+//! `Off`.
 
 use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
 use bench::{gemm_sim_config, lint_gate};
@@ -38,18 +39,23 @@ fn bundle_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     files
 }
 
+const PARAMS: GemmParams = GemmParams {
+    dim: 16,
+    threads: 2,
+    vec: 4,
+    block: 8,
+};
+
+/// Gate the sweep's kernels at `lint`, then describe the sweep.
 fn sweep_cfg(lint: LintLevel, out: PathBuf) -> GemmSweepConfig {
+    let kernels: Vec<_> = GemmVersion::ALL
+        .iter()
+        .map(|&v| gemm::build(v, &PARAMS))
+        .collect();
+    lint_gate(&kernels.iter().collect::<Vec<_>>(), lint).expect("GEMM v1–v5 lint clean");
     GemmSweepConfig {
-        params: GemmParams {
-            dim: 16,
-            threads: 2,
-            vec: 4,
-            block: 8,
-        },
-        hls: HlsConfig {
-            lint,
-            ..HlsConfig::default()
-        },
+        params: PARAMS,
+        hls: HlsConfig::default(),
         sim: gemm_sim_config(),
         prof: ProfilingConfig::default(),
         pipeline: PipelineConfig::default(),
@@ -87,15 +93,9 @@ fn lint_deny_and_off_produce_identical_bundles_and_tables() {
 #[test]
 fn shipped_kernels_pass_the_deny_gate() {
     // The acceptance bar of the lint feature: GEMM v1–v5 and π are clean.
-    let p = GemmParams {
-        dim: 16,
-        threads: 2,
-        vec: 4,
-        block: 8,
-    };
     let kernels: Vec<_> = GemmVersion::ALL
         .iter()
-        .map(|&v| gemm::build(v, &p))
+        .map(|&v| gemm::build(v, &PARAMS))
         .chain(std::iter::once(kernels::pi::build(
             &kernels::pi::PiParams {
                 steps: 1024,

@@ -2,30 +2,32 @@
 //!
 //! Two promises hold the perf-lint family together:
 //!
-//! 1. **Static agreement** — the symbolic cost model behind every NP
-//!    prediction (`nymble_lint::perf`) is an independent mirror of the
-//!    simulator's roofline mode (`fpga_sim::analytic`). On each triggering
-//!    fixture, its quantitative prediction must land within 25% of the
-//!    analytic estimate of the same quantity.
+//! 1. **Static agreement** — every NP prediction is priced by the static
+//!    cost walker's symbolic mode (`nymble_hls::perf::model`: no compile,
+//!    recurrence II, no restart term); the simulator's roofline mode
+//!    (`fpga_sim::analytic`) prices the compiled design with the same
+//!    walker. On each triggering fixture, the prediction must land within
+//!    25% of the analytic estimate of the same quantity.
 //! 2. **Dynamic confirmation** — the cycle-level simulator must actually
 //!    exhibit each predicted symptom: `hls_profiling::confront` returns
 //!    `Confirmed` for every NP finding on the fixture's simulated trace.
 //!
-//! A third test pins the gate's observational freeness: sweeping with
-//! `perf_lint: Warn` produces byte-identical trace bundles and tables to
-//! `perf_lint: Off` — the analyzer never touches the compiled artifact.
+//! A third test pins the gate's observational freeness: a sweep gated at
+//! `Warn` produces byte-identical trace bundles and tables to one gated at
+//! `Off` — the analyzer never touches the compiled artifact.
 
 use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
-use bench::{analytic_report, gemm_sim_config, run_profiled_in};
+use bench::{analytic_report, gemm_sim_config, perf_lint_gate, run_profiled_in};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
-use hls_profiling::diagnose::{confront, diagnose, perf_params_from_sim, DiagnoseConfig};
+use hls_profiling::diagnose::{confront, diagnose, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::fixtures::{self, Fixture};
-use kernels::gemm::{GemmParams, GemmVersion};
+use kernels::gemm::{self, GemmParams, GemmVersion};
+use nymble_hls::perf::{self, Timing};
 use nymble_hls::{AccelCache, HlsConfig};
 use nymble_ir::{ArgKind, Kernel, ScalarType, Type, Value};
-use nymble_lint::{Code, LintLevel, PerfParams, PredMetric};
+use nymble_lint::{Code, LintLevel, PredMetric};
 
 /// Build a launch for a fixture kernel: scalars get 1, buffers get 4096
 /// zeroed elements (past every perf fixture's largest index — np001 reads
@@ -64,13 +66,13 @@ fn within(pred: f64, obs: f64, tol: f64) -> bool {
 fn np_predictions_agree_with_the_analytic_model() {
     let cache = AccelCache::new();
     let sim = SimConfig::default();
-    let params = PerfParams::default();
+    let params = Timing::default();
     for f in buggy_perf_fixtures() {
         let launch = fixture_launch(&f.kernel);
         let analytic = analytic_report(&cache, &f.kernel, &sim, &launch)
             .unwrap_or_else(|| panic!("`{}`: analytic estimate unresolvable", f.name));
         // The whole-kernel cost model agrees on total cycles…
-        let model = nymble_lint::perf::model(&f.kernel, &params)
+        let model = perf::model(&f.kernel, &params)
             .unwrap_or_else(|| panic!("`{}`: static model unresolvable", f.name));
         assert!(
             within(
@@ -130,7 +132,7 @@ fn np_predictions_are_confirmed_by_the_cycle_simulator() {
         let launch = fixture_launch(&f.kernel);
         let run = run_profiled_in(&cache, &f.kernel, &sim, &prof, &launch)
             .unwrap_or_else(|e| panic!("`{}`: simulation failed: {e}", f.name));
-        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &perf_params_from_sim(&sim));
+        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &sim.timing());
         let d = diagnose(
             &run.trace,
             &run.result.stats,
@@ -158,8 +160,8 @@ fn np_predictions_are_confirmed_by_the_cycle_simulator() {
     }
 }
 
-/// The perf gate is observationally free: `perf_lint: Warn` and `Off`
-/// sweeps produce byte-identical bundles and tables (same contract the
+/// The perf gate is observationally free: sweeps gated at `Warn` and `Off`
+/// produce byte-identical bundles and tables (same contract the
 /// correctness gate pins in `lint_gate.rs`).
 #[test]
 fn perf_lint_warn_and_off_produce_identical_bundles_and_tables() {
@@ -190,19 +192,23 @@ fn perf_lint_warn_and_off_produce_identical_bundles_and_tables() {
     }
 
     let mut baseline: Option<(String, BTreeMap<String, Vec<u8>>)> = None;
+    let params = GemmParams {
+        dim: 16,
+        threads: 2,
+        vec: 4,
+        block: 8,
+    };
+    let kernels: Vec<_> = GemmVersion::ALL
+        .iter()
+        .map(|&v| gemm::build(v, &params))
+        .collect();
     for perf_lint in [LintLevel::Off, LintLevel::Warn] {
         let out = test_dir(perf_lint.as_str());
+        perf_lint_gate(&kernels.iter().collect::<Vec<_>>(), perf_lint)
+            .expect("warn reports, never refuses");
         let sweep = gemm_sweep(&GemmSweepConfig {
-            params: GemmParams {
-                dim: 16,
-                threads: 2,
-                vec: 4,
-                block: 8,
-            },
-            hls: HlsConfig {
-                perf_lint,
-                ..HlsConfig::default()
-            },
+            params,
+            hls: HlsConfig::default(),
             sim: gemm_sim_config(),
             prof: ProfilingConfig::default(),
             pipeline: PipelineConfig::default(),

@@ -1,15 +1,18 @@
 //! Golden pins of the static cost models.
 //!
 //! Every number the no-simulation path derives for a kernel is pinned here:
-//! the perf-lint model (`nymble_lint::perf::model`), the per-region profits
-//! (`region_profits`, keyed by pre-order statement index and name), the
-//! region tree's profits and selection scores, the auto-probe plan, and
-//! the analytic estimate (`fpga_sim::analytic::estimate_with_image`). The
+//! the static cost walker's symbolic model (`nymble_hls::perf::model`, the
+//! pricing behind perf-lint), the per-region profits (`region_profits`,
+//! keyed by pre-order statement index and name), the region tree's profits
+//! and selection scores, the auto-probe plan, and the analytic estimate
+//! (`fpga_sim::analytic::estimate_with_image`, the same walker over the
+//! compiled schedules). The
 //! kernels cover GEMM v1–v5 over a grid of sizes and thread counts, π,
 //! seeded SpMV, the extra kernels, every lint fixture and one small kernel
 //! per kind of expression that makes loop iterations price differently
-//! (see `nymble_ir::loops::var_steers_cost`), so a change to either cost
-//! walker that moves any estimate fails here with a readable line diff.
+//! (see `nymble_ir::loops::var_steers_cost`), so a change to the walker
+//! that moves any estimate fails here with a readable line diff. Two more
+//! tests pin the intended differences between the walker's loop sources.
 //! Regenerate intentionally with
 //!
 //! ```text
@@ -27,9 +30,11 @@ use kernels::pi::{self, PiParams};
 use kernels::reference;
 use kernels::spmv::{self, Csr};
 use nymble_hls::accel::{compile, HlsConfig};
+use nymble_hls::perf::{self, pipeline_eligible, region_profits, LoopSource, Timing};
 use nymble_hls::ProbeMode;
+use nymble_ir::loops::LoopMap;
+use nymble_ir::stmt::{visit_stmts, Unroll};
 use nymble_ir::{ArgKind, BinOp, Kernel, KernelBuilder, MapDir, ScalarType, Stmt, Type, Value};
-use nymble_lint::{perf, region_profits, PerfParams};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -255,7 +260,7 @@ fn steering_kernels() -> Vec<Kernel> {
 fn stmt_keys(k: &Kernel) -> Vec<(usize, String)> {
     let mut keys = Vec::new();
     let mut idx = 0usize;
-    nymble_ir::stmt::visit_stmts(&k.body, &mut |s| {
+    visit_stmts(&k.body, &mut |s| {
         let name = match s {
             Stmt::For { var, .. } => k.var(*var).name.clone(),
             Stmt::Preload { mem, .. } | Stmt::WriteBack { mem, .. } => {
@@ -273,7 +278,7 @@ fn stmt_keys(k: &Kernel) -> Vec<(usize, String)> {
 }
 
 fn render(c: &Case) -> String {
-    let p = PerfParams::default();
+    let p = Timing::default();
     let k = &c.kernel;
     let mut out = format!("== {}\n", c.name);
     match perf::model(k, &p) {
@@ -389,4 +394,78 @@ fn gemm_static_models_match_golden() {
 #[test]
 fn other_static_models_match_golden() {
     check_golden("static_models_other.txt", other_cases());
+}
+
+/// The whole corpus, each kernel with its compiled design.
+fn compiled_corpus() -> Vec<(Case, nymble_hls::Accelerator)> {
+    gemm_cases()
+        .into_iter()
+        .chain(other_cases())
+        .map(|c| {
+            let accel = compile(&c.kernel, &HlsConfig::default());
+            (c, accel)
+        })
+        .collect()
+}
+
+/// The symbolic source decides pipelining structurally; the compiled
+/// schedule decides it from the lowered DFG. They agree on every
+/// non-unrolled loop of the corpus.
+#[test]
+fn structural_eligibility_matches_the_scheduled_loop_mode() {
+    let mut loops = 0;
+    for (c, accel) in compiled_corpus() {
+        let map = LoopMap::build(&c.kernel);
+        visit_stmts(&c.kernel.body, &mut |s| {
+            if let Stmt::For { body, unroll, .. } = s {
+                if *unroll != Unroll::Full {
+                    let id = map.id_of(s);
+                    assert_eq!(
+                        pipeline_eligible(body),
+                        accel.pipelined(id).is_some(),
+                        "`{}` loop {id:?}",
+                        c.name
+                    );
+                    loops += 1;
+                }
+            }
+        });
+    }
+    assert!(loops > 800, "corpus covers {loops} loops");
+}
+
+/// Only the scheduled source prices restart contention: naive GEMM's
+/// per-thread strided walks re-enter their pipelined loop once per output
+/// element, π has no independent miss stream, and no kernel prices any
+/// contention symbolically. Read from the walker's summed contention, not
+/// from totals (the sources' II and depth differ too).
+#[test]
+fn restart_contention_is_priced_by_the_scheduled_source_only() {
+    let scheduled = |c: &Case, accel: &nymble_hls::Accelerator| {
+        let (mem, scalars) = MemImage::new(&c.kernel, &c.launch);
+        perf::estimate(
+            &c.kernel,
+            LoopSource::Scheduled(accel),
+            &c.sim.timing(),
+            &scalars,
+            Some(mem.buffers()),
+        )
+        .map(|m| m.contention)
+    };
+    let corpus = compiled_corpus();
+    let named = |name: &str| {
+        corpus
+            .iter()
+            .find(|(c, _)| c.name == name)
+            .unwrap_or_else(|| panic!("`{name}` in the corpus"))
+    };
+    let (gemm, gemm_accel) = named("gemm_naive_d16_t4");
+    assert!(scheduled(gemm, gemm_accel).expect("resolvable") > 0);
+    let (pi, pi_accel) = named("pi");
+    assert_eq!(scheduled(pi, pi_accel), Some(0));
+    for (c, _) in &corpus {
+        if let Some(m) = perf::model(&c.kernel, &c.sim.timing()) {
+            assert_eq!(m.contention, 0, "`{}` symbolic contention", c.name);
+        }
+    }
 }

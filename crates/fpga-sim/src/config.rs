@@ -1,6 +1,7 @@
 //! Simulator configuration.
 
 use crate::error::SimError;
+use nymble_hls::perf::Timing;
 
 /// Timing parameters of the simulated platform (defaults approximate the
 /// paper's Intel D5005 PAC: Stratix 10, four DDR4 banks behind a 512-bit
@@ -60,25 +61,26 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
+        let t = Timing::default();
         SimConfig {
             clock_mhz: 148.0,
-            dram_latency: 48,
-            dram_bytes_per_cycle: 64,
-            dram_line_bytes: 64,
-            dram_banks: 16,
-            dram_bank_busy: 16,
-            launch_interval: 880_000,
-            sem_acquire_latency: 12,
-            sem_release_latency: 4,
+            dram_latency: t.dram_latency,
+            dram_bytes_per_cycle: t.dram_bytes_per_cycle,
+            dram_line_bytes: t.dram_line_bytes,
+            dram_banks: t.dram_banks,
+            dram_bank_busy: t.dram_bank_busy,
+            launch_interval: t.launch_interval,
+            sem_acquire_latency: t.sem_acquire_latency,
+            sem_release_latency: t.sem_release_latency,
             spin_retry_interval: 16,
-            barrier_latency: 8,
-            seq_issue_width: 4,
-            stmt_base_cost: 1,
-            burst_issue_cost: 4,
-            dma_setup: 12,
-            assumed_load_latency: 8,
+            barrier_latency: t.barrier_latency,
+            seq_issue_width: t.seq_issue_width,
+            stmt_base_cost: t.stmt_base_cost,
+            burst_issue_cost: t.burst_issue_cost,
+            dma_setup: t.dma_setup,
+            assumed_load_latency: t.assumed_load_latency,
             dram_bank_hash: true,
-            line_buffers: true,
+            line_buffers: t.line_buffers,
             port_mshrs: 2,
         }
     }
@@ -93,6 +95,29 @@ impl SimConfig {
     /// Convert a cycle count to seconds at the configured clock.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.clock_hz()
+    }
+
+    /// The timing fields the static cost walker prices against
+    /// ([`nymble_hls::perf`]), so static predictions and a run share one
+    /// machine description.
+    pub fn timing(&self) -> Timing {
+        Timing {
+            dram_latency: self.dram_latency,
+            dram_bytes_per_cycle: self.dram_bytes_per_cycle,
+            dram_line_bytes: self.dram_line_bytes,
+            dram_banks: self.dram_banks,
+            dram_bank_busy: self.dram_bank_busy,
+            launch_interval: self.launch_interval,
+            sem_acquire_latency: self.sem_acquire_latency,
+            sem_release_latency: self.sem_release_latency,
+            barrier_latency: self.barrier_latency,
+            seq_issue_width: self.seq_issue_width,
+            stmt_base_cost: self.stmt_base_cost,
+            burst_issue_cost: self.burst_issue_cost,
+            assumed_load_latency: self.assumed_load_latency,
+            dma_setup: self.dma_setup,
+            line_buffers: self.line_buffers,
+        }
     }
 
     /// A configuration with negligible host launch overhead, for experiments

@@ -20,7 +20,6 @@ use crate::snoop::{Snoop, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
 use crate::stats::RunStats;
 use crate::wheel::WheelQueue;
 use nymble_hls::accel::Accelerator;
-use nymble_hls::op::OpClass;
 use nymble_ir::loops::{LoopId, LoopMap};
 use nymble_ir::walker::{StepEvent, Walker};
 use nymble_ir::{Kernel, Value};
@@ -809,23 +808,9 @@ fn try_release_barrier<Q: DispatchQueue>(
 
 /// Decide the pricing mode of a loop from its compiled schedule.
 fn loop_mode(accel: &Accelerator, id: LoopId) -> LoopMode {
-    let Some(sched) = &accel.loop_schedules[id.0 as usize] else {
-        // Fully unrolled — the walker never reports iterations for it.
-        return LoopMode::Sequential;
-    };
-    let Some(dfg) = &accel.loop_dfgs[id.0 as usize] else {
-        return LoopMode::Sequential;
-    };
-    let has_region = dfg.count(OpClass::InnerLoop) > 0
-        || dfg.count(OpClass::CriticalRegion) > 0
-        || dfg.count(OpClass::Burst) > 0;
-    if has_region {
-        LoopMode::Sequential
-    } else {
-        LoopMode::Pipelined {
-            ii: sched.ii as u64,
-            depth: sched.depth as u64,
-        }
+    match accel.pipelined(id) {
+        Some((ii, depth)) => LoopMode::Pipelined { ii, depth },
+        None => LoopMode::Sequential,
     }
 }
 

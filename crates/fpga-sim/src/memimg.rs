@@ -80,6 +80,12 @@ impl MemImage {
         &self.bufs[buf.0 as usize]
     }
 
+    /// Every argument's contents, indexed like kernel arguments (scalar
+    /// slots are empty).
+    pub fn buffers(&self) -> &[Vec<Value>] {
+        &self.bufs
+    }
+
     /// Element size in bytes of a buffer argument.
     pub fn elem_size(&self, buf: ArgId) -> u32 {
         self.elem_size[buf.0 as usize]

@@ -15,7 +15,7 @@ use fpga_sim::stats::RunStats;
 use fpga_sim::{SimConfig, SimError};
 use nymble_hls::probe::ProbePlan;
 use nymble_hls::region::{RegionKind, RegionTree};
-use nymble_lint::{Code, LintReport, PerfParams, PredMetric};
+use nymble_lint::{Code, LintReport, PredMetric};
 use paraver::analysis::{event_series, StateProfile};
 use paraver::{events, states};
 use std::collections::HashMap;
@@ -261,29 +261,6 @@ pub struct PredictionOutcome {
     pub detail: String,
 }
 
-/// Build the static model's parameter set from the simulator configuration,
-/// so predictions and measurements share one machine description. The
-/// defaults of both sides already agree ([`PerfParams::default`] mirrors
-/// [`SimConfig::default`]); this keeps them aligned under overrides like
-/// `SimConfig::with_fast_launch`.
-pub fn perf_params_from_sim(sim: &SimConfig) -> PerfParams {
-    PerfParams {
-        dram_latency: sim.dram_latency,
-        dram_bytes_per_cycle: u64::from(sim.dram_bytes_per_cycle),
-        dram_line_bytes: u64::from(sim.dram_line_bytes),
-        launch_interval: sim.launch_interval,
-        sem_acquire_latency: sim.sem_acquire_latency,
-        sem_release_latency: sim.sem_release_latency,
-        barrier_latency: sim.barrier_latency,
-        seq_issue_width: u64::from(sim.seq_issue_width),
-        stmt_base_cost: sim.stmt_base_cost,
-        burst_issue_cost: sim.burst_issue_cost,
-        assumed_load_latency: sim.assumed_load_latency,
-        dma_setup: sim.dma_setup,
-        line_buffers: sim.line_buffers,
-    }
-}
-
 /// Confront each static NP finding with the measured run and flag measured
 /// bottlenecks the static pass missed.
 ///
@@ -420,7 +397,7 @@ pub struct RegionAttribution {
 /// stalls land on *regions* instead of just threads.
 ///
 /// The kernel root gets the whole run. Each child receives its parent's
-/// cycles scaled by the static profit ratio (the analytic mirror priced
+/// cycles scaled by the static profit ratio (the static cost walker priced
 /// every region when it built the tree) — telescoping, so a region's figure
 /// never exceeds its parent's. Critical regions are the exception: their
 /// time is directly observable in the trace (the CRITICAL state), so the
@@ -718,20 +695,6 @@ mod tests {
             kernel: "t".into(),
             diagnostics: vec![],
         }
-    }
-
-    #[test]
-    fn sim_params_translate_to_the_static_model() {
-        assert_eq!(
-            perf_params_from_sim(&SimConfig::default()),
-            nymble_lint::PerfParams::default(),
-            "the static model's defaults must mirror the simulator's"
-        );
-        let fast = SimConfig::default().with_fast_launch();
-        assert_eq!(
-            perf_params_from_sim(&fast).launch_interval,
-            fast.launch_interval
-        );
     }
 
     #[test]

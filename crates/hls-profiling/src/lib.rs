@@ -31,8 +31,7 @@ pub mod recorder;
 pub mod unit;
 
 pub use diagnose::{
-    attribute_regions, confront, hottest_region, perf_params_from_sim, PredictionOutcome,
-    RegionAttribution, Verdict,
+    attribute_regions, confront, hottest_region, PredictionOutcome, RegionAttribution, Verdict,
 };
 pub use pipeline::{PipelineConfig, PipelineError, SinkFactory, StreamReport};
 pub use unit::{ProfilingConfig, ProfilingConfigError, ProfilingUnit, TraceData};

@@ -2,14 +2,15 @@
 
 use crate::cost::{estimate_fit, CostParams, FitReport};
 use crate::dfg::{lower_block, Dfg};
+use crate::op::OpClass;
+use crate::perf::Timing;
 use crate::probe::{self, ProbeCostParams, ProbeMode, ProbePlan};
 use crate::region::RegionTree;
 use crate::schedule::{schedule, LoopSchedule, ResourceLimits};
 use nymble_ir::loops::{LoopId, LoopMap};
 use nymble_ir::stmt::{Block, Stmt};
 use nymble_ir::Kernel;
-use nymble_lint::{LintLevel, PerfParams};
-use std::fmt;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// HLS compiler configuration.
@@ -23,19 +24,6 @@ pub struct HlsConfig {
     /// how many scheduled ops retire per cycle when a thread executes
     /// top-level or critical-section code sequentially.
     pub seq_issue_width: u32,
-    /// Static-analysis gate run before scheduling. At
-    /// [`LintLevel::Warn`] findings go to stderr; at [`LintLevel::Deny`]
-    /// they abort the compile ([`try_compile`] returns
-    /// [`CompileError::Lint`]). Part of the config fingerprint, so
-    /// `AccelCache` never serves an artifact compiled under a different
-    /// lint gate.
-    pub lint: LintLevel,
-    /// Performance-diagnostics gate (`NP0xx` family), run alongside the
-    /// correctness gate. NP findings are warnings — kernels that are slow,
-    /// not wrong — so [`LintLevel::Warn`] is the usual setting; `Deny`
-    /// refuses to build a design the model predicts to be pathological.
-    /// Also part of the config fingerprint.
-    pub perf_lint: LintLevel,
     /// Auto-probe mode: at [`ProbeMode::Auto`] the compiler solves a
     /// budgeted instrumentation plan over the region tree and attaches it
     /// to the accelerator for the profiling unit to follow. Part of the
@@ -50,32 +38,10 @@ impl Default for HlsConfig {
             limits: ResourceLimits::default(),
             cost: CostParams::default(),
             seq_issue_width: 4,
-            lint: LintLevel::Off,
-            perf_lint: LintLevel::Off,
             probe: ProbeMode::Off,
         }
     }
 }
-
-/// Why a compile was refused.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CompileError {
-    /// The pre-scheduling lint gate failed (`lint: Deny` and the kernel has
-    /// diagnostics). Carries the human-rendered lint report.
-    Lint(String),
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::Lint(report) => {
-                write!(f, "lint gate rejected the kernel:\n{report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// A compiled accelerator: everything the simulator, the profiling unit and
 /// the fit reporter need to know about the generated hardware.
@@ -115,6 +81,18 @@ impl Accelerator {
         self.loop_schedules[id.0 as usize]
             .as_ref()
             .expect("unrolled loops have no standalone schedule")
+    }
+
+    /// Pipelined `(ii, depth)` of a loop, or `None` when it executes
+    /// sequentially: unrolled away, or containing an inner region (loop,
+    /// critical section or DMA burst) the executor must step through.
+    pub fn pipelined(&self, id: LoopId) -> Option<(u64, u64)> {
+        let sched = self.loop_schedules[id.0 as usize].as_ref()?;
+        let dfg = self.loop_dfgs[id.0 as usize].as_ref()?;
+        let has_region = dfg.count(OpClass::InnerLoop) > 0
+            || dfg.count(OpClass::CriticalRegion) > 0
+            || dfg.count(OpClass::Burst) > 0;
+        (!has_region).then_some((sched.ii as u64, sched.depth as u64))
     }
 
     /// Total reordering stages over all loop schedules (Nymble-MT context
@@ -157,38 +135,9 @@ fn collect_loop_bodies<'k>(lm: &LoopMap, block: &'k Block, out: &mut Vec<(LoopId
     }
 }
 
-/// Compile a kernel into an accelerator description.
-///
-/// # Panics
-/// Panics when the lint gate rejects the kernel (`config.lint == Deny` and
-/// the kernel has diagnostics); use [`try_compile`] for a `Result`.
+/// Compile a kernel into an accelerator description. Static analysis
+/// (`nymble-lint`) is the caller's gate: run it before compiling.
 pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
-    try_compile(kernel, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Compile a kernel, running the static analyzer *before* any scheduling
-/// work when `config.lint` is not [`LintLevel::Off`].
-pub fn try_compile(kernel: &Kernel, config: &HlsConfig) -> Result<Accelerator, CompileError> {
-    match nymble_lint::enforce(kernel, config.lint) {
-        Ok(report) => {
-            if !report.is_clean() {
-                eprint!("{}", report.render_human());
-            }
-        }
-        Err(rendered) => return Err(CompileError::Lint(rendered)),
-    }
-    match nymble_lint::enforce_perf(kernel, config.perf_lint) {
-        Ok(report) => {
-            if !report.is_clean() {
-                eprint!("{}", report.render_human());
-            }
-        }
-        Err(rendered) => return Err(CompileError::Lint(rendered)),
-    }
-    Ok(compile_unchecked(kernel, config))
-}
-
-fn compile_unchecked(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
     let lm = LoopMap::build(kernel);
     let mut bodies = Vec::new();
     collect_loop_bodies(&lm, &kernel.body, &mut bodies);
@@ -219,7 +168,7 @@ fn compile_unchecked(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
 
     // Region analysis: always build the tree (diagnosis uses it even when
     // no probes are planned); solve the knapsack only under Auto.
-    let regions = RegionTree::build(kernel, &PerfParams::default());
+    let regions = RegionTree::build(kernel, &Timing::default());
     let probe_plan = match config.probe {
         ProbeMode::Off => None,
         ProbeMode::Auto { budget_alms } => Some(Arc::new(probe::select(
@@ -242,6 +191,12 @@ fn compile_unchecked(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
         regions,
         probe_plan,
     }
+}
+
+/// [`compile`] as a `Result`, for callers written against a fallible
+/// compile; compiling never fails.
+pub fn try_compile(kernel: &Kernel, config: &HlsConfig) -> Result<Accelerator, Infallible> {
+    Ok(compile(kernel, config))
 }
 
 #[cfg(test)]
@@ -336,112 +291,5 @@ mod tests {
                 kb.set(x, s);
             });
         }
-    }
-
-    /// Two threads both write OUT[0..8): a write/write race (NL001).
-    fn racy_kernel() -> Kernel {
-        let mut kb = KernelBuilder::new("racy", 2);
-        let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
-        let n = kb.c_i64(8);
-        kb.for_range("i", n, |kb, i| {
-            let one = kb.c_f32(1.0);
-            kb.store(out, i, one);
-        });
-        kb.finish()
-    }
-
-    #[test]
-    fn lint_deny_refuses_racy_kernel() {
-        let k = racy_kernel();
-        let cfg = HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        let err = try_compile(&k, &cfg).expect_err("deny gate must reject the race");
-        let CompileError::Lint(report) = &err;
-        assert!(report.contains("NL001"), "report names the code: {report}");
-        assert!(err.to_string().contains("lint gate rejected"));
-    }
-
-    #[test]
-    fn lint_off_and_warn_compile_racy_kernel() {
-        let k = racy_kernel();
-        for lint in [LintLevel::Off, LintLevel::Warn] {
-            let cfg = HlsConfig {
-                lint,
-                ..HlsConfig::default()
-            };
-            let acc = try_compile(&k, &cfg).expect("off/warn must not block the compile");
-            assert_eq!(acc.name, "racy");
-        }
-    }
-
-    #[test]
-    fn lint_deny_passes_clean_kernel() {
-        // Each thread writes only OUT[tid]: disjoint, lint-clean.
-        let mut kb = KernelBuilder::new("clean", 4);
-        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
-        let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
-        let tid = kb.thread_id();
-        let v = kb.load(a, tid, Type::F32);
-        let s = kb.add(v, v);
-        kb.store(out, tid, s);
-        let k = kb.finish();
-        let cfg = HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        let acc = try_compile(&k, &cfg).expect("clean kernel passes the deny gate");
-        assert_eq!(acc.name, "clean");
-    }
-
-    /// A correctness-clean float reduction: each thread owns its output
-    /// element, but the carried `acc` chain is an NP001 recurrence.
-    fn recurrence_kernel() -> Kernel {
-        let mut kb = KernelBuilder::new("recur", 2);
-        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
-        let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
-        let acc = kb.var("acc", Type::F32);
-        let zero = kb.c_f32(0.0);
-        kb.set(acc, zero);
-        let tid = kb.thread_id();
-        let n = kb.c_i64(64);
-        let row = kb.mul(tid, n);
-        let n2 = kb.c_i64(64);
-        kb.for_range("i", n2, |kb, i| {
-            let idx = kb.add(row, i);
-            let v = kb.load(a, idx, Type::F32);
-            let cur = kb.get(acc);
-            let s = kb.add(cur, v);
-            kb.set(acc, s);
-        });
-        let fin = kb.get(acc);
-        kb.store(out, tid, fin);
-        kb.finish()
-    }
-
-    #[test]
-    fn perf_lint_gate_is_independent_of_the_correctness_gate() {
-        let k = recurrence_kernel();
-        // Correctness-deny alone passes: the kernel is NL-clean.
-        let correct_only = HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        assert!(try_compile(&k, &correct_only).is_ok());
-        // Perf-deny refuses it and names the NP code.
-        let perf_deny = HlsConfig {
-            perf_lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        let err = try_compile(&k, &perf_deny).expect_err("NP001 blocks perf-deny");
-        let CompileError::Lint(report) = &err;
-        assert!(report.contains("NP001"), "{report}");
-        // Perf-warn (the usual setting) compiles.
-        let perf_warn = HlsConfig {
-            perf_lint: LintLevel::Warn,
-            ..HlsConfig::default()
-        };
-        assert!(try_compile(&k, &perf_warn).is_ok());
     }
 }

@@ -15,7 +15,7 @@
 //! entries, while the π kernel — whose step count arrives as a launch
 //! scalar, not as IR — hits the same entry for every problem size.
 
-use crate::accel::{try_compile, Accelerator, CompileError, HlsConfig};
+use crate::accel::{compile, Accelerator, HlsConfig};
 use nymble_ir::Kernel;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -48,11 +48,8 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// One cache slot: compiled at most once, shared by every requester. A
-/// refused compile (e.g. the lint gate at `lint: Deny`) is cached like a
-/// success: every requester of the same key sees the same error without
-/// re-running the analyzer.
-type CacheCell = Arc<OnceLock<Result<Arc<Accelerator>, CompileError>>>;
+/// One cache slot: compiled at most once, shared by every requester.
+type CacheCell = Arc<OnceLock<Arc<Accelerator>>>;
 
 /// Number of independent lock shards the key → cell map is split into.
 /// Concurrent `Compile` graph nodes on distinct kernels hash to distinct
@@ -109,24 +106,7 @@ impl AccelCache {
     /// Return the compiled accelerator for `(kernel, config)`, compiling it
     /// on first request. Concurrent requests for the same key block until
     /// the single compile finishes and then share its result.
-    ///
-    /// # Panics
-    /// Panics when the compile is refused (see
-    /// [`crate::accel::try_compile`]); use [`Self::try_get_or_compile`] for
-    /// a `Result`.
     pub fn get_or_compile(&self, kernel: &Kernel, config: &HlsConfig) -> Arc<Accelerator> {
-        self.try_get_or_compile(kernel, config)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Self::get_or_compile`], but a refused compile (e.g. the lint
-    /// gate at `lint: Deny`) is returned as an error — and cached, so each
-    /// key runs the analyzer at most once per sweep.
-    pub fn try_get_or_compile(
-        &self,
-        kernel: &Kernel,
-        config: &HlsConfig,
-    ) -> Result<Arc<Accelerator>, CompileError> {
         let key = (kernel_fingerprint(kernel), config.fingerprint());
         let cell = {
             let mut map = self.shards[shard_index(&key)]
@@ -138,7 +118,7 @@ impl AccelCache {
         let accel = cell
             .get_or_init(|| {
                 compiled_here = true;
-                try_compile(kernel, config).map(Arc::new)
+                Arc::new(compile(kernel, config))
             })
             .clone();
         if compiled_here {
@@ -232,19 +212,7 @@ mod tests {
         assert_eq!(s.entries, 1);
     }
 
-    /// Two threads both write OUT[0..8): a write/write race (NL001).
-    fn racy_kernel() -> Kernel {
-        let mut kb = KernelBuilder::new("racy", 2);
-        let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
-        let n = kb.c_i64(8);
-        kb.for_range("i", n, |kb, i| {
-            let one = kb.c_f32(1.0);
-            kb.store(out, i, one);
-        });
-        kb.finish()
-    }
-
-    /// Each thread writes only OUT[tid]: disjoint, lint-clean.
+    /// Each thread writes only OUT[tid].
     fn clean_kernel() -> Kernel {
         let mut kb = KernelBuilder::new("clean", 2);
         let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
@@ -286,36 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_levels_are_distinct_cache_keys() {
-        use nymble_lint::LintLevel;
-        let cache = AccelCache::new();
-        let k = clean_kernel();
-        let off = HlsConfig::default();
-        let deny = HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        let a = cache.get_or_compile(&k, &off);
-        let b = cache.get_or_compile(&k, &deny);
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "different lint gates must not share an artifact"
-        );
-        assert_eq!(cache.stats().entries, 2);
-        // The perf-lint gate is a distinct key dimension too.
-        let perf_warn = HlsConfig {
-            perf_lint: LintLevel::Warn,
-            ..HlsConfig::default()
-        };
-        let c = cache.get_or_compile(&k, &perf_warn);
-        assert!(
-            !Arc::ptr_eq(&a, &c),
-            "different perf-lint gates must not share an artifact"
-        );
-        assert_eq!(cache.stats().entries, 3);
-    }
-
-    #[test]
     fn probe_modes_are_distinct_cache_keys() {
         use crate::probe::ProbeMode;
         let cache = AccelCache::new();
@@ -340,30 +278,5 @@ mod tests {
         assert!(
             b.probe_plan.as_ref().unwrap().cost_alms >= c.probe_plan.as_ref().unwrap().cost_alms
         );
-    }
-
-    #[test]
-    fn refused_compile_is_cached_as_an_error() {
-        use nymble_lint::LintLevel;
-        let cache = AccelCache::new();
-        let k = racy_kernel();
-        let deny = HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        };
-        let e1 = cache
-            .try_get_or_compile(&k, &deny)
-            .expect_err("deny gate rejects the race");
-        let e2 = cache
-            .try_get_or_compile(&k, &deny)
-            .expect_err("second request sees the same cached error");
-        assert_eq!(e1, e2);
-        let s = cache.stats();
-        assert_eq!((s.misses, s.hits), (1, 1), "the analyzer ran once");
-        // The same kernel still compiles under a non-deny gate.
-        let acc = cache
-            .try_get_or_compile(&k, &HlsConfig::default())
-            .expect("lint off compiles");
-        assert_eq!(acc.name, "racy");
     }
 }

@@ -22,20 +22,26 @@
 //! 3. [`accel`] assembles the per-loop schedules, marks reordering stages
 //!    (stages containing VLOs hold per-thread contexts so the hardware
 //!    thread scheduler can reorder threads), and runs the [`cost`] model.
+//! 4. [`region`] prices the kernel's source regions with the static cost
+//!    walker of [`perf`] (the same roofline behind the simulator's analytic
+//!    mode and `nymble-lint`'s performance findings), and [`probe`] packs
+//!    the most profitable region counters into an ALM budget.
 
 pub mod accel;
 pub mod cache;
 pub mod cost;
+pub mod deps;
 pub mod dfg;
 pub mod modulo;
 pub mod op;
+pub mod perf;
 pub mod probe;
 pub mod region;
 pub mod report;
 pub mod schedule;
 pub mod verilog;
 
-pub use accel::{compile, try_compile, Accelerator, CompileError, HlsConfig};
+pub use accel::{compile, try_compile, Accelerator, HlsConfig};
 pub use cache::{kernel_fingerprint, AccelCache, CacheStats};
 pub use cost::FitReport;
 pub use probe::{

@@ -193,65 +193,4 @@ mod tests {
         assert_eq!(OpClass::ExtLoad.resource(), Resource::MemRead);
         assert_eq!(OpClass::ExtStore.resource(), Resource::MemWrite);
     }
-
-    /// `nymble-lint` cannot depend on this crate (the dependency points the
-    /// other way), so its perf diagnostics mirror these latencies as
-    /// constants. This test is the agreement contract: any latency or
-    /// classification change here must be reflected in
-    /// `nymble_lint::deps::latency`.
-    #[test]
-    fn lint_latency_mirror_agrees() {
-        use nymble_lint::deps::latency as l;
-        assert_eq!(l::INT_ALU, u64::from(OpClass::IntAlu.latency()));
-        assert_eq!(l::INT_MUL, u64::from(OpClass::IntMul.latency()));
-        assert_eq!(l::INT_DIV, u64::from(OpClass::IntDiv.latency()));
-        assert_eq!(l::F_ADD, u64::from(OpClass::FAdd.latency()));
-        assert_eq!(l::F_MUL, u64::from(OpClass::FMul.latency()));
-        assert_eq!(l::F_DIV, u64::from(OpClass::FDiv.latency()));
-        assert_eq!(l::F_SQRT, u64::from(OpClass::FSqrt.latency()));
-        assert_eq!(l::CAST, u64::from(OpClass::Cast.latency()));
-        assert_eq!(l::EXT_LOAD, u64::from(OpClass::ExtLoad.latency()));
-        assert_eq!(l::EXT_STORE, u64::from(OpClass::ExtStore.latency()));
-        assert_eq!(l::LOCAL_LOAD, u64::from(OpClass::LocalLoad.latency()));
-        assert_eq!(l::LOCAL_STORE, u64::from(OpClass::LocalStore.latency()));
-        // Classification agreement, over every BinOp/UnOp × float/int.
-        use nymble_ir::{BinOp, UnOp};
-        for op in [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Rem,
-            BinOp::Min,
-            BinOp::Max,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::Shr,
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-        ] {
-            for (st, fl) in [(ScalarType::F32, true), (ScalarType::I64, false)] {
-                assert_eq!(
-                    nymble_lint::deps::binop_latency(op, fl),
-                    u64::from(classify_binop(op, st).latency()),
-                    "{op:?} {st:?}"
-                );
-            }
-        }
-        for op in [UnOp::Neg, UnOp::Not, UnOp::Abs, UnOp::Sqrt] {
-            for (st, fl) in [(ScalarType::F32, true), (ScalarType::I64, false)] {
-                assert_eq!(
-                    nymble_lint::deps::unop_latency(op, fl),
-                    u64::from(classify_unop(op, st).latency()),
-                    "{op:?} {st:?}"
-                );
-            }
-        }
-    }
 }

@@ -47,11 +47,9 @@ impl ProbeMode {
     }
 }
 
-/// Per-counter hardware prices the optimizer works with. These mirror the
-/// counter constants of `hls_profiling::overhead::OverheadParams` — the
-/// profiling crate sits *above* this one in the dependency graph, so it
-/// pins the two sets equal with a contract test (the same pattern as the
-/// `nymble-lint` latency mirror).
+/// Per-counter hardware prices: what the optimizer budgets with, and the
+/// counter component of the profiling unit's fit
+/// (`hls_profiling::overhead::OverheadParams` embeds this struct).
 #[derive(Clone, Debug)]
 pub struct ProbeCostParams {
     /// Adder/valid-gating logic of one counter module.
@@ -309,9 +307,9 @@ pub fn select(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::Timing;
     use crate::region::RegionTree;
     use nymble_ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type};
-    use nymble_lint::PerfParams;
 
     fn nest_kernel(threads: u32) -> Kernel {
         let mut kb = KernelBuilder::new("nest", threads);
@@ -339,7 +337,7 @@ mod tests {
     }
 
     fn tree(threads: u32) -> RegionTree {
-        RegionTree::build(&nest_kernel(threads), &PerfParams::default())
+        RegionTree::build(&nest_kernel(threads), &Timing::default())
     }
 
     #[test]

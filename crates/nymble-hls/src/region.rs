@@ -4,10 +4,9 @@
 //! tree**: kernel → loop nest → pipelined body / sequential section /
 //! critical section / DMA transfer region. Each region is annotated with a
 //! statically derived *profit* — its expected stall exposure, priced by the
-//! [`nymble_lint::perf`] analytic mirror via
-//! [`nymble_lint::model_with_regions`] — which the counter-selection optimizer
-//! in [`crate::probe`] trades against the hardware cost of a per-region
-//! cycle counter.
+//! static cost walker's symbolic mode (the walk behind [`crate::perf::model`])
+//! — which the counter-selection optimizer in [`crate::probe`] trades
+//! against the hardware cost of a per-region cycle counter.
 //!
 //! The tree is decodable: region ids are assigned in pre-order, every
 //! region records its parent, and the labels form slash-separated paths
@@ -15,9 +14,9 @@
 //! consumer can reconstruct the call-tree nesting from the `.pcf`/`.row`
 //! emission alone.
 
+use crate::perf::{model_with_regions, pipeline_eligible, RegionProfit, Timing};
 use nymble_ir::stmt::{Block, Stmt, Unroll};
 use nymble_ir::Kernel;
-use nymble_lint::{model_with_regions, pipeline_eligible, PerfParams, RegionProfit};
 
 /// What kind of IR construct a region corresponds to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +89,8 @@ fn fallback_score(depth: u32) -> u64 {
 impl RegionTree {
     /// Extract the region tree of `kernel`, pricing profits under `p`
     /// (callers without a specific simulator configuration use
-    /// [`PerfParams::default`], which mirrors `SimConfig::default`).
-    pub fn build(kernel: &Kernel, p: &PerfParams) -> RegionTree {
+    /// [`Timing::default`], the defaults of `SimConfig`).
+    pub fn build(kernel: &Kernel, p: &Timing) -> RegionTree {
         let priced = model_with_regions(kernel, p);
         let analytic = priced.is_some();
         let lookup = |s: &Stmt| -> RegionProfit {
@@ -162,7 +161,7 @@ impl RegionTree {
 
 struct Walker<'k> {
     kernel: &'k Kernel,
-    bw: u64,
+    bw: u32,
     analytic: bool,
     regions: Vec<Region>,
     /// Kernel-wide ordinal for critical sections (labels stay unique even
@@ -295,7 +294,7 @@ mod tests {
     #[test]
     fn tree_shape_and_labels() {
         let k = nest_kernel();
-        let t = RegionTree::build(&k, &PerfParams::default());
+        let t = RegionTree::build(&k, &Timing::default());
         assert!(t.analytic);
         let labels: Vec<&str> = t.regions.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["nest", "nest/i", "nest/i/j", "nest/i/critical#0"]);
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn scores_decrease_down_the_tree() {
         let k = nest_kernel();
-        let t = RegionTree::build(&k, &PerfParams::default());
+        let t = RegionTree::build(&k, &Timing::default());
         for r in &t.regions {
             if let Some(p) = r.parent {
                 assert!(
@@ -336,7 +335,7 @@ mod tests {
             kb.critical(|_| {});
         });
         let k = kb.finish();
-        let t = RegionTree::build(&k, &PerfParams::default());
+        let t = RegionTree::build(&k, &Timing::default());
         assert!(!t.analytic);
         assert_eq!(t.len(), 3);
         // Structural fallback still orders ancestors above descendants.
@@ -358,7 +357,7 @@ mod tests {
             kb.set(x, s);
         });
         let k = kb.finish();
-        let t = RegionTree::build(&k, &PerfParams::default());
+        let t = RegionTree::build(&k, &Timing::default());
         assert!(t.is_empty(), "only the kernel root: {:?}", t.regions);
     }
 
@@ -378,7 +377,7 @@ mod tests {
         });
         kb.write_back(buf, o, zero, zero, len);
         let k = kb.finish();
-        let t = RegionTree::build(&k, &PerfParams::default());
+        let t = RegionTree::build(&k, &Timing::default());
         let labels: Vec<&str> = t.regions.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
             labels,

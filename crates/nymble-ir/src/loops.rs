@@ -10,7 +10,7 @@
 //! allocated, hence stable) block vectors, so a `LoopMap` is valid only for
 //! the exact [`Kernel`] value it was built from — not for clones.
 //!
-//! [`var_steers_cost`] is the one static fact the cost walkers need about a
+//! [`var_steers_cost`] is the one static fact the cost walker needs about a
 //! loop beyond its identity: whether its iterations can be priced
 //! differently, or the body priced once stands for all of them.
 
@@ -94,9 +94,8 @@ impl LoopMap {
 /// Does loop variable `var` steer the static cost of `body`, i.e. can two
 /// iterations of the loop be priced differently?
 ///
-/// The static cost walkers (`nymble_lint::perf` and `fpga_sim::analytic`)
-/// read the values of only these expressions; everything else prices by
-/// its structure alone:
+/// The static cost walker (`nymble_hls::perf`) reads the values of only
+/// these expressions; everything else prices by its structure alone:
 ///
 /// * an inner loop's `start`/`end`/`step` (its trip count, and the
 ///   induction values its own body sees);

@@ -56,8 +56,6 @@ pub(crate) struct Analysis {
 }
 
 /// A linear form over loop-iteration slots: `base + Σ coeff · q_slot`.
-/// Shared with the performance passes (`perf.rs`), which run the same
-/// per-thread affine evaluation over their own walk.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Lin {
     pub(crate) base: i64,
@@ -634,8 +632,8 @@ impl<'k> Collector<'k> {
 }
 
 /// Evaluate an expression to an affine value for thread `t` under the
-/// variable environment `env`. Shared between the correctness walker
-/// ([`Collector`]) and the performance model walker (`perf.rs`).
+/// variable environment `env` (for the correctness walker,
+/// [`Collector`]).
 pub(crate) fn eval_expr(k: &Kernel, t: usize, env: &HashMap<VarId, Val>, e: ExprId) -> Val {
     use nymble_ir::BinOp;
     match k.expr(e) {

@@ -16,8 +16,8 @@
 //!
 //! A second family of *performance* diagnostics ([`perf`], `NP0xx` codes)
 //! statically predicts the bottlenecks the profiling unit would measure,
-//! each carrying a quantitative prediction priced by a static mirror of
-//! `fpga_sim::analytic`:
+//! each carrying a quantitative prediction priced by the static cost walker
+//! of [`nymble_hls::perf`] (the model behind `fpga_sim::analytic` too):
 //!
 //! | code  | severity | pathology |
 //! |-------|----------|-----------|
@@ -35,23 +35,20 @@
 //! in the sound direction for each check: NL001 reports may-races, NL004
 //! only proven faults.
 //!
-//! Three integration layers exist: [`strict_check`] plugs into
-//! `nymble_ir::builder`'s strict mode, `nymble-hls` lints before scheduling
-//! (`HlsConfig::lint`), and the `nymble-lint` CLI plus the `bench` repro
-//! binaries accept `--lint[=deny|warn|off]`.
+//! Callers gate: [`strict_check`] plugs into `nymble_ir::builder`'s strict
+//! mode, [`enforce`]/[`enforce_perf`] gate a kernel before it is compiled,
+//! and the `nymble-lint` CLI plus the `bench` repro binaries accept
+//! `--lint[=deny|warn|off]` and `--perf-lint[=deny|warn|off]`.
 
 pub mod affine;
 mod analysis;
 mod checks;
-pub mod deps;
 pub mod diag;
 pub mod perf;
 
 pub use diag::{Code, Diagnostic, PredMetric, Prediction, Severity, Span};
-pub use perf::{
-    model_with_regions, pipeline_eligible, region_profits, PerfModel, PerfParams, RegionProfit,
-};
 
+use nymble_hls::perf::Timing;
 use nymble_ir::Kernel;
 use std::collections::BTreeMap;
 
@@ -199,14 +196,15 @@ pub fn enforce(kernel: &Kernel, level: LintLevel) -> Result<LintReport, String> 
     Ok(report)
 }
 
-/// Run the performance diagnostics (`NP0xx`) with default pricing
-/// parameters (mirroring `fpga_sim::SimConfig::default()`).
+/// Run the performance diagnostics (`NP0xx`) priced against the default
+/// platform timing (the defaults of `fpga_sim::SimConfig`).
 pub fn perf_lint_kernel(kernel: &Kernel) -> LintReport {
-    perf_lint_kernel_with(kernel, &PerfParams::default())
+    perf_lint_kernel_with(kernel, &Timing::default())
 }
 
-/// Run the performance diagnostics priced against explicit [`PerfParams`].
-pub fn perf_lint_kernel_with(kernel: &Kernel, params: &PerfParams) -> LintReport {
+/// Run the performance diagnostics priced against explicit [`Timing`]
+/// (e.g. `SimConfig::timing` of the run they will be confronted with).
+pub fn perf_lint_kernel_with(kernel: &Kernel, params: &Timing) -> LintReport {
     LintReport {
         kernel: kernel.name.clone(),
         diagnostics: perf::run_perf_checks(kernel, params),

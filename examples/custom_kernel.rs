@@ -12,7 +12,7 @@ use hls_paraver::hls::report;
 use hls_paraver::ir::interp::{buffer_as_f32, Interpreter, LaunchArg as GoldArg};
 use hls_paraver::ir::{KernelBuilder, MapDir, ScalarType, Value};
 use hls_paraver::kernels::{extra, reference};
-use hls_paraver::lint::{strict_check, LintLevel};
+use hls_paraver::lint::{enforce, strict_check, LintLevel};
 use hls_paraver::paraver::{analysis, events};
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
@@ -60,16 +60,13 @@ fn main() {
         gold.ops.flops
     );
 
-    // Step 2: compile and inspect the schedule. The same analyzer gates
-    // the compile pipeline via `HlsConfig::lint` — the stencil is clean,
-    // so `deny` costs nothing and would catch regressions.
-    let acc = compile(
-        &kernel,
-        &HlsConfig {
-            lint: LintLevel::Deny,
-            ..HlsConfig::default()
-        },
-    );
+    // Step 2: gate, compile and inspect the schedule. The caller gates the
+    // compile with the same analyzer — the stencil is clean, so `deny`
+    // costs nothing and would catch regressions.
+    if let Err(report) = enforce(&kernel, LintLevel::Deny) {
+        panic!("lint gate rejected the stencil:\n{report}");
+    }
+    let acc = compile(&kernel, &HlsConfig::default());
     println!("\n{}", report::schedule_report(&kernel, &acc));
 
     // Step 3: timed, profiled run.
