@@ -17,7 +17,7 @@
 //! Run with `cargo bench --bench sched_mix`.
 
 use bench::args::{default_jobs, Args, Mode};
-use bench::engine::{BatchEngine, RunCtx, RunSpec, SchedStats};
+use bench::engine::{BatchEngine, SchedStats};
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
 use bench::harness::{Group, SnapshotTimer};
 use bench::{
@@ -89,25 +89,25 @@ fn analyze(pr: &ProfiledRun) -> u64 {
     acc
 }
 
-/// Fixed-pool shape: fan the five runs out, join, then analyze serially.
+/// Fixed-pool shape: fan the five runs out as dependency-free `Run` nodes,
+/// join, then analyze serially.
 fn flat_pass(engine: &BatchEngine, cache: &AccelCache, hls: &HlsConfig, mix: &[Workload]) -> u64 {
-    let specs: Vec<RunSpec<'_, ProfiledRun>> = mix
-        .iter()
-        .map(|w| {
-            RunSpec::new(w.label.clone(), move |_: &RunCtx| {
-                run_profiled_with(
-                    cache,
-                    &w.kernel,
-                    hls,
-                    &w.sim,
-                    &Default::default(),
-                    &w.launch,
-                )
-            })
-        })
-        .collect();
+    let mut graph: TaskGraph<'_, ProfiledRun> = TaskGraph::new();
+    for w in mix {
+        graph.add(NodeKind::Run, w.label.clone(), &[], move |_| {
+            run_profiled_with(
+                cache,
+                &w.kernel,
+                hls,
+                &w.sim,
+                &Default::default(),
+                &w.launch,
+            )
+        });
+    }
     engine
-        .run(specs)
+        .run_graph(graph)
+        .reports
         .iter()
         .map(|r| analyze(r.outcome.as_ref().expect("mix run")))
         .fold(0u64, u64::wrapping_add)

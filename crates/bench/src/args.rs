@@ -2,11 +2,15 @@
 //! (stand-in for clap, which this build environment cannot fetch).
 //!
 //! Flags are `--name value` or `--name=value` pairs; unknown flags are
-//! ignored so the binaries stay forgiving about each other's options.
+//! ignored so the binaries stay forgiving about each other's options. A
+//! present but malformed value is always an error, never a silent default.
+//! The binaries read these through [`crate::session::Session`], which turns
+//! every error into a usage message and exit status 2.
 
 use nymble_hls::{ProbeMode, DEFAULT_PROBE_BUDGET_ALMS};
 use nymble_lint::LintLevel;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Parsed process arguments.
 pub struct Args {
@@ -85,19 +89,20 @@ impl Args {
         Ok(LintLevel::Off)
     }
 
-    /// `--flag N` as `u32`.
-    pub fn u32(&self, flag: &str) -> Option<u32> {
-        self.value_of(flag).and_then(|v| v.parse().ok())
+    /// `--flag N` parsed as `T`: `Ok(None)` when absent, an error naming
+    /// the flag when the value does not parse (an empty `--flag=` too).
+    pub fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value_of(flag)
+            .map(|v| parse_number(flag, v))
+            .transpose()
     }
 
-    /// `--flag N` as `u64`.
-    pub fn u64(&self, flag: &str) -> Option<u64> {
-        self.value_of(flag).and_then(|v| v.parse().ok())
-    }
-
-    /// `--flag N` as `i64`.
-    pub fn i64(&self, flag: &str) -> Option<i64> {
-        self.value_of(flag).and_then(|v| v.parse().ok())
+    /// `--flag A,B,C` parsed as a list of `T`, with the same error rule as
+    /// [`Args::parsed`] applied to every entry.
+    pub fn list<T: FromStr>(&self, flag: &str) -> Result<Option<Vec<T>>, String> {
+        self.value_of(flag)
+            .map(|v| v.split(',').map(|t| parse_number(flag, t.trim())).collect())
+            .transpose()
     }
 
     /// `--flag PATH`.
@@ -230,10 +235,9 @@ impl Mode {
     }
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args::parse()
-    }
+fn parse_number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: invalid number `{v}`"))
 }
 
 /// Default worker count: one worker per available hardware thread.
@@ -254,18 +258,43 @@ mod tests {
     #[test]
     fn flags_parse_and_missing_flags_default() {
         let a = args(&["prog", "--dim", "64", "--out", "/tmp/x", "--jobs", "3"]);
-        assert_eq!(a.u32("--dim"), Some(64));
-        assert_eq!(a.i64("--dim"), Some(64));
+        assert_eq!(a.parsed::<u32>("--dim"), Ok(Some(64)));
+        assert_eq!(a.parsed::<i64>("--dim"), Ok(Some(64)));
         assert_eq!(a.path("--out"), Some(PathBuf::from("/tmp/x")));
         assert_eq!(a.jobs(), Ok(3));
-        assert_eq!(a.u32("--threads"), None);
+        assert_eq!(a.parsed::<u32>("--threads"), Ok(None));
+        assert_eq!(a.list::<u32>("--threads"), Ok(None));
     }
 
     #[test]
     fn equals_style_flags_parse() {
-        let a = args(&["prog", "--dim=64", "--out=/tmp/x"]);
-        assert_eq!(a.u32("--dim"), Some(64));
+        let a = args(&["prog", "--dim=64", "--out=/tmp/x", "--threads=64,128"]);
+        assert_eq!(a.parsed::<u32>("--dim"), Ok(Some(64)));
         assert_eq!(a.path("--out"), Some(PathBuf::from("/tmp/x")));
+        assert_eq!(a.list::<u32>("--threads"), Ok(Some(vec![64, 128])));
+    }
+
+    #[test]
+    fn unparsable_numbers_are_usage_errors_not_defaults() {
+        assert_eq!(
+            args(&["prog", "--dim", "abc"]).parsed::<u32>("--dim"),
+            Err("--dim: invalid number `abc`".to_string())
+        );
+        assert_eq!(
+            args(&["prog", "--dim="]).parsed::<i64>("--dim"),
+            Err("--dim: invalid number ``".to_string())
+        );
+        assert_eq!(
+            args(&["prog", "--threads", "64,x"]).list::<u32>("--threads"),
+            Err("--threads: invalid number `x`".to_string())
+        );
+        assert_eq!(
+            args(&["prog", "--threshold", "2.5"]).parsed::<f64>("--threshold"),
+            Ok(Some(2.5))
+        );
+        assert!(args(&["prog", "--threshold", "twice"])
+            .parsed::<f64>("--threshold")
+            .is_err());
     }
 
     #[test]

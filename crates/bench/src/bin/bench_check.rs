@@ -35,8 +35,11 @@ fn main() {
         std::process::exit(2);
     };
     let threshold = args
-        .value_of("--threshold")
-        .and_then(|v| v.parse::<f64>().ok())
+        .parsed("--threshold")
+        .unwrap_or_else(|e| {
+            eprintln!("bench_check: {e}");
+            std::process::exit(2);
+        })
         .unwrap_or(2.0);
     let extras = match args.value_of("--extras") {
         Some(list) => match parse_extras(list, threshold) {

@@ -31,18 +31,17 @@
 //! kernels and explains which of the ablated mechanisms the fast mode
 //! abstracts away (the grids themselves need the cycle-level simulator).
 
-use bench::args::{Args, Mode};
+use bench::args::Mode;
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeId, NodeKind, TaskGraph};
-use bench::harness::SnapshotTimer;
+use bench::session::Session;
 use bench::{
-    analytic_report, gemm_launch, gemm_sim_config, lint_gate, perf_lint_gate, run_profiled_with,
-    run_unprofiled_with,
+    analytic_report, gemm_launch, gemm_sim_config, run_profiled_with, run_unprofiled_with,
 };
 use fpga_sim::{RunResult, SimConfig};
 use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
-use nymble_hls::{AccelCache, HlsConfig};
+use nymble_hls::AccelCache;
 use std::fmt::Write as _;
 
 /// Node payload of the ablation graph.
@@ -58,30 +57,9 @@ enum AblNode {
 }
 
 fn main() {
-    let timer = SnapshotTimer::start();
-    let args = Args::parse();
-    let dim = args.i64("--dim").unwrap_or(64);
-    let jobs = args.jobs().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let lint = args.lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let perf_lint = args.perf_lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let mode = args.mode().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let profile = args.profile().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let bench_json = args.path("--bench-json");
+    let session = Session::start("repro_ablations");
+    let dim = session.flag("--dim", 64i64);
+    let jobs = session.jobs;
     let p = GemmParams {
         dim,
         ..Default::default()
@@ -90,23 +68,12 @@ fn main() {
     let launch = gemm_launch(&p);
     let v2 = gemm::build(GemmVersion::NoCritical, &p);
     let v3 = gemm::build(GemmVersion::Vectorized, &p);
-    if let Err(report) = lint_gate(&[&v2, &v3], lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
-    if let Err(report) = perf_lint_gate(&[&v2, &v3], perf_lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
-    let hls = HlsConfig {
-        probe: profile.probe(),
-        ..HlsConfig::default()
-    };
-    let hls = &hls;
+    session.gate(&[&v2, &v3]);
+    let hls = &session.hls();
     let cache = AccelCache::new();
     let engine = BatchEngine::new(jobs);
 
-    if mode == Mode::Analytical {
+    if session.mode == Mode::Analytical {
         println!("== ablation kernels through the analytical fast mode (base config) ==\n");
         let mut total = 0u64;
         for (tag, k) in [("v2 (no-critical)", &v2), ("v3 (vectorized)", &v3)] {
@@ -126,13 +93,7 @@ fn main() {
              away MSHR depth, bank hashing and line-buffer state — exactly the mechanisms\n\
              this binary ablates. Run --mode=cycle for the actual grids."
         );
-        if let Some(path) = &bench_json {
-            let snap = timer
-                .finish("repro_ablations", mode, total)
-                .param("dim", dim);
-            snap.write(path).expect("write --bench-json");
-            println!("\nperf snapshot written to {}", path.display());
-        }
+        session.write_snapshot(&session.snapshot(total).param("dim", dim));
         return;
     }
 
@@ -382,24 +343,13 @@ fn main() {
         "\n({jobs} workers; {} runs shared {} compiled kernels)",
         runs, stats.entries
     );
-    if let Some(path) = &bench_json {
-        let probe_alms = cache
-            .get_or_compile(v3, hls)
-            .probe_plan
-            .as_ref()
-            .map(|pl| pl.cost_alms as f64)
-            .unwrap_or(0.0);
-        let snap = timer
-            .finish("repro_ablations", mode, total_sim)
-            .param("dim", dim)
-            .param("jobs", jobs)
-            .param("profile", profile.name())
-            .with_extra("probe_overhead", probe_alms)
-            .with_extra("worker_utilization", out.stats.utilization())
-            .with_extra("sched_steals", out.stats.steals as f64)
-            .with_extra("sched_parks", out.stats.parks as f64)
-            .with_extra("sched_makespan_seconds", out.stats.makespan.as_secs_f64());
-        snap.write(path).expect("write --bench-json");
-        println!("\nperf snapshot written to {}", path.display());
-    }
+    session.write_snapshot(
+        &session
+            .sweep_snapshot(
+                total_sim,
+                &out.stats,
+                cache.get_or_compile(v3, hls).probe_plan.as_deref(),
+            )
+            .param("dim", dim),
+    );
 }

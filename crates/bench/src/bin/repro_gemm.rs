@@ -27,47 +27,25 @@
 //! bundles gain the region hierarchy, and the diagnosis section
 //! attributes cycles to source regions.
 
-use bench::args::{Args, Mode, ProfileMode};
+use bench::args::Mode;
 use bench::harness::SnapshotTimer;
+use bench::session::Session;
 use bench::sweep::{bundles_footer, gemm_sweep, gemm_table, GemmSweep, GemmSweepConfig};
-use bench::{analytic_report, gemm_launch, gemm_sim_config, lint_gate, perf_lint_gate};
+use bench::{analytic_report, gemm_launch, gemm_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{self, GemmParams, GemmVersion};
-use nymble_hls::{AccelCache, HlsConfig};
+use nymble_hls::{AccelCache, ProbePlan};
 use paraver::analysis::{event_series, StateProfile};
 use paraver::timeline::{render_series, render_states, TimelineOptions};
 use paraver::{events, states};
-use std::path::PathBuf;
 
 fn main() {
-    let timer = SnapshotTimer::start();
-    let args = Args::parse();
-    let dim = args.u32("--dim").unwrap_or(128) as i64;
-    let threads = args.u32("--threads").unwrap_or(8);
-    let jobs = args.jobs().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let lint = args.lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let perf_lint = args.perf_lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let mode = args.mode().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let profile = args.profile().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let bench_json = args.path("--bench-json");
-    let out: PathBuf = args.path("--out").unwrap_or_else(|| "target/traces".into());
-    std::fs::create_dir_all(&out).expect("create trace output dir");
+    let session = Session::start("repro_gemm");
+    let dim = session.flag("--dim", 128u32) as i64;
+    let threads = session.flag("--threads", 8u32);
+    let jobs = session.jobs;
+    let out = session.out_dir();
 
     let p = GemmParams {
         dim,
@@ -82,16 +60,9 @@ fn main() {
         .iter()
         .map(|&v| gemm::build(v, &p))
         .collect();
-    if let Err(report) = lint_gate(&kernels.iter().collect::<Vec<_>>(), lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
-    if let Err(report) = perf_lint_gate(&kernels.iter().collect::<Vec<_>>(), perf_lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
+    session.gate(&kernels.iter().collect::<Vec<_>>());
 
-    if mode == Mode::Analytical {
+    if session.mode == Mode::Analytical {
         let cache = AccelCache::new();
         let launch = gemm_launch(&p);
         let mut total = 0u64;
@@ -128,23 +99,18 @@ fn main() {
         println!(
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
         );
-        if let Some(path) = &bench_json {
-            let snap = timer
-                .finish("repro_gemm", mode, total)
+        session.write_snapshot(
+            &session
+                .snapshot(total)
                 .param("dim", dim)
-                .param("threads", threads);
-            snap.write(path).expect("write --bench-json");
-            println!("\nperf snapshot written to {}", path.display());
-        }
+                .param("threads", threads),
+        );
         return;
     }
 
     let sweep: GemmSweep = gemm_sweep(&GemmSweepConfig {
         params: p,
-        hls: HlsConfig {
-            probe: profile.probe(),
-            ..HlsConfig::default()
-        },
+        hls: session.hls(),
         sim: sim.clone(),
         prof: ProfilingConfig::default(),
         pipeline: PipelineConfig::default(),
@@ -153,12 +119,12 @@ fn main() {
     });
     println!("== T-GEMM: execution time and speedups (§V-C text) ==\n");
     print!("{}", gemm_table(&sweep));
-    if let Some(plan) = sweep
+    let plan = sweep
         .runs
         .iter()
         .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .find_map(|run| run.accel.probe_plan.clone())
-    {
+        .find_map(|run| run.accel.probe_plan.as_deref());
+    if let Some(plan) = plan {
         println!("\n{}", plan.summary());
     }
     println!(
@@ -197,7 +163,7 @@ fn main() {
                 // Predicted vs observed: confront each static NP finding
                 // with the measured trace (and flag measured hotspots the
                 // static pass missed).
-                if perf_lint != nymble_lint::LintLevel::Off {
+                if session.perf_lint != nymble_lint::LintLevel::Off {
                     let idx = GemmVersion::ALL.iter().position(|x| x == v).unwrap();
                     let report = nymble_lint::perf_lint_kernel_with(&kernels[idx], &sim.timing());
                     let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
@@ -224,9 +190,7 @@ fn main() {
         Err(e) => {
             println!("\nnaive run failed ({e}); skipping the figure renders");
             println!("\n{}", bundles_footer(&out));
-            if let Some(path) = &bench_json {
-                write_cycle_snapshot(&timer, path, &sweep, &kernels, &sim, &p, jobs, profile);
-            }
+            write_cycle_snapshot(&session, &sweep, plan, &kernels, &sim, &p);
             return;
         }
     };
@@ -345,26 +309,24 @@ fn main() {
         "\n(Fig. 8: alternating load/compute phases; Fig. 9: reads overlap compute — flatter both)"
     );
     println!("\n{}", bundles_footer(&out));
-    if let Some(path) = &bench_json {
-        write_cycle_snapshot(&timer, path, &sweep, &kernels, &sim, &p, jobs, profile);
-    }
+    write_cycle_snapshot(&session, &sweep, plan, &kernels, &sim, &p);
 }
 
 /// Emit the `--bench-json` snapshot of a cycle-mode run: wall time and
 /// simulated cycles across the whole sweep, plus a timed analytical
 /// cross-check of the same five kernels so the snapshot records the
 /// fast-mode speedup alongside the exact numbers.
-#[allow(clippy::too_many_arguments)] // the snapshot records every knob of the invocation
 fn write_cycle_snapshot(
-    timer: &SnapshotTimer,
-    path: &std::path::Path,
+    session: &Session,
     sweep: &GemmSweep,
+    plan: Option<&ProbePlan>,
     kernels: &[nymble_ir::Kernel],
     sim: &fpga_sim::SimConfig,
     p: &GemmParams,
-    jobs: usize,
-    profile: ProfileMode,
 ) {
+    if session.bench_json().is_none() {
+        return;
+    }
     let total_sim: u64 = sweep
         .runs
         .iter()
@@ -380,31 +342,15 @@ fn write_cycle_snapshot(
         .map(|r| r.total_cycles)
         .sum();
     let analytic_wall = at.elapsed_seconds();
-    let wall = timer.elapsed_seconds();
-    // Modeled ALM cost of the auto-probe plan (0 under the fixed set) —
-    // the `probe_overhead` extra the `bench_check` gate watches.
-    let probe_alms = sweep
-        .runs
-        .iter()
-        .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .find_map(|run| run.accel.probe_plan.as_ref().map(|pl| pl.cost_alms as f64))
-        .unwrap_or(0.0);
-    let snap = timer
-        .finish("repro_gemm", Mode::Cycle, total_sim)
+    let wall = session.elapsed_seconds();
+    let snap = session
+        .sweep_snapshot(total_sim, &sweep.sched, plan)
         .param("dim", p.dim)
         .param("threads", p.threads)
-        .param("jobs", jobs)
-        .param("profile", profile.name())
-        .with_extra("probe_overhead", probe_alms)
         .with_extra("analytical_wall_seconds", analytic_wall)
         .with_extra("analytical_total_cycles", analytic_total as f64)
-        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9))
-        .with_extra("worker_utilization", sweep.sched.utilization())
-        .with_extra("sched_steals", sweep.sched.steals as f64)
-        .with_extra("sched_parks", sweep.sched.parks as f64)
-        .with_extra("sched_makespan_seconds", sweep.sched.makespan.as_secs_f64());
-    snap.write(path).expect("write --bench-json");
-    println!("\nperf snapshot written to {}", path.display());
+        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9));
+    session.write_snapshot(&snap);
 }
 
 /// Find a window around the first sizeable spinning interval.

@@ -25,17 +25,15 @@
 //! change the tables; a `--bench-json` snapshot records zero simulated
 //! cycles.
 
-use bench::args::Args;
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
-use bench::harness::SnapshotTimer;
-use bench::{lint_gate, perf_lint_gate};
+use bench::session::Session;
 use hls_profiling::counters::CounterSet;
 use hls_profiling::overhead::{instrumented_fit, profiling_fit, OverheadParams};
 use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
-use nymble_hls::accel::{Accelerator, HlsConfig};
+use nymble_hls::accel::Accelerator;
 use nymble_hls::cost::geo_mean;
 use nymble_hls::AccelCache;
 use std::fmt::Write as _;
@@ -53,34 +51,10 @@ enum OvhNode {
 }
 
 fn main() {
-    let timer = SnapshotTimer::start();
-    let args = Args::parse();
-    let threads = args.u32("--threads").unwrap_or(8);
-    let jobs = args.jobs().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let lint = args.lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let perf_lint = args.perf_lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let mode = args.mode().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let profile = args.profile().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let bench_json = args.path("--bench-json");
-    let hls = HlsConfig {
-        probe: profile.probe(),
-        ..HlsConfig::default()
-    };
+    let session = Session::start("repro_overhead");
+    let threads = session.flag("--threads", 8u32);
+    let jobs = session.jobs;
+    let hls = session.hls();
     let prof = ProfilingConfig::default();
     let op = OverheadParams::default();
     let cache = AccelCache::new();
@@ -115,14 +89,7 @@ fn main() {
         .map(|&v| gemm::build(v, &gp))
         .chain(std::iter::once(pi::build(&pp)))
         .collect();
-    if let Err(report) = lint_gate(&gate_kernels.iter().collect::<Vec<_>>(), lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
-    if let Err(report) = perf_lint_gate(&gate_kernels.iter().collect::<Vec<_>>(), perf_lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
+    session.gate(&gate_kernels.iter().collect::<Vec<_>>());
     drop(gate_kernels);
 
     // One task graph for the whole study: a Compile node per design, an
@@ -315,22 +282,9 @@ fn main() {
         "\n({jobs} workers; {} designs compiled once each)",
         stats.entries
     );
-    if let Some(path) = &bench_json {
-        let probe_alms = acc
-            .probe_plan
-            .as_ref()
-            .map(|pl| pl.cost_alms as f64)
-            .unwrap_or(0.0);
-        let snap = timer
-            .finish("repro_overhead", mode, 0)
-            .param("threads", threads)
-            .param("jobs", jobs)
-            .param("profile", profile.name())
-            .with_extra("probe_overhead", probe_alms)
-            .with_extra("worker_utilization", out.stats.utilization())
-            .with_extra("sched_steals", out.stats.steals as f64)
-            .with_extra("sched_parks", out.stats.parks as f64);
-        snap.write(path).expect("write --bench-json");
-        println!("\nperf snapshot written to {}", path.display());
-    }
+    session.write_snapshot(
+        &session
+            .sweep_snapshot(0, &out.stats, acc.probe_plan.as_deref())
+            .param("threads", threads),
+    );
 }

@@ -15,46 +15,24 @@
 //! (predicted cycles and GFLOP/s, no traces); `--bench-json PATH` writes
 //! a machine-readable perf snapshot of the invocation.
 
-use bench::args::{Args, Mode, ProfileMode};
+use bench::args::Mode;
 use bench::harness::SnapshotTimer;
+use bench::session::Session;
 use bench::sweep::{bundles_footer, pi_sweep, pi_table, PiSweep, PiSweepConfig};
-use bench::{analytic_report, lint_gate, perf_lint_gate, pi_launch, pi_sim_config};
+use bench::{analytic_report, pi_launch, pi_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::pi::{self, PiParams};
-use nymble_hls::{AccelCache, HlsConfig};
+use nymble_hls::{AccelCache, ProbePlan};
 use paraver::analysis::StateProfile;
 use paraver::states;
 use paraver::timeline::{render_states, TimelineOptions};
-use std::path::PathBuf;
 
 fn main() {
-    let timer = SnapshotTimer::start();
-    let args = Args::parse();
-    let threads = args.u32("--threads").unwrap_or(8);
-    let jobs = args.jobs().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let lint = args.lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let perf_lint = args.perf_lint_level().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let mode = args.mode().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let profile = args.profile().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let bench_json = args.path("--bench-json");
-    let out: PathBuf = args.path("--out").unwrap_or_else(|| "target/traces".into());
-    std::fs::create_dir_all(&out).expect("create trace output dir");
+    let session = Session::start("repro_pi");
+    let threads = session.flag("--threads", 8u32);
+    let jobs = session.jobs;
+    let out = session.out_dir();
     let sim = pi_sim_config();
     let prof = ProfilingConfig {
         sampling_period: 50_000,
@@ -72,16 +50,9 @@ fn main() {
         threads,
         bs: 8,
     });
-    if let Err(report) = lint_gate(&[&gate_kernel], lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
-    if let Err(report) = perf_lint_gate(&[&gate_kernel], perf_lint) {
-        eprintln!("{report}");
-        std::process::exit(1);
-    }
+    session.gate(&[&gate_kernel]);
 
-    if mode == Mode::Analytical {
+    if session.mode == Mode::Analytical {
         let cache = AccelCache::new();
         let mut total = 0u64;
         println!("== π scaling (analytical fast mode): predicted cycles, {threads} threads ==\n");
@@ -116,14 +87,12 @@ fn main() {
         println!(
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
         );
-        if let Some(path) = &bench_json {
-            let snap = timer
-                .finish("repro_pi", mode, total)
+        session.write_snapshot(
+            &session
+                .snapshot(total)
                 .param("steps", "1000000,4000000,10000000")
-                .param("threads", threads);
-            snap.write(path).expect("write --bench-json");
-            println!("\nperf snapshot written to {}", path.display());
-        }
+                .param("threads", threads),
+        );
         return;
     }
 
@@ -131,22 +100,19 @@ fn main() {
         steps: paper.iter().map(|&(s, _, _)| s).collect(),
         threads,
         bs: 8,
-        hls: HlsConfig {
-            probe: profile.probe(),
-            ..HlsConfig::default()
-        },
+        hls: session.hls(),
         sim: sim.clone(),
         prof,
         pipeline: PipelineConfig::default(),
         out: Some(out.clone()),
         jobs,
     });
-    if let Some(plan) = sweep
+    let plan = sweep
         .runs
         .iter()
         .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .find_map(|pr| pr.run.accel.probe_plan.clone())
-    {
+        .find_map(|pr| pr.run.accel.probe_plan.as_deref());
+    if let Some(plan) = plan {
         println!("{}\n", plan.summary());
     }
 
@@ -188,7 +154,7 @@ fn main() {
         // Predicted vs observed: the π kernel is NP-clean, so this section
         // mainly guards against an unpredicted hotspot (a measured
         // bottleneck the static pass has no finding for).
-        if perf_lint != nymble_lint::LintLevel::Off {
+        if session.perf_lint != nymble_lint::LintLevel::Off {
             let d = diagnose(
                 &run.trace,
                 &run.result.stats,
@@ -227,25 +193,23 @@ fn main() {
         sim.clock_mhz
     );
     println!("\n{}", bundles_footer(&out));
-    if let Some(path) = &bench_json {
-        write_cycle_snapshot(&timer, path, &sweep, &paper, threads, jobs, &sim, profile);
-    }
+    write_cycle_snapshot(&session, &sweep, plan, &paper, threads, &sim);
 }
 
 /// Emit the `--bench-json` snapshot of a cycle-mode run, including a
 /// timed analytical cross-check of the same three step counts so the
 /// snapshot records the fast-mode speedup alongside the exact numbers.
-#[allow(clippy::too_many_arguments)] // the snapshot records every knob of the invocation
 fn write_cycle_snapshot(
-    timer: &SnapshotTimer,
-    path: &std::path::Path,
+    session: &Session,
     sweep: &PiSweep,
+    plan: Option<&ProbePlan>,
     paper: &[(u64, f64, u32)],
     threads: u32,
-    jobs: usize,
     sim: &fpga_sim::SimConfig,
-    profile: ProfileMode,
 ) {
+    if session.bench_json().is_none() {
+        return;
+    }
     let total_sim: u64 = sweep
         .runs
         .iter()
@@ -267,33 +231,13 @@ fn write_cycle_snapshot(
         })
         .sum();
     let analytic_wall = at.elapsed_seconds();
-    let wall = timer.elapsed_seconds();
-    let probe_alms = sweep
-        .runs
-        .iter()
-        .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .find_map(|pr| {
-            pr.run
-                .accel
-                .probe_plan
-                .as_ref()
-                .map(|pl| pl.cost_alms as f64)
-        })
-        .unwrap_or(0.0);
-    let snap = timer
-        .finish("repro_pi", Mode::Cycle, total_sim)
+    let wall = session.elapsed_seconds();
+    let snap = session
+        .sweep_snapshot(total_sim, &sweep.sched, plan)
         .param("steps", "1000000,4000000,10000000")
         .param("threads", threads)
-        .param("jobs", jobs)
-        .param("profile", profile.name())
-        .with_extra("probe_overhead", probe_alms)
         .with_extra("analytical_wall_seconds", analytic_wall)
         .with_extra("analytical_total_cycles", analytic_total as f64)
-        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9))
-        .with_extra("worker_utilization", sweep.sched.utilization())
-        .with_extra("sched_steals", sweep.sched.steals as f64)
-        .with_extra("sched_parks", sweep.sched.parks as f64)
-        .with_extra("sched_makespan_seconds", sweep.sched.makespan.as_secs_f64());
-    snap.write(path).expect("write --bench-json");
-    println!("\nperf snapshot written to {}", path.display());
+        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9));
+    session.write_snapshot(&snap);
 }

@@ -28,10 +28,10 @@
 //!   scheduler. A panicking node is recorded as [`BenchError::NodePanic`]
 //!   so the graph drains, then the panic is re-raised.
 //!
-//! The flat [`BatchEngine::run`] API survives as a thin wrapper submitting
-//! a graph of independent `Run` nodes. Everything is plain
-//! `std::thread::scope` + `Mutex`/`Condvar` + atomics — no external
-//! runtime — and the executor is workload-agnostic: the planned
+//! [`BatchEngine::run_graph`] is the engine's only entry point: a flat list
+//! of independent jobs is simply a graph of dependency-free `Run` nodes.
+//! Everything is plain `std::thread::scope` + `Mutex`/`Condvar` + atomics —
+//! no external runtime — and the executor is workload-agnostic: the planned
 //! `nymble-serve` daemon can schedule its jobs onto the same scheduler.
 
 use crate::graph::{NodeCtx, NodeKind, NodeReport, NodeTask, TaskGraph};
@@ -43,57 +43,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Per-run context handed to each flat job closure (see [`BatchEngine::run`]).
-#[derive(Clone, Debug)]
-pub struct RunCtx {
-    /// Submission index of this run (0-based, stable across worker counts).
-    pub index: usize,
-    /// Worker that executed the run (informational; never affects output).
-    pub worker: usize,
-    /// Private scratch directory for this run, created before the job
-    /// starts and removed with the engine's scratch root afterwards. Used
-    /// as the trace pipeline's spill directory so concurrent runs never
-    /// interleave spill files.
-    pub scratch_dir: PathBuf,
-}
-
-/// One schedulable independent run: a stable label plus the work itself.
-pub struct RunSpec<'a, T> {
-    /// Stable identifier used in tables and trace-bundle names; must not
-    /// depend on scheduling.
-    pub label: String,
-    /// The run body. Receives this run's [`RunCtx`].
-    #[allow(clippy::type_complexity)]
-    pub task: Box<dyn FnOnce(&RunCtx) -> Result<T, BenchError> + Send + 'a>,
-}
-
-impl<'a, T> RunSpec<'a, T> {
-    /// Build a spec from a label and a closure.
-    pub fn new(
-        label: impl Into<String>,
-        task: impl FnOnce(&RunCtx) -> Result<T, BenchError> + Send + 'a,
-    ) -> Self {
-        RunSpec {
-            label: label.into(),
-            task: Box::new(task),
-        }
-    }
-}
-
-/// Outcome of one flat run, returned in submission order.
-pub struct RunReport<T> {
-    /// The spec's label.
-    pub label: String,
-    /// Submission index (equals this report's position in the result vec).
-    pub index: usize,
-    /// Worker that ran the job.
-    pub worker: usize,
-    /// Wall-clock time of the job body.
-    pub wall: Duration,
-    /// The run's value, or its typed failure.
-    pub outcome: Result<T, BenchError>,
-}
 
 /// Scheduler-health counters for one graph execution.
 #[derive(Clone, Debug)]
@@ -162,8 +111,7 @@ struct Coord {
 /// runs stay reproducible byte for byte).
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Work-stealing scheduler executing [`TaskGraph`]s (and flat [`RunSpec`]
-/// lists) deterministically.
+/// Work-stealing scheduler executing [`TaskGraph`]s deterministically.
 pub struct BatchEngine {
     jobs: usize,
     scratch_root: PathBuf,
@@ -185,49 +133,6 @@ impl BatchEngine {
     /// Number of worker threads this engine will use.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Run every spec as an independent `Run` node and return one
-    /// [`RunReport`] per spec, **in submission order**, regardless of
-    /// worker count or completion order.
-    pub fn run<'a, T: Send + Sync + 'a>(&self, specs: Vec<RunSpec<'a, T>>) -> Vec<RunReport<T>> {
-        self.run_with_stats(specs).0
-    }
-
-    /// [`BatchEngine::run`], also returning the scheduler statistics.
-    pub fn run_with_stats<'a, T: Send + Sync + 'a>(
-        &self,
-        specs: Vec<RunSpec<'a, T>>,
-    ) -> (Vec<RunReport<T>>, SchedStats) {
-        let mut graph: TaskGraph<'a, T> = TaskGraph::new();
-        for spec in specs {
-            let task = spec.task;
-            graph.add(
-                NodeKind::Run,
-                spec.label,
-                &[],
-                move |ctx: &NodeCtx<'_, T>| {
-                    task(&RunCtx {
-                        index: ctx.index,
-                        worker: ctx.worker,
-                        scratch_dir: ctx.scratch_dir.clone(),
-                    })
-                },
-            );
-        }
-        let out = self.run_graph(graph);
-        let reports = out
-            .reports
-            .into_iter()
-            .map(|r| RunReport {
-                label: r.label,
-                index: r.index,
-                worker: r.worker,
-                wall: r.wall,
-                outcome: r.outcome,
-            })
-            .collect();
-        (reports, out.stats)
     }
 
     /// Execute a [`TaskGraph`]: every node runs exactly once, after all of
@@ -484,19 +389,18 @@ mod tests {
     #[test]
     fn results_come_back_in_submission_order() {
         let engine = BatchEngine::new(4);
-        let specs: Vec<RunSpec<'_, usize>> = (0..32)
-            .map(|i| {
-                RunSpec::new(format!("job{i}"), move |ctx: &RunCtx| {
-                    assert_eq!(ctx.index, i);
-                    // Uneven work so completion order differs from
-                    // submission order.
-                    let spin = (31 - i) * 1000;
-                    std::hint::black_box((0..spin).sum::<usize>());
-                    Ok(i * 10)
-                })
-            })
-            .collect();
-        let reports = engine.run(specs);
+        let mut graph: TaskGraph<'_, usize> = TaskGraph::new();
+        for i in 0..32 {
+            graph.add(NodeKind::Run, format!("job{i}"), &[], move |ctx| {
+                assert_eq!(ctx.index, i);
+                // Uneven work so completion order differs from
+                // submission order.
+                let spin = (31 - i) * 1000;
+                std::hint::black_box((0..spin).sum::<usize>());
+                Ok(i * 10)
+            });
+        }
+        let reports = engine.run_graph(graph).reports;
         assert_eq!(reports.len(), 32);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -506,46 +410,22 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_run_does_not_abort_the_sweep() {
-        let engine = BatchEngine::new(2);
-        let specs: Vec<RunSpec<'_, u32>> = (0..6)
-            .map(|i| {
-                RunSpec::new(format!("r{i}"), move |_: &RunCtx| {
-                    if i == 3 {
-                        Err(SimError::InvalidConfig("injected".into()).into())
-                    } else {
-                        Ok(i)
-                    }
-                })
-            })
-            .collect();
-        let reports = engine.run(specs);
-        assert_eq!(reports.len(), 6);
-        assert!(reports[3].outcome.is_err());
-        for (i, r) in reports.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(*r.outcome.as_ref().unwrap(), i as u32);
-            }
-        }
-    }
-
-    #[test]
     fn scratch_dirs_are_isolated_and_cleaned_up() {
         let engine = BatchEngine::new(3);
         let root = engine.scratch_root.clone();
-        let specs: Vec<RunSpec<'_, PathBuf>> = (0..5)
-            .map(|i| {
-                RunSpec::new(format!("s{i}"), move |ctx: &RunCtx| {
-                    assert!(ctx.scratch_dir.is_dir(), "scratch dir pre-created");
-                    std::fs::write(ctx.scratch_dir.join("spill.tmp"), b"x").unwrap();
-                    Ok(ctx.scratch_dir.clone())
-                })
-            })
-            .collect();
-        let reports = engine.run(specs);
-        let dirs: Vec<_> = reports
-            .iter()
-            .map(|r| r.outcome.as_ref().unwrap().clone())
+        let mut graph: TaskGraph<'_, PathBuf> = TaskGraph::new();
+        for i in 0..5 {
+            graph.add(NodeKind::Run, format!("s{i}"), &[], |ctx| {
+                assert!(ctx.scratch_dir.is_dir(), "scratch dir pre-created");
+                std::fs::write(ctx.scratch_dir.join("spill.tmp"), b"x").unwrap();
+                Ok(ctx.scratch_dir.clone())
+            });
+        }
+        let dirs: Vec<_> = engine
+            .run_graph(graph)
+            .reports
+            .into_iter()
+            .map(|r| r.outcome.unwrap())
             .collect();
         for (i, d) in dirs.iter().enumerate() {
             for other in &dirs[i + 1..] {
@@ -553,25 +433,6 @@ mod tests {
             }
         }
         assert!(!root.exists(), "scratch root removed after the sweep");
-    }
-
-    #[test]
-    fn borrowed_state_can_be_shared_across_jobs() {
-        // RunSpec is lifetime-generic: jobs may borrow sweep-local state
-        // (kernels, caches) without 'static gymnastics.
-        let data = [1u64, 2, 3, 4];
-        let engine = BatchEngine::new(2);
-        let specs: Vec<RunSpec<'_, u64>> = data
-            .iter()
-            .enumerate()
-            .map(|(i, v)| RunSpec::new(format!("b{i}"), move |_: &RunCtx| Ok(v * 2)))
-            .collect();
-        let out: Vec<u64> = engine
-            .run(specs)
-            .into_iter()
-            .map(|r| r.outcome.unwrap())
-            .collect();
-        assert_eq!(out, vec![2, 4, 6, 8]);
     }
 
     #[test]
@@ -601,20 +462,41 @@ mod tests {
     fn a_failed_dependency_is_visible_to_its_dependent() {
         let engine = BatchEngine::new(2);
         let mut graph: TaskGraph<'_, String> = TaskGraph::new();
-        let run = graph.add(NodeKind::Run, "bad", &[], |_| {
-            Err(SimError::InvalidConfig("injected".into()).into())
-        });
-        let reduce = graph.add(NodeKind::Reduce, "table", &[run], |ctx| {
+        let runs: Vec<NodeId> = (0..6)
+            .map(|i| {
+                graph.add(NodeKind::Run, format!("r{i}"), &[], move |_| {
+                    if i == 3 {
+                        Err(SimError::InvalidConfig("injected".into()).into())
+                    } else {
+                        Ok(i.to_string())
+                    }
+                })
+            })
+            .collect();
+        let reduce = graph.add(NodeKind::Reduce, "table", &runs, |ctx| {
             // Dependents always run; turning the failure into a row is
             // this node's decision.
-            match &ctx.dep(0).outcome {
-                Ok(_) => Ok("ok".to_string()),
-                Err(e) => Ok(format!("{} failed: {e}", ctx.dep(0).label)),
-            }
+            let rows: Vec<String> = ctx
+                .deps()
+                .map(|d| match &d.outcome {
+                    Ok(v) => v.clone(),
+                    Err(e) => format!("{} failed: {e}", d.label),
+                })
+                .collect();
+            Ok(rows.join(";"))
         });
         let out = engine.run_graph(graph);
-        let row = out.reports[reduce.index()].outcome.as_ref().unwrap();
-        assert!(row.starts_with("bad failed:"), "{row}");
+        // The failing run does not abort its siblings.
+        assert!(out.reports[runs[3].index()].outcome.is_err());
+        for (i, id) in runs.iter().enumerate().filter(|&(i, _)| i != 3) {
+            assert_eq!(
+                *out.reports[id.index()].outcome.as_ref().unwrap(),
+                i.to_string()
+            );
+        }
+        let table = out.reports[reduce.index()].outcome.as_ref().unwrap();
+        assert!(table.starts_with("0;1;2;r3 failed:"), "{table}");
+        assert!(table.ends_with(";4;5"), "{table}");
     }
 
     #[test]
@@ -640,10 +522,14 @@ mod tests {
     #[test]
     fn wide_diamond_graph_executes_every_node_once() {
         let engine = BatchEngine::new(8);
+        // Node bodies borrow sweep-local state (a counter, a data slice)
+        // without 'static gymnastics.
         let hits = AtomicU64::new(0);
+        let data: Vec<u64> = (0..40).collect();
         let mut graph: TaskGraph<'_, u64> = TaskGraph::new();
         let root = graph.add(NodeKind::Compile, "root", &[], |_| Ok(1));
-        let mids: Vec<NodeId> = (0..40)
+        let mids: Vec<NodeId> = data
+            .iter()
             .map(|i| {
                 let hits = &hits;
                 graph.add(NodeKind::Run, format!("m{i}"), &[root], move |ctx| {

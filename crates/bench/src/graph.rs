@@ -194,3 +194,17 @@ pub struct NodeReport<T> {
     /// re-raised once the whole graph has drained).
     pub outcome: Result<T, BenchError>,
 }
+
+impl<T> NodeReport<T> {
+    /// The same report with its payload mapped through `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> NodeReport<U> {
+        NodeReport {
+            label: self.label,
+            index: self.index,
+            worker: self.worker,
+            kind: self.kind,
+            wall: self.wall,
+            outcome: self.outcome.map(f),
+        }
+    }
+}

@@ -10,6 +10,7 @@ pub mod args;
 pub mod engine;
 pub mod graph;
 pub mod harness;
+pub mod session;
 pub mod snapshot;
 pub mod sweep;
 
@@ -558,5 +559,26 @@ mod tests {
         let (run, est) = run_pi(&p, &gemm_sim_config(), &ProfilingConfig::default());
         assert!((est - std::f32::consts::PI).abs() < 1e-2);
         assert!(run.trace.flushed_bytes > 0);
+    }
+
+    #[test]
+    fn run_result_carries_the_stepped_device_stats() {
+        // `Executor::run` is the only run loop; the device wake mix it reports
+        // must be exactly what stepping the same run by hand accumulates.
+        let m = Csr::random(256, 256, 8, 7);
+        let kernel = spmv::build(m.rows as i64, 8);
+        let accel = AccelCache::new().get_or_compile(&kernel, &HlsConfig::default());
+        let sim = spmv_sim_config();
+        let launch = spmv_launch(&m);
+        let result = Executor::run(&kernel, &accel, &sim, &launch, &mut NullSnoop).unwrap();
+        let mut stepped = fpga_sim::SimRun::new(&kernel, &accel, &sim, &launch).unwrap();
+        while stepped.step(&mut NullSnoop).unwrap() == fpga_sim::StepStatus::Running {}
+        assert_eq!(result.devices, stepped.device_stats());
+        assert_eq!(result.total_cycles, stepped.total_cycles());
+        assert!(
+            result.devices.channel_grant_wakes > 0,
+            "SpMV gathers must exercise the device wakeups: {:?}",
+            result.devices
+        );
     }
 }

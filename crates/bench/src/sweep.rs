@@ -25,8 +25,8 @@
 //! configuration never aborts the rest of a sweep. Static analysis gates
 //! the kernels before a sweep is built (`crate::lint_gate`).
 
-use crate::engine::{BatchEngine, RunReport, SchedStats};
-use crate::graph::{NodeCtx, NodeKind, TaskGraph};
+use crate::engine::{BatchEngine, GraphRun, SchedStats};
+use crate::graph::{NodeCtx, NodeId, NodeKind, NodeReport, TaskGraph};
 use crate::{
     analytic_report, gemm_launch, pi_launch, run_profiled_streaming_with, spmv_launch, BenchError,
     ProfiledRun,
@@ -219,11 +219,42 @@ pub struct GemmSweepConfig {
     pub jobs: usize,
 }
 
+/// Split a finished sweep graph into its per-experiment `Run` reports (in
+/// submission order, keyed by `runs`) and the table its `Reduce` node
+/// rendered; `ran` and `table` unwrap the node payloads.
+fn split_sweep<N, K, R>(
+    out: GraphRun<N>,
+    runs: impl Iterator<Item = (K, NodeId)>,
+    reduce: NodeId,
+    ran: impl Fn(N) -> Option<R>,
+    table: impl FnOnce(N) -> Option<String>,
+) -> (Vec<(K, NodeReport<R>)>, String, SchedStats) {
+    let mut reports: Vec<Option<NodeReport<N>>> = out.reports.into_iter().map(Some).collect();
+    let table = match reports[reduce.index()]
+        .take()
+        .expect("reduce report")
+        .outcome
+    {
+        Ok(n) => table(n).expect("reduce node produced a non-table payload"),
+        Err(e) => unreachable!("table reduction cannot fail: {e}"),
+    };
+    let runs = runs
+        .map(|(key, id)| {
+            let r = reports[id.index()].take().expect("run report");
+            (
+                key,
+                r.map(|n| ran(n).expect("run node produced a non-run payload")),
+            )
+        })
+        .collect();
+    (runs, table, out.stats)
+}
+
 /// Result of a GEMM sweep: one report per [`GemmVersion::ALL`] entry, in
 /// that order, plus the table its `Reduce` node rendered and the
 /// compile-cache / scheduler counters.
 pub struct GemmSweep {
-    pub runs: Vec<(GemmVersion, RunReport<ProfiledRun>)>,
+    pub runs: Vec<(GemmVersion, NodeReport<ProfiledRun>)>,
     /// The §V-C speedup table, rendered by the sweep's `Reduce` node in
     /// submission order (byte-identical at any worker count).
     pub table: String,
@@ -243,7 +274,7 @@ struct GemmRow {
 /// Node payload of the GEMM sweep graph.
 enum GemmNode {
     Compiled,
-    Ran(ProfiledRun),
+    Ran(Box<ProfiledRun>),
     Row(Result<GemmRow, String>),
     Table(String),
 }
@@ -285,7 +316,8 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
             v.name(),
             &[compile],
             move |ctx: &NodeCtx<'_, GemmNode>| {
-                profiled_streaming_run(&env, kernel, launch, &ctx.scratch_dir).map(GemmNode::Ran)
+                profiled_streaming_run(&env, kernel, launch, &ctx.scratch_dir)
+                    .map(|pr| GemmNode::Ran(Box::new(pr)))
             },
         );
         let analyze = graph.add(
@@ -322,35 +354,19 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
         move |ctx: &NodeCtx<'_, GemmNode>| Ok(GemmNode::Table(render_gemm_table(ctx))),
     );
 
-    let out = engine.run_graph(graph);
-    let sched = out.stats;
-    let mut reports: Vec<Option<_>> = out.reports.into_iter().map(Some).collect();
-    let table = match reports[reduce.index()]
-        .take()
-        .expect("reduce report")
-        .outcome
-    {
-        Ok(GemmNode::Table(t)) => t,
-        Ok(_) => unreachable!("reduce node produced a non-table payload"),
-        Err(e) => unreachable!("table reduction cannot fail: {e}"),
-    };
-    let mut runs = Vec::with_capacity(run_ids.len());
-    for (i, ((v, _), id)) in kernels.iter().zip(&run_ids).enumerate() {
-        let r = reports[id.index()].take().expect("run report");
-        runs.push((
-            *v,
-            RunReport {
-                label: r.label,
-                index: i,
-                worker: r.worker,
-                wall: r.wall,
-                outcome: r.outcome.map(|n| match n {
-                    GemmNode::Ran(pr) => pr,
-                    _ => unreachable!("run node produced a non-run payload"),
-                }),
-            },
-        ));
-    }
+    let (runs, table, sched) = split_sweep(
+        engine.run_graph(graph),
+        kernels.iter().map(|(v, _)| *v).zip(run_ids),
+        reduce,
+        |n| match n {
+            GemmNode::Ran(pr) => Some(*pr),
+            _ => None,
+        },
+        |n| match n {
+            GemmNode::Table(t) => Some(t),
+            _ => None,
+        },
+    );
     GemmSweep {
         runs,
         table,
@@ -435,7 +451,7 @@ pub struct PiRun {
 /// Result of a π sweep: one report per requested step count, in order,
 /// plus the table its `Reduce` node rendered.
 pub struct PiSweep {
-    pub runs: Vec<(u64, RunReport<PiRun>)>,
+    pub runs: Vec<(u64, NodeReport<PiRun>)>,
     /// The §V-D summary table, rendered by the sweep's `Reduce` node.
     pub table: String,
     pub cache: CacheStats,
@@ -453,7 +469,7 @@ struct PiRow {
 /// Node payload of the π sweep graph.
 enum PiNode {
     Compiled,
-    Ran(PiRun),
+    Ran(Box<PiRun>),
     Row(Result<PiRow, String>),
     Table(String),
 }
@@ -510,7 +526,7 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
                 let launch = pi_launch(&p);
                 let run = profiled_streaming_run(&env, &kernel, &launch, &ctx.scratch_dir)?;
                 let estimate = crate::f32_result(&run.result, 2)[0] * step;
-                Ok(PiNode::Ran(PiRun { run, estimate }))
+                Ok(PiNode::Ran(Box::new(PiRun { run, estimate })))
             },
         );
         let analyze = graph.add(
@@ -546,35 +562,19 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
         move |ctx: &NodeCtx<'_, PiNode>| Ok(PiNode::Table(render_pi_table(ctx, &steps_list))),
     );
 
-    let out = engine.run_graph(graph);
-    let sched = out.stats;
-    let mut reports: Vec<Option<_>> = out.reports.into_iter().map(Some).collect();
-    let table = match reports[reduce.index()]
-        .take()
-        .expect("reduce report")
-        .outcome
-    {
-        Ok(PiNode::Table(t)) => t,
-        Ok(_) => unreachable!("reduce node produced a non-table payload"),
-        Err(e) => unreachable!("table reduction cannot fail: {e}"),
-    };
-    let mut runs = Vec::with_capacity(run_ids.len());
-    for (i, (&steps, id)) in cfg.steps.iter().zip(&run_ids).enumerate() {
-        let r = reports[id.index()].take().expect("run report");
-        runs.push((
-            steps,
-            RunReport {
-                label: r.label,
-                index: i,
-                worker: r.worker,
-                wall: r.wall,
-                outcome: r.outcome.map(|n| match n {
-                    PiNode::Ran(pr) => pr,
-                    _ => unreachable!("run node produced a non-run payload"),
-                }),
-            },
-        ));
-    }
+    let (runs, table, sched) = split_sweep(
+        engine.run_graph(graph),
+        cfg.steps.iter().copied().zip(run_ids),
+        reduce,
+        |n| match n {
+            PiNode::Ran(pr) => Some(*pr),
+            _ => None,
+        },
+        |n| match n {
+            PiNode::Table(t) => Some(t),
+            _ => None,
+        },
+    );
     PiSweep {
         runs,
         table,
@@ -653,7 +653,7 @@ pub struct SpmvRun {
 /// Result of an SpMV sweep: one report per requested thread count, in
 /// order, plus the table its `Reduce` node rendered.
 pub struct SpmvSweep {
-    pub runs: Vec<(u32, RunReport<SpmvRun>)>,
+    pub runs: Vec<(u32, NodeReport<SpmvRun>)>,
     /// The thread-scaling summary table, rendered by the sweep's `Reduce`
     /// node in submission order.
     pub table: String,
@@ -673,7 +673,7 @@ struct SpmvRow {
 /// Node payload of the SpMV sweep graph.
 enum SpmvNode {
     Compiled,
-    Ran(SpmvRun),
+    Ran(Box<SpmvRun>),
     Row(Result<SpmvRow, String>),
     Table(String),
 }
@@ -722,10 +722,10 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
                 let run = profiled_streaming_run(&env, kernel, launch, &ctx.scratch_dir)?;
                 let analytic_cycles =
                     analytic_report(env.cache, kernel, env.sim, launch).map(|r| r.total_cycles);
-                Ok(SpmvNode::Ran(SpmvRun {
+                Ok(SpmvNode::Ran(Box::new(SpmvRun {
                     run,
                     analytic_cycles,
-                }))
+                })))
             },
         );
         let analyze = graph.add(
@@ -765,35 +765,19 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
         },
     );
 
-    let out = engine.run_graph(graph);
-    let sched = out.stats;
-    let mut reports: Vec<Option<_>> = out.reports.into_iter().map(Some).collect();
-    let table = match reports[reduce.index()]
-        .take()
-        .expect("reduce report")
-        .outcome
-    {
-        Ok(SpmvNode::Table(t)) => t,
-        Ok(_) => unreachable!("reduce node produced a non-table payload"),
-        Err(e) => unreachable!("table reduction cannot fail: {e}"),
-    };
-    let mut runs = Vec::with_capacity(run_ids.len());
-    for (i, ((t, _), id)) in kernels.iter().zip(&run_ids).enumerate() {
-        let r = reports[id.index()].take().expect("run report");
-        runs.push((
-            *t,
-            RunReport {
-                label: r.label,
-                index: i,
-                worker: r.worker,
-                wall: r.wall,
-                outcome: r.outcome.map(|n| match n {
-                    SpmvNode::Ran(pr) => pr,
-                    _ => unreachable!("run node produced a non-run payload"),
-                }),
-            },
-        ));
-    }
+    let (runs, table, sched) = split_sweep(
+        engine.run_graph(graph),
+        kernels.iter().map(|(t, _)| *t).zip(run_ids),
+        reduce,
+        |n| match n {
+            SpmvNode::Ran(pr) => Some(*pr),
+            _ => None,
+        },
+        |n| match n {
+            SpmvNode::Table(t) => Some(t),
+            _ => None,
+        },
+    );
     SpmvSweep {
         runs,
         table,

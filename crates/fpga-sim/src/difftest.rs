@@ -1,25 +1,24 @@
-//! Differential property suite: three dispatch cores, one oracle.
+//! Differential property suite: the production stepper against one oracle.
 //!
 //! Generates structured-random valid kernels (loops, critical sections,
 //! barriers, external and local memory traffic, preloader DMA, sequential
 //! device-blocking loads, thread-dependent bounds) and drives each through
-//! all three steppers:
+//! both steppers:
 //!
 //! * [`crate::SimRun::step`] — timing-wheel queue with run-ahead dispatch,
-//! * [`crate::SimRun::step_baseline`] — binary-heap queue, pop-per-event
-//!   (the previous production core, kept for A/B benchmarking),
-//! * [`crate::SimRun::step_legacy`] — the pre-refactor linear scan,
+//!   the production core,
+//! * [`crate::SimRun::step_legacy`] — the pre-refactor linear scan over
+//!   thread states, the oracle,
 //!
-//! asserting all three produce *identical* snoop streams, total cycles,
-//! derived statistics and device wake attributions. The snooped signal
-//! stream is the contract the whole profiling and trace pipeline is built
-//! on, so the cores must agree bit-for-bit.
+//! asserting both produce *identical* snoop streams, total cycles, derived
+//! statistics, device wake attributions and deadlock reports. The snooped
+//! signal stream is the contract the whole profiling and trace pipeline is
+//! built on, so the cores must agree bit-for-bit.
 
 use crate::config::SimConfig;
 use crate::device::DeviceStats;
 use crate::exec::{SimRun, StepStatus};
 use crate::memimg::LaunchArg;
-use crate::queue::{DispatchQueue, ReadyQueue};
 use crate::snoop::{Snoop, SnoopPair, StatsSnoop, ThreadState};
 use nymble_hls::accel::{compile, HlsConfig};
 use nymble_ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
@@ -218,14 +217,21 @@ enum Core {
     /// Timing-wheel queue with run-ahead dispatch (`step`), the production
     /// core.
     Wheel,
-    /// Binary-heap queue, pop-per-event (`step_baseline`) — the previous
-    /// production core, kept for A/B benchmarking.
-    Heap,
     /// Pre-refactor linear-scan reference (`step_legacy`).
     Legacy,
 }
 
-const CORES: [Core; 3] = [Core::Wheel, Core::Heap, Core::Legacy];
+/// Advance `sim` by one event on `core`.
+fn step_on<S: Snoop>(
+    sim: &mut SimRun<'_>,
+    snoop: &mut S,
+    core: Core,
+) -> Result<StepStatus, crate::SimError> {
+    match core {
+        Core::Wheel => sim.step(snoop),
+        Core::Legacy => sim.step_legacy(snoop),
+    }
+}
 
 /// Everything one run produces that the cores must agree on.
 struct Observed {
@@ -235,15 +241,10 @@ struct Observed {
     devices: DeviceStats,
 }
 
-fn run_steps<Q: DispatchQueue, S: Snoop>(sim: &mut SimRun<'_, Q>, snoop: &mut S, core: Core) {
+fn run_steps<S: Snoop>(sim: &mut SimRun<'_>, snoop: &mut S, core: Core) {
     let mut guard = 0u64;
     loop {
-        let st = match core {
-            Core::Wheel => sim.step(snoop),
-            Core::Heap => sim.step_baseline(snoop),
-            Core::Legacy => sim.step_legacy(snoop),
-        };
-        if st.expect("no deadlock") == StepStatus::Done {
+        if step_on(sim, snoop, core).expect("no deadlock") == StepStatus::Done {
             break;
         }
         guard += 1;
@@ -258,19 +259,9 @@ fn drive(kernel: &Kernel, cfg: &SimConfig, launch: &[LaunchArg], core: Core) -> 
     let mut rec = Recorder::default();
     let (cycles, devices) = {
         let mut pair = SnoopPair::new(&mut stats, &mut rec);
-        match core {
-            Core::Wheel => {
-                let mut sim = SimRun::new(kernel, &accel, cfg, launch).expect("valid config");
-                run_steps(&mut sim, &mut pair, core);
-                (sim.total_cycles(), sim.device_stats())
-            }
-            Core::Heap | Core::Legacy => {
-                let mut sim = SimRun::<ReadyQueue>::with_queue(kernel, &accel, cfg, launch)
-                    .expect("valid config");
-                run_steps(&mut sim, &mut pair, core);
-                (sim.total_cycles(), sim.device_stats())
-            }
-        }
+        let mut sim = SimRun::new(kernel, &accel, cfg, launch).expect("valid config");
+        run_steps(&mut sim, &mut pair, core);
+        (sim.total_cycles(), sim.device_stats())
     };
     Observed {
         log: rec.log,
@@ -281,43 +272,41 @@ fn drive(kernel: &Kernel, cfg: &SimConfig, launch: &[LaunchArg], core: Core) -> 
 }
 
 #[test]
-fn wheel_heap_and_legacy_cores_agree_on_random_kernels() {
+fn wheel_and_legacy_cores_agree_on_random_kernels() {
     let mut rng = Rng(0xC0FFEE);
     for case in 0..24 {
         let (kernel, launch) = gen_kernel(&mut rng);
         let cfg = gen_config(&mut rng);
         let wheel = drive(&kernel, &cfg, &launch, Core::Wheel);
-        for core in [Core::Heap, Core::Legacy] {
-            let other = drive(&kernel, &cfg, &launch, core);
-            assert_eq!(
-                wheel.cycles, other.cycles,
-                "case {case}: total cycles diverged (wheel {} vs {core:?} {})",
-                wheel.cycles, other.cycles
+        let legacy = drive(&kernel, &cfg, &launch, Core::Legacy);
+        assert_eq!(
+            wheel.cycles, legacy.cycles,
+            "case {case}: total cycles diverged (wheel {} vs legacy {})",
+            wheel.cycles, legacy.cycles
+        );
+        assert_eq!(
+            wheel.threads, legacy.threads,
+            "case {case}: derived statistics diverged"
+        );
+        assert_eq!(
+            wheel.devices, legacy.devices,
+            "case {case}: device wake attribution diverged"
+        );
+        if wheel.log != legacy.log {
+            let first = wheel
+                .log
+                .iter()
+                .zip(legacy.log.iter())
+                .position(|(x, y)| x != y)
+                .unwrap_or(wheel.log.len().min(legacy.log.len()));
+            panic!(
+                "case {case}: snoop streams diverged at signal {first}: \
+                 wheel {:?} vs legacy {:?} (lens {} vs {})",
+                wheel.log.get(first),
+                legacy.log.get(first),
+                wheel.log.len(),
+                legacy.log.len()
             );
-            assert_eq!(
-                wheel.threads, other.threads,
-                "case {case}: derived statistics diverged vs {core:?}"
-            );
-            assert_eq!(
-                wheel.devices, other.devices,
-                "case {case}: device wake attribution diverged vs {core:?}"
-            );
-            if wheel.log != other.log {
-                let first = wheel
-                    .log
-                    .iter()
-                    .zip(other.log.iter())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(wheel.log.len().min(other.log.len()));
-                panic!(
-                    "case {case}: snoop streams diverged at signal {first}: \
-                     wheel {:?} vs {core:?} {:?} (lens {} vs {})",
-                    wheel.log.get(first),
-                    other.log.get(first),
-                    wheel.log.len(),
-                    other.log.len()
-                );
-            }
         }
     }
 }
@@ -382,12 +371,10 @@ fn device_wakes_fire_and_are_attributed_identically_across_cores() {
         wheel.devices
     );
     assert!(wheel.devices.blocked_cycles > 0);
-    for core in [Core::Heap, Core::Legacy] {
-        let other = drive(&k, &cfg, &launch, core);
-        assert_eq!(wheel.devices, other.devices, "vs {core:?}");
-        assert_eq!(wheel.cycles, other.cycles, "vs {core:?}");
-        assert_eq!(wheel.log, other.log, "vs {core:?}");
-    }
+    let legacy = drive(&k, &cfg, &launch, Core::Legacy);
+    assert_eq!(wheel.devices, legacy.devices);
+    assert_eq!(wheel.cycles, legacy.cycles);
+    assert_eq!(wheel.log, legacy.log);
 }
 
 #[test]
@@ -417,11 +404,9 @@ fn event_core_matches_legacy_on_barrier_with_early_finishers() {
     let launch = [LaunchArg::Buffer(vec![Value::I32(0); 3])];
     let cfg = SimConfig::default().with_fast_launch();
     let wheel = drive(&k, &cfg, &launch, Core::Wheel);
-    for core in [Core::Heap, Core::Legacy] {
-        let other = drive(&k, &cfg, &launch, core);
-        assert_eq!(wheel.cycles, other.cycles, "vs {core:?}");
-        assert_eq!(wheel.log, other.log, "vs {core:?}");
-    }
+    let legacy = drive(&k, &cfg, &launch, Core::Legacy);
+    assert_eq!(wheel.cycles, legacy.cycles);
+    assert_eq!(wheel.log, legacy.log);
 }
 
 #[test]
@@ -446,44 +431,32 @@ fn deadlock_reports_are_identical_and_sorted() {
     }
     let accel = compile(&k, &HlsConfig::default());
     let cfg = SimConfig::default().with_fast_launch();
-    fn run_to_deadlock<Q: DispatchQueue>(mut sim: SimRun<'_, Q>, core: Core) -> crate::SimError {
+    let run_to_deadlock = |core: Core| -> crate::SimError {
+        let mut sim = SimRun::new(&k, &accel, &cfg, &[]).expect("valid");
         let mut snoop = crate::NullSnoop;
         loop {
-            let r = match core {
-                Core::Wheel => sim.step(&mut snoop),
-                Core::Heap => sim.step_baseline(&mut snoop),
-                Core::Legacy => sim.step_legacy(&mut snoop),
-            };
-            match r {
+            match step_on(&mut sim, &mut snoop, core) {
                 Ok(StepStatus::Done) => panic!("expected deadlock"),
                 Ok(StepStatus::Running) => continue,
                 Err(e) => break e,
             }
         }
-    }
-    let errs: Vec<crate::SimError> = CORES
-        .into_iter()
-        .map(|core| match core {
-            Core::Wheel => {
-                run_to_deadlock(SimRun::new(&k, &accel, &cfg, &[]).expect("valid"), core)
-            }
-            Core::Heap | Core::Legacy => run_to_deadlock(
-                SimRun::<ReadyQueue>::with_queue(&k, &accel, &cfg, &[]).expect("valid"),
-                core,
-            ),
-        })
-        .collect();
-    assert_eq!(errs[0], errs[1], "deadlock reports must not depend on core");
-    assert_eq!(errs[0], errs[2], "deadlock reports must not depend on core");
-    let crate::SimError::Deadlock { waiting } = &errs[0] else {
-        panic!("expected deadlock, got {:?}", errs[0]);
+    };
+    let wheel = run_to_deadlock(Core::Wheel);
+    assert_eq!(
+        wheel,
+        run_to_deadlock(Core::Legacy),
+        "deadlock reports must not depend on core"
+    );
+    let crate::SimError::Deadlock { waiting } = &wheel else {
+        panic!("expected deadlock, got {wheel:?}");
     };
     // Sorted by thread id and carrying actionable resource details.
     let ids: Vec<u32> = waiting.iter().map(|b| b.thread).collect();
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     assert_eq!(ids, sorted);
-    let text = errs[0].to_string();
+    let text = wheel.to_string();
     assert!(
         text.contains("waiting at barrier (1/2 arrived)"),
         "barrier detail missing: {text}"

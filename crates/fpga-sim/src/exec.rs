@@ -6,15 +6,14 @@
 //! walker event at a time by [`SimRun::step`]. It is `Send`, so a batch
 //! scheduler can carry runs across worker threads, and it returns typed
 //! [`SimError`]s instead of panicking, so one broken configuration cannot
-//! abort a whole sweep. [`Executor::run`] remains the one-call driver built
-//! on top of it.
+//! abort a whole sweep. [`Executor::run`] is the one-call entry point built on
+//! top of it.
 
 use crate::config::SimConfig;
 use crate::device::{DeviceEvent, DeviceQueue, DeviceStats};
 use crate::dram::{Dram, LineBuffer};
 use crate::error::{BlockedReason, BlockedThread, SimError};
 use crate::memimg::{LaunchArg, MemImage};
-use crate::queue::{DispatchQueue, ReadyQueue};
 use crate::semaphore::{Acquire, Semaphore};
 use crate::snoop::{Snoop, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
 use crate::stats::RunStats;
@@ -95,6 +94,9 @@ pub struct RunResult {
     pub total_cycles: u64,
     /// Ground-truth statistics.
     pub stats: RunStats,
+    /// Device-completion wakeups: how many times threads were woken by line
+    /// fetches, channel grants and DMA completions, and how long they slept.
+    pub devices: DeviceStats,
 }
 
 impl RunResult {
@@ -133,13 +135,12 @@ pub enum StepStatus {
 /// and semaphore models. It is `Send`: a scheduler may construct it on one
 /// thread and drive it on another.
 ///
-/// The core is generic over its [`DispatchQueue`]: the default is the
-/// [`WheelQueue`] calendar queue (O(1)-amortized dispatch at high thread
-/// counts); `SimRun::<ReadyQueue>` is the binary-heap core, retained for
-/// A/B benchmarking and differential testing. Both produce bit-identical
-/// snoop streams — the queue only decides *how* the next `(time, tid)`
-/// minimum is found, never *which* thread it is.
-pub struct SimRun<'k, Q: DispatchQueue = WheelQueue> {
+/// Dispatch runs on the [`WheelQueue`] calendar queue (O(1)-amortized at
+/// high thread counts). The queue only decides *how* the next `(time, tid)`
+/// minimum is found, never *which* thread it is: the `cfg(test)` linear-scan
+/// stepper picks threads without it and must produce a bit-identical snoop
+/// stream (see `difftest`).
+pub struct SimRun<'k> {
     cfg: SimConfig,
     modes: Vec<LoopMode>,
     mem: MemImage,
@@ -149,10 +150,10 @@ pub struct SimRun<'k, Q: DispatchQueue = WheelQueue> {
     threads: Vec<Thread<'k>>,
     /// The discrete-event ready queue: holds exactly the `Ready` threads,
     /// keyed by `(wakeup_time, thread_id)`.
-    ready: Q,
+    ready: WheelQueue,
     /// Run-ahead slot: the thread just dispatched, held out of the queue
     /// while it remains the global `(time, tid)` minimum (see
-    /// [`SimRun::step`]). Never set by `step_baseline`/`step_legacy`.
+    /// [`SimRun::step`]). Never set by `step_legacy`.
     current: Option<u32>,
     barrier_arrivals: Vec<usize>,
     done: usize,
@@ -164,27 +165,12 @@ pub struct SimRun<'k, Q: DispatchQueue = WheelQueue> {
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<SimRun<'_>>();
-    assert_send::<SimRun<'_, ReadyQueue>>();
 };
 
 impl<'k> SimRun<'k> {
     /// Set up a run of `kernel` (compiled as `accel`) with `launch`
-    /// arguments under `cfg` on the default wheel-queue core. Validates the
-    /// configuration up front.
+    /// arguments under `cfg`. Validates the configuration up front.
     pub fn new(
-        kernel: &'k Kernel,
-        accel: &Accelerator,
-        cfg: &SimConfig,
-        launch: &[LaunchArg],
-    ) -> Result<Self, SimError> {
-        Self::with_queue(kernel, accel, cfg, launch)
-    }
-}
-
-impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
-    /// [`SimRun::new`] for an explicitly chosen dispatch queue, e.g.
-    /// `SimRun::<ReadyQueue>::with_queue(..)` for the binary-heap core.
-    pub fn with_queue(
         kernel: &'k Kernel,
         accel: &Accelerator,
         cfg: &SimConfig,
@@ -218,7 +204,7 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
             })
             .collect();
 
-        let mut ready = Q::new(n);
+        let mut ready = WheelQueue::new(n);
         for (t, th) in threads.iter().enumerate() {
             ready.push(th.time, t as u32);
         }
@@ -315,12 +301,12 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
     ///
     /// Dispatch is O(1) amortized on the wheel core: the dispatched thread
     /// is *held out* of the queue while it remains the global `(time, tid)`
-    /// minimum (checked against [`DispatchQueue::peek`]), so the common
+    /// minimum (checked against [`WheelQueue::peek`]), so the common
     /// pattern — a pipelined loop re-queueing its own thread a few cycles
     /// ahead — costs one comparison, no queue traffic at all. The held
     /// thread is dispatched exactly when a pop would have dispatched it
     /// (thread ids are unique, so the strict tuple compare is exact), which
-    /// keeps the snoop stream bit-identical to the pop-per-event cores.
+    /// keeps the snoop stream bit-identical to a pop-per-event dispatch.
     /// Blocked threads re-enter the queue only on their explicit wakeup edge
     /// (semaphore grant, barrier release, device completion).
     ///
@@ -370,47 +356,11 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
         Ok(StepStatus::Running)
     }
 
-    /// The pop-per-event dispatch loop (the pre-wheel core's `step`): pop
-    /// the minimum, dispatch, re-push. Retained as the A/B baseline for the
-    /// high-thread-count scaling benchmarks and for differential testing —
-    /// it must produce a snoop stream bit-identical to [`Self::step`] on any
-    /// kernel. Do not mix the two steppers within one run: `step` may hold a
-    /// thread out of the queue between calls.
-    pub fn step_baseline<S: Snoop + ?Sized>(
-        &mut self,
-        snoop: &mut S,
-    ) -> Result<StepStatus, SimError> {
-        debug_assert!(self.current.is_none(), "step_baseline after run-ahead step");
-        self.begin(snoop);
-        if self.is_done() {
-            return Ok(StepStatus::Done);
-        }
-
-        let Some((_, tid)) = self.ready.pop() else {
-            return Err(SimError::Deadlock {
-                waiting: self.blocked_threads(),
-            });
-        };
-        let ti = tid as usize;
-        self.dispatch(ti, snoop);
-        // Re-queue the dispatched thread unless it blocked/finished — or was
-        // already re-queued by a barrier it both completed and woke from.
-        if self.threads[ti].status == Status::Ready && !self.ready.contains(tid) {
-            self.ready.push(self.threads[ti].time, tid);
-        }
-
-        if self.is_done() {
-            snoop.run_end(self.total_cycles);
-            return Ok(StepStatus::Done);
-        }
-        Ok(StepStatus::Running)
-    }
-
     /// The pre-event-queue reference stepper: picks the next thread by a
     /// linear scan over thread states instead of the ready queue, then keeps
-    /// the queue coherent by explicit removal. Retained for differential
-    /// property testing against [`Self::step`] — both must produce identical
-    /// snoop streams on any kernel.
+    /// the queue coherent by explicit removal. The single oracle for
+    /// differential property testing against [`Self::step`] — both must
+    /// produce identical snoop streams on any kernel.
     #[cfg(test)]
     pub(crate) fn step_legacy<S: Snoop + ?Sized>(
         &mut self,
@@ -695,6 +645,7 @@ impl<'k, Q: DispatchQueue> SimRun<'k, Q> {
             buffers: self.mem.into_buffers(),
             total_cycles: self.total_cycles,
             stats,
+            devices: self.devices.stats,
         }
     }
 }
@@ -704,8 +655,7 @@ pub struct Executor;
 
 impl Executor {
     /// Run `kernel` (compiled as `accel`) with `launch` arguments under
-    /// `cfg`, reporting pipeline activity to `snoop`, on the default
-    /// wheel-queue core with run-ahead dispatch.
+    /// `cfg`, reporting pipeline activity to `snoop`.
     ///
     /// Returns [`SimError::InvalidConfig`] if `cfg` fails validation and
     /// [`SimError::Deadlock`] if every live thread blocks on the semaphore
@@ -732,57 +682,14 @@ impl Executor {
         }
         Ok(sim.into_result(stats_snoop))
     }
-
-    /// [`Executor::run`], additionally reporting the [`DeviceStats`] the
-    /// run accumulated — how many thread wakeups each device event class
-    /// (line fetch, channel grant, DMA completion) delivered and how long
-    /// threads slept on them. Used by the scaling benchmarks, where the
-    /// wake mix is part of the recorded snapshot.
-    pub fn run_with_device_stats(
-        kernel: &Kernel,
-        accel: &Accelerator,
-        cfg: &SimConfig,
-        launch: &[LaunchArg],
-        snoop: &mut dyn Snoop,
-    ) -> Result<(RunResult, DeviceStats), SimError> {
-        let mut sim = SimRun::new(kernel, accel, cfg, launch)?;
-        let mut stats_snoop = StatsSnoop::new(kernel.num_threads);
-        {
-            let mut ring = SnoopRing::new(snoop);
-            let mut pair = SnoopPair::new(&mut stats_snoop, &mut ring);
-            while sim.step(&mut pair)? == StepStatus::Running {}
-        }
-        let devices = sim.device_stats();
-        Ok((sim.into_result(stats_snoop), devices))
-    }
-
-    /// [`Executor::run`] on the binary-heap core with pop-per-event
-    /// dispatch and unbuffered snoop fan-out — the pre-wheel executor,
-    /// retained as the A/B baseline for the scaling benchmarks. Produces
-    /// bit-identical results and snoop streams to [`Executor::run`].
-    pub fn run_heap_baseline(
-        kernel: &Kernel,
-        accel: &Accelerator,
-        cfg: &SimConfig,
-        launch: &[LaunchArg],
-        snoop: &mut dyn Snoop,
-    ) -> Result<RunResult, SimError> {
-        let mut sim = SimRun::<ReadyQueue>::with_queue(kernel, accel, cfg, launch)?;
-        let mut stats_snoop = StatsSnoop::new(kernel.num_threads);
-        {
-            let mut pair = SnoopPair::new(&mut stats_snoop, snoop);
-            while sim.step_baseline(&mut pair)? == StepStatus::Running {}
-        }
-        Ok(sim.into_result(stats_snoop))
-    }
 }
 
 /// Release the barrier when every live thread has arrived: all arrivals are
 /// re-scheduled (wakeup edge) at `max(arrival times) + barrier_latency`.
-fn try_release_barrier<Q: DispatchQueue>(
+fn try_release_barrier(
     threads: &mut [Thread<'_>],
     barrier_arrivals: &mut Vec<usize>,
-    ready: &mut Q,
+    ready: &mut WheelQueue,
     barrier_latency: u64,
 ) {
     if barrier_arrivals.is_empty() {

@@ -47,6 +47,6 @@ pub use config::SimConfig;
 pub use device::{DeviceEvent, DeviceStats};
 pub use error::{BlockedReason, BlockedThread, SimError};
 pub use exec::{Executor, RunResult, SimRun, StepStatus};
-pub use queue::{DispatchQueue, ReadyQueue};
+pub use queue::ReadyQueue;
 pub use snoop::{NullSnoop, Snoop, SnoopMux, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
 pub use wheel::WheelQueue;

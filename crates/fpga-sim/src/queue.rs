@@ -1,56 +1,19 @@
-//! Indexed ready queue for the discrete-event core.
+//! Indexed binary min-heap over `(wakeup_time, thread_id)`.
 //!
-//! [`ReadyQueue`] is a binary min-heap over `(wakeup_time, thread_id)` with a
-//! per-thread position index. The executor keeps exactly the `Ready` threads
-//! in the queue; dispatch pops the lexicographic minimum, which reproduces
-//! the historical scan `min_by_key(|(i, t)| (t.time, i))` *bit-for-bit*: ties
-//! on time resolve to the lowest thread id in both.
+//! [`ReadyQueue`] is the far-future overflow tier of the executor's
+//! [`WheelQueue`](crate::wheel::WheelQueue) and the reference the wheel is
+//! property-tested against (`tests/wheel_prop.rs`). Popping yields the
+//! lexicographic minimum, which reproduces the historical scan
+//! `min_by_key(|(i, t)| (t.time, i))` *bit-for-bit*: ties on time resolve
+//! to the lowest thread id in both.
 //!
-//! The position index makes membership O(1) and removal O(log n), which the
-//! `cfg(test)` legacy reference stepper uses to stay coherent while it picks
-//! threads by scanning instead of popping.
+//! A per-thread position index makes membership O(1) and removal
+//! O(log n), which the wheel needs to remove a thread from its overflow
+//! tier.
 //!
 //! Invariant relied upon by the executor: a queued thread's wakeup time is
 //! never mutated while it is in the queue (only the dispatched thread and
 //! woken *blocked* threads change time), so no decrease-key is needed.
-
-/// The contract between the executor and its dispatch queue.
-///
-/// Both the binary-heap [`ReadyQueue`] and the timing-wheel
-/// [`WheelQueue`](crate::wheel::WheelQueue) implement it, and the executor's
-/// [`SimRun`](crate::SimRun) is generic over it, so the two cores share one
-/// dispatch loop and can be differential-tested against each other.
-///
-/// Semantics every implementation must preserve *bit-for-bit*:
-///
-/// * `pop`/`peek` yield the lexicographically smallest `(time, tid)` — ties
-///   on time resolve to the lowest thread id (the historical scan order);
-/// * a queued thread's time is never mutated in place (no decrease-key);
-/// * `push` times never precede the last popped time — the executor only
-///   schedules wakeups at or after the event that computes them. Heap
-///   implementations don't care; calendar implementations rely on it.
-pub trait DispatchQueue {
-    /// Empty queue sized for `num_threads` threads.
-    fn new(num_threads: usize) -> Self
-    where
-        Self: Sized;
-    /// Number of queued threads.
-    fn len(&self) -> usize;
-    /// True when no thread is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Whether `tid` is currently queued.
-    fn contains(&self, tid: u32) -> bool;
-    /// Queue `tid` with wakeup time `time` (at most once per thread).
-    fn push(&mut self, time: u64, tid: u32);
-    /// Smallest `(time, tid)` without removing it.
-    fn peek(&self) -> Option<(u64, u32)>;
-    /// Remove and return the smallest `(time, tid)`.
-    fn pop(&mut self) -> Option<(u64, u32)>;
-    /// Remove `tid` wherever it sits; returns its queued time if present.
-    fn remove(&mut self, tid: u32) -> Option<u64>;
-}
 
 /// Binary min-heap of `(time, thread)` keys with a thread-position index.
 #[derive(Clone, Debug)]
@@ -176,30 +139,6 @@ impl ReadyQueue {
         self.heap.swap(a, b);
         self.pos[self.heap[a].1 as usize] = a as u32 + 1;
         self.pos[self.heap[b].1 as usize] = b as u32 + 1;
-    }
-}
-
-impl DispatchQueue for ReadyQueue {
-    fn new(num_threads: usize) -> Self {
-        ReadyQueue::new(num_threads)
-    }
-    fn len(&self) -> usize {
-        ReadyQueue::len(self)
-    }
-    fn contains(&self, tid: u32) -> bool {
-        ReadyQueue::contains(self, tid)
-    }
-    fn push(&mut self, time: u64, tid: u32) {
-        ReadyQueue::push(self, time, tid)
-    }
-    fn peek(&self) -> Option<(u64, u32)> {
-        ReadyQueue::peek(self)
-    }
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        ReadyQueue::pop(self)
-    }
-    fn remove(&mut self, tid: u32) -> Option<u64> {
-        ReadyQueue::remove(self, tid)
     }
 }
 

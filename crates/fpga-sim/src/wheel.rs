@@ -27,7 +27,7 @@
 //!   `peek` compares the wheel scan against the overflow minimum, so neither
 //!   ever reports a stale minimum.
 
-use crate::queue::{DispatchQueue, ReadyQueue};
+use crate::queue::ReadyQueue;
 
 /// Wheel width in single-cycle slots (power of two).
 pub const SPAN: u64 = 1024;
@@ -44,8 +44,8 @@ enum Loc {
     Overflow,
 }
 
-/// Timing wheel over `(time, thread)` keys with heap overflow; a drop-in
-/// [`DispatchQueue`] for the executor.
+/// Timing wheel over `(time, thread)` keys with heap overflow: the
+/// executor's dispatch queue.
 #[derive(Clone, Debug)]
 pub struct WheelQueue {
     /// Head thread id of each slot's tid-sorted intrusive list.
@@ -263,30 +263,6 @@ impl WheelQueue {
             self.bitmap[slot / 64] &= !(1u64 << (slot % 64));
         }
         self.loc[tid as usize] = Loc::Out;
-    }
-}
-
-impl DispatchQueue for WheelQueue {
-    fn new(num_threads: usize) -> Self {
-        WheelQueue::new(num_threads)
-    }
-    fn len(&self) -> usize {
-        WheelQueue::len(self)
-    }
-    fn contains(&self, tid: u32) -> bool {
-        WheelQueue::contains(self, tid)
-    }
-    fn push(&mut self, time: u64, tid: u32) {
-        WheelQueue::push(self, time, tid)
-    }
-    fn peek(&self) -> Option<(u64, u32)> {
-        WheelQueue::peek(self)
-    }
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        WheelQueue::pop(self)
-    }
-    fn remove(&mut self, tid: u32) -> Option<u64> {
-        WheelQueue::remove(self, tid)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property suite: the hierarchical timing wheel against the binary-heap
 //! reference.
 //!
-//! [`WheelQueue`] and [`ReadyQueue`] implement the same `DispatchQueue`
-//! contract — lexicographic `(time, tid)` min order, tid tie-breaking, O(1)
+//! [`WheelQueue`] and [`ReadyQueue`] expose the same dispatch contract —
+//! lexicographic `(time, tid)` min order, tid tie-breaking, O(1)
 //! membership, removal from anywhere — but with completely different
 //! internals (calendar slots + overflow heap vs. an indexed binary heap).
 //! These properties drive both through identical random operation sequences
