@@ -410,6 +410,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_run_does_not_abort_the_sweep() {
+        let engine = BatchEngine::new(2);
+        let mut graph: TaskGraph<'_, u32> = TaskGraph::new();
+        for i in 0..6 {
+            graph.add(NodeKind::Run, format!("r{i}"), &[], move |_| {
+                if i == 3 {
+                    Err(SimError::InvalidConfig("injected".into()).into())
+                } else {
+                    Ok(i)
+                }
+            });
+        }
+        let reports = engine.run_graph(graph).reports;
+        assert_eq!(reports.len(), 6);
+        assert!(reports[3].outcome.is_err());
+        for (i, r) in reports.iter().enumerate() {
+            if i != 3 {
+                assert_eq!(*r.outcome.as_ref().unwrap(), i as u32);
+            }
+        }
+    }
+
+    #[test]
     fn scratch_dirs_are_isolated_and_cleaned_up() {
         let engine = BatchEngine::new(3);
         let root = engine.scratch_root.clone();
@@ -433,6 +456,25 @@ mod tests {
             }
         }
         assert!(!root.exists(), "scratch root removed after the sweep");
+    }
+
+    #[test]
+    fn borrowed_state_can_be_shared_across_jobs() {
+        // TaskGraph is lifetime-generic: jobs may borrow sweep-local state
+        // (kernels, caches) without 'static gymnastics.
+        let data = [1u64, 2, 3, 4];
+        let engine = BatchEngine::new(2);
+        let mut graph: TaskGraph<'_, u64> = TaskGraph::new();
+        for (i, v) in data.iter().enumerate() {
+            graph.add(NodeKind::Run, format!("b{i}"), &[], move |_| Ok(v * 2));
+        }
+        let out: Vec<u64> = engine
+            .run_graph(graph)
+            .reports
+            .into_iter()
+            .map(|r| r.outcome.unwrap())
+            .collect();
+        assert_eq!(out, vec![2, 4, 6, 8]);
     }
 
     #[test]
