@@ -14,8 +14,8 @@
 //!    untraced at every thread count in `--threads`, reporting simulated
 //!    cycles, wall time, simulation throughput and the device-event wake
 //!    mix (line fetches, channel grants, DMA).
-//! 2. **SpMV trace sweep** — the thread counts again through the full
-//!    streaming trace pipeline (batch engine + bundles), with the
+//! 2. **SpMV trace sweep** — the thread counts again with the profiling
+//!    unit attached (batch engine + bundles), with the
 //!    analytical fast-mode prediction column. `--profile=auto[,budget=N]`
 //!    runs this section under the auto-probe plan (the untraced scaling
 //!    sections stay uninstrumented by design).
@@ -28,7 +28,7 @@ use bench::sweep::{bundles_footer, spmv_sweep, spmv_table, SpmvSweepConfig};
 use bench::{analytic_report, spmv_launch, spmv_sim_config};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::{Executor, NullSnoop, RunResult, SimConfig};
-use hls_profiling::{PipelineConfig, ProfilingConfig};
+use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::spmv::{self, Csr};
 use nymble_hls::{AccelCache, HlsConfig};
@@ -143,14 +143,13 @@ fn main() {
          (±15% bound enforced in crates/bench/tests/analytic_validation.rs)"
     );
 
-    // §2: SpMV through the full streaming trace pipeline.
+    // §2: SpMV with the profiling unit attached, bundles written.
     let sweep = spmv_sweep(&SpmvSweepConfig {
         matrix: matrix.clone(),
         threads: threads.clone(),
         hls: session.hls(),
         sim: sim.clone(),
         prof: ProfilingConfig::default(),
-        pipeline: PipelineConfig::default(),
         out: Some(out.clone()),
         jobs,
     });

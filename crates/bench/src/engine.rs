@@ -20,8 +20,6 @@
 //! * results land in a slot vector indexed by node-insertion order, so the
 //!   returned reports (and everything reduced from them) never depend on
 //!   which worker finished first;
-//! * each node gets an isolated scratch directory (trace-pipeline spill
-//!   files), so concurrent nodes never share mutable on-disk state;
 //! * node failures are values ([`crate::BenchError`] inside
 //!   [`NodeReport::outcome`]) and **dependents still run** — error policy
 //!   (diagnostic table row vs. abort) belongs to the dependent, not the
@@ -39,7 +37,6 @@ use crate::BenchError;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -107,27 +104,15 @@ struct Coord {
     completed: usize,
 }
 
-/// Process-unique scratch-root counter (no wall-clock involved, so batch
-/// runs stay reproducible byte for byte).
-static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// Work-stealing scheduler executing [`TaskGraph`]s deterministically.
 pub struct BatchEngine {
     jobs: usize,
-    scratch_root: PathBuf,
 }
 
 impl BatchEngine {
-    /// An engine with `jobs` workers (clamped to at least one). Scratch
-    /// space lives under the system temp dir in a process-unique root.
+    /// An engine with `jobs` workers (clamped to at least one).
     pub fn new(jobs: usize) -> Self {
-        let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-        let scratch_root =
-            std::env::temp_dir().join(format!("hls-paraver-batch-{}-{}", std::process::id(), seq));
-        BatchEngine {
-            jobs: jobs.max(1),
-            scratch_root,
-        }
+        BatchEngine { jobs: jobs.max(1) }
     }
 
     /// Number of worker threads this engine will use.
@@ -150,7 +135,6 @@ impl BatchEngine {
                 stats: SchedStats::empty(workers),
             };
         }
-        std::fs::create_dir_all(&self.scratch_root).expect("create batch scratch root");
 
         // Decompose the graph into executor state: forward edges, atomic
         // indegrees, one claim-once cell per node body, one result slot
@@ -223,7 +207,6 @@ impl BatchEngine {
                 let executed = &executed;
                 let busy_ns = &busy_ns;
                 let first_panic = &first_panic;
-                let scratch_root = &self.scratch_root;
                 s.spawn(move || loop {
                     // Own deque first (front: LIFO, freshly released nodes
                     // run while their inputs are hot), then steal from the
@@ -271,13 +254,10 @@ impl BatchEngine {
                         .expect("node cell poisoned")
                         .take()
                         .expect("node claimed twice");
-                    let scratch_dir = scratch_root.join(format!("node-{i:04}"));
-                    std::fs::create_dir_all(&scratch_dir).expect("create node scratch dir");
                     let ctx = NodeCtx {
                         index: i,
                         worker: w,
                         kind: kinds[i],
-                        scratch_dir,
                         dep_ids: &deps_of[i],
                         slots,
                     };
@@ -340,7 +320,6 @@ impl BatchEngine {
             }
         });
         let makespan = t0.elapsed();
-        let _ = std::fs::remove_dir_all(&self.scratch_root);
 
         if let Some(payload) = first_panic.into_inner().expect("panic slot poisoned") {
             std::panic::resume_unwind(payload);
@@ -430,32 +409,6 @@ mod tests {
                 assert_eq!(*r.outcome.as_ref().unwrap(), i as u32);
             }
         }
-    }
-
-    #[test]
-    fn scratch_dirs_are_isolated_and_cleaned_up() {
-        let engine = BatchEngine::new(3);
-        let root = engine.scratch_root.clone();
-        let mut graph: TaskGraph<'_, PathBuf> = TaskGraph::new();
-        for i in 0..5 {
-            graph.add(NodeKind::Run, format!("s{i}"), &[], |ctx| {
-                assert!(ctx.scratch_dir.is_dir(), "scratch dir pre-created");
-                std::fs::write(ctx.scratch_dir.join("spill.tmp"), b"x").unwrap();
-                Ok(ctx.scratch_dir.clone())
-            });
-        }
-        let dirs: Vec<_> = engine
-            .run_graph(graph)
-            .reports
-            .into_iter()
-            .map(|r| r.outcome.unwrap())
-            .collect();
-        for (i, d) in dirs.iter().enumerate() {
-            for other in &dirs[i + 1..] {
-                assert_ne!(d, other, "each run has a private dir");
-            }
-        }
-        assert!(!root.exists(), "scratch root removed after the sweep");
     }
 
     #[test]

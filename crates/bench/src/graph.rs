@@ -26,7 +26,6 @@
 //!   depends on worker count or completion order.
 
 use crate::BenchError;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -148,9 +147,6 @@ pub struct NodeCtx<'s, T> {
     pub worker: usize,
     /// The node's declared kind.
     pub kind: NodeKind,
-    /// Private scratch directory for this node (spill files etc.), created
-    /// before the body runs and removed with the engine's scratch root.
-    pub scratch_dir: PathBuf,
     pub(crate) dep_ids: &'s [usize],
     pub(crate) slots: &'s [OnceLock<NodeReport<T>>],
 }

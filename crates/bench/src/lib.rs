@@ -16,32 +16,27 @@ pub mod sweep;
 
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::{Executor, NullSnoop, RunResult, SimConfig, SimError};
-use hls_profiling::{
-    PipelineConfig, PipelineError, ProfilingConfig, ProfilingConfigError, ProfilingUnit,
-    SinkFactory, StreamReport, TraceData,
-};
+use hls_profiling::{ProfilingConfig, ProfilingConfigError, ProfilingUnit, TraceData};
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::reference;
 use kernels::spmv::{self, Csr};
 use nymble_hls::accel::{Accelerator, HlsConfig};
-use nymble_hls::{AccelCache, ProbePlan};
+use nymble_hls::AccelCache;
 use nymble_ir::{Kernel, Value};
 use nymble_lint::LintLevel;
-use paraver::TraceSink;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Anything that can fail inside one graph node: the simulator (typed
-/// deadlock / config errors), the streaming trace pipeline, the profiling
+/// deadlock / config errors), the trace bundle write, the profiling
 /// configuration, or the node body itself panicking (recorded so the rest
 /// of the graph still drains).
 #[derive(Debug)]
 pub enum BenchError {
     /// The cycle-level simulator rejected the run.
     Sim(SimError),
-    /// The background trace pipeline failed.
-    Pipeline(PipelineError),
+    /// Writing the trace bundle failed (I/O, or a record out of order).
+    Trace(paraver::TraceError),
     /// The profiling configuration (after aligning it with the compiled
     /// design's auto-probe plan) was rejected — e.g. a budget so tight the
     /// knapsack pass selected nothing.
@@ -60,7 +55,7 @@ impl std::fmt::Display for BenchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BenchError::Sim(e) => write!(f, "{e}"),
-            BenchError::Pipeline(e) => write!(f, "{e}"),
+            BenchError::Trace(e) => write!(f, "{e}"),
             BenchError::Profiling(e) => write!(f, "{e}"),
             BenchError::NodePanic { label, message } => {
                 write!(f, "node `{label}` panicked: {message}")
@@ -73,7 +68,7 @@ impl std::error::Error for BenchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BenchError::Sim(e) => Some(e),
-            BenchError::Pipeline(e) => Some(e),
+            BenchError::Trace(e) => Some(e),
             BenchError::Profiling(e) => Some(e),
             BenchError::NodePanic { .. } => None,
         }
@@ -86,12 +81,6 @@ impl From<SimError> for BenchError {
     }
 }
 
-impl From<PipelineError> for BenchError {
-    fn from(e: PipelineError) -> Self {
-        BenchError::Pipeline(e)
-    }
-}
-
 impl From<ProfilingConfigError> for BenchError {
     fn from(e: ProfilingConfigError) -> Self {
         BenchError::Profiling(e)
@@ -100,7 +89,7 @@ impl From<ProfilingConfigError> for BenchError {
 
 impl From<paraver::TraceError> for BenchError {
     fn from(e: paraver::TraceError) -> Self {
-        BenchError::Pipeline(PipelineError::Trace(e))
+        BenchError::Trace(e)
     }
 }
 
@@ -162,7 +151,7 @@ pub fn run_profiled_in(
     match run_profiled_with(cache, kernel, &HlsConfig::default(), sim, prof, launch) {
         Ok(run) => Ok(run),
         Err(BenchError::Sim(e)) => Err(e),
-        // The default config plans no probes and runs no pipeline.
+        // The default config plans no probes and writes no bundle.
         Err(e) => unreachable!("impossible failure under HlsConfig::default(): {e}"),
     }
 }
@@ -181,90 +170,6 @@ pub fn run_profiled(
     run_profiled_in(&AccelCache::new(), kernel, sim, prof, launch).expect("simulation failed")
 }
 
-/// [`run_profiled_streaming_in`] under an explicit [`HlsConfig`].
-#[allow(clippy::too_many_arguments)] // the fully-explicit variant: every knob of the stack
-pub fn run_profiled_streaming_with(
-    cache: &AccelCache,
-    kernel: &Kernel,
-    hls: &HlsConfig,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-    pipeline: PipelineConfig,
-    sink_factory: SinkFactory,
-    launch: &[LaunchArg],
-) -> Result<(RunResult, StreamReport), BenchError> {
-    let accel = cache.get_or_compile(kernel, hls);
-    let prof = planned_prof(prof, &accel)?;
-    let mut unit = ProfilingUnit::new_streaming(
-        &kernel.name,
-        kernel.num_threads,
-        prof,
-        pipeline,
-        sink_factory,
-    );
-    let result = Executor::run(kernel, &accel, sim, launch, &mut unit);
-    // Drain the pipeline even when the simulator failed mid-run, so the
-    // worker thread is always joined; the simulator error takes precedence.
-    let report = unit.finish_streaming();
-    let result = result?;
-    Ok((result, report?))
-}
-
-/// [`run_profiled_streaming`] against a shared compile cache, with
-/// simulator failures surfaced as typed [`BenchError::Sim`] values.
-pub fn run_profiled_streaming_in(
-    cache: &AccelCache,
-    kernel: &Kernel,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-    pipeline: PipelineConfig,
-    sink_factory: SinkFactory,
-    launch: &[LaunchArg],
-) -> Result<(RunResult, StreamReport), BenchError> {
-    run_profiled_streaming_with(
-        cache,
-        kernel,
-        &HlsConfig::default(),
-        sim,
-        prof,
-        pipeline,
-        sink_factory,
-        launch,
-    )
-}
-
-/// Compile and run a kernel with the profiling unit in streaming mode:
-/// every trace-buffer flush feeds the background decode → bounded-sort →
-/// sink pipeline instead of accumulating in memory.
-///
-/// # Panics
-/// Panics on simulator errors (see [`run_profiled_streaming_in`]).
-pub fn run_profiled_streaming(
-    kernel: &Kernel,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-    pipeline: PipelineConfig,
-    sink_factory: SinkFactory,
-    launch: &[LaunchArg],
-) -> Result<(RunResult, StreamReport), PipelineError> {
-    match run_profiled_streaming_in(
-        &AccelCache::new(),
-        kernel,
-        sim,
-        prof,
-        pipeline,
-        sink_factory,
-        launch,
-    ) {
-        Ok(ok) => Ok(ok),
-        Err(BenchError::Pipeline(e)) => Err(e),
-        Err(BenchError::Sim(e)) => panic!("simulation failed: {e}"),
-        // The default config plans no probes, and this path never goes
-        // through the graph scheduler.
-        Err(e) => unreachable!("{e}"),
-    }
-}
-
 /// Align the shared profiling configuration with the compiled design's
 /// auto-probe plan (when the compile selected one) and validate the
 /// result, so a budget that selects nothing surfaces as a typed
@@ -279,32 +184,6 @@ fn planned_prof(
     };
     cfg.validate()?;
     Ok(cfg)
-}
-
-/// Sink factory that streams the trace into a `.prv`/`.pcf`/`.row` bundle
-/// under `path_stem` (for [`run_profiled_streaming`]).
-pub fn bundle_sink(path_stem: PathBuf) -> SinkFactory {
-    bundle_sink_with_plan(path_stem, None)
-}
-
-/// [`bundle_sink`] for a design compiled under `--profile=auto`: the
-/// plan's region probes land in the `.pcf` event table and the `.row`
-/// region hierarchy, so Paraver (and `diagnose`) can name the source
-/// region behind every record.
-pub fn bundle_sink_with_plan(path_stem: PathBuf, plan: Option<Arc<ProbePlan>>) -> SinkFactory {
-    Box::new(move |meta| {
-        let (event_defs, regions) = match &plan {
-            Some(p) => (
-                paraver::events::defs_with_regions(&p.pcf_regions()),
-                p.row_regions(),
-            ),
-            None => (paraver::events::defs(), Vec::new()),
-        };
-        let w =
-            paraver::BundleWriter::create(&path_stem, meta, &paraver::states::defs(), &event_defs)?
-                .with_regions(regions);
-        Ok(Box::new(w) as Box<dyn TraceSink + Send>)
-    })
 }
 
 /// [`run_unprofiled_in`] under an explicit [`HlsConfig`].

@@ -9,13 +9,13 @@
 //! * one `Compile` node per distinct kernel populates the shared
 //!   [`AccelCache`] entry (the π sweep has exactly one — its IR is
 //!   step-independent), so a slow compile blocks only its own runs;
-//! * one `Run` node per experiment streams the simulator's trace through
-//!   the background pipeline of `hls_profiling::pipeline` with a
-//!   node-private spill directory, collecting the sorted records in
-//!   memory;
-//! * one `Analyze` node per run writes the `.prv`/`.pcf`/`.row` bundle and
-//!   computes the table-row metrics — overlapping with still-running
-//!   simulations instead of waiting for the whole batch;
+//! * one `Run` node per experiment simulates with the profiling unit
+//!   attached and decodes its trace after the run
+//!   ([`crate::run_profiled_with`]);
+//! * one `Analyze` node per run writes the `.prv`/`.pcf`/`.row` bundle
+//!   ([`hls_profiling::TraceData::write_bundle`]) and computes the
+//!   table-row metrics — overlapping with still-running simulations
+//!   instead of waiting for the whole batch;
 //! * one `Reduce` node renders the table from the rows **in submission
 //!   order**, so the table text and the trace bundles are byte-identical
 //!   at `--jobs 1` and `--jobs 8`.
@@ -28,180 +28,39 @@
 use crate::engine::{BatchEngine, GraphRun, SchedStats};
 use crate::graph::{NodeCtx, NodeId, NodeKind, NodeReport, TaskGraph};
 use crate::{
-    analytic_report, gemm_launch, pi_launch, run_profiled_streaming_with, spmv_launch, BenchError,
+    analytic_report, gemm_launch, pi_launch, run_profiled_with, spmv_launch, BenchError,
     ProfiledRun,
 };
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
-use hls_profiling::{PipelineConfig, ProfilingConfig, SinkFactory, TraceData};
+use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::spmv::{self, Csr};
 use nymble_hls::accel::HlsConfig;
-use nymble_hls::{AccelCache, CacheStats, ProbePlan};
+use nymble_hls::{AccelCache, CacheStats};
 use nymble_ir::Kernel;
 use paraver::analysis::StateProfile;
-use paraver::{states, Record, TraceError, TraceSink};
+use paraver::states;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-
-/// A [`TraceSink`] that forwards every record to an optional on-disk
-/// bundle writer while collecting a copy in memory for figure rendering.
-struct TeeSink {
-    bundle: Option<paraver::prv::BundleWriter>,
-    store: Arc<Mutex<Vec<Record>>>,
-}
-
-impl TraceSink for TeeSink {
-    fn push(&mut self, r: Record) -> Result<(), TraceError> {
-        self.store
-            .lock()
-            .expect("record store poisoned")
-            .push(r.clone());
-        match &mut self.bundle {
-            Some(w) => w.push(r),
-            None => Ok(()),
-        }
-    }
-
-    fn close(&mut self) -> Result<(), TraceError> {
-        match &mut self.bundle {
-            Some(w) => w.close(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// The `.pcf` event table and `.row` region hierarchy for a trace: the
-/// plain defs, extended by the auto-probe plan's regions when one was
-/// compiled in.
-fn bundle_defs(plan: Option<&ProbePlan>) -> (Vec<paraver::EventTypeDef>, Vec<(u32, String)>) {
-    match plan {
-        Some(p) => (
-            paraver::events::defs_with_regions(&p.pcf_regions()),
-            p.row_regions(),
-        ),
-        None => (paraver::events::defs(), Vec::new()),
-    }
-}
-
-/// Sink factory streaming into `<stem>.prv/.pcf/.row` (when `stem` is
-/// given) while teeing every record into `store`. `plan` extends the
-/// bundle's event table and `.row` hierarchy with the auto-probe regions.
-pub fn collecting_bundle_sink(
-    stem: Option<PathBuf>,
-    plan: Option<Arc<ProbePlan>>,
-    store: Arc<Mutex<Vec<Record>>>,
-) -> SinkFactory {
-    Box::new(move |meta| {
-        let bundle = match stem {
-            Some(stem) => {
-                let (event_defs, regions) = bundle_defs(plan.as_deref());
-                Some(
-                    paraver::prv::BundleWriter::create(
-                        &stem,
-                        meta,
-                        &paraver::states::defs(),
-                        &event_defs,
-                    )?
-                    .with_regions(regions),
-                )
-            }
-            None => None,
-        };
-        Ok(Box::new(TeeSink { bundle, store }) as Box<dyn TraceSink + Send>)
-    })
-}
-
-/// Replay an in-memory trace (already in sink order) through a fresh
-/// bundle writer. Done by `Analyze` nodes so the disk I/O overlaps with
-/// still-running simulations; the resulting bundle is byte-identical to
-/// one streamed directly.
-fn write_bundle(stem: &Path, trace: &TraceData) -> Result<(), BenchError> {
-    let (event_defs, regions) = bundle_defs(trace.plan.as_deref());
-    let mut w = paraver::prv::BundleWriter::create(
-        stem,
-        &trace.meta,
-        &paraver::states::defs(),
-        &event_defs,
-    )
-    .map_err(TraceError::from)?
-    .with_regions(regions);
-    for r in &trace.records {
-        w.push(r.clone())?;
-    }
-    w.close()?;
-    Ok(())
-}
 
 /// Sweep-wide shared state each node executes against: the compile cache
-/// and the simulator/profiler/pipeline configuration.
+/// and the simulator/profiler configuration.
 #[derive(Clone, Copy)]
 struct SweepEnv<'a> {
     cache: &'a AccelCache,
     hls: &'a HlsConfig,
     sim: &'a SimConfig,
     prof: &'a ProfilingConfig,
-    pipeline: &'a PipelineConfig,
 }
 
-impl<'a> SweepEnv<'a> {
-    fn of(
-        cache: &'a AccelCache,
-        cfg_hls: &'a HlsConfig,
-        sim: &'a SimConfig,
-        prof: &'a ProfilingConfig,
-        pipeline: &'a PipelineConfig,
-    ) -> Self {
-        SweepEnv {
-            cache,
-            hls: cfg_hls,
-            sim,
-            prof,
-            pipeline,
-        }
+impl SweepEnv<'_> {
+    /// Run one kernel with the profiling unit attached; bundle writing is
+    /// left to the dependent `Analyze` node.
+    fn run(&self, kernel: &Kernel, launch: &[LaunchArg]) -> Result<ProfiledRun, BenchError> {
+        run_profiled_with(self.cache, kernel, self.hls, self.sim, self.prof, launch)
     }
-}
-
-/// Run one kernel through the streaming pipeline with a node-private spill
-/// dir, producing a [`ProfiledRun`] whose records were collected by the
-/// tee sink. Bundle writing is left to the dependent `Analyze` node.
-fn profiled_streaming_run(
-    env: &SweepEnv<'_>,
-    kernel: &Kernel,
-    launch: &[LaunchArg],
-    scratch_dir: &Path,
-) -> Result<ProfiledRun, BenchError> {
-    let store = Arc::new(Mutex::new(Vec::new()));
-    let pipe = PipelineConfig {
-        spill_dir: Some(scratch_dir.to_path_buf()),
-        ..env.pipeline.clone()
-    };
-    let accel = env.cache.get_or_compile(kernel, env.hls);
-    let (result, report) = run_profiled_streaming_with(
-        env.cache,
-        kernel,
-        env.hls,
-        env.sim,
-        env.prof,
-        pipe,
-        collecting_bundle_sink(None, accel.probe_plan.clone(), store.clone()),
-        launch,
-    )?;
-    let records = std::mem::take(&mut *store.lock().expect("record store poisoned"));
-    let trace = TraceData {
-        records,
-        meta: report.meta.clone(),
-        flushed_bytes: report.flushed_bytes,
-        flush_count: report.flush_count,
-        plan: accel.probe_plan.clone(),
-    };
-    Ok(ProfiledRun {
-        result,
-        trace,
-        accel,
-    })
 }
 
 /// Configuration of the GEMM version sweep (§V-C).
@@ -211,6 +70,7 @@ pub struct GemmSweepConfig {
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
+    /// Ignored: the sweep has one trace drain path, which has no settings.
     pub pipeline: PipelineConfig,
     /// Where trace bundles go (`gemm_<dim>_<kernel>` stems); `None` skips
     /// bundle output.
@@ -295,7 +155,12 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
     let mut run_ids = Vec::new();
     let mut analyze_ids = Vec::new();
     for (v, kernel) in &kernels {
-        let env = SweepEnv::of(&cache, &cfg.hls, &cfg.sim, &cfg.prof, &cfg.pipeline);
+        let env = SweepEnv {
+            cache: &cache,
+            hls: &cfg.hls,
+            sim: &cfg.sim,
+            prof: &cfg.prof,
+        };
         let stem = cfg
             .out
             .as_ref()
@@ -315,8 +180,8 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
             NodeKind::Run,
             v.name(),
             &[compile],
-            move |ctx: &NodeCtx<'_, GemmNode>| {
-                profiled_streaming_run(&env, kernel, launch, &ctx.scratch_dir)
+            move |_: &NodeCtx<'_, GemmNode>| {
+                env.run(kernel, launch)
                     .map(|pr| GemmNode::Ran(Box::new(pr)))
             },
         );
@@ -328,7 +193,7 @@ pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
                 let row = match &ctx.dep(0).outcome {
                     Ok(GemmNode::Ran(pr)) => {
                         if let Some(stem) = &stem {
-                            write_bundle(stem, &pr.trace)?;
+                            pr.trace.write_bundle(stem)?;
                         }
                         let prof = StateProfile::compute(&pr.trace.records, threads);
                         Ok(GemmRow {
@@ -436,6 +301,7 @@ pub struct PiSweepConfig {
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
+    /// Ignored: the sweep has one trace drain path, which has no settings.
     pub pipeline: PipelineConfig,
     /// Where trace bundles go (`pi_<steps>` stems); `None` skips bundles.
     pub out: Option<PathBuf>,
@@ -496,7 +362,12 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
         threads: cfg.threads,
         bs: cfg.bs,
     });
-    let env = SweepEnv::of(&cache, &cfg.hls, &cfg.sim, &cfg.prof, &cfg.pipeline);
+    let env = SweepEnv {
+        cache: &cache,
+        hls: &cfg.hls,
+        sim: &cfg.sim,
+        prof: &cfg.prof,
+    };
     let compile = graph.add(
         NodeKind::Compile,
         "compile:pi",
@@ -520,11 +391,11 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
             NodeKind::Run,
             format!("pi_{steps}"),
             &[compile],
-            move |ctx: &NodeCtx<'_, PiNode>| {
+            move |_: &NodeCtx<'_, PiNode>| {
                 let kernel = pi::build(&p);
                 let (step, _) = pi::launch_scalars(&p);
                 let launch = pi_launch(&p);
-                let run = profiled_streaming_run(&env, &kernel, &launch, &ctx.scratch_dir)?;
+                let run = env.run(&kernel, &launch)?;
                 let estimate = crate::f32_result(&run.result, 2)[0] * step;
                 Ok(PiNode::Ran(Box::new(PiRun { run, estimate })))
             },
@@ -537,7 +408,7 @@ pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
                 let row = match &ctx.dep(0).outcome {
                     Ok(PiNode::Ran(pr)) => {
                         if let Some(stem) = &stem {
-                            write_bundle(stem, &pr.run.trace)?;
+                            pr.run.trace.write_bundle(stem)?;
                         }
                         Ok(PiRow {
                             cycles: pr.run.result.total_cycles,
@@ -636,7 +507,6 @@ pub struct SpmvSweepConfig {
     pub hls: HlsConfig,
     pub sim: SimConfig,
     pub prof: ProfilingConfig,
-    pub pipeline: PipelineConfig,
     /// Where trace bundles go (`spmv_<rows>x<cols>_t<threads>` stems);
     /// `None` skips bundles.
     pub out: Option<PathBuf>,
@@ -697,7 +567,12 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
     let mut run_ids = Vec::new();
     let mut analyze_ids = Vec::new();
     for (t, kernel) in &kernels {
-        let env = SweepEnv::of(&cache, &cfg.hls, &cfg.sim, &cfg.prof, &cfg.pipeline);
+        let env = SweepEnv {
+            cache: &cache,
+            hls: &cfg.hls,
+            sim: &cfg.sim,
+            prof: &cfg.prof,
+        };
         let stem = cfg
             .out
             .as_ref()
@@ -718,8 +593,8 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
             NodeKind::Run,
             format!("spmv_t{t}"),
             &[compile],
-            move |ctx: &NodeCtx<'_, SpmvNode>| {
-                let run = profiled_streaming_run(&env, kernel, launch, &ctx.scratch_dir)?;
+            move |_: &NodeCtx<'_, SpmvNode>| {
+                let run = env.run(kernel, launch)?;
                 let analytic_cycles =
                     analytic_report(env.cache, kernel, env.sim, launch).map(|r| r.total_cycles);
                 Ok(SpmvNode::Ran(Box::new(SpmvRun {
@@ -736,7 +611,7 @@ pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
                 let row = match &ctx.dep(0).outcome {
                     Ok(SpmvNode::Ran(pr)) => {
                         if let Some(stem) = &stem {
-                            write_bundle(stem, &pr.run.trace)?;
+                            pr.run.trace.write_bundle(stem)?;
                         }
                         let prof = StateProfile::compute(&pr.run.trace.records, threads);
                         Ok(SpmvRow {
@@ -889,7 +764,6 @@ mod tests {
             hls: HlsConfig::default(),
             sim: crate::spmv_sim_config(),
             prof: ProfilingConfig::default(),
-            pipeline: PipelineConfig::default(),
             out: None,
             jobs: 2,
         };

@@ -9,21 +9,14 @@
 //! one burst whose size and timestamp are reported so the simulator level
 //! can account for the DRAM bandwidth the tracing consumes.
 //!
-//! Two drain modes mirror the two host-side consumption models:
-//!
-//! * **retaining** ([`TraceBuffer::new`]) — every flush appends to an
-//!   in-memory copy of the full stream, read back at end of run (the
-//!   materialized path);
-//! * **draining** ([`TraceBuffer::draining`]) — every flush hands its bytes
-//!   to a caller-supplied callback and the buffer forgets them (the
-//!   streaming path: resident bytes stay bounded by the buffer capacity for
-//!   arbitrarily long runs).
+//! Every flush appends to an in-memory copy of the full stream — the
+//! external memory the host reads back and decodes after the run.
 //!
 //! Records are never split across a flush: a record that would cross the
 //! high-water mark triggers a flush *before* it is staged, and a record
 //! larger than the high-water mark itself is flushed immediately after
 //! staging. `flush_count()`/`flushed_bytes()` stay consistent with the
-//! per-flush log/callbacks in both modes.
+//! per-flush log.
 
 /// One flush of the trace buffer to external memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,32 +35,19 @@ pub struct TraceBuffer {
     /// Fill level (in bytes) at which a flush triggers ("nearly full").
     high_water: usize,
     staged: Vec<u8>,
-    /// The complete flushed stream, in flush order (retaining mode only —
-    /// this is what the host reads back from external memory after the run).
+    /// The complete flushed stream, in flush order (what the host reads
+    /// back from external memory after the run).
     flushed: Vec<u8>,
-    /// Per-flush log for bandwidth accounting (retaining mode only; in
-    /// draining mode the callback receives each [`Flush`] instead).
+    /// Per-flush log for bandwidth accounting.
     flush_log: Vec<Flush>,
-    retain: bool,
     flush_count: usize,
     flushed_bytes: u64,
     peak_staged: usize,
 }
 
 impl TraceBuffer {
-    /// A retaining buffer of `lines` 512-bit lines (the materialized path).
+    /// A buffer of `lines` 512-bit lines.
     pub fn new(lines: usize) -> Self {
-        Self::build(lines, true)
-    }
-
-    /// A draining buffer of `lines` 512-bit lines: flushes must go through
-    /// [`Self::push_with`]/[`Self::flush_with`], which hand the bytes to a
-    /// callback instead of accumulating them.
-    pub fn draining(lines: usize) -> Self {
-        Self::build(lines, false)
-    }
-
-    fn build(lines: usize, retain: bool) -> Self {
         let line_bytes = 64;
         let capacity = lines.max(2) * line_bytes;
         TraceBuffer {
@@ -77,7 +57,6 @@ impl TraceBuffer {
             staged: Vec::with_capacity(capacity),
             flushed: Vec::new(),
             flush_log: Vec::new(),
-            retain,
             flush_count: 0,
             flushed_bytes: 0,
             peak_staged: 0,
@@ -95,91 +74,54 @@ impl TraceBuffer {
     }
 
     /// Append a packed record at cycle `t`; flushes first if it would cross
-    /// the high-water mark. Retaining mode only.
+    /// the high-water mark.
     pub fn push(&mut self, t: u64, record: &[u8]) {
-        assert!(
-            self.retain,
-            "draining TraceBuffer requires push_with (a plain push would drop flushed bytes)"
-        );
-        self.push_impl(t, record, &mut |_, _| {});
-    }
-
-    /// Append a packed record at cycle `t`, handing any triggered flush's
-    /// bytes to `drain`.
-    pub fn push_with(&mut self, t: u64, record: &[u8], drain: &mut dyn FnMut(Flush, &[u8])) {
-        self.push_impl(t, record, drain);
-    }
-
-    fn push_impl(&mut self, t: u64, record: &[u8], drain: &mut dyn FnMut(Flush, &[u8])) {
         // Flush *before* a record that doesn't fit: records are atomic and
         // never straddle a flush boundary.
         if self.staged.len() + record.len() > self.high_water {
-            self.flush_impl(t, drain);
+            self.flush(t);
         }
         self.staged.extend_from_slice(record);
         self.peak_staged = self.peak_staged.max(self.staged.len());
         // A record larger than the whole staging area can't wait for the
         // next push to displace it.
         if record.len() > self.high_water {
-            self.flush_impl(t, drain);
+            self.flush(t);
         }
     }
 
-    /// Force a flush (used at end of run so no records are lost). Retaining
-    /// mode only.
+    /// Force a flush (used at end of run so no records are lost).
     pub fn flush(&mut self, t: u64) {
-        assert!(
-            self.retain,
-            "draining TraceBuffer requires flush_with (a plain flush would drop flushed bytes)"
-        );
-        self.flush_impl(t, &mut |_, _| {});
-    }
-
-    /// Force a flush, handing the staged bytes to `drain`.
-    pub fn flush_with(&mut self, t: u64, drain: &mut dyn FnMut(Flush, &[u8])) {
-        self.flush_impl(t, drain);
-    }
-
-    fn flush_impl(&mut self, t: u64, drain: &mut dyn FnMut(Flush, &[u8])) {
         if self.staged.is_empty() {
             return;
         }
         // The DMA writes whole 512-bit lines: pad the tail.
         let padded = self.staged.len().div_ceil(self.line_bytes) * self.line_bytes;
-        let f = Flush {
-            at_cycle: t,
-            bytes: padded as u64,
-        };
         self.flush_count += 1;
         self.flushed_bytes += padded as u64;
-        if self.retain {
-            self.flush_log.push(f);
-            self.flushed.append(&mut self.staged);
-        } else {
-            drain(f, &self.staged);
-            self.staged.clear();
-        }
+        self.flush_log.push(Flush {
+            at_cycle: t,
+            bytes: padded as u64,
+        });
+        self.flushed.append(&mut self.staged);
     }
 
-    /// The full flushed stream (retaining mode; call after the final
-    /// [`Self::flush`]).
+    /// The full flushed stream (call after the final [`Self::flush`]).
     pub fn stream(&self) -> &[u8] {
-        debug_assert!(self.retain, "draining buffers do not keep the stream");
         &self.flushed
     }
 
-    /// Per-flush log (retaining mode).
+    /// Per-flush log.
     pub fn flush_log(&self) -> &[Flush] {
         &self.flush_log
     }
 
-    /// Number of flushes so far (both modes).
+    /// Number of flushes so far.
     pub fn flush_count(&self) -> usize {
         self.flush_count
     }
 
-    /// Total bytes written to external memory by flushes, with line padding
-    /// (both modes).
+    /// Total bytes written to external memory by flushes, with line padding.
     pub fn flushed_bytes(&self) -> u64 {
         self.flushed_bytes
     }
@@ -289,36 +231,5 @@ mod tests {
         b.flush(4);
         assert_eq!(b.stream().len(), 10 + 200 + 4);
         assert_eq!(b.peak_staged_bytes(), 200);
-    }
-
-    #[test]
-    fn draining_mode_hands_bytes_to_callback() {
-        let mut b = TraceBuffer::draining(2);
-        let mut chunks: Vec<(Flush, Vec<u8>)> = Vec::new();
-        for i in 0..13 {
-            b.push_with(i, &[i as u8; 10], &mut |f, bytes| {
-                chunks.push((f, bytes.to_vec()));
-            });
-        }
-        b.flush_with(99, &mut |f, bytes| chunks.push((f, bytes.to_vec())));
-        let total: usize = chunks.iter().map(|(_, c)| c.len()).sum();
-        assert_eq!(total, 130, "drained chunks carry the unpadded stream");
-        assert_eq!(b.flush_count(), chunks.len());
-        assert_eq!(
-            b.flushed_bytes(),
-            chunks.iter().map(|(f, _)| f.bytes).sum::<u64>()
-        );
-        // Resident memory stays bounded: nothing accumulates after flushes.
-        assert!(b.peak_staged_bytes() <= b.capacity_bytes());
-        let reassembled: Vec<u8> = chunks.iter().flat_map(|(_, c)| c.clone()).collect();
-        assert_eq!(&reassembled[0..10], &[0; 10]);
-        assert_eq!(&reassembled[120..130], &[12; 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "push_with")]
-    fn draining_buffer_rejects_plain_push_overflow() {
-        let mut b = TraceBuffer::draining(2);
-        b.push(0, &[1; 8]);
     }
 }

@@ -13,11 +13,8 @@
 //!   unwrapping at each backwards jump (records are buffer-ordered, i.e.
 //!   nearly time-ordered).
 //!
-//! [`StreamDecoder`] is the incremental core: it accepts the stream chunk by
-//! chunk (one flush at a time in the streaming pipeline) and emits records
-//! as soon as they complete, so decoding overlaps the simulation and nothing
-//! larger than one flush is ever resident. [`decode_stream`] is the
-//! one-shot materialized wrapper over it.
+//! [`decode_stream`] walks the whole flushed stream once, after the run,
+//! and time-sorts the result.
 
 use crate::counters::{unpack_event_record, EVENT_RECORD_BYTES};
 use crate::recorder::{
@@ -48,157 +45,96 @@ impl Unwrapper {
     }
 }
 
-/// Incremental decoder of the trace-buffer byte stream.
+/// Decode a complete flushed stream into time-sorted records (stable, so
+/// equal-time records keep their stream order).
 ///
-/// Feed it flushed chunks in flush order; it emits each [`Record`] the
-/// moment its bytes are complete. A record that happens to straddle a chunk
-/// boundary is carried over (at most one record's worth of bytes is ever
-/// buffered). [`Self::finish`] closes the per-thread open state intervals
-/// at end of run, exactly like the materialized decode.
-pub struct StreamDecoder {
-    num_threads: u32,
-    srec_len: usize,
-    unwrap: Unwrapper,
-    /// Per-thread open interval: (state, since).
-    open: Vec<(ThreadState, u64)>,
-    /// Carry-over bytes of a record split across chunks.
-    pending: Vec<u8>,
-    records_decoded: u64,
-}
-
-impl StreamDecoder {
-    pub fn new(num_threads: u32) -> Self {
-        StreamDecoder {
-            num_threads,
-            srec_len: state_record_bytes(num_threads),
-            unwrap: Unwrapper::new(),
-            open: vec![(ThreadState::Idle, 0); num_threads as usize],
-            pending: Vec::new(),
-            records_decoded: 0,
-        }
-    }
-
-    /// Records emitted so far (not counting the closing intervals).
-    pub fn records_decoded(&self) -> u64 {
-        self.records_decoded
-    }
-
-    /// Bytes carried over awaiting the rest of a split record.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Decode one chunk, emitting every record it completes.
-    pub fn feed(&mut self, chunk: &[u8], emit: &mut dyn FnMut(Record)) {
-        self.pending.extend_from_slice(chunk);
-        let mut pos = 0usize;
-        while pos < self.pending.len() {
-            match self.pending[pos] {
-                TAG_STATE => {
-                    if pos + self.srec_len > self.pending.len() {
-                        break; // incomplete: wait for the next chunk
-                    }
-                    let (lo, states) = unpack_state_record(
-                        &self.pending[pos + 1..pos + self.srec_len],
-                        self.num_threads,
-                    );
-                    let t = self.unwrap.full(lo);
-                    for (tid, s) in states.iter().enumerate() {
-                        let (old, since) = self.open[tid];
-                        if *s != old {
-                            if t > since {
-                                self.records_decoded += 1;
-                                emit(Record::State {
-                                    thread: tid as u32,
-                                    begin: since,
-                                    end: t,
-                                    state: old.paraver_state(),
-                                });
-                            }
-                            self.open[tid] = (*s, t);
+/// `total_cycles` closes the final state interval of each thread.
+///
+/// # Panics
+/// On an unknown record tag or a record truncated by the end of the
+/// stream: the stream is corrupt.
+pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<Record> {
+    let srec_len = state_record_bytes(num_threads);
+    let mut unwrap = Unwrapper::new();
+    // Per-thread open interval: (state, since).
+    let mut open = vec![(ThreadState::Idle, 0u64); num_threads as usize];
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < stream.len() {
+        let (len, kind) = match stream[pos] {
+            TAG_STATE => (srec_len, "state"),
+            TAG_EVENT => (EVENT_RECORD_BYTES, "event"),
+            TAG_REGION => (REGION_RECORD_BYTES, "region"),
+            // Line padding (zero bytes at the tail of a flushed line).
+            0 => {
+                pos += 1;
+                continue;
+            }
+            tag => panic!("corrupt trace stream: unknown tag {tag:#x} at {pos}"),
+        };
+        let Some(payload) = stream.get(pos + 1..pos + len) else {
+            panic!("truncated {kind} record");
+        };
+        match stream[pos] {
+            TAG_STATE => {
+                let (lo, states) = unpack_state_record(payload, num_threads);
+                let t = unwrap.full(lo);
+                for (tid, s) in states.iter().enumerate() {
+                    let (old, since) = open[tid];
+                    if *s != old {
+                        if t > since {
+                            records.push(Record::State {
+                                thread: tid as u32,
+                                begin: since,
+                                end: t,
+                                state: old.paraver_state(),
+                            });
                         }
+                        open[tid] = (*s, t);
                     }
-                    pos += self.srec_len;
                 }
-                TAG_EVENT => {
-                    if pos + EVENT_RECORD_BYTES > self.pending.len() {
-                        break;
-                    }
-                    let (tid, lo, a) =
-                        unpack_event_record(&self.pending[pos + 1..pos + EVENT_RECORD_BYTES]);
-                    let t = self.unwrap.full(lo);
-                    let events = vec![
+            }
+            TAG_EVENT => {
+                let (tid, lo, a) = unpack_event_record(payload);
+                let t = unwrap.full(lo);
+                records.push(Record::Event {
+                    thread: tid,
+                    time: t,
+                    events: vec![
                         (paraver::events::STALLS, a.stalls),
                         (paraver::events::INT_OPS, a.int_ops),
                         (paraver::events::FLOPS, a.flops),
                         (paraver::events::BYTES_READ, a.bytes_read),
                         (paraver::events::BYTES_WRITTEN, a.bytes_written),
                         (paraver::events::LOCAL_OPS, a.local_ops),
-                    ];
-                    self.records_decoded += 1;
-                    emit(Record::Event {
-                        thread: tid,
-                        time: t,
-                        events,
-                    });
-                    pos += EVENT_RECORD_BYTES;
-                }
-                TAG_REGION => {
-                    if pos + REGION_RECORD_BYTES > self.pending.len() {
-                        break;
-                    }
-                    let (tid, lo, region, enter) =
-                        unpack_region_record(&self.pending[pos + 1..pos + REGION_RECORD_BYTES]);
-                    let t = self.unwrap.full(lo);
-                    self.records_decoded += 1;
-                    emit(Record::Event {
-                        thread: tid,
-                        time: t,
-                        events: vec![(paraver::events::region_type(region), enter as u64)],
-                    });
-                    pos += REGION_RECORD_BYTES;
-                }
-                // Line padding (zero bytes at the tail of a flushed line).
-                0 => pos += 1,
-                tag => panic!("corrupt trace stream: unknown tag {tag:#x} at {pos}"),
+                    ],
+                });
             }
-        }
-        self.pending.drain(..pos);
-    }
-
-    /// End of stream: verify nothing is truncated and close every open
-    /// state interval at `total_cycles`.
-    pub fn finish(self, total_cycles: u64, emit: &mut dyn FnMut(Record)) {
-        if !self.pending.is_empty() {
-            match self.pending[0] {
-                TAG_STATE => panic!("truncated state record"),
-                TAG_EVENT => panic!("truncated event record"),
-                TAG_REGION => panic!("truncated region record"),
-                tag => panic!("corrupt trace stream: unknown tag {tag:#x} at end"),
-            }
-        }
-        for (tid, (state, since)) in self.open.into_iter().enumerate() {
-            if total_cycles > since {
-                emit(Record::State {
-                    thread: tid as u32,
-                    begin: since,
-                    end: total_cycles,
-                    state: state.paraver_state(),
+            _ => {
+                let (tid, lo, region, enter) = unpack_region_record(payload);
+                let t = unwrap.full(lo);
+                records.push(Record::Event {
+                    thread: tid,
+                    time: t,
+                    events: vec![(paraver::events::region_type(region), enter as u64)],
                 });
             }
         }
+        pos += len;
     }
-}
-
-/// Decode a complete flushed stream (the materialized path).
-///
-/// `total_cycles` closes the final state interval of each thread.
-pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<Record> {
-    let mut records = Vec::new();
-    let mut dec = StreamDecoder::new(num_threads);
-    dec.feed(stream, &mut |r| records.push(r));
-    dec.finish(total_cycles, &mut |r| records.push(r));
-    records.sort_by_key(|r| r.sort_time());
+    for (tid, (state, since)) in open.into_iter().enumerate() {
+        if total_cycles > since {
+            records.push(Record::State {
+                thread: tid as u32,
+                begin: since,
+                end: total_cycles,
+                state: state.paraver_state(),
+            });
+        }
+    }
+    // Stable like `sort_by_key`, but its scratch is one (time, index) pair
+    // per record instead of a copy of the records.
+    records.sort_by_cached_key(Record::sort_time);
     records
 }
 
@@ -300,55 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn chunked_feed_matches_one_shot_decode() {
-        // Build a realistic mixed stream.
-        let mut stream = Vec::new();
-        let mut rec = StateRecorder::new(3);
-        let mut bank = CounterBank::new(3, CounterSet::default());
-        for i in 0..50u64 {
-            let tid = (i % 3) as u32;
-            let s = if i % 2 == 0 {
-                ThreadState::Running
-            } else {
-                ThreadState::Spinning
-            };
-            if let Some(r) = rec.transition(i * 10, tid, s) {
-                let r = r.to_vec();
-                stream.extend_from_slice(&r);
-            }
-            bank.add_ops(tid, i, i * 2, 1);
-            if let Some(r) = bank.sample(i * 10 + 5, tid) {
-                stream.extend_from_slice(&r);
-            }
-        }
-        let expect = decode_stream(&stream, 3, 1000);
-
-        // Feed the same bytes in adversarial chunk sizes, including ones
-        // that split records mid-way.
-        for chunk_size in [1usize, 3, 7, 64, 1000] {
-            let mut dec = StreamDecoder::new(3);
-            let mut got = Vec::new();
-            for chunk in stream.chunks(chunk_size) {
-                dec.feed(chunk, &mut |r| got.push(r));
-                assert!(
-                    dec.pending_bytes() < EVENT_RECORD_BYTES.max(state_record_bytes(3)),
-                    "carry-over is bounded by one record"
-                );
-            }
-            dec.finish(1000, &mut |r| got.push(r));
-            got.sort_by_key(|r| r.sort_time());
-            assert_eq!(got, expect, "chunk size {chunk_size}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "truncated event record")]
     fn truncation_detected_at_finish() {
         let mut bank = CounterBank::new(1, CounterSet::default());
         bank.add_ops(0, 1, 1, 1);
         let full = bank.sample(10, 0).unwrap();
-        let mut dec = StreamDecoder::new(1);
-        dec.feed(&full[..EVENT_RECORD_BYTES - 3], &mut |_| {});
-        dec.finish(100, &mut |_| {});
+        let _ = decode_stream(&full[..EVENT_RECORD_BYTES - 3], 1, 100);
     }
 }

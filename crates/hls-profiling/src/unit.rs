@@ -4,7 +4,6 @@
 use crate::buffer::TraceBuffer;
 use crate::counters::{CounterBank, CounterSet};
 use crate::decode;
-use crate::pipeline::{PipelineConfig, PipelineError, PipelineHandle, SinkFactory, StreamReport};
 use crate::recorder::{pack_region_record, StateRecorder};
 use fpga_sim::{Snoop, ThreadState};
 use nymble_hls::probe::{CounterClass, ProbePlan};
@@ -144,8 +143,11 @@ impl TraceData {
     /// Write the `.prv`/`.pcf`/`.row` bundle under `path_stem`. Under an
     /// auto-probe plan the `.pcf` event table gains one entry per
     /// instrumented region and the `.row` a `LEVEL REGION` hierarchy.
-    pub fn write_bundle(&self, path_stem: &std::path::Path) -> std::io::Result<()> {
-        let mut records = self.records.clone();
+    ///
+    /// `records` must be time-sorted, as [`ProfilingUnit::finish`] returns
+    /// them; a record out of order stops the write with
+    /// [`paraver::TraceError::OutOfOrder`].
+    pub fn write_bundle(&self, path_stem: &std::path::Path) -> Result<(), paraver::TraceError> {
         let (event_defs, row_regions) = match &self.plan {
             None => (paraver::events::defs(), Vec::new()),
             Some(plan) => (
@@ -153,14 +155,17 @@ impl TraceData {
                 plan.row_regions(),
             ),
         };
-        paraver::prv::write_bundle_with_regions(
+        let mut w = paraver::BundleWriter::create(
             path_stem,
             &self.meta,
-            &mut records,
             &paraver::states::defs(),
             &event_defs,
-            row_regions,
-        )
+        )?
+        .with_regions(row_regions);
+        for r in &self.records {
+            w.write(r)?;
+        }
+        w.finish()
     }
 }
 
@@ -200,15 +205,8 @@ impl RegionEmitter {
 
 /// The profiling unit. Implements [`Snoop`] — the hardware's tap points.
 ///
-/// Two drain modes:
-///
-/// * [`ProfilingUnit::new`] — materialized: the flushed stream accumulates
-///   in memory and [`ProfilingUnit::finish`] decodes it after the run.
-/// * [`ProfilingUnit::new_streaming`] — streaming: every buffer flush is
-///   shipped to a background pipeline thread (decode → bounded sort →
-///   sink) over a bounded channel, and
-///   [`ProfilingUnit::finish_streaming`] joins it. Peak memory is bounded
-///   by buffer + channel + sorter capacity, not by run length.
+/// The flushed stream accumulates in (simulated) external memory and
+/// [`ProfilingUnit::finish`] decodes it after the run, as the host does.
 pub struct ProfilingUnit {
     cfg: ProfilingConfig,
     app_name: String,
@@ -216,7 +214,6 @@ pub struct ProfilingUnit {
     recorder: StateRecorder,
     counters: CounterBank,
     buffer: TraceBuffer,
-    pipeline: Option<PipelineHandle>,
     regions: Option<RegionEmitter>,
     next_sample: u64,
     total_cycles: u64,
@@ -224,48 +221,15 @@ pub struct ProfilingUnit {
 }
 
 impl ProfilingUnit {
-    /// Instantiate for an accelerator with `num_threads` hardware threads
-    /// (materialized drain mode).
+    /// Instantiate for an accelerator with `num_threads` hardware threads.
     pub fn new(app_name: &str, num_threads: u32, cfg: ProfilingConfig) -> Self {
-        Self::build(app_name, num_threads, cfg, None)
-    }
-
-    /// Instantiate in streaming mode: flushes feed a background pipeline
-    /// which ultimately writes into the sink built by `sink_factory` (called
-    /// once, with the final metadata, after the run ends).
-    pub fn new_streaming(
-        app_name: &str,
-        num_threads: u32,
-        cfg: ProfilingConfig,
-        pipeline_cfg: PipelineConfig,
-        sink_factory: SinkFactory,
-    ) -> Self {
-        let pipeline = PipelineHandle::spawn(
-            app_name.to_string(),
-            num_threads,
-            pipeline_cfg,
-            sink_factory,
-        );
-        Self::build(app_name, num_threads, cfg, Some(pipeline))
-    }
-
-    fn build(
-        app_name: &str,
-        num_threads: u32,
-        cfg: ProfilingConfig,
-        pipeline: Option<PipelineHandle>,
-    ) -> Self {
         // A degenerate config used to be clamped silently (`.max(1)` on the
         // period); now it is a hard, typed error at construction.
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         ProfilingUnit {
             recorder: StateRecorder::new(num_threads),
             counters: CounterBank::new(num_threads, cfg.counters),
-            buffer: match pipeline {
-                Some(_) => TraceBuffer::draining(cfg.buffer_lines),
-                None => TraceBuffer::new(cfg.buffer_lines),
-            },
-            pipeline,
+            buffer: TraceBuffer::new(cfg.buffer_lines),
             regions: cfg
                 .plan
                 .as_deref()
@@ -284,29 +248,13 @@ impl ProfilingUnit {
         &self.cfg
     }
 
-    /// Whether this unit drains through the background pipeline.
-    pub fn is_streaming(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
-    /// Stage one packed record, draining any triggered flush to the
-    /// pipeline in streaming mode.
-    fn buf_push(&mut self, t: u64, rec: &[u8]) {
-        match &self.pipeline {
-            None => self.buffer.push(t, rec),
-            Some(p) => self
-                .buffer
-                .push_with(t, rec, &mut |f, bytes| p.send_chunk(f, bytes.to_vec())),
-        }
-    }
-
     /// Sample every thread's aggregates for all boundaries up to `t`.
     fn advance_sampling(&mut self, t: u64) {
         while t >= self.next_sample {
             let boundary = self.next_sample;
             for tid in 0..self.num_threads {
                 if let Some(rec) = self.counters.sample(boundary, tid) {
-                    self.buf_push(boundary, &rec);
+                    self.buffer.push(boundary, &rec);
                 }
             }
             self.next_sample += self.cfg.sampling_period;
@@ -336,20 +284,16 @@ impl ProfilingUnit {
             recs[1] = re.critical.map(|cr| pack_region_record(t, tid, cr, false));
         }
         for rec in recs.into_iter().flatten() {
-            self.buf_push(t, &rec);
+            self.buffer.push(t, &rec);
         }
     }
 
     /// Consume the unit after the run and decode the buffer stream into
-    /// Paraver records (materialized mode only).
+    /// time-sorted Paraver records.
     pub fn finish(self) -> TraceData {
         assert!(
             self.ended,
             "finish() before run_end(): trace buffer not flushed"
-        );
-        assert!(
-            self.pipeline.is_none(),
-            "streaming unit: use finish_streaming()"
         );
         let records =
             decode::decode_stream(self.buffer.stream(), self.num_threads, self.total_cycles);
@@ -361,24 +305,6 @@ impl ProfilingUnit {
             plan: self.cfg.plan.clone(),
         }
     }
-
-    /// Consume the unit after the run, joining the background pipeline
-    /// (streaming mode only).
-    pub fn finish_streaming(mut self) -> Result<StreamReport, PipelineError> {
-        assert!(
-            self.ended,
-            "finish_streaming() before run_end(): trace buffer not flushed"
-        );
-        let pipeline = self
-            .pipeline
-            .take()
-            .expect("materialized unit: use finish()");
-        pipeline.finish(
-            self.total_cycles,
-            self.buffer.flushed_bytes(),
-            self.buffer.flush_count(),
-        )
-    }
 }
 
 impl Snoop for ProfilingUnit {
@@ -389,19 +315,7 @@ impl Snoop for ProfilingUnit {
             return;
         }
         if let Some(rec) = self.recorder.transition(t, tid, state) {
-            // Stack copy to release the recorder borrow — state records are
-            // a tag byte, a timestamp and a per-thread state nibble array,
-            // far below this bound even at high thread counts.
-            let mut tmp = [0u8; 256];
-            let n = rec.len();
-            if n <= tmp.len() {
-                tmp[..n].copy_from_slice(rec);
-                self.buf_push(t, &tmp[..n]);
-            } else {
-                // >1000 hardware threads: fall back to a heap copy.
-                let rec = rec.to_vec();
-                self.buf_push(t, &rec);
-            }
+            self.buffer.push(t, rec);
         }
     }
 
@@ -430,7 +344,7 @@ impl Snoop for ProfilingUnit {
         // Final partial-period sample so no counts are lost.
         for tid in 0..self.num_threads {
             if let Some(rec) = self.counters.sample(t, tid) {
-                self.buf_push(t, &rec);
+                self.buffer.push(t, &rec);
             }
         }
         // Close every open region edge: the kernel root spans first start to
@@ -440,21 +354,16 @@ impl Snoop for ProfilingUnit {
                 let i = tid as usize;
                 if re.in_critical[i] {
                     if let Some(cr) = re.critical {
-                        self.buf_push(t, &pack_region_record(t, tid, cr, false));
+                        self.buffer.push(t, &pack_region_record(t, tid, cr, false));
                     }
                 }
                 if re.started[i] && re.root {
-                    self.buf_push(t, &pack_region_record(t, tid, 0, false));
+                    self.buffer.push(t, &pack_region_record(t, tid, 0, false));
                 }
             }
         }
         self.total_cycles = t;
-        match &self.pipeline {
-            None => self.buffer.flush(t),
-            Some(p) => self
-                .buffer
-                .flush_with(t, &mut |f, bytes| p.send_chunk(f, bytes.to_vec())),
-        }
+        self.buffer.flush(t);
         self.ended = true;
     }
 }
@@ -678,6 +587,30 @@ mod tests {
         let regions = paraver::row::parse_regions(&row);
         assert_eq!(regions.len(), plan.regions.len());
         assert_eq!(regions[0], (0, "crit".to_string()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsorted_trace_data_is_a_typed_write_error() {
+        let ev = |time| Record::Event {
+            thread: 0,
+            time,
+            events: vec![(paraver::events::FLOPS, 1)],
+        };
+        let td = TraceData {
+            records: vec![ev(20), ev(10)],
+            meta: TraceMeta::new("t", 100, 1),
+            flushed_bytes: 0,
+            flush_count: 0,
+            plan: None,
+        };
+        let dir = std::env::temp_dir().join(format!("unsorted-bundle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = td.write_bundle(&dir.join("t")).unwrap_err();
+        assert!(
+            matches!(err, paraver::TraceError::OutOfOrder { prev: 20, next: 10 }),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

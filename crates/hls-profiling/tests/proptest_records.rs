@@ -1,17 +1,14 @@
 //! Property tests of the profiling unit's record path: arbitrary state
 //! transition sequences and counter feeds survive packing → buffering →
-//! flushing → decoding with nothing lost or invented, and the streaming
-//! pipeline reproduces the materialized decode exactly.
+//! flushing → decoding with nothing lost or invented.
 
 use fpga_sim::{Snoop, ThreadState};
 use hls_profiling::counters::{unpack_event_record, CounterBank, CounterSet, EVENT_RECORD_BYTES};
 use hls_profiling::recorder::{unpack_state_record, StateRecorder};
-use hls_profiling::{PipelineConfig, ProfilingConfig, ProfilingUnit};
+use hls_profiling::{ProfilingConfig, ProfilingUnit};
 use miniprop::{forall, Rng};
 use paraver::analysis::{event_total, StateProfile};
 use paraver::model::Record;
-use paraver::{TraceError, TraceSink};
-use std::sync::{Arc, Mutex};
 
 const THREADS: u32 = 4;
 
@@ -239,59 +236,5 @@ fn packed_records_roundtrip() {
             ),
             (i, f, l, rd, wr, st)
         );
-    });
-}
-
-struct SharedSink(Arc<Mutex<Vec<Record>>>);
-
-impl TraceSink for SharedSink {
-    fn push(&mut self, r: Record) -> Result<(), TraceError> {
-        self.0.lock().unwrap().push(r);
-        Ok(())
-    }
-}
-
-/// The streaming pipeline produces exactly the records of the materialized
-/// path, in the same (sorted) order, for arbitrary feeds — with aggressive
-/// spilling and a tiny channel.
-#[test]
-fn streaming_equals_materialized() {
-    forall(32, |g| {
-        let feeds = g.vec(1, 200, |g| (arb_feed(g), g.range_u64(1, 50)));
-        let period = g.range_u64(1, 500);
-        let buffer_lines = g.range_usize(2, 8);
-        let cfg = ProfilingConfig {
-            sampling_period: period,
-            buffer_lines,
-            ..Default::default()
-        };
-
-        let mut mat = ProfilingUnit::new("prop", THREADS, cfg.clone());
-        let (t, ..) = apply_feeds(&mut mat, &feeds);
-        mat.run_end(t + 10);
-        let trace = mat.finish();
-
-        let collected = Arc::new(Mutex::new(Vec::new()));
-        let sink_records = collected.clone();
-        let mut st = ProfilingUnit::new_streaming(
-            "prop",
-            THREADS,
-            cfg,
-            PipelineConfig {
-                channel_capacity: 1,
-                max_in_memory_records: g.range_usize(1, 32),
-                spill_dir: None,
-            },
-            Box::new(move |_| Ok(Box::new(SharedSink(sink_records)) as Box<_>)),
-        );
-        let _ = apply_feeds(&mut st, &feeds);
-        st.run_end(t + 10);
-        let report = st.finish_streaming().unwrap();
-
-        assert_eq!(report.flushed_bytes, trace.flushed_bytes);
-        assert_eq!(report.flush_count, trace.flush_count);
-        assert_eq!(report.records as usize, trace.records.len());
-        let got = collected.lock().unwrap();
-        assert_eq!(*got, trace.records);
     });
 }

@@ -1,27 +1,22 @@
-//! Typed errors of the trace-writing pipeline.
+//! Typed errors of the trace writers.
 //!
-//! The streaming path is built from composable stages (decode → sort/merge →
-//! write); a stage that receives records out of contract — most importantly a
-//! disordered merge feeding the order-enforcing [`crate::prv::TraceWriter`] —
-//! must surface a recoverable error to its driver thread rather than panic.
+//! A record handed to the order-enforcing [`crate::prv::TraceWriter`] out of
+//! contract (earlier than its predecessor, or on a thread the trace does not
+//! have) surfaces as a recoverable error to the caller rather than a panic.
 
 use std::fmt;
 use std::io;
 
-/// Error produced by [`crate::sink::TraceSink`] implementations and the
-/// `.prv` writer.
+/// Error produced by the `.prv` and bundle writers.
 #[derive(Debug)]
 pub enum TraceError {
-    /// An underlying I/O failure (file create/write/flush, spill run read).
+    /// An underlying I/O failure (file create/write/flush).
     Io(io::Error),
     /// A record arrived with a `sort_time()` earlier than the previous
-    /// record's — the upstream merge violated the nondecreasing-time
-    /// contract.
+    /// record's — the caller violated the nondecreasing-time contract.
     OutOfOrder { prev: u64, next: u64 },
     /// A record referenced a thread id outside the trace's thread count.
     ThreadOutOfRange { thread: u32, num_threads: u32 },
-    /// A spilled sort run failed to decode (truncated or corrupt bytes).
-    CorruptRun(String),
 }
 
 impl fmt::Display for TraceError {
@@ -41,7 +36,6 @@ impl fmt::Display for TraceError {
                 "record thread id {thread} out of range (trace has \
                  {num_threads} threads)"
             ),
-            TraceError::CorruptRun(what) => write!(f, "corrupt spill run: {what}"),
         }
     }
 }

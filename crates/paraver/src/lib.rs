@@ -34,15 +34,11 @@ pub mod parse;
 pub mod pcf;
 pub mod prv;
 pub mod row;
-pub mod sink;
-pub mod spill;
 pub mod timeline;
 
 pub use error::TraceError;
 pub use model::{EventTypeDef, Record, StateDef, TraceMeta};
 pub use prv::{BundleWriter, TraceWriter};
-pub use sink::{NullSink, OrderCheckSink, TraceSink, VecSink};
-pub use spill::SpillSorter;
 
 /// Standard state numbering used by this toolchain, matching Fig. 2 of the
 /// paper and its colour legend (Fig. 6 caption): green running, red spinning,

@@ -11,13 +11,10 @@
 //!
 //! The writer streams through any [`std::io::Write`]; callers hand it records
 //! in non-decreasing time order. Order and thread-range violations surface as
-//! typed [`TraceError`]s — the streaming pipeline's merge stage feeds this
-//! writer from a background thread, where a recoverable error (propagated to
-//! the join point) is required rather than a panic.
+//! typed [`TraceError`]s, never as a panic.
 
 use crate::error::TraceError;
 use crate::model::{Record, TraceMeta};
-use crate::sink::TraceSink;
 use std::io::{self, Write};
 
 /// Streaming `.prv` writer.
@@ -209,24 +206,11 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-impl<W: Write> TraceSink for TraceWriter<W> {
-    fn push(&mut self, r: Record) -> Result<(), TraceError> {
-        self.write(&r)
-    }
-
-    fn close(&mut self) -> Result<(), TraceError> {
-        self.out.flush()?;
-        Ok(())
-    }
-}
-
-/// Streaming writer for a full trace bundle (`.prv` + `.pcf` + `.row`).
+/// Writer for a full trace bundle (`.prv` + `.pcf` + `.row`).
 ///
-/// The `.prv` body streams record-by-record through a [`TraceWriter`] (so the
-/// bundle never holds the record set in memory); the `.pcf` and `.row`
-/// sidecars are derived from metadata alone and are emitted on [`close`].
-///
-/// [`close`]: TraceSink::close
+/// The `.prv` body goes record by record through a [`TraceWriter`]; the
+/// `.pcf` and `.row` sidecars are derived from metadata alone and are
+/// emitted by [`BundleWriter::finish`].
 pub struct BundleWriter {
     writer: TraceWriter<io::BufWriter<std::fs::File>>,
     path_stem: std::path::PathBuf,
@@ -236,12 +220,11 @@ pub struct BundleWriter {
     /// Instrumented source regions as (depth, label) for the `.row`'s
     /// `LEVEL REGION` section; empty without an auto-probe plan.
     regions: Vec<(u32, String)>,
-    closed: bool,
 }
 
 impl BundleWriter {
     /// Create `<path_stem>.prv` (header written immediately); `.pcf`/`.row`
-    /// follow at close time.
+    /// follow at [`Self::finish`].
     pub fn create(
         path_stem: &std::path::Path,
         meta: &TraceMeta,
@@ -257,34 +240,25 @@ impl BundleWriter {
             states: states.to_vec(),
             event_types: event_types.to_vec(),
             regions: Vec::new(),
-            closed: false,
         })
     }
 
     /// Declare the instrumented source-region hierarchy (pre-order
-    /// (depth, label) pairs); rendered into the `.row` at close time.
+    /// (depth, label) pairs); rendered into the `.row` at finish time.
     pub fn with_regions(mut self, regions: Vec<(u32, String)>) -> Self {
         self.regions = regions;
         self
     }
 
-    /// Number of `.prv` records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.writer.records_written()
-    }
-}
-
-impl TraceSink for BundleWriter {
-    fn push(&mut self, r: Record) -> Result<(), TraceError> {
-        self.writer.write(&r)
+    /// Write one `.prv` record (see [`TraceWriter::write`] for the typed
+    /// ordering and thread-range errors).
+    pub fn write(&mut self, r: &Record) -> Result<(), TraceError> {
+        self.writer.write(r)
     }
 
-    fn close(&mut self) -> Result<(), TraceError> {
-        if self.closed {
-            return Ok(());
-        }
-        self.closed = true;
-        self.writer.close()?;
+    /// Flush the `.prv` body and write the `.pcf` and `.row` sidecars.
+    pub fn finish(self) -> Result<(), TraceError> {
+        self.writer.finish()?;
         std::fs::write(
             self.path_stem.with_extension("pcf"),
             crate::pcf::render(&self.states, &self.event_types),
@@ -295,41 +269,6 @@ impl TraceSink for BundleWriter {
         )?;
         Ok(())
     }
-}
-
-/// Write a full trace bundle (`.prv`, `.pcf`, `.row`) under `path_stem`.
-///
-/// Thin adapter over [`BundleWriter`] for the materialized path: records are
-/// sorted by time (stable, so equal-time records keep their decode order —
-/// the same order the streaming merge produces) and pushed through the
-/// bundle sink.
-pub fn write_bundle(
-    path_stem: &std::path::Path,
-    meta: &TraceMeta,
-    records: &mut [Record],
-    states: &[crate::model::StateDef],
-    event_types: &[crate::model::EventTypeDef],
-) -> io::Result<()> {
-    write_bundle_with_regions(path_stem, meta, records, states, event_types, Vec::new())
-}
-
-/// [`write_bundle`] plus a `LEVEL REGION` hierarchy in the `.row` (the
-/// auto-probe path; `regions` is pre-order (depth, label) pairs).
-pub fn write_bundle_with_regions(
-    path_stem: &std::path::Path,
-    meta: &TraceMeta,
-    records: &mut [Record],
-    states: &[crate::model::StateDef],
-    event_types: &[crate::model::EventTypeDef],
-    regions: Vec<(u32, String)>,
-) -> io::Result<()> {
-    records.sort_by_key(|r| r.sort_time());
-    let mut w = BundleWriter::create(path_stem, meta, states, event_types)?.with_regions(regions);
-    for r in records.iter() {
-        w.writer.write(r)?;
-    }
-    w.close()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -449,13 +388,13 @@ mod tests {
             &crate::events::defs(),
         )
         .unwrap();
-        b.push(Record::Event {
+        b.write(&Record::Event {
             thread: 0,
             time: 3,
             events: vec![(42_000_001, 1)],
         })
         .unwrap();
-        b.close().unwrap();
+        b.finish().unwrap();
         for ext in ["prv", "pcf", "row"] {
             assert!(stem.with_extension(ext).exists(), ".{ext} missing");
         }

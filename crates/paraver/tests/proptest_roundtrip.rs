@@ -1,15 +1,11 @@
 //! Property tests: the `.prv` writer and parser are inverses for arbitrary
-//! record streams, the analysis primitives conserve what they bin, and the
-//! spill-sorting merge always hands sinks a nondecreasing stream.
+//! record streams, and the analysis primitives conserve what they bin.
 
 use miniprop::{forall, Rng};
 use paraver::analysis::{event_series, event_total, zoom, StateProfile};
 use paraver::model::{Record, TraceMeta};
 use paraver::parse::parse_prv;
 use paraver::prv::TraceWriter;
-use paraver::sink::{OrderCheckSink, VecSink};
-use paraver::spill::SpillSorter;
-use paraver::TraceSink;
 
 const THREADS: u32 = 8;
 
@@ -126,37 +122,5 @@ fn relative_series_is_normalised() {
         if series.peak() > 0 {
             assert!(rel.iter().any(|&v| (v - 1.0).abs() < 1e-12));
         }
-    });
-}
-
-#[test]
-fn spill_merge_is_always_nondecreasing() {
-    forall(64, |g| {
-        // Unsorted input this time: the sorter's whole job.
-        let records = g.vec(0, 400, |g| arb_record(g, 100_000));
-        let cap = g.range_usize(1, 64);
-        let mut sorter = SpillSorter::new(OrderCheckSink::default(), cap);
-        for r in records.iter().cloned() {
-            sorter.push(r).unwrap();
-        }
-        sorter.close().unwrap();
-        assert_eq!(sorter.inner().records_seen, records.len() as u64);
-        assert!(sorter.peak_in_memory() <= cap);
-    });
-}
-
-#[test]
-fn spill_merge_equals_materialized_stable_sort() {
-    forall(32, |g| {
-        let records = g.vec(0, 300, |g| arb_record(g, 500));
-        let mut expect = records.clone();
-        expect.sort_by_key(Record::sort_time);
-        let cap = g.range_usize(1, 48);
-        let mut sorter = SpillSorter::new(VecSink::new(), cap);
-        for r in records.iter().cloned() {
-            sorter.push(r).unwrap();
-        }
-        sorter.close().unwrap();
-        assert_eq!(sorter.inner().records, expect);
     });
 }

@@ -8,81 +8,83 @@
 //! ```
 //!
 //! With no argument it first generates a trace by running the naive GEMM
-//! through the *streaming* trace pipeline: the simulator's buffer flushes
-//! feed a background decode → sort → [`TraceSink`] thread which writes the
-//! bundle straight to disk, so the full record set is never materialized.
-//!
-//! [`TraceSink`]: hls_paraver::paraver::TraceSink
+//! with the profiling unit attached, decoding the flushed trace after the
+//! run and writing the bundle to `target/traces/analysis_demo.*`. A missing
+//! or unparsable `.prv` prints one line to stderr and exits with status 1.
 
 use hls_paraver::paraver::analysis::{event_series, find_critical_overlap, StateProfile};
 use hls_paraver::paraver::histogram;
 use hls_paraver::paraver::parse::parse_prv;
 use hls_paraver::paraver::{events, states, timeline};
+use std::process::ExitCode;
 
-fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| {
-        // Generate a fresh trace with the profiled naive GEMM, streamed
-        // through a TraceSink instead of materialized in memory.
-        use hls_paraver::hls::accel::{compile, HlsConfig};
-        use hls_paraver::ir::Value;
-        use hls_paraver::kernels::gemm::{build, GemmParams, GemmVersion};
-        use hls_paraver::kernels::reference;
-        use hls_paraver::paraver::{BundleWriter, TraceSink};
-        use hls_paraver::profiling::{PipelineConfig, ProfilingConfig, ProfilingUnit};
-        use hls_paraver::sim::memimg::LaunchArg;
-        use hls_paraver::sim::{Executor, SimConfig};
-        let p = GemmParams {
-            dim: 64,
-            ..Default::default()
-        };
-        let kernel = build(GemmVersion::Naive, &p);
-        let acc = compile(&kernel, &HlsConfig::default());
-        std::fs::create_dir_all("target/traces").unwrap();
-        let stem = std::path::PathBuf::from("target/traces/analysis_demo");
-        let sink_stem = stem.clone();
-        // The sink factory runs on the pipeline thread once the run's final
-        // metadata (duration) is known; any TraceSink works here.
-        let mut unit = ProfilingUnit::new_streaming(
-            &kernel.name,
-            p.threads,
-            ProfilingConfig::default(),
-            PipelineConfig::default(),
-            Box::new(move |meta| {
-                let w = BundleWriter::create(
-                    &sink_stem,
-                    meta,
-                    &hls_paraver::paraver::states::defs(),
-                    &hls_paraver::paraver::events::defs(),
-                )?;
-                Ok(Box::new(w) as Box<dyn TraceSink + Send>)
-            }),
-        );
-        let d = p.dim as usize;
-        let vals = |m: &[f32]| m.iter().map(|&x| Value::F32(x)).collect::<Vec<_>>();
-        let a = reference::gen_matrix(d, 1);
-        let _ = Executor::run(
-            &kernel,
-            &acc,
-            &SimConfig::default().with_fast_launch(),
-            &[
-                LaunchArg::Buffer(vals(&a)),
-                LaunchArg::Buffer(vals(&a)),
-                LaunchArg::Buffer(vec![Value::F32(0.0); d * d]),
-            ],
-            &mut unit,
-        )
-        .expect("simulation failed");
-        let report = unit.finish_streaming().expect("streaming pipeline");
-        println!(
-            "streamed {} records in {} flushes ({} B) without materializing\n",
-            report.records, report.flush_count, report.flushed_bytes
-        );
-        format!("{}.prv", stem.display())
-    });
+/// Run the profiled naive GEMM and write its bundle; returns the `.prv`
+/// path.
+fn generate() -> Result<String, String> {
+    use hls_paraver::hls::accel::{compile, HlsConfig};
+    use hls_paraver::ir::Value;
+    use hls_paraver::kernels::gemm::{build, GemmParams, GemmVersion};
+    use hls_paraver::kernels::reference;
+    use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
+    use hls_paraver::sim::memimg::LaunchArg;
+    use hls_paraver::sim::{Executor, SimConfig};
+    let p = GemmParams {
+        dim: 64,
+        ..Default::default()
+    };
+    let kernel = build(GemmVersion::Naive, &p);
+    let acc = compile(&kernel, &HlsConfig::default());
+    let mut unit = ProfilingUnit::new(&kernel.name, p.threads, ProfilingConfig::default());
+    let d = p.dim as usize;
+    let vals = |m: &[f32]| m.iter().map(|&x| Value::F32(x)).collect::<Vec<_>>();
+    let a = reference::gen_matrix(d, 1);
+    Executor::run(
+        &kernel,
+        &acc,
+        &SimConfig::default().with_fast_launch(),
+        &[
+            LaunchArg::Buffer(vals(&a)),
+            LaunchArg::Buffer(vals(&a)),
+            LaunchArg::Buffer(vec![Value::F32(0.0); d * d]),
+        ],
+        &mut unit,
+    )
+    .map_err(|e| format!("simulation failed: {e}"))?;
+    let trace = unit.finish();
+    let dir = std::path::Path::new("target/traces");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let stem = dir.join("analysis_demo");
+    trace
+        .write_bundle(&stem)
+        .map_err(|e| format!("cannot write {}: {e}", stem.display()))?;
+    println!(
+        "decoded {} records from {} flushes ({} B)\n",
+        trace.records.len(),
+        trace.flush_count,
+        trace.flushed_bytes
+    );
+    Ok(format!("{}.prv", stem.display()))
+}
 
+fn main() -> ExitCode {
+    let path = match std::env::args().nth(1).map_or_else(generate, Ok) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("trace_analysis: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let parsed = std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_prv(&text).map_err(|e| e.to_string()));
+    let (meta, records) = match parsed {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("trace_analysis: cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!("analyzing {path}\n");
-    let text = std::fs::read_to_string(&path).expect("read .prv");
-    let (meta, records) = parse_prv(&text).expect("parse .prv");
     println!(
         "{} records over {} cycles, {} threads",
         records.len(),
@@ -141,4 +143,5 @@ fn main() {
             }
         )
     );
+    ExitCode::SUCCESS
 }
