@@ -10,16 +10,14 @@
 //!
 //! On a machine with ≥ 4 hardware threads the DAG makespan must be
 //! shorter than the fixed-pool makespan at `--jobs 4`; both orderings
-//! must reduce to the same checksum. A [`PerfSnapshot`] with scheduler
-//! health extras (worker utilization, steal/park counts, both makespans)
-//! is written to `--bench-json PATH` or `target/sched_mix.json`.
+//! must reduce to the same checksum.
 //!
 //! Run with `cargo bench --bench sched_mix`.
 
-use bench::args::{default_jobs, Args, Mode};
-use bench::engine::{BatchEngine, SchedStats};
+use bench::args::default_jobs;
+use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
-use bench::harness::{Group, SnapshotTimer};
+use bench::harness::Group;
 use bench::{
     gemm_launch, gemm_sim_config, pi_launch, pi_sim_config, run_profiled_with, ProfiledRun,
 };
@@ -29,8 +27,7 @@ use nymble_hls::{AccelCache, HlsConfig};
 use nymble_ir::Kernel;
 use paraver::analysis::StateProfile;
 use paraver::states;
-use std::cell::{Cell, RefCell};
-use std::path::PathBuf;
+use std::cell::Cell;
 
 const JOBS: usize = 4;
 const THREADS: u32 = 4;
@@ -115,12 +112,7 @@ fn flat_pass(engine: &BatchEngine, cache: &AccelCache, hls: &HlsConfig, mix: &[W
 
 /// DAG shape: each analysis depends only on its own run, so it overlaps
 /// every other still-running simulation.
-fn dag_pass(
-    engine: &BatchEngine,
-    cache: &AccelCache,
-    hls: &HlsConfig,
-    mix: &[Workload],
-) -> (u64, SchedStats) {
+fn dag_pass(engine: &BatchEngine, cache: &AccelCache, hls: &HlsConfig, mix: &[Workload]) -> u64 {
     enum MixNode {
         Ran(Box<ProfiledRun>),
         Sum(u64),
@@ -181,15 +173,10 @@ fn dag_pass(
     else {
         unreachable!("reduce node produced a non-sum payload")
     };
-    (*total, out.stats)
+    *total
 }
 
 fn main() {
-    let timer = SnapshotTimer::start();
-    let args = Args::parse();
-    let out_path: PathBuf = args
-        .path("--bench-json")
-        .unwrap_or_else(|| "target/sched_mix.json".into());
     let hls = HlsConfig::default();
     let cache = AccelCache::new();
     let engine = BatchEngine::new(JOBS);
@@ -206,11 +193,8 @@ fn main() {
         flat_sum.set(flat_pass(&engine, &cache, &hls, &mix));
     });
     let dag_sum = Cell::new(0u64);
-    let dag_stats: RefCell<Option<SchedStats>> = RefCell::new(None);
     let dag = g.bench(&format!("dag_overlap/jobs={JOBS}"), || {
-        let (sum, stats) = dag_pass(&engine, &cache, &hls, &mix);
-        dag_sum.set(sum);
-        *dag_stats.borrow_mut() = Some(stats);
+        dag_sum.set(dag_pass(&engine, &cache, &hls, &mix));
     });
     assert_eq!(
         flat_sum.get(),
@@ -235,24 +219,4 @@ fn main() {
             "[bench] sched_mix/speedup                       threshold skipped: only {hw} hardware thread(s)"
         );
     }
-
-    let stats = dag_stats.borrow().clone().expect("dag pass ran");
-    let snap = timer
-        .finish("sched_mix", Mode::Cycle, 0)
-        .param("jobs", JOBS)
-        .param("workloads", mix.len())
-        .with_extra("flat_makespan_seconds", flat.as_secs_f64())
-        .with_extra("dag_makespan_seconds", dag.as_secs_f64())
-        .with_extra("speedup_vs_flat", speedup)
-        .with_extra("worker_utilization", stats.utilization())
-        .with_extra("sched_steals", stats.steals as f64)
-        .with_extra("sched_parks", stats.parks as f64);
-    if let Some(parent) = out_path.parent() {
-        std::fs::create_dir_all(parent).ok();
-    }
-    snap.write(&out_path).expect("write sched_mix snapshot");
-    eprintln!(
-        "[bench] sched_mix/snapshot                      written to {}",
-        out_path.display()
-    );
 }

@@ -1,9 +1,8 @@
 //! Tiny command-line flag parser shared by the `repro_*` binaries
 //! (stand-in for clap, which this build environment cannot fetch).
 //!
-//! Flags are `--name value` or `--name=value` pairs; unknown flags are
-//! ignored so the binaries stay forgiving about each other's options. A
-//! present but malformed value is always an error, never a silent default.
+//! Flags are `--name value` or `--name=value` pairs. An unknown flag and a
+//! present but malformed value are both errors, never a silent default.
 //! The binaries read these through [`crate::session::Session`], which turns
 //! every error into a usage message and exit status 2.
 
@@ -87,6 +86,20 @@ impl Args {
             }
         }
         Ok(LintLevel::Off)
+    }
+
+    /// The first `--flag` whose name is not in `known`, as an error
+    /// (`--dims: unknown flag`), so a typo never silently runs the
+    /// defaults.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self.raw.iter().skip(1).find_map(|a| {
+            let name = a.split_once('=').map_or(a.as_str(), |(n, _)| n);
+            (name.starts_with("--") && !known.contains(&name)).then_some(name)
+        });
+        match unknown {
+            Some(name) => Err(format!("{name}: unknown flag")),
+            None => Ok(()),
+        }
     }
 
     /// `--flag N` parsed as `T`: `Ok(None)` when absent, an error naming
@@ -206,14 +219,6 @@ impl ProfileMode {
             ProfileMode::Auto { budget_alms } => ProbeMode::Auto { budget_alms },
         }
     }
-
-    /// Stable name, as written into perf snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfileMode::Fixed => "fixed",
-            ProfileMode::Auto { .. } => "auto",
-        }
-    }
 }
 
 /// How a repro binary obtains its performance numbers.
@@ -223,16 +228,6 @@ pub enum Mode {
     Cycle,
     /// Static roofline estimation (`fpga_sim::analytic`, microseconds).
     Analytical,
-}
-
-impl Mode {
-    /// Stable name, as written into perf snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Cycle => "cycle",
-            Mode::Analytical => "analytical",
-        }
-    }
 }
 
 fn parse_number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {

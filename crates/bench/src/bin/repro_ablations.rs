@@ -12,8 +12,7 @@
 //!   the more data is produced" (rate vs. volume).
 //!
 //! Usage: `repro_ablations [--dim N] [--jobs N] [--mode cycle|analytical]
-//!                         [--bench-json PATH] [--lint[=deny|warn|off]]
-//!                         [--perf-lint[=deny|warn|off]]
+//!                         [--lint[=deny|warn|off]] [--perf-lint[=deny|warn|off]]
 //!                         [--profile[=fixed|auto[,budget=N]]]`
 //!
 //! `--profile=auto[,budget=N]` runs the profiled sampling-period grid
@@ -57,7 +56,7 @@ enum AblNode {
 }
 
 fn main() {
-    let session = Session::start("repro_ablations");
+    let session = Session::start("repro_ablations", &["--dim"]);
     let dim = session.flag("--dim", 64i64);
     let jobs = session.jobs;
     let p = GemmParams {
@@ -75,11 +74,9 @@ fn main() {
 
     if session.mode == Mode::Analytical {
         println!("== ablation kernels through the analytical fast mode (base config) ==\n");
-        let mut total = 0u64;
         for (tag, k) in [("v2 (no-critical)", &v2), ("v3 (vectorized)", &v3)] {
             match analytic_report(&cache, k, &base, &launch) {
                 Some(r) => {
-                    total += r.total_cycles;
                     println!(
                         "  {tag:<20} {:>12} predicted cycles   bound: {}",
                         r.total_cycles, r.bound
@@ -93,7 +90,6 @@ fn main() {
              away MSHR depth, bank hashing and line-buffer state — exactly the mechanisms\n\
              this binary ablates. Run --mode=cycle for the actual grids."
         );
-        session.write_snapshot(&session.snapshot(total).param("dim", dim));
         return;
     }
 
@@ -299,14 +295,6 @@ fn main() {
             Err(e) => unreachable!("reduce node failed: {e}"),
         }
     };
-    let total_sim: u64 = out
-        .reports
-        .iter()
-        .filter_map(|r| match r.outcome.as_ref() {
-            Ok(AblNode::Sim(res)) => Some(res.total_cycles),
-            _ => None,
-        })
-        .sum();
 
     println!("== MSHR depth: what Partial Vectorization's gain depends on ==\n");
     println!(
@@ -342,14 +330,5 @@ fn main() {
     println!(
         "\n({jobs} workers; {} runs shared {} compiled kernels)",
         runs, stats.entries
-    );
-    session.write_snapshot(
-        &session
-            .sweep_snapshot(
-                total_sim,
-                &out.stats,
-                cache.get_or_compile(v3, hls).probe_plan.as_deref(),
-            )
-            .param("dim", dim),
     );
 }

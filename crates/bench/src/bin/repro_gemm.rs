@@ -3,7 +3,7 @@
 //! bandwidth comparison of Fig. 7, and the phase plots of Figs. 8 and 9.
 //!
 //! Usage: `repro_gemm [--dim N] [--threads N] [--out DIR] [--jobs N]
-//!                    [--mode cycle|analytical] [--bench-json PATH]
+//!                    [--mode cycle|analytical]
 //!                    [--lint[=deny|warn|off]] [--perf-lint[=deny|warn|off]]
 //!                    [--profile[=fixed|auto[,budget=N]]]`
 //!
@@ -17,9 +17,7 @@
 //!
 //! `--mode analytical` replaces the simulation with the roofline fast
 //! mode (`fpga_sim::analytic`): the speedup table in microseconds, no
-//! traces or figures. `--bench-json PATH` writes a machine-readable perf
-//! snapshot of the invocation (wall time, simulated cycles, throughput,
-//! peak RSS — plus the analytical cross-check in cycle mode).
+//! traces or figures.
 //!
 //! `--profile=auto[,budget=N]` replaces the fixed counter set with the
 //! auto-probe plan: the compiler's static region analysis plus the
@@ -28,20 +26,19 @@
 //! attributes cycles to source regions.
 
 use bench::args::Mode;
-use bench::harness::SnapshotTimer;
 use bench::session::Session;
-use bench::sweep::{bundles_footer, gemm_sweep, gemm_table, GemmSweep, GemmSweepConfig};
+use bench::sweep::{bundles_footer, gemm_sweep, gemm_table, GemmSweepConfig};
 use bench::{analytic_report, gemm_launch, gemm_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{self, GemmParams, GemmVersion};
-use nymble_hls::{AccelCache, ProbePlan};
+use nymble_hls::AccelCache;
 use paraver::analysis::{event_series, StateProfile};
 use paraver::timeline::{render_series, render_states, TimelineOptions};
 use paraver::{events, states};
 
 fn main() {
-    let session = Session::start("repro_gemm");
+    let session = Session::start("repro_gemm", &["--dim", "--threads"]);
     let dim = session.flag("--dim", 128u32) as i64;
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
@@ -65,7 +62,6 @@ fn main() {
     if session.mode == Mode::Analytical {
         let cache = AccelCache::new();
         let launch = gemm_launch(&p);
-        let mut total = 0u64;
         let mut naive = None;
         let mut prev = None;
         println!(
@@ -78,7 +74,6 @@ fn main() {
         for (v, k) in GemmVersion::ALL.iter().zip(&kernels) {
             match analytic_report(&cache, k, &sim, &launch) {
                 Some(r) => {
-                    total += r.total_cycles;
                     let naive_c = *naive.get_or_insert(r.total_cycles);
                     let vs_prev = prev
                         .map(|pc: u64| format!("{:.2}x", pc as f64 / r.total_cycles as f64))
@@ -99,16 +94,10 @@ fn main() {
         println!(
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
         );
-        session.write_snapshot(
-            &session
-                .snapshot(total)
-                .param("dim", dim)
-                .param("threads", threads),
-        );
         return;
     }
 
-    let sweep: GemmSweep = gemm_sweep(&GemmSweepConfig {
+    let sweep = gemm_sweep(&GemmSweepConfig {
         params: p,
         hls: session.hls(),
         sim: sim.clone(),
@@ -190,7 +179,6 @@ fn main() {
         Err(e) => {
             println!("\nnaive run failed ({e}); skipping the figure renders");
             println!("\n{}", bundles_footer(&out));
-            write_cycle_snapshot(&session, &sweep, plan, &kernels, &sim, &p);
             return;
         }
     };
@@ -309,48 +297,6 @@ fn main() {
         "\n(Fig. 8: alternating load/compute phases; Fig. 9: reads overlap compute — flatter both)"
     );
     println!("\n{}", bundles_footer(&out));
-    write_cycle_snapshot(&session, &sweep, plan, &kernels, &sim, &p);
-}
-
-/// Emit the `--bench-json` snapshot of a cycle-mode run: wall time and
-/// simulated cycles across the whole sweep, plus a timed analytical
-/// cross-check of the same five kernels so the snapshot records the
-/// fast-mode speedup alongside the exact numbers.
-fn write_cycle_snapshot(
-    session: &Session,
-    sweep: &GemmSweep,
-    plan: Option<&ProbePlan>,
-    kernels: &[nymble_ir::Kernel],
-    sim: &fpga_sim::SimConfig,
-    p: &GemmParams,
-) {
-    if session.bench_json().is_none() {
-        return;
-    }
-    let total_sim: u64 = sweep
-        .runs
-        .iter()
-        .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .map(|run| run.result.total_cycles)
-        .sum();
-    let at = SnapshotTimer::start();
-    let cache = AccelCache::new();
-    let launch = gemm_launch(p);
-    let analytic_total: u64 = kernels
-        .iter()
-        .filter_map(|k| analytic_report(&cache, k, sim, &launch))
-        .map(|r| r.total_cycles)
-        .sum();
-    let analytic_wall = at.elapsed_seconds();
-    let wall = session.elapsed_seconds();
-    let snap = session
-        .sweep_snapshot(total_sim, &sweep.sched, plan)
-        .param("dim", p.dim)
-        .param("threads", p.threads)
-        .with_extra("analytical_wall_seconds", analytic_wall)
-        .with_extra("analytical_total_cycles", analytic_total as f64)
-        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9));
-    session.write_snapshot(&snap);
 }
 
 /// Find a window around the first sizeable spinning interval.

@@ -6,7 +6,7 @@
 //! 1.5% ALMs, 1 MHz at ~148 MHz. Also verifies the per-counter claim:
 //! "each of the counters contributes similarly to the hardware overhead".
 //!
-//! Usage: `repro_overhead [--threads N] [--jobs N] [--bench-json PATH]
+//! Usage: `repro_overhead [--threads N] [--jobs N]
 //!                        [--lint[=deny|warn|off]] [--perf-lint[=deny|warn|off]]
 //!                        [--profile[=fixed|auto[,budget=N]]]`
 //!
@@ -22,8 +22,7 @@
 //! node renders the table in submission order — identical for any
 //! `--jobs` value. The study is purely static (cost-model fits, no
 //! simulation), so `--mode` is accepted for uniformity but does not
-//! change the tables; a `--bench-json` snapshot records zero simulated
-//! cycles.
+//! change the tables.
 
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
@@ -51,7 +50,7 @@ enum OvhNode {
 }
 
 fn main() {
-    let session = Session::start("repro_overhead");
+    let session = Session::start("repro_overhead", &["--threads"]);
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
     let hls = session.hls();
@@ -281,10 +280,5 @@ fn main() {
     println!(
         "\n({jobs} workers; {} designs compiled once each)",
         stats.entries
-    );
-    session.write_snapshot(
-        &session
-            .sweep_snapshot(0, &out.stats, acc.probe_plan.as_deref())
-            .param("threads", threads),
     );
 }

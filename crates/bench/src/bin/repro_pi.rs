@@ -4,7 +4,7 @@
 //! extrapolation.
 //!
 //! Usage: `repro_pi [--threads N] [--out DIR] [--jobs N]
-//!                  [--mode cycle|analytical] [--bench-json PATH]
+//!                  [--mode cycle|analytical]
 //!                  [--lint[=deny|warn|off]] [--perf-lint[=deny|warn|off]]
 //!                  [--profile[=fixed|auto[,budget=N]]]`
 //!
@@ -12,24 +12,22 @@
 //! kernel's IR is step-count-independent, so the whole sweep shares one
 //! HLS compile. Output is byte-identical for any `--jobs` value.
 //! `--mode analytical` swaps the simulator for the roofline fast mode
-//! (predicted cycles and GFLOP/s, no traces); `--bench-json PATH` writes
-//! a machine-readable perf snapshot of the invocation.
+//! (predicted cycles and GFLOP/s, no traces).
 
 use bench::args::Mode;
-use bench::harness::SnapshotTimer;
 use bench::session::Session;
-use bench::sweep::{bundles_footer, pi_sweep, pi_table, PiSweep, PiSweepConfig};
+use bench::sweep::{bundles_footer, pi_sweep, pi_table, PiSweepConfig};
 use bench::{analytic_report, pi_launch, pi_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::pi::{self, PiParams};
-use nymble_hls::{AccelCache, ProbePlan};
+use nymble_hls::AccelCache;
 use paraver::analysis::StateProfile;
 use paraver::states;
 use paraver::timeline::{render_states, TimelineOptions};
 
 fn main() {
-    let session = Session::start("repro_pi");
+    let session = Session::start("repro_pi", &["--threads"]);
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
     let out = session.out_dir();
@@ -54,7 +52,6 @@ fn main() {
 
     if session.mode == Mode::Analytical {
         let cache = AccelCache::new();
-        let mut total = 0u64;
         println!("== π scaling (analytical fast mode): predicted cycles, {threads} threads ==\n");
         println!(
             "{:<14} {:>14} {:>15} {:>10}",
@@ -70,7 +67,6 @@ fn main() {
             let launch = pi_launch(&p);
             match analytic_report(&cache, &k, &sim, &launch) {
                 Some(r) => {
-                    total += r.total_cycles;
                     let flops = steps as f64 * kernels::reference::PI_FLOPS_PER_ITER as f64;
                     let gflops = flops / (r.total_cycles as f64 / sim.clock_hz()) / 1e9;
                     println!(
@@ -86,12 +82,6 @@ fn main() {
         }
         println!(
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
-        );
-        session.write_snapshot(
-            &session
-                .snapshot(total)
-                .param("steps", "1000000,4000000,10000000")
-                .param("threads", threads),
         );
         return;
     }
@@ -193,51 +183,4 @@ fn main() {
         sim.clock_mhz
     );
     println!("\n{}", bundles_footer(&out));
-    write_cycle_snapshot(&session, &sweep, plan, &paper, threads, &sim);
-}
-
-/// Emit the `--bench-json` snapshot of a cycle-mode run, including a
-/// timed analytical cross-check of the same three step counts so the
-/// snapshot records the fast-mode speedup alongside the exact numbers.
-fn write_cycle_snapshot(
-    session: &Session,
-    sweep: &PiSweep,
-    plan: Option<&ProbePlan>,
-    paper: &[(u64, f64, u32)],
-    threads: u32,
-    sim: &fpga_sim::SimConfig,
-) {
-    if session.bench_json().is_none() {
-        return;
-    }
-    let total_sim: u64 = sweep
-        .runs
-        .iter()
-        .filter_map(|(_, r)| r.outcome.as_ref().ok())
-        .map(|pr| pr.run.result.total_cycles)
-        .sum();
-    let at = SnapshotTimer::start();
-    let cache = AccelCache::new();
-    let analytic_total: u64 = paper
-        .iter()
-        .filter_map(|&(steps, _, _)| {
-            let p = PiParams {
-                steps,
-                threads,
-                bs: 8,
-            };
-            let k = pi::build(&p);
-            analytic_report(&cache, &k, sim, &pi_launch(&p)).map(|r| r.total_cycles)
-        })
-        .sum();
-    let analytic_wall = at.elapsed_seconds();
-    let wall = session.elapsed_seconds();
-    let snap = session
-        .sweep_snapshot(total_sim, &sweep.sched, plan)
-        .param("steps", "1000000,4000000,10000000")
-        .param("threads", threads)
-        .with_extra("analytical_wall_seconds", analytic_wall)
-        .with_extra("analytical_total_cycles", analytic_total as f64)
-        .with_extra("analytical_speedup", wall / analytic_wall.max(1e-9));
-    session.write_snapshot(&snap);
 }

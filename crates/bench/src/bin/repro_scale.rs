@@ -4,7 +4,6 @@
 //!
 //! Usage: `repro_scale [--dim N] [--rows N] [--cols N] [--nnz N]
 //!                     [--threads LIST] [--out DIR] [--jobs N]
-//!                     [--bench-json PATH]
 //!                     [--lint[=deny|warn|off]] [--perf-lint[=deny|warn|off]]
 //!                     [--profile[=fixed|auto[,budget=N]]]`
 //!
@@ -19,9 +18,6 @@
 //!    analytical fast-mode prediction column. `--profile=auto[,budget=N]`
 //!    runs this section under the auto-probe plan (the untraced scaling
 //!    sections stay uninstrumented by design).
-//!
-//! `--bench-json PATH` writes the machine-readable snapshot the committed
-//! `BENCH_scale.json` trajectory is built from.
 
 use bench::session::Session;
 use bench::sweep::{bundles_footer, spmv_sweep, spmv_table, SpmvSweepConfig};
@@ -60,7 +56,10 @@ fn timed_run(
 }
 
 fn main() {
-    let session = Session::start("repro_scale");
+    let session = Session::start(
+        "repro_scale",
+        &["--dim", "--rows", "--cols", "--nnz", "--threads"],
+    );
     let dim = session.flag("--dim", 256i64);
     let rows = session.flag("--rows", 1024usize);
     let cols = session.flag("--cols", 1024usize);
@@ -97,22 +96,16 @@ fn main() {
     );
     let cache = AccelCache::new();
     let spmv_launch_args = spmv_launch(&matrix);
-    let mut total_sim = 0u64;
-    let mut scale_extras: Vec<(String, f64)> = Vec::new();
     let mut worst_spmv_err = 0.0f64;
     for &t in &threads {
         let gk = gemm::build(GemmVersion::NoCritical, &gemm_p(t));
         let gl = bench::gemm_launch(&gemm_p(t));
         let g = timed_run(&cache, &gk, &sim, &gl);
-        total_sim += g.result.total_cycles;
         print_scale_row("gemm", t, &g);
-        scale_extras.push((format!("gemm_wall_s_t{t}"), g.wall));
 
         let sk = spmv::build(matrix.rows as i64, t);
         let s = timed_run(&cache, &sk, &sim, &spmv_launch_args);
-        total_sim += s.result.total_cycles;
         print_scale_row("spmv", t, &s);
-        scale_extras.push((format!("spmv_wall_s_t{t}"), s.wall));
         if let Some(r) = analytic_report(&cache, &sk, &sim, &spmv_launch_args) {
             let err = (r.total_cycles as f64 - s.result.total_cycles as f64)
                 / s.result.total_cycles as f64
@@ -120,22 +113,6 @@ fn main() {
             if err.abs() > worst_spmv_err.abs() {
                 worst_spmv_err = err;
             }
-        }
-        if t == *threads.last().unwrap() {
-            let d = g.result.devices;
-            scale_extras.push(("gemm_line_fetch_wakes".into(), d.line_fetch_wakes as f64));
-            scale_extras.push((
-                "gemm_channel_grant_wakes".into(),
-                d.channel_grant_wakes as f64,
-            ));
-            scale_extras.push(("gemm_dma_wakes".into(), d.dma_wakes as f64));
-            let d = s.result.devices;
-            scale_extras.push(("spmv_line_fetch_wakes".into(), d.line_fetch_wakes as f64));
-            scale_extras.push((
-                "spmv_channel_grant_wakes".into(),
-                d.channel_grant_wakes as f64,
-            ));
-            scale_extras.push(("spmv_dma_wakes".into(), d.dma_wakes as f64));
         }
     }
     println!(
@@ -154,9 +131,7 @@ fn main() {
         jobs,
     });
     for (t, r) in &sweep.runs {
-        if let Ok(pr) = &r.outcome {
-            total_sim += pr.run.result.total_cycles;
-        } else if let Err(e) = &r.outcome {
+        if let Err(e) = &r.outcome {
             eprintln!("spmv_t{t} trace run failed: {e}");
         }
     }
@@ -175,24 +150,6 @@ fn main() {
         println!("\n{}", plan.summary());
     }
     println!("\n{}", bundles_footer(&out));
-
-    let threads_str = threads
-        .iter()
-        .map(u32::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut snap = session
-        .sweep_snapshot(total_sim, &sweep.sched, plan)
-        .param("dim", dim)
-        .param("rows", rows)
-        .param("cols", cols)
-        .param("nnz", nnz)
-        .param("threads", threads_str)
-        .with_extra("spmv_analytic_err_pct", worst_spmv_err);
-    for (k, v) in scale_extras {
-        snap = snap.with_extra(&k, v);
-    }
-    session.write_snapshot(&snap);
 }
 
 fn print_scale_row(workload: &str, threads: u32, r: &ScaleRun) {

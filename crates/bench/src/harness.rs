@@ -53,40 +53,6 @@ impl Group {
     }
 }
 
-/// Times one repro-binary invocation end to end and turns it into a
-/// machine-readable [`PerfSnapshot`](crate::snapshot::PerfSnapshot) (the
-/// `--bench-json` path).
-///
-/// Start it first thing in `main`, run the workload, then `finish` with
-/// the total simulated cycles the binary produced.
-pub struct SnapshotTimer {
-    start: Instant,
-}
-
-impl SnapshotTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        SnapshotTimer {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since [`SnapshotTimer::start`].
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Close the measured section: wall time, throughput and peak RSS.
-    pub fn finish(
-        &self,
-        binary: &str,
-        mode: crate::args::Mode,
-        sim_cycles: u64,
-    ) -> crate::snapshot::PerfSnapshot {
-        crate::snapshot::PerfSnapshot::new(binary, mode.name(), self.elapsed_seconds(), sim_cycles)
-    }
-}
-
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {

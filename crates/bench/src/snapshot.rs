@@ -1,160 +1,7 @@
-//! Machine-readable perf snapshots (`--bench-json`).
+//! Process memory probe for the benchmark.
 //!
-//! Every `repro_*` binary can emit one JSON object describing the run it
-//! just performed: wall time, simulated cycles, simulation throughput
-//! (simulated cycles per wall second) and peak RSS. Committed snapshots
-//! (`BENCH_gemm.json`, `BENCH_pi.json` at the repo root) form the perf
-//! trajectory: CI re-runs the binary, emits a fresh snapshot and *warns*
-//! (never fails) when wall time regresses more than 2× against the
-//! committed one — see `bench_check` and the `bench-smoke` CI job.
-//!
-//! The format is deliberately flat so the hand-rolled writer/reader pair
-//! below stays trivial (this build environment cannot fetch serde):
-//! one top-level object, string or number values, one `params` string map
-//! and one `extra` number map, no deeper nesting.
-
-use std::io::Write;
-use std::path::Path;
-
-/// One perf measurement of one repro binary invocation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfSnapshot {
-    /// Binary name (`repro_gemm`, ...).
-    pub binary: String,
-    /// `cycle` for the event-driven cycle-level simulator, `analytical`
-    /// for the roofline fast mode.
-    pub mode: String,
-    /// Workload parameters (dim, threads, steps ...), stringified.
-    pub params: Vec<(String, String)>,
-    /// End-to-end wall-clock seconds of the measured section.
-    pub wall_seconds: f64,
-    /// Total simulated cycles across every run the binary performed.
-    pub sim_cycles: u64,
-    /// Simulation throughput: `sim_cycles / wall_seconds`.
-    pub cycles_per_sec: f64,
-    /// Peak resident set size of this process, in KiB (Linux `VmHWM`).
-    pub peak_rss_kb: u64,
-    /// Free-form numeric extras (e.g. `analytical_wall_seconds`,
-    /// `analytical_speedup`).
-    pub extra: Vec<(String, f64)>,
-}
-
-impl PerfSnapshot {
-    /// Build a snapshot, deriving throughput and sampling peak RSS.
-    pub fn new(binary: &str, mode: &str, wall_seconds: f64, sim_cycles: u64) -> Self {
-        PerfSnapshot {
-            binary: binary.to_string(),
-            mode: mode.to_string(),
-            params: Vec::new(),
-            wall_seconds,
-            sim_cycles,
-            cycles_per_sec: if wall_seconds > 0.0 {
-                sim_cycles as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            peak_rss_kb: peak_rss_kb(),
-            extra: Vec::new(),
-        }
-    }
-
-    /// Add a workload parameter.
-    pub fn param(mut self, key: &str, value: impl ToString) -> Self {
-        self.params.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Add a numeric extra.
-    pub fn with_extra(mut self, key: &str, value: f64) -> Self {
-        self.extra.push((key.to_string(), value));
-        self
-    }
-
-    /// Render as a JSON object (stable key order, newline-terminated).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"binary\": {},\n", json_str(&self.binary)));
-        s.push_str(&format!("  \"mode\": {},\n", json_str(&self.mode)));
-        s.push_str("  \"params\": {");
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_str(k), json_str(v)));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!(
-            "  \"wall_seconds\": {},\n",
-            json_f64(self.wall_seconds)
-        ));
-        s.push_str(&format!("  \"sim_cycles\": {},\n", self.sim_cycles));
-        s.push_str(&format!(
-            "  \"cycles_per_sec\": {},\n",
-            json_f64(self.cycles_per_sec)
-        ));
-        s.push_str(&format!("  \"peak_rss_kb\": {},\n", self.peak_rss_kb));
-        s.push_str("  \"extra\": {");
-        for (i, (k, v)) in self.extra.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_str(k), json_f64(*v)));
-        }
-        s.push_str("}\n}\n");
-        s
-    }
-
-    /// Write the JSON rendering to `path`.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
-    }
-
-    /// Parse a snapshot previously produced by [`PerfSnapshot::to_json`].
-    ///
-    /// This is a reader for *our own* flat output, not a general JSON
-    /// parser; unknown keys are ignored so snapshots stay forward
-    /// compatible.
-    pub fn parse(text: &str) -> Result<PerfSnapshot, String> {
-        let mut snap = PerfSnapshot {
-            binary: String::new(),
-            mode: String::new(),
-            params: Vec::new(),
-            wall_seconds: 0.0,
-            sim_cycles: 0,
-            cycles_per_sec: 0.0,
-            peak_rss_kb: 0,
-            extra: Vec::new(),
-        };
-        snap.binary = string_field(text, "binary").unwrap_or_default();
-        snap.mode = string_field(text, "mode").unwrap_or_default();
-        snap.wall_seconds = number_field(text, "wall_seconds").ok_or("missing wall_seconds")?;
-        snap.sim_cycles = number_field(text, "sim_cycles").unwrap_or(0.0) as u64;
-        snap.cycles_per_sec = number_field(text, "cycles_per_sec").unwrap_or(0.0);
-        snap.peak_rss_kb = number_field(text, "peak_rss_kb").unwrap_or(0.0) as u64;
-        snap.params = object_field(text, "params")
-            .into_iter()
-            .map(|(k, v)| (k, v.trim_matches('"').to_string()))
-            .collect();
-        snap.extra = object_field(text, "extra")
-            .into_iter()
-            .filter_map(|(k, v)| v.parse::<f64>().ok().map(|n| (k, n)))
-            .collect();
-        Ok(snap)
-    }
-
-    /// Read and parse a snapshot file.
-    pub fn read(path: &Path) -> Result<PerfSnapshot, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Self::parse(&text)
-    }
-
-    /// A numeric extra by key.
-    pub fn extra_value(&self, key: &str) -> Option<f64> {
-        self.extra.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-}
+//! hlsbench (the benchmark of record, `hlsbench/`) reports each run's peak
+//! resident set size through [`peak_rss_kb`].
 
 /// Peak resident set size of the current process in KiB (`VmHWM` from
 /// `/proc/self/status`); 0 where procfs is unavailable.
@@ -175,144 +22,12 @@ pub fn peak_rss_kb() -> u64 {
     0
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Keep readable precision without trailing float noise.
-        let s = format!("{v:.6}");
-        let s = s.trim_end_matches('0').trim_end_matches('.');
-        if s.is_empty() {
-            "0".to_string()
-        } else {
-            s.to_string()
-        }
-    } else {
-        "0".to_string()
-    }
-}
-
-/// `"key": "value"` — the string value of a top-level field.
-fn string_field(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// `"key": 123.4` — the numeric value of a top-level field.
-fn number_field(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(&pat) {
-        let at = from + pos + pat.len();
-        let rest = text[at..].trim_start();
-        // Skip string/object-valued fields with the same name.
-        if rest.starts_with('"') || rest.starts_with('{') {
-            from = at;
-            continue;
-        }
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-            .unwrap_or(rest.len());
-        return rest[..end].parse().ok();
-    }
-    None
-}
-
-/// `"key": {...}` — the `k: v` pairs of a flat single-line object field.
-fn object_field(text: &str, key: &str) -> Vec<(String, String)> {
-    let pat = format!("\"{key}\":");
-    let Some(at) = text.find(&pat) else {
-        return Vec::new();
-    };
-    let rest = text[at + pat.len()..].trim_start();
-    let Some(rest) = rest.strip_prefix('{') else {
-        return Vec::new();
-    };
-    let Some(end) = rest.find('}') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|pair| {
-            let (k, v) = pair.split_once(':')?;
-            Some((k.trim().trim_matches('"').to_string(), v.trim().to_string()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_preserves_fields() {
-        let snap = PerfSnapshot::new("repro_gemm", "cycle", 12.5, 1_000_000)
-            .param("dim", 512)
-            .param("threads", 8)
-            .with_extra("analytical_wall_seconds", 0.002)
-            .with_extra("analytical_speedup", 6250.0);
-        let text = snap.to_json();
-        let back = PerfSnapshot::parse(&text).unwrap();
-        assert_eq!(back.binary, "repro_gemm");
-        assert_eq!(back.mode, "cycle");
-        assert_eq!(back.wall_seconds, 12.5);
-        assert_eq!(back.sim_cycles, 1_000_000);
-        assert_eq!(back.cycles_per_sec, 80_000.0);
-        assert_eq!(
-            back.params,
-            vec![
-                ("dim".to_string(), "512".to_string()),
-                ("threads".to_string(), "8".to_string())
-            ]
-        );
-        assert_eq!(back.extra_value("analytical_speedup"), Some(6250.0));
-    }
-
-    #[test]
     fn peak_rss_is_nonzero_on_linux() {
         assert!(peak_rss_kb() > 0, "VmHWM should parse on this platform");
-    }
-
-    #[test]
-    fn parse_tolerates_unknown_keys_and_missing_extras() {
-        let text = r#"{
-  "binary": "repro_pi",
-  "mode": "cycle",
-  "future_field": "ignored",
-  "params": {},
-  "wall_seconds": 3.25,
-  "sim_cycles": 42,
-  "cycles_per_sec": 12.92,
-  "peak_rss_kb": 1024,
-  "extra": {}
-}"#;
-        let snap = PerfSnapshot::parse(text).unwrap();
-        assert_eq!(snap.binary, "repro_pi");
-        assert_eq!(snap.wall_seconds, 3.25);
-        assert_eq!(snap.sim_cycles, 42);
-        assert!(snap.extra.is_empty());
-    }
-
-    #[test]
-    fn missing_wall_seconds_is_an_error() {
-        assert!(PerfSnapshot::parse("{}").is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! The repro binaries' shared command-line session, driven end to end:
-//! malformed numeric flags are usage errors (exit 2) instead of silent
-//! defaults, and unwritable output paths are one-line failures (exit 1)
-//! instead of panics.
+//! unknown flags and malformed numeric flags are usage errors (exit 2)
+//! instead of silent defaults, and unwritable output paths are one-line
+//! failures (exit 1) instead of panics.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -34,16 +34,6 @@ fn unparsable_numeric_flags_exit_2_worded_like_jobs() {
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(stderr(&out), "--threads: invalid number `x`\n");
 
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_check"),
-        &["--current", "a", "--committed", "b", "--threshold", "twice"],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(
-        stderr(&out),
-        "bench_check: --threshold: invalid number `twice`\n"
-    );
-
     // The shared flags keep their messages and exit codes.
     let out = run(gemm, &["--jobs", "0"]);
     assert_eq!(out.status.code(), Some(2));
@@ -54,32 +44,14 @@ fn unparsable_numeric_flags_exit_2_worded_like_jobs() {
 }
 
 #[test]
-fn bench_json_under_a_missing_directory_fails_without_panicking() {
-    let dir = scratch("json");
-    let path = dir.join("does-not-exist").join("snap.json");
+fn unknown_flags_exit_2_instead_of_running_the_defaults() {
     let out = run(
         env!("CARGO_BIN_EXE_repro_ablations"),
-        &[
-            "--dim",
-            "32",
-            "--mode",
-            "analytical",
-            "--bench-json",
-            path.to_str().unwrap(),
-        ],
+        &["--bench-json", "x"],
     );
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    assert_eq!(err.lines().count(), 1, "{err}");
-    assert!(
-        err.starts_with("repro_ablations: cannot write --bench-json "),
-        "{err}"
-    );
-    assert!(err.contains(path.to_str().unwrap()), "{err}");
-    // The tables were printed before the snapshot write failed.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("predicted cycles"));
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(stderr(&out), "--bench-json: unknown flag\n");
+    assert!(out.stdout.is_empty(), "nothing ran");
 }
 
 #[test]

@@ -94,26 +94,6 @@ impl Accelerator {
             || dfg.count(OpClass::Burst) > 0;
         (!has_region).then_some((sched.ii as u64, sched.depth as u64))
     }
-
-    /// Total reordering stages over all loop schedules (Nymble-MT context
-    /// cost driver).
-    pub fn total_reordering_stages(&self) -> usize {
-        self.loop_schedules
-            .iter()
-            .flatten()
-            .map(|s| s.reordering_stages())
-            .sum()
-    }
-
-    /// Total stage count over all schedules.
-    pub fn total_stages(&self) -> usize {
-        self.loop_schedules
-            .iter()
-            .flatten()
-            .map(|s| s.stages.len())
-            .sum::<usize>()
-            + self.top.stages.len()
-    }
 }
 
 /// Collect `(LoopId, &Block)` for every loop (unrolled ones included; the

@@ -39,7 +39,6 @@ pub mod probe;
 pub mod region;
 pub mod report;
 pub mod schedule;
-pub mod verilog;
 
 pub use accel::{compile, try_compile, Accelerator, HlsConfig};
 pub use cache::{kernel_fingerprint, AccelCache, CacheStats};
