@@ -1,6 +1,7 @@
 //! Property tests of the profiling unit's record path: arbitrary state
 //! transition sequences and counter feeds survive packing → buffering →
-//! flushing → decoding with nothing lost or invented.
+//! flushing → decoding with nothing lost or invented, and the decoded
+//! trace survives its `.prv` bundle.
 
 use fpga_sim::{Snoop, ThreadState};
 use hls_profiling::counters::{unpack_event_record, CounterBank, CounterSet, EVENT_RECORD_BYTES};
@@ -9,6 +10,7 @@ use hls_profiling::{ProfilingConfig, ProfilingUnit};
 use miniprop::{forall, Rng};
 use paraver::analysis::{event_total, StateProfile};
 use paraver::model::Record;
+use paraver::parse::parse_prv;
 
 const THREADS: u32 = 4;
 
@@ -139,6 +141,38 @@ fn feed_is_conserved_through_buffer_and_decode() {
             }
         }
     });
+}
+
+/// End to end: whatever a random feed leaves in the decoded trace comes
+/// back exactly from its bundle's `.prv` (the header has no app name).
+#[test]
+fn feeds_round_trip_through_bundle_and_parse() {
+    let dir = std::env::temp_dir().join(format!("feed-bundle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stem = dir.join("prop");
+    forall(32, |g| {
+        let feeds = g.vec(1, 300, |g| (arb_feed(g), g.range_u64(1, 50)));
+        let mut unit = ProfilingUnit::new(
+            "prop",
+            THREADS,
+            ProfilingConfig {
+                sampling_period: g.range_u64(1, 5_000),
+                buffer_lines: g.range_usize(2, 64),
+                ..Default::default()
+            },
+        );
+        let (t, ..) = apply_feeds(&mut unit, &feeds);
+        unit.run_end(t + g.range_u64(0, 10));
+        let trace = unit.finish();
+        trace.write_bundle(&stem).unwrap();
+
+        let bytes = std::fs::read(stem.with_extension("prv")).unwrap();
+        let (mut meta, records) = parse_prv(&bytes).unwrap();
+        meta.app_name = trace.meta.app_name.clone();
+        assert_eq!(meta, trace.meta);
+        assert_eq!(records, trace.records);
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The trace stream stays decodable across any number of forced

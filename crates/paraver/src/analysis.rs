@@ -8,6 +8,9 @@
 //!   Figs. 8–9.
 //! * [`throughput_gbps`] / [`gflops`] — unit conversions from cycle-denominated
 //!   counters to the GB/s / GFLOP/s the paper reports (§V-D).
+//!
+//! Sums of cycles and counter values saturate at `u64::MAX`, so any trace
+//! the parser accepts is analysed without an overflow.
 
 use crate::model::Record;
 use std::collections::BTreeMap;
@@ -26,7 +29,7 @@ pub struct StateProfile {
 impl StateProfile {
     /// Compute the profile from a record stream.
     pub fn compute(records: &[Record], num_threads: u32) -> Self {
-        let mut per_thread = vec![BTreeMap::new(); num_threads as usize];
+        let mut per_thread: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); num_threads as usize];
         let mut total: BTreeMap<u32, u64> = BTreeMap::new();
         let mut total_time = 0u64;
         for r in records {
@@ -38,9 +41,11 @@ impl StateProfile {
             } = r
             {
                 let dur = end.saturating_sub(*begin);
-                *per_thread[*thread as usize].entry(*state).or_default() += dur;
-                *total.entry(*state).or_default() += dur;
-                total_time += dur;
+                let cell = per_thread[*thread as usize].entry(*state).or_default();
+                *cell = cell.saturating_add(dur);
+                let cell = total.entry(*state).or_default();
+                *cell = cell.saturating_add(dur);
+                total_time = total_time.saturating_add(dur);
             }
         }
         StateProfile {
@@ -61,7 +66,7 @@ impl StateProfile {
     /// Fraction of thread `t`'s recorded time spent in `state`.
     pub fn thread_fraction(&self, t: u32, state: u32) -> f64 {
         let m = &self.per_thread[t as usize];
-        let tt: u64 = m.values().sum();
+        let tt = m.values().fold(0u64, |sum, &v| sum.saturating_add(v));
         if tt == 0 {
             return 0.0;
         }
@@ -105,12 +110,12 @@ impl Series {
         if self.bins.is_empty() {
             return 0.0;
         }
-        self.bins.iter().sum::<u64>() as f64 / self.bins.len() as f64
+        self.total() as f64 / self.bins.len() as f64
     }
 
     /// Sum of all bins.
     pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
+        self.bins.iter().fold(0, |sum, &b| sum.saturating_add(b))
     }
 
     /// Normalise each bin by the series peak, giving the "relative
@@ -135,7 +140,7 @@ pub fn event_series(records: &[Record], event_type: u32, bin_width: u64, duratio
             for (ty, v) in events {
                 if *ty == event_type {
                     let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    bins[b] += v;
+                    bins[b] = bins[b].saturating_add(*v);
                 }
             }
         }
@@ -168,7 +173,8 @@ pub fn event_series_per_thread(
             for (ty, v) in events {
                 if *ty == event_type {
                     let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    per[*thread as usize].bins[b] += v;
+                    let bin = &mut per[*thread as usize].bins[b];
+                    *bin = bin.saturating_add(*v);
                 }
             }
         }
@@ -185,12 +191,11 @@ pub fn event_total(records: &[Record], event_type: u32) -> u64 {
                 events
                     .iter()
                     .filter(|(ty, _)| *ty == event_type)
-                    .map(|(_, v)| *v)
-                    .sum::<u64>(),
+                    .fold(0u64, |sum, (_, v)| sum.saturating_add(*v)),
             ),
             _ => None,
         })
-        .sum()
+        .fold(0, u64::saturating_add)
 }
 
 /// Convert a byte count over a cycle interval to GB/s at `clock_hz`.

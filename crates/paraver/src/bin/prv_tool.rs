@@ -17,9 +17,8 @@ use paraver::{diff, events, states};
 use std::process::ExitCode;
 
 fn load(path: &str) -> (paraver::TraceMeta, Vec<paraver::Record>) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    parse_prv(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
+    let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    parse_prv(&bytes).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
 }
 
 fn die(msg: &str) -> ! {

@@ -3,6 +3,28 @@
 //! Used by round-trip tests, the analysis pipeline, and anyone who wants to
 //! post-process traces produced by the profiling unit (or by real Paraver
 //! tooling) without the GUI.
+//!
+//! One pass over the bytes, allocating nothing per record but the pairs
+//! of an event record. The accepted grammar:
+//!
+//! * Lines end at `\n`; a `\r` right before it is dropped, as
+//!   `str::lines` does. Line numbers in [`ParseError`] are 1-based (0 for
+//!   an empty text).
+//! * Line 1 is the header
+//!   `#Paraver (<date>):<ftime>:<nodes>:<nappl>:<ntasks>(<threads>:<node>)...`;
+//!   the date, the `ftime` and the thread count of the first task are read.
+//! * Every later line is trimmed of ASCII whitespace (space, `\t`, `\n`,
+//!   `\x0B`, `\x0C`, `\r`); blank lines and lines starting with `#` are
+//!   skipped. Other whitespace, such as U+00A0, is part of the record.
+//! * A record is a `:`-separated field list whose field 0 is the kind,
+//!   with the field counts of the [`crate::prv`] line format: 8 for a state
+//!   (1), 6 + 2k with k >= 1 for an event (2), 15 for a communication (3).
+//!   The cpu, application and task fields are not read.
+//! * Numbers are unsigned decimal `u64`s with an optional leading `+`, as
+//!   `str::parse` accepts them. State values and event types must fit a
+//!   `u32`.
+//! * Thread ids are 1-based and at most the header's thread count, so the
+//!   analyses can index per-thread tables by them.
 
 use crate::model::{Record, TraceMeta};
 use std::fmt;
@@ -29,20 +51,87 @@ fn err(line: usize, reason: impl Into<String>) -> ParseError {
     }
 }
 
-/// Parse a complete `.prv` document into its header metadata and records.
-pub fn parse_prv(text: &str) -> Result<(TraceMeta, Vec<Record>), ParseError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(0, "empty trace"))?;
-    let meta = parse_header(header).map_err(|r| err(1, r))?;
+/// Parse a complete `.prv` document (a `str`, `String`, `[u8]` or
+/// `Vec<u8>`) into its header metadata and records.
+pub fn parse_prv<B: AsRef<[u8]> + ?Sized>(
+    text: &B,
+) -> Result<(TraceMeta, Vec<Record>), ParseError> {
+    let mut lines = lines(text.as_ref());
+    let header = lines.next().ok_or_else(|| err(0, "empty trace"))?;
+    let meta = parse_header(&String::from_utf8_lossy(header)).map_err(|r| err(1, r))?;
     let mut records = Vec::new();
-    for (i, line) in lines {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+    for (i, line) in lines.enumerate() {
+        let line = trim(line);
+        if line.is_empty() || line[0] == b'#' {
             continue;
         }
-        records.push(parse_record(line).map_err(|r| err(i + 1, r))?);
+        records.push(parse_record(line, meta.num_threads).map_err(|r| err(i + 2, r))?);
     }
     Ok((meta, records))
+}
+
+/// The lines of `text` as `str::lines` splits them.
+fn lines(text: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = text;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let (line, tail) = match find_newline(rest) {
+            Some(p) => (
+                rest[..p].strip_suffix(b"\r").unwrap_or(&rest[..p]),
+                &rest[p + 1..],
+            ),
+            None => (rest, &[][..]),
+        };
+        rest = tail;
+        Some(line)
+    })
+}
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The high bit of each byte of `chunk` that equals `byte`, and no other
+/// bit: no carry crosses a byte, so every flag is exact.
+fn matches(chunk: &[u8], byte: u8) -> u64 {
+    let x = u64::from_le_bytes(chunk.try_into().unwrap()) ^ (ONES * byte as u64);
+    let low7 = ONES * 0x7F;
+    !(((x & low7) + low7) | x | low7)
+}
+
+/// Index of the first `\n` in `bytes`, tested eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let m = matches(chunk, b'\n');
+        if m != 0 {
+            return Some(at + m.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|p| at + p)
+}
+
+/// Number of `:` in `line`, counted eight bytes at a time.
+fn count_colons(line: &[u8]) -> usize {
+    let mut chunks = line.chunks_exact(8);
+    let n: u32 = (&mut chunks).map(|c| matches(c, b':').count_ones()).sum();
+    n as usize + chunks.remainder().iter().filter(|&&b| b == b':').count()
+}
+
+/// `line` without leading and trailing ASCII whitespace (the ASCII part
+/// of what `str::trim` strips: it includes `\x0B`, unlike
+/// `u8::is_ascii_whitespace`).
+fn trim(line: &[u8]) -> &[u8] {
+    let is_space = |b: &u8| matches!(b, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' ');
+    let start = line.iter().position(|b| !is_space(b)).unwrap_or(line.len());
+    let end = line
+        .iter()
+        .rposition(|b| !is_space(b))
+        .map_or(start, |e| e + 1);
+    &line[start..end]
 }
 
 fn parse_header(h: &str) -> Result<TraceMeta, String> {
@@ -79,44 +168,157 @@ fn parse_header(h: &str) -> Result<TraceMeta, String> {
     })
 }
 
-fn parse_record(line: &str) -> Result<Record, String> {
-    let fields: Vec<&str> = line.split(':').collect();
-    let kind: u8 = fields[0]
-        .parse()
-        .map_err(|_| format!("bad record kind `{}`", fields[0]))?;
-    let num = |i: usize| -> Result<u64, String> {
-        fields
-            .get(i)
-            .ok_or_else(|| format!("record too short (need field {i})"))?
-            .parse()
-            .map_err(|_| format!("bad number `{}` in field {i}", fields[i]))
+/// `str::parse::<u64>` on bytes: decimal digits after an optional `+`.
+fn number(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add(d as u64)
+    })
+}
+
+/// The fast path of [`number`] for the field at the front of `bytes`: 1 to
+/// 19 plain digits, which cannot overflow, ending at a `:` or the end.
+/// Returns the value and the field's length.
+fn short_number(bytes: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    let mut len = 0;
+    while let Some(&b) = bytes.get(len) {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        v = v.wrapping_mul(10).wrapping_add(d as u64);
+        len += 1;
+    }
+    let ends = matches!(bytes.get(len), None | Some(b':'));
+    (ends && (1..20).contains(&len)).then_some((v, len))
+}
+
+/// The `:`-separated fields of one record line, numbered from 0.
+struct Fields<'a> {
+    rest: &'a [u8],
+    index: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn next(&mut self) -> &'a [u8] {
+        let len = self.rest.iter().position(|&b| b == b':');
+        let field = &self.rest[..len.unwrap_or(self.rest.len())];
+        self.advance(field.len());
+        field
+    }
+
+    /// Moves past a field of `len` bytes and its `:`.
+    fn advance(&mut self, len: usize) {
+        self.rest = self.rest.get(len + 1..).unwrap_or_default();
+        self.index += 1;
+    }
+
+    fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            self.next();
+        }
+    }
+
+    fn num(&mut self) -> Result<u64, String> {
+        if let Some((v, len)) = short_number(self.rest) {
+            self.advance(len);
+            return Ok(v);
+        }
+        let i = self.index;
+        let field = self.next();
+        number(field).ok_or_else(|| {
+            format!(
+                "bad number `{}` in field {i}",
+                String::from_utf8_lossy(field)
+            )
+        })
+    }
+
+    fn nums<const N: usize>(&mut self) -> Result<[u64; N], String> {
+        let mut out = [0; N];
+        for v in &mut out {
+            *v = self.num()?;
+        }
+        Ok(out)
+    }
+}
+
+/// A 1-based thread id from `field` as the 0-based id of [`Record`].
+fn thread_id(v: u64, field: usize, num_threads: u32) -> Result<u32, String> {
+    if (1..=num_threads as u64).contains(&v) {
+        Ok(v as u32 - 1)
+    } else {
+        Err(format!(
+            "thread id {v} in field {field} is out of range 1..={num_threads}"
+        ))
+    }
+}
+
+fn narrow(v: u64, field: usize, what: &str) -> Result<u32, String> {
+    u32::try_from(v).map_err(|_| {
+        format!(
+            "{what} {v} in field {field} is out of range 0..={}",
+            u32::MAX
+        )
+    })
+}
+
+/// One record line. Every number of the line is parsed before any range
+/// is checked, so a malformed number is reported ahead of a bad thread id.
+fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
+    let mut f = Fields {
+        rest: line,
+        index: 0,
     };
+    let kind_field = f.next();
+    let kind = number(kind_field)
+        .and_then(|k| u8::try_from(k).ok())
+        .ok_or_else(|| format!("bad record kind `{}`", String::from_utf8_lossy(kind_field)))?;
+    let fields = 1 + count_colons(line);
     match kind {
         1 => {
-            if fields.len() != 8 {
-                return Err(format!("state record has {} fields, want 8", fields.len()));
+            if fields != 8 {
+                return Err(format!("state record has {fields} fields, want 8"));
             }
+            f.skip(3);
+            let [thread, begin, end, state] = f.nums()?;
             Ok(Record::State {
-                thread: num(4)? as u32 - 1,
-                begin: num(5)?,
-                end: num(6)?,
-                state: num(7)? as u32,
+                thread: thread_id(thread, 4, num_threads)?,
+                begin,
+                end,
+                state: narrow(state, 7, "state")?,
             })
         }
         2 => {
-            if fields.len() < 8 || !(fields.len() - 6).is_multiple_of(2) {
+            if fields < 8 || !(fields - 6).is_multiple_of(2) {
                 return Err(format!(
-                    "event record has {} fields, want 6 + 2k (k>=1)",
-                    fields.len()
+                    "event record has {fields} fields, want 6 + 2k (k>=1)"
                 ));
             }
-            let thread = num(4)? as u32 - 1;
-            let time = num(5)?;
-            let mut events = Vec::with_capacity((fields.len() - 6) / 2);
-            let mut i = 6;
-            while i + 1 < fields.len() {
-                events.push((num(i)? as u32, num(i + 1)?));
-                i += 2;
+            f.skip(3);
+            let [thread, time] = f.nums()?;
+            let pairs = (fields - 6) / 2;
+            let mut events = Vec::with_capacity(pairs);
+            let mut wide_type = None;
+            for _ in 0..pairs {
+                let i = f.index;
+                let [ty, value] = f.nums()?;
+                if ty > u32::MAX as u64 && wide_type.is_none() {
+                    wide_type = Some((ty, i));
+                }
+                events.push((ty as u32, value));
+            }
+            let thread = thread_id(thread, 4, num_threads)?;
+            if let Some((ty, i)) = wide_type {
+                narrow(ty, i, "event type")?;
             }
             Ok(Record::Event {
                 thread,
@@ -125,18 +327,22 @@ fn parse_record(line: &str) -> Result<Record, String> {
             })
         }
         3 => {
-            if fields.len() != 15 {
-                return Err(format!("comm record has {} fields, want 15", fields.len()));
+            if fields != 15 {
+                return Err(format!("comm record has {fields} fields, want 15"));
             }
+            f.skip(3);
+            let [send, logical_send, physical_send] = f.nums()?;
+            f.skip(3);
+            let [recv, logical_recv, physical_recv, size, tag] = f.nums()?;
             Ok(Record::Comm {
-                send_thread: num(4)? as u32 - 1,
-                logical_send: num(5)?,
-                physical_send: num(6)?,
-                recv_thread: num(10)? as u32 - 1,
-                logical_recv: num(11)?,
-                physical_recv: num(12)?,
-                size: num(13)?,
-                tag: num(14)?,
+                send_thread: thread_id(send, 4, num_threads)?,
+                logical_send,
+                physical_send,
+                recv_thread: thread_id(recv, 10, num_threads)?,
+                logical_recv,
+                physical_recv,
+                size,
+                tag,
             })
         }
         k => Err(format!("unknown record kind {k}")),

@@ -74,9 +74,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let parsed = std::fs::read_to_string(&path)
+    let parsed = std::fs::read(&path)
         .map_err(|e| e.to_string())
-        .and_then(|text| parse_prv(&text).map_err(|e| e.to_string()));
+        .and_then(|bytes| parse_prv(&bytes).map_err(|e| e.to_string()));
     let (meta, records) = match parsed {
         Ok(p) => p,
         Err(e) => {

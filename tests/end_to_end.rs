@@ -184,8 +184,8 @@ fn prv_bundle_round_trips() {
     std::fs::create_dir_all(&dir).unwrap();
     let stem = dir.join("roundtrip");
     trace.write_bundle(&stem).unwrap();
-    let text = std::fs::read_to_string(stem.with_extension("prv")).unwrap();
-    let (meta, parsed) = hls_paraver::paraver::parse::parse_prv(&text).unwrap();
+    let bytes = std::fs::read(stem.with_extension("prv")).unwrap();
+    let (meta, parsed) = hls_paraver::paraver::parse::parse_prv(&bytes).unwrap();
     assert_eq!(meta.duration, trace.meta.duration);
     assert_eq!(meta.num_threads, trace.meta.num_threads);
     let mut expect = trace.records.clone();
