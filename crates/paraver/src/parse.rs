@@ -4,15 +4,17 @@
 //! post-process traces produced by the profiling unit (or by real Paraver
 //! tooling) without the GUI.
 //!
-//! One pass over the bytes, allocating nothing per record but the pairs
-//! of an event record. The accepted grammar:
+//! The parser walks the bytes line by line, with no UTF-8 check and no
+//! per-line allocation; nothing is allocated per record but the pairs of
+//! an event record. The accepted grammar:
 //!
 //! * Lines end at `\n`; a `\r` right before it is dropped, as
 //!   `str::lines` does. Line numbers in [`ParseError`] are 1-based (0 for
 //!   an empty text).
 //! * Line 1 is the header
 //!   `#Paraver (<date>):<ftime>:<nodes>:<nappl>:<ntasks>(<threads>:<node>)...`;
-//!   the date, the `ftime` and the thread count of the first task are read.
+//!   the date, the `ftime` and the thread count of the first task are
+//!   read, from the header's lossy UTF-8 form.
 //! * Every later line is trimmed of ASCII whitespace (space, `\t`, `\n`,
 //!   `\x0B`, `\x0C`, `\r`); blank lines and lines starting with `#` are
 //!   skipped. Other whitespace, such as U+00A0, is part of the record.
@@ -56,10 +58,13 @@ fn err(line: usize, reason: impl Into<String>) -> ParseError {
 pub fn parse_prv<B: AsRef<[u8]> + ?Sized>(
     text: &B,
 ) -> Result<(TraceMeta, Vec<Record>), ParseError> {
-    let mut lines = lines(text.as_ref());
+    let text = text.as_ref();
+    let mut lines = lines(text);
     let header = lines.next().ok_or_else(|| err(0, "empty trace"))?;
     let meta = parse_header(&String::from_utf8_lossy(header)).map_err(|r| err(1, r))?;
-    let mut records = Vec::new();
+    // Room for one record per line, allocated once instead of doubling;
+    // no more than one per 16 bytes, the shortest record line.
+    let mut records = Vec::with_capacity(count(text, b'\n').min(text.len() / 16));
     for (i, line) in lines.enumerate() {
         let line = trim(line);
         if line.is_empty() || line[0] == b'#' {
@@ -93,7 +98,7 @@ const ONES: u64 = 0x0101_0101_0101_0101;
 
 /// The high bit of each byte of `chunk` that equals `byte`, and no other
 /// bit: no carry crosses a byte, so every flag is exact.
-fn matches(chunk: &[u8], byte: u8) -> u64 {
+fn flag_bytes(chunk: &[u8], byte: u8) -> u64 {
     let x = u64::from_le_bytes(chunk.try_into().unwrap()) ^ (ONES * byte as u64);
     let low7 = ONES * 0x7F;
     !(((x & low7) + low7) | x | low7)
@@ -104,7 +109,7 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
     let mut chunks = bytes.chunks_exact(8);
     let mut at = 0;
     for chunk in &mut chunks {
-        let m = matches(chunk, b'\n');
+        let m = flag_bytes(chunk, b'\n');
         if m != 0 {
             return Some(at + m.trailing_zeros() as usize / 8);
         }
@@ -114,11 +119,13 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
     tail.map(|p| at + p)
 }
 
-/// Number of `:` in `line`, counted eight bytes at a time.
-fn count_colons(line: &[u8]) -> usize {
-    let mut chunks = line.chunks_exact(8);
-    let n: u32 = (&mut chunks).map(|c| matches(c, b':').count_ones()).sum();
-    n as usize + chunks.remainder().iter().filter(|&&b| b == b':').count()
+/// Number of `byte`s in `bytes`, counted eight at a time.
+fn count(bytes: &[u8], byte: u8) -> usize {
+    let mut chunks = bytes.chunks_exact(8);
+    let n: usize = (&mut chunks)
+        .map(|c| flag_bytes(c, byte).count_ones() as usize)
+        .sum();
+    n + chunks.remainder().iter().filter(|&&b| b == byte).count()
 }
 
 /// `line` without leading and trailing ASCII whitespace (the ASCII part
@@ -282,7 +289,7 @@ fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
     let kind = number(kind_field)
         .and_then(|k| u8::try_from(k).ok())
         .ok_or_else(|| format!("bad record kind `{}`", String::from_utf8_lossy(kind_field)))?;
-    let fields = 1 + count_colons(line);
+    let fields = 1 + count(line, b':');
     match kind {
         1 => {
             if fields != 8 {
