@@ -15,6 +15,11 @@
 use crate::model::Record;
 use std::collections::BTreeMap;
 
+/// `*sum += v`, saturating at `u64::MAX`.
+fn add(sum: &mut u64, v: u64) {
+    *sum = sum.saturating_add(v);
+}
+
 /// Aggregated time-in-state statistics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateProfile {
@@ -29,7 +34,7 @@ pub struct StateProfile {
 impl StateProfile {
     /// Compute the profile from a record stream.
     pub fn compute(records: &[Record], num_threads: u32) -> Self {
-        let mut per_thread: Vec<BTreeMap<u32, u64>> = vec![BTreeMap::new(); num_threads as usize];
+        let mut per_thread = vec![BTreeMap::new(); num_threads as usize];
         let mut total: BTreeMap<u32, u64> = BTreeMap::new();
         let mut total_time = 0u64;
         for r in records {
@@ -41,11 +46,9 @@ impl StateProfile {
             } = r
             {
                 let dur = end.saturating_sub(*begin);
-                let cell = per_thread[*thread as usize].entry(*state).or_default();
-                *cell = cell.saturating_add(dur);
-                let cell = total.entry(*state).or_default();
-                *cell = cell.saturating_add(dur);
-                total_time = total_time.saturating_add(dur);
+                add(per_thread[*thread as usize].entry(*state).or_default(), dur);
+                add(total.entry(*state).or_default(), dur);
+                add(&mut total_time, dur);
             }
         }
         StateProfile {
@@ -140,7 +143,7 @@ pub fn event_series(records: &[Record], event_type: u32, bin_width: u64, duratio
             for (ty, v) in events {
                 if *ty == event_type {
                     let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    bins[b] = bins[b].saturating_add(*v);
+                    add(&mut bins[b], *v);
                 }
             }
         }
@@ -173,8 +176,7 @@ pub fn event_series_per_thread(
             for (ty, v) in events {
                 if *ty == event_type {
                     let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    let bin = &mut per[*thread as usize].bins[b];
-                    *bin = bin.saturating_add(*v);
+                    add(&mut per[*thread as usize].bins[b], *v);
                 }
             }
         }
