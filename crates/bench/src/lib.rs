@@ -1,10 +1,12 @@
 //! # bench — experiment harness regenerating every table and figure of §V
 //!
-//! Shared plumbing for the `repro_*` binaries and the wall-clock benches
-//! (see [`harness`]): compile a case-study kernel, run it through the
-//! cycle-level simulator with the profiling unit attached, decode the
-//! Paraver trace, and derive the paper's metrics. See `EXPERIMENTS.md` for
-//! the experiment↔binary map.
+//! Shared plumbing for the `repro_*` binaries and the two scheduler benches
+//! (`batch_engine` and `sched_mix`, timed with [`harness`]): compile a
+//! case-study kernel, run it through the cycle-level simulator with the
+//! profiling unit attached ([`run_profiled_with`], or
+//! [`run_unprofiled_with`] for the baseline), decode the Paraver trace, and
+//! derive the paper's metrics. See `EXPERIMENTS.md` for the
+//! experiment↔binary map; performance is measured by `hlsbench`, not here.
 
 pub mod args;
 pub mod engine;
@@ -17,10 +19,10 @@ pub mod sweep;
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::{Executor, NullSnoop, RunResult, SimConfig, SimError};
 use hls_profiling::{ProfilingConfig, ProfilingConfigError, ProfilingUnit, TraceData};
-use kernels::gemm::{self, GemmParams, GemmVersion};
+use kernels::gemm::GemmParams;
 use kernels::pi::{self, PiParams};
 use kernels::reference;
-use kernels::spmv::{self, Csr};
+use kernels::spmv::Csr;
 use nymble_hls::accel::{Accelerator, HlsConfig};
 use nymble_hls::AccelCache;
 use nymble_ir::{Kernel, Value};
@@ -118,8 +120,11 @@ pub struct ProfiledRun {
     pub accel: Arc<Accelerator>,
 }
 
-/// [`run_profiled_in`] under an explicit [`HlsConfig`] (e.g. an auto-probe
-/// budget, whose empty plan surfaces as [`BenchError::Profiling`]).
+/// Compile (through the shared cache, so a kernel is compiled at most once
+/// however many runs or worker threads request it) and run a kernel with the
+/// profiling unit attached, under an explicit [`HlsConfig`] (e.g. an
+/// auto-probe budget, whose empty plan surfaces as
+/// [`BenchError::Profiling`]).
 pub fn run_profiled_with(
     cache: &AccelCache,
     kernel: &Kernel,
@@ -139,37 +144,6 @@ pub fn run_profiled_with(
     })
 }
 
-/// [`run_profiled`] against a shared compile cache: the kernel is compiled
-/// at most once per cache however many runs (or worker threads) request it.
-pub fn run_profiled_in(
-    cache: &AccelCache,
-    kernel: &Kernel,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-    launch: &[LaunchArg],
-) -> Result<ProfiledRun, SimError> {
-    match run_profiled_with(cache, kernel, &HlsConfig::default(), sim, prof, launch) {
-        Ok(run) => Ok(run),
-        Err(BenchError::Sim(e)) => Err(e),
-        // The default config plans no probes and writes no bundle.
-        Err(e) => unreachable!("impossible failure under HlsConfig::default(): {e}"),
-    }
-}
-
-/// Compile and run a kernel with the profiling unit attached.
-///
-/// # Panics
-/// Panics on simulator errors; batch sweeps that must survive a failing
-/// run use [`run_profiled_in`] and report the typed [`SimError`] instead.
-pub fn run_profiled(
-    kernel: &Kernel,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-    launch: &[LaunchArg],
-) -> ProfiledRun {
-    run_profiled_in(&AccelCache::new(), kernel, sim, prof, launch).expect("simulation failed")
-}
-
 /// Align the shared profiling configuration with the compiled design's
 /// auto-probe plan (when the compile selected one) and validate the
 /// result, so a budget that selects nothing surfaces as a typed
@@ -186,7 +160,8 @@ fn planned_prof(
     Ok(cfg)
 }
 
-/// [`run_unprofiled_in`] under an explicit [`HlsConfig`].
+/// Compile through the shared cache and run a kernel without profiling (the
+/// overhead-study baseline), under an explicit [`HlsConfig`].
 pub fn run_unprofiled_with(
     cache: &AccelCache,
     kernel: &Kernel,
@@ -196,17 +171,6 @@ pub fn run_unprofiled_with(
 ) -> Result<RunResult, BenchError> {
     let accel = cache.get_or_compile(kernel, hls);
     Executor::run(kernel, &accel, sim, launch, &mut NullSnoop).map_err(Into::into)
-}
-
-/// [`run_unprofiled`] against a shared compile cache.
-pub fn run_unprofiled_in(
-    cache: &AccelCache,
-    kernel: &Kernel,
-    sim: &SimConfig,
-    launch: &[LaunchArg],
-) -> Result<RunResult, SimError> {
-    let accel = cache.get_or_compile(kernel, &HlsConfig::default());
-    Executor::run(kernel, &accel, sim, launch, &mut NullSnoop)
 }
 
 /// Pre-sweep lint gate shared by the `repro_*` binaries: lint every kernel
@@ -257,14 +221,6 @@ pub fn perf_lint_gate(kernels: &[&Kernel], level: LintLevel) -> Result<(), Strin
     }
 }
 
-/// Compile and run a kernel without profiling (the overhead-study baseline).
-///
-/// # Panics
-/// Panics on simulator errors (see [`run_unprofiled_in`]).
-pub fn run_unprofiled(kernel: &Kernel, sim: &SimConfig, launch: &[LaunchArg]) -> RunResult {
-    run_unprofiled_in(&AccelCache::new(), kernel, sim, launch).expect("simulation failed")
-}
-
 /// GEMM launch arguments (A, B, C) with deterministic contents.
 pub fn gemm_launch(p: &GemmParams) -> Vec<LaunchArg> {
     let d = p.dim as usize;
@@ -277,28 +233,6 @@ pub fn gemm_launch(p: &GemmParams) -> Vec<LaunchArg> {
     ]
 }
 
-/// [`run_gemm`] against a shared compile cache.
-pub fn run_gemm_in(
-    cache: &AccelCache,
-    version: GemmVersion,
-    p: &GemmParams,
-    sim: &SimConfig,
-) -> Result<ProfiledRun, SimError> {
-    let kernel = gemm::build(version, p);
-    run_profiled_in(
-        cache,
-        &kernel,
-        sim,
-        &ProfilingConfig::default(),
-        &gemm_launch(p),
-    )
-}
-
-/// Run one GEMM version end to end with profiling.
-pub fn run_gemm(version: GemmVersion, p: &GemmParams, sim: &SimConfig) -> ProfiledRun {
-    run_gemm_in(&AccelCache::new(), version, p, sim).expect("simulation failed")
-}
-
 /// The π kernel's launch arguments for `p`.
 pub fn pi_launch(p: &PiParams) -> Vec<LaunchArg> {
     let (step, spt) = pi::launch_scalars(p);
@@ -307,28 +241,6 @@ pub fn pi_launch(p: &PiParams) -> Vec<LaunchArg> {
         LaunchArg::Scalar(Value::I64(spt)),
         f32_buffer(&[0.0]),
     ]
-}
-
-/// [`run_pi`] against a shared compile cache. The π kernel's IR does not
-/// depend on the step count (it arrives as launch scalars), so every
-/// problem size of the §V-D study shares one compile.
-pub fn run_pi_in(
-    cache: &AccelCache,
-    p: &PiParams,
-    sim: &SimConfig,
-    prof: &ProfilingConfig,
-) -> Result<(ProfiledRun, f32), SimError> {
-    let kernel = pi::build(p);
-    let (step, _) = pi::launch_scalars(p);
-    let run = run_profiled_in(cache, &kernel, sim, prof, &pi_launch(p))?;
-    let est = f32_result(&run.result, 2)[0] * step;
-    Ok((run, est))
-}
-
-/// Run the π kernel with profiling; returns the run plus the achieved π
-/// estimate.
-pub fn run_pi(p: &PiParams, sim: &SimConfig, prof: &ProfilingConfig) -> (ProfiledRun, f32) {
-    run_pi_in(&AccelCache::new(), p, sim, prof).expect("simulation failed")
 }
 
 /// The simulator configuration used for GEMM experiments: identical hardware
@@ -380,23 +292,6 @@ pub fn spmv_launch(m: &Csr) -> Vec<LaunchArg> {
     ]
 }
 
-/// Build the SpMV kernel and run it with profiling through a shared cache.
-pub fn run_spmv_in(
-    cache: &AccelCache,
-    m: &Csr,
-    threads: u32,
-    sim: &SimConfig,
-) -> Result<ProfiledRun, SimError> {
-    let kernel = spmv::build(m.rows as i64, threads);
-    run_profiled_in(
-        cache,
-        &kernel,
-        sim,
-        &ProfilingConfig::default(),
-        &spmv_launch(m),
-    )
-}
-
 /// The simulator configuration for SpMV experiments: like GEMM, the
 /// scaled-down problem sizes need the scaled launch cost.
 pub fn spmv_sim_config() -> SimConfig {
@@ -406,6 +301,21 @@ pub fn spmv_sim_config() -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernels::gemm::{self, GemmVersion};
+    use kernels::spmv;
+
+    /// Compile and run `kernel` with profiling under the default configs.
+    fn profiled(kernel: &Kernel, launch: &[LaunchArg]) -> ProfiledRun {
+        run_profiled_with(
+            &AccelCache::new(),
+            kernel,
+            &HlsConfig::default(),
+            &gemm_sim_config(),
+            &ProfilingConfig::default(),
+            launch,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn profiled_gemm_smoke() {
@@ -415,7 +325,7 @@ mod tests {
             vec: 4,
             block: 8,
         };
-        let run = run_gemm(GemmVersion::NoCritical, &p, &gemm_sim_config());
+        let run = profiled(&gemm::build(GemmVersion::NoCritical, &p), &gemm_launch(&p));
         assert!(run.result.total_cycles > 0);
         assert!(!run.trace.records.is_empty());
         let d = p.dim as usize;
@@ -435,7 +345,8 @@ mod tests {
             threads: 4,
             bs: 8,
         };
-        let (run, est) = run_pi(&p, &gemm_sim_config(), &ProfilingConfig::default());
+        let run = profiled(&pi::build(&p), &pi_launch(&p));
+        let est = f32_result(&run.result, 2)[0] * pi::launch_scalars(&p).0;
         assert!((est - std::f32::consts::PI).abs() < 1e-2);
         assert!(run.trace.flushed_bytes > 0);
     }

@@ -17,7 +17,7 @@
 //! `Off` — the analyzer never touches the compiled artifact.
 
 use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
-use bench::{analytic_report, gemm_sim_config, perf_lint_gate, run_profiled_in};
+use bench::{analytic_report, gemm_sim_config, perf_lint_gate, run_profiled_with};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
 use hls_profiling::diagnose::{confront, diagnose, DiagnoseConfig};
@@ -128,9 +128,10 @@ fn np_predictions_are_confirmed_by_the_cycle_simulator() {
     let cache = AccelCache::new();
     let sim = SimConfig::default();
     let prof = ProfilingConfig::default();
+    let hls = HlsConfig::default();
     for f in buggy_perf_fixtures() {
         let launch = fixture_launch(&f.kernel);
-        let run = run_profiled_in(&cache, &f.kernel, &sim, &prof, &launch)
+        let run = run_profiled_with(&cache, &f.kernel, &hls, &sim, &prof, &launch)
             .unwrap_or_else(|e| panic!("`{}`: simulation failed: {e}", f.name));
         let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &sim.timing());
         let d = diagnose(

@@ -48,5 +48,5 @@ pub use device::{DeviceEvent, DeviceStats};
 pub use error::{BlockedReason, BlockedThread, SimError};
 pub use exec::{Executor, RunResult, SimRun, StepStatus};
 pub use queue::ReadyQueue;
-pub use snoop::{NullSnoop, Snoop, SnoopMux, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
+pub use snoop::{NullSnoop, Snoop, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
 pub use wheel::WheelQueue;

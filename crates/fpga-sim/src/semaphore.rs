@@ -75,11 +75,6 @@ impl Semaphore {
         self.owner
     }
 
-    /// Number of queued waiters.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
-    }
-
     /// FIFO position of a queued thread (0 = granted next), or `None` if
     /// `tid` is not waiting.
     pub fn queue_position(&self, tid: u32) -> Option<usize> {

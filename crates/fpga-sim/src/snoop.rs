@@ -63,9 +63,9 @@ impl ThreadState {
 /// Observer interface the profiling unit implements.
 ///
 /// Every method defaults to a no-op, so observers only implement the wires
-/// they actually tap. Multiple observers attach to one datapath through
-/// [`SnoopMux`]; the executor's own ground-truth statistics are themselves
-/// just an observer ([`StatsSnoop`]).
+/// they actually tap. The executor's own ground-truth statistics are
+/// themselves just an observer ([`StatsSnoop`]), paired with the caller's
+/// through [`SnoopPair`].
 pub trait Snoop {
     /// Thread `tid` transitions to `state` at cycle `t`.
     fn state_change(&mut self, _t: u64, _tid: u32, _state: ThreadState) {}
@@ -122,109 +122,6 @@ impl Buffered {
 /// of signals, small enough (~40 KiB) to stay cache- and latency-friendly
 /// for streaming trace consumers.
 const RING_CAPACITY: usize = 4096;
-
-/// Fan-out multiplexer: one datapath, many observers.
-///
-/// Broadcasts every snooped signal to each tap in order. This is how the
-/// executor attaches its internal [`StatsSnoop`] alongside the caller's
-/// profiling unit without either knowing about the other.
-///
-/// [`SnoopMux::buffered`] batches emission through a flushable ring buffer:
-/// signals are recorded (one enum store, no virtual dispatch) and replayed
-/// *tap-major* when the ring fills — each tap consumes the whole batch in
-/// one pass, so the per-signal virtual-call and cache-miss cost of fanning
-/// out to N observers is paid once per batch per tap instead of N times per
-/// signal. Per-tap signal order is exactly the unbuffered order, so
-/// downstream consumers (trace encoders, statistics) see identical streams.
-pub struct SnoopMux<'a> {
-    taps: Vec<&'a mut dyn Snoop>,
-    ring: Vec<Buffered>,
-    /// 0 = unbuffered (fan out immediately).
-    capacity: usize,
-}
-
-impl<'a> SnoopMux<'a> {
-    /// Build an unbuffered mux over `taps` (signals fan out in the given
-    /// order, immediately).
-    pub fn new(taps: Vec<&'a mut dyn Snoop>) -> Self {
-        SnoopMux {
-            taps,
-            ring: Vec::new(),
-            capacity: 0,
-        }
-    }
-
-    /// Build a buffered mux: signals queue in a ring of `capacity` records
-    /// and fan out tap-major on [`SnoopMux::flush`], when the ring fills,
-    /// at `run_end`, and on drop.
-    pub fn buffered(taps: Vec<&'a mut dyn Snoop>, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        SnoopMux {
-            taps,
-            ring: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Drain the ring: replay every buffered signal to each tap in order.
-    pub fn flush(&mut self) {
-        if self.ring.is_empty() {
-            return;
-        }
-        for tap in &mut self.taps {
-            for sig in &self.ring {
-                sig.replay(*tap);
-            }
-        }
-        self.ring.clear();
-    }
-
-    fn emit(&mut self, sig: Buffered) {
-        if self.capacity == 0 {
-            for tap in &mut self.taps {
-                sig.replay(*tap);
-            }
-        } else {
-            self.ring.push(sig);
-            if self.ring.len() >= self.capacity {
-                self.flush();
-            }
-        }
-    }
-}
-
-impl Drop for SnoopMux<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl Snoop for SnoopMux<'_> {
-    fn state_change(&mut self, t: u64, tid: u32, state: ThreadState) {
-        self.emit(Buffered::State(t, tid, state));
-    }
-    fn stall(&mut self, t: u64, tid: u32, cycles: u64) {
-        self.emit(Buffered::Stall(t, tid, cycles));
-    }
-    fn ops(&mut self, t: u64, tid: u32, int_ops: u64, flops: u64, local_ops: u64) {
-        self.emit(Buffered::Ops(t, tid, int_ops, flops, local_ops));
-    }
-    fn mem_read(&mut self, t: u64, tid: u32, bytes: u64) {
-        self.emit(Buffered::Read(t, tid, bytes));
-    }
-    fn mem_write(&mut self, t: u64, tid: u32, bytes: u64) {
-        self.emit(Buffered::Write(t, tid, bytes));
-    }
-    fn iteration(&mut self, t: u64, tid: u32) {
-        self.emit(Buffered::Iter(t, tid));
-    }
-    fn run_end(&mut self, t: u64) {
-        self.flush();
-        for s in &mut self.taps {
-            s.run_end(t);
-        }
-    }
-}
 
 /// Single-tap ring buffer: batches the executor's signals in front of one
 /// virtually-dispatched observer.
@@ -314,18 +211,18 @@ impl Snoop for SnoopRing<'_> {
 
 /// Statically-dispatched two-way fan-out.
 ///
-/// [`SnoopMux`] costs one virtual call per tap per signal; on the executor's
-/// hot path (one `ops`/`iteration`/`mem_*` call per simulated event) that
-/// indirection is measurable. `SnoopPair` monomorphizes the first tap — the
-/// executor pairs its own [`StatsSnoop`] with the caller's observer, so the
-/// statistics derivation inlines into the dispatch loop.
+/// A virtual call per signal is measurable on the executor's hot path (one
+/// `ops`/`iteration`/`mem_*` call per simulated event). `SnoopPair`
+/// monomorphizes the first tap — the executor pairs its own [`StatsSnoop`]
+/// with the caller's observer (behind a [`SnoopRing`]), so the statistics
+/// derivation inlines into the dispatch loop.
 pub struct SnoopPair<'a, A: Snoop, B: Snoop + ?Sized> {
     first: &'a mut A,
     second: &'a mut B,
 }
 
 impl<'a, A: Snoop, B: Snoop + ?Sized> SnoopPair<'a, A, B> {
-    /// Fan out to `first` then `second` (same order as [`SnoopMux`]).
+    /// Fan out to `first` then `second`, in that order.
     pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
         SnoopPair { first, second }
     }
@@ -478,6 +375,8 @@ impl Snoop for StatsSnoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn encoding_matches_paper() {
@@ -503,36 +402,72 @@ mod tests {
         assert_eq!(ThreadState::Spinning.paraver_state(), 3);
     }
 
-    #[derive(Default)]
-    struct CountingSnoop {
-        calls: usize,
+    /// Logs every delivered signal (`None` for `run_end`) where the test
+    /// can read it while a ring still borrows the tap.
+    struct Recorder(Rc<RefCell<Vec<Option<Buffered>>>>);
+
+    impl Recorder {
+        fn log(&mut self, seen: Option<Buffered>) {
+            self.0.borrow_mut().push(seen);
+        }
     }
 
-    impl Snoop for CountingSnoop {
-        fn state_change(&mut self, _t: u64, _tid: u32, _s: ThreadState) {
-            self.calls += 1;
+    impl Snoop for Recorder {
+        fn state_change(&mut self, t: u64, tid: u32, state: ThreadState) {
+            self.log(Some(Buffered::State(t, tid, state)));
         }
-        fn ops(&mut self, _t: u64, _tid: u32, _i: u64, _f: u64, _l: u64) {
-            self.calls += 1;
+        fn stall(&mut self, t: u64, tid: u32, cycles: u64) {
+            self.log(Some(Buffered::Stall(t, tid, cycles)));
+        }
+        fn ops(&mut self, t: u64, tid: u32, int_ops: u64, flops: u64, local_ops: u64) {
+            self.log(Some(Buffered::Ops(t, tid, int_ops, flops, local_ops)));
+        }
+        fn mem_read(&mut self, t: u64, tid: u32, bytes: u64) {
+            self.log(Some(Buffered::Read(t, tid, bytes)));
+        }
+        fn mem_write(&mut self, t: u64, tid: u32, bytes: u64) {
+            self.log(Some(Buffered::Write(t, tid, bytes)));
+        }
+        fn iteration(&mut self, t: u64, tid: u32) {
+            self.log(Some(Buffered::Iter(t, tid)));
         }
         fn run_end(&mut self, _t: u64) {
-            self.calls += 1;
+            self.log(None);
         }
     }
 
     #[test]
-    fn mux_fans_out_to_every_tap() {
-        let mut a = CountingSnoop::default();
-        let mut b = CountingSnoop::default();
+    fn ring_preserves_order_and_flushes_at_run_end_and_on_drop() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut tap = Recorder(Rc::clone(&log));
         {
-            let mut mux = SnoopMux::new(vec![&mut a, &mut b]);
-            mux.state_change(0, 0, ThreadState::Running);
-            mux.ops(1, 0, 1, 2, 3);
-            mux.iteration(2, 0); // default no-op on taps
-            mux.run_end(10);
+            let mut ring = SnoopRing::with_capacity(&mut tap, 2);
+            ring.state_change(0, 0, ThreadState::Running);
+            assert!(log.borrow().is_empty(), "one signal stays in the ring");
+            ring.ops(1, 0, 1, 2, 3);
+            assert_eq!(log.borrow().len(), 2, "a full ring flushes");
+            ring.mem_read(2, 1, 64);
+            ring.stall(3, 1, 4);
+            ring.iteration(4, 0);
+            assert_eq!(log.borrow().len(), 4);
+            ring.run_end(9);
+            // Emission order across the flush boundary, and `run_end`
+            // forwarded only after the held signal.
+            let want = [
+                Some(Buffered::State(0, 0, ThreadState::Running)),
+                Some(Buffered::Ops(1, 0, 1, 2, 3)),
+                Some(Buffered::Read(2, 1, 64)),
+                Some(Buffered::Stall(3, 1, 4)),
+                Some(Buffered::Iter(4, 0)),
+                None,
+            ];
+            assert_eq!(*log.borrow(), want);
+            ring.mem_write(10, 0, 32);
+            assert_eq!(log.borrow().len(), 6);
         }
-        assert_eq!(a.calls, 3);
-        assert_eq!(b.calls, 3);
+        // Dropping a ring that still holds a signal delivers it, so an
+        // aborted run loses nothing it observed.
+        assert_eq!(log.borrow()[6..], [Some(Buffered::Write(10, 0, 32))]);
     }
 
     #[test]

@@ -34,13 +34,6 @@ impl Default for PiParams {
     }
 }
 
-impl PiParams {
-    /// Flops the profiling unit counts per series iteration.
-    pub fn flops_per_iter(&self) -> u64 {
-        crate::reference::PI_FLOPS_PER_ITER
-    }
-}
-
 /// Build the π kernel. Arguments: `STEP` (f32 scalar), `STEPS_PER_THREAD`
 /// (i64 scalar) and `FINAL_SUM` (1-element f32 `tofrom` buffer).
 pub fn build(p: &PiParams) -> Kernel {

@@ -3,7 +3,7 @@
 //! A batch sweep (e.g. the GEMM table of §V-B or the π scaling study of
 //! §V-D) runs the *same* compiled accelerator many times under different
 //! simulator configurations and launch arguments. HLS compilation —
-//! DFG lowering, modulo scheduling, cost modelling — is the expensive,
+//! DFG lowering, list scheduling, cost modelling — is the expensive,
 //! run-invariant half of that work, so [`AccelCache`] memoises it: each
 //! distinct (kernel, [`HlsConfig`]) pair is compiled exactly once per sweep,
 //! even when many worker threads request it concurrently, and the resulting

@@ -32,7 +32,6 @@ pub mod cache;
 pub mod cost;
 pub mod deps;
 pub mod dfg;
-pub mod modulo;
 pub mod op;
 pub mod perf;
 pub mod probe;

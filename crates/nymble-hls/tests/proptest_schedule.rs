@@ -158,34 +158,40 @@ fn more_ports_never_hurt() {
     });
 }
 
-/// The iterative modulo scheduler always produces a verified schedule at
-/// an II no smaller than its own lower bound, and its reservation table
-/// never overflows (checked independently by `verify_modulo`).
+/// The resource-constrained minimum II of a modulo schedule: each ported
+/// resource's per-iteration uses divided by its port count, rounded up.
+fn resource_mii(dfg: &Dfg, limits: &ResourceLimits) -> u32 {
+    let capacity = |r: Resource| match r {
+        Resource::MemRead => Some(limits.mem_read_ports),
+        Resource::MemWrite => Some(limits.mem_write_ports),
+        Resource::LocalPort => Some(limits.local_ports),
+        _ => None,
+    };
+    let mut uses: HashMap<Resource, u32> = HashMap::new();
+    for n in &dfg.nodes {
+        if capacity(n.op.resource()).is_some() {
+            *uses.entry(n.op.resource()).or_default() += 1;
+        }
+    }
+    uses.iter()
+        .filter_map(|(r, u)| capacity(*r).map(|c| u.div_ceil(c)))
+        .max()
+        .unwrap_or(1)
+        .max(1)
+}
+
+/// The list scheduler's II estimate is never below the modulo lower
+/// bound (it may be above: it does not search), at any port count.
 #[test]
-fn modulo_schedule_is_always_verifiable() {
-    use nymble_hls::modulo::{modulo_schedule, recurrence_mii, resource_mii, verify_modulo};
+fn list_ii_respects_modulo_lower_bound() {
     forall(96, |g| {
         let dfg = arb_dfg(g);
-        let ports = g.range_u32(1, 3);
+        let ports = g.range_u32(1, 4);
         let limits = ResourceLimits {
             mem_read_ports: ports,
             mem_write_ports: ports,
             local_ports: ports,
         };
-        let m = modulo_schedule(&dfg, &limits);
-        assert!(m.ii >= resource_mii(&dfg, &limits).max(recurrence_mii(&dfg)));
-        assert!(verify_modulo(&dfg, &limits, &m.start, m.ii));
-    });
-}
-
-/// The list scheduler's II estimate is never below the modulo lower
-/// bound (it may be above: it does not search).
-#[test]
-fn list_ii_respects_modulo_lower_bound() {
-    use nymble_hls::modulo::resource_mii;
-    forall(96, |g| {
-        let dfg = arb_dfg(g);
-        let limits = ResourceLimits::default();
         let list = schedule(&dfg, &limits);
         assert!(list.ii >= resource_mii(&dfg, &limits));
     });

@@ -40,7 +40,6 @@ pub mod loops;
 pub mod opcount;
 pub mod pretty;
 pub mod stmt;
-pub mod transform;
 pub mod types;
 pub mod validate;
 pub mod walker;

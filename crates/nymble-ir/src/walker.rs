@@ -274,11 +274,6 @@ impl<'k> Walker<'k> {
         self.tid
     }
 
-    /// True once [`StepEvent::Finished`] has been returned.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Read back a thread-local variable (for result checks in tests).
     pub fn var_value(&self, v: VarId) -> &Value {
         &self.vars[v.0 as usize]

@@ -201,43 +201,3 @@ fn vector_load_equals_scalar_loads() {
         assert!((got - expect).abs() < 1e-4);
     });
 }
-
-/// Constant folding + dead-assign elimination never change what a
-/// kernel computes.
-#[test]
-fn optimization_preserves_semantics() {
-    forall(128, |g| {
-        let e = arb_expr(g, 4);
-        let x = g.range_i64(-1000, 1000);
-        let y = g.range_i64(-1000, 1000);
-        let build = || {
-            let mut kb = KernelBuilder::new("prop_opt", 1);
-            let out = kb.buffer("OUT", ScalarType::I64, MapDir::From);
-            let xa = kb.scalar_arg("X", ScalarType::I64);
-            let ya = kb.scalar_arg("Y", ScalarType::I64);
-            let xe = kb.arg(xa);
-            let ye = kb.arg(ya);
-            let r = lower(&mut kb, &e, xe, ye);
-            // A dead temporary the optimizer should remove.
-            let dead = kb.var("dead", nymble_ir::Type::I64);
-            let c = kb.c_i64(123);
-            kb.set(dead, c);
-            let zero = kb.c_i64(0);
-            kb.store(out, zero, r);
-            kb.finish()
-        };
-        let baseline = build();
-        let mut optimized = build();
-        let (_stats, _removed) = nymble_ir::transform::optimize(&mut optimized);
-        let launch = [
-            LaunchArg::Buffer(vec![Value::I64(0)]),
-            LaunchArg::Scalar(Value::I64(x)),
-            LaunchArg::Scalar(Value::I64(y)),
-        ];
-        let a = Interpreter::run(&baseline, &launch);
-        let b = Interpreter::run(&optimized, &launch);
-        assert_eq!(a.buffers[0][0].as_i64(), b.buffers[0][0].as_i64());
-        // The optimizer never *adds* work.
-        assert!(b.ops.int_ops <= a.ops.int_ops);
-    });
-}

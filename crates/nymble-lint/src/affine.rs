@@ -64,16 +64,6 @@ impl IndexSet {
         }
     }
 
-    /// A single concrete index.
-    pub fn singleton(base: i64) -> Self {
-        IndexSet {
-            base,
-            terms: Vec::new(),
-            unknown: false,
-            empty: false,
-        }
-    }
-
     /// Build from a base and raw terms, dropping degenerate ones.
     /// A term with `count == Some(0)` makes the whole set empty.
     pub fn new(base: i64, raw: Vec<Term>) -> Self {

@@ -8,6 +8,9 @@
 //! prv_tool diff      <a.prv> <b.prv>       before/after comparison
 //! prv_tool validate  <trace.prv>           structural checks
 //! ```
+//!
+//! Exit status: 0 on success, 1 when `validate` finds a structural failure,
+//! 2 on a usage error, a bad numeric argument or an unreadable trace.
 
 use paraver::analysis::{find_critical_overlap, StateProfile};
 use paraver::histogram::state_duration_histogram;
@@ -66,8 +69,15 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("timeline") if args.len() >= 2 => {
+            let width = match args.get(2) {
+                None => 100,
+                Some(w) => w
+                    .parse()
+                    .ok()
+                    .filter(|&w: &usize| w > 0)
+                    .unwrap_or_else(|| die("width must be a positive number")),
+            };
             let (meta, records) = load(&args[1]);
-            let width = args.get(2).and_then(|w| w.parse().ok()).unwrap_or(100usize);
             let opts = TimelineOptions {
                 width,
                 ..Default::default()
@@ -145,7 +155,7 @@ fn main() -> ExitCode {
                 "usage: prv_tool <stats|timeline|hist|diff|validate> <trace.prv> [...]\n\
                  see module docs for subcommand details"
             );
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }
