@@ -192,6 +192,7 @@ impl BatchEngine {
 
         let t0 = Instant::now();
         std::thread::scope(|s| {
+            let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
                 let deques = &deques;
                 let coord = &coord;
@@ -207,7 +208,7 @@ impl BatchEngine {
                 let executed = &executed;
                 let busy_ns = &busy_ns;
                 let first_panic = &first_panic;
-                s.spawn(move || loop {
+                handles.push(s.spawn(move || loop {
                     // Own deque first (front: LIFO, freshly released nodes
                     // run while their inputs are hot), then steal from the
                     // back of the first non-empty victim.
@@ -316,7 +317,18 @@ impl BatchEngine {
                         }
                     }
                     idle.notify_all();
-                });
+                }));
+            }
+            // Join every worker rather than only letting the scope wait for
+            // it: the scope returns once each closure has finished, while
+            // the OS thread may still be exiting and holding its allocator
+            // arena. The next graph's workers would then find no free arena
+            // and create another, so peak memory would depend on thread
+            // timing instead of on the work.
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
         let makespan = t0.elapsed();
