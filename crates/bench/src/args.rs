@@ -48,21 +48,7 @@ impl Args {
     /// `--lint LEVEL` select one of `deny`, `warn`, `off`. An unknown
     /// level is an error (so a typo'd gate never silently disables it).
     pub fn lint_level(&self) -> Result<LintLevel, String> {
-        for (i, a) in self.raw.iter().enumerate() {
-            if let Some(v) = a.strip_prefix("--lint=") {
-                return LintLevel::parse(v)
-                    .ok_or_else(|| format!("--lint: unknown level `{v}` (deny, warn or off)"));
-            }
-            if a == "--lint" {
-                // `--lint deny` selects a level; a bare `--lint` (next
-                // token is another flag or nothing) means `deny`.
-                if let Some(l) = self.raw.get(i + 1).and_then(|n| LintLevel::parse(n)) {
-                    return Ok(l);
-                }
-                return Ok(LintLevel::Deny);
-            }
-        }
-        Ok(LintLevel::Off)
+        self.gate_level("--lint", LintLevel::Deny)
     }
 
     /// The `--perf-lint` gate level for the `NP0xx` performance
@@ -72,17 +58,24 @@ impl Args {
     /// correctness findings default to `deny`), and `--perf-lint=LEVEL` /
     /// `--perf-lint LEVEL` select one of `deny`, `warn`, `off`.
     pub fn perf_lint_level(&self) -> Result<LintLevel, String> {
+        self.gate_level("--perf-lint", LintLevel::Warn)
+    }
+
+    /// A lint gate `flag`: absent is [`LintLevel::Off`], `flag=LEVEL` and
+    /// `flag LEVEL` select a level, and a bare `flag` (next token is
+    /// another flag or nothing) means `bare`.
+    fn gate_level(&self, flag: &str, bare: LintLevel) -> Result<LintLevel, String> {
         for (i, a) in self.raw.iter().enumerate() {
-            if let Some(v) = a.strip_prefix("--perf-lint=") {
-                return LintLevel::parse(v).ok_or_else(|| {
-                    format!("--perf-lint: unknown level `{v}` (deny, warn or off)")
-                });
+            if let Some(v) = a.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+                return LintLevel::parse(v)
+                    .ok_or_else(|| format!("{flag}: unknown level `{v}` (deny, warn or off)"));
             }
-            if a == "--perf-lint" {
-                if let Some(l) = self.raw.get(i + 1).and_then(|n| LintLevel::parse(n)) {
-                    return Ok(l);
-                }
-                return Ok(LintLevel::Warn);
+            if a == flag {
+                return Ok(self
+                    .raw
+                    .get(i + 1)
+                    .and_then(|n| LintLevel::parse(n))
+                    .unwrap_or(bare));
             }
         }
         Ok(LintLevel::Off)

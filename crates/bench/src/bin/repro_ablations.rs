@@ -63,6 +63,7 @@ fn main() {
         dim,
         ..Default::default()
     };
+    session.check_shape(p.validate());
     let base = gemm_sim_config();
     let launch = gemm_launch(&p);
     let v2 = gemm::build(GemmVersion::NoCritical, &p);

@@ -27,7 +27,7 @@
 
 use bench::args::Mode;
 use bench::session::Session;
-use bench::sweep::{bundles_footer, gemm_sweep, gemm_table, GemmSweepConfig};
+use bench::sweep::{bundles_footer, gemm_sweep, GemmSweepConfig};
 use bench::{analytic_report, gemm_launch, gemm_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
@@ -42,13 +42,13 @@ fn main() {
     let dim = session.flag("--dim", 128u32) as i64;
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
-    let out = session.out_dir();
-
     let p = GemmParams {
         dim,
         threads,
         ..Default::default()
     };
+    session.check_shape(p.validate());
+    let out = session.out_dir();
     let sim = gemm_sim_config();
 
     // Pre-sweep lint gate: analyze all five versions before any
@@ -107,7 +107,7 @@ fn main() {
         jobs,
     });
     println!("== T-GEMM: execution time and speedups (§V-C text) ==\n");
-    print!("{}", gemm_table(&sweep));
+    print!("{}", sweep.table);
     let plan = sweep
         .runs
         .iter()

@@ -52,6 +52,15 @@ enum OvhNode {
 fn main() {
     let session = Session::start("repro_overhead", &["--threads"]);
     let threads = session.flag("--threads", 8u32);
+    let gp = GemmParams {
+        threads,
+        ..GemmParams::paper_scale()
+    };
+    let pp = PiParams {
+        threads,
+        ..Default::default()
+    };
+    session.check_shape(gp.validate().and(pp.validate()));
     let jobs = session.jobs;
     let hls = session.hls();
     let prof = ProfilingConfig::default();
@@ -73,14 +82,6 @@ fn main() {
         "Δreg%",
         "Δfmax MHz"
     );
-    let gp = GemmParams {
-        threads,
-        ..GemmParams::paper_scale()
-    };
-    let pp = PiParams {
-        threads,
-        ..Default::default()
-    };
     // Lint all six study designs (five GEMM versions plus π) up front, so
     // at `--lint=deny` the binary exits before compiling anything.
     let gate_kernels: Vec<_> = GemmVersion::ALL

@@ -16,7 +16,7 @@
 
 use bench::args::Mode;
 use bench::session::Session;
-use bench::sweep::{bundles_footer, pi_sweep, pi_table, PiSweepConfig};
+use bench::sweep::{bundles_footer, pi_sweep, PiSweepConfig};
 use bench::{analytic_report, pi_launch, pi_sim_config};
 use hls_profiling::diagnose::{confront, diagnose, render_confrontation, DiagnoseConfig};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
@@ -30,18 +30,27 @@ fn main() {
     let session = Session::start("repro_pi", &["--threads"]);
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
+    let paper = [
+        (1_000_000u64, 0.146, 11),
+        (4_000_000, 0.556, 12),
+        (10_000_000, 1.507, 13),
+    ];
+    for &(steps, _, _) in &paper {
+        session.check_shape(
+            PiParams {
+                steps,
+                threads,
+                bs: 8,
+            }
+            .validate(),
+        );
+    }
     let out = session.out_dir();
     let sim = pi_sim_config();
     let prof = ProfilingConfig {
         sampling_period: 50_000,
         ..Default::default()
     };
-
-    let paper = [
-        (1_000_000u64, 0.146, 11),
-        (4_000_000, 0.556, 12),
-        (10_000_000, 1.507, 13),
-    ];
     // Pre-sweep lint gate (the π IR is the same for every step count).
     let gate_kernel = pi::build(&PiParams {
         steps: paper[0].0,
@@ -168,7 +177,7 @@ fn main() {
         sweep.cache.misses,
         sweep.runs.len()
     );
-    print!("{}", pi_table(&sweep));
+    print!("{}", sweep.table);
 
     // §V-D extrapolation: "increasing the number of iterations to 15·10^9
     // would give us 36.84 GFLOP/s" (ignoring f32 instability).

@@ -20,7 +20,7 @@
 //!    sections stay uninstrumented by design).
 
 use bench::session::Session;
-use bench::sweep::{bundles_footer, spmv_sweep, spmv_table, SpmvSweepConfig};
+use bench::sweep::{bundles_footer, spmv_sweep, SpmvSweepConfig};
 use bench::{analytic_report, spmv_launch, spmv_sim_config};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::{Executor, NullSnoop, RunResult, SimConfig};
@@ -66,16 +66,19 @@ fn main() {
     let nnz = session.flag("--nnz", 8usize);
     let threads = session.list("--threads", vec![64u32, 128, 256]);
     let jobs = session.jobs;
-    let out = session.out_dir();
-    let sim = spmv_sim_config();
-
-    let matrix = Csr::random(rows, cols, nnz, 7);
     let gemm_p = |t: u32| GemmParams {
         dim,
         threads: t,
         vec: 4,
         block: 8,
     };
+    for &t in &threads {
+        session.check_shape(gemm_p(t).validate());
+    }
+    let out = session.out_dir();
+    let sim = spmv_sim_config();
+
+    let matrix = Csr::random(rows, cols, nnz, 7);
     let gate_t = *threads.first().expect("--threads must be non-empty");
     let gate_gemm = gemm::build(GemmVersion::NoCritical, &gemm_p(gate_t));
     let gate_spmv = spmv::build(matrix.rows as i64, gate_t);
@@ -140,7 +143,7 @@ fn main() {
         sweep.cache.misses,
         sweep.runs.len()
     );
-    print!("{}", spmv_table(&sweep));
+    print!("{}", sweep.table);
     let plan = sweep
         .runs
         .iter()

@@ -70,16 +70,6 @@ impl SchedStats {
         }
     }
 
-    /// Fraction of total worker-time spent inside node bodies:
-    /// `Σ busy / (workers × makespan)`, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.workers == 0 || self.makespan.is_zero() {
-            return 0.0;
-        }
-        let busy: f64 = self.busy.iter().map(|d| d.as_secs_f64()).sum();
-        (busy / (self.workers as f64 * self.makespan.as_secs_f64())).min(1.0)
-    }
-
     /// Total nodes executed across all workers.
     pub fn total_executed(&self) -> u64 {
         self.executed.iter().sum()
@@ -113,11 +103,6 @@ impl BatchEngine {
     /// An engine with `jobs` workers (clamped to at least one).
     pub fn new(jobs: usize) -> Self {
         BatchEngine { jobs: jobs.max(1) }
-    }
-
-    /// Number of worker threads this engine will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Execute a [`TaskGraph`]: every node runs exactly once, after all of

@@ -48,18 +48,6 @@ pub enum NodeKind {
     Reduce,
 }
 
-impl NodeKind {
-    /// Stable lowercase name (used in labels and snapshots).
-    pub fn name(self) -> &'static str {
-        match self {
-            NodeKind::Compile => "compile",
-            NodeKind::Run => "run",
-            NodeKind::Analyze => "analyze",
-            NodeKind::Reduce => "reduce",
-        }
-    }
-}
-
 /// Handle to a node of a [`TaskGraph`], used to declare edges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeId(pub(crate) usize);
@@ -84,8 +72,9 @@ pub(crate) struct NodeSpec<'a, T> {
 }
 
 /// A DAG of typed tasks, acyclic by construction (edges may only point at
-/// already-added nodes). `T` is the payload every node produces; sweeps
-/// use a small enum (`Compiled` / `Ran(..)` / `Row(..)` / `Table(..)`).
+/// already-added nodes). `T` is the payload every node produces; the
+/// sweep builder uses one generic enum (`Compiled` / `Ran(..)` / `Row(..)`
+/// / `Table(..)`) for all three sweeps.
 #[derive(Default)]
 pub struct TaskGraph<'a, T> {
     pub(crate) nodes: Vec<NodeSpec<'a, T>>,
@@ -95,16 +84,6 @@ impl<'a, T> TaskGraph<'a, T> {
     /// An empty graph.
     pub fn new() -> Self {
         TaskGraph { nodes: Vec::new() }
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no node has been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Add a node that runs after every node in `deps`. Dependencies must

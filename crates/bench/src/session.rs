@@ -8,7 +8,8 @@
 //!
 //! * an unknown flag or a malformed flag value prints its message and
 //!   exits with status 2 (usage error); the binaries' own flags go through
-//!   the same path ([`Session::flag`], [`Session::list`]);
+//!   the same path ([`Session::flag`], [`Session::list`]), and so does a
+//!   problem shape the kernels reject ([`Session::check_shape`]);
 //! * [`Session::gate`] runs both static-analysis gates and exits with
 //!   status 1 when one refuses a kernel;
 //! * [`Session::out_dir`] turns an I/O failure into one line naming the
@@ -90,6 +91,15 @@ impl Session {
             .list(flag)
             .unwrap_or_else(|e| exit_usage(&e))
             .unwrap_or(default)
+    }
+
+    /// Exit with status 2 and one line naming the binary when a problem
+    /// shape is invalid (`GemmParams::validate`, `PiParams::validate`), so
+    /// an out-of-range flag never reaches a kernel builder's panic.
+    pub fn check_shape(&self, shape: Result<(), &str>) {
+        if let Err(e) = shape {
+            exit_usage(&format!("{}: {e}", self.binary));
+        }
     }
 
     /// The HLS configuration `--profile` selects.

@@ -2,17 +2,19 @@
 //!
 //! The deterministic middle layer between the [`crate::engine`] scheduler
 //! and the `repro_*` binaries: it turns an experiment description (which
-//! GEMM versions, which π problem sizes, where the trace bundles go) into
-//! a [`TaskGraph`] and renders the result tables inside the graph itself.
-//! Each sweep has the same shape:
+//! GEMM versions, which π problem sizes, which SpMV thread counts, where
+//! the trace bundles go) into a [`TaskGraph`] and renders the result table
+//! inside the graph itself. One private builder makes every sweep graph;
+//! a sweep supplies only its kernels and points, how a point runs and
+//! becomes row metrics, its table header and its row formatter. Each graph
+//! has the same shape:
 //!
 //! * one `Compile` node per distinct kernel populates the shared
 //!   [`AccelCache`] entry (the π sweep has exactly one — its IR is
 //!   step-independent), so a slow compile blocks only its own runs;
-//! * one `Run` node per experiment simulates with the profiling unit
-//!   attached and decodes its trace after the run
-//!   ([`crate::run_profiled_with`]);
-//! * one `Analyze` node per run writes the `.prv`/`.pcf`/`.row` bundle
+//! * one `Run` node per point simulates with the profiling unit attached
+//!   and decodes its trace after the run ([`crate::run_profiled_with`]);
+//! * one `Analyze` node per point writes the `.prv`/`.pcf`/`.row` bundle
 //!   ([`hls_profiling::TraceData::write_bundle`]) and computes the
 //!   table-row metrics — overlapping with still-running simulations
 //!   instead of waiting for the whole batch;
@@ -20,20 +22,20 @@
 //!   order**, so the table text and the trace bundles are byte-identical
 //!   at `--jobs 1` and `--jobs 8`.
 //!
-//! Simulator failures (e.g. a typed [`fpga_sim::SimError::Deadlock`]) are
-//! carried in the node outcomes and rendered as table diagnostics — one bad
-//! configuration never aborts the rest of a sweep. Static analysis gates
-//! the kernels before a sweep is built (`crate::lint_gate`).
+//! Simulator failures (e.g. a typed [`fpga_sim::SimError::Deadlock`]) and
+//! bundle-write failures are carried in the node outcomes and rendered as
+//! `failed:` table rows — one bad configuration never aborts the rest of a
+//! sweep. Static analysis gates the kernels before a sweep is built
+//! (`crate::lint_gate`).
 
-use crate::engine::{BatchEngine, GraphRun, SchedStats};
-use crate::graph::{NodeCtx, NodeId, NodeKind, NodeReport, TaskGraph};
+use crate::engine::{BatchEngine, SchedStats};
+use crate::graph::{NodeKind, NodeReport, TaskGraph};
 use crate::{
-    analytic_report, gemm_launch, pi_launch, run_profiled_with, spmv_launch, BenchError,
-    ProfiledRun,
+    analytic_report, f32_result, gemm_launch, pi_launch, run_profiled_with, spmv_launch,
+    BenchError, ProfiledRun,
 };
-use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
-use hls_profiling::{PipelineConfig, ProfilingConfig};
+use hls_profiling::{PipelineConfig, ProfilingConfig, TraceData};
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use kernels::spmv::{self, Csr};
@@ -44,24 +46,6 @@ use paraver::analysis::StateProfile;
 use paraver::states;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Sweep-wide shared state each node executes against: the compile cache
-/// and the simulator/profiler configuration.
-#[derive(Clone, Copy)]
-struct SweepEnv<'a> {
-    cache: &'a AccelCache,
-    hls: &'a HlsConfig,
-    sim: &'a SimConfig,
-    prof: &'a ProfilingConfig,
-}
-
-impl SweepEnv<'_> {
-    /// Run one kernel with the profiling unit attached; bundle writing is
-    /// left to the dependent `Analyze` node.
-    fn run(&self, kernel: &Kernel, launch: &[LaunchArg]) -> Result<ProfiledRun, BenchError> {
-        run_profiled_with(self.cache, kernel, self.hls, self.sim, self.prof, launch)
-    }
-}
 
 /// Configuration of the GEMM version sweep (§V-C).
 pub struct GemmSweepConfig {
@@ -77,218 +61,6 @@ pub struct GemmSweepConfig {
     pub out: Option<PathBuf>,
     /// Worker count for the batch engine.
     pub jobs: usize,
-}
-
-/// Split a finished sweep graph into its per-experiment `Run` reports (in
-/// submission order, keyed by `runs`) and the table its `Reduce` node
-/// rendered; `ran` and `table` unwrap the node payloads.
-fn split_sweep<N, K, R>(
-    out: GraphRun<N>,
-    runs: impl Iterator<Item = (K, NodeId)>,
-    reduce: NodeId,
-    ran: impl Fn(N) -> Option<R>,
-    table: impl FnOnce(N) -> Option<String>,
-) -> (Vec<(K, NodeReport<R>)>, String, SchedStats) {
-    let mut reports: Vec<Option<NodeReport<N>>> = out.reports.into_iter().map(Some).collect();
-    let table = match reports[reduce.index()]
-        .take()
-        .expect("reduce report")
-        .outcome
-    {
-        Ok(n) => table(n).expect("reduce node produced a non-table payload"),
-        Err(e) => unreachable!("table reduction cannot fail: {e}"),
-    };
-    let runs = runs
-        .map(|(key, id)| {
-            let r = reports[id.index()].take().expect("run report");
-            (
-                key,
-                r.map(|n| ran(n).expect("run node produced a non-run payload")),
-            )
-        })
-        .collect();
-    (runs, table, out.stats)
-}
-
-/// Result of a GEMM sweep: one report per [`GemmVersion::ALL`] entry, in
-/// that order, plus the table its `Reduce` node rendered and the
-/// compile-cache / scheduler counters.
-pub struct GemmSweep {
-    pub runs: Vec<(GemmVersion, NodeReport<ProfiledRun>)>,
-    /// The §V-C speedup table, rendered by the sweep's `Reduce` node in
-    /// submission order (byte-identical at any worker count).
-    pub table: String,
-    pub cache: CacheStats,
-    /// Work-stealing statistics of the sweep's graph execution.
-    pub sched: SchedStats,
-}
-
-/// One rendered-row's metrics, computed by a GEMM `Analyze` node.
-struct GemmRow {
-    cycles: u64,
-    gbps: f64,
-    spin_pct: f64,
-    crit_pct: f64,
-}
-
-/// Node payload of the GEMM sweep graph.
-enum GemmNode {
-    Compiled,
-    Ran(Box<ProfiledRun>),
-    Row(Result<GemmRow, String>),
-    Table(String),
-}
-
-/// Run all five GEMM versions as one task graph: compile → run → analyze
-/// per version, one table reduce at the end.
-pub fn gemm_sweep(cfg: &GemmSweepConfig) -> GemmSweep {
-    let cache = AccelCache::new();
-    let launch = gemm_launch(&cfg.params);
-    let threads = cfg.params.threads;
-    let kernels: Vec<(GemmVersion, Kernel)> = GemmVersion::ALL
-        .iter()
-        .map(|&v| (v, gemm::build(v, &cfg.params)))
-        .collect();
-    let engine = BatchEngine::new(cfg.jobs);
-
-    let mut graph: TaskGraph<'_, GemmNode> = TaskGraph::new();
-    let mut run_ids = Vec::new();
-    let mut analyze_ids = Vec::new();
-    for (v, kernel) in &kernels {
-        let env = SweepEnv {
-            cache: &cache,
-            hls: &cfg.hls,
-            sim: &cfg.sim,
-            prof: &cfg.prof,
-        };
-        let stem = cfg
-            .out
-            .as_ref()
-            .map(|o| o.join(format!("gemm_{}_{}", cfg.params.dim, kernel.name)));
-        let launch = &launch;
-        let sim = &cfg.sim;
-        let compile = graph.add(
-            NodeKind::Compile,
-            format!("compile:{}", v.name()),
-            &[],
-            move |_: &NodeCtx<'_, GemmNode>| {
-                env.cache.get_or_compile(kernel, env.hls);
-                Ok(GemmNode::Compiled)
-            },
-        );
-        let run = graph.add(
-            NodeKind::Run,
-            v.name(),
-            &[compile],
-            move |_: &NodeCtx<'_, GemmNode>| {
-                env.run(kernel, launch)
-                    .map(|pr| GemmNode::Ran(Box::new(pr)))
-            },
-        );
-        let analyze = graph.add(
-            NodeKind::Analyze,
-            format!("analyze:{}", v.name()),
-            &[run],
-            move |ctx: &NodeCtx<'_, GemmNode>| {
-                let row = match &ctx.dep(0).outcome {
-                    Ok(GemmNode::Ran(pr)) => {
-                        if let Some(stem) = &stem {
-                            pr.trace.write_bundle(stem)?;
-                        }
-                        let prof = StateProfile::compute(&pr.trace.records, threads);
-                        Ok(GemmRow {
-                            cycles: pr.result.total_cycles,
-                            gbps: pr.result.throughput_gbps(sim),
-                            spin_pct: prof.fraction(states::SPINNING) * 100.0,
-                            crit_pct: prof.fraction(states::CRITICAL) * 100.0,
-                        })
-                    }
-                    Ok(_) => unreachable!("run node produced a non-run payload"),
-                    Err(e) => Err(e.to_string()),
-                };
-                Ok(GemmNode::Row(row))
-            },
-        );
-        run_ids.push(run);
-        analyze_ids.push(analyze);
-    }
-    let reduce = graph.add(
-        NodeKind::Reduce,
-        "gemm_table",
-        &analyze_ids,
-        move |ctx: &NodeCtx<'_, GemmNode>| Ok(GemmNode::Table(render_gemm_table(ctx))),
-    );
-
-    let (runs, table, sched) = split_sweep(
-        engine.run_graph(graph),
-        kernels.iter().map(|(v, _)| *v).zip(run_ids),
-        reduce,
-        |n| match n {
-            GemmNode::Ran(pr) => Some(*pr),
-            _ => None,
-        },
-        |n| match n {
-            GemmNode::Table(t) => Some(t),
-            _ => None,
-        },
-    );
-    GemmSweep {
-        runs,
-        table,
-        cache: cache.stats(),
-        sched,
-    }
-}
-
-/// Render the §V-C speedup table from the analyze rows, in submission
-/// order. Failed runs become diagnostic rows and are excluded from the
-/// speedup baselines.
-fn render_gemm_table(ctx: &NodeCtx<'_, GemmNode>) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<24} {:>14} {:>9} {:>9} {:>8} {:>8} {:>8}",
-        "version", "cycles", "vs naive", "vs prev", "GB/s", "spin%", "crit%"
-    )
-    .unwrap();
-    let (mut naive_c, mut prev_c) = (None::<u64>, None::<u64>);
-    for (v, dep) in GemmVersion::ALL.iter().zip(ctx.deps()) {
-        let row = match &dep.outcome {
-            Ok(GemmNode::Row(row)) => row.as_ref().map_err(Clone::clone),
-            Ok(_) => unreachable!("analyze node produced a non-row payload"),
-            Err(e) => {
-                writeln!(out, "{:<24} failed: {e}", v.name()).unwrap();
-                continue;
-            }
-        };
-        match row {
-            Ok(r) => {
-                let naive = *naive_c.get_or_insert(r.cycles);
-                let prev = prev_c.unwrap_or(r.cycles);
-                writeln!(
-                    out,
-                    "{:<24} {:>14} {:>8.2}x {:>8.2}x {:>8.3} {:>7.2}% {:>7.2}%",
-                    v.name(),
-                    r.cycles,
-                    naive as f64 / r.cycles as f64,
-                    prev as f64 / r.cycles as f64,
-                    r.gbps,
-                    r.spin_pct,
-                    r.crit_pct
-                )
-                .unwrap();
-                prev_c = Some(r.cycles);
-            }
-            Err(e) => writeln!(out, "{:<24} failed: {e}", v.name()).unwrap(),
-        }
-    }
-    out
-}
-
-/// The table a GEMM sweep's `Reduce` node rendered (kept as a free
-/// function so call sites read the same as before the graph refactor).
-pub fn gemm_table(sweep: &GemmSweep) -> String {
-    sweep.table.clone()
 }
 
 /// Configuration of the π scaling sweep (§V-D).
@@ -312,188 +84,6 @@ pub struct PiSweepConfig {
 pub struct PiRun {
     pub run: ProfiledRun,
     pub estimate: f32,
-}
-
-/// Result of a π sweep: one report per requested step count, in order,
-/// plus the table its `Reduce` node rendered.
-pub struct PiSweep {
-    pub runs: Vec<(u64, NodeReport<PiRun>)>,
-    /// The §V-D summary table, rendered by the sweep's `Reduce` node.
-    pub table: String,
-    pub cache: CacheStats,
-    /// Work-stealing statistics of the sweep's graph execution.
-    pub sched: SchedStats,
-}
-
-/// One rendered-row's metrics, computed by a π `Analyze` node.
-struct PiRow {
-    cycles: u64,
-    estimate: f32,
-    gflops: f64,
-}
-
-/// Node payload of the π sweep graph.
-enum PiNode {
-    Compiled,
-    Ran(Box<PiRun>),
-    Row(Result<PiRow, String>),
-    Table(String),
-}
-
-/// Run the π kernel at every requested problem size as one task graph.
-/// The kernel's IR is independent of the step count (it arrives as launch
-/// scalars), so the whole sweep shares a single `Compile` node.
-pub fn pi_sweep(cfg: &PiSweepConfig) -> PiSweep {
-    let cache = AccelCache::new();
-    let engine = BatchEngine::new(cfg.jobs);
-    if cfg.steps.is_empty() {
-        let out = engine.run_graph(TaskGraph::<'_, PiNode>::new());
-        return PiSweep {
-            runs: Vec::new(),
-            table: pi_table_header(),
-            cache: cache.stats(),
-            sched: out.stats,
-        };
-    }
-
-    let mut graph: TaskGraph<'_, PiNode> = TaskGraph::new();
-    let shared_kernel = pi::build(&PiParams {
-        steps: cfg.steps[0],
-        threads: cfg.threads,
-        bs: cfg.bs,
-    });
-    let env = SweepEnv {
-        cache: &cache,
-        hls: &cfg.hls,
-        sim: &cfg.sim,
-        prof: &cfg.prof,
-    };
-    let compile = graph.add(
-        NodeKind::Compile,
-        "compile:pi",
-        &[],
-        move |_: &NodeCtx<'_, PiNode>| {
-            env.cache.get_or_compile(&shared_kernel, env.hls);
-            Ok(PiNode::Compiled)
-        },
-    );
-    let mut run_ids = Vec::new();
-    let mut analyze_ids = Vec::new();
-    for &steps in &cfg.steps {
-        let p = PiParams {
-            steps,
-            threads: cfg.threads,
-            bs: cfg.bs,
-        };
-        let stem = cfg.out.as_ref().map(|o| o.join(format!("pi_{steps}")));
-        let sim = &cfg.sim;
-        let run = graph.add(
-            NodeKind::Run,
-            format!("pi_{steps}"),
-            &[compile],
-            move |_: &NodeCtx<'_, PiNode>| {
-                let kernel = pi::build(&p);
-                let (step, _) = pi::launch_scalars(&p);
-                let launch = pi_launch(&p);
-                let run = env.run(&kernel, &launch)?;
-                let estimate = crate::f32_result(&run.result, 2)[0] * step;
-                Ok(PiNode::Ran(Box::new(PiRun { run, estimate })))
-            },
-        );
-        let analyze = graph.add(
-            NodeKind::Analyze,
-            format!("analyze:pi_{steps}"),
-            &[run],
-            move |ctx: &NodeCtx<'_, PiNode>| {
-                let row = match &ctx.dep(0).outcome {
-                    Ok(PiNode::Ran(pr)) => {
-                        if let Some(stem) = &stem {
-                            pr.run.trace.write_bundle(stem)?;
-                        }
-                        Ok(PiRow {
-                            cycles: pr.run.result.total_cycles,
-                            estimate: pr.estimate,
-                            gflops: pr.run.result.gflops(sim),
-                        })
-                    }
-                    Ok(_) => unreachable!("run node produced a non-run payload"),
-                    Err(e) => Err(e.to_string()),
-                };
-                Ok(PiNode::Row(row))
-            },
-        );
-        run_ids.push(run);
-        analyze_ids.push(analyze);
-    }
-    let steps_list = cfg.steps.clone();
-    let reduce = graph.add(
-        NodeKind::Reduce,
-        "pi_table",
-        &analyze_ids,
-        move |ctx: &NodeCtx<'_, PiNode>| Ok(PiNode::Table(render_pi_table(ctx, &steps_list))),
-    );
-
-    let (runs, table, sched) = split_sweep(
-        engine.run_graph(graph),
-        cfg.steps.iter().copied().zip(run_ids),
-        reduce,
-        |n| match n {
-            PiNode::Ran(pr) => Some(*pr),
-            _ => None,
-        },
-        |n| match n {
-            PiNode::Table(t) => Some(t),
-            _ => None,
-        },
-    );
-    PiSweep {
-        runs,
-        table,
-        cache: cache.stats(),
-        sched,
-    }
-}
-
-fn pi_table_header() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:>12} {:>14} {:>10} {:>10}",
-        "steps", "cycles", "pi", "GFLOP/s"
-    )
-    .unwrap();
-    out
-}
-
-/// Render the π sweep summary table (steps, cycles, estimate, GFLOP/s)
-/// from the analyze rows, in submission order.
-fn render_pi_table(ctx: &NodeCtx<'_, PiNode>, steps: &[u64]) -> String {
-    let mut out = pi_table_header();
-    for (steps, dep) in steps.iter().zip(ctx.deps()) {
-        let row = match &dep.outcome {
-            Ok(PiNode::Row(row)) => row.as_ref().map_err(Clone::clone),
-            Ok(_) => unreachable!("analyze node produced a non-row payload"),
-            Err(e) => {
-                writeln!(out, "{steps:>12} failed: {e}").unwrap();
-                continue;
-            }
-        };
-        match row {
-            Ok(r) => writeln!(
-                out,
-                "{:>12} {:>14} {:>10.6} {:>10.3}",
-                steps, r.cycles, r.estimate, r.gflops
-            )
-            .unwrap(),
-            Err(e) => writeln!(out, "{steps:>12} failed: {e}").unwrap(),
-        }
-    }
-    out
-}
-
-/// The table a π sweep's `Reduce` node rendered.
-pub fn pi_table(sweep: &PiSweep) -> String {
-    sweep.table.clone()
 }
 
 /// Configuration of the SpMV thread-scaling sweep: one CSR matrix run at
@@ -520,200 +110,340 @@ pub struct SpmvRun {
     pub analytic_cycles: Option<u64>,
 }
 
-/// Result of an SpMV sweep: one report per requested thread count, in
-/// order, plus the table its `Reduce` node rendered.
-pub struct SpmvSweep {
-    pub runs: Vec<(u32, NodeReport<SpmvRun>)>,
-    /// The thread-scaling summary table, rendered by the sweep's `Reduce`
-    /// node in submission order.
+/// Result of a sweep: one `Run` report per point, keyed and in submission
+/// order, plus the table its `Reduce` node rendered (byte-identical at any
+/// worker count) and the compile-cache / scheduler counters.
+pub struct Sweep<K, R> {
+    pub runs: Vec<(K, NodeReport<R>)>,
+    /// The sweep's table: a header line, then one row per point.
     pub table: String,
     pub cache: CacheStats,
     /// Work-stealing statistics of the sweep's graph execution.
     pub sched: SchedStats,
 }
 
-/// One rendered-row's metrics, computed by an SpMV `Analyze` node.
-struct SpmvRow {
-    cycles: u64,
-    analytic: Option<u64>,
-    gbps: f64,
-    spin_pct: f64,
+/// Run all five GEMM versions as one task graph: compile → run → analyze
+/// per version, one table reduce at the end. The table is the §V-C
+/// speed-up table; failed runs become diagnostic rows and are excluded
+/// from the speed-up baselines.
+pub fn gemm_sweep(cfg: &GemmSweepConfig) -> Sweep<GemmVersion, ProfiledRun> {
+    let launch = gemm_launch(&cfg.params);
+    let (threads, sim) = (cfg.params.threads, &cfg.sim);
+    let groups = GemmVersion::ALL
+        .iter()
+        .map(|&v| {
+            let kernel = gemm::build(v, &cfg.params);
+            let point = Point {
+                key: v,
+                label: v.name().to_string(),
+                row_label: format!("{:<24}", v.name()),
+                stem: format!("gemm_{}_{}", cfg.params.dim, kernel.name),
+            };
+            (kernel, vec![point])
+        })
+        .collect();
+    let header = format!(
+        "{:<24} {:>14} {:>9} {:>9} {:>8} {:>8} {:>8}",
+        "version", "cycles", "vs naive", "vs prev", "GB/s", "spin%", "crit%"
+    );
+    let (mut naive_c, mut prev_c) = (None::<u64>, None::<u64>);
+    build_sweep(
+        Plan {
+            hls: &cfg.hls,
+            out: cfg.out.as_deref(),
+            jobs: cfg.jobs,
+            groups,
+        },
+        header,
+        |_, kernel, cache| run_profiled_with(cache, kernel, &cfg.hls, sim, &cfg.prof, &launch),
+        |_, pr: &ProfiledRun| {
+            let prof = StateProfile::compute(&pr.trace.records, threads);
+            (
+                pr.result.total_cycles,
+                pr.result.throughput_gbps(sim),
+                prof.fraction(states::SPINNING) * 100.0,
+                prof.fraction(states::CRITICAL) * 100.0,
+            )
+        },
+        |pr| &pr.trace,
+        move |&(cycles, gbps, spin, crit): &(u64, f64, f64, f64)| {
+            let naive = *naive_c.get_or_insert(cycles);
+            let prev = prev_c.replace(cycles).unwrap_or(cycles);
+            format!(
+                "{cycles:>14} {:>8.2}x {:>8.2}x {gbps:>8.3} {spin:>7.2}% {crit:>7.2}%",
+                naive as f64 / cycles as f64,
+                prev as f64 / cycles as f64,
+            )
+        },
+    )
 }
 
-/// Node payload of the SpMV sweep graph.
-enum SpmvNode {
-    Compiled,
-    Ran(Box<SpmvRun>),
-    Row(Result<SpmvRow, String>),
-    Table(String),
+/// Run the π kernel at every requested problem size as one task graph.
+/// The kernel's IR is independent of the step count (it arrives as launch
+/// scalars), so every run shares one kernel and one `Compile` node. The
+/// table has steps, cycles, the π estimate and GFLOP/s per size.
+///
+/// # Panics
+/// Panics when a step count does not divide evenly over
+/// `threads × bs` ([`PiParams::validate`]).
+pub fn pi_sweep(cfg: &PiSweepConfig) -> Sweep<u64, PiRun> {
+    let params = |steps| PiParams {
+        steps,
+        threads: cfg.threads,
+        bs: cfg.bs,
+    };
+    for &steps in &cfg.steps {
+        if let Err(e) = params(steps).validate() {
+            panic!("pi_{steps}: {e}");
+        }
+    }
+    let points = cfg
+        .steps
+        .iter()
+        .map(|&steps| Point {
+            key: steps,
+            label: format!("pi_{steps}"),
+            row_label: format!("{steps:>12}"),
+            stem: format!("pi_{steps}"),
+        })
+        .collect();
+    let groups = cfg
+        .steps
+        .first()
+        .map(|&steps| (pi::build(&params(steps)), points))
+        .into_iter()
+        .collect();
+    let header = format!(
+        "{:>12} {:>14} {:>10} {:>10}",
+        "steps", "cycles", "pi", "GFLOP/s"
+    );
+    let sim = &cfg.sim;
+    build_sweep(
+        Plan {
+            hls: &cfg.hls,
+            out: cfg.out.as_deref(),
+            jobs: cfg.jobs,
+            groups,
+        },
+        header,
+        |&steps, kernel, cache| {
+            let p = params(steps);
+            let run = run_profiled_with(cache, kernel, &cfg.hls, sim, &cfg.prof, &pi_launch(&p))?;
+            let estimate = f32_result(&run.result, 2)[0] * pi::launch_scalars(&p).0;
+            Ok(PiRun { run, estimate })
+        },
+        |_, pr: &PiRun| {
+            let result = &pr.run.result;
+            (result.total_cycles, pr.estimate, result.gflops(sim))
+        },
+        |pr| &pr.run.trace,
+        |&(cycles, estimate, gflops): &(u64, f32, f64)| {
+            format!("{cycles:>14} {estimate:>10.6} {gflops:>10.3}")
+        },
+    )
 }
 
 /// Run the SpMV kernel at every requested thread count as one task graph.
-/// The row count is baked into the IR but the thread count is part of the
-/// kernel too, so each count gets its own `Compile` node. Each run also
-/// prices itself through the analytical fast mode so the table shows the
-/// prediction error alongside the simulated cycles.
-pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> SpmvSweep {
-    let cache = AccelCache::new();
-    let engine = BatchEngine::new(cfg.jobs);
+/// The thread count is part of the kernel, so each count gets its own
+/// `Compile` node. Each run also prices itself through the analytical
+/// fast mode, so the table (threads, cycles, analytical prediction and
+/// its error, GB/s, spin%) shows the prediction error alongside the
+/// simulated cycles.
+pub fn spmv_sweep(cfg: &SpmvSweepConfig) -> Sweep<u32, SpmvRun> {
+    let (rows, cols) = (cfg.matrix.rows, cfg.matrix.cols);
     let launch = spmv_launch(&cfg.matrix);
-    let kernels: Vec<(u32, Kernel)> = cfg
+    let groups = cfg
         .threads
         .iter()
-        .map(|&t| (t, spmv::build(cfg.matrix.rows as i64, t)))
+        .map(|&t| {
+            let point = Point {
+                key: t,
+                label: format!("spmv_t{t}"),
+                row_label: format!("{t:>8}"),
+                stem: format!("spmv_{rows}x{cols}_t{t}"),
+            };
+            (spmv::build(rows as i64, t), vec![point])
+        })
         .collect();
-
-    let mut graph: TaskGraph<'_, SpmvNode> = TaskGraph::new();
-    let mut run_ids = Vec::new();
-    let mut analyze_ids = Vec::new();
-    for (t, kernel) in &kernels {
-        let env = SweepEnv {
-            cache: &cache,
-            hls: &cfg.hls,
-            sim: &cfg.sim,
-            prof: &cfg.prof,
-        };
-        let stem = cfg
-            .out
-            .as_ref()
-            .map(|o| o.join(format!("spmv_{}x{}_t{t}", cfg.matrix.rows, cfg.matrix.cols)));
-        let launch = &launch;
-        let sim = &cfg.sim;
-        let threads = *t;
-        let compile = graph.add(
-            NodeKind::Compile,
-            format!("compile:spmv_t{t}"),
-            &[],
-            move |_: &NodeCtx<'_, SpmvNode>| {
-                env.cache.get_or_compile(kernel, env.hls);
-                Ok(SpmvNode::Compiled)
-            },
-        );
-        let run = graph.add(
-            NodeKind::Run,
-            format!("spmv_t{t}"),
-            &[compile],
-            move |_: &NodeCtx<'_, SpmvNode>| {
-                let run = env.run(kernel, launch)?;
-                let analytic_cycles =
-                    analytic_report(env.cache, kernel, env.sim, launch).map(|r| r.total_cycles);
-                Ok(SpmvNode::Ran(Box::new(SpmvRun {
-                    run,
-                    analytic_cycles,
-                })))
-            },
-        );
-        let analyze = graph.add(
-            NodeKind::Analyze,
-            format!("analyze:spmv_t{t}"),
-            &[run],
-            move |ctx: &NodeCtx<'_, SpmvNode>| {
-                let row = match &ctx.dep(0).outcome {
-                    Ok(SpmvNode::Ran(pr)) => {
-                        if let Some(stem) = &stem {
-                            pr.run.trace.write_bundle(stem)?;
-                        }
-                        let prof = StateProfile::compute(&pr.run.trace.records, threads);
-                        Ok(SpmvRow {
-                            cycles: pr.run.result.total_cycles,
-                            analytic: pr.analytic_cycles,
-                            gbps: pr.run.result.throughput_gbps(sim),
-                            spin_pct: prof.fraction(states::SPINNING) * 100.0,
-                        })
-                    }
-                    Ok(_) => unreachable!("run node produced a non-run payload"),
-                    Err(e) => Err(e.to_string()),
-                };
-                Ok(SpmvNode::Row(row))
-            },
-        );
-        run_ids.push(run);
-        analyze_ids.push(analyze);
-    }
-    let threads_list = cfg.threads.clone();
-    let reduce = graph.add(
-        NodeKind::Reduce,
-        "spmv_table",
-        &analyze_ids,
-        move |ctx: &NodeCtx<'_, SpmvNode>| {
-            Ok(SpmvNode::Table(render_spmv_table(ctx, &threads_list)))
-        },
-    );
-
-    let (runs, table, sched) = split_sweep(
-        engine.run_graph(graph),
-        kernels.iter().map(|(t, _)| *t).zip(run_ids),
-        reduce,
-        |n| match n {
-            SpmvNode::Ran(pr) => Some(*pr),
-            _ => None,
-        },
-        |n| match n {
-            SpmvNode::Table(t) => Some(t),
-            _ => None,
-        },
-    );
-    SpmvSweep {
-        runs,
-        table,
-        cache: cache.stats(),
-        sched,
-    }
-}
-
-/// Render the SpMV thread-scaling table (threads, cycles, analytical
-/// prediction and error, GB/s, spin%) from the analyze rows.
-fn render_spmv_table(ctx: &NodeCtx<'_, SpmvNode>, threads: &[u32]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
+    let header = format!(
         "{:>8} {:>14} {:>14} {:>8} {:>8} {:>8}",
         "threads", "cycles", "analytic", "err%", "GB/s", "spin%"
+    );
+    let sim = &cfg.sim;
+    build_sweep(
+        Plan {
+            hls: &cfg.hls,
+            out: cfg.out.as_deref(),
+            jobs: cfg.jobs,
+            groups,
+        },
+        header,
+        |_, kernel, cache| {
+            let run = run_profiled_with(cache, kernel, &cfg.hls, sim, &cfg.prof, &launch)?;
+            let analytic_cycles =
+                analytic_report(cache, kernel, sim, &launch).map(|r| r.total_cycles);
+            Ok(SpmvRun {
+                run,
+                analytic_cycles,
+            })
+        },
+        |&t, pr: &SpmvRun| {
+            let prof = StateProfile::compute(&pr.run.trace.records, t);
+            (
+                pr.run.result.total_cycles,
+                pr.analytic_cycles,
+                pr.run.result.throughput_gbps(sim),
+                prof.fraction(states::SPINNING) * 100.0,
+            )
+        },
+        |pr| &pr.run.trace,
+        |&(cycles, analytic, gbps, spin): &(u64, Option<u64>, f64, f64)| {
+            let (analytic, err) = match analytic {
+                Some(a) => (
+                    a.to_string(),
+                    format!("{:+.1}", (a as f64 - cycles as f64) / cycles as f64 * 100.0),
+                ),
+                None => ("-".to_string(), "-".to_string()),
+            };
+            format!("{cycles:>14} {analytic:>14} {err:>8} {gbps:>8.3} {spin:>7.2}%")
+        },
     )
-    .unwrap();
-    for (t, dep) in threads.iter().zip(ctx.deps()) {
-        let row = match &dep.outcome {
-            Ok(SpmvNode::Row(row)) => row.as_ref().map_err(Clone::clone),
-            Ok(_) => unreachable!("analyze node produced a non-row payload"),
-            Err(e) => {
-                writeln!(out, "{t:>8} failed: {e}").unwrap();
-                continue;
-            }
-        };
-        match row {
-            Ok(r) => {
-                let (analytic, err) = match r.analytic {
-                    Some(a) => (
-                        a.to_string(),
-                        format!(
-                            "{:+.1}",
-                            (a as f64 - r.cycles as f64) / r.cycles as f64 * 100.0
-                        ),
-                    ),
-                    None => ("-".to_string(), "-".to_string()),
-                };
-                writeln!(
-                    out,
-                    "{:>8} {:>14} {:>14} {:>8} {:>8.3} {:>7.2}%",
-                    t, r.cycles, analytic, err, r.gbps, r.spin_pct
-                )
-                .unwrap();
-            }
-            Err(e) => writeln!(out, "{t:>8} failed: {e}").unwrap(),
-        }
-    }
-    out
-}
-
-/// The table an SpMV sweep's `Reduce` node rendered.
-pub fn spmv_table(sweep: &SpmvSweep) -> String {
-    sweep.table.clone()
 }
 
 /// Write the `(out, sweep stems)` bundles-written footer used by the repro
 /// binaries (shared so their output stays consistent).
 pub fn bundles_footer(out: &Path) -> String {
     format!("trace bundles written to {}", out.display())
+}
+
+/// One sweep point: a `Run` node on its group's kernel, then an `Analyze`
+/// node that writes the point's bundle and computes its row.
+struct Point<K> {
+    key: K,
+    /// Label of the `Run` node (`analyze:<label>` for the `Analyze` node).
+    label: String,
+    /// The padded first column of the point's table row.
+    row_label: String,
+    /// File stem of the point's bundle under [`Plan::out`].
+    stem: String,
+}
+
+/// What a sweep runs: its points grouped by kernel (one `Compile` node per
+/// group, placed before the group's runs), and where the graph's output
+/// goes.
+struct Plan<'a, K> {
+    /// HLS options of the `Compile` nodes; the run closures pass the same.
+    hls: &'a HlsConfig,
+    out: Option<&'a Path>,
+    jobs: usize,
+    groups: Vec<(Kernel, Vec<Point<K>>)>,
+}
+
+/// Node payload of a sweep graph: `R` is a point's run, `W` its row.
+enum Node<R, W> {
+    Compiled,
+    Ran(R),
+    Row(Result<W, String>),
+    Table(String),
+}
+
+/// Build and execute one sweep graph. `run` simulates a point on its
+/// kernel through the sweep's compile cache; the point's `Analyze` node
+/// writes `trace` as its bundle and turns the run into row metrics with
+/// `row`. The table is `header`, then per point in submission order
+/// `"<row label> <line(metrics)>"`, or `"<row label> failed: <error>"` for
+/// a failed run or bundle write (`line` never sees those).
+fn build_sweep<K: Sync, R: Send + Sync, W: Send + Sync>(
+    plan: Plan<'_, K>,
+    header: String,
+    run: impl Fn(&K, &Kernel, &AccelCache) -> Result<R, BenchError> + Sync,
+    row: impl Fn(&K, &R) -> W + Sync,
+    trace: fn(&R) -> &TraceData,
+    mut line: impl FnMut(&W) -> String + Send,
+) -> Sweep<K, R> {
+    let (cache, hls) = (&AccelCache::new(), plan.hls);
+    let (run, row) = (&run, &row);
+    let mut graph = TaskGraph::new();
+    let mut analyze_ids = Vec::new();
+    for (kernel, points) in &plan.groups {
+        let compile = graph.add(
+            NodeKind::Compile,
+            format!("compile:{}", kernel.name),
+            &[],
+            move |_| {
+                cache.get_or_compile(kernel, hls);
+                Ok(Node::Compiled)
+            },
+        );
+        for p in points {
+            let ran = graph.add(NodeKind::Run, p.label.clone(), &[compile], move |_| {
+                run(&p.key, kernel, cache).map(Node::Ran)
+            });
+            let stem = plan.out.map(|o| o.join(&p.stem));
+            analyze_ids.push(graph.add(
+                NodeKind::Analyze,
+                format!("analyze:{}", p.label),
+                &[ran],
+                move |ctx| {
+                    Ok(Node::Row(match &ctx.dep(0).outcome {
+                        Ok(Node::Ran(r)) => {
+                            if let Some(stem) = &stem {
+                                trace(r).write_bundle(stem)?;
+                            }
+                            Ok(row(&p.key, r))
+                        }
+                        Ok(_) => unreachable!("run node produced a non-run payload"),
+                        Err(e) => Err(e.to_string()),
+                    }))
+                },
+            ));
+        }
+    }
+    let points = plan.groups.iter().flat_map(|(_, points)| points);
+    graph.add(NodeKind::Reduce, "table", &analyze_ids, move |ctx| {
+        let mut table = format!("{header}\n");
+        for (p, dep) in points.zip(ctx.deps()) {
+            let label = &p.row_label;
+            match &dep.outcome {
+                Ok(Node::Row(Ok(w))) => writeln!(table, "{label} {}", line(w)),
+                Ok(Node::Row(Err(e))) => writeln!(table, "{label} failed: {e}"),
+                Err(e) => writeln!(table, "{label} failed: {e}"),
+                Ok(_) => unreachable!("analyze node produced a non-row payload"),
+            }
+            .unwrap();
+        }
+        Ok(Node::Table(table))
+    });
+
+    let done = BatchEngine::new(plan.jobs).run_graph(graph);
+    let mut keys = plan
+        .groups
+        .into_iter()
+        .flat_map(|(_, points)| points)
+        .map(|p| p.key);
+    let (mut runs, mut table) = (Vec::new(), String::new());
+    for report in done.reports {
+        match report.kind {
+            NodeKind::Run => runs.push((
+                keys.next().expect("one run node per point"),
+                report.map(|n| match n {
+                    Node::Ran(r) => r,
+                    _ => unreachable!("run node produced a non-run payload"),
+                }),
+            )),
+            NodeKind::Reduce => match report.outcome {
+                Ok(Node::Table(t)) => table = t,
+                _ => unreachable!("the table reduction cannot fail"),
+            },
+            NodeKind::Compile | NodeKind::Analyze => {}
+        }
+    }
+    Sweep {
+        runs,
+        table,
+        cache: cache.stats(),
+        sched: done.stats,
+    }
 }
 
 #[cfg(test)]
@@ -746,7 +476,7 @@ mod tests {
         }
         assert_eq!(sweep.cache.entries, GemmVersion::ALL.len());
         assert_eq!(sweep.cache.misses as usize, GemmVersion::ALL.len());
-        let table = gemm_table(&sweep);
+        let table = &sweep.table;
         assert!(table.contains("vs naive"));
         assert_eq!(table.lines().count(), 1 + GemmVersion::ALL.len());
         // compile + run + analyze per version, plus one reduce.
@@ -779,7 +509,7 @@ mod tests {
                 "t{t}: SpMV must be analytically resolvable via the memory image"
             );
         }
-        let table = spmv_table(&sweep);
+        let table = &sweep.table;
         assert!(table.contains("analytic"));
         assert_eq!(table.lines().count(), 1 + 2);
         assert_eq!(sweep.sched.total_executed(), 3 * 2 + 1);
@@ -807,7 +537,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{steps}: {e}"));
             assert!((pr.estimate - std::f32::consts::PI).abs() < 1e-2);
         }
-        let table = pi_table(&sweep);
+        let table = &sweep.table;
         assert!(table.contains("GFLOP/s"));
         // one shared compile, then run + analyze per size, one reduce.
         assert_eq!(sweep.sched.total_executed(), 1 + 2 * 2 + 1);

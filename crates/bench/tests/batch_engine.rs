@@ -6,7 +6,7 @@
 //! change anywhere on the trace path (record, decode, sort, write) that
 //! moves a single byte fails here.
 
-use bench::sweep::{gemm_sweep, gemm_table, pi_sweep, pi_table, GemmSweepConfig, PiSweepConfig};
+use bench::sweep::{gemm_sweep, pi_sweep, GemmSweepConfig, PiSweepConfig};
 use bench::{gemm_sim_config, pi_sim_config};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{GemmParams, GemmVersion};
@@ -86,7 +86,7 @@ fn gemm_sweep_is_deterministic_across_worker_counts() {
             GemmVersion::ALL.len(),
             "jobs={jobs}: every version compiled exactly once"
         );
-        let table = gemm_table(&sweep);
+        let table = sweep.table;
         let bundles = bundle_bytes(&out);
         assert_eq!(
             bundles.len(),
@@ -131,7 +131,7 @@ fn pi_sweep_is_deterministic_across_worker_counts() {
             sweep.cache.misses, 1,
             "jobs={jobs}: the π kernel compiles once for all problem sizes"
         );
-        let table = pi_table(&sweep);
+        let table = sweep.table;
         let bundles = bundle_bytes(&out);
         assert_eq!(bundles.len(), 3 * 3, "one bundle triple per step count");
         match &baseline {
@@ -166,7 +166,7 @@ fn oversubscribed_pool_matches_a_serial_run() {
     };
     let serial = pi_sweep(&cfg(1));
     let oversub = pi_sweep(&cfg(8));
-    assert_eq!(pi_table(&serial), pi_table(&oversub));
+    assert_eq!(serial.table, oversub.table);
 }
 
 /// FNV-1a, 64-bit: a dependency-free digest for pinning bundle bytes.

@@ -4,7 +4,7 @@
 //! trace bundles and an identical result table to the same sweep gated at
 //! `Off`.
 
-use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
+use bench::sweep::{gemm_sweep, GemmSweepConfig};
 use bench::{gemm_sim_config, lint_gate};
 use hls_profiling::{PipelineConfig, ProfilingConfig};
 use kernels::gemm::{self, GemmParams, GemmVersion};
@@ -73,7 +73,7 @@ fn lint_deny_and_off_produce_identical_bundles_and_tables() {
         for (v, r) in &sweep.runs {
             assert!(r.outcome.is_ok(), "lint={lint}: {} failed", v.name());
         }
-        let table = gemm_table(&sweep);
+        let table = sweep.table;
         let bundles = bundle_bytes(&out);
         assert_eq!(bundles.len(), GemmVersion::ALL.len() * 3);
         match &baseline {

@@ -16,7 +16,7 @@
 //! `Warn` produces byte-identical trace bundles and tables to one gated at
 //! `Off` — the analyzer never touches the compiled artifact.
 
-use bench::sweep::{gemm_sweep, gemm_table, GemmSweepConfig};
+use bench::sweep::{gemm_sweep, GemmSweepConfig};
 use bench::{analytic_report, gemm_sim_config, perf_lint_gate, run_profiled_with};
 use fpga_sim::memimg::LaunchArg;
 use fpga_sim::SimConfig;
@@ -223,7 +223,7 @@ fn perf_lint_warn_and_off_produce_identical_bundles_and_tables() {
                 v.name()
             );
         }
-        let table = gemm_table(&sweep);
+        let table = sweep.table;
         let bundles = bundle_bytes(&out);
         assert_eq!(bundles.len(), GemmVersion::ALL.len() * 3);
         match &baseline {

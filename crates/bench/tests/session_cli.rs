@@ -1,9 +1,10 @@
 //! The repro binaries' shared command-line session, driven end to end:
-//! unknown flags and malformed numeric flags are usage errors (exit 2)
-//! instead of silent defaults, and unwritable output paths are one-line
-//! failures (exit 1) instead of panics.
+//! unknown flags, malformed numeric flags and problem shapes the kernels
+//! reject are usage errors (exit 2) instead of silent defaults or panics,
+//! and unwritable output paths are one-line failures (exit 1) instead of
+//! panics.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -73,4 +74,39 @@ fn an_uncreatable_trace_directory_fails_without_panicking() {
     );
     assert!(err.contains(out_dir.to_str().unwrap()), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn out_of_range_problem_shapes_exit_2_before_building_a_kernel() {
+    const POSITIVE: &str = "DIM and the thread count must be positive";
+    const VECTOR: &str = "DIM must be a multiple of the vector width";
+    const SPLIT: &str = "threads must evenly divide the iteration space";
+    const PI_POSITIVE: &str = "the thread count and BS_compute must be positive";
+    const PI_SPLIT: &str = "steps must divide evenly over threads × BS_compute";
+    let gemm = env!("CARGO_BIN_EXE_repro_gemm");
+    let pi = env!("CARGO_BIN_EXE_repro_pi");
+    let scale = env!("CARGO_BIN_EXE_repro_scale");
+    let ablations = env!("CARGO_BIN_EXE_repro_ablations");
+    let overhead = env!("CARGO_BIN_EXE_repro_overhead");
+    let cases: [(&str, &[&str], &str); 10] = [
+        (gemm, &["--dim", "5"], VECTOR),
+        (gemm, &["--threads", "0"], POSITIVE),
+        (gemm, &["--dim", "64", "--threads", "3"], SPLIT),
+        (pi, &["--threads", "3"], PI_SPLIT),
+        (pi, &["--threads", "0"], PI_POSITIVE),
+        (scale, &["--threads", "0"], POSITIVE),
+        (scale, &["--dim", "5"], VECTOR),
+        (ablations, &["--dim", "5"], VECTOR),
+        (overhead, &["--threads", "0"], POSITIVE),
+        (overhead, &["--threads", "3"], SPLIT),
+    ];
+    for (bin, args, reason) in cases {
+        let out = run(bin, args);
+        let err = stderr(&out);
+        let name = Path::new(bin).file_name().unwrap().to_string_lossy();
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {err}");
+        assert!(!err.contains("panicked"), "{name} {args:?}: {err}");
+        assert_eq!(err, format!("{name}: {reason}\n"), "{name} {args:?}");
+        assert!(out.stdout.is_empty(), "{name} {args:?}: nothing ran");
+    }
 }

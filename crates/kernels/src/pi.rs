@@ -34,15 +34,29 @@ impl Default for PiParams {
     }
 }
 
+impl PiParams {
+    /// Check the shape constraints the kernel relies on; `build` panics
+    /// with the returned message when they fail.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.threads == 0 || self.bs == 0 {
+            return Err("the thread count and BS_compute must be positive");
+        }
+        if !self
+            .steps
+            .is_multiple_of(self.threads as u64 * self.bs as u64)
+        {
+            return Err("steps must divide evenly over threads × BS_compute");
+        }
+        Ok(())
+    }
+}
+
 /// Build the π kernel. Arguments: `STEP` (f32 scalar), `STEPS_PER_THREAD`
 /// (i64 scalar) and `FINAL_SUM` (1-element f32 `tofrom` buffer).
 pub fn build(p: &PiParams) -> Kernel {
-    assert!(p.bs >= 1);
-    assert_eq!(
-        p.steps % (p.threads as u64 * p.bs as u64),
-        0,
-        "steps must divide evenly over threads × BS_compute"
-    );
+    if let Err(e) = p.validate() {
+        panic!("{e}");
+    }
     let mut kb = KernelBuilder::new("pi", p.threads);
     let step_arg = kb.scalar_arg("STEP", ScalarType::F32);
     let spt_arg = kb.scalar_arg("STEPS_PER_THREAD", ScalarType::I64);
@@ -188,5 +202,14 @@ mod tests {
             threads: 3,
             bs: 8,
         });
+    }
+
+    #[test]
+    fn validate_rejects_zero_threads_and_unroll() {
+        let p = PiParams::default();
+        let positive = Err("the thread count and BS_compute must be positive");
+        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(PiParams { threads: 0, ..p }.validate(), positive);
+        assert_eq!(PiParams { bs: 0, ..p }.validate(), positive);
     }
 }

@@ -18,7 +18,6 @@
 use crate::accel::{compile, Accelerator, HlsConfig};
 use nymble_ir::Kernel;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -51,43 +50,20 @@ pub struct CacheStats {
 /// One cache slot: compiled at most once, shared by every requester.
 type CacheCell = Arc<OnceLock<Arc<Accelerator>>>;
 
-/// Number of independent lock shards the key → cell map is split into.
-/// Concurrent `Compile` graph nodes on distinct kernels hash to distinct
-/// shards with high probability, so they never contend on one map lock.
-const SHARDS: usize = 16;
-
 /// Thread-safe, compile-once accelerator cache.
 ///
-/// Concurrency model: the key → cell map is split into `SHARDS` (16) lock
-/// shards selected by the fingerprint hash; a shard's [`Mutex`] guards
-/// only its sub-map (held for a hash lookup, never across a compile).
-/// Each entry's [`OnceLock`] serialises the first compile so racing
-/// workers block on the winner instead of compiling redundantly. The
-/// cached [`Accelerator`] is handed out as an [`Arc`] — workers on
-/// different threads share one compiled artifact. The hit/miss counters
-/// are process-wide atomics, so [`AccelCache::stats`] stays exact however
-/// the keys distribute over shards.
+/// Concurrency model: one [`Mutex`] guards the key → cell map and is held
+/// only for a map lookup, never across a compile (the fingerprints are
+/// formatted before the lock is taken). Each entry's [`OnceLock`]
+/// serialises the first compile so racing workers block on the winner
+/// instead of compiling redundantly. The cached [`Accelerator`] is handed
+/// out as an [`Arc`] — workers on different threads share one compiled
+/// artifact.
+#[derive(Default)]
 pub struct AccelCache {
-    shards: [Mutex<HashMap<(String, String), CacheCell>>; SHARDS],
+    map: Mutex<HashMap<(String, String), CacheCell>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for AccelCache {
-    fn default() -> Self {
-        AccelCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Shard selector: the key's hash folded onto `[0, SHARDS)`.
-fn shard_index(key: &(String, String)) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
 }
 
 // Shared across the batch engine's worker pool.
@@ -109,9 +85,7 @@ impl AccelCache {
     pub fn get_or_compile(&self, kernel: &Kernel, config: &HlsConfig) -> Arc<Accelerator> {
         let key = (kernel_fingerprint(kernel), config.fingerprint());
         let cell = {
-            let mut map = self.shards[shard_index(&key)]
-                .lock()
-                .expect("accel cache poisoned");
+            let mut map = self.map.lock().expect("accel cache poisoned");
             map.entry(key).or_default().clone()
         };
         let mut compiled_here = false;
@@ -131,16 +105,12 @@ impl AccelCache {
 
     /// Hit/miss/occupancy counters. `misses` equals the number of compiles
     /// actually performed, so a sweep over one kernel must report exactly
-    /// one miss however many workers ran it; `entries` sums all shards.
+    /// one miss however many workers ran it.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("accel cache poisoned").len())
-                .sum(),
+            entries: self.map.lock().expect("accel cache poisoned").len(),
         }
     }
 }
@@ -224,8 +194,8 @@ mod tests {
 
     #[test]
     fn stats_stay_exact_across_lock_shards_under_concurrency() {
-        // 24 distinct kernels > 16 shards, requested by 4 threads each:
-        // every key lands in some shard, counters must come out exact.
+        // 24 distinct kernels requested by 4 threads each: the counters
+        // must come out exact however the requests interleave.
         let cache = AccelCache::new();
         let kernels: Vec<Kernel> = (0..24).map(|n| toy_kernel("toy", 8 + n)).collect();
         let cfg = HlsConfig::default();
@@ -243,14 +213,6 @@ mod tests {
         assert_eq!(s.entries, 24, "one entry per distinct kernel");
         assert_eq!(s.misses, 24, "each kernel compiled exactly once");
         assert_eq!(s.hits, 24 * 3, "all other requests shared an artifact");
-    }
-
-    #[test]
-    fn shard_index_is_stable_and_in_range() {
-        let key = ("kernel".to_string(), "config".to_string());
-        let i = shard_index(&key);
-        assert!(i < SHARDS);
-        assert_eq!(i, shard_index(&key), "same key, same shard");
     }
 
     #[test]
