@@ -19,7 +19,8 @@ use crate::snoop::{Snoop, SnoopPair, SnoopRing, StatsSnoop, ThreadState};
 use crate::stats::RunStats;
 use crate::wheel::WheelQueue;
 use nymble_hls::accel::Accelerator;
-use nymble_ir::loops::{LoopId, LoopMap};
+use nymble_ir::loops::LoopId;
+use nymble_ir::tape::Program;
 use nymble_ir::walker::{StepEvent, Walker};
 use nymble_ir::{Kernel, Value};
 use std::collections::VecDeque;
@@ -169,7 +170,13 @@ const _: fn() = || {
 
 impl<'k> SimRun<'k> {
     /// Set up a run of `kernel` (compiled as `accel`) with `launch`
-    /// arguments under `cfg`. Validates the configuration up front.
+    /// arguments under `cfg`. Validates the configuration up front, and
+    /// lowers the kernel once to the [`Program`] every thread's walker
+    /// executes.
+    ///
+    /// # Panics
+    /// Panics when a launch value's kind or type differs from the kernel's
+    /// declaration (see [`MemImage::new`]).
     pub fn new(
         kernel: &'k Kernel,
         accel: &Accelerator,
@@ -177,8 +184,8 @@ impl<'k> SimRun<'k> {
         launch: &[LaunchArg],
     ) -> Result<Self, SimError> {
         cfg.validate()?;
-        let loop_map = std::sync::Arc::new(LoopMap::build(kernel));
-        let modes: Vec<LoopMode> = (0..loop_map.len())
+        let prog = std::sync::Arc::new(Program::lower(kernel));
+        let modes: Vec<LoopMode> = (0..prog.num_loops())
             .map(|i| loop_mode(accel, LoopId(i as u32)))
             .collect();
 
@@ -190,7 +197,7 @@ impl<'k> SimRun<'k> {
 
         let threads: Vec<Thread<'k>> = (0..n)
             .map(|t| Thread {
-                walker: Walker::new(kernel, loop_map.clone(), t as u32, scalars.clone()),
+                walker: Walker::new(kernel, prog.clone(), t as u32, scalars.clone()),
                 time: t as u64 * cfg.launch_interval,
                 status: Status::Ready,
                 loops: Vec::new(),

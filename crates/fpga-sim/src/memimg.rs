@@ -1,8 +1,9 @@
 //! External-memory image: functional buffer contents plus a base-address
 //! layout so accesses have absolute DRAM addresses for the bank model.
 
-use nymble_ir::walker::DataMemory;
-use nymble_ir::{ArgId, ArgKind, Kernel, Type, Value};
+use nymble_ir::interp::assert_buffer_type;
+use nymble_ir::walker::{load_values, store_values, DataMemory};
+use nymble_ir::{ArgId, ArgKind, Kernel, ScalarType, Value};
 
 /// Launch value for one kernel argument (same shape as the gold
 /// interpreter's, re-declared here to keep crate dependencies one-way).
@@ -24,6 +25,10 @@ pub struct MemImage {
 impl MemImage {
     /// Lay out the buffers of `launch` according to `kernel`'s signature and
     /// return the image plus the scalar-argument vector for walkers.
+    ///
+    /// # Panics
+    /// Panics when a launch value's kind or a buffer element's type differs
+    /// from the kernel's declaration.
     pub fn new(kernel: &Kernel, launch: &[LaunchArg]) -> (Self, Vec<Value>) {
         assert_eq!(
             launch.len(),
@@ -45,6 +50,7 @@ impl MemImage {
                     elem_size.push(0);
                 }
                 (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
+                    assert_buffer_type(&arg.name, *elem, b);
                     scalars.push(Value::I32(0));
                     base.push(cursor);
                     elem_size.push(elem.size_bytes());
@@ -93,50 +99,25 @@ impl MemImage {
 }
 
 impl DataMemory for MemImage {
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, ty: Type) -> Value {
-        let b = &self.bufs[buf.0 as usize];
-        let i = elem_idx as usize;
-        assert!(
-            i + (ty.lanes.max(1) as usize - 1) < b.len(),
-            "device load out of bounds: buffer {:?} len {} index {} lanes {}",
-            buf,
-            b.len(),
-            i,
-            ty.lanes
-        );
-        if ty.lanes <= 1 {
-            b[i].clone()
-        } else {
-            let lanes: Vec<Value> = (0..ty.lanes as usize).map(|l| b[i + l].clone()).collect();
-            Value::Vec(lanes.into_boxed_slice())
-        }
+    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
+        load_values(&self.bufs[buf.0 as usize], elem_idx, out, "device");
     }
 
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, v: Value) {
-        let b = &mut self.bufs[buf.0 as usize];
-        let i = elem_idx as usize;
-        match v {
-            Value::Vec(lanes) => {
-                assert!(
-                    i + lanes.len() <= b.len(),
-                    "device vector store out of bounds"
-                );
-                for (l, lv) in lanes.iter().enumerate() {
-                    b[i + l] = lv.clone();
-                }
-            }
-            s => {
-                assert!(i < b.len(), "device store out of bounds");
-                b[i] = s;
-            }
-        }
+    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
+        store_values(
+            &mut self.bufs[buf.0 as usize],
+            elem_idx,
+            ty,
+            lanes,
+            "device",
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::{KernelBuilder, MapDir, ScalarType};
+    use nymble_ir::{KernelBuilder, MapDir};
 
     #[test]
     fn layout_is_aligned_and_disjoint() {
@@ -169,9 +150,10 @@ mod tests {
         let a = kb.buffer("A", ScalarType::F32, MapDir::ToFrom);
         let k = kb.finish();
         let (mut img, _) = MemImage::new(&k, &[LaunchArg::Buffer(vec![Value::F32(0.0); 8])]);
-        img.store_ext(a, 3, Value::F32(7.5));
-        assert_eq!(img.load_ext(a, 3, Type::F32), Value::F32(7.5));
-        let v = img.load_ext(a, 2, Type::vector(ScalarType::F32, 2));
-        assert_eq!(v.lane(1), &Value::F32(7.5));
+        img.store_ext(a, 3, ScalarType::F32, &[Value::F32(7.5).to_bits()]);
+        assert_eq!(img.buffer(a)[3], Value::F32(7.5));
+        let mut two = [0; 2];
+        img.load_ext(a, 2, &mut two);
+        assert_eq!(two[1], Value::F32(7.5).to_bits());
     }
 }

@@ -124,8 +124,13 @@ impl Expr {
     }
 }
 
-/// Evaluate a binary operation on two scalar values. Comparison results are
-/// `I32` 0/1; arithmetic follows the operand scalar type.
+/// Evaluate a binary operation on two scalar values (lane-wise on two
+/// vectors). Comparison results are `I32` 0/1; arithmetic takes the left
+/// operand's scalar type, converting the right operand to it.
+///
+/// The per-scalar helpers below are the one definition of the datapath
+/// arithmetic: this function and the walker's instruction tape
+/// ([`crate::tape`]) both call them.
 pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Value {
     // Lane-wise vector handling first.
     if let (Value::Vec(va), Value::Vec(vb)) = (a, b) {
@@ -140,103 +145,28 @@ pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Value {
     let ty = a.ty().scalar;
     if op.is_comparison() {
         let r = if ty.is_float() {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            match op {
-                BinOp::Lt => x < y,
-                BinOp::Le => x <= y,
-                BinOp::Gt => x > y,
-                BinOp::Ge => x >= y,
-                BinOp::Eq => x == y,
-                BinOp::Ne => x != y,
-                _ => unreachable!(),
-            }
+            cmp_f64(op, a.as_f64(), b.as_f64())
         } else {
-            let (x, y) = (a.as_i64(), b.as_i64());
-            match op {
-                BinOp::Lt => x < y,
-                BinOp::Le => x <= y,
-                BinOp::Gt => x > y,
-                BinOp::Ge => x >= y,
-                BinOp::Eq => x == y,
-                BinOp::Ne => x != y,
-                _ => unreachable!(),
-            }
+            cmp_i64(op, a.as_i64(), b.as_i64())
         };
         return Value::I32(r as i32);
     }
-    if ty.is_float() {
+    match (a, ty) {
         // f32 math is performed in f32 to reproduce the paper's
         // single-precision behaviour (including the π-study instability).
-        if ty == ScalarType::F32 {
-            let (x, y) = (
-                match a {
-                    Value::F32(v) => *v,
-                    _ => a.as_f64() as f32,
-                },
-                match b {
-                    Value::F32(v) => *v,
-                    _ => b.as_f64() as f32,
-                },
-            );
-            let r = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Rem => x % y,
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-                _ => panic!("bitwise op {op:?} on float"),
+        (Value::F32(x), _) => {
+            let y = match b {
+                Value::F32(v) => *v,
+                _ => b.as_f64() as f32,
             };
-            Value::F32(r)
-        } else {
-            let (x, y) = (a.as_f64(), b.as_f64());
-            let r = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Rem => x % y,
-                BinOp::Min => x.min(y),
-                BinOp::Max => x.max(y),
-                _ => panic!("bitwise op {op:?} on float"),
-            };
-            Value::F64(r)
+            Value::F32(f32_binop(op, *x, y))
         }
-    } else {
-        let (x, y) = (a.as_i64(), b.as_i64());
-        let r = match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    0
-                } else {
-                    x.wrapping_div(y)
-                }
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    0
-                } else {
-                    x.wrapping_rem(y)
-                }
-            }
-            BinOp::Min => x.min(y),
-            BinOp::Max => x.max(y),
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            _ => unreachable!(),
-        };
-        Value::from_i64(ty, r)
+        (_, ScalarType::F64) => Value::F64(f64_binop(op, a.as_f64(), b.as_f64())),
+        _ => Value::from_i64(ty, int_binop(op, a.as_i64(), b.as_i64())),
     }
 }
 
-/// Evaluate a unary operation.
+/// Evaluate a unary operation (lane-wise on a vector).
 pub fn eval_unop(op: UnOp, a: &Value) -> Value {
     if let Value::Vec(va) = a {
         let lanes: Vec<Value> = va.iter().map(|x| eval_unop(op, x)).collect();
@@ -244,27 +174,98 @@ pub fn eval_unop(op: UnOp, a: &Value) -> Value {
     }
     let ty = a.ty().scalar;
     if ty.is_float() {
-        let x = a.as_f64();
-        let r = match op {
-            UnOp::Neg => -x,
-            UnOp::Abs => x.abs(),
-            UnOp::Sqrt => x.sqrt(),
-            UnOp::Not => panic!("bitwise not on float"),
-        };
-        if ty == ScalarType::F32 {
-            Value::F32(r as f32)
-        } else {
-            Value::F64(r)
-        }
+        Value::from_f64(ty, float_unop(op, a.as_f64()))
     } else {
-        let x = a.as_i64();
-        let r = match op {
-            UnOp::Neg => x.wrapping_neg(),
-            UnOp::Abs => x.abs(),
-            UnOp::Not => !x,
-            UnOp::Sqrt => (x as f64).sqrt() as i64,
-        };
-        Value::from_i64(ty, r)
+        Value::from_i64(ty, int_unop(op, a.as_i64()))
+    }
+}
+
+/// Integer arithmetic in i64, wrapping; the caller truncates to the
+/// result type. Division and remainder by zero give 0 (the hardware
+/// divider's quiet output).
+#[inline(always)]
+pub(crate) fn int_binop(op: BinOp, x: i64, y: i64) -> i64 {
+    match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div if y == 0 => 0,
+        BinOp::Div => x.wrapping_div(y),
+        BinOp::Rem if y == 0 => 0,
+        BinOp::Rem => x.wrapping_rem(y),
+        BinOp::Min => x.min(y),
+        BinOp::Max => x.max(y),
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32),
+        BinOp::Shr => x.wrapping_shr(y as u32),
+        _ => unreachable!("comparison {op:?} as arithmetic"),
+    }
+}
+
+macro_rules! float_binop {
+    ($name:ident, $t:ty) => {
+        /// Floating-point arithmetic; bitwise operators are rejected by
+        /// validation.
+        #[inline(always)]
+        pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> $t {
+            match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                BinOp::Div => x / y,
+                BinOp::Rem => x % y,
+                BinOp::Min => x.min(y),
+                BinOp::Max => x.max(y),
+                _ => panic!("bitwise op {op:?} on float"),
+            }
+        }
+    };
+}
+float_binop!(f32_binop, f32);
+float_binop!(f64_binop, f64);
+
+macro_rules! compare {
+    ($name:ident, $t:ty) => {
+        /// A comparison operator applied to two operands.
+        #[inline(always)]
+        pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> bool {
+            match op {
+                BinOp::Lt => x < y,
+                BinOp::Le => x <= y,
+                BinOp::Gt => x > y,
+                BinOp::Ge => x >= y,
+                BinOp::Eq => x == y,
+                BinOp::Ne => x != y,
+                _ => unreachable!("arithmetic {op:?} as comparison"),
+            }
+        }
+    };
+}
+compare!(cmp_i64, i64);
+compare!(cmp_f64, f64);
+
+/// Integer unary operation in i64, wrapping (`Abs` of the minimum value is
+/// itself, as on the hardware).
+#[inline(always)]
+pub(crate) fn int_unop(op: UnOp, x: i64) -> i64 {
+    match op {
+        UnOp::Neg => x.wrapping_neg(),
+        UnOp::Abs => x.wrapping_abs(),
+        UnOp::Not => !x,
+        UnOp::Sqrt => (x as f64).sqrt() as i64,
+    }
+}
+
+/// Floating-point unary operation, computed in f64 for either width.
+#[inline(always)]
+pub(crate) fn float_unop(op: UnOp, x: f64) -> f64 {
+    match op {
+        UnOp::Neg => -x,
+        UnOp::Abs => x.abs(),
+        UnOp::Sqrt => x.sqrt(),
+        UnOp::Not => panic!("bitwise not on float"),
     }
 }
 

@@ -6,11 +6,12 @@
 //! the case-study kernels) are verified against.
 
 use crate::kernel::{ArgId, ArgKind, Kernel};
-use crate::loops::LoopMap;
 use crate::opcount::OpCounts;
-use crate::types::{Type, Value};
-use crate::walker::{DataMemory, MemAccess, StepEvent, Walker};
+use crate::tape::Program;
+use crate::types::{ScalarType, Value};
+use crate::walker::{load_values, store_values, DataMemory, MemAccess, StepEvent, Walker};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A launch value for one kernel argument.
 #[derive(Clone, Debug)]
@@ -44,40 +45,18 @@ struct BufferMem {
 }
 
 impl DataMemory for BufferMem {
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, ty: Type) -> Value {
-        let b = &self.bufs[buf.0 as usize];
-        let i = elem_idx as usize;
-        assert!(
-            i + (ty.lanes.max(1) as usize - 1) < b.len(),
-            "load out of bounds: buffer {:?} len {} index {} lanes {}",
-            buf,
-            b.len(),
-            i,
-            ty.lanes
-        );
-        if ty.lanes <= 1 {
-            b[i].clone()
-        } else {
-            let lanes: Vec<Value> = (0..ty.lanes as usize).map(|l| b[i + l].clone()).collect();
-            Value::Vec(lanes.into_boxed_slice())
-        }
+    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
+        load_values(&self.bufs[buf.0 as usize], elem_idx, out, "buffer");
     }
 
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, v: Value) {
-        let b = &mut self.bufs[buf.0 as usize];
-        let i = elem_idx as usize;
-        match v {
-            Value::Vec(lanes) => {
-                assert!(i + lanes.len() <= b.len(), "vector store out of bounds");
-                for (l, lv) in lanes.iter().enumerate() {
-                    b[i + l] = lv.clone();
-                }
-            }
-            s => {
-                assert!(i < b.len(), "store out of bounds");
-                b[i] = s;
-            }
-        }
+    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
+        store_values(
+            &mut self.bufs[buf.0 as usize],
+            elem_idx,
+            ty,
+            lanes,
+            "buffer",
+        );
     }
 }
 
@@ -192,7 +171,8 @@ impl Interpreter {
                     scalar_args.push(v.clone());
                     bufs.push(Vec::new());
                 }
-                (ArgKind::Buffer { .. }, LaunchArg::Buffer(b)) => {
+                (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
+                    assert_buffer_type(&arg.name, *elem, b);
                     scalar_args.push(Value::I32(0)); // placeholder
                     bufs.push(b.clone());
                 }
@@ -200,10 +180,10 @@ impl Interpreter {
             }
         }
 
-        let loops = std::sync::Arc::new(LoopMap::build(kernel));
+        let prog = Arc::new(Program::lower(kernel));
         let n = kernel.num_threads as usize;
         let mut walkers: Vec<Walker> = (0..n)
-            .map(|t| Walker::new(kernel, loops.clone(), t as u32, scalar_args.clone()))
+            .map(|t| Walker::new(kernel, prog.clone(), t as u32, scalar_args.clone()))
             .collect();
         let mut mem = BufferMem { bufs };
         let mut states = vec![ThreadState::Runnable; n];
@@ -331,6 +311,18 @@ impl Interpreter {
                 barrier_arrivals,
             },
         )
+    }
+}
+
+/// Panic unless every element of launch buffer `name` is a scalar of the
+/// declared element type (the walker's registers are typed statically).
+pub fn assert_buffer_type(name: &str, elem: ScalarType, b: &[Value]) {
+    if let Some((i, v)) = b
+        .iter()
+        .enumerate()
+        .find(|(_, v)| matches!(v, Value::Vec(_)) || v.ty().scalar != elem)
+    {
+        panic!("buffer `{name}` element {i} is {v:?}, declared {elem:?}");
     }
 }
 
@@ -475,6 +467,15 @@ mod tests {
         assert!(trace.barriers_uniform());
         // The second store happens in phase 1 for both threads.
         assert!(trace.accesses.iter().any(|a| a.phase == 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "declared F32")]
+    fn launch_buffer_type_mismatch_panics() {
+        let mut kb = KernelBuilder::new("bad", 1);
+        let _ = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let k = kb.finish();
+        let _ = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::F64(1.0)])]);
     }
 
     #[test]

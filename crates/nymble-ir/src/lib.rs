@@ -25,7 +25,9 @@
 //! The crate also contains the *semantic engine*: [`walker::Walker`] executes
 //! one hardware thread of a kernel and yields a stream of
 //! [`walker::StepEvent`]s (operation counts, external-memory accesses,
-//! critical-section boundaries, loop-iteration boundaries). Two drivers exist:
+//! critical-section boundaries, loop-iteration boundaries). Walkers execute
+//! the kernel's [`tape::Program`], a flat typed instruction tape lowered
+//! once per run. Two drivers exist:
 //!
 //! * [`interp::Interpreter`] — the untimed gold model used to verify
 //!   functional correctness (e.g. GEMM against a CPU reference), and
@@ -40,6 +42,7 @@ pub mod loops;
 pub mod opcount;
 pub mod pretty;
 pub mod stmt;
+pub mod tape;
 pub mod types;
 pub mod validate;
 pub mod walker;

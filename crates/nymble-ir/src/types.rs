@@ -33,6 +33,18 @@ impl ScalarType {
     pub const fn is_float(self) -> bool {
         matches!(self, ScalarType::F32 | ScalarType::F64)
     }
+
+    /// The register bits of `v` converted to this type, as
+    /// [`Value::from_i64`] converts (wrapping to i32).
+    #[inline(always)]
+    pub(crate) fn bits_from_i64(self, v: i64) -> u64 {
+        match self {
+            ScalarType::I32 => v as i32 as i64 as u64,
+            ScalarType::I64 => v as u64,
+            ScalarType::F32 => (v as f32).to_bits() as u64,
+            ScalarType::F64 => (v as f64).to_bits(),
+        }
+    }
 }
 
 /// A (possibly vector) datapath type.
@@ -164,6 +176,29 @@ impl Value {
         }
     }
 
+    /// The register bits of a scalar value: integers sign-extended to 64
+    /// bits, floats as their IEEE-754 pattern. Panics on vectors.
+    pub fn to_bits(&self) -> u64 {
+        match self {
+            Value::I32(v) => *v as i64 as u64,
+            Value::I64(v) => *v as u64,
+            Value::F32(v) => v.to_bits() as u64,
+            Value::F64(v) => v.to_bits(),
+            Value::Vec(_) => panic!("vector value used as one register"),
+        }
+    }
+
+    /// The scalar value of type `ty` held in register bits (the inverse of
+    /// [`Value::to_bits`]).
+    pub fn from_bits(ty: ScalarType, bits: u64) -> Value {
+        match ty {
+            ScalarType::I32 => Value::I32(bits as i32),
+            ScalarType::I64 => Value::I64(bits as i64),
+            ScalarType::F32 => Value::F32(f32::from_bits(bits as u32)),
+            ScalarType::F64 => Value::F64(f64::from_bits(bits)),
+        }
+    }
+
     /// Lane access; a scalar is its own lane 0.
     pub fn lane(&self, i: usize) -> &Value {
         match self {
@@ -211,6 +246,27 @@ mod tests {
         assert!(!Value::F64(0.0).as_bool());
         assert_eq!(Value::from_i64(ScalarType::I32, 300), Value::I32(300));
         assert_eq!(Value::from_f64(ScalarType::F64, 0.5), Value::F64(0.5));
+    }
+
+    #[test]
+    fn register_bits_roundtrip() {
+        for v in [
+            Value::I32(i32::MIN),
+            Value::I32(-1),
+            Value::I64(i64::MAX),
+            Value::F32(-0.0),
+            Value::F64(f64::INFINITY),
+        ] {
+            let ty = v.ty().scalar;
+            let back = Value::from_bits(ty, v.to_bits());
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        }
+        assert_eq!(Value::I32(-1).to_bits(), u64::MAX, "i32 sign-extends");
+        assert_eq!(
+            ScalarType::I32.bits_from_i64(1 << 33 | 5),
+            5,
+            "i32 wraps on the way in"
+        );
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! synchronisation (a barrier inside an unrolled dataflow graph has no
 //! hardware realisation), and critical sections may not nest (the single
 //! hardware semaphore of Fig. 1 is not re-entrant).
+//!
+//! Every expression also has one static [`Type`] ([`infer_types`]), and
+//! statements must agree with it: an `Assign` matches its variable's
+//! declared type, a store matches the buffer or local element type, the
+//! arms of a `Select` agree, vector operands have matching lane counts, and
+//! indices, bounds and conditions are scalars. The walker's instruction
+//! tape ([`crate::tape`]) is specialised on these types.
 
-use crate::expr::{Expr, ExprId};
+use crate::expr::{BinOp, Expr, ExprId, UnOp};
 use crate::kernel::{ArgKind, Kernel};
 use crate::stmt::{Block, Stmt, Unroll};
+use crate::types::{ScalarType, Type, Value};
 use std::fmt;
 
 /// A validation failure, with a human-readable description.
@@ -37,8 +45,136 @@ pub fn validate(k: &Kernel) -> Result<(), ValidationError> {
     for (i, e) in k.exprs.iter().enumerate() {
         check_expr(k, ExprId(i as u32), e)?;
     }
-    check_block(k, &k.body, false, false)?;
+    for v in &k.vars {
+        if v.ty.lanes == 0 {
+            return Err(err(format!("variable `{}` has zero lanes", v.name)));
+        }
+    }
+    for m in &k.local_mems {
+        if m.elem.lanes == 0 {
+            return Err(err(format!(
+                "local mem `{}` has zero-lane elements",
+                m.name
+            )));
+        }
+    }
+    let types = infer_types(k)?;
+    check_block(k, &types, &k.body, false, false)?;
     Ok(())
+}
+
+/// The static type of every expression of `k`, indexed by [`ExprId`].
+///
+/// Expects referential integrity (ids in range, operands before users),
+/// which [`validate`] checks first. The rules are the walker's runtime
+/// semantics: arithmetic takes the left operand's scalar type, comparisons
+/// give `I32`, and lane-wise operations need equal lane counts.
+pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
+    let mut tys: Vec<Type> = Vec::with_capacity(k.exprs.len());
+    for (i, e) in k.exprs.iter().enumerate() {
+        let id = ExprId(i as u32);
+        let ty = |c: &ExprId| tys[c.0 as usize];
+        let scalar = |c: &ExprId, what: &str| {
+            let t = tys[c.0 as usize];
+            if t.lanes == 1 {
+                Ok(t.scalar)
+            } else {
+                Err(err(format!("expression {id:?}: vector {what}")))
+            }
+        };
+        let t = match e {
+            Expr::Const(v) => const_type(v)
+                .ok_or_else(|| err(format!("expression {id:?}: malformed vector constant")))?,
+            Expr::Arg(a) => match k.arg(*a).kind {
+                ArgKind::Scalar(st) => Type::scalar(st),
+                ArgKind::Buffer { .. } => unreachable!("rejected by check_expr"),
+            },
+            Expr::ThreadId | Expr::NumThreads => Type::I32,
+            Expr::Var(v) => k.var(*v).ty,
+            Expr::Unary(op, a) => {
+                let t = ty(a);
+                if *op == UnOp::Not && t.scalar.is_float() {
+                    return Err(err(format!("expression {id:?}: bitwise not on float")));
+                }
+                t
+            }
+            Expr::Binary(op, a, b) => {
+                let (ta, tb) = (ty(a), ty(b));
+                if ta.lanes != tb.lanes {
+                    return Err(err(format!(
+                        "expression {id:?}: {op:?} of {} and {} lanes",
+                        ta.lanes, tb.lanes
+                    )));
+                }
+                let bitwise = matches!(
+                    op,
+                    BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
+                );
+                if bitwise && ta.scalar.is_float() {
+                    return Err(err(format!("expression {id:?}: bitwise {op:?} on float")));
+                }
+                let st = if op.is_comparison() {
+                    ScalarType::I32
+                } else {
+                    ta.scalar
+                };
+                Type::vector(st, ta.lanes)
+            }
+            Expr::Select {
+                cond,
+                then_v,
+                else_v,
+            } => {
+                scalar(cond, "select condition")?;
+                if ty(then_v) != ty(else_v) {
+                    return Err(err(format!(
+                        "expression {id:?}: select arms disagree ({:?} vs {:?})",
+                        ty(then_v),
+                        ty(else_v)
+                    )));
+                }
+                ty(then_v)
+            }
+            Expr::Cast(st, a) => {
+                scalar(a, "cast operand")?;
+                Type::scalar(*st)
+            }
+            Expr::LoadExt { index, ty: lt, .. } => {
+                scalar(index, "load index")?;
+                *lt
+            }
+            Expr::LoadLocal { index, ty: lt, .. } => {
+                scalar(index, "local load index")?;
+                *lt
+            }
+            Expr::Lane(a, lane) => {
+                let t = ty(a);
+                if *lane >= t.lanes {
+                    return Err(err(format!(
+                        "expression {id:?}: lane {lane} of a {}-lane value",
+                        t.lanes
+                    )));
+                }
+                Type::scalar(t.scalar)
+            }
+            Expr::Splat(a, lanes) => Type::vector(scalar(a, "splat operand")?, *lanes),
+        };
+        tys.push(t);
+    }
+    Ok(tys)
+}
+
+/// The type of a constant: a scalar, or a flat vector of at least two
+/// lanes of one scalar type.
+fn const_type(v: &Value) -> Option<Type> {
+    let Value::Vec(lanes) = v else {
+        return Some(v.ty());
+    };
+    let scalar = |l: &Value| (!matches!(l, Value::Vec(_))).then(|| l.ty().scalar);
+    let st = scalar(lanes.first()?)?;
+    let flat = lanes.iter().all(|l| scalar(l) == Some(st));
+    (flat && (2..=u8::MAX as usize).contains(&lanes.len()))
+        .then(|| Type::vector(st, lanes.len() as u8))
 }
 
 fn check_expr(k: &Kernel, id: ExprId, e: &Expr) -> Result<(), ValidationError> {
@@ -97,7 +233,7 @@ fn check_expr(k: &Kernel, id: ExprId, e: &Expr) -> Result<(), ValidationError> {
                 .local_mems
                 .get(mem.0 as usize)
                 .ok_or_else(|| err(format!("expression {id:?}: unknown local mem {mem:?}")))?;
-            if m.elem.scalar != ty.scalar {
+            if m.elem != *ty {
                 return Err(err(format!(
                     "expression {id:?}: local mem `{}` element type mismatch",
                     m.name
@@ -114,37 +250,97 @@ fn check_expr(k: &Kernel, id: ExprId, e: &Expr) -> Result<(), ValidationError> {
 
 fn check_block(
     k: &Kernel,
+    tys: &[Type],
     b: &Block,
     in_unrolled: bool,
     in_critical: bool,
 ) -> Result<(), ValidationError> {
+    let ty = |e: &ExprId| tys[e.0 as usize];
+    let scalar = |s: &Stmt, e: &ExprId| {
+        if ty(e).lanes == 1 {
+            Ok(())
+        } else {
+            Err(err(format!("{}: vector operand {e:?}", s.mnemonic())))
+        }
+    };
     for s in b {
         match s {
-            Stmt::Assign { var, .. } => {
-                if var.0 as usize >= k.vars.len() {
-                    return Err(err(format!("assign to unknown var {var:?}")));
+            Stmt::Assign { var, expr } => {
+                let decl = k
+                    .vars
+                    .get(var.0 as usize)
+                    .ok_or_else(|| err(format!("assign to unknown var {var:?}")))?;
+                if ty(expr) != decl.ty {
+                    return Err(err(format!(
+                        "assign of {:?} to `{}` declared {:?}",
+                        ty(expr),
+                        decl.name,
+                        decl.ty
+                    )));
                 }
             }
-            Stmt::StoreExt { buf, .. } => {
+            Stmt::StoreExt { buf, index, value } => {
                 let arg = k
                     .args
                     .get(buf.0 as usize)
                     .ok_or_else(|| err(format!("store to unknown buffer {buf:?}")))?;
-                if !matches!(arg.kind, ArgKind::Buffer { .. }) {
+                let ArgKind::Buffer { elem, .. } = arg.kind else {
                     return Err(err(format!("store to scalar argument `{}`", arg.name)));
+                };
+                scalar(s, index)?;
+                if ty(value).scalar != elem {
+                    return Err(err(format!(
+                        "store of {:?} to `{}` declared {elem:?}",
+                        ty(value),
+                        arg.name
+                    )));
                 }
             }
-            Stmt::StoreLocal { mem, .. } => {
-                if mem.0 as usize >= k.local_mems.len() {
-                    return Err(err(format!("store to unknown local mem {mem:?}")));
+            Stmt::StoreLocal { mem, index, value } => {
+                let m = k
+                    .local_mems
+                    .get(mem.0 as usize)
+                    .ok_or_else(|| err(format!("store to unknown local mem {mem:?}")))?;
+                scalar(s, index)?;
+                if ty(value) != m.elem {
+                    return Err(err(format!(
+                        "store of {:?} to local mem `{}` of {:?}",
+                        ty(value),
+                        m.name,
+                        m.elem
+                    )));
                 }
             }
-            Stmt::For { body, unroll, .. } => {
-                check_block(k, body, in_unrolled || *unroll == Unroll::Full, in_critical)?;
+            Stmt::For {
+                var,
+                start,
+                end,
+                step,
+                body,
+                unroll,
+            } => {
+                for e in [start, end, step] {
+                    scalar(s, e)?;
+                }
+                if k.vars.get(var.0 as usize).map(|v| v.ty.lanes) != Some(1) {
+                    return Err(err(format!("loop variable {var:?} is not a scalar var")));
+                }
+                check_block(
+                    k,
+                    tys,
+                    body,
+                    in_unrolled || *unroll == Unroll::Full,
+                    in_critical,
+                )?;
             }
-            Stmt::If { then_b, else_b, .. } => {
-                check_block(k, then_b, in_unrolled, in_critical)?;
-                check_block(k, else_b, in_unrolled, in_critical)?;
+            Stmt::If {
+                cond,
+                then_b,
+                else_b,
+            } => {
+                scalar(s, cond)?;
+                check_block(k, tys, then_b, in_unrolled, in_critical)?;
+                check_block(k, tys, else_b, in_unrolled, in_critical)?;
             }
             Stmt::Critical { body } => {
                 if in_critical {
@@ -155,7 +351,7 @@ fn check_block(
                 if in_unrolled {
                     return Err(err("critical section inside a fully-unrolled loop"));
                 }
-                check_block(k, body, in_unrolled, true)?;
+                check_block(k, tys, body, in_unrolled, true)?;
             }
             Stmt::Barrier => {
                 if in_unrolled {
@@ -167,28 +363,40 @@ fn check_block(
                     ));
                 }
             }
-            Stmt::Preload { mem, src, .. } => {
-                if mem.0 as usize >= k.local_mems.len() {
-                    return Err(err(format!("preload to unknown local mem {mem:?}")));
-                }
-                let arg = k
-                    .args
-                    .get(src.0 as usize)
-                    .ok_or_else(|| err(format!("preload from unknown buffer {src:?}")))?;
-                if !matches!(arg.kind, ArgKind::Buffer { .. }) {
-                    return Err(err(format!("preload from scalar argument `{}`", arg.name)));
-                }
+            Stmt::Preload {
+                mem,
+                src: buf,
+                src_off,
+                dst_off,
+                len,
             }
-            Stmt::WriteBack { mem, dst, .. } => {
-                if mem.0 as usize >= k.local_mems.len() {
-                    return Err(err(format!("writeback from unknown local mem {mem:?}")));
-                }
+            | Stmt::WriteBack {
+                mem,
+                dst: buf,
+                src_off,
+                dst_off,
+                len,
+            } => {
+                let what = s.mnemonic();
+                let m = k
+                    .local_mems
+                    .get(mem.0 as usize)
+                    .ok_or_else(|| err(format!("{what}: unknown local mem {mem:?}")))?;
                 let arg = k
                     .args
-                    .get(dst.0 as usize)
-                    .ok_or_else(|| err(format!("writeback to unknown buffer {dst:?}")))?;
-                if !matches!(arg.kind, ArgKind::Buffer { .. }) {
-                    return Err(err(format!("writeback to scalar argument `{}`", arg.name)));
+                    .get(buf.0 as usize)
+                    .ok_or_else(|| err(format!("{what}: unknown buffer {buf:?}")))?;
+                let ArgKind::Buffer { elem, .. } = arg.kind else {
+                    return Err(err(format!("{what}: scalar argument `{}`", arg.name)));
+                };
+                if m.elem.scalar != elem {
+                    return Err(err(format!(
+                        "{what}: local mem `{}` of {:?} against `{}` declared {elem:?}",
+                        m.name, m.elem, arg.name
+                    )));
+                }
+                for e in [src_off, dst_off, len] {
+                    scalar(s, e)?;
                 }
             }
         }

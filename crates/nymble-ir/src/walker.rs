@@ -21,27 +21,58 @@
 //!
 //! All other events are informational; the walker can be stepped immediately.
 
-use crate::expr::{eval_binop, eval_unop, Expr, ExprId};
 use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
-use crate::loops::{LoopId, LoopMap};
+use crate::loops::LoopId;
 use crate::opcount::OpCounts;
-use crate::stmt::{Stmt, Unroll};
-use crate::types::{ScalarType, Type, Value};
+use crate::tape::{self, BlockRange, Program, Reg, StmtKind};
+use crate::types::{ScalarType, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Functional data storage the walker reads and writes through.
+/// Functional data storage the walker reads and writes through, one scalar
+/// element per register ([`Value::to_bits`] encoding).
 ///
 /// The gold interpreter backs this with plain `Vec`s; the FPGA simulator
 /// backs it with the simulated external-DRAM image so that data transfers and
 /// values stay consistent with the timing model.
 pub trait DataMemory {
-    /// Load `ty` from buffer `buf` at *element* index `elem_idx` (a vector
-    /// load reads `ty.lanes` consecutive elements).
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, ty: Type) -> Value;
-    /// Store `v` to buffer `buf` at element index `elem_idx` (vector stores
-    /// write all lanes consecutively).
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, v: Value);
+    /// Load `out.len()` consecutive elements of buffer `buf`, starting at
+    /// element index `elem_idx` (a vector load reads all its lanes).
+    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]);
+    /// Store `lanes` (elements of type `ty`) to buffer `buf` at
+    /// consecutive element indices starting at `elem_idx`.
+    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]);
+}
+
+/// [`DataMemory::load_ext`] over a buffer of values, for implementors that
+/// hold buffers as `Vec<Value>`. `what` names the memory in the panic.
+pub fn load_values(b: &[Value], elem_idx: u64, out: &mut [u64], what: &str) {
+    let i = elem_idx as usize;
+    assert!(
+        i.checked_add(out.len()).is_some_and(|end| end <= b.len()),
+        "{what} load out of bounds: len {} index {} lanes {}",
+        b.len(),
+        i,
+        out.len()
+    );
+    for (o, v) in out.iter_mut().zip(&b[i..]) {
+        *o = v.to_bits();
+    }
+}
+
+/// [`DataMemory::store_ext`] over a buffer of values.
+pub fn store_values(b: &mut [Value], elem_idx: u64, ty: ScalarType, lanes: &[u64], what: &str) {
+    let i = elem_idx as usize;
+    assert!(
+        i.checked_add(lanes.len()).is_some_and(|end| end <= b.len()),
+        "{what} store out of bounds: len {} index {} lanes {}",
+        b.len(),
+        i,
+        lanes.len()
+    );
+    for (slot, &bits) in b[i..].iter_mut().zip(lanes) {
+        *slot = Value::from_bits(ty, bits);
+    }
 }
 
 /// One external-memory access, as observed on the thread's Avalon master.
@@ -93,136 +124,57 @@ pub enum StepEvent {
     Finished,
 }
 
-enum Frame<'k> {
-    /// Plain statement sequence.
-    Block { stmts: &'k [Stmt], idx: usize },
+enum Frame {
+    /// Statements `next..end` of a block still to run.
+    Block { next: u32, end: u32 },
     /// Active counted loop (bounds pre-evaluated).
     Loop {
-        /// The loop's stable id, resolved once at entry so per-iteration
-        /// events need no [`LoopMap`] lookup.
         loop_id: LoopId,
-        var: VarId,
-        body: &'k [Stmt],
+        var: Reg,
+        var_ty: ScalarType,
+        body: BlockRange,
         next: i64,
         end: i64,
         step: i64,
         unrolled: bool,
-        /// Body frame must be pushed for iteration `next` on resume.
-        pending_iter: bool,
     },
     /// Critical section in flight (so we can emit CriticalExit on leave).
-    Critical { body: &'k [Stmt], entered: bool },
+    Critical { body: BlockRange, entered: bool },
+}
+
+impl Frame {
+    fn block(b: BlockRange) -> Frame {
+        Frame::Block {
+            next: b.start,
+            end: b.end,
+        }
+    }
 }
 
 /// Explicit-stack interpreter for one hardware thread.
 ///
-/// Holds the loop map behind an [`Arc`] (shared by every thread of a run)
-/// so a walker set plus its kernel borrow forms a self-contained, `Send`
-/// simulation state.
+/// Executes the kernel's [`Program`], shared by every thread of a run
+/// behind an [`Arc`], on a private `u64` register file; a walker set plus
+/// its kernel borrow forms a self-contained, `Send` simulation state.
 pub struct Walker<'k> {
     kernel: &'k Kernel,
-    loops: Arc<LoopMap>,
+    prog: Arc<Program>,
     tid: u32,
-    /// Scalar argument values, indexed by `ArgId` (buffer slots unused).
-    scalar_args: Vec<Value>,
-    vars: Vec<Value>,
-    local: Vec<Vec<Value>>,
-    stack: Vec<Frame<'k>>,
+    regs: Vec<u64>,
+    /// Local memories, each `len × lanes` registers.
+    local: Vec<Vec<u64>>,
+    stack: Vec<Frame>,
     queue: VecDeque<StepEvent>,
     finished: bool,
-    /// Local memories read by the statement currently being evaluated
-    /// (deduplicates [`StepEvent::LocalRead`] to one per statement).
-    stmt_local_reads: Vec<LocalMemId>,
-    /// Per-statement memoisation of shared sub-expressions: the arena is a
-    /// DAG (e.g. `x` in `x*x`), and a shared node is one datapath operator —
-    /// it must evaluate, count and issue memory requests exactly once per
-    /// statement execution.
-    eval_gen: u64,
-    eval_cache: Vec<Option<(u64, Value)>>,
-    /// `shared[id]` — the expression is referenced more than once (by other
-    /// expressions or statements), so it *can* be evaluated multiple times
-    /// per statement and must go through the memo cache. Single-reference
-    /// nodes — the vast majority — skip the cache bookkeeping entirely.
-    shared: Vec<bool>,
-}
-
-/// Count every reference to each expression (expression children plus
-/// statement operands); a node referenced at least twice may be evaluated
-/// more than once within one statement and therefore must be memoised.
-fn shared_expr_map(kernel: &Kernel) -> Vec<bool> {
-    let mut refs = vec![0u32; kernel.exprs.len()];
-    for e in kernel.exprs.iter() {
-        for c in e.children() {
-            refs[c.0 as usize] = refs[c.0 as usize].saturating_add(1);
-        }
-    }
-    fn bump(refs: &mut [u32], id: ExprId) {
-        refs[id.0 as usize] = refs[id.0 as usize].saturating_add(1);
-    }
-    fn visit_block(b: &[Stmt], refs: &mut [u32]) {
-        for s in b {
-            match s {
-                Stmt::Assign { expr, .. } => bump(refs, *expr),
-                Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
-                    bump(refs, *index);
-                    bump(refs, *value);
-                }
-                Stmt::For {
-                    start,
-                    end,
-                    step,
-                    body,
-                    ..
-                } => {
-                    bump(refs, *start);
-                    bump(refs, *end);
-                    bump(refs, *step);
-                    visit_block(body, refs);
-                }
-                Stmt::If {
-                    cond,
-                    then_b,
-                    else_b,
-                } => {
-                    bump(refs, *cond);
-                    visit_block(then_b, refs);
-                    visit_block(else_b, refs);
-                }
-                Stmt::Critical { body } => visit_block(body, refs),
-                Stmt::Preload {
-                    src_off,
-                    dst_off,
-                    len,
-                    ..
-                } => {
-                    bump(refs, *src_off);
-                    bump(refs, *dst_off);
-                    bump(refs, *len);
-                }
-                Stmt::WriteBack {
-                    dst_off,
-                    src_off,
-                    len,
-                    ..
-                } => {
-                    bump(refs, *dst_off);
-                    bump(refs, *src_off);
-                    bump(refs, *len);
-                }
-                Stmt::Barrier => {}
-            }
-        }
-    }
-    visit_block(&kernel.body, &mut refs);
-    refs.into_iter().map(|r| r >= 2).collect()
 }
 
 impl<'k> Walker<'k> {
-    /// Create a walker for hardware thread `tid`.
+    /// Create a walker for hardware thread `tid` of `kernel`, executing
+    /// `prog` (which must be [`Program::lower`] of the same kernel).
     ///
     /// `scalar_args` must have one entry per kernel argument; entries for
     /// buffer arguments are ignored (pass any placeholder).
-    pub fn new(kernel: &'k Kernel, loops: Arc<LoopMap>, tid: u32, scalar_args: Vec<Value>) -> Self {
+    pub fn new(kernel: &'k Kernel, prog: Arc<Program>, tid: u32, scalar_args: Vec<Value>) -> Self {
         assert!(tid < kernel.num_threads, "thread id out of range");
         assert_eq!(
             scalar_args.len(),
@@ -231,41 +183,33 @@ impl<'k> Walker<'k> {
         );
         for (i, arg) in kernel.args.iter().enumerate() {
             if let ArgKind::Scalar(st) = arg.kind {
-                assert_eq!(
-                    scalar_args[i].ty().scalar,
-                    st,
+                assert!(
+                    !matches!(scalar_args[i], Value::Vec(_)) && scalar_args[i].ty().scalar == st,
                     "scalar arg `{}` launch value has wrong type",
                     arg.name
                 );
             }
         }
-        let vars = kernel
-            .vars
-            .iter()
-            .map(|v| Value::zero(v.ty))
-            .collect::<Vec<_>>();
-        let local = kernel
+        let mut regs = prog.init_regs.clone();
+        regs[prog.tid_reg as usize] = Value::I32(tid as i32).to_bits();
+        for &(r, a) in &prog.arg_regs {
+            regs[r as usize] = scalar_args[a.0 as usize].to_bits();
+        }
+        let local = prog
             .local_mems
             .iter()
-            .map(|m| vec![Value::zero(m.elem); m.len as usize])
-            .collect::<Vec<_>>();
+            .map(|(elem, len)| vec![0; *len as usize * elem.lanes as usize])
+            .collect();
+        let stack = vec![Frame::block(prog.body)];
         Walker {
             kernel,
-            loops,
+            prog,
             tid,
-            scalar_args,
-            vars,
+            regs,
             local,
-            stack: vec![Frame::Block {
-                stmts: &kernel.body,
-                idx: 0,
-            }],
+            stack,
             queue: VecDeque::new(),
             finished: false,
-            stmt_local_reads: Vec::new(),
-            eval_gen: 0,
-            eval_cache: vec![None; kernel.exprs.len()],
-            shared: shared_expr_map(kernel),
         }
     }
 
@@ -275,8 +219,14 @@ impl<'k> Walker<'k> {
     }
 
     /// Read back a thread-local variable (for result checks in tests).
-    pub fn var_value(&self, v: VarId) -> &Value {
-        &self.vars[v.0 as usize]
+    pub fn var_value(&self, v: VarId) -> Value {
+        let (r, ty) = self.prog.var(v);
+        let lane = |l: u32| Value::from_bits(ty.scalar, self.regs[(r + l) as usize]);
+        if ty.lanes == 1 {
+            lane(0)
+        } else {
+            Value::Vec((0..ty.lanes as u32).map(lane).collect())
+        }
     }
 
     /// Advance the thread until the next observable event.
@@ -294,8 +244,8 @@ impl<'k> Walker<'k> {
                 return StepEvent::Finished;
             };
             match frame {
-                Frame::Block { stmts, idx } => {
-                    if *idx >= stmts.len() {
+                Frame::Block { next, end } => {
+                    if *next >= *end {
                         self.stack.pop();
                         // Leaving a critical body: emit the exit event.
                         if let Some(Frame::Critical { entered: true, .. }) = self.stack.last() {
@@ -304,8 +254,8 @@ impl<'k> Walker<'k> {
                         }
                         continue;
                     }
-                    let s = &stmts[*idx];
-                    *idx += 1;
+                    let s = *next;
+                    *next += 1;
                     if let Some(ev) = self.exec_stmt(s, mem) {
                         return ev;
                     }
@@ -316,12 +266,12 @@ impl<'k> Walker<'k> {
                 Frame::Loop {
                     loop_id,
                     var,
+                    var_ty,
                     body,
                     next,
                     end,
                     step,
                     unrolled,
-                    pending_iter,
                 } => {
                     let done = if *step >= 0 {
                         *next >= *end
@@ -338,19 +288,11 @@ impl<'k> Walker<'k> {
                         continue;
                     }
                     // Start the next iteration.
-                    let vslot = var.0 as usize;
-                    let ty = self.kernel.vars[vslot].ty.scalar;
                     let cur = *next;
                     *next += *step;
-                    *pending_iter = false;
-                    let body: &'k [Stmt] = body;
-                    let unrolled = *unrolled;
-                    let loop_id = *loop_id;
-                    self.vars[vslot] = Value::from_i64(ty, cur);
-                    self.stack.push(Frame::Block {
-                        stmts: body,
-                        idx: 0,
-                    });
+                    let (body, unrolled, loop_id) = (*body, *unrolled, *loop_id);
+                    self.regs[*var as usize] = var_ty.bits_from_i64(cur);
+                    self.stack.push(Frame::block(body));
                     if !unrolled {
                         return StepEvent::LoopIter { loop_id };
                     }
@@ -359,324 +301,203 @@ impl<'k> Walker<'k> {
                     // We only reach here the second time (after the driver
                     // granted the lock): push the body and mark entered.
                     *entered = true;
-                    let body: &'k [Stmt] = body;
-                    self.stack.push(Frame::Block {
-                        stmts: body,
-                        idx: 0,
-                    });
+                    let body = *body;
+                    self.stack.push(Frame::block(body));
                 }
             }
         }
     }
 
-    /// Execute a single statement; may return a primary event and queue more.
-    fn exec_stmt<M: DataMemory + ?Sized>(&mut self, s: &'k Stmt, mem: &mut M) -> Option<StepEvent> {
-        self.stmt_local_reads.clear();
-        self.eval_gen += 1;
-        match s {
-            Stmt::Assign { var, expr } => {
-                let mut ops = OpCounts::default();
-                let v = self.eval(*expr, mem, &mut ops);
-                self.vars[var.0 as usize] = v;
-                self.emit_ops(ops)
+    /// Execute statement `si`; may return a primary event and queue more.
+    fn exec_stmt<M: DataMemory + ?Sized>(&mut self, si: u32, mem: &mut M) -> Option<StepEvent> {
+        let Walker {
+            kernel,
+            prog,
+            regs,
+            local,
+            stack,
+            queue,
+            ..
+        } = self;
+        let s = &prog.stmts[si as usize];
+        let code = &prog.insts[s.code.0 as usize..s.code.1 as usize];
+        tape::run(code, regs, local, mem, queue, kernel);
+        let i64_at = |r: Reg| regs[r as usize] as i64;
+        match s.kind {
+            StmtKind::Assign { dst, src, lanes } => {
+                let (d, a, n) = (dst as usize, src as usize, lanes as usize);
+                regs.copy_within(a..a + n, d);
             }
-            Stmt::StoreExt { buf, index, value } => {
-                let mut ops = OpCounts::default();
-                let idx = self.eval(*index, mem, &mut ops).as_i64() as u64;
-                let v = self.eval(*value, mem, &mut ops);
-                let bytes = v.ty().size_bytes();
-                let elem_size = self.kernel.buffer_elem_size(*buf) as u64;
-                mem.store_ext(*buf, idx, v);
-                self.queue.push_back(StepEvent::Access(MemAccess {
-                    buf: *buf,
-                    byte_off: idx * elem_size,
-                    bytes,
+            StmtKind::StoreExt {
+                buf,
+                idx,
+                val,
+                ty,
+                elem_bytes,
+            } => {
+                let i = i64_at(idx) as u64;
+                let v = val as usize;
+                mem.store_ext(buf, i, ty.scalar, &regs[v..v + ty.lanes as usize]);
+                queue.push_back(StepEvent::Access(MemAccess {
+                    buf,
+                    byte_off: i * elem_bytes as u64,
+                    bytes: ty.size_bytes(),
                     is_write: true,
                 }));
-                self.emit_ops(ops)
             }
-            Stmt::StoreLocal {
+            StmtKind::StoreLocal {
                 mem: lm,
-                index,
-                value,
+                idx,
+                val,
+                lanes,
             } => {
-                let mut ops = OpCounts::default();
-                let idx = self.eval(*index, mem, &mut ops).as_i64() as usize;
-                let v = self.eval(*value, mem, &mut ops);
-                self.write_local(*lm, idx, v);
-                self.emit_ops(ops)
+                let i = i64_at(idx) as usize;
+                let (v, n) = (val as usize, lanes as usize);
+                let words = &mut local[lm.0 as usize];
+                tape::check_local(kernel, lm, i, words.len() / n);
+                words[i * n..i * n + n].copy_from_slice(&regs[v..v + n]);
             }
-            Stmt::For {
+            StmtKind::For {
+                loop_id,
                 var,
+                var_ty,
                 start,
                 end,
                 step,
                 body,
-                unroll,
+                unrolled,
             } => {
-                let mut ops = OpCounts::default();
-                let s0 = self.eval(*start, mem, &mut ops).as_i64();
-                let e0 = self.eval(*end, mem, &mut ops).as_i64();
-                let st = self.eval(*step, mem, &mut ops).as_i64();
+                let (s0, e0, st) = (i64_at(start), i64_at(end), i64_at(step));
                 assert!(st != 0, "zero loop step");
                 let trip = if st > 0 {
                     ((e0 - s0).max(0) as u64).div_ceil(st as u64)
                 } else {
                     ((s0 - e0).max(0) as u64).div_ceil((-st) as u64)
                 };
-                let unrolled = *unroll == Unroll::Full;
-                let loop_id = self.loops.id_of(s);
                 if !unrolled {
-                    self.queue.push_back(StepEvent::LoopEnter { loop_id, trip });
+                    queue.push_back(StepEvent::LoopEnter { loop_id, trip });
                 }
-                self.stack.push(Frame::Loop {
+                stack.push(Frame::Loop {
                     loop_id,
-                    var: *var,
+                    var,
+                    var_ty,
                     body,
                     next: s0,
                     end: e0,
                     step: st,
                     unrolled,
-                    pending_iter: true,
                 });
-                self.emit_ops(ops)
             }
-            Stmt::If {
+            StmtKind::If {
                 cond,
                 then_b,
                 else_b,
             } => {
-                let mut ops = OpCounts::default();
-                let c = self.eval(*cond, mem, &mut ops).as_bool();
-                let block: &'k [Stmt] = if c { then_b } else { else_b };
-                if !block.is_empty() {
-                    self.stack.push(Frame::Block {
-                        stmts: block,
-                        idx: 0,
-                    });
+                let block = if regs[cond as usize] != 0 {
+                    then_b
+                } else {
+                    else_b
+                };
+                if block.start < block.end {
+                    stack.push(Frame::block(block));
                 }
-                self.emit_ops(ops)
             }
-            Stmt::Critical { body } => {
-                self.stack.push(Frame::Critical {
+            StmtKind::Critical { body } => {
+                stack.push(Frame::Critical {
                     body,
                     entered: false,
                 });
-                Some(StepEvent::CriticalEnter)
+                return Some(StepEvent::CriticalEnter);
             }
-            Stmt::Barrier => Some(StepEvent::Barrier),
-            Stmt::Preload {
+            StmtKind::Barrier => return Some(StepEvent::Barrier),
+            StmtKind::Preload {
                 mem: lm,
                 src,
                 src_off,
                 dst_off,
                 len,
+                elem,
             } => {
-                let mut ops = OpCounts::default();
-                let soff = self.eval(*src_off, mem, &mut ops).as_i64() as u64;
-                let doff = self.eval(*dst_off, mem, &mut ops).as_i64() as u64;
-                let n = self.eval(*len, mem, &mut ops).as_i64() as u64;
-                let elem_ty = self.kernel.local_mem(*lm).elem;
-                let scalar_size = elem_ty.scalar.size_bytes() as u64;
-                let lanes = elem_ty.lanes as u64;
+                let (soff, doff, n) = (
+                    i64_at(src_off) as u64,
+                    i64_at(dst_off) as u64,
+                    i64_at(len) as u64,
+                );
+                let scalar_size = elem.scalar.size_bytes() as u64;
+                let lanes = elem.lanes as u64;
+                let words = &mut local[lm.0 as usize];
+                let mem_len = words.len() / lanes as usize;
                 for i in 0..n {
                     // Source element index is in *scalar* elements of the
                     // buffer; each local element may be a vector.
-                    let v = mem.load_ext(*src, soff + i * lanes, elem_ty);
-                    self.write_local(*lm, (doff + i) as usize, v);
+                    let at = (doff + i) as usize;
+                    tape::check_local(kernel, lm, at, mem_len);
+                    let w = at * lanes as usize;
+                    mem.load_ext(src, soff + i * lanes, &mut words[w..w + lanes as usize]);
                 }
-                self.queue.push_back(StepEvent::Burst {
+                queue.push_back(StepEvent::Burst {
                     access: MemAccess {
-                        buf: *src,
+                        buf: src,
                         byte_off: soff * scalar_size,
                         bytes: (n * lanes * scalar_size) as u32,
                         is_write: false,
                     },
-                    mem: *lm,
+                    mem: lm,
                 });
-                self.emit_ops(ops)
             }
-            Stmt::WriteBack {
+            StmtKind::WriteBack {
                 mem: lm,
                 dst,
                 dst_off,
                 src_off,
                 len,
+                elem,
             } => {
-                let mut ops = OpCounts::default();
-                let doff = self.eval(*dst_off, mem, &mut ops).as_i64() as u64;
-                let soff = self.eval(*src_off, mem, &mut ops).as_i64() as u64;
-                let n = self.eval(*len, mem, &mut ops).as_i64() as u64;
-                let elem_ty = self.kernel.local_mem(*lm).elem;
-                let scalar_size = elem_ty.scalar.size_bytes() as u64;
-                let lanes = elem_ty.lanes as u64;
+                let (doff, soff, n) = (
+                    i64_at(dst_off) as u64,
+                    i64_at(src_off) as u64,
+                    i64_at(len) as u64,
+                );
+                let scalar_size = elem.scalar.size_bytes() as u64;
+                let lanes = elem.lanes as u64;
+                let words = &local[lm.0 as usize];
                 for i in 0..n {
-                    let v = self.local[lm.0 as usize][(soff + i) as usize].clone();
-                    mem.store_ext(*dst, doff + i * lanes, v);
+                    let w = (soff + i) as usize * lanes as usize;
+                    mem.store_ext(
+                        dst,
+                        doff + i * lanes,
+                        elem.scalar,
+                        &words[w..w + lanes as usize],
+                    );
                 }
-                self.queue.push_back(StepEvent::Burst {
+                queue.push_back(StepEvent::Burst {
                     access: MemAccess {
-                        buf: *dst,
+                        buf: dst,
                         byte_off: doff * scalar_size,
                         bytes: (n * lanes * scalar_size) as u32,
                         is_write: true,
                     },
-                    mem: *lm,
+                    mem: lm,
                 });
-                self.emit_ops(ops)
             }
         }
+        emit_ops(s.ops, queue)
     }
+}
 
-    fn emit_ops(&mut self, ops: OpCounts) -> Option<StepEvent> {
-        if ops.int_ops == 0 && ops.flops == 0 && ops.ext_loads == 0 && ops.local_loads == 0 {
-            return self.queue.pop_front();
-        }
-        Some(StepEvent::Ops(ops))
+/// The statement's `Ops` event, or (for zero counts) its first queued one.
+fn emit_ops(ops: OpCounts, queue: &mut VecDeque<StepEvent>) -> Option<StepEvent> {
+    if ops.int_ops == 0 && ops.flops == 0 && ops.ext_loads == 0 && ops.local_loads == 0 {
+        return queue.pop_front();
     }
-
-    fn write_local(&mut self, lm: LocalMemId, idx: usize, v: Value) {
-        let memv = &mut self.local[lm.0 as usize];
-        assert!(
-            idx < memv.len(),
-            "local memory `{}` index {} out of bounds ({})",
-            self.kernel.local_mem(lm).name,
-            idx,
-            memv.len()
-        );
-        memv[idx] = v;
-    }
-
-    /// Evaluate an expression, counting ops and queueing access events.
-    /// Shared sub-expressions are evaluated once per statement (memoised);
-    /// single-reference nodes — evaluated exactly once per statement by
-    /// construction — bypass the cache and its value clones.
-    fn eval<M: DataMemory + ?Sized>(
-        &mut self,
-        id: ExprId,
-        mem: &mut M,
-        ops: &mut OpCounts,
-    ) -> Value {
-        if !self.shared[id.0 as usize] {
-            return self.eval_uncached(id, mem, ops);
-        }
-        if let Some((g, v)) = &self.eval_cache[id.0 as usize] {
-            if *g == self.eval_gen {
-                return v.clone();
-            }
-        }
-        let v = self.eval_uncached(id, mem, ops);
-        self.eval_cache[id.0 as usize] = Some((self.eval_gen, v.clone()));
-        v
-    }
-
-    fn eval_uncached<M: DataMemory + ?Sized>(
-        &mut self,
-        id: ExprId,
-        mem: &mut M,
-        ops: &mut OpCounts,
-    ) -> Value {
-        match self.kernel.expr(id) {
-            Expr::Const(v) => v.clone(),
-            Expr::Arg(a) => self.scalar_args[a.0 as usize].clone(),
-            Expr::ThreadId => Value::I32(self.tid as i32),
-            Expr::NumThreads => Value::I32(self.kernel.num_threads as i32),
-            Expr::Var(v) => self.vars[v.0 as usize].clone(),
-            Expr::Unary(op, a) => {
-                let av = self.eval(*a, mem, ops);
-                let lanes = av.ty().lanes.max(1) as u64;
-                if av.ty().scalar.is_float() {
-                    ops.flops += lanes;
-                } else {
-                    ops.int_ops += lanes;
-                }
-                eval_unop(*op, &av)
-            }
-            Expr::Binary(op, a, b) => {
-                let av = self.eval(*a, mem, ops);
-                let bv = self.eval(*b, mem, ops);
-                let lanes = av.ty().lanes.max(1) as u64;
-                if op.is_comparison() || !av.ty().scalar.is_float() {
-                    ops.int_ops += lanes;
-                } else {
-                    ops.flops += lanes;
-                }
-                eval_binop(*op, &av, &bv)
-            }
-            Expr::Select {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                // Both sides are evaluated: the datapath computes both and
-                // multiplexes (no short-circuit in hardware).
-                let c = self.eval(*cond, mem, ops);
-                let tv = self.eval(*then_v, mem, ops);
-                let ev = self.eval(*else_v, mem, ops);
-                ops.int_ops += tv.ty().lanes.max(1) as u64;
-                if c.as_bool() {
-                    tv
-                } else {
-                    ev
-                }
-            }
-            Expr::Cast(ty, a) => {
-                let av = self.eval(*a, mem, ops);
-                ops.int_ops += 1;
-                match ty {
-                    ScalarType::I32 | ScalarType::I64 => Value::from_i64(*ty, av.as_i64()),
-                    ScalarType::F32 | ScalarType::F64 => Value::from_f64(*ty, av.as_f64()),
-                }
-            }
-            Expr::LoadExt { buf, index, ty } => {
-                let idx = self.eval(*index, mem, ops).as_i64() as u64;
-                let v = mem.load_ext(*buf, idx, *ty);
-                ops.ext_loads += 1;
-                let elem_size = ty.scalar.size_bytes() as u64;
-                self.queue.push_back(StepEvent::Access(MemAccess {
-                    buf: *buf,
-                    byte_off: idx * elem_size,
-                    bytes: ty.size_bytes(),
-                    is_write: false,
-                }));
-                v
-            }
-            Expr::LoadLocal { mem: lm, index, ty } => {
-                let idx = self.eval(*index, mem, ops).as_i64() as usize;
-                ops.local_loads += 1;
-                if !self.stmt_local_reads.contains(lm) {
-                    self.stmt_local_reads.push(*lm);
-                    self.queue.push_back(StepEvent::LocalRead { mem: *lm });
-                }
-                let memv = &self.local[lm.0 as usize];
-                assert!(
-                    idx < memv.len(),
-                    "local memory `{}` index {} out of bounds ({})",
-                    self.kernel.local_mem(*lm).name,
-                    idx,
-                    memv.len()
-                );
-                let v = memv[idx].clone();
-                debug_assert_eq!(v.ty().scalar, ty.scalar);
-                v
-            }
-            Expr::Lane(a, lane) => {
-                let av = self.eval(*a, mem, ops);
-                av.lane(*lane as usize).clone()
-            }
-            Expr::Splat(a, lanes) => {
-                let av = self.eval(*a, mem, ops);
-                Value::Vec(vec![av; *lanes as usize].into_boxed_slice())
-            }
-        }
-    }
+    Some(StepEvent::Ops(ops))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
-    use crate::types::ScalarType;
+    use crate::types::Type;
     use crate::MapDir;
 
     /// Plain-vector memory for tests.
@@ -685,28 +506,16 @@ mod tests {
     }
 
     impl DataMemory for VecMem {
-        fn load_ext(&mut self, buf: ArgId, elem_idx: u64, ty: Type) -> Value {
-            let b = &self.bufs[buf.0 as usize];
-            if ty.lanes <= 1 {
-                b[elem_idx as usize].clone()
-            } else {
-                let lanes: Vec<Value> = (0..ty.lanes as u64)
-                    .map(|l| b[(elem_idx + l) as usize].clone())
-                    .collect();
-                Value::Vec(lanes.into_boxed_slice())
-            }
+        fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
+            load_values(&self.bufs[buf.0 as usize], elem_idx, out, "test");
         }
-        fn store_ext(&mut self, buf: ArgId, elem_idx: u64, v: Value) {
-            let b = &mut self.bufs[buf.0 as usize];
-            match v {
-                Value::Vec(lanes) => {
-                    for (l, lv) in lanes.iter().enumerate() {
-                        b[elem_idx as usize + l] = lv.clone();
-                    }
-                }
-                s => b[elem_idx as usize] = s,
-            }
+        fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
+            store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes, "test");
         }
+    }
+
+    fn walker(k: &Kernel, tid: u32, args: Vec<Value>) -> Walker<'_> {
+        Walker::new(k, Arc::new(Program::lower(k)), tid, args)
     }
 
     fn drive_to_finish(w: &mut Walker, mem: &mut VecMem) -> Vec<StepEvent> {
@@ -741,7 +550,6 @@ mod tests {
         let zero = kb.c_i64(0);
         kb.store(out, zero, accv);
         let k = kb.finish();
-        let loops = LoopMap::build(&k);
         let mut mem = VecMem {
             bufs: vec![
                 (0..4).map(|i| Value::F32(i as f32)).collect(),
@@ -750,7 +558,7 @@ mod tests {
             ],
         };
         let args = vec![Value::I32(0), Value::I32(0), Value::I64(4)];
-        let mut w = Walker::new(&k, std::sync::Arc::new(loops), 0, args);
+        let mut w = walker(&k, 0, args);
         let evs = drive_to_finish(&mut w, &mut mem);
         assert_eq!(mem.bufs[1][0], Value::F32(0.0 + 1.0 + 2.0 + 3.0));
         let iters = evs
@@ -799,11 +607,10 @@ mod tests {
             kb.store(out, z2, inc);
         });
         let k = kb.finish();
-        let loops = LoopMap::build(&k);
         let mut mem = VecMem {
             bufs: vec![vec![Value::I32(10)]],
         };
-        let mut w = Walker::new(&k, std::sync::Arc::new(loops), 0, vec![Value::I32(0)]);
+        let mut w = walker(&k, 0, vec![Value::I32(0)]);
         assert_eq!(w.step(&mut mem), StepEvent::CriticalEnter);
         // Value untouched while paused.
         assert_eq!(mem.bufs[0][0], Value::I32(10));
@@ -834,9 +641,8 @@ mod tests {
             kb.set(acc, s);
         });
         let k = kb.finish();
-        let loops = LoopMap::build(&k);
         let mut mem = VecMem { bufs: vec![] };
-        let mut w = Walker::new(&k, std::sync::Arc::new(loops), 0, vec![]);
+        let mut w = walker(&k, 0, vec![]);
         let evs = drive_to_finish(&mut w, &mut mem);
         assert!(
             !evs.iter().any(|e| matches!(
@@ -847,7 +653,7 @@ mod tests {
             )),
             "unrolled loop must be invisible to the timing model: {evs:?}"
         );
-        assert_eq!(w.var_value(VarId(0)), &Value::I32(1 + 2 + 3));
+        assert_eq!(w.var_value(VarId(0)), Value::I32(1 + 2 + 3));
     }
 
     #[test]
@@ -859,11 +665,10 @@ mod tests {
         let s = kb.mul(tid, nt);
         kb.set(v, s);
         let k = kb.finish();
-        let loops = LoopMap::build(&k);
         let mut mem = VecMem { bufs: vec![] };
-        let mut w = Walker::new(&k, std::sync::Arc::new(loops), 3, vec![]);
+        let mut w = walker(&k, 3, vec![]);
         drive_to_finish(&mut w, &mut mem);
-        assert_eq!(w.var_value(VarId(0)), &Value::I32(12));
+        assert_eq!(w.var_value(VarId(0)), Value::I32(12));
     }
 
     #[test]
@@ -882,19 +687,13 @@ mod tests {
         let z2 = kb.c_i64(0);
         kb.store(out, z2, v);
         let k = kb.finish();
-        let loops = LoopMap::build(&k);
         let mut mem = VecMem {
             bufs: vec![
                 (0..8).map(|i| Value::F32(i as f32 * 10.0)).collect(),
                 vec![Value::F32(0.0)],
             ],
         };
-        let mut w = Walker::new(
-            &k,
-            std::sync::Arc::new(loops),
-            0,
-            vec![Value::I32(0), Value::I32(0)],
-        );
+        let mut w = walker(&k, 0, vec![Value::I32(0), Value::I32(0)]);
         let evs = drive_to_finish(&mut w, &mut mem);
         assert_eq!(mem.bufs[1][0], Value::F32(30.0));
         let bursts: Vec<_> = evs
