@@ -467,7 +467,19 @@ fn edge_scalar(g: &mut Rng, t: ScalarType) -> S {
     match t {
         ScalarType::I32 => S::I32(*g.pick(&[i32::MIN, -1, 0, 1, 32, 33, i32::MAX, r as i32])),
         // i64::MIN is left out: today's `Abs` on it overflows in debug.
-        ScalarType::I64 => S::I64(*g.pick(&[i32::MIN as i64, -1, 0, 1, 33, 64, 65, i64::MAX, r])),
+        // 2^60 + 2^36 + 1 rounds differently to f32 directly and via f64.
+        ScalarType::I64 => S::I64(*g.pick(&[
+            i32::MIN as i64,
+            (1 << 60) + (1 << 36) + 1,
+            -1,
+            0,
+            1,
+            33,
+            64,
+            65,
+            i64::MAX,
+            r,
+        ])),
         ScalarType::F32 => S::F32(*g.pick(&[
             f32::NAN,
             0.0,
@@ -589,6 +601,16 @@ fn arb_dag(g: &mut Rng) -> Dag {
                 })
             }
             5 => pick_node(g, &nodes, |_, t| t.lanes == 1).and_then(|c| {
+                if g.chance(1, 3) {
+                    // Two fresh loads as arms: both are issued, in order.
+                    let t = *g.pick(&SCALARS);
+                    for _ in 0..2 {
+                        let idx = g.range_u64(0, IN_LEN);
+                        nodes.push((N::Load(t, 1, idx), Type::scalar(t)));
+                    }
+                    let n = nodes.len();
+                    return Some((N::Sel(c, n - 2, n - 1), Type::scalar(t)));
+                }
                 pick_node(g, &nodes, |_, _| true).and_then(|t| {
                     let tt = nodes[t].1;
                     pick_node(g, &nodes, |_, ty| ty == tt).map(|e| (N::Sel(c, t, e), tt))
@@ -879,4 +901,26 @@ fn typed_dags_match_oracle_values_accesses_and_ops() {
             assert_eq!(res.ops, e.ops, "root {r} op counts\n{:?}", d.nodes);
         }
     });
+}
+
+/// An i64 → f32 conversion rounds through f64, in a cast and as the right
+/// operand of f32 arithmetic; this value rounds differently when
+/// converted directly, which random DAGs rarely reach.
+#[test]
+fn i64_to_f32_rounds_through_f64() {
+    let x: i64 = (1 << 60) + (1 << 36) + 1;
+    assert_ne!(x as f32, x as f64 as f32, "the value must tell the two apart");
+    let mut kb = KernelBuilder::new("round", 1);
+    let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
+    let c = kb.c_i64(x);
+    let cast = kb.cast(ScalarType::F32, c);
+    let zero_f = kb.c_f32(0.0);
+    let sum = kb.add(zero_f, c);
+    let (i0, i1) = (kb.c_i64(0), kb.c_i64(1));
+    kb.store(out, i0, cast);
+    kb.store(out, i1, sum);
+    let k = kb.finish();
+    let r = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::F32(0.0); 2])]);
+    let want = Value::F32(x as f64 as f32);
+    assert_eq!(r.buffers[0], vec![want.clone(), want]);
 }
