@@ -13,7 +13,9 @@
 //! asserting both produce *identical* snoop streams, total cycles, derived
 //! statistics, device wake attributions and deadlock reports. The snooped
 //! signal stream is the contract the whole profiling and trace pipeline is
-//! built on, so the cores must agree bit-for-bit.
+//! built on, so the cores must agree bit-for-bit. Both must also leave the
+//! same final buffers as the untimed gold interpreter
+//! ([`nymble_ir::interp::Interpreter`]): timing never changes results.
 
 use crate::config::SimConfig;
 use crate::device::DeviceStats;
@@ -21,6 +23,7 @@ use crate::exec::{SimRun, StepStatus};
 use crate::memimg::LaunchArg;
 use crate::snoop::{Snoop, SnoopPair, StatsSnoop, ThreadState};
 use nymble_hls::accel::{compile, HlsConfig};
+use nymble_ir::interp::{self, Interpreter};
 use nymble_ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
 
 /// Deterministic split-mix style generator.
@@ -239,6 +242,7 @@ struct Observed {
     cycles: u64,
     threads: Vec<crate::stats::ThreadStats>,
     devices: DeviceStats,
+    buffers: Vec<Vec<Value>>,
 }
 
 fn run_steps<S: Snoop>(sim: &mut SimRun<'_>, snoop: &mut S, core: Core) {
@@ -257,18 +261,31 @@ fn drive(kernel: &Kernel, cfg: &SimConfig, launch: &[LaunchArg], core: Core) -> 
     let accel = compile(kernel, &HlsConfig::default());
     let mut stats = StatsSnoop::new(kernel.num_threads);
     let mut rec = Recorder::default();
-    let (cycles, devices) = {
-        let mut pair = SnoopPair::new(&mut stats, &mut rec);
-        let mut sim = SimRun::new(kernel, &accel, cfg, launch).expect("valid config");
-        run_steps(&mut sim, &mut pair, core);
-        (sim.total_cycles(), sim.device_stats())
-    };
+    let mut sim = SimRun::new(kernel, &accel, cfg, launch).expect("valid config");
+    run_steps(&mut sim, &mut SnoopPair::new(&mut stats, &mut rec), core);
+    let (cycles, devices) = (sim.total_cycles(), sim.device_stats());
+    // The statistics were observed by `stats` in thread order; `into_result`
+    // only needs a snoop to fold in, so it gets an empty one.
+    let buffers = sim.into_result(StatsSnoop::new(kernel.num_threads)).buffers;
     Observed {
         log: rec.log,
         cycles,
         threads: stats.into_stats(),
         devices,
+        buffers,
     }
+}
+
+/// The gold interpreter's final buffers for the same launch.
+fn gold_buffers(kernel: &Kernel, launch: &[LaunchArg]) -> Vec<Vec<Value>> {
+    let launch: Vec<interp::LaunchArg> = launch
+        .iter()
+        .map(|a| match a {
+            LaunchArg::Scalar(v) => interp::LaunchArg::Scalar(v.clone()),
+            LaunchArg::Buffer(b) => interp::LaunchArg::Buffer(b.clone()),
+        })
+        .collect();
+    Interpreter::run(kernel, &launch).buffers
 }
 
 #[test]
@@ -279,6 +296,9 @@ fn wheel_and_legacy_cores_agree_on_random_kernels() {
         let cfg = gen_config(&mut rng);
         let wheel = drive(&kernel, &cfg, &launch, Core::Wheel);
         let legacy = drive(&kernel, &cfg, &launch, Core::Legacy);
+        let gold = gold_buffers(&kernel, &launch);
+        assert_eq!(wheel.buffers, gold, "case {case}: wheel results != gold");
+        assert_eq!(legacy.buffers, gold, "case {case}: legacy results != gold");
         assert_eq!(
             wheel.cycles, legacy.cycles,
             "case {case}: total cycles diverged (wheel {} vs legacy {})",
