@@ -399,7 +399,7 @@ mod tests {
 
         let prof = StateProfile::compute(&td.records, 2);
         // Thread 0: idle 0–10, running 10–400, idle 400–500.
-        let t0_running: u64 = prof.per_thread[0]
+        let t0_running: u64 = prof.per_thread[&0]
             .get(&paraver::states::RUNNING)
             .copied()
             .unwrap_or(0);

@@ -909,7 +909,10 @@ fn typed_dags_match_oracle_values_accesses_and_ops() {
 #[test]
 fn i64_to_f32_rounds_through_f64() {
     let x: i64 = (1 << 60) + (1 << 36) + 1;
-    assert_ne!(x as f32, x as f64 as f32, "the value must tell the two apart");
+    assert_ne!(
+        x as f32, x as f64 as f32,
+        "the value must tell the two apart"
+    );
     let mut kb = KernelBuilder::new("round", 1);
     let out = kb.buffer("OUT", ScalarType::F32, MapDir::From);
     let c = kb.c_i64(x);

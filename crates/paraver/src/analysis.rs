@@ -23,18 +23,21 @@ fn add(sum: &mut u64, v: u64) {
 /// Aggregated time-in-state statistics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateProfile {
-    /// `per_thread[t][state] = cycles` (states indexed by their id).
-    pub per_thread: Vec<BTreeMap<u32, u64>>,
+    /// `per_thread[t][state] = cycles`, for the threads that have state
+    /// records (a header may claim far more threads than a trace uses).
+    pub per_thread: BTreeMap<u32, BTreeMap<u32, u64>>,
     /// Total cycles per state over all threads.
     pub total: BTreeMap<u32, u64>,
     /// Sum of all recorded state time over all threads.
     pub total_time: u64,
+    /// The header's thread count.
+    pub num_threads: u32,
 }
 
 impl StateProfile {
     /// Compute the profile from a record stream.
     pub fn compute(records: &[Record], num_threads: u32) -> Self {
-        let mut per_thread = vec![BTreeMap::new(); num_threads as usize];
+        let mut per_thread: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
         let mut total: BTreeMap<u32, u64> = BTreeMap::new();
         let mut total_time = 0u64;
         for r in records {
@@ -46,7 +49,8 @@ impl StateProfile {
             } = r
             {
                 let dur = end.saturating_sub(*begin);
-                add(per_thread[*thread as usize].entry(*state).or_default(), dur);
+                let m = per_thread.entry(*thread).or_default();
+                add(m.entry(*state).or_default(), dur);
                 add(total.entry(*state).or_default(), dur);
                 add(&mut total_time, dur);
             }
@@ -55,6 +59,7 @@ impl StateProfile {
             per_thread,
             total,
             total_time,
+            num_threads,
         }
     }
 
@@ -66,9 +71,12 @@ impl StateProfile {
         *self.total.get(&state).unwrap_or(&0) as f64 / self.total_time as f64
     }
 
-    /// Fraction of thread `t`'s recorded time spent in `state`.
+    /// Fraction of thread `t`'s recorded time spent in `state` (0 for a
+    /// thread without records).
     pub fn thread_fraction(&self, t: u32, state: u32) -> f64 {
-        let m = &self.per_thread[t as usize];
+        let Some(m) = self.per_thread.get(&t) else {
+            return 0.0;
+        };
         let tt = m.values().fold(0u64, |sum, &v| sum.saturating_add(v));
         if tt == 0 {
             return 0.0;
@@ -77,20 +85,21 @@ impl StateProfile {
     }
 
     /// Load-balance metric: ratio of max to min per-thread time in `state`
-    /// (1.0 = perfectly balanced). `None` when some thread has zero time.
+    /// (1.0 = perfectly balanced). `None` when some thread of the header
+    /// has zero time.
     pub fn imbalance(&self, state: u32) -> Option<f64> {
         let times: Vec<u64> = self
             .per_thread
-            .iter()
-            .map(|m| *m.get(&state).unwrap_or(&0))
+            .values()
+            .filter_map(|m| m.get(&state).copied())
+            .filter(|&t| t > 0)
             .collect();
+        if times.len() < self.num_threads as usize {
+            return None;
+        }
         let min = *times.iter().min()?;
         let max = *times.iter().max()?;
-        if min == 0 {
-            None
-        } else {
-            Some(max as f64 / min as f64)
-        }
+        Some(max as f64 / min as f64)
     }
 }
 
@@ -311,6 +320,23 @@ mod tests {
         ];
         let p = StateProfile::compute(&rs, 2);
         assert_eq!(p.imbalance(states::RUNNING), Some(2.0));
+        assert_eq!(p.imbalance(states::CRITICAL), None);
+    }
+
+    /// A header may claim any thread count; the profile holds only the
+    /// threads that have records, and answers for the rest.
+    #[test]
+    fn huge_header_thread_count_is_not_allocated() {
+        let rs = vec![
+            state(0, 0, 60, states::RUNNING),
+            state(3_999_999_999, 0, 100, states::CRITICAL),
+        ];
+        let p = StateProfile::compute(&rs, 4_000_000_000);
+        assert_eq!(p.per_thread.len(), 2);
+        assert_eq!(p.total_time, 160);
+        assert_eq!(p.thread_fraction(0, states::RUNNING), 1.0);
+        assert_eq!(p.thread_fraction(7, states::RUNNING), 0.0, "absent thread");
+        assert_eq!(p.imbalance(states::RUNNING), None, "most threads idle");
         assert_eq!(p.imbalance(states::CRITICAL), None);
     }
 

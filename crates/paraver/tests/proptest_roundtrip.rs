@@ -77,7 +77,7 @@ fn state_profile_total_equals_interval_sum() {
             .sum();
         assert_eq!(profile.total_time, expect);
         // Per-thread sums add up to the total.
-        let per: u64 = profile.per_thread.iter().flat_map(|m| m.values()).sum();
+        let per: u64 = profile.per_thread.values().flat_map(|m| m.values()).sum();
         assert_eq!(per, expect);
     });
 }

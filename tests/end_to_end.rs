@@ -254,7 +254,7 @@ fn pi_end_to_end() {
     assert!((est - std::f32::consts::PI).abs() < 1e-2, "pi = {est}");
     // Ramp: thread i starts at i × launch_interval, visible as Idle time.
     let prof = StateProfile::compute(&trace.records, p.threads);
-    let idle3 = prof.per_thread[3].get(&states::IDLE).copied().unwrap_or(0);
+    let idle3 = prof.per_thread[&3].get(&states::IDLE).copied().unwrap_or(0);
     assert!(
         idle3 >= 3 * sim.launch_interval,
         "last thread idles through the ramp: {idle3}"
