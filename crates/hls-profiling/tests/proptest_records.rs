@@ -114,13 +114,9 @@ fn feed_is_conserved_through_buffer_and_decode() {
 
         // State intervals tile [0, end) per thread.
         let profile = StateProfile::compute(&trace.records, THREADS);
-        let per_thread_total: Vec<u64> = profile
-            .per_thread
-            .iter()
-            .map(|m| m.values().sum())
-            .collect();
-        for (tid, total) in per_thread_total.iter().enumerate() {
-            assert_eq!(*total, end, "thread {tid} timeline must tile the run");
+        for tid in 0..THREADS {
+            let total: u64 = profile.per_thread.get(&tid).map_or(0, |m| m.values().sum());
+            assert_eq!(total, end, "thread {tid} timeline must tile the run");
         }
 
         // Intervals are disjoint and sorted per thread.

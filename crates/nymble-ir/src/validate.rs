@@ -42,9 +42,6 @@ pub fn validate(k: &Kernel) -> Result<(), ValidationError> {
     if k.num_threads == 0 {
         return Err(err("num_threads must be >= 1"));
     }
-    for (i, e) in k.exprs.iter().enumerate() {
-        check_expr(k, ExprId(i as u32), e)?;
-    }
     for v in &k.vars {
         if v.ty.lanes == 0 {
             return Err(err(format!("variable `{}` has zero lanes", v.name)));
@@ -63,19 +60,29 @@ pub fn validate(k: &Kernel) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// The static type of every expression of `k`, indexed by [`ExprId`].
+/// Check every expression of `k` and return its static type, indexed by
+/// [`ExprId`].
 ///
-/// Expects referential integrity (ids in range, operands before users),
-/// which [`validate`] checks first. The rules are the walker's runtime
-/// semantics: arithmetic takes the left operand's scalar type, comparisons
-/// give `I32`, and lane-wise operations need equal lane counts.
+/// The rules are the walker's runtime semantics: arithmetic takes the left
+/// operand's scalar type, comparisons give `I32`, and lane-wise operations
+/// need equal lane counts.
 pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
     let mut tys: Vec<Type> = Vec::with_capacity(k.exprs.len());
     for (i, e) in k.exprs.iter().enumerate() {
         let id = ExprId(i as u32);
-        let ty = |c: &ExprId| tys[c.0 as usize];
+        check_expr(k, id, e)?;
+        // Operand ids must point backwards (only earlier expressions have
+        // a type yet): the builder always appends operands before their
+        // users, which also guarantees acyclicity.
+        let ty = |c: &ExprId| {
+            tys.get(c.0 as usize).copied().ok_or_else(|| {
+                err(format!(
+                    "expression {id:?} references non-prior expression {c:?} (cycle?)"
+                ))
+            })
+        };
         let scalar = |c: &ExprId, what: &str| {
-            let t = tys[c.0 as usize];
+            let t = ty(c)?;
             if t.lanes == 1 {
                 Ok(t.scalar)
             } else {
@@ -92,14 +99,14 @@ pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
             Expr::ThreadId | Expr::NumThreads => Type::I32,
             Expr::Var(v) => k.var(*v).ty,
             Expr::Unary(op, a) => {
-                let t = ty(a);
+                let t = ty(a)?;
                 if *op == UnOp::Not && t.scalar.is_float() {
                     return Err(err(format!("expression {id:?}: bitwise not on float")));
                 }
                 t
             }
             Expr::Binary(op, a, b) => {
-                let (ta, tb) = (ty(a), ty(b));
+                let (ta, tb) = (ty(a)?, ty(b)?);
                 if ta.lanes != tb.lanes {
                     return Err(err(format!(
                         "expression {id:?}: {op:?} of {} and {} lanes",
@@ -126,14 +133,13 @@ pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
                 else_v,
             } => {
                 scalar(cond, "select condition")?;
-                if ty(then_v) != ty(else_v) {
+                let (tt, te) = (ty(then_v)?, ty(else_v)?);
+                if tt != te {
                     return Err(err(format!(
-                        "expression {id:?}: select arms disagree ({:?} vs {:?})",
-                        ty(then_v),
-                        ty(else_v)
+                        "expression {id:?}: select arms disagree ({tt:?} vs {te:?})"
                     )));
                 }
-                ty(then_v)
+                tt
             }
             Expr::Cast(st, a) => {
                 scalar(a, "cast operand")?;
@@ -148,7 +154,7 @@ pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
                 *lt
             }
             Expr::Lane(a, lane) => {
-                let t = ty(a);
+                let t = ty(a)?;
                 if *lane >= t.lanes {
                     return Err(err(format!(
                         "expression {id:?}: lane {lane} of a {}-lane value",
@@ -177,16 +183,9 @@ fn const_type(v: &Value) -> Option<Type> {
         .then(|| Type::vector(st, lanes.len() as u8))
 }
 
+/// Referential integrity of one expression (ids in range, loads from
+/// buffers of the loaded type).
 fn check_expr(k: &Kernel, id: ExprId, e: &Expr) -> Result<(), ValidationError> {
-    // Arena ids must point backwards: the builder always appends operands
-    // before their users, which also guarantees acyclicity.
-    for c in e.children() {
-        if c.0 >= id.0 {
-            return Err(err(format!(
-                "expression {id:?} references non-prior expression {c:?} (cycle?)"
-            )));
-        }
-    }
     match e {
         Expr::Arg(a) => {
             let arg = k
@@ -518,6 +517,52 @@ mod tests {
         kb.set(v, ld);
         let e = kb.try_finish().unwrap_err();
         assert!(e.0.contains("declared"), "{e}");
+    }
+
+    /// Build a one-thread kernel with `build` and expect a validation error
+    /// containing `want`.
+    fn rejects(want: &str, build: impl FnOnce(&mut KernelBuilder)) {
+        let mut kb = KernelBuilder::new("bad", 1);
+        build(&mut kb);
+        let e = kb.try_finish().unwrap_err();
+        assert!(e.0.contains(want), "want `{want}`: {e}");
+    }
+
+    /// Every expression has one static type; statements must agree with
+    /// it.
+    #[test]
+    fn rejects_statically_mistyped_kernels() {
+        rejects("assign of", |kb| {
+            let v = kb.var("x", Type::I32);
+            let c = kb.c_i64(1);
+            kb.set(v, c);
+        });
+        rejects("select arms disagree", |kb| {
+            let (c, a, b) = (kb.c_i32(1), kb.c_f32(1.0), kb.c_f64(2.0));
+            let sel = kb.select(c, a, b);
+            let v = kb.var("x", Type::F32);
+            kb.set(v, sel);
+        });
+        rejects("lanes", |kb| {
+            let s = kb.c_f32(1.0);
+            let vec = kb.splat(s, 4);
+            let sum = kb.add(vec, s);
+            let v = kb.var("x", Type::vector(ScalarType::F32, 4));
+            kb.set(v, sum);
+        });
+        rejects("store of", |kb| {
+            let buf = kb.buffer("A", ScalarType::F32, MapDir::From);
+            let (i, x) = (kb.c_i64(0), kb.c_f64(1.0));
+            kb.store(buf, i, x);
+        });
+        rejects("vector", |kb| {
+            let buf = kb.buffer("A", ScalarType::F32, MapDir::To);
+            let i = kb.c_i64(0);
+            let idx = kb.splat(i, 2);
+            let ld = kb.load(buf, idx, Type::F32);
+            let v = kb.var("x", Type::F32);
+            kb.set(v, ld);
+        });
     }
 
     #[test]
