@@ -81,92 +81,30 @@ impl Conv {
     }
 }
 
-/// One typed scalar instruction. `d` is the destination register.
+/// One typed scalar instruction. Arithmetic is `(op, d, a, b)`: register
+/// `d` gets `op` of registers `a` and `b` (or of `a` alone).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Inst {
-    /// i64 arithmetic.
-    I64 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
+    I64(BinOp, Reg, Reg, Reg),
     /// i32 arithmetic: computed in i64, then wrapped.
-    I32 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    F32 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    F64 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Integer comparison, 0/1 result.
-    CmpI {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// Comparison of two f32 registers (in f64, exactly).
-    CmpF32 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    CmpF64 {
-        op: BinOp,
-        d: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    UnI64 {
-        op: UnOp,
-        d: Reg,
-        a: Reg,
-    },
-    UnI32 {
-        op: UnOp,
-        d: Reg,
-        a: Reg,
-    },
+    I32(BinOp, Reg, Reg, Reg),
+    F32(BinOp, Reg, Reg, Reg),
+    F64(BinOp, Reg, Reg, Reg),
+    /// Comparisons give 0/1: of i64s, of f32s (in f64, exactly), of f64s.
+    CmpI(BinOp, Reg, Reg, Reg),
+    CmpF32(BinOp, Reg, Reg, Reg),
+    CmpF64(BinOp, Reg, Reg, Reg),
+    UnI64(UnOp, Reg, Reg),
+    UnI32(UnOp, Reg, Reg),
     /// f32 unary operation, computed in f64.
-    UnF32 {
-        op: UnOp,
-        d: Reg,
-        a: Reg,
-    },
-    UnF64 {
-        op: UnOp,
-        d: Reg,
-        a: Reg,
-    },
-    Conv {
-        conv: Conv,
-        d: Reg,
-        a: Reg,
-    },
-    /// `d = c != 0 ? t : e` (`c` already a truth value or an integer).
-    Select {
-        d: Reg,
-        c: Reg,
-        t: Reg,
-        e: Reg,
-    },
-    Mov {
-        d: Reg,
-        a: Reg,
-    },
+    UnF32(UnOp, Reg, Reg),
+    UnF64(UnOp, Reg, Reg),
+    Conv(Conv, Reg, Reg),
+    /// `(d, c, t, e)`: `d = c != 0 ? t : e` (`c` is a truth value or an
+    /// integer).
+    Select(Reg, Reg, Reg, Reg),
+    /// `(d, a)`: copy.
+    Mov(Reg, Reg),
     /// External load of `lanes` elements at the i64 index in `idx`;
     /// queues the `Access` event.
     LoadExt {
@@ -531,7 +469,7 @@ impl Lowering<'_> {
     /// A fresh register holding `conv(r)`.
     fn conv(&mut self, conv: Conv, r: Reg) -> Reg {
         let d = self.alloc(1);
-        self.emit(Inst::Conv { conv, d, a: r });
+        self.emit(Inst::Conv(conv, d, r));
         d
     }
 
@@ -630,13 +568,13 @@ impl Lowering<'_> {
                 }
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
-                    let (op, d, a) = (*op, d + l, ra + l);
-                    self.emit(match st {
-                        ScalarType::I32 => Inst::UnI32 { op, d, a },
-                        ScalarType::I64 => Inst::UnI64 { op, d, a },
-                        ScalarType::F32 => Inst::UnF32 { op, d, a },
-                        ScalarType::F64 => Inst::UnF64 { op, d, a },
-                    });
+                    let unop = match st {
+                        ScalarType::I32 => Inst::UnI32,
+                        ScalarType::I64 => Inst::UnI64,
+                        ScalarType::F32 => Inst::UnF32,
+                        ScalarType::F64 => Inst::UnF64,
+                    };
+                    self.emit(unop(*op, d + l, ra + l));
                 }
                 d
             }
@@ -669,12 +607,7 @@ impl Lowering<'_> {
                 let c = self.truth(self.ty(*cond).scalar, rc);
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
-                    self.emit(Inst::Select {
-                        d: d + l,
-                        c,
-                        t: rt + l,
-                        e: re + l,
-                    });
+                    self.emit(Inst::Select(d + l, c, rt + l, re + l));
                 }
                 d
             }
@@ -735,7 +668,7 @@ impl Lowering<'_> {
                 let ra = self.expr(*a);
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
-                    self.emit(Inst::Mov { d: d + l, a: ra });
+                    self.emit(Inst::Mov(d + l, ra));
                 }
                 d
             }
@@ -748,38 +681,21 @@ impl Lowering<'_> {
     /// One lane of a binary operation: convert the right operand (and, for
     /// float comparisons, the left) the way the value semantics do.
     fn binop(&mut self, op: BinOp, d: Reg, ta: ScalarType, a: Reg, tb: ScalarType, b: Reg) {
-        let inst = if op.is_comparison() {
-            match ta {
-                ScalarType::F32 if tb == ScalarType::F32 => Inst::CmpF32 { op, d, a, b },
-                ScalarType::F32 | ScalarType::F64 => {
-                    let a = self.as_f64(ta, a);
-                    let b = self.as_f64(tb, b);
-                    Inst::CmpF64 { op, d, a, b }
-                }
-                ScalarType::I32 | ScalarType::I64 => {
-                    let b = self.as_i64(tb, b);
-                    Inst::CmpI { op, d, a, b }
-                }
+        let inst = match ta {
+            ScalarType::F32 if op.is_comparison() && tb == ScalarType::F32 => {
+                Inst::CmpF32(op, d, a, b)
             }
-        } else {
-            match ta {
-                ScalarType::F32 => {
-                    let b = self.as_f32(tb, b);
-                    Inst::F32 { op, d, a, b }
-                }
-                ScalarType::F64 => {
-                    let b = self.as_f64(tb, b);
-                    Inst::F64 { op, d, a, b }
-                }
-                ScalarType::I32 => {
-                    let b = self.as_i64(tb, b);
-                    Inst::I32 { op, d, a, b }
-                }
-                ScalarType::I64 => {
-                    let b = self.as_i64(tb, b);
-                    Inst::I64 { op, d, a, b }
-                }
+            ScalarType::F32 | ScalarType::F64 if op.is_comparison() => {
+                let a = self.as_f64(ta, a);
+                Inst::CmpF64(op, d, a, self.as_f64(tb, b))
             }
+            ScalarType::I32 | ScalarType::I64 if op.is_comparison() => {
+                Inst::CmpI(op, d, a, self.as_i64(tb, b))
+            }
+            ScalarType::F32 => Inst::F32(op, d, a, self.as_f32(tb, b)),
+            ScalarType::F64 => Inst::F64(op, d, a, self.as_f64(tb, b)),
+            ScalarType::I32 => Inst::I32(op, d, a, self.as_i64(tb, b)),
+            ScalarType::I64 => Inst::I64(op, d, a, self.as_i64(tb, b)),
         };
         self.emit(inst);
     }
@@ -803,64 +719,60 @@ pub(crate) fn run<M: DataMemory + ?Sized>(
     let bits32 = |x: f32| x.to_bits() as u64;
     for inst in code {
         match *inst {
-            Inst::I64 { op, d, a, b } => {
-                regs[d as usize] =
-                    int_binop(op, regs[a as usize] as i64, regs[b as usize] as i64) as u64
+            Inst::I64(op, d, a, b) => {
+                let r = int_binop(op, regs[a as usize] as i64, regs[b as usize] as i64);
+                regs[d as usize] = r as u64;
             }
-            Inst::I32 { op, d, a, b } => {
+            Inst::I32(op, d, a, b) => {
                 let r = int_binop(op, regs[a as usize] as i64, regs[b as usize] as i64);
                 regs[d as usize] = r as i32 as i64 as u64;
             }
-            Inst::F32 { op, d, a, b } => {
-                regs[d as usize] = bits32(f32_binop(
-                    op,
-                    f32_of(regs[a as usize]),
-                    f32_of(regs[b as usize]),
-                ))
+            Inst::F32(op, d, a, b) => {
+                let (x, y) = (f32_of(regs[a as usize]), f32_of(regs[b as usize]));
+                regs[d as usize] = bits32(f32_binop(op, x, y));
             }
-            Inst::F64 { op, d, a, b } => {
+            Inst::F64(op, d, a, b) => {
                 let (x, y) = (
                     f64::from_bits(regs[a as usize]),
                     f64::from_bits(regs[b as usize]),
                 );
                 regs[d as usize] = f64_binop(op, x, y).to_bits();
             }
-            Inst::CmpI { op, d, a, b } => {
-                regs[d as usize] =
-                    cmp_i64(op, regs[a as usize] as i64, regs[b as usize] as i64) as u64
+            Inst::CmpI(op, d, a, b) => {
+                let r = cmp_i64(op, regs[a as usize] as i64, regs[b as usize] as i64);
+                regs[d as usize] = r as u64;
             }
-            Inst::CmpF32 { op, d, a, b } => {
+            Inst::CmpF32(op, d, a, b) => {
                 let (x, y) = (f32_of(regs[a as usize]), f32_of(regs[b as usize]));
                 regs[d as usize] = cmp_f64(op, x as f64, y as f64) as u64;
             }
-            Inst::CmpF64 { op, d, a, b } => {
+            Inst::CmpF64(op, d, a, b) => {
                 let (x, y) = (
                     f64::from_bits(regs[a as usize]),
                     f64::from_bits(regs[b as usize]),
                 );
                 regs[d as usize] = cmp_f64(op, x, y) as u64;
             }
-            Inst::UnI64 { op, d, a } => {
+            Inst::UnI64(op, d, a) => {
                 regs[d as usize] = int_unop(op, regs[a as usize] as i64) as u64
             }
-            Inst::UnI32 { op, d, a } => {
-                regs[d as usize] = int_unop(op, regs[a as usize] as i64) as i32 as i64 as u64
+            Inst::UnI32(op, d, a) => {
+                let r = int_unop(op, regs[a as usize] as i64);
+                regs[d as usize] = r as i32 as i64 as u64;
             }
-            Inst::UnF32 { op, d, a } => {
-                regs[d as usize] = bits32(float_unop(op, f32_of(regs[a as usize]) as f64) as f32)
+            Inst::UnF32(op, d, a) => {
+                let r = float_unop(op, f32_of(regs[a as usize]) as f64);
+                regs[d as usize] = bits32(r as f32);
             }
-            Inst::UnF64 { op, d, a } => {
+            Inst::UnF64(op, d, a) => {
                 regs[d as usize] = float_unop(op, f64::from_bits(regs[a as usize])).to_bits()
             }
-            Inst::Conv { conv, d, a } => regs[d as usize] = conv.apply(regs[a as usize]),
-            Inst::Select { d, c, t, e } => {
-                regs[d as usize] = if regs[c as usize] != 0 {
-                    regs[t as usize]
-                } else {
-                    regs[e as usize]
-                }
+            Inst::Conv(conv, d, a) => regs[d as usize] = conv.apply(regs[a as usize]),
+            Inst::Select(d, c, t, e) => {
+                let pick = if regs[c as usize] != 0 { t } else { e };
+                regs[d as usize] = regs[pick as usize];
             }
-            Inst::Mov { d, a } => regs[d as usize] = regs[a as usize],
+            Inst::Mov(d, a) => regs[d as usize] = regs[a as usize],
             Inst::LoadExt {
                 buf,
                 d,
