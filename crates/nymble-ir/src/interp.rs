@@ -46,17 +46,11 @@ struct BufferMem {
 
 impl DataMemory for BufferMem {
     fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-        load_values(&self.bufs[buf.0 as usize], elem_idx, out, "buffer");
+        load_values(&self.bufs[buf.0 as usize], elem_idx, out);
     }
 
     fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-        store_values(
-            &mut self.bufs[buf.0 as usize],
-            elem_idx,
-            ty,
-            lanes,
-            "buffer",
-        );
+        store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes);
     }
 }
 

@@ -615,8 +615,9 @@ impl Lowering<'_> {
                 let ra = self.expr(*a);
                 self.ops.int_ops += 1;
                 let from = self.ty(*a).scalar;
-                // The value-preserving casts alias their operand.
-                let r = match to {
+                // A cast's value lives in a fresh temporary per statement,
+                // or aliases the operand when the cast preserves the value.
+                match to {
                     ScalarType::I32 | ScalarType::I64 => {
                         let r = self.as_i64(from, ra);
                         if *to == ScalarType::I32 && from != ScalarType::I32 {
@@ -627,11 +628,7 @@ impl Lowering<'_> {
                     }
                     ScalarType::F32 => self.as_f32(from, ra),
                     ScalarType::F64 => self.as_f64(from, ra),
-                };
-                // A cast node's register is per statement (its value may
-                // live in a temporary or alias the operand).
-                self.node_reg[slot] = Some(r);
-                r
+                }
             }
             Expr::LoadExt { buf, index, ty } => {
                 let idx = self.index(*index);

@@ -45,12 +45,12 @@ pub trait DataMemory {
 }
 
 /// [`DataMemory::load_ext`] over a buffer of values, for implementors that
-/// hold buffers as `Vec<Value>`. `what` names the memory in the panic.
-pub fn load_values(b: &[Value], elem_idx: u64, out: &mut [u64], what: &str) {
+/// hold buffers as `Vec<Value>`.
+pub fn load_values(b: &[Value], elem_idx: u64, out: &mut [u64]) {
     let i = elem_idx as usize;
     assert!(
         i.checked_add(out.len()).is_some_and(|end| end <= b.len()),
-        "{what} load out of bounds: len {} index {} lanes {}",
+        "load out of bounds: len {} index {} lanes {}",
         b.len(),
         i,
         out.len()
@@ -61,11 +61,11 @@ pub fn load_values(b: &[Value], elem_idx: u64, out: &mut [u64], what: &str) {
 }
 
 /// [`DataMemory::store_ext`] over a buffer of values.
-pub fn store_values(b: &mut [Value], elem_idx: u64, ty: ScalarType, lanes: &[u64], what: &str) {
+pub fn store_values(b: &mut [Value], elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
     let i = elem_idx as usize;
     assert!(
         i.checked_add(lanes.len()).is_some_and(|end| end <= b.len()),
-        "{what} store out of bounds: len {} index {} lanes {}",
+        "store out of bounds: len {} index {} lanes {}",
         b.len(),
         i,
         lanes.len()
@@ -507,10 +507,10 @@ mod tests {
 
     impl DataMemory for VecMem {
         fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-            load_values(&self.bufs[buf.0 as usize], elem_idx, out, "test");
+            load_values(&self.bufs[buf.0 as usize], elem_idx, out);
         }
         fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-            store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes, "test");
+            store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes);
         }
     }
 
