@@ -2,10 +2,10 @@
 //!
 //! [`Program::lower`] compiles a validated kernel once; every
 //! [`crate::walker::Walker`] of a run executes the shared result. The
-//! structured statement tree becomes flat [`StmtCode`] records (child
+//! structured statement tree becomes flat `StmtCode` records (child
 //! blocks as index ranges, the loop's [`LoopId`] resolved, the statement's
 //! [`OpCounts`] computed statically), and each statement's expression DAG
-//! becomes a straight run of [`Inst`]s over a `u64` register file.
+//! becomes a straight run of `Inst`s over a `u64` register file.
 //!
 //! * **Order.** A statement's expressions are emitted in DFS post-order,
 //!   operands left to right, each node only the first time the statement
@@ -22,10 +22,10 @@
 //!   written once per walker, and variable reads, lane extracts and
 //!   value-preserving casts alias their operand's registers.
 //! * **Types.** Every instruction is specialised on the static operand
-//!   types of [`crate::validate::infer_types`]. Where today's value
+//!   types of `validate::infer_types`. Where today's value
 //!   semantics convert an operand (arithmetic takes the left operand's
 //!   type, float comparisons run in f64, conditions test non-zero), the
-//!   lowering emits an explicit [`Conv`]. The arithmetic itself is the
+//!   lowering emits an explicit `Conv`. The arithmetic itself is the
 //!   per-scalar helpers [`crate::expr::eval_binop`] also uses.
 
 use crate::expr::{

@@ -7,7 +7,7 @@
 //! hardware realisation), and critical sections may not nest (the single
 //! hardware semaphore of Fig. 1 is not re-entrant).
 //!
-//! Every expression also has one static [`Type`] ([`infer_types`]), and
+//! Every expression also has one static [`Type`] (`infer_types`), and
 //! statements must agree with it: an `Assign` matches its variable's
 //! declared type, a store matches the buffer or local element type, the
 //! arms of a `Select` agree, vector operands have matching lane counts, and
