@@ -430,6 +430,58 @@ fn event_core_matches_legacy_on_barrier_with_early_finishers() {
 }
 
 #[test]
+fn semaphore_grant_mid_slice_matches_legacy() {
+    // Three threads launched together contend for the semaphore, then run a
+    // pipelined load loop. Each release re-queues the FIFO grantee at its
+    // grant time while the releasing thread runs on into its loop, so the
+    // production core must notice the newly queued thread: a dispatcher that
+    // keeps the queue minimum it read before the grant runs the releaser
+    // past the grantee and reorders the snoop stream.
+    let mut kb = KernelBuilder::new("grant_mid_slice", 3);
+    let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+    let out = kb.buffer("OUT", ScalarType::I32, MapDir::ToFrom);
+    let acc_v = kb.var("acc", Type::F32);
+    let rounds = kb.c_i64(4);
+    kb.for_range("r", rounds, |kb, _| {
+        kb.critical(|kb| {
+            let z = kb.c_i64(0);
+            let cur = kb.load(out, z, Type::I32);
+            let one = kb.c_i32(1);
+            let inc = kb.add(cur, one);
+            let z2 = kb.c_i64(0);
+            kb.store(out, z2, inc);
+        });
+        let n = kb.c_i64(32);
+        kb.for_range("i", n, |kb, i| {
+            let v = kb.load(a, i, Type::F32);
+            let cur = kb.get(acc_v);
+            let sum = kb.add(cur, v);
+            kb.set(acc_v, sum);
+        });
+    });
+    let k = kb.finish();
+    let launch = [
+        LaunchArg::Buffer((0..32).map(|i| Value::F32(i as f32)).collect()),
+        LaunchArg::Buffer(vec![Value::I32(0)]),
+    ];
+    let cfg = SimConfig {
+        launch_interval: 0,
+        ..Default::default()
+    };
+    let wheel = drive(&k, &cfg, &launch, Core::Wheel);
+    let legacy = drive(&k, &cfg, &launch, Core::Legacy);
+    assert_eq!(wheel.buffers, legacy.buffers);
+    assert_eq!(wheel.buffers, gold_buffers(&k, &launch));
+    assert_eq!(
+        wheel.buffers[1][0],
+        Value::I32(12),
+        "3 threads × 4 increments"
+    );
+    assert_eq!(wheel.cycles, legacy.cycles);
+    assert_eq!(wheel.log, legacy.log);
+}
+
+#[test]
 fn deadlock_reports_are_identical_and_sorted() {
     // A barrier inside a critical section deadlocks every thread. The
     // builder's validation (rightly) refuses to construct this, so forge it
