@@ -5,10 +5,10 @@
 //! device-blocking loads, thread-dependent bounds) and drives each through
 //! both steppers:
 //!
-//! * [`crate::SimRun::step`] — timing-wheel queue with run-ahead dispatch,
-//!   the production core,
+//! * [`crate::SimRun::step`] — timing-wheel queue, one slice of a thread's
+//!   events per call, the production core,
 //! * [`crate::SimRun::step_legacy`] — the pre-refactor linear scan over
-//!   thread states, the oracle,
+//!   thread states, one event per call, the oracle,
 //!
 //! asserting both produce *identical* snoop streams, total cycles, derived
 //! statistics, device wake attributions and deadlock reports. The snooped
@@ -217,14 +217,13 @@ fn gen_config(rng: &mut Rng) -> SimConfig {
 /// Which dispatch core to drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Core {
-    /// Timing-wheel queue with run-ahead dispatch (`step`), the production
-    /// core.
+    /// Timing-wheel queue, one slice per call (`step`), the production core.
     Wheel,
     /// Pre-refactor linear-scan reference (`step_legacy`).
     Legacy,
 }
 
-/// Advance `sim` by one event on `core`.
+/// Advance `sim` by one call of `core`'s stepper.
 fn step_on<S: Snoop>(
     sim: &mut SimRun<'_>,
     snoop: &mut S,

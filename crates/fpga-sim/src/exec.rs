@@ -3,11 +3,14 @@
 //!
 //! The simulation core is [`SimRun`]: a pure, re-entrant value holding the
 //! complete run state (threads, memory image, DRAM, semaphore), advanced one
-//! walker event at a time by [`SimRun::step`]. It is `Send`, so a batch
-//! scheduler can carry runs across worker threads, and it returns typed
-//! [`SimError`]s instead of panicking, so one broken configuration cannot
-//! abort a whole sweep. [`Executor::run`] is the one-call entry point built on
-//! top of it.
+//! *slice* at a time by [`SimRun::step`]. A slice runs the thread with the
+//! smallest clock through [`Walker::run`] and prices each of its events
+//! inline, in the [`EventSink`] of that walker, until the thread blocks,
+//! finishes or stops being the earliest runnable thread. It is `Send`, so a
+//! batch scheduler can carry runs across worker threads, and it returns
+//! typed [`SimError`]s instead of panicking, so one broken configuration
+//! cannot abort a whole sweep. [`Executor::run`] is the one-call entry point
+//! built on top of it.
 
 use crate::config::SimConfig;
 use crate::device::{DeviceEvent, DeviceQueue, DeviceStats};
@@ -21,8 +24,8 @@ use crate::wheel::WheelQueue;
 use nymble_hls::accel::Accelerator;
 use nymble_ir::loops::LoopId;
 use nymble_ir::tape::Program;
-use nymble_ir::walker::{StepEvent, Walker};
-use nymble_ir::{Kernel, Value};
+use nymble_ir::walker::{EventSink, StepEvent, Walker};
+use nymble_ir::{ArgId, Kernel, Value};
 use std::collections::VecDeque;
 
 /// How the executor prices one loop's iterations.
@@ -53,8 +56,7 @@ struct LoopCtx {
     entered_first: bool,
 }
 
-struct Thread<'k> {
-    walker: Walker<'k>,
+struct Thread {
     time: u64,
     status: Status,
     loops: Vec<LoopCtx>,
@@ -74,7 +76,7 @@ struct Thread<'k> {
     iter_stall: u64,
 }
 
-impl Thread<'_> {
+impl Thread {
     fn innermost_pipelined(&self) -> Option<(u64, u64)> {
         match self.loops.last() {
             Some(LoopCtx {
@@ -142,24 +144,33 @@ pub enum StepStatus {
 /// stepper picks threads without it and must produce a bit-identical snoop
 /// stream (see `difftest`).
 pub struct SimRun<'k> {
+    /// One walker per hardware thread, kept apart from [`Machine`] so a
+    /// walker can run over `mem` while a [`Slice`] prices its events.
+    walkers: Vec<Walker<'k>>,
+    mem: MemImage,
+    m: Machine,
+    started: bool,
+}
+
+/// The simulated hardware a [`Slice`] prices events against: every
+/// thread's clock and ports, the DRAM, semaphore and device models, and the
+/// ready queue.
+struct Machine {
     cfg: SimConfig,
     modes: Vec<LoopMode>,
-    mem: MemImage,
+    /// DRAM base address of each kernel argument's buffer. The image holds
+    /// the same layout, but a running walker borrows the image mutably.
+    base: Vec<u64>,
     dram: Dram,
     sem: Semaphore,
     devices: DeviceQueue,
-    threads: Vec<Thread<'k>>,
-    /// The discrete-event ready queue: holds exactly the `Ready` threads,
-    /// keyed by `(wakeup_time, thread_id)`.
+    threads: Vec<Thread>,
+    /// The discrete-event ready queue: holds exactly the `Ready` threads
+    /// that are not running a slice, keyed by `(wakeup_time, thread_id)`.
     ready: WheelQueue,
-    /// Run-ahead slot: the thread just dispatched, held out of the queue
-    /// while it remains the global `(time, tid)` minimum (see
-    /// [`SimRun::step`]). Never set by `step_legacy`.
-    current: Option<u32>,
     barrier_arrivals: Vec<usize>,
     done: usize,
     total_cycles: u64,
-    started: bool,
 }
 
 // The core must stay schedulable across worker threads.
@@ -167,6 +178,12 @@ const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<SimRun<'_>>();
 };
+
+/// A [`Slice`] bound no `(time, tid)` reaches: the ready queue is empty.
+const NO_BOUND: (u64, u32) = (u64::MAX, u32::MAX);
+/// A [`Slice`] bound no `(time, tid)` is below: price exactly one event.
+#[cfg(test)]
+const ONE_EVENT: (u64, u32) = (0, 0);
 
 impl<'k> SimRun<'k> {
     /// Set up a run of `kernel` (compiled as `accel`) with `launch`
@@ -194,10 +211,15 @@ impl<'k> SimRun<'k> {
         let n = kernel.num_threads as usize;
         let n_bufs = kernel.args.len();
         let n_mems = kernel.local_mems.len();
+        let base = (0..n_bufs)
+            .map(|b| mem.abs_addr(ArgId(b as u32), 0))
+            .collect();
 
-        let threads: Vec<Thread<'k>> = (0..n)
+        let walkers = (0..n)
+            .map(|t| Walker::new(kernel, prog.clone(), t as u32, scalars.clone()))
+            .collect();
+        let threads: Vec<Thread> = (0..n)
             .map(|t| Thread {
-                walker: Walker::new(kernel, prog.clone(), t as u32, scalars.clone()),
                 time: t as u64 * cfg.launch_interval,
                 status: Status::Ready,
                 loops: Vec::new(),
@@ -217,38 +239,41 @@ impl<'k> SimRun<'k> {
         }
 
         Ok(SimRun {
-            cfg: cfg.clone(),
-            modes,
+            walkers,
             mem,
-            dram,
-            sem: Semaphore::default(),
-            devices: DeviceQueue::new(n),
-            threads,
-            ready,
-            current: None,
-            barrier_arrivals: Vec::new(),
-            done: 0,
-            total_cycles: 0,
+            m: Machine {
+                cfg: cfg.clone(),
+                modes,
+                base,
+                dram,
+                sem: Semaphore::default(),
+                devices: DeviceQueue::new(n),
+                threads,
+                ready,
+                barrier_arrivals: Vec::new(),
+                done: 0,
+                total_cycles: 0,
+            },
             started: false,
         })
     }
 
     /// Whether every thread has finished.
     pub fn is_done(&self) -> bool {
-        self.done == self.threads.len()
+        self.m.done == self.m.threads.len()
     }
 
     /// Total cycles from host start to the latest completed thread so far
     /// (final once [`Self::is_done`]).
     pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
+        self.m.total_cycles
     }
 
     /// Device-completion wakeup statistics accumulated so far: how many
     /// times threads were woken by line fetches, channel grants and DMA
     /// completions, and how many cycles they slept waiting.
     pub fn device_stats(&self) -> DeviceStats {
-        self.devices.stats
+        self.m.devices.stats
     }
 
     /// Threads that are blocked right now, with their barrier/lock states.
@@ -257,21 +282,22 @@ impl<'k> SimRun<'k> {
     /// semaphore and how many waiters are queued ahead, or how many threads
     /// the barrier has collected out of the live set.
     fn blocked_threads(&self) -> Vec<BlockedThread> {
-        let live = self
+        let m = &self.m;
+        let live = m
             .threads
             .iter()
             .filter(|t| t.status != Status::Done)
             .count() as u32;
-        let arrived = self.barrier_arrivals.len() as u32;
-        let mut waiting: Vec<BlockedThread> = self
+        let arrived = m.barrier_arrivals.len() as u32;
+        let mut waiting: Vec<BlockedThread> = m
             .threads
             .iter()
             .enumerate()
             .filter_map(|(i, t)| {
                 let reason = match t.status {
                     Status::SpinWait => BlockedReason::SemaphoreWait {
-                        holder: self.sem.owner(),
-                        queued_ahead: self.sem.queue_position(i as u32).unwrap_or(0) as u32,
+                        holder: m.sem.owner(),
+                        queued_ahead: m.sem.queue_position(i as u32).unwrap_or(0) as u32,
                     },
                     Status::AtBarrier => BlockedReason::AtBarrier {
                         arrived,
@@ -296,24 +322,23 @@ impl<'k> SimRun<'k> {
             self.started = true;
             // Initial state timeline: every thread idle from cycle 0 until
             // the host software starts it.
-            for (t, th) in self.threads.iter().enumerate() {
+            for (t, th) in self.m.threads.iter().enumerate() {
                 snoop.state_change(0, t as u32, ThreadState::Idle);
                 snoop.state_change(th.time, t as u32, ThreadState::Running);
             }
         }
     }
 
-    /// Advance the runnable thread with the smallest clock by one walker
-    /// event, reporting pipeline activity to `snoop`.
+    /// Advance the run by one *slice*: pop the runnable thread with the
+    /// smallest `(time, tid)` and price its walker events inline, reporting
+    /// pipeline activity to `snoop`, until the thread blocks, finishes, or
+    /// is no longer below the queue minimum.
     ///
-    /// Dispatch is O(1) amortized on the wheel core: the dispatched thread
-    /// is *held out* of the queue while it remains the global `(time, tid)`
-    /// minimum (checked against [`WheelQueue::peek`]), so the common
-    /// pattern — a pipelined loop re-queueing its own thread a few cycles
-    /// ahead — costs one comparison, no queue traffic at all. The held
-    /// thread is dispatched exactly when a pop would have dispatched it
-    /// (thread ids are unique, so the strict tuple compare is exact), which
-    /// keeps the snoop stream bit-identical to a pop-per-event dispatch.
+    /// The queue minimum is read once per slice, and again only when the
+    /// slice itself queues a thread (a semaphore grant; a barrier release
+    /// ends the slice). A slice ends exactly where a pop-per-event dispatch
+    /// would switch threads (thread ids are unique, so the strict tuple
+    /// compare is exact), which keeps the snoop stream bit-identical to it.
     /// Blocked threads re-enter the queue only on their explicit wakeup edge
     /// (semaphore grant, barrier release, device completion).
     ///
@@ -325,47 +350,24 @@ impl<'k> SimRun<'k> {
         if self.is_done() {
             return Ok(StepStatus::Done);
         }
-
-        let tid = match self.current.take() {
-            Some(c)
-                if match self.ready.peek() {
-                    Some(qmin) => (self.threads[c as usize].time, c) < qmin,
-                    None => true,
-                } =>
-            {
-                c
-            }
-            held => {
-                if let Some(c) = held {
-                    self.ready.push(self.threads[c as usize].time, c);
-                }
-                let Some((_, tid)) = self.ready.pop() else {
-                    return Err(SimError::Deadlock {
-                        waiting: self.blocked_threads(),
-                    });
-                };
-                tid
-            }
+        let Some((_, tid)) = self.m.ready.pop() else {
+            return Err(SimError::Deadlock {
+                waiting: self.blocked_threads(),
+            });
         };
-        let ti = tid as usize;
-        self.dispatch(ti, snoop);
-        // Hold the dispatched thread for run-ahead unless it blocked or
-        // finished — or was already re-queued by a barrier it both completed
-        // and woke from.
-        if self.threads[ti].status == Status::Ready && !self.ready.contains(tid) {
-            self.current = Some(tid);
-        }
-
+        let bound = self.m.ready.peek().unwrap_or(NO_BOUND);
+        self.slice(tid, bound, snoop);
         if self.is_done() {
-            snoop.run_end(self.total_cycles);
+            snoop.run_end(self.m.total_cycles);
             return Ok(StepStatus::Done);
         }
         Ok(StepStatus::Running)
     }
 
     /// The pre-event-queue reference stepper: picks the next thread by a
-    /// linear scan over thread states instead of the ready queue, then keeps
-    /// the queue coherent by explicit removal. The single oracle for
+    /// linear scan over thread states instead of the ready queue, keeps the
+    /// queue coherent by explicit removal, and prices one walker event per
+    /// call through the same [`Slice`] sink. The single oracle for
     /// differential property testing against [`Self::step`] — both must
     /// produce identical snoop streams on any kernel.
     #[cfg(test)]
@@ -373,13 +375,13 @@ impl<'k> SimRun<'k> {
         &mut self,
         snoop: &mut S,
     ) -> Result<StepStatus, SimError> {
-        debug_assert!(self.current.is_none(), "step_legacy after run-ahead step");
         self.begin(snoop);
         if self.is_done() {
             return Ok(StepStatus::Done);
         }
 
         let Some(ti) = self
+            .m
             .threads
             .iter()
             .enumerate()
@@ -391,52 +393,110 @@ impl<'k> SimRun<'k> {
                 waiting: self.blocked_threads(),
             });
         };
-        let removed = self.ready.remove(ti as u32);
+        let removed = self.m.ready.remove(ti as u32);
         debug_assert_eq!(
             removed,
-            Some(self.threads[ti].time),
+            Some(self.m.threads[ti].time),
             "ready queue out of sync with thread states"
         );
-        self.dispatch(ti, snoop);
-        if self.threads[ti].status == Status::Ready && !self.ready.contains(ti as u32) {
-            self.ready.push(self.threads[ti].time, ti as u32);
-        }
+        self.slice(ti as u32, ONE_EVENT, snoop);
 
         if self.is_done() {
-            snoop.run_end(self.total_cycles);
+            snoop.run_end(self.m.total_cycles);
             return Ok(StepStatus::Done);
         }
         Ok(StepStatus::Running)
     }
 
-    /// Handle one walker event of thread `ti`.
+    /// Run thread `tid`, already out of the ready queue, while its
+    /// `(time, tid)` stays below `bound`; then queue it again if it is still
+    /// runnable and a barrier it released has not queued it already.
+    fn slice<S: Snoop + ?Sized>(&mut self, tid: u32, bound: (u64, u32), snoop: &mut S) {
+        let mut sink = Slice {
+            m: &mut self.m,
+            snoop,
+            tid,
+            bound,
+        };
+        self.walkers[tid as usize].run(&mut self.mem, &mut sink);
+        let th = &self.m.threads[tid as usize];
+        if th.status == Status::Ready && !self.m.ready.contains(tid) {
+            self.m.ready.push(th.time, tid);
+        }
+    }
+
+    /// Consume a completed run, folding the observer-derived per-thread
+    /// statistics together with the DRAM model's ground truth.
     ///
-    /// The caller has already removed `ti` from the ready queue; this method
-    /// pushes the explicit wakeup edges — a semaphore grant re-queues the
-    /// FIFO winner, a barrier release re-queues every arrival, and a memory
-    /// access that must block schedules a device-completion event that
-    /// re-queues this thread — so blocked threads re-enter the queue exactly
-    /// when the event that unblocks them is simulated.
-    fn dispatch<S: Snoop + ?Sized>(&mut self, ti: usize, snoop: &mut S) {
-        let cfg = &self.cfg;
-        let modes = &self.modes;
-        let threads = &mut self.threads;
-        let mem = &mut self.mem;
-        let dram = &mut self.dram;
-        let sem = &mut self.sem;
-        let devices = &mut self.devices;
-        let ready = &mut self.ready;
-        let barrier_arrivals = &mut self.barrier_arrivals;
-        let tid = ti as u32;
-        // Fire the device-completion wake this dispatch realizes, if any:
-        // the thread was re-queued at its completion time, so simulated time
-        // has just reached it. The stall is reported here, on the wakeup
-        // edge, with the same end time and length the inline model used —
-        // but now in global chronological stream position.
+    /// Panics if the run is not [`Self::is_done`] — the caller drives
+    /// [`Self::step`] to completion first.
+    pub fn into_result(self, stats_snoop: StatsSnoop) -> RunResult {
+        assert!(
+            self.is_done(),
+            "into_result() before the run completed: drive step() to Done first"
+        );
+        let mut stats = RunStats {
+            per_thread: stats_snoop.into_stats(),
+            line_fetches: self.m.dram.stats.line_fetches,
+            channel_bytes: self.m.dram.stats.channel_bytes,
+            dram_contended: self.m.dram.stats.contended,
+            line_hits: self.m.dram.stats.line_hits,
+            read_requests: self.m.dram.stats.read_requests,
+        };
+        stats.per_thread.sort_by_key(|t| t.start_cycle);
+
+        RunResult {
+            buffers: self.mem.into_buffers(),
+            total_cycles: self.m.total_cycles,
+            stats,
+            devices: self.m.devices.stats,
+        }
+    }
+}
+
+/// The event sink of one slice: prices thread `tid`'s walker events on the
+/// machine and keeps the walker running while the thread is runnable and
+/// its `(time, tid)` is below `bound`.
+///
+/// Pricing pushes the explicit wakeup edges — a semaphore grant re-queues
+/// the FIFO winner, a barrier release re-queues every arrival, and a memory
+/// access that must block schedules a device-completion event that fires
+/// when this thread is next priced — so blocked threads re-enter the queue
+/// exactly when the event that unblocks them is simulated.
+struct Slice<'a, S: ?Sized> {
+    m: &'a mut Machine,
+    snoop: &'a mut S,
+    tid: u32,
+    /// The smallest `(time, tid)` in the ready queue.
+    bound: (u64, u32),
+}
+
+impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
+    fn event(&mut self, ev: StepEvent) -> bool {
+        let Machine {
+            cfg,
+            modes,
+            base,
+            dram,
+            sem,
+            devices,
+            threads,
+            ready,
+            barrier_arrivals,
+            done,
+            total_cycles,
+        } = &mut *self.m;
+        let snoop = &mut *self.snoop;
+        let tid = self.tid;
+        let ti = tid as usize;
+        // Fire the device-completion wake this event realizes, if any: the
+        // thread's clock was advanced to its completion time, and it is the
+        // global minimum, so simulated time has just reached it. The stall
+        // is reported here, on the wakeup edge, in global chronological
+        // stream position.
         if let Some((_kind, stall)) = devices.take_due(tid, threads[ti].time) {
             snoop.stall(threads[ti].time, tid, stall);
         }
-        let ev = threads[ti].walker.step(mem);
         match ev {
             StepEvent::Ops(c) => {
                 let th = &mut threads[ti];
@@ -459,7 +519,7 @@ impl<'k> SimRun<'k> {
             }
             StepEvent::Access(a) => {
                 let th = &mut threads[ti];
-                let addr = mem.abs_addr(a.buf, a.byte_off);
+                let addr = base[a.buf.0 as usize] + a.byte_off;
                 if a.is_write {
                     let issue = th.time.max(th.write_port_free);
                     th.write_port_free = issue + 1;
@@ -520,7 +580,7 @@ impl<'k> SimRun<'k> {
                 // The preloader queues descriptors: the thread pays only
                 // the issue cost and runs on (how Fig. 9's prefetch
                 // overlaps compute); the engine executes bursts serially.
-                let addr = mem.abs_addr(access.buf, access.byte_off);
+                let addr = base[access.buf.0 as usize] + access.byte_off;
                 let dma_done = dram.dma_transfer(ti, th.time, addr, access.bytes);
                 if access.is_write {
                     snoop.mem_write(th.time, tid, access.bytes as u64);
@@ -532,8 +592,7 @@ impl<'k> SimRun<'k> {
                 th.time += cfg.burst_issue_cost;
             }
             StepEvent::LoopEnter { loop_id, trip: _ } => {
-                let th = &mut threads[ti];
-                th.loops.push(LoopCtx {
+                threads[ti].loops.push(LoopCtx {
                     mode: modes[loop_id.0 as usize],
                     entered_first: false,
                 });
@@ -601,12 +660,14 @@ impl<'k> SimRun<'k> {
                 if let Some((next, grant)) = sem.release(tid, release_t, cfg.spin_retry_interval) {
                     // Wakeup edge: the FIFO winner is re-scheduled directly
                     // at its grant time — the same time the spin-poll model
-                    // would have observed the free semaphore.
+                    // would have observed the free semaphore. It may now be
+                    // the queue minimum this slice runs against.
                     let nt = &mut threads[next as usize];
                     debug_assert_eq!(nt.status, Status::SpinWait);
                     nt.time = grant.max(nt.time);
                     nt.status = Status::Ready;
                     ready.push(nt.time, next);
+                    self.bound = self.bound.min((nt.time, next));
                     snoop.state_change(nt.time, next, ThreadState::Critical);
                 }
             }
@@ -614,46 +675,23 @@ impl<'k> SimRun<'k> {
                 threads[ti].status = Status::AtBarrier;
                 barrier_arrivals.push(ti);
                 try_release_barrier(threads, barrier_arrivals, ready, cfg.barrier_latency);
+                // Waiting, or queued again by the release it completed.
+                return false;
             }
             StepEvent::Finished => {
                 let th = &mut threads[ti];
                 th.status = Status::Done;
-                self.total_cycles = self.total_cycles.max(th.time);
+                *total_cycles = (*total_cycles).max(th.time);
                 snoop.state_change(th.time, tid, ThreadState::Idle);
-                self.done += 1;
+                *done += 1;
                 // A finished thread never reaches the barrier: re-check
                 // whether the remaining arrivals complete it.
                 try_release_barrier(threads, barrier_arrivals, ready, cfg.barrier_latency);
+                return false;
             }
         }
-    }
-
-    /// Consume a completed run, folding the observer-derived per-thread
-    /// statistics together with the DRAM model's ground truth.
-    ///
-    /// Panics if the run is not [`Self::is_done`] — the caller drives
-    /// [`Self::step`] to completion first.
-    pub fn into_result(self, stats_snoop: StatsSnoop) -> RunResult {
-        assert!(
-            self.is_done(),
-            "into_result() before the run completed: drive step() to Done first"
-        );
-        let mut stats = RunStats {
-            per_thread: stats_snoop.into_stats(),
-            line_fetches: self.dram.stats.line_fetches,
-            channel_bytes: self.dram.stats.channel_bytes,
-            dram_contended: self.dram.stats.contended,
-            line_hits: self.dram.stats.line_hits,
-            read_requests: self.dram.stats.read_requests,
-        };
-        stats.per_thread.sort_by_key(|t| t.start_cycle);
-
-        RunResult {
-            buffers: self.mem.into_buffers(),
-            total_cycles: self.total_cycles,
-            stats,
-            devices: self.devices.stats,
-        }
+        let th = &threads[ti];
+        th.status == Status::Ready && (th.time, tid) < self.bound
     }
 }
 
@@ -694,7 +732,7 @@ impl Executor {
 /// Release the barrier when every live thread has arrived: all arrivals are
 /// re-scheduled (wakeup edge) at `max(arrival times) + barrier_latency`.
 fn try_release_barrier(
-    threads: &mut [Thread<'_>],
+    threads: &mut [Thread],
     barrier_arrivals: &mut Vec<usize>,
     ready: &mut WheelQueue,
     barrier_latency: u64,

@@ -38,8 +38,7 @@ use crate::opcount::OpCounts;
 use crate::stmt::{Stmt, Unroll};
 use crate::types::{ScalarType, Type, Value};
 use crate::validate::infer_types;
-use crate::walker::{DataMemory, MemAccess, StepEvent};
-use std::collections::VecDeque;
+use crate::walker::{DataMemory, Emit, EventSink, MemAccess, StepEvent};
 
 /// Index into a walker's register file.
 pub(crate) type Reg = u32;
@@ -106,7 +105,7 @@ pub(crate) enum Inst {
     /// `(d, a)`: copy.
     Mov(Reg, Reg),
     /// External load of `lanes` elements at the i64 index in `idx`;
-    /// queues the `Access` event.
+    /// emits the `Access` event.
     LoadExt {
         buf: ArgId,
         d: Reg,
@@ -114,7 +113,7 @@ pub(crate) enum Inst {
         lanes: u8,
         elem_bytes: u8,
     },
-    /// Local-memory load; `first_read` queues the statement's one
+    /// Local-memory load; `first_read` emits the statement's one
     /// `LocalRead` event for this memory.
     LoadLocal {
         mem: LocalMemId,
@@ -700,16 +699,16 @@ impl Lowering<'_> {
 
 /// Execute one statement's expression code.
 ///
-/// Loads read through `mem` into the register file and queue their events;
+/// Loads read through `mem` into the register file and emit their events;
 /// `local` holds the thread's local memories of `kernel`, each as
 /// `len × lanes` registers.
 #[inline]
-pub(crate) fn run<M: DataMemory + ?Sized>(
+pub(crate) fn run<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
     code: &[Inst],
     regs: &mut [u64],
     local: &[Vec<u64>],
     mem: &mut M,
-    queue: &mut VecDeque<StepEvent>,
+    out: &mut Emit<'_, S>,
     kernel: &Kernel,
 ) {
     let f32_of = |x: u64| f32::from_bits(x as u32);
@@ -779,7 +778,7 @@ pub(crate) fn run<M: DataMemory + ?Sized>(
             } => {
                 let i = regs[idx as usize] as i64 as u64;
                 mem.load_ext(buf, i, &mut regs[d as usize..d as usize + lanes as usize]);
-                queue.push_back(StepEvent::Access(MemAccess {
+                out.event(StepEvent::Access(MemAccess {
                     buf,
                     byte_off: i * elem_bytes as u64,
                     bytes: elem_bytes as u32 * lanes as u32,
@@ -794,7 +793,7 @@ pub(crate) fn run<M: DataMemory + ?Sized>(
                 first_read,
             } => {
                 if first_read {
-                    queue.push_back(StepEvent::LocalRead { mem: lm });
+                    out.event(StepEvent::LocalRead { mem: lm });
                 }
                 let i = regs[idx as usize] as i64 as usize;
                 let words = &local[lm.0 as usize];

@@ -8,18 +8,27 @@
 //!
 //! ## Pausing protocol
 //!
-//! The walker is an explicit-stack interpreter, so a driver can suspend a
-//! thread at synchronisation points:
+//! [`Walker::run`] hands events, in order, to an [`EventSink`] and keeps
+//! going while the sink returns `true`; it stops after the first `false`.
+//! [`Walker::step`] is `run` with a sink that takes one event. A walker
+//! executes each statement whole, before the first of its events reaches
+//! the sink, so a pause inside a statement only holds its remaining events
+//! back: the next `run` delivers them first. A driver can therefore pause
+//! after any event and interleave threads without changing what each
+//! thread reads or writes. Two events are synchronisation points:
 //!
 //! * On [`StepEvent::CriticalEnter`] the walker has *not yet* executed the
-//!   critical body. The driver must not call [`Walker::step`] again until the
-//!   (simulated) hardware semaphore has been acquired — mutual exclusion is
-//!   the driver's responsibility, which lets the timed simulator model
-//!   spinning precisely.
-//! * On [`StepEvent::Barrier`] the driver steps the walker again only when
-//!   all threads have arrived.
+//!   critical body. The sink must return `false` unless the (simulated)
+//!   hardware semaphore is already acquired, and the driver must not run
+//!   the walker again until it is — mutual exclusion is the driver's
+//!   responsibility, which lets the timed simulator model spinning
+//!   precisely.
+//! * On [`StepEvent::Barrier`] the sink returns `false`, and the driver
+//!   runs the walker again only when all threads have arrived.
 //!
-//! All other events are informational; the walker can be stepped immediately.
+//! The sink must also return `false` on [`StepEvent::Finished`], which ends
+//! the stream. All other events are informational: a sink may return `true`
+//! and let the walker continue.
 
 use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
 use crate::loops::LoopId;
@@ -89,7 +98,8 @@ pub struct MemAccess {
     pub is_write: bool,
 }
 
-/// What a [`Walker::step`] call observed.
+/// One observable action of a walker, as [`Walker::run`] hands it to an
+/// [`EventSink`] (or [`Walker::step`] returns it).
 #[derive(Clone, Debug, PartialEq)]
 pub enum StepEvent {
     /// A statement's worth of datapath compute was executed.
@@ -119,9 +129,41 @@ pub enum StepEvent {
     CriticalExit,
     /// Arrived at a barrier. See the pausing protocol.
     Barrier,
-    /// The thread has executed its whole body. Terminal: subsequent `step`
-    /// calls return `Finished` again.
+    /// The thread has executed its whole body. Terminal: a later `run` or
+    /// `step` delivers `Finished` again.
     Finished,
+}
+
+/// The receiver of a [`Walker::run`]'s events; see the pausing protocol in
+/// the module docs.
+pub trait EventSink {
+    /// Take the next event; return `false` to pause the walker after it.
+    fn event(&mut self, ev: StepEvent) -> bool;
+}
+
+impl<F: FnMut(StepEvent) -> bool> EventSink for F {
+    fn event(&mut self, ev: StepEvent) -> bool {
+        self(ev)
+    }
+}
+
+/// A statement's event output: events go to the sink until it pauses, and
+/// the rest of the statement's events wait in the walker's `pending` queue.
+pub(crate) struct Emit<'a, S: ?Sized> {
+    sink: &'a mut S,
+    pending: &'a mut VecDeque<StepEvent>,
+    open: bool,
+}
+
+impl<S: EventSink + ?Sized> Emit<'_, S> {
+    #[inline(always)]
+    pub(crate) fn event(&mut self, ev: StepEvent) {
+        if self.open {
+            self.open = self.sink.event(ev);
+        } else {
+            self.pending.push_back(ev);
+        }
+    }
 }
 
 enum Frame {
@@ -164,8 +206,8 @@ pub struct Walker<'k> {
     /// Local memories, each `len × lanes` registers.
     local: Vec<Vec<u64>>,
     stack: Vec<Frame>,
-    queue: VecDeque<StepEvent>,
-    finished: bool,
+    /// Events of a statement a paused sink has not taken yet.
+    pending: VecDeque<StepEvent>,
 }
 
 impl<'k> Walker<'k> {
@@ -208,8 +250,7 @@ impl<'k> Walker<'k> {
             regs,
             local,
             stack,
-            queue: VecDeque::new(),
-            finished: false,
+            pending: VecDeque::new(),
         }
     }
 
@@ -231,36 +272,51 @@ impl<'k> Walker<'k> {
 
     /// Advance the thread until the next observable event.
     pub fn step<M: DataMemory + ?Sized>(&mut self, mem: &mut M) -> StepEvent {
-        if let Some(ev) = self.queue.pop_front() {
-            return ev;
-        }
-        if self.finished {
-            return StepEvent::Finished;
+        let mut next = None;
+        self.run(mem, &mut |ev| {
+            next = Some(ev);
+            false
+        });
+        next.expect("run delivers at least one event")
+    }
+
+    /// Run the thread, handing each event to `sink`, until the sink returns
+    /// `false` (see the pausing protocol in the module docs).
+    pub fn run<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
+        &mut self,
+        mem: &mut M,
+        sink: &mut S,
+    ) {
+        while let Some(ev) = self.pending.pop_front() {
+            if !sink.event(ev) {
+                return;
+            }
         }
         loop {
-            // Work the top frame until an event is produced.
+            // Work the top frame until the sink pauses.
             let Some(frame) = self.stack.last_mut() else {
-                self.finished = true;
-                return StepEvent::Finished;
+                let more = sink.event(StepEvent::Finished);
+                debug_assert!(!more, "an EventSink must pause on Finished");
+                return;
             };
-            match frame {
+            let ev = match frame {
                 Frame::Block { next, end } => {
                     if *next >= *end {
                         self.stack.pop();
                         // Leaving a critical body: emit the exit event.
                         if let Some(Frame::Critical { entered: true, .. }) = self.stack.last() {
                             self.stack.pop();
-                            return StepEvent::CriticalExit;
+                            StepEvent::CriticalExit
+                        } else {
+                            continue;
+                        }
+                    } else {
+                        let s = *next;
+                        *next += 1;
+                        if !self.exec_stmt(s, mem, sink) {
+                            return;
                         }
                         continue;
-                    }
-                    let s = *next;
-                    *next += 1;
-                    if let Some(ev) = self.exec_stmt(s, mem) {
-                        return ev;
-                    }
-                    if let Some(ev) = self.queue.pop_front() {
-                        return ev;
                     }
                 }
                 Frame::Loop {
@@ -282,46 +338,69 @@ impl<'k> Walker<'k> {
                         let unrolled = *unrolled;
                         let loop_id = *loop_id;
                         self.stack.pop();
-                        if !unrolled {
-                            return StepEvent::LoopExit { loop_id };
+                        if unrolled {
+                            continue;
                         }
-                        continue;
-                    }
-                    // Start the next iteration.
-                    let cur = *next;
-                    *next += *step;
-                    let (body, unrolled, loop_id) = (*body, *unrolled, *loop_id);
-                    self.regs[*var as usize] = var_ty.bits_from_i64(cur);
-                    self.stack.push(Frame::block(body));
-                    if !unrolled {
-                        return StepEvent::LoopIter { loop_id };
+                        StepEvent::LoopExit { loop_id }
+                    } else {
+                        // Start the next iteration.
+                        let cur = *next;
+                        *next += *step;
+                        let (body, unrolled, loop_id) = (*body, *unrolled, *loop_id);
+                        self.regs[*var as usize] = var_ty.bits_from_i64(cur);
+                        self.stack.push(Frame::block(body));
+                        if unrolled {
+                            continue;
+                        }
+                        StepEvent::LoopIter { loop_id }
                     }
                 }
                 Frame::Critical { body, entered } => {
-                    // We only reach here the second time (after the driver
-                    // granted the lock): push the body and mark entered.
+                    // We only reach here after the driver granted the lock:
+                    // push the body and mark entered.
                     *entered = true;
                     let body = *body;
                     self.stack.push(Frame::block(body));
+                    continue;
                 }
+            };
+            if !sink.event(ev) {
+                return;
             }
         }
     }
 
-    /// Execute statement `si`; may return a primary event and queue more.
-    fn exec_stmt<M: DataMemory + ?Sized>(&mut self, si: u32, mem: &mut M) -> Option<StepEvent> {
+    /// Execute statement `si` whole and emit its events: `Ops` first, then
+    /// its loads in tape order, then its own access, loop entry or
+    /// synchronisation event. Returns whether the sink is still taking
+    /// events.
+    fn exec_stmt<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
+        &mut self,
+        si: u32,
+        mem: &mut M,
+        sink: &mut S,
+    ) -> bool {
         let Walker {
             kernel,
             prog,
             regs,
             local,
             stack,
-            queue,
+            pending,
             ..
         } = self;
         let s = &prog.stmts[si as usize];
+        let ops = s.ops;
+        let mut out = Emit {
+            sink,
+            pending,
+            open: true,
+        };
+        if ops.int_ops != 0 || ops.flops != 0 || ops.ext_loads != 0 || ops.local_loads != 0 {
+            out.event(StepEvent::Ops(ops));
+        }
         let code = &prog.insts[s.code.0 as usize..s.code.1 as usize];
-        tape::run(code, regs, local, mem, queue, kernel);
+        tape::run(code, regs, local, mem, &mut out, kernel);
         let i64_at = |r: Reg| regs[r as usize] as i64;
         match s.kind {
             StmtKind::Assign { dst, src, lanes } => {
@@ -338,7 +417,7 @@ impl<'k> Walker<'k> {
                 let i = i64_at(idx) as u64;
                 let v = val as usize;
                 mem.store_ext(buf, i, ty.scalar, &regs[v..v + ty.lanes as usize]);
-                queue.push_back(StepEvent::Access(MemAccess {
+                out.event(StepEvent::Access(MemAccess {
                     buf,
                     byte_off: i * elem_bytes as u64,
                     bytes: ty.size_bytes(),
@@ -375,7 +454,7 @@ impl<'k> Walker<'k> {
                     ((s0 - e0).max(0) as u64).div_ceil((-st) as u64)
                 };
                 if !unrolled {
-                    queue.push_back(StepEvent::LoopEnter { loop_id, trip });
+                    out.event(StepEvent::LoopEnter { loop_id, trip });
                 }
                 stack.push(Frame::Loop {
                     loop_id,
@@ -407,9 +486,9 @@ impl<'k> Walker<'k> {
                     body,
                     entered: false,
                 });
-                return Some(StepEvent::CriticalEnter);
+                out.event(StepEvent::CriticalEnter);
             }
-            StmtKind::Barrier => return Some(StepEvent::Barrier),
+            StmtKind::Barrier => out.event(StepEvent::Barrier),
             StmtKind::Preload {
                 mem: lm,
                 src,
@@ -435,7 +514,7 @@ impl<'k> Walker<'k> {
                     let w = at * lanes as usize;
                     mem.load_ext(src, soff + i * lanes, &mut words[w..w + lanes as usize]);
                 }
-                queue.push_back(StepEvent::Burst {
+                out.event(StepEvent::Burst {
                     access: MemAccess {
                         buf: src,
                         byte_off: soff * scalar_size,
@@ -470,7 +549,7 @@ impl<'k> Walker<'k> {
                         &words[w..w + lanes as usize],
                     );
                 }
-                queue.push_back(StepEvent::Burst {
+                out.event(StepEvent::Burst {
                     access: MemAccess {
                         buf: dst,
                         byte_off: doff * scalar_size,
@@ -481,16 +560,8 @@ impl<'k> Walker<'k> {
                 });
             }
         }
-        emit_ops(s.ops, queue)
+        out.open
     }
-}
-
-/// The statement's `Ops` event, or (for zero counts) its first queued one.
-fn emit_ops(ops: OpCounts, queue: &mut VecDeque<StepEvent>) -> Option<StepEvent> {
-    if ops.int_ops == 0 && ops.flops == 0 && ops.ext_loads == 0 && ops.local_loads == 0 {
-        return queue.pop_front();
-    }
-    Some(StepEvent::Ops(ops))
 }
 
 #[cfg(test)]
@@ -527,6 +598,97 @@ mod tests {
             if fin {
                 return evs;
             }
+        }
+    }
+
+    /// Pauses after every `k`-th event (`k == 0`: only at `Finished`),
+    /// keeping every event it took.
+    struct PauseEvery {
+        k: usize,
+        seen: Vec<StepEvent>,
+    }
+
+    impl EventSink for PauseEvery {
+        fn event(&mut self, ev: StepEvent) -> bool {
+            let fin = ev == StepEvent::Finished;
+            self.seen.push(ev);
+            !fin && (self.k == 0 || !self.seen.len().is_multiple_of(self.k))
+        }
+    }
+
+    #[test]
+    fn run_paused_anywhere_matches_the_step_loop() {
+        let mut kb = KernelBuilder::new("pauses", 1);
+        let a = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let out = kb.buffer("OUT", ScalarType::F32, MapDir::ToFrom);
+        let lm = kb.local_mem("lm", Type::F32, 8);
+        let (z, z2, eight) = (kb.c_i64(0), kb.c_i64(0), kb.c_i64(8));
+        kb.preload(lm, a, z, z2, eight);
+        let n = kb.c_i64(4);
+        kb.for_range("i", n, |kb, i| {
+            // Two external loads, a local read and a store in one
+            // statement: every k ≤ 3 pauses inside it.
+            let one = kb.c_i64(1);
+            let next = kb.add(i, one);
+            let x = kb.load(a, i, Type::F32);
+            let y = kb.load(a, next, Type::F32);
+            let l = kb.load_local(lm, i, Type::F32);
+            let xy = kb.add(x, y);
+            let sum = kb.add(xy, l);
+            kb.store(out, i, sum);
+        });
+        kb.critical(|kb| {
+            let four = kb.c_i64(4);
+            let cur = kb.load(out, four, Type::F32);
+            let one = kb.c_f32(1.0);
+            let inc = kb.add(cur, one);
+            let four2 = kb.c_i64(4);
+            kb.store(out, four2, inc);
+        });
+        let k = kb.finish();
+        let fresh = || VecMem {
+            bufs: vec![
+                (0..8).map(|i| Value::F32(i as f32)).collect(),
+                vec![Value::F32(0.5); 5],
+            ],
+        };
+        let args = || vec![Value::I32(0), Value::I32(0)];
+        let mut mem = fresh();
+        let want = drive_to_finish(&mut walker(&k, 0, args()), &mut mem);
+        assert!(
+            want.windows(3).any(|w| matches!(
+                w,
+                [
+                    StepEvent::Ops(_),
+                    StepEvent::Access(_),
+                    StepEvent::Access(_)
+                ]
+            )),
+            "the loop statement reports its two loads after its ops: {want:?}"
+        );
+        assert!(want.contains(&StepEvent::CriticalEnter));
+        assert!(want.iter().any(|e| matches!(e, StepEvent::Burst { .. })));
+        for every in [1, 2, 3, 0] {
+            let mut w = walker(&k, 0, args());
+            let mut got = fresh();
+            let mut sink = PauseEvery {
+                k: every,
+                seen: Vec::new(),
+            };
+            let mut runs = 0;
+            while sink.seen.last() != Some(&StepEvent::Finished) {
+                w.run(&mut got, &mut sink);
+                runs += 1;
+                assert!(runs <= want.len(), "k={every}: runs without progress");
+            }
+            assert_eq!(sink.seen, want, "k={every}: event stream");
+            assert_eq!(got.bufs, mem.bufs, "k={every}: final buffers");
+            let expect_runs = if every == 0 {
+                1
+            } else {
+                want.len().div_ceil(every)
+            };
+            assert_eq!(runs, expect_runs, "k={every}: one run per pause");
         }
     }
 
