@@ -31,7 +31,7 @@ use kernels::reference;
 use kernels::spmv::{self, Csr};
 use nymble_hls::accel::{compile, HlsConfig};
 use nymble_hls::perf::{self, pipeline_eligible, region_profits, LoopSource, Timing};
-use nymble_hls::ProbeMode;
+use nymble_hls::{ProbeMode, RegionTree};
 use nymble_ir::loops::LoopMap;
 use nymble_ir::stmt::{visit_stmts, Unroll};
 use nymble_ir::{ArgKind, BinOp, Kernel, KernelBuilder, MapDir, ScalarType, Stmt, Type, Value};
@@ -394,6 +394,34 @@ fn gemm_static_models_match_golden() {
 #[test]
 fn other_static_models_match_golden() {
     check_golden("static_models_other.txt", other_cases());
+}
+
+/// An enclosing region never scores below a region nested in it, on every
+/// kernel of the corpus, so the probe optimizer's parent-before-child
+/// order ranks by real stall exposure. DMA-bound kernels (`burst`, blocked
+/// GEMM) are the case to watch: their DMA time must count at the root too.
+#[test]
+fn region_scores_never_rise_from_parent_to_child() {
+    let mut edges = 0;
+    for c in gemm_cases().into_iter().chain(other_cases()) {
+        let tree = RegionTree::build(&c.kernel, &Timing::default());
+        for r in &tree.regions {
+            if let Some(p) = r.parent {
+                let parent = tree.region(p);
+                assert!(
+                    parent.score >= r.score,
+                    "`{}`: {} scores {} below its child {} at {}",
+                    c.name,
+                    parent.label,
+                    parent.score,
+                    r.label,
+                    r.score
+                );
+                edges += 1;
+            }
+        }
+    }
+    assert!(edges > 500, "corpus covers {edges} parent-child edges");
 }
 
 /// The whole corpus, each kernel with its compiled design.

@@ -124,6 +124,8 @@ pub struct PerfModel {
     pub dram_bytes: u64,
     /// Predicted serialized critical-section cycles, summed over threads.
     pub critical_cycles: u64,
+    /// Predicted DMA-engine busy cycles, summed over threads.
+    pub dma_cycles: u64,
     /// Cross-thread restart-contention cycles summed over threads (already
     /// inside `per_thread`); always 0 under [`LoopSource::Symbolic`].
     pub contention: u64,
@@ -238,6 +240,7 @@ fn walk(
     let mut contention = Vec::with_capacity(nt);
     let mut dram_bytes = 0u64;
     let mut critical_cycles = 0u64;
+    let mut dma_cycles = 0u64;
     let mut regions: HashMap<usize, RegionProfit> = HashMap::new();
     for tid in 0..nt {
         let mut w = Walker {
@@ -255,6 +258,7 @@ fn walk(
         contention.push(c.contention);
         dram_bytes += c.dram_bytes;
         critical_cycles += c.critical;
+        dma_cycles += c.dma_busy;
         for (key, c) in w.recorded.into_iter().flatten() {
             let e = regions.entry(key).or_default();
             e.cycles += c.cycles;
@@ -279,6 +283,7 @@ fn walk(
             per_thread,
             dram_bytes,
             critical_cycles,
+            dma_cycles,
             contention: contention.iter().sum(),
             ramp_span,
             total_cycles,

@@ -106,7 +106,7 @@ impl RegionTree {
                 cycles: m.per_thread.iter().sum(),
                 dram_bytes: m.dram_bytes,
                 critical_cycles: m.critical_cycles,
-                dma_cycles: 0,
+                dma_cycles: m.dma_cycles,
             },
             None => RegionProfit::default(),
         };
