@@ -142,12 +142,60 @@ mod tests {
     fn functional_roundtrip() {
         let mut kb = KernelBuilder::new("t", 1);
         let a = kb.buffer("A", ScalarType::F32, MapDir::ToFrom);
+        let b = kb.buffer("B", ScalarType::I32, MapDir::ToFrom);
+        let c = kb.buffer("C", ScalarType::I64, MapDir::ToFrom);
+        let d = kb.buffer("D", ScalarType::F64, MapDir::ToFrom);
         let k = kb.finish();
-        let (mut img, _) = MemImage::new(&k, &[LaunchArg::Buffer(vec![Value::F32(0.0); 8])]);
+        let (mut img, _) = MemImage::new(
+            &k,
+            &[
+                LaunchArg::Buffer(vec![Value::F32(0.0); 8]),
+                LaunchArg::Buffer(vec![Value::I32(0); 2]),
+                LaunchArg::Buffer(vec![Value::I64(0); 2]),
+                LaunchArg::Buffer(vec![Value::F64(0.0); 2]),
+            ],
+        );
         img.store_ext(a, 3, ScalarType::F32, &[Value::F32(7.5).to_bits()]);
         assert_eq!(img.buffer(a)[3], Value::F32(7.5));
         let mut two = [0; 2];
         img.load_ext(a, 2, &mut two);
         assert_eq!(two[1], Value::F32(7.5).to_bits());
+
+        // Each element type round-trips its register bits: a negative i32
+        // stays sign-extended, an f32 -0.0 keeps its sign bit.
+        let cases = [
+            (a, 4, Value::F32(-0.0)),
+            (b, 1, Value::I32(-5)),
+            (c, 1, Value::I64(-1 << 40)),
+            (d, 1, Value::F64(-2.5e-300)),
+        ];
+        for (buf, i, v) in cases {
+            img.store_ext(buf, i, v.ty().scalar, &[v.to_bits()]);
+            let mut out = [0; 1];
+            img.load_ext(buf, i, &mut out);
+            assert_eq!(out[0], v.to_bits(), "{v:?}");
+            assert_eq!(img.buffer(buf)[i as usize], v, "{v:?}");
+        }
+        let mut neg_zero = [0; 1];
+        img.load_ext(a, 4, &mut neg_zero);
+        assert_eq!(neg_zero[0], 0x8000_0000, "f32 -0.0 keeps its sign bit");
+    }
+
+    #[test]
+    #[should_panic(expected = "declared F32")]
+    fn launch_buffer_type_mismatch_panics() {
+        let mut kb = KernelBuilder::new("bad", 1);
+        let _ = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let k = kb.finish();
+        let _ = MemImage::new(&k, &[LaunchArg::Buffer(vec![Value::F64(1.0)])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kind mismatch")]
+    fn launch_kind_mismatch_panics() {
+        let mut kb = KernelBuilder::new("bad", 1);
+        let _ = kb.buffer("A", ScalarType::F32, MapDir::To);
+        let k = kb.finish();
+        let _ = MemImage::new(&k, &[LaunchArg::Scalar(Value::I32(0))]);
     }
 }
