@@ -102,13 +102,7 @@ pub fn f32_buffer(data: &[f32]) -> LaunchArg {
 
 /// Read an `f32` buffer back out of a run result.
 pub fn f32_result(r: &RunResult, arg: usize) -> Vec<f32> {
-    r.buffers[arg]
-        .iter()
-        .map(|v| match v {
-            Value::F32(x) => *x,
-            other => other.as_f64() as f32,
-        })
-        .collect()
+    r.buffers[arg].to_f32()
 }
 
 /// Outcome of one profiled experiment run. The compiled accelerator is

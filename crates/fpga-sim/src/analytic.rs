@@ -21,7 +21,7 @@ use crate::memimg::MemImage;
 use nymble_hls::accel::Accelerator;
 use nymble_hls::perf::{self, LoopSource};
 use nymble_ir::kernel::Kernel;
-use nymble_ir::Value;
+use nymble_ir::{Buffer, Value};
 
 /// What the model predicts limits the kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,7 +100,7 @@ fn report(
     accel: &Accelerator,
     cfg: &SimConfig,
     scalars: &ScalarArgs,
-    image: Option<&[Vec<Value>]>,
+    image: Option<&[Buffer]>,
 ) -> Option<AnalyticReport> {
     cfg.validate().ok()?;
     let m = perf::estimate(

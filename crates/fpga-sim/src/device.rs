@@ -114,11 +114,6 @@ impl DeviceQueue {
         self.stats.blocked_cycles += w.stall;
         Some((w.kind, w.stall))
     }
-
-    /// Whether thread `tid` has a wake scheduled.
-    pub fn has_pending(&self, tid: u32) -> bool {
-        self.pending[tid as usize].is_some()
-    }
 }
 
 #[cfg(test)]
@@ -128,10 +123,8 @@ mod tests {
     #[test]
     fn schedule_then_take_accounts_stats() {
         let mut q = DeviceQueue::new(2);
-        assert!(!q.has_pending(0));
         q.schedule(0, 100, DeviceEvent::LineFetch, 40);
         q.schedule(1, 120, DeviceEvent::DmaComplete, 60);
-        assert!(q.has_pending(0));
         assert_eq!(q.take_due(0, 100), Some((DeviceEvent::LineFetch, 40)));
         assert_eq!(q.take_due(0, 101), None, "wake fires once");
         assert_eq!(q.take_due(1, 130), Some((DeviceEvent::DmaComplete, 60)));

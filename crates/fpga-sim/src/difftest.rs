@@ -23,8 +23,8 @@ use crate::exec::{SimRun, StepStatus};
 use crate::memimg::LaunchArg;
 use crate::snoop::{Snoop, SnoopPair, StatsSnoop, ThreadState};
 use nymble_hls::accel::{compile, HlsConfig};
-use nymble_ir::interp::{self, Interpreter};
-use nymble_ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
+use nymble_ir::interp::Interpreter;
+use nymble_ir::{Buffer, Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
 
 /// Deterministic split-mix style generator.
 struct Rng(u64);
@@ -241,7 +241,7 @@ struct Observed {
     cycles: u64,
     threads: Vec<crate::stats::ThreadStats>,
     devices: DeviceStats,
-    buffers: Vec<Vec<Value>>,
+    buffers: Vec<Buffer>,
 }
 
 fn run_steps<S: Snoop>(sim: &mut SimRun<'_>, snoop: &mut S, core: Core) {
@@ -275,18 +275,6 @@ fn drive(kernel: &Kernel, cfg: &SimConfig, launch: &[LaunchArg], core: Core) -> 
     }
 }
 
-/// The gold interpreter's final buffers for the same launch.
-fn gold_buffers(kernel: &Kernel, launch: &[LaunchArg]) -> Vec<Vec<Value>> {
-    let launch: Vec<interp::LaunchArg> = launch
-        .iter()
-        .map(|a| match a {
-            LaunchArg::Scalar(v) => interp::LaunchArg::Scalar(v.clone()),
-            LaunchArg::Buffer(b) => interp::LaunchArg::Buffer(b.clone()),
-        })
-        .collect();
-    Interpreter::run(kernel, &launch).buffers
-}
-
 #[test]
 fn wheel_and_legacy_cores_agree_on_random_kernels() {
     let mut rng = Rng(0xC0FFEE);
@@ -295,7 +283,7 @@ fn wheel_and_legacy_cores_agree_on_random_kernels() {
         let cfg = gen_config(&mut rng);
         let wheel = drive(&kernel, &cfg, &launch, Core::Wheel);
         let legacy = drive(&kernel, &cfg, &launch, Core::Legacy);
-        let gold = gold_buffers(&kernel, &launch);
+        let gold = Interpreter::run(&kernel, &launch).buffers;
         assert_eq!(wheel.buffers, gold, "case {case}: wheel results != gold");
         assert_eq!(legacy.buffers, gold, "case {case}: legacy results != gold");
         assert_eq!(
@@ -470,10 +458,10 @@ fn semaphore_grant_mid_slice_matches_legacy() {
     let wheel = drive(&k, &cfg, &launch, Core::Wheel);
     let legacy = drive(&k, &cfg, &launch, Core::Legacy);
     assert_eq!(wheel.buffers, legacy.buffers);
-    assert_eq!(wheel.buffers, gold_buffers(&k, &launch));
+    assert_eq!(wheel.buffers, Interpreter::run(&k, &launch).buffers);
     assert_eq!(
-        wheel.buffers[1][0],
-        Value::I32(12),
+        wheel.buffers[1].get(0),
+        Some(Value::I32(12)),
         "3 threads × 4 increments"
     );
     assert_eq!(wheel.cycles, legacy.cycles);

@@ -25,7 +25,7 @@ use nymble_hls::accel::Accelerator;
 use nymble_ir::loops::LoopId;
 use nymble_ir::tape::Program;
 use nymble_ir::walker::{EventSink, StepEvent, Walker};
-use nymble_ir::{ArgId, Kernel, Value};
+use nymble_ir::{ArgId, Buffer, Kernel};
 use std::collections::VecDeque;
 
 /// How the executor prices one loop's iterations.
@@ -92,7 +92,7 @@ impl Thread {
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// Final external-buffer contents (indexed like kernel arguments).
-    pub buffers: Vec<Vec<Value>>,
+    pub buffers: Vec<Buffer>,
     /// Total cycles from host start to last thread completion.
     pub total_cycles: u64,
     /// Ground-truth statistics.
@@ -418,7 +418,7 @@ impl<'k> SimRun<'k> {
             tid,
             bound,
         };
-        self.walkers[tid as usize].run(&mut self.mem, &mut sink);
+        self.walkers[tid as usize].run(self.mem.buffers_mut(), &mut sink);
         let th = &self.m.threads[tid as usize];
         if th.status == Status::Ready && !self.m.ready.contains(tid) {
             self.m.ready.push(th.time, tid);
@@ -771,8 +771,8 @@ mod tests {
     use super::*;
     use crate::snoop::NullSnoop;
     use nymble_hls::accel::{compile, HlsConfig};
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg as GoldArg};
-    use nymble_ir::{KernelBuilder, MapDir, ScalarType, Type};
+    use nymble_ir::interp::Interpreter;
+    use nymble_ir::{KernelBuilder, MapDir, ScalarType, Type, Value};
 
     fn fast_cfg() -> SimConfig {
         SimConfig::default().with_fast_launch()
@@ -816,31 +816,20 @@ mod tests {
         let a: Vec<Value> = (0..n).map(|i| Value::F32(i as f32 * 0.5)).collect();
         let b: Vec<Value> = (0..n).map(|i| Value::F32((i % 7) as f32)).collect();
         let launch = vec![
-            LaunchArg::Buffer(a.clone()),
-            LaunchArg::Buffer(b.clone()),
+            LaunchArg::Buffer(a),
+            LaunchArg::Buffer(b),
             LaunchArg::Buffer(vec![Value::F32(0.0)]),
         ];
         let r = Executor::run(&k, &acc, &fast_cfg(), &launch, &mut NullSnoop).unwrap();
         // Gold model for the expected value.
-        let gold = Interpreter::run(
-            &k,
-            &[
-                GoldArg::Buffer(a),
-                GoldArg::Buffer(b),
-                GoldArg::Buffer(vec![Value::F32(0.0)]),
-            ],
-        );
-        let expect = buffer_as_f32(&gold.buffers[2])[0];
+        let expect = Interpreter::run(&k, &launch).buffers[2].to_f32()[0];
         (r, expect)
     }
 
     #[test]
     fn dot_product_matches_gold_model() {
         let (r, expect) = run_dot(256, 4);
-        let got = match &r.buffers[2][0] {
-            Value::F32(v) => *v,
-            other => panic!("{other:?}"),
-        };
+        let got = r.buffers[2].to_f32()[0];
         assert!(
             (got - expect).abs() <= f32::EPSILON * expect.abs().max(1.0) * 8.0,
             "sim {got} vs gold {expect}"
@@ -888,7 +877,11 @@ mod tests {
             &mut NullSnoop,
         )
         .unwrap();
-        assert_eq!(r.buffers[0][0], Value::I32(20), "4 threads × 5 increments");
+        assert_eq!(
+            r.buffers[0].get(0),
+            Some(Value::I32(20)),
+            "4 threads × 5 increments"
+        );
         let total_crit = r.stats.total(|t| t.critical_cycles);
         assert!(total_crit <= r.total_cycles, "critical time cannot overlap");
         let total_spin = r.stats.total(|t| t.spin_cycles);
@@ -951,7 +944,7 @@ mod tests {
             &mut NullSnoop,
         )
         .unwrap();
-        assert_eq!(r.buffers[0][2], Value::I32(128));
+        assert_eq!(r.buffers[0].get(2), Some(Value::I32(128)));
         // All threads end within a small window after the barrier.
         let ends: Vec<u64> = r.stats.per_thread.iter().map(|t| t.end_cycle).collect();
         let spread = ends.iter().max().unwrap() - ends.iter().min().unwrap();
@@ -986,7 +979,7 @@ mod tests {
             &mut NullSnoop,
         )
         .unwrap();
-        assert_eq!(r.buffers[1][0], Value::F32(3.25));
+        assert_eq!(r.buffers[1].get(0), Some(Value::F32(3.25)));
         assert!(
             r.stats.total_stalls() > 0,
             "read-after-DMA must stall: {:?}",

@@ -1,25 +1,22 @@
-//! External-memory image: functional buffer contents plus a base-address
-//! layout so accesses have absolute DRAM addresses for the bank model.
+//! External-memory image: the typed flat buffer contents plus a
+//! base-address layout, so accesses have absolute DRAM addresses for the
+//! bank model.
+//!
+//! The image holds one [`Buffer`] per kernel argument, the representation
+//! the gold interpreter uses too; a walker runs over
+//! [`MemImage::buffers_mut`] through `nymble_ir`'s one
+//! [`nymble_ir::walker::DataMemory`] impl.
 
-use nymble_ir::interp::assert_buffer_type;
-use nymble_ir::walker::{load_values, store_values, DataMemory};
-use nymble_ir::{ArgId, ArgKind, Kernel, ScalarType, Value};
-
-/// Launch value for one kernel argument (same shape as the gold
-/// interpreter's, re-declared here to keep crate dependencies one-way).
-#[derive(Clone, Debug)]
-pub enum LaunchArg {
-    Scalar(Value),
-    Buffer(Vec<Value>),
-}
+use nymble_ir::interp::bind_launch;
+pub use nymble_ir::interp::LaunchArg;
+use nymble_ir::{ArgId, ArgKind, Buffer, Kernel, Value};
 
 /// Functional memory image with a flat address layout: buffers are placed
 /// back to back, each aligned to 4 KiB (how the OpenMP runtime's device
 /// allocator would place them in the FPGA board DRAM).
 pub struct MemImage {
-    bufs: Vec<Vec<Value>>,
+    bufs: Vec<Buffer>,
     base: Vec<u64>,
-    elem_size: Vec<u32>,
 }
 
 impl MemImage {
@@ -28,47 +25,25 @@ impl MemImage {
     ///
     /// # Panics
     /// Panics when a launch value's kind or a buffer element's type differs
-    /// from the kernel's declaration.
+    /// from the kernel's declaration (see [`bind_launch`]).
     pub fn new(kernel: &Kernel, launch: &[LaunchArg]) -> (Self, Vec<Value>) {
-        assert_eq!(
-            launch.len(),
-            kernel.args.len(),
-            "one launch argument per kernel argument"
-        );
-        let mut bufs = Vec::with_capacity(launch.len());
-        let mut base = Vec::with_capacity(launch.len());
-        let mut elem_size = Vec::with_capacity(launch.len());
-        let mut scalars = Vec::with_capacity(launch.len());
-        let mut cursor = 0u64;
         const ALIGN: u64 = 4096;
-        for (arg, la) in kernel.args.iter().zip(launch) {
-            match (&arg.kind, la) {
-                (ArgKind::Scalar(_), LaunchArg::Scalar(v)) => {
-                    scalars.push(v.clone());
-                    bufs.push(Vec::new());
-                    base.push(cursor);
-                    elem_size.push(0);
+        let (scalars, bufs) = bind_launch(kernel, launch);
+        let mut cursor = 0u64;
+        let base = kernel
+            .args
+            .iter()
+            .zip(&bufs)
+            .map(|(arg, b)| {
+                let at = cursor;
+                if matches!(arg.kind, ArgKind::Buffer { .. }) {
+                    let bytes = b.len() as u64 * b.elem().size_bytes() as u64;
+                    cursor += bytes.div_ceil(ALIGN) * ALIGN + ALIGN;
                 }
-                (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
-                    assert_buffer_type(&arg.name, *elem, b);
-                    scalars.push(Value::I32(0));
-                    base.push(cursor);
-                    elem_size.push(elem.size_bytes());
-                    cursor +=
-                        (b.len() as u64 * elem.size_bytes() as u64).div_ceil(ALIGN) * ALIGN + ALIGN;
-                    bufs.push(b.clone());
-                }
-                _ => panic!("launch argument kind mismatch for `{}`", arg.name),
-            }
-        }
-        (
-            MemImage {
-                bufs,
-                base,
-                elem_size,
-            },
-            scalars,
-        )
+                at
+            })
+            .collect();
+        (MemImage { bufs, base }, scalars)
     }
 
     /// Absolute DRAM byte address of `buf`'s byte offset.
@@ -77,41 +52,27 @@ impl MemImage {
     }
 
     /// Final buffer contents (for result read-back).
-    pub fn into_buffers(self) -> Vec<Vec<Value>> {
+    pub fn into_buffers(self) -> Vec<Buffer> {
         self.bufs
-    }
-
-    /// Borrow a buffer's contents.
-    pub fn buffer(&self, buf: ArgId) -> &[Value] {
-        &self.bufs[buf.0 as usize]
     }
 
     /// Every argument's contents, indexed like kernel arguments (scalar
     /// slots are empty).
-    pub fn buffers(&self) -> &[Vec<Value>] {
+    pub fn buffers(&self) -> &[Buffer] {
         &self.bufs
     }
 
-    /// Element size in bytes of a buffer argument.
-    pub fn elem_size(&self, buf: ArgId) -> u32 {
-        self.elem_size[buf.0 as usize]
-    }
-}
-
-impl DataMemory for MemImage {
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-        load_values(&self.bufs[buf.0 as usize], elem_idx, out);
-    }
-
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-        store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes);
+    /// The contents, as the memory a walker runs over.
+    pub fn buffers_mut(&mut self) -> &mut [Buffer] {
+        &mut self.bufs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::{KernelBuilder, MapDir};
+    use nymble_ir::walker::DataMemory;
+    use nymble_ir::{KernelBuilder, MapDir, ScalarType};
 
     #[test]
     fn layout_is_aligned_and_disjoint() {
@@ -135,7 +96,7 @@ mod tests {
         assert_eq!(a0 % 4096, 0);
         assert_eq!(b0 % 4096, 0);
         assert!(b0 >= a0 + 400, "buffers must not overlap");
-        assert_eq!(img.elem_size(a), 4);
+        assert_eq!(img.buffers()[a.0 as usize].elem().size_bytes(), 4);
     }
 
     #[test]
@@ -155,10 +116,11 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F64(0.0); 2]),
             ],
         );
-        img.store_ext(a, 3, ScalarType::F32, &[Value::F32(7.5).to_bits()]);
-        assert_eq!(img.buffer(a)[3], Value::F32(7.5));
+        let mem = img.buffers_mut();
+        mem.store_ext(a, 3, &[Value::F32(7.5).to_bits()]);
+        assert_eq!(mem[a.0 as usize].get(3), Some(Value::F32(7.5)));
         let mut two = [0; 2];
-        img.load_ext(a, 2, &mut two);
+        mem.load_ext(a, 2, &mut two);
         assert_eq!(two[1], Value::F32(7.5).to_bits());
 
         // Each element type round-trips its register bits: a negative i32
@@ -170,14 +132,18 @@ mod tests {
             (d, 1, Value::F64(-2.5e-300)),
         ];
         for (buf, i, v) in cases {
-            img.store_ext(buf, i, v.ty().scalar, &[v.to_bits()]);
+            mem.store_ext(buf, i, &[v.to_bits()]);
             let mut out = [0; 1];
-            img.load_ext(buf, i, &mut out);
+            mem.load_ext(buf, i, &mut out);
             assert_eq!(out[0], v.to_bits(), "{v:?}");
-            assert_eq!(img.buffer(buf)[i as usize], v, "{v:?}");
+            assert_eq!(
+                mem[buf.0 as usize].get(i as usize),
+                Some(v.clone()),
+                "{v:?}"
+            );
         }
         let mut neg_zero = [0; 1];
-        img.load_ext(a, 4, &mut neg_zero);
+        mem.load_ext(a, 4, &mut neg_zero);
         assert_eq!(neg_zero[0], 0x8000_0000, "f32 -0.0 keeps its sign bit");
     }
 

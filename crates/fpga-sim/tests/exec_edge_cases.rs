@@ -64,7 +64,7 @@ fn negative_step_loops_execute() {
         &SimConfig::default().with_fast_launch(),
         &[LaunchArg::Buffer(vec![Value::I64(0)])],
     );
-    assert_eq!(r.buffers[0][0].as_i64(), 10 + 8 + 6 + 4 + 2);
+    assert_eq!(r.buffers[0].get(0).unwrap().as_i64(), 10 + 8 + 6 + 4 + 2);
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn single_thread_critical_never_spins() {
         &SimConfig::default().with_fast_launch(),
         &[LaunchArg::Buffer(vec![Value::I32(0)])],
     );
-    assert_eq!(r.buffers[0][0], Value::I32(10));
+    assert_eq!(r.buffers[0].get(0), Some(Value::I32(10)));
     // Without contention the only "spin" is the semaphore's bus round trip
     // on each acquire — never a queued wait.
     let sim = SimConfig::default();
@@ -119,7 +119,7 @@ fn zero_launch_interval_starts_all_threads_together() {
         assert_eq!(t.start_cycle, 0);
     }
     for i in 0..4 {
-        assert_eq!(r.buffers[0][i].as_i64(), i as i64);
+        assert_eq!(r.buffers[0].get(i).unwrap().as_i64(), i as i64);
     }
 }
 
@@ -226,8 +226,8 @@ fn sim_run_can_be_stepped_and_moved_across_threads() {
         .join()
         .expect("worker thread panicked")
     });
-    assert_eq!(result.buffers[0][0].as_i64(), 7);
-    assert_eq!(result.buffers[0][1], Value::I64(7));
+    assert_eq!(result.buffers[0].get(0).unwrap().as_i64(), 7);
+    assert_eq!(result.buffers[0].get(1), Some(Value::I64(7)));
 }
 
 #[test]
@@ -259,6 +259,6 @@ fn if_branches_take_different_paths_per_thread() {
         &SimConfig::default().with_fast_launch(),
         &[LaunchArg::Buffer(vec![Value::I32(0); 2])],
     );
-    assert_eq!(r.buffers[0][0], Value::I32(100));
-    assert_eq!(r.buffers[0][1], Value::I32(200));
+    assert_eq!(r.buffers[0].get(0), Some(Value::I32(100)));
+    assert_eq!(r.buffers[0].get(1), Some(Value::I32(200)));
 }

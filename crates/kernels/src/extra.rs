@@ -112,7 +112,7 @@ pub fn jacobi(n: i64, threads: u32) -> Kernel {
 mod tests {
     use super::*;
     use crate::reference;
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+    use nymble_ir::interp::{Interpreter, LaunchArg};
     use nymble_ir::Value;
 
     fn vals(v: &[f32]) -> Vec<Value> {
@@ -133,7 +133,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0); n as usize]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[2]);
+        let got = r.buffers[2].to_f32();
         for (i, g) in got.iter().enumerate() {
             assert_eq!(*g, 3.0 * i as f32);
         }
@@ -153,7 +153,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0)]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[2])[0];
+        let got = r.buffers[2].to_f32()[0];
         let expect = reference::dot(&a, &b);
         assert!((got - expect).abs() < 1e-3, "{got} vs {expect}");
     }
@@ -170,7 +170,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0); n * n]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[1]);
+        let got = r.buffers[1].to_f32();
         let expect = reference::jacobi_sweep(&g, n);
         for i in 1..n - 1 {
             for j in 1..n - 1 {
@@ -246,7 +246,9 @@ mod histogram_tests {
                 LaunchArg::Buffer(vec![Value::I32(0); bins]),
             ],
         );
-        let got: Vec<i32> = r.buffers[1].iter().map(|v| v.as_i64() as i32).collect();
+        let got: Vec<i32> = (0..bins)
+            .map(|i| r.buffers[1].get(i).unwrap().as_i64() as i32)
+            .collect();
         assert_eq!(got, gold);
         assert_eq!(
             r.critical_entries, n as u64,

@@ -507,7 +507,7 @@ fn blocked(p: &GemmParams, double_buffer: bool) -> Kernel {
 mod tests {
     use super::*;
     use crate::reference;
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+    use nymble_ir::interp::{Interpreter, LaunchArg};
     use nymble_ir::Value;
 
     fn small() -> GemmParams {
@@ -535,7 +535,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0); n]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[2]);
+        let got = r.buffers[2].to_f32();
         for (i, (g, e)) in got.iter().zip(gold.iter()).enumerate() {
             assert!(
                 (g - e).abs() <= 1e-3 * e.abs().max(1.0),

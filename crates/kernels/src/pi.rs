@@ -131,7 +131,7 @@ pub fn launch_scalars(p: &PiParams) -> (f32, i64) {
 mod tests {
     use super::*;
     use crate::reference;
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+    use nymble_ir::interp::{Interpreter, LaunchArg};
     use nymble_ir::Value;
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0)]),
             ],
         );
-        let raw = buffer_as_f32(&r.buffers[2])[0];
+        let raw = r.buffers[2].to_f32()[0];
         let got = raw * step;
         let expect = reference::pi_series(p.steps, p.threads, p.bs);
         assert!(

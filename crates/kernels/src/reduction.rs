@@ -60,7 +60,7 @@ pub fn reference(data: &[f32]) -> f32 {
 mod tests {
     use super::*;
     use crate::reference::gen_matrix;
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+    use nymble_ir::interp::{Interpreter, LaunchArg};
     use nymble_ir::Value;
 
     #[test]
@@ -74,7 +74,7 @@ mod tests {
                 data.iter().map(|&x| Value::F32(x)).collect(),
             )],
         );
-        let got = buffer_as_f32(&r.buffers[0])[0];
+        let got = r.buffers[0].to_f32()[0];
         let expect = reference(&data);
         assert_eq!(got, expect, "pairwise order must match exactly");
     }

@@ -115,7 +115,7 @@ pub fn build(rows: i64, threads: u32) -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+    use nymble_ir::interp::{Interpreter, LaunchArg};
     use nymble_ir::Value;
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0); m.rows]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[4]);
+        let got = r.buffers[4].to_f32();
         for (i, (g, e)) in got.iter().zip(&gold).enumerate() {
             assert!((g - e).abs() < 1e-4, "row {i}: {g} vs {e}");
         }
@@ -171,7 +171,7 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0)]),
             ],
         );
-        let got = buffer_as_f32(&r.buffers[4])[0];
+        let got = r.buffers[4].to_f32()[0];
         let expect = m.spmv_ref(&x)[0];
         assert!((got - expect).abs() < 1e-5);
     }

@@ -9,6 +9,7 @@ use crate::region::RegionTree;
 use crate::schedule::{schedule, LoopSchedule, ResourceLimits};
 use nymble_ir::loops::{LoopId, LoopMap};
 use nymble_ir::stmt::{Block, Stmt};
+use nymble_ir::validate::infer_types;
 use nymble_ir::Kernel;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -118,6 +119,7 @@ fn collect_loop_bodies<'k>(lm: &LoopMap, block: &'k Block, out: &mut Vec<(LoopId
 /// Compile a kernel into an accelerator description. Static analysis
 /// (`nymble-lint`) is the caller's gate: run it before compiling.
 pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
+    let types = infer_types(kernel).expect("compiling a kernel that fails validation");
     let lm = LoopMap::build(kernel);
     let mut bodies = Vec::new();
     collect_loop_bodies(&lm, &kernel.body, &mut bodies);
@@ -128,13 +130,13 @@ pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
         if lm.info(id).unrolled {
             continue;
         }
-        let dfg = lower_block(kernel, body);
+        let dfg = lower_block(kernel, &types, body);
         let sched = schedule(&dfg, &config.limits);
         loop_schedules[id.0 as usize] = Some(sched);
         loop_dfgs[id.0 as usize] = Some(dfg);
     }
 
-    let top_dfg = lower_block(kernel, &kernel.body);
+    let top_dfg = lower_block(kernel, &types, &kernel.body);
     let top = schedule(&top_dfg, &config.limits);
 
     let fit = estimate_fit(

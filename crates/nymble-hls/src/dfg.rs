@@ -19,9 +19,8 @@
 
 use crate::op::{classify_binop, classify_unop, OpClass};
 use nymble_ir::expr::Expr;
-use nymble_ir::opcount::{expr_is_float, expr_lanes};
 use nymble_ir::stmt::{Stmt, Unroll};
-use nymble_ir::{ExprId, Kernel, ScalarType, VarId};
+use nymble_ir::{ExprId, Kernel, ScalarType, Type, VarId};
 use std::collections::HashMap;
 
 /// Index of a node in a [`Dfg`].
@@ -68,6 +67,8 @@ impl Dfg {
 
 struct Lowerer<'k> {
     k: &'k Kernel,
+    /// Static type of every expression (`nymble_ir::validate::infer_types`).
+    types: &'k [Type],
     dfg: Dfg,
     /// Node that last defined each variable in this iteration.
     var_def: HashMap<VarId, NodeId>,
@@ -87,9 +88,10 @@ struct Lowerer<'k> {
 }
 
 impl<'k> Lowerer<'k> {
-    fn new(k: &'k Kernel) -> Self {
+    fn new(k: &'k Kernel, types: &'k [Type]) -> Self {
         Lowerer {
             k,
+            types,
             dfg: Dfg::default(),
             var_def: HashMap::new(),
             early_uses: Vec::new(),
@@ -150,6 +152,19 @@ impl<'k> Lowerer<'k> {
     /// Lower an expression; `None` means a zero-latency wire (constants,
     /// argument taps, induction-variable reads). Shared sub-expressions map
     /// to the same node (memoised per statement).
+    fn ty(&self, id: ExprId) -> Type {
+        self.types[id.0 as usize]
+    }
+
+    /// The operator class's scalar kind: float operands use the FP units.
+    fn op_scalar(&self, operand: ExprId) -> ScalarType {
+        if self.ty(operand).scalar.is_float() {
+            ScalarType::F32
+        } else {
+            ScalarType::I64
+        }
+    }
+
     fn expr(&mut self, id: ExprId) -> Option<NodeId> {
         if let Some(n) = self.expr_cache.get(&id) {
             return *n;
@@ -164,22 +179,12 @@ impl<'k> Lowerer<'k> {
             Expr::Const(_) | Expr::Arg(_) | Expr::ThreadId | Expr::NumThreads => None,
             Expr::Var(v) => self.var_def.get(v).copied(),
             Expr::Unary(op, a) => {
-                let scalar = if expr_is_float(self.k, *a) {
-                    ScalarType::F32
-                } else {
-                    ScalarType::I64
-                };
-                let lanes = expr_lanes(self.k, *a);
+                let (scalar, lanes) = (self.op_scalar(*a), self.ty(id).lanes);
                 let (deps, early) = self.operand_deps(&[*a]);
                 Some(self.push_with_early(classify_unop(*op, scalar), lanes, deps, early))
             }
             Expr::Binary(op, a, b) => {
-                let scalar = if expr_is_float(self.k, *a) {
-                    ScalarType::F32
-                } else {
-                    ScalarType::I64
-                };
-                let lanes = expr_lanes(self.k, *a).max(expr_lanes(self.k, *b));
+                let (scalar, lanes) = (self.op_scalar(*a), self.ty(id).lanes);
                 let (deps, early) = self.operand_deps(&[*a, *b]);
                 Some(self.push_with_early(classify_binop(*op, scalar), lanes, deps, early))
             }
@@ -188,7 +193,7 @@ impl<'k> Lowerer<'k> {
                 then_v,
                 else_v,
             } => {
-                let lanes = expr_lanes(self.k, *then_v);
+                let lanes = self.ty(id).lanes;
                 let (deps, early) = self.operand_deps(&[*cond, *then_v, *else_v]);
                 Some(self.push_with_early(OpClass::IntAlu, lanes, deps, early))
             }
@@ -246,13 +251,13 @@ impl<'k> Lowerer<'k> {
                 if let Some(ls) = self.last_store {
                     deps.push(ls);
                 }
-                let lanes = expr_lanes(self.k, *value);
+                let lanes = self.ty(*value).lanes;
                 let n = self.push_with_early(OpClass::ExtStore, lanes, deps, early);
                 self.last_store = Some(n);
             }
             Stmt::StoreLocal { index, value, .. } => {
                 let (deps, early) = self.operand_deps(&[*index, *value]);
-                let lanes = expr_lanes(self.k, *value);
+                let lanes = self.ty(*value).lanes;
                 self.push_with_early(OpClass::LocalStore, lanes, deps, early);
             }
             Stmt::For {
@@ -380,9 +385,10 @@ pub fn const_trip(k: &Kernel, start: ExprId, end: ExprId, step: ExprId) -> Optio
 }
 
 /// Lower a statement block (a loop body, the kernel top level, or a critical
-/// body) into a DFG.
-pub fn lower_block(k: &Kernel, body: &[Stmt]) -> Dfg {
-    let mut l = Lowerer::new(k);
+/// body) into a DFG; `types` are `k`'s expression types
+/// (`nymble_ir::validate::infer_types`).
+pub fn lower_block(k: &Kernel, types: &[Type], body: &[Stmt]) -> Dfg {
+    let mut l = Lowerer::new(k, types);
     for s in body {
         l.stmt(s);
     }
@@ -392,7 +398,8 @@ pub fn lower_block(k: &Kernel, body: &[Stmt]) -> Dfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::{KernelBuilder, MapDir, Type};
+    use nymble_ir::validate::infer_types;
+    use nymble_ir::{KernelBuilder, MapDir};
 
     #[test]
     fn reduction_creates_carried_edge() {
@@ -411,7 +418,7 @@ mod tests {
             Stmt::For { body, .. } => body,
             _ => unreachable!(),
         };
-        let dfg = lower_block(&k, body);
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), body);
         assert_eq!(dfg.count(OpClass::ExtLoad), 1);
         assert_eq!(dfg.count(OpClass::FAdd), 1);
         assert_eq!(dfg.carried.len(), 1, "sum += v is loop-carried");
@@ -434,7 +441,7 @@ mod tests {
             kb.set(x, s);
         });
         let k = kb.finish();
-        let dfg = lower_block(&k, &k.body);
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), &k.body);
         assert_eq!(dfg.count(OpClass::ExtLoad), 4, "4 replicas");
         assert_eq!(dfg.count(OpClass::FAdd), 4);
         assert!(!dfg.approximate_unroll);
@@ -463,7 +470,7 @@ mod tests {
             Stmt::For { body, .. } => body,
             _ => unreachable!(),
         };
-        let dfg = lower_block(&k, outer_body);
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), outer_body);
         let inner_idx = dfg
             .nodes
             .iter()
@@ -491,7 +498,7 @@ mod tests {
         kb.store(o, c0, v);
         kb.store(o, c1, v2);
         let k = kb.finish();
-        let dfg = lower_block(&k, &k.body);
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), &k.body);
         let stores: Vec<usize> = dfg
             .nodes
             .iter()

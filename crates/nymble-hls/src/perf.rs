@@ -38,7 +38,7 @@ use nymble_ir::expr::Expr;
 use nymble_ir::kernel::{ArgKind, Kernel};
 use nymble_ir::loops::{var_steers_cost, LoopMap};
 use nymble_ir::stmt::{Stmt, Unroll};
-use nymble_ir::{ArgId, ExprId, MapDir, Value, VarId};
+use nymble_ir::{ArgId, Buffer, ExprId, MapDir, Value, VarId};
 use std::collections::HashMap;
 
 /// Latency and bandwidth parameters of the platform the walker prices
@@ -191,7 +191,7 @@ pub fn estimate(
     source: LoopSource<'_>,
     t: &Timing,
     scalars: &[Value],
-    image: Option<&[Vec<Value>]>,
+    image: Option<&[Buffer]>,
 ) -> Option<PerfModel> {
     walk(kernel, source, t, scalars, image, false).map(|(m, _)| m)
 }
@@ -225,7 +225,7 @@ fn walk(
     source: LoopSource<'_>,
     t: &Timing,
     scalars: &[Value],
-    image: Option<&[Vec<Value>]>,
+    image: Option<&[Buffer]>,
     record: bool,
 ) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
     let timer = match source {
@@ -311,7 +311,7 @@ pub fn pipeline_eligible(body: &[Stmt]) -> bool {
 pub struct ThreadEval<'k> {
     kernel: &'k Kernel,
     scalars: &'k [Value],
-    image: Option<&'k [Vec<Value>]>,
+    image: Option<&'k [Buffer]>,
     tid: i64,
     /// Bindings of loop induction variables (`VarId.0` → value).
     bindings: Vec<Option<i64>>,
@@ -328,7 +328,7 @@ impl<'k> ThreadEval<'k> {
         kernel: &'k Kernel,
         tid: i64,
         scalars: &'k [Value],
-        image: Option<&'k [Vec<Value>]>,
+        image: Option<&'k [Buffer]>,
     ) -> Self {
         ThreadEval {
             kernel,

@@ -260,6 +260,7 @@ mod tests {
     use super::*;
     use crate::dfg::lower_block;
     use nymble_ir::stmt::Stmt;
+    use nymble_ir::validate::infer_types;
     use nymble_ir::{KernelBuilder, MapDir, ScalarType, Type};
 
     fn inner_body(k: &nymble_ir::Kernel) -> &Vec<Stmt> {
@@ -287,7 +288,7 @@ mod tests {
             kb.set(sum, s);
         });
         let k = kb.finish();
-        let dfg = lower_block(&k, inner_body(&k));
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), inner_body(&k));
         let sched = schedule(&dfg, &ResourceLimits::default());
         assert_eq!(sched.ext_reads_per_iter, 2);
         assert_eq!(sched.ii_resource, 2, "2 reads / 1 port");
@@ -315,7 +316,7 @@ mod tests {
             kb.set(acc, s);
         });
         let k = kb.finish();
-        let dfg = lower_block(&k, inner_body(&k));
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), inner_body(&k));
         let sched = schedule(&dfg, &ResourceLimits::default());
         assert_eq!(sched.ext_reads_per_iter, 1, "one wide read");
         assert_eq!(sched.ii_resource, 1);
@@ -334,7 +335,7 @@ mod tests {
             kb.set(x, m);
         });
         let k = kb.finish();
-        let dfg = lower_block(&k, inner_body(&k));
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), inner_body(&k));
         let sched = schedule(&dfg, &ResourceLimits::default());
         assert_eq!(sched.reordering_stages(), 1, "exactly the load stage");
         let vlo_stage = sched.stages.iter().find(|s| s.has_vlo).unwrap();
@@ -391,7 +392,7 @@ mod tests {
             kb.set(x, s2);
         });
         let k = kb.finish();
-        let dfg = lower_block(&k, inner_body(&k));
+        let dfg = lower_block(&k, &infer_types(&k).unwrap(), inner_body(&k));
         let one_port = schedule(&dfg, &ResourceLimits::default());
         assert_eq!(one_port.ii_resource, 3);
         let two_ports = schedule(

@@ -4,12 +4,17 @@
 //! round-robin schedule, honouring critical-section mutual exclusion and
 //! barriers. This is the functional reference the cycle-level simulator (and
 //! the case-study kernels) are verified against.
+//!
+//! A launch is given as [`LaunchArg`] values, the one launch type of the
+//! workspace (the simulator takes the same); [`bind_launch`] turns it into
+//! the walkers' scalar arguments and typed flat [`Buffer`]s. The walkers
+//! run over those buffers, and [`InterpResult::buffers`] returns them.
 
+use crate::buffer::Buffer;
 use crate::kernel::{ArgId, ArgKind, Kernel};
-use crate::opcount::OpCounts;
-use crate::tape::Program;
-use crate::types::{ScalarType, Value};
-use crate::walker::{load_values, store_values, DataMemory, MemAccess, StepEvent, Walker};
+use crate::tape::{OpCounts, Program};
+use crate::types::Value;
+use crate::walker::{MemAccess, StepEvent, Walker};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -20,16 +25,44 @@ pub enum LaunchArg {
     Scalar(Value),
     /// Buffer contents (element values). For `map(from:)` buffers, pass the
     /// desired initial (usually zero) contents; results are read back from
-    /// the interpreter after the run.
+    /// the run's result buffers.
     Buffer(Vec<Value>),
+}
+
+/// Bind `launch` to `kernel`'s signature: the scalar-argument vector the
+/// walkers take (buffer slots hold a placeholder) and one typed buffer per
+/// argument (scalar slots are empty).
+///
+/// # Panics
+/// Panics when the launch has the wrong length, a launch value's kind
+/// differs from the declaration, or a buffer element is not of the declared
+/// element type.
+pub fn bind_launch(kernel: &Kernel, launch: &[LaunchArg]) -> (Vec<Value>, Vec<Buffer>) {
+    assert_eq!(
+        launch.len(),
+        kernel.args.len(),
+        "one launch argument per kernel argument"
+    );
+    kernel
+        .args
+        .iter()
+        .zip(launch)
+        .map(|(arg, la)| match (&arg.kind, la) {
+            (ArgKind::Scalar(st), LaunchArg::Scalar(v)) => (v.clone(), Buffer::empty(*st)),
+            (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
+                (Value::I32(0), Buffer::from_values(&arg.name, *elem, b))
+            }
+            _ => panic!("launch argument kind mismatch for `{}`", arg.name),
+        })
+        .unzip()
 }
 
 /// Outcome of a gold-model run.
 #[derive(Clone, Debug)]
 pub struct InterpResult {
     /// Final buffer contents, indexed like the kernel arguments (scalar
-    /// argument slots hold empty vectors).
-    pub buffers: Vec<Vec<Value>>,
+    /// argument slots hold empty buffers).
+    pub buffers: Vec<Buffer>,
     /// Total dynamic operation counts over all threads.
     pub ops: OpCounts,
     /// External-memory traffic in bytes (reads, writes), including preloader
@@ -38,20 +71,6 @@ pub struct InterpResult {
     pub bytes_written: u64,
     /// Number of critical-section entries observed (sanity statistics).
     pub critical_entries: u64,
-}
-
-struct BufferMem {
-    bufs: Vec<Vec<Value>>,
-}
-
-impl DataMemory for BufferMem {
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-        load_values(&self.bufs[buf.0 as usize], elem_idx, out);
-    }
-
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-        store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes);
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -152,34 +171,12 @@ impl Interpreter {
     /// [`DynTrace::barrier_arrivals`] (real hardware, which waits for all
     /// `num_threads`, would deadlock — that is what NL002 flags).
     pub fn run_traced(kernel: &Kernel, launch: &[LaunchArg]) -> (InterpResult, DynTrace) {
-        assert_eq!(
-            launch.len(),
-            kernel.args.len(),
-            "one launch argument per kernel argument"
-        );
-        let mut scalar_args = Vec::with_capacity(launch.len());
-        let mut bufs = Vec::with_capacity(launch.len());
-        for (arg, la) in kernel.args.iter().zip(launch) {
-            match (&arg.kind, la) {
-                (ArgKind::Scalar(_), LaunchArg::Scalar(v)) => {
-                    scalar_args.push(v.clone());
-                    bufs.push(Vec::new());
-                }
-                (ArgKind::Buffer { elem, .. }, LaunchArg::Buffer(b)) => {
-                    assert_buffer_type(&arg.name, *elem, b);
-                    scalar_args.push(Value::I32(0)); // placeholder
-                    bufs.push(b.clone());
-                }
-                _ => panic!("launch argument kind mismatch for `{}`", arg.name),
-            }
-        }
-
+        let (scalar_args, mut bufs) = bind_launch(kernel, launch);
         let prog = Arc::new(Program::lower(kernel));
         let n = kernel.num_threads as usize;
         let mut walkers: Vec<Walker> = (0..n)
             .map(|t| Walker::new(kernel, prog.clone(), t as u32, scalar_args.clone()))
             .collect();
-        let mut mem = BufferMem { bufs };
         let mut states = vec![ThreadState::Runnable; n];
         let mut lock_held_by: Option<usize> = None;
         let mut lock_queue: VecDeque<usize> = VecDeque::new();
@@ -214,7 +211,7 @@ impl Interpreter {
                 }
                 progressed = true;
                 let in_crit = states[t] == ThreadState::InCritical;
-                match walkers[t].step(&mut mem) {
+                match walkers[t].step(&mut bufs[..]) {
                     StepEvent::Ops(o) => ops.add(o),
                     StepEvent::Access(a) => {
                         if a.is_write {
@@ -294,7 +291,7 @@ impl Interpreter {
 
         (
             InterpResult {
-                buffers: mem.bufs,
+                buffers: bufs,
                 ops,
                 bytes_read: br,
                 bytes_written: bw,
@@ -306,28 +303,6 @@ impl Interpreter {
             },
         )
     }
-}
-
-/// Panic unless every element of launch buffer `name` is a scalar of the
-/// declared element type (the walker's registers are typed statically).
-pub fn assert_buffer_type(name: &str, elem: ScalarType, b: &[Value]) {
-    if let Some((i, v)) = b
-        .iter()
-        .enumerate()
-        .find(|(_, v)| matches!(v, Value::Vec(_)) || v.ty().scalar != elem)
-    {
-        panic!("buffer `{name}` element {i} is {v:?}, declared {elem:?}");
-    }
-}
-
-/// Convenience: extract an `f32` slice from a result buffer.
-pub fn buffer_as_f32(buf: &[Value]) -> Vec<f32> {
-    buf.iter()
-        .map(|v| match v {
-            Value::F32(x) => *x,
-            other => other.as_f64() as f32,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -356,7 +331,7 @@ mod tests {
         });
         let k = kb.finish();
         let r = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::I32(0)])]);
-        assert_eq!(r.buffers[0][0], Value::I32(40));
+        assert_eq!(r.buffers[0].get(0), Some(Value::I32(40)));
         assert_eq!(r.critical_entries, 40);
     }
 
@@ -397,7 +372,7 @@ mod tests {
         );
         for t in 0..nthreads as usize {
             let expect = 100 + ((t + 1) % nthreads as usize) as i32;
-            assert_eq!(r.buffers[1][t], Value::I32(expect), "thread {t}");
+            assert_eq!(r.buffers[1].get(t), Some(Value::I32(expect)), "thread {t}");
         }
     }
 

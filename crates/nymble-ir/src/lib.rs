@@ -33,13 +33,15 @@
 //!   functional correctness (e.g. GEMM against a CPU reference), and
 //! * `fpga_sim::exec` (in the `fpga-sim` crate) — the cycle-level timed model
 //!   that attaches the paper's profiling unit.
+//!
+//! Both drivers keep external memory as typed flat [`Buffer`]s.
 
+pub mod buffer;
 pub mod builder;
 pub mod expr;
 pub mod interp;
 pub mod kernel;
 pub mod loops;
-pub mod opcount;
 pub mod pretty;
 pub mod stmt;
 pub mod tape;
@@ -47,6 +49,7 @@ pub mod types;
 pub mod validate;
 pub mod walker;
 
+pub use buffer::Buffer;
 pub use builder::{FinishCheck, KernelBuilder};
 pub use expr::{BinOp, Expr, ExprId, UnOp};
 pub use kernel::{Arg, ArgId, ArgKind, Kernel, LocalMem, LocalMemId, MapDir, VarDecl, VarId};

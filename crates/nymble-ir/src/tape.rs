@@ -27,6 +27,11 @@
 //!   type, float comparisons run in f64, conditions test non-zero), the
 //!   lowering emits an explicit `Conv`. The arithmetic itself is the
 //!   per-scalar helpers [`crate::expr::eval_binop`] also uses.
+//! * **Op counts.** The profiling unit classifies compute into integer and
+//!   floating-point operations (§IV-B.2b). Every `Binary`/`Unary`/`Select`
+//!   evaluation counts one operation per lane, classified by its *result*
+//!   scalar type; comparisons, selects and casts count as integer ops.
+//!   Loads count separately, as memory operations.
 
 use crate::expr::{
     cmp_f64, cmp_i64, f32_binop, f64_binop, float_unop, int_binop, int_unop, BinOp, Expr, ExprId,
@@ -34,11 +39,33 @@ use crate::expr::{
 };
 use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
 use crate::loops::{LoopId, LoopMap};
-use crate::opcount::OpCounts;
 use crate::stmt::{Stmt, Unroll};
 use crate::types::{ScalarType, Type, Value};
 use crate::validate::infer_types;
 use crate::walker::{DataMemory, Emit, EventSink, MemAccess, StepEvent};
+
+/// Operation counts of one statement execution (see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    /// Integer (and address/compare/select) operations.
+    pub int_ops: u64,
+    /// Floating-point operations.
+    pub flops: u64,
+    /// External-memory load operations (requests, not bytes).
+    pub ext_loads: u64,
+    /// Local-memory load operations.
+    pub local_loads: u64,
+}
+
+impl OpCounts {
+    /// Element-wise sum.
+    pub fn add(&mut self, o: OpCounts) {
+        self.int_ops += o.int_ops;
+        self.flops += o.flops;
+        self.ext_loads += o.ext_loads;
+        self.local_loads += o.local_loads;
+    }
+}
 
 /// Index into a walker's register file.
 pub(crate) type Reg = u32;

@@ -45,6 +45,18 @@ impl ScalarType {
             ScalarType::F64 => (v as f64).to_bits(),
         }
     }
+
+    /// `bits` as a register of this type holds them, as
+    /// `Value::from_bits(self, bits).to_bits()` gives: an i32 sign-extended
+    /// from its low half, an f32 zero-extended, 64-bit types unchanged.
+    #[inline(always)]
+    pub(crate) fn canonical_bits(self, bits: u64) -> u64 {
+        match self {
+            ScalarType::I32 => bits as i32 as i64 as u64,
+            ScalarType::F32 => bits as u32 as u64,
+            ScalarType::I64 | ScalarType::F64 => bits,
+        }
+    }
 }
 
 /// A (possibly vector) datapath type.

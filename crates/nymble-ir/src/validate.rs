@@ -7,7 +7,7 @@
 //! hardware realisation), and critical sections may not nest (the single
 //! hardware semaphore of Fig. 1 is not re-entrant).
 //!
-//! Every expression also has one static [`Type`] (`infer_types`), and
+//! Every expression also has one static [`Type`] ([`infer_types`]), and
 //! statements must agree with it: an `Assign` matches its variable's
 //! declared type, a store matches the buffer or local element type, the
 //! arms of a `Select` agree, vector operands have matching lane counts, and
@@ -66,7 +66,7 @@ pub fn validate(k: &Kernel) -> Result<(), ValidationError> {
 /// The rules are the walker's runtime semantics: arithmetic takes the left
 /// operand's scalar type, comparisons give `I32`, and lane-wise operations
 /// need equal lane counts.
-pub(crate) fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
+pub fn infer_types(k: &Kernel) -> Result<Vec<Type>, ValidationError> {
     let mut tys: Vec<Type> = Vec::with_capacity(k.exprs.len());
     for (i, e) in k.exprs.iter().enumerate() {
         let id = ExprId(i as u32);
@@ -409,6 +409,15 @@ mod tests {
     use crate::builder::KernelBuilder;
     use crate::types::{ScalarType, Type};
     use crate::MapDir;
+
+    #[test]
+    fn lane_inference() {
+        let mut kb = KernelBuilder::new("t", 1);
+        let s = kb.c_f32(1.0);
+        let v = kb.splat(s, 4);
+        let tys = super::infer_types(kb.kernel_in_progress()).unwrap();
+        assert_eq!(tys[v.0 as usize].lanes, 4);
+    }
 
     #[test]
     fn accepts_wellformed() {

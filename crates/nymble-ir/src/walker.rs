@@ -32,56 +32,27 @@
 
 use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
 use crate::loops::LoopId;
-use crate::opcount::OpCounts;
-use crate::tape::{self, BlockRange, Program, Reg, StmtKind};
+use crate::tape::{self, BlockRange, OpCounts, Program, Reg, StmtKind};
 use crate::types::{ScalarType, Value};
+#[cfg(doc)]
+use crate::Buffer;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Functional data storage the walker reads and writes through, one scalar
 /// element per register ([`Value::to_bits`] encoding).
 ///
-/// The gold interpreter backs this with plain `Vec`s; the FPGA simulator
-/// backs it with the simulated external-DRAM image so that data transfers and
-/// values stay consistent with the timing model.
+/// Its one implementation is [`Buffer`] slices: the gold interpreter walks
+/// over its own buffers, the FPGA simulator over the simulated
+/// external-DRAM image (`fpga_sim::memimg`), so data transfers and values
+/// stay consistent with the timing model.
 pub trait DataMemory {
     /// Load `out.len()` consecutive elements of buffer `buf`, starting at
     /// element index `elem_idx` (a vector load reads all its lanes).
     fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]);
-    /// Store `lanes` (elements of type `ty`) to buffer `buf` at
-    /// consecutive element indices starting at `elem_idx`.
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]);
-}
-
-/// [`DataMemory::load_ext`] over a buffer of values, for implementors that
-/// hold buffers as `Vec<Value>`.
-pub fn load_values(b: &[Value], elem_idx: u64, out: &mut [u64]) {
-    let i = elem_idx as usize;
-    assert!(
-        i.checked_add(out.len()).is_some_and(|end| end <= b.len()),
-        "load out of bounds: len {} index {} lanes {}",
-        b.len(),
-        i,
-        out.len()
-    );
-    for (o, v) in out.iter_mut().zip(&b[i..]) {
-        *o = v.to_bits();
-    }
-}
-
-/// [`DataMemory::store_ext`] over a buffer of values.
-pub fn store_values(b: &mut [Value], elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-    let i = elem_idx as usize;
-    assert!(
-        i.checked_add(lanes.len()).is_some_and(|end| end <= b.len()),
-        "store out of bounds: len {} index {} lanes {}",
-        b.len(),
-        i,
-        lanes.len()
-    );
-    for (slot, &bits) in b[i..].iter_mut().zip(lanes) {
-        *slot = Value::from_bits(ty, bits);
-    }
+    /// Store `lanes` to buffer `buf` at consecutive element indices
+    /// starting at `elem_idx`, as elements of the buffer's type.
+    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, lanes: &[u64]);
 }
 
 /// One external-memory access, as observed on the thread's Avalon master.
@@ -416,7 +387,7 @@ impl<'k> Walker<'k> {
             } => {
                 let i = i64_at(idx) as u64;
                 let v = val as usize;
-                mem.store_ext(buf, i, ty.scalar, &regs[v..v + ty.lanes as usize]);
+                mem.store_ext(buf, i, &regs[v..v + ty.lanes as usize]);
                 out.event(StepEvent::Access(MemAccess {
                     buf,
                     byte_off: i * elem_bytes as u64,
@@ -542,12 +513,7 @@ impl<'k> Walker<'k> {
                 let words = &local[lm.0 as usize];
                 for i in 0..n {
                     let w = (soff + i) as usize * lanes as usize;
-                    mem.store_ext(
-                        dst,
-                        doff + i * lanes,
-                        elem.scalar,
-                        &words[w..w + lanes as usize],
-                    );
+                    mem.store_ext(dst, doff + i * lanes, &words[w..w + lanes as usize]);
                 }
                 out.event(StepEvent::Burst {
                     access: MemAccess {
@@ -569,27 +535,18 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::types::Type;
-    use crate::MapDir;
+    use crate::{Buffer, MapDir};
 
-    /// Plain-vector memory for tests.
-    pub struct VecMem {
-        pub bufs: Vec<Vec<Value>>,
-    }
-
-    impl DataMemory for VecMem {
-        fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-            load_values(&self.bufs[buf.0 as usize], elem_idx, out);
-        }
-        fn store_ext(&mut self, buf: ArgId, elem_idx: u64, ty: ScalarType, lanes: &[u64]) {
-            store_values(&mut self.bufs[buf.0 as usize], elem_idx, ty, lanes);
-        }
+    fn f32s(xs: impl IntoIterator<Item = f32>) -> Buffer {
+        let values: Vec<Value> = xs.into_iter().map(Value::F32).collect();
+        Buffer::from_values("B", ScalarType::F32, &values)
     }
 
     fn walker(k: &Kernel, tid: u32, args: Vec<Value>) -> Walker<'_> {
         Walker::new(k, Arc::new(Program::lower(k)), tid, args)
     }
 
-    fn drive_to_finish(w: &mut Walker, mem: &mut VecMem) -> Vec<StepEvent> {
+    fn drive_to_finish(w: &mut Walker, mem: &mut [Buffer]) -> Vec<StepEvent> {
         let mut evs = Vec::new();
         loop {
             let ev = w.step(mem);
@@ -646,12 +603,7 @@ mod tests {
             kb.store(out, four2, inc);
         });
         let k = kb.finish();
-        let fresh = || VecMem {
-            bufs: vec![
-                (0..8).map(|i| Value::F32(i as f32)).collect(),
-                vec![Value::F32(0.5); 5],
-            ],
-        };
+        let fresh = || vec![f32s((0..8).map(|i| i as f32)), f32s([0.5; 5])];
         let args = || vec![Value::I32(0), Value::I32(0)];
         let mut mem = fresh();
         let want = drive_to_finish(&mut walker(&k, 0, args()), &mut mem);
@@ -677,12 +629,12 @@ mod tests {
             };
             let mut runs = 0;
             while sink.seen.last() != Some(&StepEvent::Finished) {
-                w.run(&mut got, &mut sink);
+                w.run(&mut got[..], &mut sink);
                 runs += 1;
                 assert!(runs <= want.len(), "k={every}: runs without progress");
             }
             assert_eq!(sink.seen, want, "k={every}: event stream");
-            assert_eq!(got.bufs, mem.bufs, "k={every}: final buffers");
+            assert_eq!(got, mem, "k={every}: final buffers");
             let expect_runs = if every == 0 {
                 1
             } else {
@@ -712,17 +664,15 @@ mod tests {
         let zero = kb.c_i64(0);
         kb.store(out, zero, accv);
         let k = kb.finish();
-        let mut mem = VecMem {
-            bufs: vec![
-                (0..4).map(|i| Value::F32(i as f32)).collect(),
-                vec![Value::F32(-1.0)],
-                vec![],
-            ],
-        };
+        let mut mem = vec![
+            f32s((0..4).map(|i| i as f32)),
+            f32s([-1.0]),
+            Buffer::empty(ScalarType::I64),
+        ];
         let args = vec![Value::I32(0), Value::I32(0), Value::I64(4)];
         let mut w = walker(&k, 0, args);
         let evs = drive_to_finish(&mut w, &mut mem);
-        assert_eq!(mem.bufs[1][0], Value::F32(0.0 + 1.0 + 2.0 + 3.0));
+        assert_eq!(mem[1].get(0), Some(Value::F32(0.0 + 1.0 + 2.0 + 3.0)));
         let iters = evs
             .iter()
             .filter(|e| matches!(e, StepEvent::LoopIter { .. }))
@@ -769,24 +719,26 @@ mod tests {
             kb.store(out, z2, inc);
         });
         let k = kb.finish();
-        let mut mem = VecMem {
-            bufs: vec![vec![Value::I32(10)]],
-        };
+        let mut mem = [Buffer::from_values(
+            "OUT",
+            ScalarType::I32,
+            &[Value::I32(10)],
+        )];
         let mut w = walker(&k, 0, vec![Value::I32(0)]);
-        assert_eq!(w.step(&mut mem), StepEvent::CriticalEnter);
+        assert_eq!(w.step(&mut mem[..]), StepEvent::CriticalEnter);
         // Value untouched while paused.
-        assert_eq!(mem.bufs[0][0], Value::I32(10));
+        assert_eq!(mem[0].get(0), Some(Value::I32(10)));
         // Driver grants the lock by stepping again; run through the body.
         let mut saw_exit = false;
         loop {
-            match w.step(&mut mem) {
+            match w.step(&mut mem[..]) {
                 StepEvent::CriticalExit => saw_exit = true,
                 StepEvent::Finished => break,
                 _ => {}
             }
         }
         assert!(saw_exit);
-        assert_eq!(mem.bufs[0][0], Value::I32(11));
+        assert_eq!(mem[0].get(0), Some(Value::I32(11)));
     }
 
     #[test]
@@ -803,9 +755,8 @@ mod tests {
             kb.set(acc, s);
         });
         let k = kb.finish();
-        let mut mem = VecMem { bufs: vec![] };
         let mut w = walker(&k, 0, vec![]);
-        let evs = drive_to_finish(&mut w, &mut mem);
+        let evs = drive_to_finish(&mut w, &mut []);
         assert!(
             !evs.iter().any(|e| matches!(
                 e,
@@ -827,9 +778,8 @@ mod tests {
         let s = kb.mul(tid, nt);
         kb.set(v, s);
         let k = kb.finish();
-        let mut mem = VecMem { bufs: vec![] };
         let mut w = walker(&k, 3, vec![]);
-        drive_to_finish(&mut w, &mut mem);
+        drive_to_finish(&mut w, &mut []);
         assert_eq!(w.var_value(VarId(0)), Value::I32(12));
     }
 
@@ -849,15 +799,10 @@ mod tests {
         let z2 = kb.c_i64(0);
         kb.store(out, z2, v);
         let k = kb.finish();
-        let mut mem = VecMem {
-            bufs: vec![
-                (0..8).map(|i| Value::F32(i as f32 * 10.0)).collect(),
-                vec![Value::F32(0.0)],
-            ],
-        };
+        let mut mem = [f32s((0..8).map(|i| i as f32 * 10.0)), f32s([0.0])];
         let mut w = walker(&k, 0, vec![Value::I32(0), Value::I32(0)]);
         let evs = drive_to_finish(&mut w, &mut mem);
-        assert_eq!(mem.bufs[1][0], Value::F32(30.0));
+        assert_eq!(mem[1].get(0), Some(Value::F32(30.0)));
         let bursts: Vec<_> = evs
             .iter()
             .filter_map(|e| match e {

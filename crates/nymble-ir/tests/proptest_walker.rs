@@ -3,7 +3,7 @@
 //! programs, and synchronization semantics hold under arbitrary shapes.
 
 use miniprop::{forall, Rng};
-use nymble_ir::interp::{buffer_as_f32, Interpreter, LaunchArg};
+use nymble_ir::interp::{Interpreter, LaunchArg};
 use nymble_ir::{BinOp, KernelBuilder, MapDir, ScalarType, Type, Value};
 
 /// A random straight-line integer expression over two inputs, evaluated in
@@ -107,7 +107,10 @@ fn walker_matches_rust_eval() {
                 LaunchArg::Scalar(Value::I64(y)),
             ],
         );
-        assert_eq!(result.buffers[0][0].as_i64(), eval_rust(&e, x, y));
+        assert_eq!(
+            result.buffers[0].get(0).unwrap().as_i64(),
+            eval_rust(&e, x, y)
+        );
     });
 }
 
@@ -135,7 +138,7 @@ fn loop_sum_matches_closed_form() {
         let k = kb.finish();
         let result = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::I64(0)])]);
         let expect: i64 = (0..trip).map(|n| start + n * step).sum();
-        assert_eq!(result.buffers[0][0].as_i64(), expect);
+        assert_eq!(result.buffers[0].get(0).unwrap().as_i64(), expect);
     });
 }
 
@@ -165,7 +168,7 @@ fn critical_reduction_is_exact_for_any_thread_count() {
         let k = kb.finish();
         let result = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::I64(0)])]);
         let expect: i64 = (1..=threads as i64).sum::<i64>() * reps;
-        assert_eq!(result.buffers[0][0].as_i64(), expect);
+        assert_eq!(result.buffers[0].get(0).unwrap().as_i64(), expect);
     });
 }
 
@@ -196,7 +199,7 @@ fn vector_load_equals_scalar_loads() {
                 LaunchArg::Buffer(vec![Value::F32(0.0)]),
             ],
         );
-        let got = buffer_as_f32(&result.buffers[1])[0];
+        let got = result.buffers[1].to_f32()[0];
         let expect: f32 = data[idx..idx + 4].iter().sum();
         assert!((got - expect).abs() < 1e-4);
     });
@@ -205,7 +208,7 @@ fn vector_load_equals_scalar_loads() {
 // ----- random typed expression DAGs against an independent oracle -------
 
 use nymble_ir::interp::DynAccess;
-use nymble_ir::opcount::OpCounts;
+use nymble_ir::tape::OpCounts;
 use nymble_ir::{ArgId, ExprId, UnOp, VarId};
 
 const SCALARS: [ScalarType; 4] = [
@@ -865,9 +868,9 @@ fn typed_dags_match_oracle_values_accesses_and_ops() {
             let ty = d.nodes[d.roots[r].0].1;
             let out = &res.buffers[l.outputs[slot_of(ty.scalar)].0 as usize];
             for (lane, s) in e.lanes.iter().enumerate() {
-                let got = &out[(r as u64 * SLOT) as usize + lane];
+                let got = out.get((r as u64 * SLOT) as usize + lane).unwrap();
                 assert!(
-                    s.same(got),
+                    s.same(&got),
                     "root {r} lane {lane}: oracle {s:?}, walker {got:?}\n{:?}",
                     d.nodes
                 );
@@ -925,5 +928,6 @@ fn i64_to_f32_rounds_through_f64() {
     let k = kb.finish();
     let r = Interpreter::run(&k, &[LaunchArg::Buffer(vec![Value::F32(0.0); 2])]);
     let want = Value::F32(x as f64 as f32);
-    assert_eq!(r.buffers[0], vec![want.clone(), want]);
+    assert_eq!(r.buffers[0].get(0), Some(want.clone()));
+    assert_eq!(r.buffers[0].get(1), Some(want));
 }

@@ -9,7 +9,7 @@
 
 use hls_paraver::hls::accel::{compile, HlsConfig};
 use hls_paraver::hls::report;
-use hls_paraver::ir::interp::{buffer_as_f32, Interpreter, LaunchArg as GoldArg};
+use hls_paraver::ir::interp::Interpreter;
 use hls_paraver::ir::{KernelBuilder, MapDir, ScalarType, Value};
 use hls_paraver::kernels::{extra, reference};
 use hls_paraver::lint::{enforce, strict_check, LintLevel};
@@ -38,18 +38,16 @@ fn main() {
 
     let kernel = extra::jacobi(n as i64, threads);
     let grid = reference::gen_matrix(n, 11);
-    let vals = |m: &[f32]| m.iter().map(|&x| Value::F32(x)).collect::<Vec<_>>();
+    // The interpreter and the simulator take the same launch.
+    let launch = [
+        LaunchArg::Buffer(grid.iter().map(|&x| Value::F32(x)).collect()),
+        LaunchArg::Buffer(vec![Value::F32(0.0); n * n]),
+    ];
 
     // Step 1: functional verification against the gold interpreter.
-    let gold = Interpreter::run(
-        &kernel,
-        &[
-            GoldArg::Buffer(vals(&grid)),
-            GoldArg::Buffer(vec![Value::F32(0.0); n * n]),
-        ],
-    );
+    let gold = Interpreter::run(&kernel, &launch);
     let expect = reference::jacobi_sweep(&grid, n);
-    let got = buffer_as_f32(&gold.buffers[1]);
+    let got = gold.buffers[1].to_f32();
     for i in 1..n - 1 {
         for j in 1..n - 1 {
             assert!((got[i * n + j] - expect[i * n + j]).abs() < 1e-5);
@@ -72,17 +70,7 @@ fn main() {
     // Step 3: timed, profiled run.
     let sim = SimConfig::default().with_fast_launch();
     let mut unit = ProfilingUnit::new(&kernel.name, threads, ProfilingConfig::default());
-    let r = Executor::run(
-        &kernel,
-        &acc,
-        &sim,
-        &[
-            LaunchArg::Buffer(vals(&grid)),
-            LaunchArg::Buffer(vec![Value::F32(0.0); n * n]),
-        ],
-        &mut unit,
-    )
-    .expect("simulation failed");
+    let r = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
     let trace = unit.finish();
     println!(
         "{} cycles, {:.3} GB/s, line-buffer hit rate {:.0}% (the four stencil taps share one port buffer)",

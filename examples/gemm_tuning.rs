@@ -57,13 +57,7 @@ fn main() {
         let trace = unit.finish();
 
         // Verify against the CPU reference before trusting any numbers.
-        let got: Vec<f32> = r.buffers[2]
-            .iter()
-            .map(|v| match v {
-                Value::F32(x) => *x,
-                other => other.as_f64() as f32,
-            })
-            .collect();
+        let got = r.buffers[2].to_f32();
         let max_err = got
             .iter()
             .zip(&gold)

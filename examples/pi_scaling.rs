@@ -44,10 +44,7 @@ fn main() {
         ];
         let r = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
         let trace = unit.finish();
-        let est = match &r.buffers[2][0] {
-            Value::F32(x) => x * step,
-            _ => unreachable!(),
-        };
+        let est = r.buffers[2].to_f32()[0] * step;
         println!(
             "-- {steps} iterations: {:.3} GFLOP/s, pi = {est:.6} --",
             r.gflops(&sim)

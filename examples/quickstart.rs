@@ -66,7 +66,7 @@ fn main() {
     let result = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
     println!(
         "result = {:?} after {} cycles ({} stall cycles, {} B read)",
-        result.buffers[2][0],
+        result.buffers[2].to_f32()[0],
         result.total_cycles,
         result.stats.total_stalls(),
         result.stats.total(|t| t.bytes_read),

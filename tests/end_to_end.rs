@@ -3,7 +3,7 @@
 //! round-trip → analysis) and its conservation invariants.
 
 use hls_paraver::hls::accel::{compile, HlsConfig};
-use hls_paraver::ir::interp::{Interpreter, LaunchArg as GoldArg};
+use hls_paraver::ir::interp::Interpreter;
 use hls_paraver::ir::Value;
 use hls_paraver::kernels::gemm::{build, GemmParams, GemmVersion};
 use hls_paraver::kernels::pi::{self, PiParams};
@@ -67,11 +67,7 @@ fn simulator_matches_gold_and_reference() {
     let gold_c = reference::gemm(&a, &b, d);
     for v in GemmVersion::ALL {
         let (r, _) = run_gemm_profiled(v, &p, 1_000);
-        for (i, e) in gold_c.iter().enumerate() {
-            let g = match &r.buffers[2][i] {
-                Value::F32(x) => *x,
-                other => other.as_f64() as f32,
-            };
+        for (i, (g, e)) in r.buffers[2].to_f32().iter().zip(&gold_c).enumerate() {
             assert!(
                 (g - e).abs() < 1e-3 * e.abs().max(1.0),
                 "{v:?} at {i}: {g} vs {e}"
@@ -96,9 +92,9 @@ fn trace_flops_are_conserved() {
     let gold = Interpreter::run(
         &kernel,
         &[
-            GoldArg::Buffer(vals(&a)),
-            GoldArg::Buffer(vals(&b)),
-            GoldArg::Buffer(vec![Value::F32(0.0); d * d]),
+            LaunchArg::Buffer(vals(&a)),
+            LaunchArg::Buffer(vals(&b)),
+            LaunchArg::Buffer(vec![Value::F32(0.0); d * d]),
         ],
     );
     assert_eq!(trace_flops, gold.ops.flops, "trace vs gold model");
@@ -247,10 +243,7 @@ fn pi_end_to_end() {
     )
     .expect("simulation failed");
     let trace = unit.finish();
-    let est = match &r.buffers[2][0] {
-        Value::F32(x) => x * step,
-        _ => unreachable!(),
-    };
+    let est = r.buffers[2].to_f32()[0] * step;
     assert!((est - std::f32::consts::PI).abs() < 1e-2, "pi = {est}");
     // Ramp: thread i starts at i × launch_interval, visible as Idle time.
     let prof = StateProfile::compute(&trace.records, p.threads);

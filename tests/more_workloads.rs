@@ -34,11 +34,7 @@ fn spmv_is_correct_and_latency_bound_in_sim() {
         &mut unit,
     )
     .expect("simulation failed");
-    for (i, e) in gold.iter().enumerate() {
-        let g = match &r.buffers[4][i] {
-            Value::F32(v) => *v,
-            other => other.as_f64() as f32,
-        };
+    for (i, (g, e)) in r.buffers[4].to_f32().iter().zip(&gold).enumerate() {
         assert!((g - e).abs() < 1e-4, "row {i}: {g} vs {e}");
     }
     // Gathers defeat the line buffers and vector widening: memory latency.
@@ -64,10 +60,7 @@ fn tree_reduction_synchronizes_every_phase() {
         &mut hls_paraver::sim::NullSnoop,
     )
     .expect("simulation failed");
-    let got = match &r.buffers[0][0] {
-        Value::F32(v) => *v,
-        other => other.as_f64() as f32,
-    };
+    let got = r.buffers[0].to_f32()[0];
     assert_eq!(got, reduction::reference(&data), "bitwise-identical order");
     // All threads finish within one barrier's reach of each other: the final
     // phases serialize everyone.
