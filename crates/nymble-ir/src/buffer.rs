@@ -7,7 +7,7 @@
 //! and both drivers' result buffers are `Vec<Buffer>`, and the one
 //! [`DataMemory`] impl over `[Buffer]` serves both drivers: a load copies
 //! register bits out, a store copies them in. [`Value`] appears only at the
-//! edges: the launch conversion ([`Buffer::from_values`]) and
+//! edges: the launch conversion ([`crate::interp::bind_launch`]) and
 //! [`Buffer::get`].
 
 use crate::kernel::ArgId;
@@ -23,7 +23,7 @@ pub struct Buffer {
 
 impl Buffer {
     /// An empty buffer of `elem` elements (a scalar argument's slot).
-    pub fn empty(elem: ScalarType) -> Self {
+    pub(crate) fn empty(elem: ScalarType) -> Self {
         Buffer {
             elem,
             bits: Vec::new(),
@@ -35,7 +35,7 @@ impl Buffer {
     /// # Panics
     /// Panics unless every value is a scalar of type `elem` (the walker's
     /// registers are typed statically); the message names buffer `name`.
-    pub fn from_values(name: &str, elem: ScalarType, values: &[Value]) -> Self {
+    pub(crate) fn from_values(name: &str, elem: ScalarType, values: &[Value]) -> Self {
         let bits = values
             .iter()
             .enumerate()

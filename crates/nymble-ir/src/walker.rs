@@ -34,18 +34,16 @@ use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
 use crate::loops::LoopId;
 use crate::tape::{self, BlockRange, OpCounts, Program, Reg, StmtKind};
 use crate::types::{ScalarType, Value};
-#[cfg(doc)]
-use crate::Buffer;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Functional data storage the walker reads and writes through, one scalar
 /// element per register ([`Value::to_bits`] encoding).
 ///
-/// Its one implementation is [`Buffer`] slices: the gold interpreter walks
-/// over its own buffers, the FPGA simulator over the simulated
-/// external-DRAM image (`fpga_sim::memimg`), so data transfers and values
-/// stay consistent with the timing model.
+/// Its one implementation is [`Buffer`](crate::Buffer) slices: the gold
+/// interpreter walks over its own buffers, the FPGA simulator over the
+/// simulated external-DRAM image (`fpga_sim::memimg`), so data transfers
+/// and values stay consistent with the timing model.
 pub trait DataMemory {
     /// Load `out.len()` consecutive elements of buffer `buf`, starting at
     /// element index `elem_idx` (a vector load reads all its lanes).
