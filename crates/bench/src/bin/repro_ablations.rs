@@ -208,10 +208,8 @@ fn main() {
     // Line-buffer pair (v2 only).
     let mut lbuf_ids = Vec::new();
     for &(label, lbuf) in LINE_BUFS.iter() {
-        let cfg = SimConfig {
-            line_buffers: lbuf,
-            ..base.clone()
-        };
+        let mut cfg = base.clone();
+        cfg.timing.line_buffers = lbuf;
         lbuf_ids.push(graph.add(
             NodeKind::Run,
             label,

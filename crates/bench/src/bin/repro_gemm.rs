@@ -154,7 +154,7 @@ fn main() {
                 // static pass missed).
                 if session.perf_lint != nymble_lint::LintLevel::Off {
                     let idx = GemmVersion::ALL.iter().position(|x| x == v).unwrap();
-                    let report = nymble_lint::perf_lint_kernel_with(&kernels[idx], &sim.timing());
+                    let report = nymble_lint::perf_lint_kernel_with(&kernels[idx], &sim.timing);
                     let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
                     print!("{}", render_confrontation(&outcomes));
                 }

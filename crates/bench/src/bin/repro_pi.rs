@@ -160,7 +160,7 @@ fn main() {
                 &sim,
                 &DiagnoseConfig::default(),
             );
-            let report = nymble_lint::perf_lint_kernel_with(&gate_kernel, &sim.timing());
+            let report = nymble_lint::perf_lint_kernel_with(&gate_kernel, &sim.timing);
             let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
             println!("predicted vs observed:");
             print!("{}", render_confrontation(&outcomes));
@@ -182,7 +182,7 @@ fn main() {
     // §V-D extrapolation: "increasing the number of iterations to 15·10^9
     // would give us 36.84 GFLOP/s" (ignoring f32 instability).
     let big = 15e9f64;
-    let launch_span = (threads as u64 - 1) as f64 * sim.launch_interval as f64;
+    let launch_span = (threads as u64 - 1) as f64 * sim.timing.launch_interval as f64;
     let total_cycles = launch_span + big / threads as f64 * per_iter_cycles;
     let flops = big * kernels::reference::PI_FLOPS_PER_ITER as f64;
     let gflops = flops / (total_cycles / sim.clock_hz()) / 1e9;

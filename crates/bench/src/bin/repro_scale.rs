@@ -75,6 +75,7 @@ fn main() {
     for &t in &threads {
         session.check_shape(gemm_p(t).validate());
     }
+    session.check_shape(Csr::validate_shape(cols));
     let out = session.out_dir();
     let sim = spmv_sim_config();
 

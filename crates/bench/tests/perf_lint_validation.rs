@@ -133,7 +133,7 @@ fn np_predictions_are_confirmed_by_the_cycle_simulator() {
         let launch = fixture_launch(&f.kernel);
         let run = run_profiled_with(&cache, &f.kernel, &hls, &sim, &prof, &launch)
             .unwrap_or_else(|e| panic!("`{}`: simulation failed: {e}", f.name));
-        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &sim.timing());
+        let report = nymble_lint::perf_lint_kernel_with(&f.kernel, &sim.timing);
         let d = diagnose(
             &run.trace,
             &run.result.stats,

@@ -83,12 +83,13 @@ fn out_of_range_problem_shapes_exit_2_before_building_a_kernel() {
     const SPLIT: &str = "threads must evenly divide the iteration space";
     const PI_POSITIVE: &str = "the thread count and BS_compute must be positive";
     const PI_SPLIT: &str = "steps must divide evenly over threads × BS_compute";
+    const COLS: &str = "the SpMV column count must be positive";
     let gemm = env!("CARGO_BIN_EXE_repro_gemm");
     let pi = env!("CARGO_BIN_EXE_repro_pi");
     let scale = env!("CARGO_BIN_EXE_repro_scale");
     let ablations = env!("CARGO_BIN_EXE_repro_ablations");
     let overhead = env!("CARGO_BIN_EXE_repro_overhead");
-    let cases: [(&str, &[&str], &str); 10] = [
+    let cases: [(&str, &[&str], &str); 11] = [
         (gemm, &["--dim", "5"], VECTOR),
         (gemm, &["--threads", "0"], POSITIVE),
         (gemm, &["--dim", "64", "--threads", "3"], SPLIT),
@@ -96,6 +97,7 @@ fn out_of_range_problem_shapes_exit_2_before_building_a_kernel() {
         (pi, &["--threads", "0"], PI_POSITIVE),
         (scale, &["--threads", "0"], POSITIVE),
         (scale, &["--dim", "5"], VECTOR),
+        (scale, &["--cols", "0"], COLS),
         (ablations, &["--dim", "5"], VECTOR),
         (overhead, &["--threads", "0"], POSITIVE),
         (overhead, &["--threads", "3"], SPLIT),

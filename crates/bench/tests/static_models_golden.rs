@@ -474,7 +474,7 @@ fn restart_contention_is_priced_by_the_scheduled_source_only() {
         perf::estimate(
             &c.kernel,
             LoopSource::Scheduled(accel),
-            &c.sim.timing(),
+            &c.sim.timing,
             &scalars,
             Some(mem.buffers()),
         )
@@ -492,7 +492,7 @@ fn restart_contention_is_priced_by_the_scheduled_source_only() {
     let (pi, pi_accel) = named("pi");
     assert_eq!(scheduled(pi, pi_accel), Some(0));
     for (c, _) in &corpus {
-        if let Some(m) = perf::model(&c.kernel, &c.sim.timing()) {
+        if let Some(m) = perf::model(&c.kernel, &c.sim.timing) {
             assert_eq!(m.contention, 0, "`{}` symbolic contention", c.name);
         }
     }

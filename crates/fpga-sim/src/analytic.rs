@@ -106,15 +106,15 @@ fn report(
     let m = perf::estimate(
         kernel,
         LoopSource::Scheduled(accel),
-        &cfg.timing(),
+        &cfg.timing,
         scalars,
         image,
     )?;
     let total = m.total_cycles;
-    let memory_floor = m.dram_bytes / cfg.dram_bytes_per_cycle as u64;
+    let memory_floor = m.dram_bytes / cfg.timing.dram_bytes_per_cycle as u64;
     let max_busy = m.per_thread.iter().copied().max().unwrap_or(0);
     let bound = if total == m.ramp_span {
-        if (kernel.num_threads as u64 - 1) * cfg.launch_interval > max_busy {
+        if (kernel.num_threads as u64 - 1) * cfg.timing.launch_interval > max_busy {
             Bound::LaunchRamp
         } else if memory_floor * 10 >= total * 7 {
             Bound::Memory
@@ -189,7 +189,7 @@ mod tests {
         let cfg = SimConfig::default(); // full 880k launch interval
         let r = estimate(&k, &acc, &cfg, &[]).expect("static");
         assert_eq!(r.bound, Bound::LaunchRamp);
-        assert!(r.total_cycles >= 7 * cfg.launch_interval);
+        assert!(r.total_cycles >= 7 * cfg.timing.launch_interval);
     }
 
     #[test]
@@ -213,16 +213,20 @@ mod tests {
         let launch = [LaunchArg::Buffer(vec![Value::F32(0.0); 16])];
         let (mem, scalars) = MemImage::new(&k, &launch);
         assert!(estimate(&k, &acc, &SimConfig::default(), &scalars).is_some());
-        for cfg in [
-            SimConfig {
+        for timing in [
+            perf::Timing {
                 seq_issue_width: 0,
-                ..SimConfig::default()
+                ..Default::default()
             },
-            SimConfig {
+            perf::Timing {
                 dram_bytes_per_cycle: 0,
-                ..SimConfig::default()
+                ..Default::default()
             },
         ] {
+            let cfg = SimConfig {
+                timing,
+                ..SimConfig::default()
+            };
             assert!(estimate(&k, &acc, &cfg, &scalars).is_none());
             assert!(estimate_with_image(&k, &acc, &cfg, &scalars, &mem).is_none());
         }

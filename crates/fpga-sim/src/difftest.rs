@@ -205,13 +205,15 @@ fn gen_kernel(rng: &mut Rng) -> (Kernel, Vec<LaunchArg>) {
 
 /// Random-ish but deterministic simulator configurations.
 fn gen_config(rng: &mut Rng) -> SimConfig {
-    SimConfig {
-        launch_interval: [0, 200, 1000, 50_000][rng.below(4) as usize],
+    let mut cfg = SimConfig {
         port_mshrs: 1 + rng.below(2) as u32,
-        line_buffers: rng.below(4) != 0,
-        dram_latency: [40, 160][rng.below(2) as usize],
         ..Default::default()
-    }
+    };
+    let t = &mut cfg.timing;
+    t.launch_interval = [0, 200, 1000, 50_000][rng.below(4) as usize];
+    t.line_buffers = rng.below(4) != 0;
+    t.dram_latency = [40, 160][rng.below(2) as usize];
+    cfg
 }
 
 /// Which dispatch core to drive.
@@ -451,10 +453,8 @@ fn semaphore_grant_mid_slice_matches_legacy() {
         LaunchArg::Buffer((0..32).map(|i| Value::F32(i as f32)).collect()),
         LaunchArg::Buffer(vec![Value::I32(0)]),
     ];
-    let cfg = SimConfig {
-        launch_interval: 0,
-        ..Default::default()
-    };
+    let mut cfg = SimConfig::default();
+    cfg.timing.launch_interval = 0;
     let wheel = drive(&k, &cfg, &launch, Core::Wheel);
     let legacy = drive(&k, &cfg, &launch, Core::Legacy);
     assert_eq!(wheel.buffers, legacy.buffers);

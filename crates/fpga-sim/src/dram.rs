@@ -54,15 +54,15 @@ impl Dram {
     /// Build from the simulator configuration.
     pub fn new(cfg: &SimConfig) -> Self {
         Dram {
-            latency: cfg.dram_latency,
-            bytes_per_cycle: cfg.dram_bytes_per_cycle,
-            line_bytes: cfg.dram_line_bytes,
-            banks: vec![0; cfg.dram_banks.max(1) as usize],
-            bank_busy: cfg.dram_bank_busy,
+            latency: cfg.timing.dram_latency,
+            bytes_per_cycle: cfg.timing.dram_bytes_per_cycle,
+            line_bytes: cfg.timing.dram_line_bytes,
+            banks: vec![0; cfg.timing.dram_banks.max(1) as usize],
+            bank_busy: cfg.timing.dram_bank_busy,
             channel_free: 0,
             bank_hash: cfg.dram_bank_hash,
             dma_free: Vec::new(),
-            dma_setup: cfg.dma_setup,
+            dma_setup: cfg.timing.dma_setup,
             stats: DramStats::default(),
         }
     }
@@ -166,11 +166,14 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig {
-            dram_latency: 50,
-            dram_bytes_per_cycle: 64,
-            dram_line_bytes: 64,
-            dram_banks: 4,
-            dram_bank_busy: 8,
+            timing: nymble_hls::perf::Timing {
+                dram_latency: 50,
+                dram_bytes_per_cycle: 64,
+                dram_line_bytes: 64,
+                dram_banks: 4,
+                dram_bank_busy: 8,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }

@@ -25,7 +25,7 @@ use nymble_hls::accel::Accelerator;
 use nymble_ir::loops::LoopId;
 use nymble_ir::tape::Program;
 use nymble_ir::walker::{EventSink, StepEvent, Walker};
-use nymble_ir::{ArgId, Buffer, Kernel};
+use nymble_ir::{Buffer, Kernel};
 use std::collections::VecDeque;
 
 /// How the executor prices one loop's iterations.
@@ -158,9 +158,6 @@ pub struct SimRun<'k> {
 struct Machine {
     cfg: SimConfig,
     modes: Vec<LoopMode>,
-    /// DRAM base address of each kernel argument's buffer. The image holds
-    /// the same layout, but a running walker borrows the image mutably.
-    base: Vec<u64>,
     dram: Dram,
     sem: Semaphore,
     devices: DeviceQueue,
@@ -211,16 +208,13 @@ impl<'k> SimRun<'k> {
         let n = kernel.num_threads as usize;
         let n_bufs = kernel.args.len();
         let n_mems = kernel.local_mems.len();
-        let base = (0..n_bufs)
-            .map(|b| mem.abs_addr(ArgId(b as u32), 0))
-            .collect();
 
         let walkers = (0..n)
             .map(|t| Walker::new(kernel, prog.clone(), t as u32, scalars.clone()))
             .collect();
         let threads: Vec<Thread> = (0..n)
             .map(|t| Thread {
-                time: t as u64 * cfg.launch_interval,
+                time: t as u64 * cfg.timing.launch_interval,
                 status: Status::Ready,
                 loops: Vec::new(),
                 read_port_free: 0,
@@ -244,7 +238,6 @@ impl<'k> SimRun<'k> {
             m: Machine {
                 cfg: cfg.clone(),
                 modes,
-                base,
                 dram,
                 sem: Semaphore::default(),
                 devices: DeviceQueue::new(n),
@@ -412,13 +405,15 @@ impl<'k> SimRun<'k> {
     /// `(time, tid)` stays below `bound`; then queue it again if it is still
     /// runnable and a barrier it released has not queued it already.
     fn slice<S: Snoop + ?Sized>(&mut self, tid: u32, bound: (u64, u32), snoop: &mut S) {
+        let (bufs, base) = self.mem.buffers_and_bases();
         let mut sink = Slice {
             m: &mut self.m,
+            base,
             snoop,
             tid,
             bound,
         };
-        self.walkers[tid as usize].run(self.mem.buffers_mut(), &mut sink);
+        self.walkers[tid as usize].run(bufs, &mut sink);
         let th = &self.m.threads[tid as usize];
         if th.status == Status::Ready && !self.m.ready.contains(tid) {
             self.m.ready.push(th.time, tid);
@@ -465,6 +460,8 @@ impl<'k> SimRun<'k> {
 /// exactly when the event that unblocks them is simulated.
 struct Slice<'a, S: ?Sized> {
     m: &'a mut Machine,
+    /// DRAM base address of each kernel argument's buffer.
+    base: &'a [u64],
     snoop: &'a mut S,
     tid: u32,
     /// The smallest `(time, tid)` in the ready queue.
@@ -476,7 +473,6 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
         let Machine {
             cfg,
             modes,
-            base,
             dram,
             sem,
             devices,
@@ -486,6 +482,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
             done,
             total_cycles,
         } = &mut *self.m;
+        let base = self.base;
         let snoop = &mut *self.snoop;
         let tid = self.tid;
         let ti = tid as usize;
@@ -503,7 +500,8 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                 snoop.ops(th.time, tid, c.int_ops, c.flops, c.local_loads);
                 if th.innermost_pipelined().is_none() {
                     let work = c.int_ops + c.flops + c.local_loads;
-                    th.time += cfg.stmt_base_cost + work.div_ceil(cfg.seq_issue_width as u64);
+                    th.time += cfg.timing.stmt_base_cost
+                        + work.div_ceil(cfg.timing.seq_issue_width as u64);
                 }
             }
             StepEvent::LocalRead { mem: lm } => {
@@ -540,7 +538,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                         issue0
                     };
                     let contended_before = dram.stats.contended;
-                    let (ready_at, hit) = if cfg.line_buffers {
+                    let (ready_at, hit) = if cfg.timing.line_buffers {
                         th.line_bufs[a.buf.0 as usize].read(dram, issue, addr, a.bytes)
                     } else {
                         th.scratch_buf.invalidate();
@@ -556,7 +554,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                         // waits for the worst response of the iteration.
                         th.iter_stall = th
                             .iter_stall
-                            .max(ready_at.saturating_sub(issue0 + cfg.assumed_load_latency));
+                            .max(ready_at.saturating_sub(issue0 + cfg.timing.assumed_load_latency));
                     } else {
                         // Sequential code waits the full round trip: sleep
                         // until the completion event. Classify the wake by
@@ -589,7 +587,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                     *r = (*r).max(dma_done);
                     snoop.mem_read(th.time, tid, access.bytes as u64);
                 }
-                th.time += cfg.burst_issue_cost;
+                th.time += cfg.timing.burst_issue_cost;
             }
             StepEvent::LoopEnter { loop_id, trip: _ } => {
                 threads[ti].loops.push(LoopCtx {
@@ -639,7 +637,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
             StepEvent::CriticalEnter => {
                 let th = &mut threads[ti];
                 snoop.state_change(th.time, tid, ThreadState::Spinning);
-                let t_req = th.time + cfg.sem_acquire_latency;
+                let t_req = th.time + cfg.timing.sem_acquire_latency;
                 match sem.acquire(tid, t_req) {
                     Acquire::Granted(g) => {
                         th.time = g;
@@ -653,7 +651,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
             StepEvent::CriticalExit => {
                 let release_t = {
                     let th = &mut threads[ti];
-                    th.time += cfg.sem_release_latency;
+                    th.time += cfg.timing.sem_release_latency;
                     snoop.state_change(th.time, tid, ThreadState::Running);
                     th.time
                 };
@@ -674,7 +672,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
             StepEvent::Barrier => {
                 threads[ti].status = Status::AtBarrier;
                 barrier_arrivals.push(ti);
-                try_release_barrier(threads, barrier_arrivals, ready, cfg.barrier_latency);
+                try_release_barrier(threads, barrier_arrivals, ready, cfg.timing.barrier_latency);
                 // Waiting, or queued again by the release it completed.
                 return false;
             }
@@ -686,7 +684,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                 *done += 1;
                 // A finished thread never reaches the barrier: re-check
                 // whether the remaining arrivals complete it.
-                try_release_barrier(threads, barrier_arrivals, ready, cfg.barrier_latency);
+                try_release_barrier(threads, barrier_arrivals, ready, cfg.timing.barrier_latency);
                 return false;
             }
         }
@@ -899,10 +897,8 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F32(0.0)]),
             ]
         };
-        let slow = SimConfig {
-            launch_interval: 100_000,
-            ..Default::default()
-        };
+        let mut slow = SimConfig::default();
+        slow.timing.launch_interval = 100_000;
         let r = Executor::run(&k, &acc, &slow, &mk(), &mut NullSnoop).unwrap();
         assert!(r.stats.per_thread[3].start_cycle == 300_000);
         assert!(

@@ -3,13 +3,12 @@
 //! bank model.
 //!
 //! The image holds one [`Buffer`] per kernel argument, the representation
-//! the gold interpreter uses too; a walker runs over
-//! [`MemImage::buffers_mut`] through `nymble_ir`'s one
-//! [`nymble_ir::walker::DataMemory`] impl.
+//! the gold interpreter uses too. [`MemImage::buffers_and_bases`] lends a
+//! walker the buffers and the executor the layout at the same time.
 
 use nymble_ir::interp::bind_launch;
 pub use nymble_ir::interp::LaunchArg;
-use nymble_ir::{ArgId, ArgKind, Buffer, Kernel, Value};
+use nymble_ir::{ArgKind, Buffer, Kernel, Value};
 
 /// Functional memory image with a flat address layout: buffers are placed
 /// back to back, each aligned to 4 KiB (how the OpenMP runtime's device
@@ -46,11 +45,6 @@ impl MemImage {
         (MemImage { bufs, base }, scalars)
     }
 
-    /// Absolute DRAM byte address of `buf`'s byte offset.
-    pub fn abs_addr(&self, buf: ArgId, byte_off: u64) -> u64 {
-        self.base[buf.0 as usize] + byte_off
-    }
-
     /// Final buffer contents (for result read-back).
     pub fn into_buffers(self) -> Vec<Buffer> {
         self.bufs
@@ -62,16 +56,17 @@ impl MemImage {
         &self.bufs
     }
 
-    /// The contents, as the memory a walker runs over.
-    pub fn buffers_mut(&mut self) -> &mut [Buffer] {
-        &mut self.bufs
+    /// The contents, as the memory a walker runs over, beside each
+    /// argument's DRAM base address (indexed like kernel arguments), so
+    /// accesses can be placed while the walker holds the buffers.
+    pub fn buffers_and_bases(&mut self) -> (&mut [Buffer], &[u64]) {
+        (&mut self.bufs, &self.base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::walker::DataMemory;
     use nymble_ir::{KernelBuilder, MapDir, ScalarType};
 
     #[test]
@@ -82,7 +77,7 @@ mod tests {
         let n = kb.scalar_arg("N", ScalarType::I64);
         let _ = n;
         let k = kb.finish();
-        let (img, scalars) = MemImage::new(
+        let (mut img, scalars) = MemImage::new(
             &k,
             &[
                 LaunchArg::Buffer(vec![Value::F32(0.0); 100]),
@@ -91,8 +86,8 @@ mod tests {
             ],
         );
         assert_eq!(scalars[2], Value::I64(100));
-        let a0 = img.abs_addr(a, 0);
-        let b0 = img.abs_addr(b, 0);
+        let (_, base) = img.buffers_and_bases();
+        let (a0, b0) = (base[a.0 as usize], base[b.0 as usize]);
         assert_eq!(a0 % 4096, 0);
         assert_eq!(b0 % 4096, 0);
         assert!(b0 >= a0 + 400, "buffers must not overlap");
@@ -116,11 +111,11 @@ mod tests {
                 LaunchArg::Buffer(vec![Value::F64(0.0); 2]),
             ],
         );
-        let mem = img.buffers_mut();
-        mem.store_ext(a, 3, &[Value::F32(7.5).to_bits()]);
+        let (mem, _) = img.buffers_and_bases();
+        mem[a.0 as usize].store(3, &[Value::F32(7.5).to_bits()]);
         assert_eq!(mem[a.0 as usize].get(3), Some(Value::F32(7.5)));
         let mut two = [0; 2];
-        mem.load_ext(a, 2, &mut two);
+        mem[a.0 as usize].load(2, &mut two);
         assert_eq!(two[1], Value::F32(7.5).to_bits());
 
         // Each element type round-trips its register bits: a negative i32
@@ -132,18 +127,15 @@ mod tests {
             (d, 1, Value::F64(-2.5e-300)),
         ];
         for (buf, i, v) in cases {
-            mem.store_ext(buf, i, &[v.to_bits()]);
+            let b = &mut mem[buf.0 as usize];
+            b.store(i, &[v.to_bits()]);
             let mut out = [0; 1];
-            mem.load_ext(buf, i, &mut out);
+            b.load(i, &mut out);
             assert_eq!(out[0], v.to_bits(), "{v:?}");
-            assert_eq!(
-                mem[buf.0 as usize].get(i as usize),
-                Some(v.clone()),
-                "{v:?}"
-            );
+            assert_eq!(b.get(i as usize), Some(v.clone()), "{v:?}");
         }
         let mut neg_zero = [0; 1];
-        mem.load_ext(a, 4, &mut neg_zero);
+        mem[a.0 as usize].load(4, &mut neg_zero);
         assert_eq!(neg_zero[0], 0x8000_0000, "f32 -0.0 keeps its sign bit");
     }
 

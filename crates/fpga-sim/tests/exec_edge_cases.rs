@@ -93,7 +93,7 @@ fn single_thread_critical_never_spins() {
     // on each acquire — never a queued wait.
     let sim = SimConfig::default();
     assert!(
-        r.stats.per_thread[0].spin_cycles <= 10 * sim.sem_acquire_latency,
+        r.stats.per_thread[0].spin_cycles <= 10 * sim.timing.sem_acquire_latency,
         "uncontended spins are bounded by the acquire round trip: {}",
         r.stats.per_thread[0].spin_cycles
     );
@@ -110,10 +110,8 @@ fn zero_launch_interval_starts_all_threads_together() {
     let v = kb.cast(ScalarType::I64, tid2);
     kb.store(out, idx, v);
     let k = kb.finish();
-    let sim = SimConfig {
-        launch_interval: 0,
-        ..Default::default()
-    };
+    let mut sim = SimConfig::default();
+    sim.timing.launch_interval = 0;
     let r = run(&k, &sim, &[LaunchArg::Buffer(vec![Value::I64(-1); 4])]);
     for t in &r.stats.per_thread {
         assert_eq!(t.start_cycle, 0);
@@ -147,13 +145,13 @@ fn extreme_mshr_and_tiny_dram_still_correct() {
     let sv = kb.get(sum);
     kb.store(out, oidx, sv);
     let k = kb.finish();
-    let slow = SimConfig {
+    let mut slow = SimConfig {
         port_mshrs: 1,
-        dram_bytes_per_cycle: 1,
-        line_buffers: false,
-        dram_latency: 200,
         ..SimConfig::default().with_fast_launch()
     };
+    slow.timing.dram_bytes_per_cycle = 1;
+    slow.timing.line_buffers = false;
+    slow.timing.dram_latency = 200;
     let fast = SimConfig::default().with_fast_launch();
     let data: Vec<Value> = (0..32).map(|i| Value::F32(i as f32)).collect();
     let mk = || {
@@ -181,10 +179,8 @@ fn invalid_config_is_reported_not_panicked() {
     let kb = KernelBuilder::new("cfg_check", 1);
     let k = kb.finish();
     let acc = compile(&k, &HlsConfig::default());
-    let bad = SimConfig {
-        seq_issue_width: 0,
-        ..Default::default()
-    };
+    let mut bad = SimConfig::default();
+    bad.timing.seq_issue_width = 0;
     match Executor::run(&k, &acc, &bad, &[], &mut NullSnoop) {
         Err(SimError::InvalidConfig(msg)) => {
             assert!(

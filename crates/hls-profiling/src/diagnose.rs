@@ -102,7 +102,7 @@ pub fn diagnose(
     let sync_frac = prof.fraction(states::SPINNING) + prof.fraction(states::CRITICAL);
     let thread_cycles = (duration as f64) * threads as f64;
     let stall_frac = stats.total_stalls() as f64 / thread_cycles;
-    let peak_bytes = sim.dram_bytes_per_cycle as f64 * duration as f64;
+    let peak_bytes = sim.timing.dram_bytes_per_cycle as f64 * duration as f64;
     let bandwidth_frac = stats.total(|t| t.bytes_read + t.bytes_written) as f64 / peak_bytes;
 
     // Phase score: in how many windows is exactly one of {transfer, compute}

@@ -19,9 +19,22 @@ pub struct Csr {
 }
 
 impl Csr {
+    /// Check a [`Csr::random`] shape: every row draws its column indices
+    /// modulo `cols`. `random` panics with the returned message when it
+    /// fails.
+    pub fn validate_shape(cols: usize) -> Result<(), &'static str> {
+        if cols == 0 {
+            return Err("the SpMV column count must be positive");
+        }
+        Ok(())
+    }
+
     /// Deterministic pseudo-random sparse matrix with ~`nnz_per_row`
     /// non-zeros per row.
     pub fn random(rows: usize, cols: usize, nnz_per_row: usize, seed: u64) -> Self {
+        if let Err(e) = Self::validate_shape(cols) {
+            panic!("{e}");
+        }
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut rng = move || {
             s ^= s >> 12;

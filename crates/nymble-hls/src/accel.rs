@@ -21,10 +21,6 @@ pub struct HlsConfig {
     pub limits: ResourceLimits,
     /// Analytical area/frequency model parameters.
     pub cost: CostParams,
-    /// Issue width for straight-line (non-pipelined) region statements:
-    /// how many scheduled ops retire per cycle when a thread executes
-    /// top-level or critical-section code sequentially.
-    pub seq_issue_width: u32,
     /// Auto-probe mode: at [`ProbeMode::Auto`] the compiler solves a
     /// budgeted instrumentation plan over the region tree and attaches it
     /// to the accelerator for the profiling unit to follow. Part of the
@@ -38,7 +34,6 @@ impl Default for HlsConfig {
         HlsConfig {
             limits: ResourceLimits::default(),
             cost: CostParams::default(),
-            seq_issue_width: 4,
             probe: ProbeMode::Off,
         }
     }

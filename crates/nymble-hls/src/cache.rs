@@ -118,6 +118,7 @@ impl AccelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ResourceLimits;
     use nymble_ir::{KernelBuilder, MapDir, ScalarType, Type};
 
     fn toy_kernel(name: &str, n: i64) -> Kernel {
@@ -151,7 +152,10 @@ mod tests {
         let k9 = toy_kernel("toy", 9); // same name, different IR
         let cfg = HlsConfig::default();
         let wide = HlsConfig {
-            seq_issue_width: 8,
+            limits: ResourceLimits {
+                mem_read_ports: 2,
+                ..ResourceLimits::default()
+            },
             ..HlsConfig::default()
         };
         let a = cache.get_or_compile(&k8, &cfg);

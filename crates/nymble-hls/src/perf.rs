@@ -42,24 +42,28 @@ use nymble_ir::{ArgId, Buffer, ExprId, MapDir, Value, VarId};
 use std::collections::HashMap;
 
 /// Latency and bandwidth parameters of the platform the walker prices
-/// against. `fpga_sim::SimConfig::default()` takes its timing fields from
-/// [`Timing::default`], and `SimConfig::timing` projects a run's
-/// configuration back onto this struct.
+/// against. The cycle simulator prices against the same value: it is the
+/// `timing` field of `fpga_sim::SimConfig`, so static predictions and a run
+/// share one machine description.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Timing {
     /// DRAM access latency in cycles (request to first data).
     pub dram_latency: u64,
-    /// DRAM channel payload per cycle in bytes.
+    /// DRAM channel payload per cycle in bytes (512-bit interface = 64 B).
     pub dram_bytes_per_cycle: u32,
-    /// DRAM line granularity in bytes; every miss fetches a full line.
+    /// DRAM burst/line granularity in bytes; every miss fetches a full line.
     pub dram_line_bytes: u32,
-    /// Number of interleaved DRAM banks.
+    /// Number of interleaved DRAM banks (a second request to a busy bank
+    /// waits).
     pub dram_banks: u32,
-    /// Extra busy time a bank holds after serving a line.
+    /// Extra busy time a bank holds after serving a line (precharge).
     pub dram_bank_busy: u64,
-    /// Cycles between successive hardware-thread starts by the host.
+    /// Cycles between successive hardware-thread starts performed by host
+    /// software (§V-D: "the overhead of starting the individual threads by
+    /// the software causes the earliest threads to be finished before last
+    /// ones are even started").
     pub launch_interval: u64,
-    /// Semaphore acquire round trip, in cycles.
+    /// Semaphore acquire round trip over the Avalon bus, in cycles.
     pub sem_acquire_latency: u64,
     /// Semaphore release cost, in cycles.
     pub sem_release_latency: u64,
@@ -67,15 +71,18 @@ pub struct Timing {
     pub barrier_latency: u64,
     /// Issue width for sequential (non-pipelined) statement execution.
     pub seq_issue_width: u32,
-    /// Fixed cost per sequential statement.
+    /// Fixed cost per sequential statement (control overhead).
     pub stmt_base_cost: u64,
     /// Preloader DMA descriptor issue cost, in cycles.
     pub burst_issue_cost: u64,
-    /// Scheduler-assumed minimum external-load latency.
+    /// Scheduler-assumed minimum external-load latency (must match the
+    /// `ExtLoad` operator latency used at schedule time).
     pub assumed_load_latency: u64,
-    /// Per-burst setup cost of the preloader DMA engine, in cycles.
+    /// Per-burst setup cost of the preloader DMA engine (descriptor fetch
+    /// plus DRAM row activation for the strided row), in cycles.
     pub dma_setup: u64,
-    /// Per-(thread, buffer) one-line read buffers in front of the ports.
+    /// Per-(thread, buffer) one-line read buffers in front of the ports
+    /// (Nymble's "(cached) memory accesses"). Ablation knob.
     pub line_buffers: bool,
 }
 

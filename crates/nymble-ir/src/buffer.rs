@@ -4,15 +4,13 @@
 //! in the walker's register encoding ([`Value::to_bits`]): integers
 //! sign-extended to 64 bits, floats as their IEEE-754 pattern. The gold
 //! interpreter's memory, the simulator's DRAM image (`fpga_sim::memimg`)
-//! and both drivers' result buffers are `Vec<Buffer>`, and the one
-//! [`DataMemory`] impl over `[Buffer]` serves both drivers: a load copies
-//! register bits out, a store copies them in. [`Value`] appears only at the
-//! edges: the launch conversion ([`crate::interp::bind_launch`]) and
+//! and both drivers' result buffers are `Vec<Buffer>`, and a walker runs
+//! over `&mut [Buffer]` in both drivers: [`Buffer::load`] copies register
+//! bits out, [`Buffer::store`] copies them in. [`Value`] appears only at
+//! the edges: the launch conversion ([`crate::interp::bind_launch`]) and
 //! [`Buffer::get`].
 
-use crate::kernel::ArgId;
 use crate::types::{ScalarType, Value};
-use crate::walker::DataMemory;
 
 /// The contents of one external buffer: `len` elements of one scalar type.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -79,29 +77,35 @@ impl Buffer {
             })
             .collect()
     }
-}
 
-/// The elements `[i, i + n)` of `len`, or a panic naming the access.
-fn range(what: &str, len: usize, elem_idx: u64, n: usize) -> std::ops::Range<usize> {
-    let i = elem_idx as usize;
-    match i.checked_add(n) {
-        Some(end) if end <= len => i..end,
-        _ => panic!("{what} out of bounds: len {len} index {i} lanes {n}"),
-    }
-}
-
-impl DataMemory for [Buffer] {
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]) {
-        let b = &self[buf.0 as usize].bits;
-        out.copy_from_slice(&b[range("load", b.len(), elem_idx, out.len())]);
+    /// Load `out.len()` consecutive elements' register bits, starting at
+    /// element `elem_idx` (a vector load reads all its lanes).
+    ///
+    /// # Panics
+    /// Panics when the elements run past the end.
+    pub fn load(&self, elem_idx: u64, out: &mut [u64]) {
+        out.copy_from_slice(&self.bits[self.range("load", elem_idx, out.len())]);
     }
 
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, lanes: &[u64]) {
-        let b = &mut self[buf.0 as usize];
-        let r = range("store", b.bits.len(), elem_idx, lanes.len());
-        let elem = b.elem;
-        for (slot, &bits) in b.bits[r].iter_mut().zip(lanes) {
+    /// Store `lanes` at consecutive elements starting at `elem_idx`,
+    /// canonicalised through the element type.
+    ///
+    /// # Panics
+    /// Panics when the elements run past the end.
+    pub fn store(&mut self, elem_idx: u64, lanes: &[u64]) {
+        let r = self.range("store", elem_idx, lanes.len());
+        let elem = self.elem;
+        for (slot, &bits) in self.bits[r].iter_mut().zip(lanes) {
             *slot = elem.canonical_bits(bits);
+        }
+    }
+
+    /// The elements `[i, i + n)`, or a panic naming the access.
+    fn range(&self, what: &str, elem_idx: u64, n: usize) -> std::ops::Range<usize> {
+        let (i, len) = (elem_idx as usize, self.bits.len());
+        match i.checked_add(n) {
+            Some(end) if end <= len => i..end,
+            _ => panic!("{what} out of bounds: len {len} index {i} lanes {n}"),
         }
     }
 }
@@ -112,29 +116,21 @@ mod tests {
 
     #[test]
     fn stores_canonicalise_through_the_element_type() {
-        let mut bufs = [Buffer::from_values(
-            "A",
-            ScalarType::I32,
-            &[Value::I32(0), Value::I32(0)],
-        )];
+        let mut b = Buffer::from_values("A", ScalarType::I32, &[Value::I32(0), Value::I32(0)]);
         // Whatever high bits the register carries, memory holds the i32
         // sign-extended.
-        bufs.store_ext(ArgId(0), 1, &[0x1234_5678_ffff_fffe]);
-        assert_eq!(bufs[0].get(1), Some(Value::I32(-2)));
+        b.store(1, &[0x1234_5678_ffff_fffe]);
+        assert_eq!(b.get(1), Some(Value::I32(-2)));
         let mut out = [0; 2];
-        bufs.load_ext(ArgId(0), 0, &mut out);
+        b.load(0, &mut out);
         assert_eq!(out, [0, (-2i64) as u64]);
     }
 
     #[test]
     #[should_panic(expected = "store out of bounds: len 2 index 1 lanes 2")]
     fn stores_past_the_end_panic() {
-        let mut bufs = [Buffer::from_values(
-            "A",
-            ScalarType::F32,
-            &[Value::F32(0.0), Value::F32(0.0)],
-        )];
-        bufs.store_ext(ArgId(0), 1, &[0, 0]);
+        let mut b = Buffer::from_values("A", ScalarType::F32, &[Value::F32(0.0), Value::F32(0.0)]);
+        b.store(1, &[0, 0]);
     }
 
     #[test]

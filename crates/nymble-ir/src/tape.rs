@@ -33,6 +33,7 @@
 //!   scalar type; comparisons, selects and casts count as integer ops.
 //!   Loads count separately, as memory operations.
 
+use crate::buffer::Buffer;
 use crate::expr::{
     cmp_f64, cmp_i64, f32_binop, f64_binop, float_unop, int_binop, int_unop, BinOp, Expr, ExprId,
     UnOp,
@@ -42,7 +43,7 @@ use crate::loops::{LoopId, LoopMap};
 use crate::stmt::{Stmt, Unroll};
 use crate::types::{ScalarType, Type, Value};
 use crate::validate::infer_types;
-use crate::walker::{DataMemory, Emit, EventSink, MemAccess, StepEvent};
+use crate::walker::{Emit, EventSink, MemAccess, StepEvent};
 
 /// Operation counts of one statement execution (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -730,11 +731,11 @@ impl Lowering<'_> {
 /// `local` holds the thread's local memories of `kernel`, each as
 /// `len × lanes` registers.
 #[inline]
-pub(crate) fn run<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
+pub(crate) fn run<S: EventSink + ?Sized>(
     code: &[Inst],
     regs: &mut [u64],
     local: &[Vec<u64>],
-    mem: &mut M,
+    mem: &[Buffer],
     out: &mut Emit<'_, S>,
     kernel: &Kernel,
 ) {
@@ -804,7 +805,7 @@ pub(crate) fn run<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
                 elem_bytes,
             } => {
                 let i = regs[idx as usize] as i64 as u64;
-                mem.load_ext(buf, i, &mut regs[d as usize..d as usize + lanes as usize]);
+                mem[buf.0 as usize].load(i, &mut regs[d as usize..d as usize + lanes as usize]);
                 out.event(StepEvent::Access(MemAccess {
                     buf,
                     byte_off: i * elem_bytes as u64,

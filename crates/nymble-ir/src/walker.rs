@@ -5,6 +5,10 @@
 //! nothing about time: the untimed gold interpreter
 //! ([`crate::interp::Interpreter`]) and the cycle-level FPGA simulator
 //! (`fpga-sim`) both drive walkers, attributing cost (or not) to each event.
+//! Both hand a walker the external memory as `&mut [Buffer]`, indexed like
+//! the kernel's arguments: the interpreter its own buffers, the simulator
+//! its DRAM image (`fpga_sim::memimg`), so data transfers and values stay
+//! consistent with the timing model.
 //!
 //! ## Pausing protocol
 //!
@@ -30,28 +34,13 @@
 //! the stream. All other events are informational: a sink may return `true`
 //! and let the walker continue.
 
+use crate::buffer::Buffer;
 use crate::kernel::{ArgId, ArgKind, Kernel, LocalMemId, VarId};
 use crate::loops::LoopId;
 use crate::tape::{self, BlockRange, OpCounts, Program, Reg, StmtKind};
 use crate::types::{ScalarType, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Functional data storage the walker reads and writes through, one scalar
-/// element per register ([`Value::to_bits`] encoding).
-///
-/// Its one implementation is [`Buffer`](crate::Buffer) slices: the gold
-/// interpreter walks over its own buffers, the FPGA simulator over the
-/// simulated external-DRAM image (`fpga_sim::memimg`), so data transfers
-/// and values stay consistent with the timing model.
-pub trait DataMemory {
-    /// Load `out.len()` consecutive elements of buffer `buf`, starting at
-    /// element index `elem_idx` (a vector load reads all its lanes).
-    fn load_ext(&mut self, buf: ArgId, elem_idx: u64, out: &mut [u64]);
-    /// Store `lanes` to buffer `buf` at consecutive element indices
-    /// starting at `elem_idx`, as elements of the buffer's type.
-    fn store_ext(&mut self, buf: ArgId, elem_idx: u64, lanes: &[u64]);
-}
 
 /// One external-memory access, as observed on the thread's Avalon master.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -240,7 +229,7 @@ impl<'k> Walker<'k> {
     }
 
     /// Advance the thread until the next observable event.
-    pub fn step<M: DataMemory + ?Sized>(&mut self, mem: &mut M) -> StepEvent {
+    pub fn step(&mut self, mem: &mut [Buffer]) -> StepEvent {
         let mut next = None;
         self.run(mem, &mut |ev| {
             next = Some(ev);
@@ -251,11 +240,7 @@ impl<'k> Walker<'k> {
 
     /// Run the thread, handing each event to `sink`, until the sink returns
     /// `false` (see the pausing protocol in the module docs).
-    pub fn run<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
-        &mut self,
-        mem: &mut M,
-        sink: &mut S,
-    ) {
+    pub fn run<S: EventSink + ?Sized>(&mut self, mem: &mut [Buffer], sink: &mut S) {
         while let Some(ev) = self.pending.pop_front() {
             if !sink.event(ev) {
                 return;
@@ -343,10 +328,10 @@ impl<'k> Walker<'k> {
     /// its loads in tape order, then its own access, loop entry or
     /// synchronisation event. Returns whether the sink is still taking
     /// events.
-    fn exec_stmt<M: DataMemory + ?Sized, S: EventSink + ?Sized>(
+    fn exec_stmt<S: EventSink + ?Sized>(
         &mut self,
         si: u32,
-        mem: &mut M,
+        mem: &mut [Buffer],
         sink: &mut S,
     ) -> bool {
         let Walker {
@@ -385,7 +370,7 @@ impl<'k> Walker<'k> {
             } => {
                 let i = i64_at(idx) as u64;
                 let v = val as usize;
-                mem.store_ext(buf, i, &regs[v..v + ty.lanes as usize]);
+                mem[buf.0 as usize].store(i, &regs[v..v + ty.lanes as usize]);
                 out.event(StepEvent::Access(MemAccess {
                     buf,
                     byte_off: i * elem_bytes as u64,
@@ -481,7 +466,7 @@ impl<'k> Walker<'k> {
                     let at = (doff + i) as usize;
                     tape::check_local(kernel, lm, at, mem_len);
                     let w = at * lanes as usize;
-                    mem.load_ext(src, soff + i * lanes, &mut words[w..w + lanes as usize]);
+                    mem[src.0 as usize].load(soff + i * lanes, &mut words[w..w + lanes as usize]);
                 }
                 out.event(StepEvent::Burst {
                     access: MemAccess {
@@ -511,7 +496,7 @@ impl<'k> Walker<'k> {
                 let words = &local[lm.0 as usize];
                 for i in 0..n {
                     let w = (soff + i) as usize * lanes as usize;
-                    mem.store_ext(dst, doff + i * lanes, &words[w..w + lanes as usize]);
+                    mem[dst.0 as usize].store(doff + i * lanes, &words[w..w + lanes as usize]);
                 }
                 out.event(StepEvent::Burst {
                     access: MemAccess {

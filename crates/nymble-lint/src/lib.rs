@@ -203,7 +203,7 @@ pub fn perf_lint_kernel(kernel: &Kernel) -> LintReport {
 }
 
 /// Run the performance diagnostics priced against explicit [`Timing`]
-/// (e.g. `SimConfig::timing` of the run they will be confronted with).
+/// (e.g. the `SimConfig::timing` of the run they will be confronted with).
 pub fn perf_lint_kernel_with(kernel: &Kernel, params: &Timing) -> LintReport {
     LintReport {
         kernel: kernel.name.clone(),

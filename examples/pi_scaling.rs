@@ -18,7 +18,7 @@ fn main() {
     let sim = SimConfig::default();
     println!(
         "host starts one thread every {} cycles — small workloads never reach full parallelism\n",
-        sim.launch_interval
+        sim.timing.launch_interval
     );
     for steps in [1_000_000u64, 4_000_000, 10_000_000, 40_000_000] {
         let p = PiParams {

@@ -205,7 +205,7 @@ fn bandwidth_below_peak() {
     let sim = SimConfig::default().with_fast_launch();
     for v in GemmVersion::ALL {
         let (r, _) = run_gemm_profiled(v, &p, 1_000);
-        let peak = sim.dram_bytes_per_cycle as f64 * sim.clock_hz() / 1e9;
+        let peak = sim.timing.dram_bytes_per_cycle as f64 * sim.clock_hz() / 1e9;
         assert!(
             r.throughput_gbps(&sim) < peak,
             "{v:?}: {} exceeds peak {peak}",
@@ -225,10 +225,8 @@ fn pi_end_to_end() {
     let kernel = pi::build(&p);
     let acc = compile(&kernel, &HlsConfig::default());
     let (step, spt) = pi::launch_scalars(&p);
-    let sim = SimConfig {
-        launch_interval: 30_000,
-        ..Default::default()
-    };
+    let mut sim = SimConfig::default();
+    sim.timing.launch_interval = 30_000;
     let mut unit = ProfilingUnit::new(&kernel.name, p.threads, ProfilingConfig::default());
     let r = Executor::run(
         &kernel,
@@ -249,7 +247,7 @@ fn pi_end_to_end() {
     let prof = StateProfile::compute(&trace.records, p.threads);
     let idle3 = prof.per_thread[&3].get(&states::IDLE).copied().unwrap_or(0);
     assert!(
-        idle3 >= 3 * sim.launch_interval,
+        idle3 >= 3 * sim.timing.launch_interval,
         "last thread idles through the ramp: {idle3}"
     );
     // Flops counted in the trace match the analytic count (6/iter) up to

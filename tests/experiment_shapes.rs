@@ -114,10 +114,8 @@ fn gemm_bandwidth_story_holds() {
 /// the compute-bound rate.
 #[test]
 fn pi_ramp_and_scaling_hold() {
-    let sim = SimConfig {
-        launch_interval: 100_000,
-        ..Default::default()
-    };
+    let mut sim = SimConfig::default();
+    sim.timing.launch_interval = 100_000;
     let run = |steps: u64| {
         let p = PiParams {
             steps,
