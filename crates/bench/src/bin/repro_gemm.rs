@@ -300,17 +300,17 @@ fn main() {
 }
 
 /// Find a window around the first sizeable spinning interval.
-fn find_spin_window(records: &[paraver::Record]) -> Option<(u64, u64)> {
+fn find_spin_window(records: &paraver::Records) -> Option<(u64, u64)> {
     let mut best: Option<(u64, u64)> = None;
     for r in records {
         if let paraver::Record::State {
             begin, end, state, ..
         } = r
         {
-            if *state == states::SPINNING && end > begin {
+            if state == states::SPINNING && end > begin {
                 let len = end - begin;
                 if best.is_none_or(|(b, e)| e - b < len) {
-                    best = Some((*begin, *end));
+                    best = Some((begin, end));
                 }
             }
         }

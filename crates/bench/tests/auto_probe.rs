@@ -216,12 +216,11 @@ fn auto_probing_is_observationally_free() {
     }
     // The state stream — the paper's Fig. 2 view — is byte-identical; the
     // bundles legitimately differ only in the added region event records.
-    let states = |run: &ProfiledRun| -> Vec<paraver::Record> {
+    let states = |run: &ProfiledRun| -> paraver::Records {
         run.trace
             .records
             .iter()
             .filter(|r| matches!(r, paraver::Record::State { .. }))
-            .cloned()
             .collect()
     };
     assert_eq!(states(&fixed), states(&auto));

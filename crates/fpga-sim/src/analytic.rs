@@ -232,6 +232,23 @@ mod tests {
         }
     }
 
+    /// The compile-free model refuses the zero issue width that
+    /// `estimate` and the simulator refuse, instead of pricing it as 1.
+    #[test]
+    fn compile_free_model_refuses_a_zero_issue_width() {
+        let mut kb = KernelBuilder::new("seq", 1);
+        let x = kb.var("x", Type::I32);
+        let one = kb.c_i32(1);
+        kb.set(x, one);
+        let k = kb.finish();
+        assert!(perf::model(&k, &perf::Timing::default()).is_some());
+        let zero = perf::Timing {
+            seq_issue_width: 0,
+            ..Default::default()
+        };
+        assert_eq!(perf::model(&k, &zero), None);
+    }
+
     #[test]
     fn critical_only_kernel_is_serialization_bound() {
         let mut kb = KernelBuilder::new("crit", 4);

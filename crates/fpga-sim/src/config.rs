@@ -65,8 +65,10 @@ impl SimConfig {
     /// The executor used to paper over a zero `seq_issue_width` with a
     /// silent `.max(1)` clamp; a zero there (or in any of the capacities
     /// below) is a misconfiguration, not a request for the minimum, so it is
-    /// rejected up front. `launch_interval == 0` stays legal — it means all
-    /// threads start together.
+    /// rejected up front. The `timing` capacities are checked by
+    /// [`Timing::validate`], which the static model applies too.
+    /// `launch_interval == 0` stays legal — it means all threads start
+    /// together.
     pub fn validate(&self) -> Result<(), SimError> {
         fn nonzero(value: u64, name: &str) -> Result<(), SimError> {
             if value == 0 {
@@ -82,12 +84,8 @@ impl SimConfig {
                 self.clock_mhz
             )));
         }
-        let t = &self.timing;
-        nonzero(t.seq_issue_width as u64, "seq_issue_width")?;
+        self.timing.validate().map_err(SimError::InvalidConfig)?;
         nonzero(self.port_mshrs as u64, "port_mshrs")?;
-        nonzero(t.dram_bytes_per_cycle as u64, "dram_bytes_per_cycle")?;
-        nonzero(t.dram_line_bytes as u64, "dram_line_bytes")?;
-        nonzero(t.dram_banks as u64, "dram_banks")?;
         // A zero re-poll interval would re-grant the semaphore to the same
         // releasing thread's timestamp forever (a livelock in the model).
         nonzero(self.spin_retry_interval, "spin_retry_interval")?;

@@ -57,7 +57,7 @@ impl Dram {
             latency: cfg.timing.dram_latency,
             bytes_per_cycle: cfg.timing.dram_bytes_per_cycle,
             line_bytes: cfg.timing.dram_line_bytes,
-            banks: vec![0; cfg.timing.dram_banks.max(1) as usize],
+            banks: vec![0; cfg.timing.dram_banks as usize],
             bank_busy: cfg.timing.dram_bank_busy,
             channel_free: 0,
             bank_hash: cfg.dram_bank_hash,

@@ -13,8 +13,10 @@
 //!   unwrapping at each backwards jump (records are buffer-ordered, i.e.
 //!   nearly time-ordered).
 //!
-//! [`decode_stream`] walks the whole flushed stream once, after the run,
-//! and time-sorts the result.
+//! [`decode_stream`] walks the whole flushed stream after the run, once to
+//! size the [`Records`] stream and once to fill it, and time-sorts the
+//! result: the fixed slots move, the event pairs stay where they were
+//! decoded.
 
 use crate::counters::{unpack_event_record, EVENT_RECORD_BYTES};
 use crate::recorder::{
@@ -22,7 +24,7 @@ use crate::recorder::{
     TAG_REGION, TAG_STATE,
 };
 use fpga_sim::ThreadState;
-use paraver::model::Record;
+use paraver::model::Records;
 
 /// Reconstructs 64-bit cycle counts from truncated 32-bit stamps.
 struct Unwrapper {
@@ -45,6 +47,37 @@ impl Unwrapper {
     }
 }
 
+/// The `(tag, payload)` frames of a flushed stream, past the zero bytes
+/// that pad the tail of a flushed line.
+///
+/// # Panics
+/// On an unknown record tag or a record truncated by the end of the
+/// stream: the stream is corrupt.
+fn frames(stream: &[u8], num_threads: u32) -> impl Iterator<Item = (u8, &[u8])> {
+    let srec_len = state_record_bytes(num_threads);
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        while stream.get(pos) == Some(&0) {
+            pos += 1;
+        }
+        let tag = *stream.get(pos)?;
+        let (len, kind) = match tag {
+            TAG_STATE => (srec_len, "state"),
+            TAG_EVENT => (EVENT_RECORD_BYTES, "event"),
+            TAG_REGION => (REGION_RECORD_BYTES, "region"),
+            tag => panic!("corrupt trace stream: unknown tag {tag:#x} at {pos}"),
+        };
+        let Some(payload) = stream.get(pos + 1..pos + len) else {
+            panic!("truncated {kind} record");
+        };
+        pos += len;
+        Some((tag, payload))
+    })
+}
+
+/// Pairs of one counter-sample event record.
+const SAMPLE_PAIRS: usize = 6;
+
 /// Decode a complete flushed stream into time-sorted records (stable, so
 /// equal-time records keep their stream order).
 ///
@@ -53,29 +86,25 @@ impl Unwrapper {
 /// # Panics
 /// On an unknown record tag or a record truncated by the end of the
 /// stream: the stream is corrupt.
-pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<Record> {
-    let srec_len = state_record_bytes(num_threads);
+pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Records {
+    // One pass over the frames sizes the stream: a state snapshot follows
+    // one thread's transition and closes one interval, and every thread's
+    // last interval closes at the end of the run.
+    let (mut slots, mut pairs) = (num_threads as usize, 0);
+    for (tag, _) in frames(stream, num_threads) {
+        slots += 1;
+        pairs += match tag {
+            TAG_EVENT => SAMPLE_PAIRS,
+            TAG_REGION => 1,
+            _ => 0,
+        };
+    }
+    let mut records = Records::with_capacity(slots, pairs);
     let mut unwrap = Unwrapper::new();
     // Per-thread open interval: (state, since).
     let mut open = vec![(ThreadState::Idle, 0u64); num_threads as usize];
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < stream.len() {
-        let (len, kind) = match stream[pos] {
-            TAG_STATE => (srec_len, "state"),
-            TAG_EVENT => (EVENT_RECORD_BYTES, "event"),
-            TAG_REGION => (REGION_RECORD_BYTES, "region"),
-            // Line padding (zero bytes at the tail of a flushed line).
-            0 => {
-                pos += 1;
-                continue;
-            }
-            tag => panic!("corrupt trace stream: unknown tag {tag:#x} at {pos}"),
-        };
-        let Some(payload) = stream.get(pos + 1..pos + len) else {
-            panic!("truncated {kind} record");
-        };
-        match stream[pos] {
+    for (tag, payload) in frames(stream, num_threads) {
+        match tag {
             TAG_STATE => {
                 let (lo, states) = unpack_state_record(payload, num_threads);
                 let t = unwrap.full(lo);
@@ -83,12 +112,7 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<
                     let (old, since) = open[tid];
                     if *s != old {
                         if t > since {
-                            records.push(Record::State {
-                                thread: tid as u32,
-                                begin: since,
-                                end: t,
-                                state: old.paraver_state(),
-                            });
+                            records.push_state(tid as u32, since, t, old.paraver_state());
                         }
                         open[tid] = (*s, t);
                     }
@@ -97,44 +121,33 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<
             TAG_EVENT => {
                 let (tid, lo, a) = unpack_event_record(payload);
                 let t = unwrap.full(lo);
-                records.push(Record::Event {
-                    thread: tid,
-                    time: t,
-                    events: vec![
-                        (paraver::events::STALLS, a.stalls),
-                        (paraver::events::INT_OPS, a.int_ops),
-                        (paraver::events::FLOPS, a.flops),
-                        (paraver::events::BYTES_READ, a.bytes_read),
-                        (paraver::events::BYTES_WRITTEN, a.bytes_written),
-                        (paraver::events::LOCAL_OPS, a.local_ops),
-                    ],
-                });
+                let sample: [(u32, u64); SAMPLE_PAIRS] = [
+                    (paraver::events::STALLS, a.stalls),
+                    (paraver::events::INT_OPS, a.int_ops),
+                    (paraver::events::FLOPS, a.flops),
+                    (paraver::events::BYTES_READ, a.bytes_read),
+                    (paraver::events::BYTES_WRITTEN, a.bytes_written),
+                    (paraver::events::LOCAL_OPS, a.local_ops),
+                ];
+                records.push_event(tid, t, sample);
             }
             _ => {
                 let (tid, lo, region, enter) = unpack_region_record(payload);
                 let t = unwrap.full(lo);
-                records.push(Record::Event {
-                    thread: tid,
-                    time: t,
-                    events: vec![(paraver::events::region_type(region), enter as u64)],
-                });
+                records.push_event(
+                    tid,
+                    t,
+                    [(paraver::events::region_type(region), enter as u64)],
+                );
             }
         }
-        pos += len;
     }
     for (tid, (state, since)) in open.into_iter().enumerate() {
         if total_cycles > since {
-            records.push(Record::State {
-                thread: tid as u32,
-                begin: since,
-                end: total_cycles,
-                state: state.paraver_state(),
-            });
+            records.push_state(tid as u32, since, total_cycles, state.paraver_state());
         }
     }
-    // Stable like `sort_by_key`, but its scratch is one (time, index) pair
-    // per record instead of a copy of the records.
-    records.sort_by_cached_key(Record::sort_time);
+    records.sort_by_time();
     records
 }
 
@@ -142,7 +155,8 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Vec<
 mod tests {
     use super::*;
     use crate::counters::{CounterBank, CounterSet};
-    use crate::recorder::StateRecorder;
+    use crate::recorder::{pack_region_record, StateRecorder};
+    use paraver::model::{Record, TraceMeta};
 
     #[test]
     fn decodes_interleaved_records() {
@@ -173,14 +187,13 @@ mod tests {
             .find(|r| matches!(r, Record::Event { .. }))
             .unwrap();
         if let Record::Event { time, events, .. } = ev {
-            assert_eq!(*time, 100);
-            assert_eq!(events[2], (paraver::events::FLOPS, 2));
+            assert_eq!(time, 100);
+            assert_eq!(events.get(2), Some((paraver::events::FLOPS, 2)));
         }
     }
 
     #[test]
     fn decodes_region_records_as_region_events() {
-        use crate::recorder::pack_region_record;
         let mut stream = Vec::new();
         stream.extend_from_slice(&pack_region_record(10, 0, 0, true));
         stream.extend_from_slice(&pack_region_record(25, 0, 3, true));
@@ -189,7 +202,7 @@ mod tests {
         let region_events: Vec<_> = records
             .iter()
             .filter_map(|r| match r {
-                Record::Event { time, events, .. } => Some((*time, events[0])),
+                Record::Event { time, events, .. } => Some((time, events.get(0).unwrap())),
                 _ => None,
             })
             .collect();
@@ -201,6 +214,34 @@ mod tests {
                 (40, (paraver::events::region_type(3), 0)),
             ]
         );
+    }
+
+    /// State intervals reach the decoder when they close, so they arrive
+    /// out of time order, and here a region record arrives after a later
+    /// sample. The sorted stream equals the same trace written and parsed
+    /// back, whose pairs sit in file order.
+    #[test]
+    fn sorted_decode_equals_its_parsed_bundle() {
+        let mut stream = Vec::new();
+        let mut rec = StateRecorder::new(2);
+        stream.extend_from_slice(rec.transition(10, 0, ThreadState::Running).unwrap());
+        let mut bank = CounterBank::new(2, CounterSet::default());
+        bank.add_ops(1, 1, 2, 3);
+        stream.extend_from_slice(&bank.sample(100, 1).unwrap());
+        stream.extend_from_slice(&pack_region_record(60, 0, 3, true));
+        stream.extend_from_slice(rec.transition(200, 0, ThreadState::Idle).unwrap());
+        let records = decode_stream(&stream, 2, 300);
+        let order: Vec<(u8, u64)> = records.iter().map(|r| (r.kind(), r.sort_time())).collect();
+        assert_eq!(
+            order,
+            [(1, 0), (1, 0), (1, 10), (2, 60), (2, 100), (1, 200)],
+            "{records:?}"
+        );
+
+        let mut w = paraver::TraceWriter::new(Vec::new(), TraceMeta::new("t", 300, 2)).unwrap();
+        w.write_all(&records).unwrap();
+        let (_, parsed) = paraver::parse::parse_prv(&w.finish().unwrap()).unwrap();
+        assert_eq!(parsed, records);
     }
 
     #[test]
@@ -227,8 +268,8 @@ mod tests {
                 Record::State {
                     begin, end, state, ..
                 } => {
-                    assert_eq!((*begin, *end), (0, 1000));
-                    assert_eq!(*state, paraver::states::IDLE);
+                    assert_eq!((begin, end), (0, 1000));
+                    assert_eq!(state, paraver::states::IDLE);
                 }
                 other => panic!("{other:?}"),
             }

@@ -8,7 +8,7 @@ use crate::recorder::{pack_region_record, StateRecorder};
 use fpga_sim::{Snoop, ThreadState};
 use nymble_hls::probe::{CounterClass, ProbePlan};
 use nymble_hls::region::RegionKind;
-use paraver::model::{Record, TraceMeta};
+use paraver::model::{Records, TraceMeta};
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,7 +127,7 @@ impl ProfilingConfig {
 #[derive(Clone, Debug)]
 pub struct TraceData {
     /// Paraver records (time-sorted).
-    pub records: Vec<Record>,
+    pub records: Records,
     /// Trace metadata for the `.prv` header / `.row` file.
     pub meta: TraceMeta,
     /// Bytes of trace data flushed to external memory (with line padding).
@@ -372,6 +372,7 @@ impl Snoop for ProfilingUnit {
 mod tests {
     use super::*;
     use paraver::analysis::StateProfile;
+    use paraver::model::Record;
 
     #[test]
     fn end_to_end_state_and_event_decode() {
@@ -561,8 +562,8 @@ mod tests {
             } = r
             {
                 for (ty, v) in events {
-                    if *ty >= paraver::events::REGION_BASE {
-                        got.push((*thread, *time, *ty, *v));
+                    if ty >= paraver::events::REGION_BASE {
+                        got.push((thread, time, ty, v));
                     }
                 }
             }
@@ -592,13 +593,11 @@ mod tests {
 
     #[test]
     fn unsorted_trace_data_is_a_typed_write_error() {
-        let ev = |time| Record::Event {
-            thread: 0,
-            time,
-            events: vec![(paraver::events::FLOPS, 1)],
-        };
+        let mut records = Records::new();
+        records.push_event(0, 20, [(paraver::events::FLOPS, 1)]);
+        records.push_event(0, 10, [(paraver::events::FLOPS, 1)]);
         let td = TraceData {
-            records: vec![ev(20), ev(10)],
+            records,
             meta: TraceMeta::new("t", 100, 1),
             flushed_bytes: 0,
             flush_count: 0,
@@ -646,9 +645,10 @@ mod tests {
             .records
             .iter()
             .filter_map(|r| match r {
-                Record::Event { events, .. } if events[0].0 >= paraver::events::REGION_BASE => {
-                    Some(events[0].0)
-                }
+                Record::Event { events, .. } => events
+                    .get(0)
+                    .map(|(ty, _)| ty)
+                    .filter(|&ty| ty >= paraver::events::REGION_BASE),
                 _ => None,
             })
             .collect();
@@ -679,7 +679,7 @@ mod tests {
         assert!(td.records.iter().all(|r| match r {
             Record::State {
                 state, begin, end, ..
-            } => *state == paraver::states::IDLE && (*begin, *end) == (0, 100),
+            } => state == paraver::states::IDLE && (begin, end) == (0, 100),
             _ => true,
         }));
         assert_eq!(

@@ -127,7 +127,7 @@ fn feed_is_conserved_through_buffer_and_decode() {
                 .filter_map(|r| match r {
                     Record::State {
                         thread, begin, end, ..
-                    } if *thread == tid => Some((*begin, *end)),
+                    } if thread == tid => Some((begin, end)),
                     _ => None,
                 })
                 .collect();

@@ -110,6 +110,27 @@ impl Default for Timing {
     }
 }
 
+impl Timing {
+    /// Check the capacities the model divides by or sizes tables with:
+    /// `seq_issue_width`, `dram_bytes_per_cycle`, `dram_line_bytes` and
+    /// `dram_banks` must be nonzero. The error names the first zero field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (value, name) in [
+            (self.seq_issue_width, "seq_issue_width"),
+            (self.dram_bytes_per_cycle, "dram_bytes_per_cycle"),
+            (self.dram_line_bytes, "dram_line_bytes"),
+            (self.dram_banks, "dram_banks"),
+        ] {
+            if value == 0 {
+                return Err(format!(
+                    "{name} must be nonzero (use 1 for the minimum, not 0)"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Where a non-unrolled loop's initiation interval and depth come from.
 #[derive(Clone, Copy, Debug)]
 pub enum LoopSource<'a> {
@@ -182,9 +203,10 @@ impl RegionProfit {
 /// device-read-only (`map(to)`) buffers resolve — so loop bounds that come
 /// from memory (CSR row pointers) price statically.
 ///
-/// `None` when a loop bound cannot be resolved statically (bounds must be
-/// constants, launch scalars, image loads, or affine in thread id /
-/// num_threads / enclosing induction variables).
+/// `None` when `t` fails [`Timing::validate`] or a loop bound cannot be
+/// resolved statically (bounds must be constants, launch scalars, image
+/// loads, or affine in thread id / num_threads / enclosing induction
+/// variables).
 ///
 /// Span model: thread t starts at t·launch_interval and runs its busy
 /// cycles; the run ends when the last thread finishes. Cross-thread memory
@@ -235,6 +257,7 @@ fn walk(
     image: Option<&[Buffer]>,
     record: bool,
 ) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
+    t.validate().ok()?;
     let timer = match source {
         LoopSource::Scheduled(accel) => Timer::Scheduled {
             accel,
@@ -283,7 +306,7 @@ fn walk(
         .unwrap_or(0);
     // Critical sections cannot overlap, and all line traffic must cross
     // the shared channel.
-    let memory_floor = dram_bytes / t.dram_bytes_per_cycle.max(1) as u64;
+    let memory_floor = dram_bytes / t.dram_bytes_per_cycle as u64;
     let total_cycles = ramp_span.max(critical_cycles).max(memory_floor);
     Some((
         PerfModel {
@@ -501,7 +524,7 @@ struct Walker<'k> {
 
 impl Walker<'_> {
     fn bw(&self) -> u64 {
-        self.t.dram_bytes_per_cycle.max(1) as u64
+        self.t.dram_bytes_per_cycle as u64
     }
 
     fn line(&self) -> u64 {
@@ -773,7 +796,7 @@ impl Walker<'_> {
         }
         let t = self.t;
         let line_occupancy = self.line().div_ceil(self.bw());
-        let hold_per_bank = (line_occupancy + t.dram_bank_busy) as f64 / t.dram_banks.max(1) as f64;
+        let hold_per_bank = (line_occupancy + t.dram_bank_busy) as f64 / t.dram_banks as f64;
         let m = indep_miss_freq;
         let burst = nt as f64 * m;
         let quad = 4.5 * burst * burst * hold_per_bank;
@@ -899,7 +922,7 @@ impl Walker<'_> {
     fn seq_stmt_cycles(&self, s: &Stmt) -> u64 {
         let k = self.ev.kernel;
         let work = stmt_op_count(k, s);
-        let width = self.t.seq_issue_width.max(1) as u64;
+        let width = self.t.seq_issue_width as u64;
         self.t.stmt_base_cost + work.div_ceil(width) + stmt_ext_loads(k, s) * self.miss()
     }
 

@@ -12,7 +12,7 @@
 //! Sums of cycles and counter values saturate at `u64::MAX`, so any trace
 //! the parser accepts is analysed without an overflow.
 
-use crate::model::Record;
+use crate::model::{Record, Records};
 use std::collections::BTreeMap;
 
 /// `*sum += v`, saturating at `u64::MAX`.
@@ -36,7 +36,7 @@ pub struct StateProfile {
 
 impl StateProfile {
     /// Compute the profile from a record stream.
-    pub fn compute(records: &[Record], num_threads: u32) -> Self {
+    pub fn compute(records: &Records, num_threads: u32) -> Self {
         let mut per_thread: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
         let mut total: BTreeMap<u32, u64> = BTreeMap::new();
         let mut total_time = 0u64;
@@ -48,10 +48,10 @@ impl StateProfile {
                 state,
             } = r
             {
-                let dur = end.saturating_sub(*begin);
-                let m = per_thread.entry(*thread).or_default();
-                add(m.entry(*state).or_default(), dur);
-                add(total.entry(*state).or_default(), dur);
+                let dur = end.saturating_sub(begin);
+                let m = per_thread.entry(thread).or_default();
+                add(m.entry(state).or_default(), dur);
+                add(total.entry(state).or_default(), dur);
                 add(&mut total_time, dur);
             }
         }
@@ -143,16 +143,16 @@ impl Series {
 
 /// Bin the values of `event_type` (over all threads) into windows of
 /// `bin_width` cycles across `[0, duration)`.
-pub fn event_series(records: &[Record], event_type: u32, bin_width: u64, duration: u64) -> Series {
+pub fn event_series(records: &Records, event_type: u32, bin_width: u64, duration: u64) -> Series {
     assert!(bin_width > 0, "bin width must be positive");
     let nbins = duration.div_ceil(bin_width).max(1) as usize;
     let mut bins = vec![0u64; nbins];
     for r in records {
         if let Record::Event { time, events, .. } = r {
             for (ty, v) in events {
-                if *ty == event_type {
-                    let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    add(&mut bins[b], *v);
+                if ty == event_type {
+                    let b = ((time / bin_width) as usize).min(nbins - 1);
+                    add(&mut bins[b], v);
                 }
             }
         }
@@ -162,7 +162,7 @@ pub fn event_series(records: &[Record], event_type: u32, bin_width: u64, duratio
 
 /// Per-thread variant of [`event_series`].
 pub fn event_series_per_thread(
-    records: &[Record],
+    records: &Records,
     event_type: u32,
     bin_width: u64,
     duration: u64,
@@ -183,9 +183,9 @@ pub fn event_series_per_thread(
         } = r
         {
             for (ty, v) in events {
-                if *ty == event_type {
-                    let b = ((*time / bin_width) as usize).min(nbins - 1);
-                    add(&mut per[*thread as usize].bins[b], *v);
+                if ty == event_type {
+                    let b = ((time / bin_width) as usize).min(nbins - 1);
+                    add(&mut per[thread as usize].bins[b], v);
                 }
             }
         }
@@ -194,15 +194,15 @@ pub fn event_series_per_thread(
 }
 
 /// Total of `event_type` over the whole trace.
-pub fn event_total(records: &[Record], event_type: u32) -> u64 {
+pub fn event_total(records: &Records, event_type: u32) -> u64 {
     records
         .iter()
         .filter_map(|r| match r {
             Record::Event { events, .. } => Some(
                 events
                     .iter()
-                    .filter(|(ty, _)| *ty == event_type)
-                    .fold(0u64, |sum, (_, v)| sum.saturating_add(*v)),
+                    .filter(|&(ty, _)| ty == event_type)
+                    .fold(0u64, |sum, (_, v)| sum.saturating_add(v)),
             ),
             _ => None,
         })
@@ -230,8 +230,8 @@ pub fn gflops(flops: u64, cycles: u64, clock_hz: f64) -> f64 {
 
 /// Restrict records to a time window (the "zoom" of Fig. 6 bottom). State
 /// intervals are clipped to the window; events/comms are kept when inside.
-pub fn zoom(records: &[Record], t0: u64, t1: u64) -> Vec<Record> {
-    let mut out = Vec::new();
+pub fn zoom(records: &Records, t0: u64, t1: u64) -> Records {
+    let mut out = Records::new();
     for r in records {
         match r {
             Record::State {
@@ -240,21 +240,13 @@ pub fn zoom(records: &[Record], t0: u64, t1: u64) -> Vec<Record> {
                 end,
                 state,
             } => {
-                let b = (*begin).max(t0);
-                let e = (*end).min(t1);
+                let b = begin.max(t0);
+                let e = end.min(t1);
                 if b < e {
-                    out.push(Record::State {
-                        thread: *thread,
-                        begin: b,
-                        end: e,
-                        state: *state,
-                    });
+                    out.push_state(thread, b, e, state);
                 }
             }
-            Record::Event { time, .. } if *time >= t0 && *time < t1 => out.push(r.clone()),
-            Record::Comm { logical_send, .. } if *logical_send >= t0 && *logical_send < t1 => {
-                out.push(r.clone())
-            }
+            _ if (t0..t1).contains(&r.sort_time()) => out.push(r),
             _ => {}
         }
     }
@@ -264,13 +256,13 @@ pub fn zoom(records: &[Record], t0: u64, t1: u64) -> Vec<Record> {
 /// Check the mutual-exclusion invariant behind Fig. 6's zoom: at no instant
 /// are two threads simultaneously in state `critical_state`. Returns the
 /// first violating time if any.
-pub fn find_critical_overlap(records: &[Record], critical_state: u32) -> Option<u64> {
+pub fn find_critical_overlap(records: &Records, critical_state: u32) -> Option<u64> {
     let mut intervals: Vec<(u64, u64)> = records
         .iter()
         .filter_map(|r| match r {
             Record::State {
                 begin, end, state, ..
-            } if *state == critical_state && begin < end => Some((*begin, *end)),
+            } if state == critical_state && begin < end => Some((begin, end)),
             _ => None,
         })
         .collect();
@@ -288,23 +280,23 @@ mod tests {
     use super::*;
     use crate::states;
 
-    fn state(thread: u32, begin: u64, end: u64, st: u32) -> Record {
-        Record::State {
-            thread,
-            begin,
-            end,
-            state: st,
+    /// A stream of `(thread, begin, end, state)` state records.
+    fn state_records(list: &[(u32, u64, u64, u32)]) -> Records {
+        let mut rs = Records::new();
+        for &(thread, begin, end, state) in list {
+            rs.push_state(thread, begin, end, state);
         }
+        rs
     }
 
     #[test]
     fn profile_fractions() {
-        let rs = vec![
-            state(0, 0, 80, states::RUNNING),
-            state(0, 80, 90, states::CRITICAL),
-            state(0, 90, 100, states::SPINNING),
-            state(1, 0, 100, states::RUNNING),
-        ];
+        let rs = state_records(&[
+            (0, 0, 80, states::RUNNING),
+            (0, 80, 90, states::CRITICAL),
+            (0, 90, 100, states::SPINNING),
+            (1, 0, 100, states::RUNNING),
+        ]);
         let p = StateProfile::compute(&rs, 2);
         assert_eq!(p.total_time, 200);
         assert!((p.fraction(states::CRITICAL) - 0.05).abs() < 1e-12);
@@ -314,10 +306,7 @@ mod tests {
 
     #[test]
     fn imbalance_detects_skew() {
-        let rs = vec![
-            state(0, 0, 100, states::RUNNING),
-            state(1, 0, 50, states::RUNNING),
-        ];
+        let rs = state_records(&[(0, 0, 100, states::RUNNING), (1, 0, 50, states::RUNNING)]);
         let p = StateProfile::compute(&rs, 2);
         assert_eq!(p.imbalance(states::RUNNING), Some(2.0));
         assert_eq!(p.imbalance(states::CRITICAL), None);
@@ -327,10 +316,10 @@ mod tests {
     /// threads that have records, and answers for the rest.
     #[test]
     fn huge_header_thread_count_is_not_allocated() {
-        let rs = vec![
-            state(0, 0, 60, states::RUNNING),
-            state(3_999_999_999, 0, 100, states::CRITICAL),
-        ];
+        let rs = state_records(&[
+            (0, 0, 60, states::RUNNING),
+            (3_999_999_999, 0, 100, states::CRITICAL),
+        ]);
         let p = StateProfile::compute(&rs, 4_000_000_000);
         assert_eq!(p.per_thread.len(), 2);
         assert_eq!(p.total_time, 160);
@@ -342,23 +331,10 @@ mod tests {
 
     #[test]
     fn series_binning_and_relative() {
-        let rs = vec![
-            Record::Event {
-                thread: 0,
-                time: 5,
-                events: vec![(crate::events::BYTES_READ, 100)],
-            },
-            Record::Event {
-                thread: 1,
-                time: 15,
-                events: vec![(crate::events::BYTES_READ, 300)],
-            },
-            Record::Event {
-                thread: 0,
-                time: 15,
-                events: vec![(crate::events::BYTES_READ, 100)],
-            },
-        ];
+        let mut rs = Records::new();
+        rs.push_event(0, 5, [(crate::events::BYTES_READ, 100)]);
+        rs.push_event(1, 15, [(crate::events::BYTES_READ, 300)]);
+        rs.push_event(0, 15, [(crate::events::BYTES_READ, 100)]);
         let s = event_series(&rs, crate::events::BYTES_READ, 10, 30);
         assert_eq!(s.bins, vec![100, 400, 0]);
         assert_eq!(s.peak(), 400);
@@ -381,39 +357,28 @@ mod tests {
 
     #[test]
     fn zoom_clips_states() {
-        let rs = vec![state(0, 0, 100, states::RUNNING)];
+        let rs = state_records(&[(0, 0, 100, states::RUNNING)]);
         let z = zoom(&rs, 40, 60);
-        assert_eq!(z, vec![state(0, 40, 60, states::RUNNING)]);
+        assert_eq!(z, state_records(&[(0, 40, 60, states::RUNNING)]));
     }
 
     #[test]
     fn critical_overlap_detection() {
-        let ok = vec![
-            state(0, 0, 10, states::CRITICAL),
-            state(1, 10, 20, states::CRITICAL),
-        ];
+        let ok = state_records(&[(0, 0, 10, states::CRITICAL), (1, 10, 20, states::CRITICAL)]);
         assert_eq!(find_critical_overlap(&ok, states::CRITICAL), None);
-        let bad = vec![
-            state(0, 0, 10, states::CRITICAL),
-            state(1, 5, 15, states::CRITICAL),
-        ];
+        let bad = state_records(&[(0, 0, 10, states::CRITICAL), (1, 5, 15, states::CRITICAL)]);
         assert_eq!(find_critical_overlap(&bad, states::CRITICAL), Some(5));
     }
 
     #[test]
     fn event_total_sums() {
-        let rs = vec![
-            Record::Event {
-                thread: 0,
-                time: 0,
-                events: vec![(crate::events::FLOPS, 10), (crate::events::STALLS, 5)],
-            },
-            Record::Event {
-                thread: 1,
-                time: 1,
-                events: vec![(crate::events::FLOPS, 32)],
-            },
-        ];
+        let mut rs = Records::new();
+        rs.push_event(
+            0,
+            0,
+            [(crate::events::FLOPS, 10), (crate::events::STALLS, 5)],
+        );
+        rs.push_event(1, 1, [(crate::events::FLOPS, 32)]);
         assert_eq!(event_total(&rs, crate::events::FLOPS), 42);
         assert_eq!(event_total(&rs, crate::events::STALLS), 5);
     }

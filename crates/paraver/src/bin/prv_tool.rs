@@ -19,7 +19,7 @@ use paraver::timeline::{render_states, TimelineOptions};
 use paraver::{diff, events, states};
 use std::process::ExitCode;
 
-fn load(path: &str) -> (paraver::TraceMeta, Vec<paraver::Record>) {
+fn load(path: &str) -> (paraver::TraceMeta, paraver::Records) {
     let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
     parse_prv(&bytes).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
 }
@@ -102,6 +102,12 @@ fn main() -> ExitCode {
         Some("diff") if args.len() >= 3 => {
             let (ma, ra) = load(&args[1]);
             let (mb, rb) = load(&args[2]);
+            if ma.num_threads != mb.num_threads {
+                die(&format!(
+                    "cannot diff a {}-thread trace against a {}-thread trace",
+                    ma.num_threads, mb.num_threads
+                ));
+            }
             print!(
                 "{}",
                 diff::diff((&ma, &ra), (&mb, &rb)).render(&args[1], &args[2])
@@ -118,7 +124,7 @@ fn main() -> ExitCode {
                     .filter_map(|r| match r {
                         paraver::Record::State {
                             thread, begin, end, ..
-                        } if *thread == t => Some((*begin, *end)),
+                        } if thread == t => Some((begin, end)),
                         _ => None,
                     })
                     .collect();

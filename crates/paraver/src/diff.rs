@@ -3,7 +3,7 @@
 //! trace against the previous one and report what moved.
 
 use crate::analysis::{event_total, StateProfile};
-use crate::model::{Record, TraceMeta};
+use crate::model::{Record, Records, TraceMeta};
 use std::fmt::Write as _;
 
 /// Comparison of two traces ("a" = before, "b" = after).
@@ -21,7 +21,7 @@ pub struct TraceDiff {
 
 /// Compare two traces. Both must describe the same thread count (the same
 /// accelerator with different code or inputs).
-pub fn diff(a: (&TraceMeta, &[Record]), b: (&TraceMeta, &[Record])) -> TraceDiff {
+pub fn diff(a: (&TraceMeta, &Records), b: (&TraceMeta, &Records)) -> TraceDiff {
     assert_eq!(
         a.0.num_threads, b.0.num_threads,
         "traces come from different accelerators"
@@ -40,7 +40,7 @@ pub fn diff(a: (&TraceMeta, &[Record]), b: (&TraceMeta, &[Record])) -> TraceDiff
     let mut types: Vec<u32> = Vec::new();
     for r in a.1.iter().chain(b.1) {
         if let Record::Event { events, .. } = r {
-            types.extend(events.iter().map(|(t, _)| *t));
+            types.extend(events.iter().map(|(t, _)| t));
         }
     }
     types.sort_unstable();
@@ -121,27 +121,12 @@ mod tests {
     use super::*;
     use crate::{events, states};
 
-    fn mk(duration: u64, crit: u64, flops: u64) -> (TraceMeta, Vec<Record>) {
+    fn mk(duration: u64, crit: u64, flops: u64) -> (TraceMeta, Records) {
         let meta = TraceMeta::new("t", duration, 2);
-        let records = vec![
-            Record::State {
-                thread: 0,
-                begin: 0,
-                end: duration - crit,
-                state: states::RUNNING,
-            },
-            Record::State {
-                thread: 0,
-                begin: duration - crit,
-                end: duration,
-                state: states::CRITICAL,
-            },
-            Record::Event {
-                thread: 0,
-                time: duration / 2,
-                events: vec![(events::FLOPS, flops)],
-            },
-        ];
+        let mut records = Records::new();
+        records.push_state(0, 0, duration - crit, states::RUNNING);
+        records.push_state(0, duration - crit, duration, states::CRITICAL);
+        records.push_event(0, duration / 2, [(events::FLOPS, flops)]);
         (meta, records)
     }
 

@@ -7,7 +7,7 @@
 //! provides those matrices over the record model plus an ASCII renderer in
 //! the style of the GUI's gradient view.
 
-use crate::model::Record;
+use crate::model::{Record, Records};
 use std::fmt::Write as _;
 
 /// A `threads × buckets` counting matrix.
@@ -97,7 +97,7 @@ pub fn log2_edges(max: u64) -> Vec<u64> {
 
 /// Histogram of state-interval *durations* for one state (Paraver's
 /// "useful duration" view — the paper reads load balance off it).
-pub fn state_duration_histogram(records: &[Record], num_threads: u32, state: u32) -> Histogram2D {
+pub fn state_duration_histogram(records: &Records, num_threads: u32, state: u32) -> Histogram2D {
     let max = records
         .iter()
         .filter_map(|r| match r {
@@ -106,7 +106,7 @@ pub fn state_duration_histogram(records: &[Record], num_threads: u32, state: u32
                 end,
                 state: s,
                 ..
-            } if *s == state => Some(end - begin),
+            } if s == state => Some(end - begin),
             _ => None,
         })
         .max()
@@ -124,8 +124,8 @@ pub fn state_duration_histogram(records: &[Record], num_threads: u32, state: u32
             state: s,
         } = r
         {
-            if *s == state && end > begin {
-                h.add(*thread, end - begin);
+            if s == state && end > begin {
+                h.add(thread, end - begin);
             }
         }
     }
@@ -134,14 +134,14 @@ pub fn state_duration_histogram(records: &[Record], num_threads: u32, state: u32
 
 /// Histogram of sampled event *values* for one event type (e.g. bytes per
 /// sampling period — bimodal for phased transfer/compute behaviour).
-pub fn event_value_histogram(records: &[Record], num_threads: u32, event_type: u32) -> Histogram2D {
+pub fn event_value_histogram(records: &Records, num_threads: u32, event_type: u32) -> Histogram2D {
     let max = records
         .iter()
         .filter_map(|r| match r {
             Record::Event { events, .. } => events
                 .iter()
-                .filter(|(ty, _)| *ty == event_type)
-                .map(|(_, v)| *v)
+                .filter(|&(ty, _)| ty == event_type)
+                .map(|(_, v)| v)
                 .max(),
             _ => None,
         })
@@ -155,8 +155,8 @@ pub fn event_value_histogram(records: &[Record], num_threads: u32, event_type: u
     for r in records {
         if let Record::Event { thread, events, .. } = r {
             for (ty, v) in events {
-                if *ty == event_type {
-                    h.add(*thread, *v);
+                if ty == event_type {
+                    h.add(thread, v);
                 }
             }
         }
@@ -177,32 +177,11 @@ mod tests {
 
     #[test]
     fn duration_histogram_buckets_by_length() {
-        let records = vec![
-            Record::State {
-                thread: 0,
-                begin: 0,
-                end: 3, // dur 3 → bucket edge 2
-                state: states::RUNNING,
-            },
-            Record::State {
-                thread: 0,
-                begin: 10,
-                end: 74, // dur 64 → bucket edge 64
-                state: states::RUNNING,
-            },
-            Record::State {
-                thread: 1,
-                begin: 0,
-                end: 1, // dur 1
-                state: states::RUNNING,
-            },
-            Record::State {
-                thread: 1,
-                begin: 5,
-                end: 9,
-                state: states::SPINNING, // other state: excluded
-            },
-        ];
+        let mut records = Records::new();
+        records.push_state(0, 0, 3, states::RUNNING); // dur 3 → bucket edge 2
+        records.push_state(0, 10, 74, states::RUNNING); // dur 64 → bucket edge 64
+        records.push_state(1, 0, 1, states::RUNNING); // dur 1
+        records.push_state(1, 5, 9, states::SPINNING); // other state: excluded
         let h = state_duration_histogram(&records, 2, states::RUNNING);
         assert_eq!(h.total(), 3);
         assert_eq!(h.thread_total(0), 2);
@@ -216,18 +195,9 @@ mod tests {
 
     #[test]
     fn event_histogram_counts_values() {
-        let records = vec![
-            Record::Event {
-                thread: 0,
-                time: 0,
-                events: vec![(42, 7), (43, 100)],
-            },
-            Record::Event {
-                thread: 1,
-                time: 5,
-                events: vec![(42, 9)],
-            },
-        ];
+        let mut records = Records::new();
+        records.push_event(0, 0, [(42, 7), (43, 100)]);
+        records.push_event(1, 5, [(42, 9)]);
         let h = event_value_histogram(&records, 2, 42);
         assert_eq!(h.total(), 2);
         // Values 7 and 9 land in the 4..8 and 8..16 buckets.
@@ -237,12 +207,8 @@ mod tests {
 
     #[test]
     fn render_is_wellformed() {
-        let records = vec![Record::State {
-            thread: 0,
-            begin: 0,
-            end: 10,
-            state: states::RUNNING,
-        }];
+        let mut records = Records::new();
+        records.push_state(0, 0, 10, states::RUNNING);
         let h = state_duration_histogram(&records, 2, states::RUNNING);
         let s = h.render();
         assert!(s.contains("T0"));

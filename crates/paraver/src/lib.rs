@@ -18,7 +18,10 @@
 //!
 //! The object model ([`model`]) maps the paper's actors onto Paraver's
 //! `cpu:appl:task:thread` coordinates: one application, one task, one thread
-//! row per FPGA hardware thread.
+//! row per FPGA hardware thread. A trace body is one [`Records`] stream of
+//! fixed-size slots with the event pairs in a shared arena; [`Record`] is
+//! the borrowed view of one record, and every writer, parser and analysis
+//! works on the stream.
 //!
 //! [`analysis`] reproduces the computations behind the paper's figures
 //! (time-in-state percentages for Fig. 6, binned bandwidth/FLOP-rate series
@@ -37,7 +40,7 @@ pub mod row;
 pub mod timeline;
 
 pub use error::TraceError;
-pub use model::{EventTypeDef, Record, StateDef, TraceMeta};
+pub use model::{Comm, EventTypeDef, Pairs, Record, Records, StateDef, TraceMeta};
 pub use prv::{BundleWriter, TraceWriter};
 
 /// Standard state numbering used by this toolchain, matching Fig. 2 of the

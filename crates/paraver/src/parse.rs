@@ -1,12 +1,13 @@
-//! `.prv` parser — reads a trace body back into [`Record`]s.
+//! `.prv` parser — reads a trace body back into a [`Records`] stream.
 //!
 //! Used by round-trip tests, the analysis pipeline, and anyone who wants to
 //! post-process traces produced by the profiling unit (or by real Paraver
 //! tooling) without the GUI.
 //!
 //! The parser walks the bytes line by line, with no UTF-8 check and no
-//! per-line allocation; nothing is allocated per record but the pairs of
-//! an event record. The accepted grammar:
+//! per-line allocation. The stream's slots and pair arena are sized from
+//! the text's line and `:` counts up front, so nothing is allocated per
+//! record. The accepted grammar:
 //!
 //! * Lines end at `\n`; a `\r` right before it is dropped, as
 //!   `str::lines` does. Line numbers in [`ParseError`] are 1-based (0 for
@@ -28,7 +29,7 @@
 //! * Thread ids are 1-based and at most the header's thread count, so the
 //!   analyses can index per-thread tables by them.
 
-use crate::model::{Record, TraceMeta};
+use crate::model::{Comm, Records, TraceMeta};
 use std::fmt;
 
 /// Parse failure with line number and reason.
@@ -55,22 +56,27 @@ fn err(line: usize, reason: impl Into<String>) -> ParseError {
 
 /// Parse a complete `.prv` document (a `str`, `String`, `[u8]` or
 /// `Vec<u8>`) into its header metadata and records.
-pub fn parse_prv<B: AsRef<[u8]> + ?Sized>(
-    text: &B,
-) -> Result<(TraceMeta, Vec<Record>), ParseError> {
+pub fn parse_prv<B: AsRef<[u8]> + ?Sized>(text: &B) -> Result<(TraceMeta, Records), ParseError> {
     let text = text.as_ref();
     let mut lines = lines(text);
     let header = lines.next().ok_or_else(|| err(0, "empty trace"))?;
     let meta = parse_header(&String::from_utf8_lossy(header)).map_err(|r| err(1, r))?;
     // Room for one record per line, allocated once instead of doubling;
-    // no more than one per 16 bytes, the shortest record line.
-    let mut records = Vec::with_capacity(count(text, b'\n').min(text.len() / 16));
+    // no more than one per 16 bytes, the shortest record line. An event
+    // line has 5 + 2k colons for its k pairs and every record line at
+    // least 5, so when every line is a record, the colons beyond 5 a line
+    // are room for every pair.
+    let (newlines, colons) = newlines_and_colons(text);
+    let pairs = colons.saturating_sub(5 * newlines) / 2;
+    let mut records = Records::with_capacity(newlines.min(text.len() / 16), pairs);
+    let mut scratch = Vec::new();
     for (i, line) in lines.enumerate() {
         let line = trim(line);
         if line.is_empty() || line[0] == b'#' {
             continue;
         }
-        records.push(parse_record(line, meta.num_threads).map_err(|r| err(i + 2, r))?);
+        parse_record(line, meta.num_threads, &mut scratch, &mut records)
+            .map_err(|r| err(i + 2, r))?;
     }
     Ok((meta, records))
 }
@@ -126,6 +132,22 @@ fn count(bytes: &[u8], byte: u8) -> usize {
         .map(|c| flag_bytes(c, byte).count_ones() as usize)
         .sum();
     n + chunks.remainder().iter().filter(|&&b| b == byte).count()
+}
+
+/// Numbers of `\n` and of `:` in `bytes`, counted eight at a time in one
+/// pass.
+fn newlines_and_colons(bytes: &[u8]) -> (usize, usize) {
+    let mut chunks = bytes.chunks_exact(8);
+    let (mut newlines, mut colons) = (0, 0);
+    for chunk in &mut chunks {
+        newlines += flag_bytes(chunk, b'\n').count_ones() as usize;
+        colons += flag_bytes(chunk, b':').count_ones() as usize;
+    }
+    for &b in chunks.remainder() {
+        newlines += (b == b'\n') as usize;
+        colons += (b == b':') as usize;
+    }
+    (newlines, colons)
 }
 
 /// `line` without leading and trailing ASCII whitespace (the ASCII part
@@ -258,7 +280,7 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// A 1-based thread id from `field` as the 0-based id of [`Record`].
+/// A 1-based thread id from `field` as the 0-based id of a record.
 fn thread_id(v: u64, field: usize, num_threads: u32) -> Result<u32, String> {
     if (1..=num_threads as u64).contains(&v) {
         Ok(v as u32 - 1)
@@ -278,9 +300,15 @@ fn narrow(v: u64, field: usize, what: &str) -> Result<u32, String> {
     })
 }
 
-/// One record line. Every number of the line is parsed before any range
-/// is checked, so a malformed number is reported ahead of a bad thread id.
-fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
+/// One record line, appended to `out`; `pairs` is scratch for an event's
+/// pairs. Every number of the line is parsed before any range is checked,
+/// so a malformed number is reported ahead of a bad thread id.
+fn parse_record(
+    line: &[u8],
+    num_threads: u32,
+    pairs: &mut Vec<(u32, u64)>,
+    out: &mut Records,
+) -> Result<(), String> {
     let mut f = Fields {
         rest: line,
         index: 0,
@@ -297,12 +325,8 @@ fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
             }
             f.skip(3);
             let [thread, begin, end, state] = f.nums()?;
-            Ok(Record::State {
-                thread: thread_id(thread, 4, num_threads)?,
-                begin,
-                end,
-                state: narrow(state, 7, "state")?,
-            })
+            let thread = thread_id(thread, 4, num_threads)?;
+            out.push_state(thread, begin, end, narrow(state, 7, "state")?);
         }
         2 => {
             if fields < 8 || !(fields - 6).is_multiple_of(2) {
@@ -312,26 +336,21 @@ fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
             }
             f.skip(3);
             let [thread, time] = f.nums()?;
-            let pairs = (fields - 6) / 2;
-            let mut events = Vec::with_capacity(pairs);
+            pairs.clear();
             let mut wide_type = None;
-            for _ in 0..pairs {
+            for _ in 0..(fields - 6) / 2 {
                 let i = f.index;
                 let [ty, value] = f.nums()?;
                 if ty > u32::MAX as u64 && wide_type.is_none() {
                     wide_type = Some((ty, i));
                 }
-                events.push((ty as u32, value));
+                pairs.push((ty as u32, value));
             }
             let thread = thread_id(thread, 4, num_threads)?;
             if let Some((ty, i)) = wide_type {
                 narrow(ty, i, "event type")?;
             }
-            Ok(Record::Event {
-                thread,
-                time,
-                events,
-            })
+            out.push_event(thread, time, pairs.iter().copied());
         }
         3 => {
             if fields != 15 {
@@ -341,7 +360,7 @@ fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
             let [send, logical_send, physical_send] = f.nums()?;
             f.skip(3);
             let [recv, logical_recv, physical_recv, size, tag] = f.nums()?;
-            Ok(Record::Comm {
+            out.push_comm(Comm {
                 send_thread: thread_id(send, 4, num_threads)?,
                 logical_send,
                 physical_send,
@@ -350,10 +369,11 @@ fn parse_record(line: &[u8], num_threads: u32) -> Result<Record, String> {
                 physical_recv,
                 size,
                 tag,
-            })
+            });
         }
-        k => Err(format!("unknown record kind {k}")),
+        k => return Err(format!("unknown record kind {k}")),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -362,36 +382,21 @@ mod tests {
     use crate::model::TraceMeta;
     use crate::prv::TraceWriter;
 
-    fn roundtrip(records: Vec<Record>) -> (TraceMeta, Vec<Record>) {
+    fn roundtrip(records: &Records) -> (TraceMeta, Records) {
         let meta = TraceMeta::new("rt", 1000, 4);
         let mut w = TraceWriter::new(Vec::new(), meta).unwrap();
-        w.write_all(records.iter()).unwrap();
+        w.write_all(records).unwrap();
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         parse_prv(&text).unwrap()
     }
 
     #[test]
     fn state_event_roundtrip() {
-        let records = vec![
-            Record::State {
-                thread: 2,
-                begin: 0,
-                end: 50,
-                state: 1,
-            },
-            Record::Event {
-                thread: 0,
-                time: 25,
-                events: vec![(42_000_001, 3), (42_000_004, 4096)],
-            },
-            Record::State {
-                thread: 2,
-                begin: 50,
-                end: 80,
-                state: 3,
-            },
-        ];
-        let (meta, parsed) = roundtrip(records.clone());
+        let mut records = Records::new();
+        records.push_state(2, 0, 50, 1);
+        records.push_event(0, 25, [(42_000_001, 3), (42_000_004, 4096)]);
+        records.push_state(2, 50, 80, 3);
+        let (meta, parsed) = roundtrip(&records);
         assert_eq!(meta.duration, 1000);
         assert_eq!(meta.num_threads, 4);
         assert_eq!(parsed, records);
@@ -399,7 +404,8 @@ mod tests {
 
     #[test]
     fn comm_roundtrip() {
-        let records = vec![Record::Comm {
+        let mut records = Records::new();
+        records.push_comm(Comm {
             send_thread: 1,
             recv_thread: 3,
             logical_send: 10,
@@ -408,8 +414,8 @@ mod tests {
             physical_recv: 21,
             size: 512,
             tag: 7,
-        }];
-        let (_, parsed) = roundtrip(records.clone());
+        });
+        let (_, parsed) = roundtrip(&records);
         assert_eq!(parsed, records);
     }
 

@@ -81,7 +81,7 @@ impl<W: Write> TraceWriter<W> {
     /// the previous record's, and [`TraceError::ThreadOutOfRange`] for a
     /// thread id beyond the trace's thread count; the record is not written
     /// in either case, and the writer stays usable.
-    pub fn write(&mut self, r: &Record) -> Result<(), TraceError> {
+    pub fn write(&mut self, r: Record<'_>) -> Result<(), TraceError> {
         if r.sort_time() < self.last_time {
             return Err(TraceError::OutOfOrder {
                 prev: self.last_time,
@@ -90,15 +90,11 @@ impl<W: Write> TraceWriter<W> {
         }
         match r {
             Record::State { thread, .. } | Record::Event { thread, .. } => {
-                self.check_thread(*thread)?
+                self.check_thread(thread)?
             }
-            Record::Comm {
-                send_thread,
-                recv_thread,
-                ..
-            } => {
-                self.check_thread(*send_thread)?;
-                self.check_thread(*recv_thread)?;
+            Record::Comm(c) => {
+                self.check_thread(c.send_thread)?;
+                self.check_thread(c.recv_thread)?;
             }
         }
         let line = &mut self.line;
@@ -113,15 +109,15 @@ impl<W: Write> TraceWriter<W> {
                 debug_assert!(begin <= end, "state interval reversed");
                 // 1:{tid}:1:1:{tid}:{begin}:{end}:{state}
                 line.extend_from_slice(b"1:");
-                push_u64(line, (*thread + 1) as u64);
+                push_u64(line, (thread + 1) as u64);
                 line.extend_from_slice(b":1:1:");
-                push_u64(line, (*thread + 1) as u64);
+                push_u64(line, (thread + 1) as u64);
                 line.push(b':');
-                push_u64(line, *begin);
+                push_u64(line, begin);
                 line.push(b':');
-                push_u64(line, *end);
+                push_u64(line, end);
                 line.push(b':');
-                push_u64(line, *state as u64);
+                push_u64(line, state as u64);
             }
             Record::Event {
                 thread,
@@ -131,49 +127,40 @@ impl<W: Write> TraceWriter<W> {
                 debug_assert!(!events.is_empty(), "event record with no events");
                 // 2:{tid}:1:1:{tid}:{time}[:{type}:{value}]...
                 line.extend_from_slice(b"2:");
-                push_u64(line, (*thread + 1) as u64);
+                push_u64(line, (thread + 1) as u64);
                 line.extend_from_slice(b":1:1:");
-                push_u64(line, (*thread + 1) as u64);
+                push_u64(line, (thread + 1) as u64);
                 line.push(b':');
-                push_u64(line, *time);
+                push_u64(line, time);
                 for (ty, v) in events {
                     line.push(b':');
-                    push_u64(line, *ty as u64);
+                    push_u64(line, ty as u64);
                     line.push(b':');
-                    push_u64(line, *v);
+                    push_u64(line, v);
                 }
             }
-            Record::Comm {
-                send_thread,
-                recv_thread,
-                logical_send,
-                physical_send,
-                logical_recv,
-                physical_recv,
-                size,
-                tag,
-            } => {
+            Record::Comm(c) => {
                 // 3:{s}:1:1:{s}:{ls}:{ps}:{r}:1:1:{r}:{lr}:{pr}:{size}:{tag}
                 line.extend_from_slice(b"3:");
-                push_u64(line, (*send_thread + 1) as u64);
+                push_u64(line, (c.send_thread + 1) as u64);
                 line.extend_from_slice(b":1:1:");
-                push_u64(line, (*send_thread + 1) as u64);
+                push_u64(line, (c.send_thread + 1) as u64);
                 line.push(b':');
-                push_u64(line, *logical_send);
+                push_u64(line, c.logical_send);
                 line.push(b':');
-                push_u64(line, *physical_send);
+                push_u64(line, c.physical_send);
                 line.push(b':');
-                push_u64(line, (*recv_thread + 1) as u64);
+                push_u64(line, (c.recv_thread + 1) as u64);
                 line.extend_from_slice(b":1:1:");
-                push_u64(line, (*recv_thread + 1) as u64);
+                push_u64(line, (c.recv_thread + 1) as u64);
                 line.push(b':');
-                push_u64(line, *logical_recv);
+                push_u64(line, c.logical_recv);
                 line.push(b':');
-                push_u64(line, *physical_recv);
+                push_u64(line, c.physical_recv);
                 line.push(b':');
-                push_u64(line, *size);
+                push_u64(line, c.size);
                 line.push(b':');
-                push_u64(line, *tag);
+                push_u64(line, c.tag);
             }
         }
         line.push(b'\n');
@@ -186,7 +173,7 @@ impl<W: Write> TraceWriter<W> {
     /// Write many records.
     pub fn write_all<'a>(
         &mut self,
-        rs: impl IntoIterator<Item = &'a Record>,
+        rs: impl IntoIterator<Item = Record<'a>>,
     ) -> Result<(), TraceError> {
         for r in rs {
             self.write(r)?;
@@ -252,7 +239,8 @@ impl BundleWriter {
 
     /// Write one `.prv` record (see [`TraceWriter::write`] for the typed
     /// ordering and thread-range errors).
-    pub fn write(&mut self, r: &Record) -> Result<(), TraceError> {
+    #[inline]
+    pub fn write(&mut self, r: Record<'_>) -> Result<(), TraceError> {
         self.writer.write(r)
     }
 
@@ -274,6 +262,18 @@ impl BundleWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{Comm, Records};
+
+    /// A one-record stream holding the event `(thread, time, pairs)`.
+    fn event(thread: u32, time: u64, pairs: &[(u32, u64)]) -> Records {
+        let mut rs = Records::new();
+        rs.push_event(thread, time, pairs.iter().copied());
+        rs
+    }
+
+    fn first(rs: &Records) -> Record<'_> {
+        rs.get(0).unwrap()
+    }
 
     fn meta() -> TraceMeta {
         TraceMeta::new("test", 100, 2)
@@ -290,19 +290,10 @@ mod tests {
     #[test]
     fn state_and_event_lines() {
         let mut w = TraceWriter::new(Vec::new(), meta()).unwrap();
-        w.write(&Record::State {
-            thread: 0,
-            begin: 0,
-            end: 10,
-            state: 1,
-        })
-        .unwrap();
-        w.write(&Record::Event {
-            thread: 1,
-            time: 5,
-            events: vec![(42_000_001, 7), (42_000_003, 9)],
-        })
-        .unwrap();
+        let mut rs = Records::new();
+        rs.push_state(0, 0, 10, 1);
+        rs.push_event(1, 5, [(42_000_001, 7), (42_000_003, 9)]);
+        w.write_all(&rs).unwrap();
         let s = String::from_utf8(w.finish().unwrap()).unwrap();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1], "1:1:1:1:1:0:10:1");
@@ -312,28 +303,12 @@ mod tests {
     #[test]
     fn out_of_order_is_a_typed_recoverable_error() {
         let mut w = TraceWriter::new(Vec::new(), meta()).unwrap();
-        w.write(&Record::Event {
-            thread: 0,
-            time: 10,
-            events: vec![(1, 1)],
-        })
-        .unwrap();
-        let err = w
-            .write(&Record::Event {
-                thread: 0,
-                time: 5,
-                events: vec![(1, 1)],
-            })
-            .unwrap_err();
+        w.write(first(&event(0, 10, &[(1, 1)]))).unwrap();
+        let err = w.write(first(&event(0, 5, &[(1, 1)]))).unwrap_err();
         assert!(matches!(err, TraceError::OutOfOrder { prev: 10, next: 5 }));
         // The writer stays usable: the bad record was not written and a
         // later in-order record still succeeds.
-        w.write(&Record::Event {
-            thread: 0,
-            time: 12,
-            events: vec![(1, 1)],
-        })
-        .unwrap();
+        w.write(first(&event(0, 12, &[(1, 1)]))).unwrap();
         assert_eq!(w.records_written(), 2);
         let s = String::from_utf8(w.finish().unwrap()).unwrap();
         assert_eq!(s.lines().count(), 3, "header + two good records");
@@ -342,13 +317,7 @@ mod tests {
     #[test]
     fn thread_out_of_range_is_a_typed_error() {
         let mut w = TraceWriter::new(Vec::new(), meta()).unwrap();
-        let err = w
-            .write(&Record::Event {
-                thread: 7,
-                time: 1,
-                events: vec![(1, 1)],
-            })
-            .unwrap_err();
+        let err = w.write(first(&event(7, 1, &[(1, 1)]))).unwrap_err();
         assert!(matches!(
             err,
             TraceError::ThreadOutOfRange {
@@ -361,7 +330,7 @@ mod tests {
     #[test]
     fn comm_line_roundtrip_shape() {
         let mut w = TraceWriter::new(Vec::new(), meta()).unwrap();
-        w.write(&Record::Comm {
+        w.write(Record::Comm(&Comm {
             send_thread: 0,
             recv_thread: 1,
             logical_send: 1,
@@ -370,7 +339,7 @@ mod tests {
             physical_recv: 4,
             size: 64,
             tag: 9,
-        })
+        }))
         .unwrap();
         let s = String::from_utf8(w.finish().unwrap()).unwrap();
         assert!(s.lines().nth(1).unwrap().starts_with("3:1:1:1:1:1:2:2:"));
@@ -388,12 +357,7 @@ mod tests {
             &crate::events::defs(),
         )
         .unwrap();
-        b.write(&Record::Event {
-            thread: 0,
-            time: 3,
-            events: vec![(42_000_001, 1)],
-        })
-        .unwrap();
+        b.write(first(&event(0, 3, &[(42_000_001, 1)]))).unwrap();
         b.finish().unwrap();
         for ext in ["prv", "pcf", "row"] {
             assert!(stem.with_extension(ext).exists(), ".{ext} missing");

@@ -9,7 +9,7 @@
 //! `.` Idle (black), `R` Running (green), `C` Critical (blue),
 //! `S` Spinning (red).
 
-use crate::model::Record;
+use crate::model::{Record, Records};
 use crate::states;
 use std::fmt::Write as _;
 
@@ -47,7 +47,7 @@ impl Default for TimelineOptions {
 
 /// Render the per-thread state timeline of a trace.
 pub fn render_states(
-    records: &[Record],
+    records: &Records,
     num_threads: u32,
     duration: u64,
     opts: &TimelineOptions,
@@ -68,15 +68,15 @@ pub fn render_states(
         else {
             continue;
         };
-        let (b, e) = ((*begin).max(t0), (*end).min(t1));
+        let (b, e) = (begin.max(t0), end.min(t1));
         if b >= e {
             continue;
         }
-        let sidx = (*state as usize).min(63);
+        let sidx = (state as usize).min(63);
         // Columns the interval touches.
         let c0 = ((b - t0) as u128 * width as u128 / span as u128) as usize;
         let c1 = (((e - t0) as u128 * width as u128).div_ceil(span as u128) as usize).min(width);
-        for (c, slot) in cover[*thread as usize]
+        for (c, slot) in cover[thread as usize]
             .iter_mut()
             .enumerate()
             .take(c1)
@@ -134,22 +134,22 @@ pub fn render_series(bins: &[f64], height_label: &str) -> String {
 mod tests {
     use super::*;
 
-    fn state(thread: u32, begin: u64, end: u64, st: u32) -> Record {
-        Record::State {
-            thread,
-            begin,
-            end,
-            state: st,
+    /// A stream of `(thread, begin, end, state)` state records.
+    fn state_records(list: &[(u32, u64, u64, u32)]) -> Records {
+        let mut rs = Records::new();
+        for &(thread, begin, end, state) in list {
+            rs.push_state(thread, begin, end, state);
         }
+        rs
     }
 
     #[test]
     fn renders_dominant_state_per_column() {
-        let rs = vec![
-            state(0, 0, 50, states::RUNNING),
-            state(0, 50, 100, states::SPINNING),
-            state(1, 0, 100, states::CRITICAL),
-        ];
+        let rs = state_records(&[
+            (0, 0, 50, states::RUNNING),
+            (0, 50, 100, states::SPINNING),
+            (1, 0, 100, states::CRITICAL),
+        ]);
         let opts = TimelineOptions {
             width: 10,
             window: None,
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_blank_not_panic() {
-        let rs = vec![state(0, 0, 10, states::RUNNING)];
+        let rs = state_records(&[(0, 0, 10, states::RUNNING)]);
         let opts = TimelineOptions {
             width: 5,
             window: Some((50, 100)),

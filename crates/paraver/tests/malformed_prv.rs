@@ -2,36 +2,26 @@
 //! `parse_prv` returns or the exact `(line, reason)` of its `ParseError`.
 //! Every input is parsed both as `&str` and as `&[u8]`.
 
-use paraver::model::Record;
+use paraver::model::{Comm, Records};
 use paraver::parse::{parse_prv, ParseError};
 
 /// A two-thread, 100-cycle header.
 const H: &str = "#Paraver (d):100:1(2):1:1(2:1)\n";
 
 enum Want {
-    Records(Vec<Record>),
+    Records(Records),
     Error(usize, &'static str),
 }
 
-fn state(thread: u32, begin: u64, end: u64, state: u32) -> Record {
-    Record::State {
-        thread,
-        begin,
-        end,
-        state,
-    }
-}
-
-fn event(thread: u32, time: u64, events: &[(u32, u64)]) -> Record {
-    Record::Event {
-        thread,
-        time,
-        events: events.to_vec(),
-    }
+/// The records that `push` appends to an empty stream.
+fn records(push: impl FnOnce(&mut Records)) -> Want {
+    let mut rs = Records::new();
+    push(&mut rs);
+    Want::Records(rs)
 }
 
 fn cases() -> Vec<(&'static str, String, Want)> {
-    use Want::{Error, Records};
+    use Want::Error;
     let body = |s: &str| format!("{H}{s}");
     vec![
         ("empty text", String::new(), Error(0, "empty trace")),
@@ -103,12 +93,15 @@ fn cases() -> Vec<(&'static str, String, Want)> {
         (
             "u64 max",
             body("1:1:1:1:1:0:18446744073709551615:1\n"),
-            Records(vec![state(0, 0, u64::MAX, 1)]),
+            records(|rs| rs.push_state(0, 0, u64::MAX, 1)),
         ),
         (
             "plus-signed fields",
             body("1:1:1:1:+2:+0:+10:+1\n+2:1:1:1:1:5:+42000001:+3\n"),
-            Records(vec![state(1, 0, 10, 1), event(0, 5, &[(42_000_001, 3)])]),
+            records(|rs| {
+                rs.push_state(1, 0, 10, 1);
+                rs.push_event(0, 5, [(42_000_001, 3)]);
+            }),
         ),
         (
             "lone plus",
@@ -119,12 +112,18 @@ fn cases() -> Vec<(&'static str, String, Want)> {
             "CRLF endings",
             "#Paraver (d):100:1(2):1:1(2:1)\r\n1:1:1:1:1:0:10:1\r\n2:1:1:1:2:5:42000001:7\r\n"
                 .into(),
-            Records(vec![state(0, 0, 10, 1), event(1, 5, &[(42_000_001, 7)])]),
+            records(|rs| {
+                rs.push_state(0, 0, 10, 1);
+                rs.push_event(1, 5, [(42_000_001, 7)]);
+            }),
         ),
         (
             "comments and blank lines between records",
             body("\n# a comment\n1:1:1:1:1:0:10:1\n  \t\n#2:x\n2:1:1:1:2:5:42000001:7\n"),
-            Records(vec![state(0, 0, 10, 1), event(1, 5, &[(42_000_001, 7)])]),
+            records(|rs| {
+                rs.push_state(0, 0, 10, 1);
+                rs.push_event(1, 5, [(42_000_001, 7)]);
+            }),
         ),
         (
             "line numbers count skipped lines",
@@ -134,7 +133,7 @@ fn cases() -> Vec<(&'static str, String, Want)> {
         (
             "ASCII whitespace around a record",
             body("\x0b 1:1:1:1:1:0:10:1\x0c\t\n"),
-            Records(vec![state(0, 0, 10, 1)]),
+            records(|rs| rs.push_state(0, 0, 10, 1)),
         ),
         (
             "space inside a field",
@@ -144,16 +143,18 @@ fn cases() -> Vec<(&'static str, String, Want)> {
         (
             "comm ignores cpu/appl/task fields",
             body("3:a:b:c:1:10:11:d:e:f:2:20:21:512:7\n"),
-            Records(vec![Record::Comm {
-                send_thread: 0,
-                recv_thread: 1,
-                logical_send: 10,
-                physical_send: 11,
-                logical_recv: 20,
-                physical_recv: 21,
-                size: 512,
-                tag: 7,
-            }]),
+            records(|rs| {
+                rs.push_comm(Comm {
+                    send_thread: 0,
+                    recv_thread: 1,
+                    logical_send: 10,
+                    physical_send: 11,
+                    logical_recv: 20,
+                    physical_recv: 21,
+                    size: 512,
+                    tag: 7,
+                })
+            }),
         ),
         // Thread ids are 1-based and bounded by the header; state values
         // and event types must fit a u32 instead of being truncated.
@@ -196,7 +197,7 @@ fn cases() -> Vec<(&'static str, String, Want)> {
     ]
 }
 
-fn check(name: &str, got: Result<Vec<Record>, ParseError>, want: &Want) {
+fn check(name: &str, got: Result<Records, ParseError>, want: &Want) {
     match (got, want) {
         (Ok(rs), Want::Records(w)) => assert_eq!(&rs, w, "{name}"),
         (Err(e), Want::Error(line, reason)) => {

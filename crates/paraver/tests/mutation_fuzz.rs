@@ -6,7 +6,7 @@
 
 use miniprop::{forall, Rng};
 use paraver::analysis::{event_series, event_total, StateProfile};
-use paraver::model::{Record, TraceMeta};
+use paraver::model::{Comm, Records, TraceMeta};
 use paraver::parse::parse_prv;
 use paraver::prv::TraceWriter;
 use paraver::{events, pcf, row, states};
@@ -23,25 +23,24 @@ fn arb_value(g: &mut Rng) -> u64 {
 }
 
 /// An arbitrary trace in valid write order.
-fn arb_trace(g: &mut Rng) -> (TraceMeta, Vec<Record>) {
+fn arb_trace(g: &mut Rng) -> (TraceMeta, Records) {
     let threads = g.range_u32(1, 9);
     let mut time = 0;
-    let records = g.vec(0, 40, |g| {
+    let mut records = Records::new();
+    for _ in 0..g.range_usize(0, 40) {
         time += g.range_u64(0, 1_000);
         let thread = g.range_u32(0, threads);
         match g.range_u32(0, 5) {
-            0 | 1 => Record::State {
-                thread,
-                begin: time,
-                end: time.saturating_add(arb_value(g)),
-                state: *g.pick(&[states::RUNNING, states::SPINNING, u32::MAX]),
-            },
-            2 | 3 => Record::Event {
-                thread,
-                time,
-                events: g.vec(1, 4, |g| (*g.pick(&TYPES), arb_value(g))),
-            },
-            _ => Record::Comm {
+            0 | 1 => {
+                let end = time.saturating_add(arb_value(g));
+                let state = *g.pick(&[states::RUNNING, states::SPINNING, u32::MAX]);
+                records.push_state(thread, time, end, state);
+            }
+            2 | 3 => {
+                let pairs = g.vec(1, 4, |g| (*g.pick(&TYPES), arb_value(g)));
+                records.push_event(thread, time, pairs);
+            }
+            _ => records.push_comm(Comm {
                 send_thread: thread,
                 recv_thread: g.range_u32(0, threads),
                 logical_send: time,
@@ -50,9 +49,9 @@ fn arb_trace(g: &mut Rng) -> (TraceMeta, Vec<Record>) {
                 physical_recv: time + 3,
                 size: arb_value(g),
                 tag: g.range_u64(0, 10),
-            },
+            }),
         }
-    });
+    }
     (TraceMeta::new("fuzz", time + 1, threads), records)
 }
 
@@ -87,7 +86,7 @@ fn mutated_prv_parses_or_errs_and_what_it_accepts_analyses_digest() {
     forall(2_000, |g| {
         let (meta, records) = arb_trace(g);
         let mut w = TraceWriter::new(Vec::new(), meta).unwrap();
-        w.write_all(records.iter()).unwrap();
+        w.write_all(&records).unwrap();
         let mut bytes = w.finish().unwrap();
         mutate(g, &mut bytes);
 

@@ -3,36 +3,35 @@
 
 use miniprop::{forall, Rng};
 use paraver::analysis::{event_series, event_total, zoom, StateProfile};
-use paraver::model::{Record, TraceMeta};
+use paraver::model::{Record, Records, TraceMeta};
 use paraver::parse::parse_prv;
 use paraver::prv::TraceWriter;
 
 const THREADS: u32 = 8;
 
-fn arb_record(g: &mut Rng, max_t: u64) -> Record {
+fn push_arb_record(g: &mut Rng, max_t: u64, rs: &mut Records) {
     if g.bool() {
         let begin = g.range_u64(0, max_t);
-        Record::State {
-            thread: g.range_u32(0, THREADS),
-            begin,
-            end: begin + g.range_u64(0, 1000),
-            state: g.range_u32(0, 4),
-        }
+        let thread = g.range_u32(0, THREADS);
+        let end = begin + g.range_u64(0, 1000);
+        rs.push_state(thread, begin, end, g.range_u32(0, 4));
     } else {
-        Record::Event {
-            thread: g.range_u32(0, THREADS),
-            time: g.range_u64(0, max_t),
-            events: g.vec(1, 4, |g| {
-                (42_000_000 + g.range_u32(1, 5), g.range_u64(0, 1_000_000))
-            }),
-        }
+        let thread = g.range_u32(0, THREADS);
+        let time = g.range_u64(0, max_t);
+        let pairs = g.vec(1, 4, |g| {
+            (42_000_000 + g.range_u32(1, 5), g.range_u64(0, 1_000_000))
+        });
+        rs.push_event(thread, time, pairs);
     }
 }
 
 /// An arbitrary record set, sorted into valid write order.
-fn arb_trace(g: &mut Rng) -> Vec<Record> {
-    let mut rs = g.vec(0, 200, |g| arb_record(g, 100_000));
-    rs.sort_by_key(|r| r.sort_time());
+fn arb_trace(g: &mut Rng) -> Records {
+    let mut rs = Records::new();
+    for _ in 0..g.range_usize(0, 200) {
+        push_arb_record(g, 100_000, &mut rs);
+    }
+    rs.sort_by_time();
     rs
 }
 
@@ -42,7 +41,7 @@ fn prv_write_parse_roundtrip() {
         let records = arb_trace(g);
         let meta = TraceMeta::new("prop", 200_000, THREADS);
         let mut w = TraceWriter::new(Vec::new(), meta).unwrap();
-        w.write_all(records.iter()).unwrap();
+        w.write_all(&records).unwrap();
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
         let (meta2, parsed) = parse_prv(&text).unwrap();
         assert_eq!(meta2.num_threads, THREADS);
@@ -92,13 +91,13 @@ fn zoom_never_grows_time() {
         for r in &z {
             match r {
                 Record::State { begin, end, .. } => {
-                    assert!(*begin >= t0 && *end <= t0 + len);
+                    assert!(begin >= t0 && end <= t0 + len);
                 }
                 Record::Event { time, .. } => {
-                    assert!(*time >= t0 && *time < t0 + len);
+                    assert!(time >= t0 && time < t0 + len);
                 }
-                Record::Comm { logical_send, .. } => {
-                    assert!(*logical_send >= t0 && *logical_send < t0 + len);
+                Record::Comm(c) => {
+                    assert!(c.logical_send >= t0 && c.logical_send < t0 + len);
                 }
             }
         }

@@ -132,7 +132,7 @@ fn states_partition_the_run() {
             .filter_map(|rec| match rec {
                 hls_paraver::paraver::Record::State {
                     thread, begin, end, ..
-                } if *thread == t => Some((*begin, *end)),
+                } if thread == t => Some((begin, end)),
                 _ => None,
             })
             .collect();
@@ -185,7 +185,7 @@ fn prv_bundle_round_trips() {
     assert_eq!(meta.duration, trace.meta.duration);
     assert_eq!(meta.num_threads, trace.meta.num_threads);
     let mut expect = trace.records.clone();
-    expect.sort_by_key(|r| r.sort_time());
+    expect.sort_by_time();
     assert_eq!(parsed.len(), expect.len());
     assert_eq!(parsed, expect);
     // The .pcf declares our states; the .row matches the thread count.
