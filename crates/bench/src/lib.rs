@@ -1,17 +1,16 @@
 //! # bench — experiment harness regenerating every table and figure of §V
 //!
-//! Shared plumbing for the `repro_*` binaries and the two scheduler benches
-//! (`batch_engine` and `sched_mix`, timed with [`harness`]): compile a
-//! case-study kernel, run it through the cycle-level simulator with the
-//! profiling unit attached ([`run_profiled_with`], or
-//! [`run_unprofiled_with`] for the baseline), decode the Paraver trace, and
-//! derive the paper's metrics. See `EXPERIMENTS.md` for the
-//! experiment↔binary map; performance is measured by `hlsbench`, not here.
+//! Shared plumbing for the `repro_*` binaries and their sweep engine
+//! ([`engine`], [`graph`], [`sweep`]): compile a case-study kernel, run it
+//! through the cycle-level simulator with the profiling unit attached
+//! ([`run_profiled_with`], or [`run_unprofiled_with`] for the baseline),
+//! decode the Paraver trace, and derive the paper's metrics. See
+//! `EXPERIMENTS.md` for the experiment↔binary map; performance is measured
+//! by `hlsbench`, not here.
 
 pub mod args;
 pub mod engine;
 pub mod graph;
-pub mod harness;
 pub mod session;
 pub mod snapshot;
 pub mod sweep;

@@ -7,12 +7,21 @@
 //!   counts (miniprop property);
 //! * **every node runs exactly once and the graph drains** — a deadlock
 //!   would hang the test, a lost node would fail the completion count;
-//! * **reduce output is byte-identical** at `--jobs 1`, `2` and `8`.
+//! * **reduce output is byte-identical** at `--jobs 1`, `2` and `8`, and a
+//!   sweep reduces to the same checksum as a fan-out-then-analyze pool;
+//! * **nodes overlap** — at `--jobs 2` and `4`, on any core count: the
+//!   bodies sleep on a shared counter instead of computing.
 
 use bench::engine::BatchEngine;
-use bench::graph::{NodeCtx, NodeId, NodeKind, TaskGraph};
+use bench::graph::{NodeCtx, NodeId, NodeKind, NodeReport, TaskGraph};
+use bench::{pi_launch, pi_sim_config, run_profiled_with, ProfiledRun};
+use kernels::pi::{self, PiParams};
 use miniprop::forall;
-use std::sync::atomic::{AtomicU64, Ordering};
+use nymble_hls::{AccelCache, HlsConfig};
+use paraver::analysis::StateProfile;
+use paraver::states;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Random DAGs (up to 40 nodes, edges only point backwards — the same
 /// invariant `TaskGraph::add` enforces) executed at 1, 2 or 8 workers.
@@ -135,4 +144,126 @@ fn reduce_output_is_byte_identical_across_worker_counts() {
     for jobs in [2, 8] {
         assert_eq!(serial, render(jobs), "jobs={jobs}: reduce output differs");
     }
+}
+
+/// π runs of uneven length, analysed two ways: fanned out and analysed
+/// after the join, or each followed by its own `Analyze` node and summed in
+/// a `Reduce`. Both shapes reduce to the same checksum.
+#[test]
+fn dag_and_flat_shapes_reduce_to_the_same_checksum() {
+    let (cache, hls, sim) = (AccelCache::new(), HlsConfig::default(), pi_sim_config());
+    let pis = [256, 384, 512, 640].map(|steps| PiParams {
+        steps,
+        ..Default::default()
+    });
+    let run = |p: &PiParams| {
+        let prof = Default::default();
+        let pr = run_profiled_with(&cache, &pi::build(p), &hls, &sim, &prof, &pi_launch(p))?;
+        Ok((Some(Box::new(pr)), 0))
+    };
+    let analyze = |pr: &ProfiledRun| {
+        let t = &pr.trace;
+        (0..3).fold(pr.result.total_cycles, |acc, _| {
+            let running =
+                StateProfile::compute(&t.records, t.meta.num_threads).fraction(states::RUNNING);
+            acc.wrapping_mul(0x100_0000_01b3)
+                .wrapping_add((running * 1e9) as u64)
+        })
+    };
+    // A run carries its trace; an analysis or the reduce carries a sum.
+    type Node = (Option<Box<ProfiledRun>>, u64);
+    let ran = |r: &NodeReport<Node>| analyze(r.outcome.as_ref().unwrap().0.as_ref().unwrap());
+    let sum = |r: &NodeReport<Node>| r.outcome.as_ref().unwrap().1;
+    let engine = BatchEngine::new(2);
+
+    let mut flat: TaskGraph<'_, Node> = TaskGraph::new();
+    for p in &pis {
+        flat.add(NodeKind::Run, "run", &[], move |_| run(p));
+    }
+    let flat_reports = engine.run_graph(flat).reports;
+    let flat_sum = flat_reports.iter().map(ran).fold(0, u64::wrapping_add);
+
+    let mut dag: TaskGraph<'_, Node> = TaskGraph::new();
+    let analyses: Vec<NodeId> = pis
+        .iter()
+        .map(|p| {
+            let r = dag.add(NodeKind::Run, "run", &[], move |_| run(p));
+            dag.add(NodeKind::Analyze, "analyze", &[r], move |ctx| {
+                Ok((None, ran(ctx.dep(0))))
+            })
+        })
+        .collect();
+    let reduce = dag.add(NodeKind::Reduce, "sum", &analyses, move |ctx| {
+        Ok((None, ctx.deps().map(sum).fold(0, u64::wrapping_add)))
+    });
+    let dag_sum = sum(&engine.run_graph(dag).reports[reduce.index()]);
+    assert_eq!(flat_sum, dag_sum, "the DAG shape changed the checksum");
+}
+
+/// Every wait in the overlap tests ends this long after the test starts, so
+/// an engine that runs the nodes one at a time fails instead of hanging.
+const DEADLINE: Duration = Duration::from_millis(1500);
+
+/// Sleep until `count` reaches `n`; false if `deadline` passes first.
+fn reached(count: &AtomicUsize, n: usize, deadline: Instant) -> bool {
+    while count.load(Ordering::SeqCst) < n {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+/// At `--jobs 2` a short run's analysis completes while a long run is
+/// inside its body: the long run enters (count 1) and waits for the
+/// analysis (count 2), which waits for the long run to enter.
+#[test]
+fn analyze_completes_while_a_long_run_is_inside_its_body() {
+    let (count, deadline) = (&AtomicUsize::new(0), Instant::now() + DEADLINE);
+    let mut graph: TaskGraph<'_, bool> = TaskGraph::new();
+    let long = graph.add(NodeKind::Run, "long", &[], move |_| {
+        count.fetch_add(1, Ordering::SeqCst);
+        Ok(reached(count, 2, deadline))
+    });
+    let short = graph.add(NodeKind::Run, "short", &[], |_| Ok(true));
+    let analyze = graph.add(NodeKind::Analyze, "analyze", &[short], move |_| {
+        let long_inside = reached(count, 1, deadline);
+        count.fetch_add(1, Ordering::SeqCst);
+        Ok(long_inside)
+    });
+    let out = BatchEngine::new(2).run_graph(graph);
+    let met = |id: NodeId| out.reports[id.index()].outcome.as_ref().is_ok_and(|&m| m);
+    assert!(
+        met(analyze),
+        "the long run was not inside its body while the analysis ran"
+    );
+    assert!(
+        met(long),
+        "the analysis did not complete while the long run was inside its body"
+    );
+}
+
+/// At `--jobs 4` four runs are inside their bodies at once: each bumps the
+/// count and waits for all four.
+#[test]
+fn four_runs_are_inside_their_bodies_at_once() {
+    let (count, deadline) = (&AtomicUsize::new(0), Instant::now() + DEADLINE);
+    let mut graph: TaskGraph<'_, bool> = TaskGraph::new();
+    for _ in 0..4 {
+        graph.add(NodeKind::Run, "run", &[], move |_| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Ok(reached(count, 4, deadline))
+        });
+    }
+    let out = BatchEngine::new(4).run_graph(graph);
+    let met = out
+        .reports
+        .iter()
+        .filter(|r| r.outcome.as_ref().is_ok_and(|&m| m))
+        .count();
+    assert_eq!(
+        met, 4,
+        "only {met} of 4 runs saw all four inside their bodies"
+    );
 }

@@ -249,6 +249,30 @@ mod tests {
         assert_eq!(perf::model(&k, &zero), None);
     }
 
+    /// `for i in 0..(i64)(i32)4_294_967_300` runs 4 iterations, as the tape
+    /// wraps the cast, and prices the same as `0..4`.
+    #[test]
+    fn i32_cast_in_a_bound_wraps_to_32_bits() {
+        let kernel = |bound: i64, cast: bool| {
+            let mut kb = KernelBuilder::new("wrap", 1);
+            let out = kb.buffer("OUT", ScalarType::I64, MapDir::ToFrom);
+            let mut n = kb.c_i64(bound);
+            if cast {
+                n = kb.cast(ScalarType::I32, n);
+                n = kb.cast(ScalarType::I64, n);
+            }
+            kb.for_range("i", n, |kb, i| kb.store(out, i, i));
+            kb.finish()
+        };
+        let (wrapped, four) = (kernel(4_294_967_300, true), kernel(4, false));
+        let model = |k: &Kernel| perf::model(k, &perf::Timing::default()).unwrap().per_thread;
+        assert_eq!(model(&wrapped), model(&four));
+        let cfg = SimConfig::default().with_fast_launch();
+        let est = |k: &Kernel| estimate(k, &compile(k, &HlsConfig::default()), &cfg, &[]);
+        let (ew, e4) = (est(&wrapped).unwrap(), est(&four).unwrap());
+        assert_eq!(ew.total_cycles, e4.total_cycles);
+    }
+
     #[test]
     fn critical_only_kernel_is_serialization_bound() {
         let mut kb = KernelBuilder::new("crit", 4);

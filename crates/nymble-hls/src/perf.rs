@@ -38,7 +38,7 @@ use nymble_ir::expr::Expr;
 use nymble_ir::kernel::{ArgKind, Kernel};
 use nymble_ir::loops::{var_steers_cost, LoopMap};
 use nymble_ir::stmt::{Stmt, Unroll};
-use nymble_ir::{ArgId, Buffer, ExprId, MapDir, Value, VarId};
+use nymble_ir::{ArgId, Buffer, ExprId, MapDir, ScalarType, Value, VarId};
 use std::collections::HashMap;
 
 /// Latency and bandwidth parameters of the platform the walker prices
@@ -389,7 +389,8 @@ impl<'k> ThreadEval<'k> {
     }
 
     /// Best-effort constant evaluation of an integer expression under the
-    /// thread id and the loop-variable bindings.
+    /// thread id and the loop-variable bindings. An `i32` cast wraps to 32
+    /// bits, as the tape does; other casts pass the value through.
     pub fn eval_i64(&self, id: ExprId) -> Option<i64> {
         match self.kernel.expr(id) {
             Expr::Const(v) => Some(v.as_i64()),
@@ -400,6 +401,7 @@ impl<'k> ThreadEval<'k> {
                 _ => None,
             },
             Expr::Var(v) => self.bindings[v.0 as usize],
+            Expr::Cast(ScalarType::I32, a) => self.eval_i64(*a).map(|v| v as i32 as i64),
             Expr::Cast(_, a) => self.eval_i64(*a),
             Expr::Unary(op, a) => {
                 let av = self.eval_i64(*a)?;

@@ -14,13 +14,17 @@
 //!
 //! * `0` — everything matched expectations (or `--lint=warn/off`),
 //! * `1` — a clean kernel produced diagnostics under `--lint=deny`, or a
-//!   buggy fixture did not reproduce its expected codes.
+//!   buggy fixture did not reproduce its expected codes,
+//! * `2` — a usage error, or a failed write to stdout. A stdout closed by
+//!   its reader (`nymble-lint | head -3`) ends the run with exit 0.
 
 use kernels::fixtures;
 use kernels::gemm::{GemmParams, GemmVersion};
 use kernels::pi::PiParams;
 use nymble_ir::Kernel;
 use nymble_lint::{lint_kernel, perf_lint_kernel, Code, LintLevel};
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
 struct Entry {
     name: String,
@@ -134,7 +138,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut level = LintLevel::Deny;
     let mut perf_level = LintLevel::Deny;
     let mut json = false;
@@ -195,23 +199,47 @@ fn main() {
         .collect();
     if entries.is_empty() {
         eprintln!("no kernel matches the selection");
-        std::process::exit(2);
+        return ExitCode::from(2);
     }
-    if list {
-        for e in &entries {
-            let tag = if e.buggy { "buggy" } else { "clean" };
-            println!("{:<24} {tag}", e.name);
+    let mut out = std::io::stdout().lock();
+    match run(&entries, list, level, json, &mut out).and_then(|f| out.flush().map(|()| f)) {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(failed) => {
+            eprintln!("nymble-lint: {failed} kernel(s) failed the gate");
+            ExitCode::FAILURE
         }
-        return;
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("nymble-lint: cannot write output: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// List, skip or lint `entries`, writing the report to `out`; returns how
+/// many kernels failed the gate.
+fn run(
+    entries: &[Entry],
+    list: bool,
+    level: LintLevel,
+    json: bool,
+    out: &mut impl Write,
+) -> std::io::Result<usize> {
+    if list {
+        for e in entries {
+            let tag = if e.buggy { "buggy" } else { "clean" };
+            writeln!(out, "{:<24} {tag}", e.name)?;
+        }
+        return Ok(0);
     }
     if level == LintLevel::Off {
-        println!("lint off: {} kernel(s) skipped", entries.len());
-        return;
+        writeln!(out, "lint off: {} kernel(s) skipped", entries.len())?;
+        return Ok(0);
     }
 
     let mut failed = 0usize;
     let mut json_reports: Vec<String> = Vec::new();
-    for e in &entries {
+    for e in entries {
         let mut report = lint_kernel(&e.kernel);
         if e.perf {
             report
@@ -226,7 +254,7 @@ fn main() {
                 json_reports.push(body[1..body.len() - 1].trim_matches('\n').to_string());
             }
         } else {
-            print!("{}", report.render_human());
+            write!(out, "{}", report.render_human())?;
         }
         if e.buggy {
             // Expectation mode: the fixture must produce exactly its codes.
@@ -250,13 +278,10 @@ fn main() {
     }
     if json {
         if json_reports.is_empty() {
-            println!("[]");
+            writeln!(out, "[]")?;
         } else {
-            println!("[\n{}\n]", json_reports.join(",\n"));
+            writeln!(out, "[\n{}\n]", json_reports.join(",\n"))?;
         }
     }
-    if failed > 0 {
-        eprintln!("nymble-lint: {failed} kernel(s) failed the gate");
-        std::process::exit(1);
-    }
+    Ok(failed)
 }

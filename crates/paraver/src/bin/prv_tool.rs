@@ -10,13 +10,16 @@
 //! ```
 //!
 //! Exit status: 0 on success, 1 when `validate` finds a structural failure,
-//! 2 on a usage error, a bad numeric argument or an unreadable trace.
+//! 2 on a usage error, a bad numeric argument, an unreadable trace or a
+//! failed write. A stdout closed by its reader (`prv_tool stats t.prv | head
+//! -1`) ends the output with exit 0.
 
 use paraver::analysis::{find_critical_overlap, StateProfile};
 use paraver::histogram::state_duration_histogram;
 use paraver::parse::parse_prv;
 use paraver::timeline::{render_states, TimelineOptions};
 use paraver::{diff, events, states};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn load(path: &str) -> (paraver::TraceMeta, paraver::Records) {
@@ -31,16 +34,26 @@ fn die(msg: &str) -> ! {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let mut out = std::io::stdout().lock();
+    match run(&args, &mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => die(&format!("cannot write output: {e}")),
+    }
+}
+
+fn run(args: &[String], out: &mut impl Write) -> std::io::Result<ExitCode> {
+    Ok(match args.first().map(String::as_str) {
         Some("stats") if args.len() >= 2 => {
             let (meta, records) = load(&args[1]);
-            println!(
+            writeln!(
+                out,
                 "{}: {} records, {} threads, {} cycles",
                 args[1],
                 records.len(),
                 meta.num_threads,
                 meta.duration
-            );
+            )?;
             let p = StateProfile::compute(&records, meta.num_threads);
             for (id, name) in [
                 (states::IDLE, "Idle"),
@@ -48,7 +61,7 @@ fn main() -> ExitCode {
                 (states::CRITICAL, "Critical"),
                 (states::SPINNING, "Spinning"),
             ] {
-                println!("  {:<9} {:>6.2}%", name, p.fraction(id) * 100.0);
+                writeln!(out, "  {:<9} {:>6.2}%", name, p.fraction(id) * 100.0)?;
             }
             for (ty, name) in [
                 (events::STALLS, "stalls"),
@@ -57,14 +70,15 @@ fn main() -> ExitCode {
                 (events::BYTES_READ, "bytes_rd"),
                 (events::BYTES_WRITTEN, "bytes_wr"),
             ] {
-                println!(
+                writeln!(
+                    out,
                     "  {:<9} {:>14}",
                     name,
                     paraver::analysis::event_total(&records, ty)
-                );
+                )?;
             }
             if let Some(imb) = p.imbalance(states::RUNNING) {
-                println!("  running-time imbalance (max/min): {imb:.3}");
+                writeln!(out, "  running-time imbalance (max/min): {imb:.3}")?;
             }
             ExitCode::SUCCESS
         }
@@ -82,10 +96,11 @@ fn main() -> ExitCode {
                 width,
                 ..Default::default()
             };
-            print!(
+            write!(
+                out,
                 "{}",
                 render_states(&records, meta.num_threads, meta.duration, &opts)
-            );
+            )?;
             ExitCode::SUCCESS
         }
         Some("hist") if args.len() >= 3 => {
@@ -93,10 +108,11 @@ fn main() -> ExitCode {
             let state: u32 = args[2]
                 .parse()
                 .unwrap_or_else(|_| die("state must be a number (0..3)"));
-            print!(
+            write!(
+                out,
                 "{}",
                 state_duration_histogram(&records, meta.num_threads, state).render()
-            );
+            )?;
             ExitCode::SUCCESS
         }
         Some("diff") if args.len() >= 3 => {
@@ -108,10 +124,11 @@ fn main() -> ExitCode {
                     ma.num_threads, mb.num_threads
                 ));
             }
-            print!(
+            write!(
+                out,
                 "{}",
                 diff::diff((&ma, &ra), (&mb, &rb)).render(&args[1], &args[2])
-            );
+            )?;
             ExitCode::SUCCESS
         }
         Some("validate") if args.len() >= 2 => {
@@ -130,27 +147,27 @@ fn main() -> ExitCode {
                     .collect();
                 iv.sort_unstable();
                 if iv.is_empty() {
-                    println!("  WARN: thread {t} has no state records");
+                    writeln!(out, "  WARN: thread {t} has no state records")?;
                     continue;
                 }
                 if iv[0].0 != 0 || iv.last().unwrap().1 != meta.duration {
-                    println!("  FAIL: thread {t} timeline does not span the run");
+                    writeln!(out, "  FAIL: thread {t} timeline does not span the run")?;
                     failures += 1;
                 }
                 if iv.windows(2).any(|w| w[0].1 != w[1].0) {
-                    println!("  FAIL: thread {t} has gaps/overlaps");
+                    writeln!(out, "  FAIL: thread {t} has gaps/overlaps")?;
                     failures += 1;
                 }
             }
             match find_critical_overlap(&records, states::CRITICAL) {
-                None => println!("  ok: no overlapping critical sections"),
+                None => writeln!(out, "  ok: no overlapping critical sections")?,
                 Some(t) => {
-                    println!("  FAIL: overlapping critical sections at {t}");
+                    writeln!(out, "  FAIL: overlapping critical sections at {t}")?;
                     failures += 1;
                 }
             }
             if failures == 0 {
-                println!("  ok: {} records validated", records.len());
+                writeln!(out, "  ok: {} records validated", records.len())?;
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -163,5 +180,5 @@ fn main() -> ExitCode {
             );
             ExitCode::from(2)
         }
-    }
+    })
 }

@@ -1,7 +1,8 @@
 //! `prv_tool`'s exit codes, driven end to end: a malformed `timeline` width,
 //! an unknown subcommand or a `diff` of traces with different thread counts
 //! is a usage error (exit 2), kept apart from the exit 1 that `validate`
-//! reserves for an invalid trace.
+//! reserves for an invalid trace. A stdout closed by its reader ends the
+//! output with exit 0, not a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,4 +78,30 @@ fn diff_of_different_thread_counts_exits_2_with_one_line() {
         "prv_tool: cannot diff a 2-thread trace against a 1-thread trace\n"
     );
     assert!(out.stdout.is_empty(), "nothing rendered");
+}
+
+/// Every subcommand that prints, with its reader already gone: the first
+/// write gets `EPIPE`, which ends the run quietly instead of panicking.
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    let path = trace_file("closed");
+    let path = path.to_str().unwrap();
+    for args in [
+        &["stats", path][..],
+        &["timeline", path],
+        &["hist", path, "1"],
+        &["validate", path],
+        &["diff", path, path],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_prv_tool"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn prv_tool");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
 }
