@@ -2,8 +2,7 @@
 
 use crate::cost::{estimate_fit, CostParams, FitReport};
 use crate::dfg::{lower_block, Dfg};
-use crate::op::OpClass;
-use crate::perf::Timing;
+use crate::perf::{pipeline_eligible, Timing};
 use crate::probe::{self, ProbeCostParams, ProbeMode, ProbePlan};
 use crate::region::RegionTree;
 use crate::schedule::{schedule, LoopSchedule, ResourceLimits};
@@ -52,6 +51,10 @@ pub struct Accelerator {
     pub loop_schedules: Vec<Option<LoopSchedule>>,
     /// DFG per loop (kept for the cost model and reports).
     pub loop_dfgs: Vec<Option<Dfg>>,
+    /// Per loop: does it run as one pipelined schedule
+    /// ([`pipeline_eligible`] of its body)? `false` for sequential and
+    /// unrolled loops.
+    loop_pipelined: Vec<bool>,
     /// Schedule of the kernel's top-level straight-line body.
     pub top: LoopSchedule,
     /// Top-level DFG.
@@ -81,14 +84,11 @@ impl Accelerator {
 
     /// Pipelined `(ii, depth)` of a loop, or `None` when it executes
     /// sequentially: unrolled away, or containing an inner region (loop,
-    /// critical section or DMA burst) the executor must step through.
+    /// critical section, barrier or DMA burst) the executor must step
+    /// through.
     pub fn pipelined(&self, id: LoopId) -> Option<(u64, u64)> {
         let sched = self.loop_schedules[id.0 as usize].as_ref()?;
-        let dfg = self.loop_dfgs[id.0 as usize].as_ref()?;
-        let has_region = dfg.count(OpClass::InnerLoop) > 0
-            || dfg.count(OpClass::CriticalRegion) > 0
-            || dfg.count(OpClass::Burst) > 0;
-        (!has_region).then_some((sched.ii as u64, sched.depth as u64))
+        self.loop_pipelined[id.0 as usize].then_some((sched.ii as u64, sched.depth as u64))
     }
 }
 
@@ -121,10 +121,12 @@ pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
 
     let mut loop_schedules: Vec<Option<LoopSchedule>> = vec![None; lm.len()];
     let mut loop_dfgs: Vec<Option<Dfg>> = vec![None; lm.len()];
+    let mut loop_pipelined = vec![false; lm.len()];
     for (id, body) in bodies {
         if lm.info(id).unrolled {
             continue;
         }
+        loop_pipelined[id.0 as usize] = pipeline_eligible(body);
         let dfg = lower_block(kernel, &types, body);
         let sched = schedule(&dfg, &config.limits);
         loop_schedules[id.0 as usize] = Some(sched);
@@ -161,6 +163,7 @@ pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
         num_threads: kernel.num_threads,
         loop_schedules,
         loop_dfgs,
+        loop_pipelined,
         top,
         top_dfg,
         config: config.clone(),

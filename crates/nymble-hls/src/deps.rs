@@ -123,7 +123,6 @@ fn expr_dist(k: &Kernel, e: ExprId, dist: &HashMap<VarId, Option<u64>>) -> Optio
         other => {
             let through = other
                 .children()
-                .into_iter()
                 .filter_map(|c| expr_dist(k, c, dist))
                 .max()?;
             Some(through + node_latency(k, e))
@@ -193,7 +192,6 @@ fn path_latency_from_load(
     let through = k
         .expr(root)
         .children()
-        .into_iter()
         .filter_map(|c| path_latency_from_load(k, c, is_needle))
         .max()?;
     Some(through + node_latency(k, root))

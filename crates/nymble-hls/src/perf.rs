@@ -16,10 +16,13 @@
 //!   [`Accelerator`]'s schedules ([`Accelerator::pipelined`], the
 //!   executor's decision too) and prices the restart contention of
 //!   re-entered loops. This is the analytic mode.
-//! * [`LoopSource::Symbolic`] needs no compile: pipelining is decided
-//!   structurally ([`pipeline_eligible`]), the II comes from the recurrence
-//!   analysis in [`crate::deps`] and the depth from the operator chains,
-//!   with no restart term. This backs [`model`] and [`region_profits`].
+//! * [`LoopSource::Symbolic`] needs no compile: the II comes from the
+//!   recurrence analysis in [`crate::deps`] and the depth from the
+//!   operator chains, with no restart term. This backs [`model`] and
+//!   [`region_profits`].
+//!
+//! Both decide whether a loop pipelines with one rule,
+//! [`pipeline_eligible`]: the compiler records its answer per loop.
 //!
 //! Sequential loops are priced as body × trip unless their iterations can
 //! cost differently. A loop of at most `EXACT_SEQ_TRIP` (16) iterations is
@@ -38,7 +41,9 @@ use nymble_ir::expr::Expr;
 use nymble_ir::kernel::{ArgKind, Kernel};
 use nymble_ir::loops::{var_steers_cost, LoopMap};
 use nymble_ir::stmt::{Stmt, Unroll};
-use nymble_ir::{ArgId, Buffer, ExprId, MapDir, ScalarType, Value, VarId};
+use nymble_ir::tape::{eval_int, IntLeaf, OpCounter};
+use nymble_ir::validate::infer_types;
+use nymble_ir::{ArgId, Buffer, ExprId, MapDir, Type, Value, VarId};
 use std::collections::HashMap;
 
 /// Latency and bandwidth parameters of the platform the walker prices
@@ -258,6 +263,7 @@ fn walk(
     record: bool,
 ) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
     t.validate().ok()?;
+    let types = infer_types(kernel).ok()?;
     let timer = match source {
         LoopSource::Scheduled(accel) => Timer::Scheduled {
             accel,
@@ -274,7 +280,8 @@ fn walk(
     let mut regions: HashMap<usize, RegionProfit> = HashMap::new();
     for tid in 0..nt {
         let mut w = Walker {
-            ev: ThreadEval::with_launch(kernel, tid as i64, scalars, image),
+            ev: ThreadEval::new(kernel, &types, tid as i64, scalars, image),
+            ops: OpCounter::new(kernel, &types),
             t,
             timer: &timer,
             approx: vec![false; kernel.vars.len()],
@@ -322,9 +329,10 @@ fn walk(
     ))
 }
 
-/// Can the loop body be pipelined? Structural twin of the scheduler's
-/// decision: any nested sequential region (inner non-unrolled loop,
-/// critical section, barrier, DMA burst) forces sequential execution.
+/// Can the loop body be pipelined? The one rule for a loop's mode, which
+/// [`crate::accel::compile`] records for the executor: any nested
+/// sequential region (inner non-unrolled loop, critical section, barrier,
+/// DMA burst) forces sequential execution.
 pub fn pipeline_eligible(body: &[Stmt]) -> bool {
     body.iter().all(|s| match s {
         Stmt::For { body, unroll, .. } => *unroll == Unroll::Full && pipeline_eligible(body),
@@ -337,9 +345,12 @@ pub fn pipeline_eligible(body: &[Stmt]) -> bool {
 }
 
 /// Constant evaluation of integer expressions for one hardware thread,
-/// under the loop-variable bindings of a static walk.
+/// under the loop-variable bindings of a static walk: the leaves of
+/// [`eval_int`], which evaluates with the tape's semantics.
 pub struct ThreadEval<'k> {
     kernel: &'k Kernel,
+    /// Static types of `kernel`'s expressions ([`infer_types`]).
+    types: &'k [Type],
     scalars: &'k [Value],
     image: Option<&'k [Buffer]>,
     tid: i64,
@@ -348,20 +359,20 @@ pub struct ThreadEval<'k> {
 }
 
 impl<'k> ThreadEval<'k> {
-    /// An evaluator for thread `tid` that knows no launch values: `Arg`
-    /// and external loads stay opaque.
-    pub fn new(kernel: &'k Kernel, tid: i64) -> Self {
-        Self::with_launch(kernel, tid, &[], None)
-    }
-
-    fn with_launch(
+    /// An evaluator for thread `tid` of `kernel`, whose expressions have
+    /// the static `types`. `scalars` and `image` are the launch values (as
+    /// for [`estimate`]); without them `Arg` and external loads stay
+    /// opaque.
+    pub fn new(
         kernel: &'k Kernel,
+        types: &'k [Type],
         tid: i64,
         scalars: &'k [Value],
         image: Option<&'k [Buffer]>,
     ) -> Self {
         ThreadEval {
             kernel,
+            types,
             scalars,
             image,
             tid,
@@ -389,44 +400,13 @@ impl<'k> ThreadEval<'k> {
     }
 
     /// Best-effort constant evaluation of an integer expression under the
-    /// thread id and the loop-variable bindings. An `i32` cast wraps to 32
-    /// bits, as the tape does; other casts pass the value through.
+    /// thread id and the loop-variable bindings.
     pub fn eval_i64(&self, id: ExprId) -> Option<i64> {
-        match self.kernel.expr(id) {
-            Expr::Const(v) => Some(v.as_i64()),
-            Expr::ThreadId => Some(self.tid),
-            Expr::NumThreads => Some(self.kernel.num_threads as i64),
-            Expr::Arg(a) => match self.kernel.args[a.0 as usize].kind {
-                ArgKind::Scalar(_) => self.scalars.get(a.0 as usize).map(Value::as_i64),
-                _ => None,
-            },
-            Expr::Var(v) => self.bindings[v.0 as usize],
-            Expr::Cast(ScalarType::I32, a) => self.eval_i64(*a).map(|v| v as i32 as i64),
-            Expr::Cast(_, a) => self.eval_i64(*a),
-            Expr::Unary(op, a) => {
-                let av = self.eval_i64(*a)?;
-                Some(nymble_ir::expr::eval_unop(*op, &Value::I64(av)).as_i64())
-            }
-            Expr::Binary(op, a, b) => {
-                let av = self.eval_i64(*a)?;
-                let bv = self.eval_i64(*b)?;
-                if matches!(op, nymble_ir::BinOp::Div | nymble_ir::BinOp::Rem) && bv == 0 {
-                    return None;
-                }
-                Some(nymble_ir::expr::eval_binop(*op, &Value::I64(av), &Value::I64(bv)).as_i64())
-            }
-            Expr::Select {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                if self.eval_i64(*cond)? != 0 {
-                    self.eval_i64(*then_v)
-                } else {
-                    self.eval_i64(*else_v)
-                }
-            }
-            Expr::LoadExt { buf, index, .. } => {
+        eval_int(self.kernel, self.types, id, &|leaf| match leaf {
+            IntLeaf::Var(v) => self.bindings[v.0 as usize],
+            IntLeaf::Arg(a) => self.scalars.get(a.0 as usize).map(Value::as_i64),
+            IntLeaf::ThreadId => Some(self.tid),
+            IntLeaf::Load { buf, index } => {
                 // Only with a memory image, and only from device-read-only
                 // buffers: `map(to)` contents never change during the run,
                 // so the pristine launch image is the load's value on every
@@ -439,12 +419,10 @@ impl<'k> ThreadEval<'k> {
                 else {
                     return None;
                 };
-                let idx = self.eval_i64(*index)?;
-                let v = img[buf.0 as usize].get(usize::try_from(idx).ok()?)?;
+                let v = img[buf.0 as usize].get(usize::try_from(index).ok()?)?;
                 Some(v.as_i64())
             }
-            _ => None,
-        }
+        })
     }
 }
 
@@ -511,6 +489,8 @@ const MAX_EXACT_WALK: u64 = 1 << 16;
 /// The cost walk of one thread.
 struct Walker<'k> {
     ev: ThreadEval<'k>,
+    /// Prices each statement's operations as the tape counts them.
+    ops: OpCounter<'k>,
     t: &'k Timing,
     timer: &'k Timer<'k>,
     /// Which bindings are first-iteration approximations (the loop's cost
@@ -915,17 +895,18 @@ impl Walker<'_> {
         alt == Some(i0)
     }
 
-    /// Sequential-region cycles of one statement (the executor's
-    /// `StepEvent::Ops` pricing: base cost + work / issue width). External
-    /// loads in sequential code wait the full DRAM round trip; the model
-    /// assumes they miss, which holds for the dominant pattern
-    /// (read-modify-write in critical sections invalidates the port line
-    /// buffer).
-    fn seq_stmt_cycles(&self, s: &Stmt) -> u64 {
-        let k = self.ev.kernel;
-        let work = stmt_op_count(k, s);
+    /// Sequential-region cycles of one statement, from the tape's op
+    /// counts ([`OpCounter`]) as the executor prices its `StepEvent::Ops`:
+    /// base cost + (integer, float and local-load operations) / issue
+    /// width. External loads in sequential code wait the full DRAM round
+    /// trip; the model assumes they miss, which holds for the dominant
+    /// pattern (read-modify-write in critical sections invalidates the
+    /// port line buffer).
+    fn seq_stmt_cycles(&mut self, s: &Stmt) -> u64 {
+        let ops = self.ops.stmt(s);
+        let work = ops.int_ops + ops.flops + ops.local_loads;
         let width = self.t.seq_issue_width as u64;
-        self.t.stmt_base_cost + work.div_ceil(width) + stmt_ext_loads(k, s) * self.miss()
+        self.t.stmt_base_cost + work.div_ceil(width) + ops.ext_loads * self.miss()
     }
 
     /// Cycles to evaluate a loop's bound expressions when they load from
@@ -934,9 +915,9 @@ impl Walker<'_> {
     /// pointers into the same buffer share a fetched line, so each distinct
     /// buffer pays one round trip per evaluation; without them every load
     /// pays its own.
-    fn bound_load_cycles(&self, s: &Stmt) -> u64 {
+    fn bound_load_cycles(&mut self, s: &Stmt) -> u64 {
         let k = self.ev.kernel;
-        let loads = stmt_ext_loads(k, s);
+        let loads = self.ops.stmt(s).ext_loads;
         if loads == 0 {
             return 0;
         }
@@ -955,13 +936,8 @@ impl Walker<'_> {
             }
         }
         let mut bufs = Vec::new();
-        if let Stmt::For {
-            start, end, step, ..
-        } = s
-        {
-            for e in [start, end, step] {
-                collect_bufs(k, *e, &mut bufs);
-            }
+        for e in s.operands() {
+            collect_bufs(k, e, &mut bufs);
         }
         bufs.len() as u64 * self.miss()
     }
@@ -973,7 +949,7 @@ impl Walker<'_> {
     fn uses_bound_var(&self, id: ExprId) -> bool {
         match self.ev.kernel.expr(id) {
             Expr::Var(v) => self.ev.bindings[v.0 as usize].is_some() && self.approx[v.0 as usize],
-            e => e.children().into_iter().any(|c| self.uses_bound_var(c)),
+            e => e.children().any(|c| self.uses_bound_var(c)),
         }
     }
 }
@@ -1000,7 +976,7 @@ struct IterTraffic {
 /// first two iterations says nothing about the rest).
 fn expr_has_load(kernel: &Kernel, id: ExprId) -> bool {
     let e = kernel.expr(id);
-    matches!(e, Expr::LoadExt { .. }) || e.children().into_iter().any(|c| expr_has_load(kernel, c))
+    matches!(e, Expr::LoadExt { .. }) || e.children().any(|c| expr_has_load(kernel, c))
 }
 
 /// Does any loop (at any nesting depth) in `block` draw its bounds from
@@ -1094,56 +1070,6 @@ pub fn ext_accesses(kernel: &Kernel, body: &[Stmt]) -> Vec<ExtAccess> {
     let mut out = Vec::new();
     walk_block(kernel, body, &mut out);
     out
-}
-
-/// The expressions a statement evaluates directly (not its nested blocks).
-fn stmt_exprs(s: &Stmt) -> impl Iterator<Item = ExprId> {
-    let exprs = match s {
-        Stmt::Assign { expr, .. } => [Some(*expr), None, None],
-        Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
-            [Some(*index), Some(*value), None]
-        }
-        Stmt::If { cond, .. } => [Some(*cond), None, None],
-        Stmt::For {
-            start, end, step, ..
-        } => [Some(*start), Some(*end), Some(*step)],
-        _ => [None; 3],
-    };
-    exprs.into_iter().flatten()
-}
-
-/// External loads a statement's directly-evaluated expressions perform.
-fn stmt_ext_loads(kernel: &Kernel, s: &Stmt) -> u64 {
-    fn expr_loads(kernel: &Kernel, id: ExprId) -> u64 {
-        let e = kernel.expr(id);
-        let own = matches!(e, Expr::LoadExt { .. }) as u64;
-        own + e
-            .children()
-            .into_iter()
-            .map(|c| expr_loads(kernel, c))
-            .sum::<u64>()
-    }
-    stmt_exprs(s).map(|e| expr_loads(kernel, e)).sum()
-}
-
-/// Static operation count of the expressions a statement evaluates
-/// directly. `LoadExt` is excluded — it is priced as a miss by
-/// [`stmt_ext_loads`], not as issue work.
-fn stmt_op_count(kernel: &Kernel, s: &Stmt) -> u64 {
-    fn expr_ops(kernel: &Kernel, id: ExprId) -> u64 {
-        let e = kernel.expr(id);
-        let own = match e {
-            Expr::Unary(..) | Expr::Binary(..) | Expr::Cast(..) | Expr::Select { .. } => 1,
-            Expr::LoadLocal { .. } => 1,
-            _ => 0,
-        };
-        own + e
-            .children()
-            .into_iter()
-            .map(|c| expr_ops(kernel, c))
-            .sum::<u64>()
-    }
-    stmt_exprs(s).map(|e| expr_ops(kernel, e)).sum()
 }
 
 /// Bytes moved by the value expression of an external store.
@@ -1283,5 +1209,34 @@ mod tests {
             pc.critical_cycles >= 100 * per_entry,
             "expected ≥ trip × per-entry serialization, got {pc:?}"
         );
+    }
+
+    #[test]
+    fn a_shared_node_is_priced_once_per_statement() {
+        // `h[f(x[i])] = h[f(x[i])] + 1` with one `f(x[i])` node: the store
+        // statement loads `x[i]` once and `h[..]` once, as the tape does.
+        let mut kb = KernelBuilder::new("hist", 1);
+        let x = kb.buffer("X", ScalarType::I32, MapDir::To);
+        let h = kb.buffer("H", ScalarType::I32, MapDir::ToFrom);
+        let n = kb.c_i64(100);
+        kb.for_range("i", n, |kb, i| {
+            kb.critical(|kb| {
+                let xi = kb.load(x, i, Type::I32);
+                let mask = kb.c_i32(15);
+                let bin = kb.bin(nymble_ir::BinOp::And, xi, mask);
+                let cur = kb.load(h, bin, Type::I32);
+                let one = kb.c_i32(1);
+                let next = kb.add(cur, one);
+                kb.store(h, bin, next);
+            });
+        });
+        let k = kb.finish();
+        let t = Timing::default();
+        let m = model(&k, &t).expect("resolvable");
+        // Two integer ops (`&`, `+`) issue in one cycle; two loads miss.
+        let miss = t.dram_line_bytes.div_ceil(t.dram_bytes_per_cycle) as u64 + t.dram_latency;
+        let store = t.stmt_base_cost + 1 + 2 * miss;
+        let per_entry = t.sem_acquire_latency + store + t.sem_release_latency;
+        assert_eq!(m.critical_cycles, 100 * per_entry);
     }
 }

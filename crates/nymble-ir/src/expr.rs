@@ -98,23 +98,26 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Children of this node, for generic traversal.
-    pub fn children(&self) -> Vec<ExprId> {
-        match self {
+    /// Children of this node, for generic traversal (no allocation).
+    pub fn children(&self) -> impl Iterator<Item = ExprId> {
+        let c = match self {
             Expr::Const(_) | Expr::Arg(_) | Expr::ThreadId | Expr::NumThreads | Expr::Var(_) => {
-                Vec::new()
+                [None; 3]
             }
-            Expr::Unary(_, a) | Expr::Cast(_, a) | Expr::Lane(a, _) | Expr::Splat(a, _) => {
-                vec![*a]
-            }
-            Expr::Binary(_, a, b) => vec![*a, *b],
+            Expr::Unary(_, a)
+            | Expr::Cast(_, a)
+            | Expr::Lane(a, _)
+            | Expr::Splat(a, _)
+            | Expr::LoadExt { index: a, .. }
+            | Expr::LoadLocal { index: a, .. } => [Some(*a), None, None],
+            Expr::Binary(_, a, b) => [Some(*a), Some(*b), None],
             Expr::Select {
                 cond,
                 then_v,
                 else_v,
-            } => vec![*cond, *then_v, *else_v],
-            Expr::LoadExt { index, .. } | Expr::LoadLocal { index, .. } => vec![*index],
-        }
+            } => [Some(*cond), Some(*then_v), Some(*else_v)],
+        };
+        c.into_iter().flatten()
     }
 
     /// True for operations whose delay cannot be statically bounded
@@ -124,61 +127,9 @@ impl Expr {
     }
 }
 
-/// Evaluate a binary operation on two scalar values (lane-wise on two
-/// vectors). Comparison results are `I32` 0/1; arithmetic takes the left
-/// operand's scalar type, converting the right operand to it.
-///
-/// The per-scalar helpers below are the one definition of the datapath
-/// arithmetic: this function and the walker's instruction tape
-/// ([`crate::tape`]) both call them.
-pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Value {
-    // Lane-wise vector handling first.
-    if let (Value::Vec(va), Value::Vec(vb)) = (a, b) {
-        assert_eq!(va.len(), vb.len(), "vector width mismatch in {op:?}");
-        let lanes: Vec<Value> = va
-            .iter()
-            .zip(vb.iter())
-            .map(|(x, y)| eval_binop(op, x, y))
-            .collect();
-        return Value::Vec(lanes.into_boxed_slice());
-    }
-    let ty = a.ty().scalar;
-    if op.is_comparison() {
-        let r = if ty.is_float() {
-            cmp_f64(op, a.as_f64(), b.as_f64())
-        } else {
-            cmp_i64(op, a.as_i64(), b.as_i64())
-        };
-        return Value::I32(r as i32);
-    }
-    match (a, ty) {
-        // f32 math is performed in f32 to reproduce the paper's
-        // single-precision behaviour (including the π-study instability).
-        (Value::F32(x), _) => {
-            let y = match b {
-                Value::F32(v) => *v,
-                _ => b.as_f64() as f32,
-            };
-            Value::F32(f32_binop(op, *x, y))
-        }
-        (_, ScalarType::F64) => Value::F64(f64_binop(op, a.as_f64(), b.as_f64())),
-        _ => Value::from_i64(ty, int_binop(op, a.as_i64(), b.as_i64())),
-    }
-}
-
-/// Evaluate a unary operation (lane-wise on a vector).
-pub fn eval_unop(op: UnOp, a: &Value) -> Value {
-    if let Value::Vec(va) = a {
-        let lanes: Vec<Value> = va.iter().map(|x| eval_unop(op, x)).collect();
-        return Value::Vec(lanes.into_boxed_slice());
-    }
-    let ty = a.ty().scalar;
-    if ty.is_float() {
-        Value::from_f64(ty, float_unop(op, a.as_f64()))
-    } else {
-        Value::from_i64(ty, int_unop(op, a.as_i64()))
-    }
-}
+// The per-scalar helpers below are the one definition of the datapath
+// arithmetic: the walker's instruction tape ([`crate::tape`]) and the
+// static walker's integer evaluator (`tape::eval_int`) both call them.
 
 /// Integer arithmetic in i64, wrapping; the caller truncates to the
 /// result type. Division and remainder by zero give 0 (the hardware
@@ -273,55 +224,75 @@ pub(crate) fn float_unop(op: UnOp, x: f64) -> f64 {
 mod tests {
     use super::*;
 
+    use crate::interp::{Interpreter, LaunchArg};
+    use crate::kernel::MapDir;
+    use crate::KernelBuilder;
+
+    /// Run a one-thread kernel on the tape: `f` builds values over the
+    /// buffer BUF, which holds `init`, and value `i` is stored at `BUF[i]`.
+    /// Returns BUF afterwards.
+    fn run_tape(
+        init: &[Value],
+        f: impl FnOnce(&mut KernelBuilder, ArgId) -> Vec<ExprId>,
+    ) -> Vec<Value> {
+        let mut kb = KernelBuilder::new("t", 1);
+        let buf = kb.buffer("BUF", init[0].ty().scalar, MapDir::ToFrom);
+        for (i, v) in f(&mut kb, buf).into_iter().enumerate() {
+            let idx = kb.c_i64(i as i64);
+            kb.store(buf, idx, v);
+        }
+        let r = Interpreter::run(&kb.finish(), &[LaunchArg::Buffer(init.to_vec())]);
+        (0..init.len())
+            .map(|i| r.buffers[0].get(i).unwrap())
+            .collect()
+    }
+
     #[test]
     fn int_arithmetic() {
-        assert_eq!(
-            eval_binop(BinOp::Add, &Value::I32(2), &Value::I32(3)),
-            Value::I32(5)
-        );
-        assert_eq!(
-            eval_binop(BinOp::Mul, &Value::I64(-4), &Value::I64(4)),
-            Value::I64(-16)
-        );
+        assert_eq!(int_binop(BinOp::Add, 2, 3), 5);
+        assert_eq!(int_binop(BinOp::Mul, -4, 4), -16);
         // Division by zero is defined as 0 (hardware divider quiet output).
-        assert_eq!(
-            eval_binop(BinOp::Div, &Value::I32(1), &Value::I32(0)),
-            Value::I32(0)
-        );
+        assert_eq!(int_binop(BinOp::Div, 1, 0), 0);
+        assert_eq!(int_binop(BinOp::Rem, 1, 0), 0);
     }
 
     #[test]
     fn float_arithmetic_stays_f32() {
-        let r = eval_binop(BinOp::Div, &Value::F32(4.0), &Value::F32(1.0 + 0.5));
-        assert_eq!(r, Value::F32(4.0 / 1.5f32));
+        let got = run_tape(&[Value::F32(0.0)], |kb, _| {
+            let (four, one, half) = (kb.c_f32(4.0), kb.c_f32(1.0), kb.c_f32(0.5));
+            let d = kb.add(one, half);
+            vec![kb.div(four, d)]
+        });
+        assert_eq!(got, [Value::F32(4.0 / 1.5f32)]);
     }
 
     #[test]
     fn comparisons_yield_i32() {
-        assert_eq!(
-            eval_binop(BinOp::Lt, &Value::F32(1.0), &Value::F32(2.0)),
-            Value::I32(1)
-        );
-        assert_eq!(
-            eval_binop(BinOp::Ge, &Value::I32(1), &Value::I32(2)),
-            Value::I32(0)
-        );
+        // Validation accepts only `I32` values into an i32 buffer.
+        let got = run_tape(&[7, 7].map(Value::I32), |kb, _| {
+            let (f1, f2, i1, i2) = (kb.c_f32(1.0), kb.c_f32(2.0), kb.c_i32(1), kb.c_i32(2));
+            vec![kb.bin(BinOp::Lt, f1, f2), kb.bin(BinOp::Ge, i1, i2)]
+        });
+        assert_eq!(got, [Value::I32(1), Value::I32(0)]);
     }
 
     #[test]
     fn vector_lanewise() {
-        let a = Value::Vec(vec![Value::F32(1.0), Value::F32(2.0)].into_boxed_slice());
-        let b = Value::Vec(vec![Value::F32(10.0), Value::F32(20.0)].into_boxed_slice());
-        let r = eval_binop(BinOp::Add, &a, &b);
-        assert_eq!(r.lane(0), &Value::F32(11.0));
-        assert_eq!(r.lane(1), &Value::F32(22.0));
+        let init = [1.0, 2.0, 10.0, 20.0].map(Value::F32);
+        let got = run_tape(&init, |kb, buf| {
+            let (z, two) = (kb.c_i64(0), kb.c_i64(2));
+            let v2 = Type::vector(ScalarType::F32, 2);
+            let (a, b) = (kb.load(buf, z, v2), kb.load(buf, two, v2));
+            vec![kb.add(a, b)]
+        });
+        assert_eq!(got, [11.0, 22.0, 10.0, 20.0].map(Value::F32));
     }
 
     #[test]
     fn unops() {
-        assert_eq!(eval_unop(UnOp::Neg, &Value::I32(5)), Value::I32(-5));
-        assert_eq!(eval_unop(UnOp::Sqrt, &Value::F64(9.0)), Value::F64(3.0));
-        assert_eq!(eval_unop(UnOp::Not, &Value::I32(0)), Value::I32(-1));
+        assert_eq!(int_unop(UnOp::Neg, 5), -5);
+        assert_eq!(float_unop(UnOp::Sqrt, 9.0), 3.0);
+        assert_eq!(int_unop(UnOp::Not, 0), -1);
     }
 
     #[test]

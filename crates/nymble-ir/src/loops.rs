@@ -118,31 +118,14 @@ pub fn var_steers_cost(k: &Kernel, body: &[Stmt], var: VarId) -> bool {
         Stmt::Assign { expr, .. } => ext_index(*expr),
         Stmt::StoreExt { index, value, .. } => uses(*index) || ext_index(*value),
         Stmt::StoreLocal { index, value, .. } => ext_index(*index) || ext_index(*value),
-        Stmt::For {
-            start,
-            end,
-            step,
-            body,
-            ..
-        } => uses(*start) || uses(*end) || uses(*step) || var_steers_cost(k, body, var),
-        Stmt::If {
-            cond,
-            then_b,
-            else_b,
-        } => uses(*cond) || var_steers_cost(k, then_b, var) || var_steers_cost(k, else_b, var),
-        Stmt::Critical { body } => var_steers_cost(k, body, var),
-        Stmt::Preload {
-            src_off,
-            dst_off,
-            len,
-            ..
+        Stmt::For { body, .. } => s.operands().any(uses) || var_steers_cost(k, body, var),
+        Stmt::If { then_b, else_b, .. } => {
+            s.operands().any(uses)
+                || var_steers_cost(k, then_b, var)
+                || var_steers_cost(k, else_b, var)
         }
-        | Stmt::WriteBack {
-            src_off,
-            dst_off,
-            len,
-            ..
-        } => uses(*src_off) || uses(*dst_off) || uses(*len),
+        Stmt::Critical { body } => var_steers_cost(k, body, var),
+        Stmt::Preload { .. } | Stmt::WriteBack { .. } => s.operands().any(uses),
         Stmt::Barrier => false,
     })
 }
@@ -150,7 +133,7 @@ pub fn var_steers_cost(k: &Kernel, body: &[Stmt], var: VarId) -> bool {
 fn expr_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
     match k.expr(id) {
         Expr::Var(v) => *v == var,
-        e => e.children().into_iter().any(|c| expr_uses_var(k, c, var)),
+        e => e.children().any(|c| expr_uses_var(k, c, var)),
     }
 }
 
@@ -158,17 +141,14 @@ fn expr_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
 fn ext_index_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
     match k.expr(id) {
         Expr::LoadExt { index, .. } => expr_uses_var(k, *index, var),
-        e => e
-            .children()
-            .into_iter()
-            .any(|c| ext_index_uses_var(k, c, var)),
+        e => e.children().any(|c| ext_index_uses_var(k, c, var)),
     }
 }
 
 fn block_has_vlo(k: &Kernel, b: &Block) -> bool {
     fn expr_has_vlo(k: &Kernel, id: crate::expr::ExprId) -> bool {
         let e = k.expr(id);
-        e.is_vlo() || e.children().into_iter().any(|c| expr_has_vlo(k, c))
+        e.is_vlo() || e.children().any(|c| expr_has_vlo(k, c))
     }
     b.iter().any(|s| match s {
         Stmt::Assign { expr, .. } => expr_has_vlo(k, *expr),

@@ -109,6 +109,37 @@ impl Stmt {
         }
     }
 
+    /// The expressions the statement evaluates itself, in the tape's
+    /// evaluation order; not those of its nested blocks.
+    pub fn operands(&self) -> impl Iterator<Item = ExprId> {
+        let e = match self {
+            Stmt::Assign { expr: a, .. } | Stmt::If { cond: a, .. } => [Some(*a), None, None],
+            Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
+                [Some(*index), Some(*value), None]
+            }
+            Stmt::For {
+                start: a,
+                end: b,
+                step: c,
+                ..
+            }
+            | Stmt::Preload {
+                src_off: a,
+                dst_off: b,
+                len: c,
+                ..
+            }
+            | Stmt::WriteBack {
+                dst_off: a,
+                src_off: b,
+                len: c,
+                ..
+            } => [Some(*a), Some(*b), Some(*c)],
+            Stmt::Critical { .. } | Stmt::Barrier => [None; 3],
+        };
+        e.into_iter().flatten()
+    }
+
     /// Child blocks, for generic traversal.
     pub fn child_blocks(&self) -> Vec<&Block> {
         match self {

@@ -26,12 +26,15 @@
 //!   semantics convert an operand (arithmetic takes the left operand's
 //!   type, float comparisons run in f64, conditions test non-zero), the
 //!   lowering emits an explicit `Conv`. The arithmetic itself is the
-//!   per-scalar helpers [`crate::expr::eval_binop`] also uses.
+//!   per-scalar helpers of [`crate::expr`]; [`eval_int`], the static cost
+//!   walker's evaluator of integer bounds, calls the same helpers.
 //! * **Op counts.** The profiling unit classifies compute into integer and
 //!   floating-point operations (§IV-B.2b). Every `Binary`/`Unary`/`Select`
 //!   evaluation counts one operation per lane, classified by its *result*
 //!   scalar type; comparisons, selects and casts count as integer ops.
-//!   Loads count separately, as memory operations.
+//!   Loads count separately, as memory operations. [`OpCounter`] is the one
+//!   definition: the lowering and the static cost walker
+//!   (`nymble_hls::perf`) both count through it.
 
 use crate::buffer::Buffer;
 use crate::expr::{
@@ -66,6 +69,127 @@ impl OpCounts {
         self.ext_loads += o.ext_loads;
         self.local_loads += o.local_loads;
     }
+}
+
+/// Counts the [`OpCounts`] of statements by the rules of the module docs,
+/// each expression node once per statement. A generation-stamped `seen`
+/// vector keeps a count free of allocation.
+pub struct OpCounter<'k> {
+    kernel: &'k Kernel,
+    types: &'k [Type],
+    /// `seen[id] == stmt_gen`: the node is counted for the current
+    /// statement.
+    seen: Vec<u32>,
+    stmt_gen: u32,
+}
+
+impl<'k> OpCounter<'k> {
+    /// A counter for `kernel`, whose expressions have the static `types`
+    /// of [`infer_types`].
+    pub fn new(kernel: &'k Kernel, types: &'k [Type]) -> Self {
+        OpCounter {
+            kernel,
+            types,
+            seen: vec![0; kernel.exprs.len()],
+            stmt_gen: 0,
+        }
+    }
+
+    /// Op counts of one execution of `s`: its own operands, not its nested
+    /// blocks.
+    pub fn stmt(&mut self, s: &Stmt) -> OpCounts {
+        self.stmt_gen += 1;
+        let mut ops = OpCounts::default();
+        for e in s.operands() {
+            self.expr(e, &mut ops);
+        }
+        ops
+    }
+
+    fn expr(&mut self, id: ExprId, ops: &mut OpCounts) {
+        let slot = id.0 as usize;
+        if self.seen[slot] == self.stmt_gen {
+            return;
+        }
+        self.seen[slot] = self.stmt_gen;
+        let lanes = self.types[slot].lanes as u64;
+        let types = self.types;
+        let float = |e: &ExprId| types[e.0 as usize].scalar.is_float();
+        let e = self.kernel.expr(id);
+        match e {
+            Expr::Unary(_, a) if float(a) => ops.flops += lanes,
+            Expr::Binary(op, a, _) if !op.is_comparison() && float(a) => ops.flops += lanes,
+            Expr::Unary(..) | Expr::Binary(..) | Expr::Select { .. } => ops.int_ops += lanes,
+            Expr::Cast(..) => ops.int_ops += 1,
+            Expr::LoadExt { .. } => ops.ext_loads += 1,
+            Expr::LoadLocal { .. } => ops.local_loads += 1,
+            _ => {}
+        }
+        for c in e.children() {
+            self.expr(c, ops);
+        }
+    }
+}
+
+/// A leaf of an integer expression, which [`eval_int`] asks its caller for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntLeaf {
+    Var(VarId),
+    /// A scalar argument.
+    Arg(ArgId),
+    ThreadId,
+    /// A scalar external load at an evaluated element index.
+    Load {
+        buf: ArgId,
+        index: i64,
+    },
+}
+
+/// Evaluate the integer expression `id` with the tape's semantics: every
+/// node at its static type in `types` ([`infer_types`]), through the
+/// per-scalar helpers the tape's instructions call. An `I32` node wraps to
+/// 32 bits, a shift takes its count modulo 64 before that wrap, and
+/// division or remainder by zero gives 0. `leaf` supplies variables,
+/// scalar arguments, the thread id and external loads.
+///
+/// `None` when `leaf` does, or when the value depends on a float, a vector
+/// or a local-memory load.
+pub fn eval_int(
+    kernel: &Kernel,
+    types: &[Type],
+    id: ExprId,
+    leaf: &impl Fn(IntLeaf) -> Option<i64>,
+) -> Option<i64> {
+    let ty = types[id.0 as usize];
+    if ty.lanes != 1 || ty.scalar.is_float() {
+        return None;
+    }
+    let int = |e: &ExprId| eval_int(kernel, types, *e, leaf);
+    let v = match kernel.expr(id) {
+        Expr::Const(v) => v.as_i64(),
+        Expr::NumThreads => kernel.num_threads as i64,
+        Expr::ThreadId => leaf(IntLeaf::ThreadId)?,
+        Expr::Arg(a) => leaf(IntLeaf::Arg(*a))?,
+        Expr::Var(v) => leaf(IntLeaf::Var(*v))?,
+        Expr::Unary(op, a) => int_unop(*op, int(a)?),
+        Expr::Binary(op, a, b) if op.is_comparison() => cmp_i64(*op, int(a)?, int(b)?) as i64,
+        Expr::Binary(op, a, b) => int_binop(*op, int(a)?, int(b)?),
+        Expr::Select {
+            cond,
+            then_v,
+            else_v,
+        } => int(if int(cond)? != 0 { then_v } else { else_v })?,
+        Expr::Cast(_, a) => int(a)?,
+        Expr::LoadExt { buf, index, .. } => leaf(IntLeaf::Load {
+            buf: *buf,
+            index: int(index)?,
+        })?,
+        Expr::LoadLocal { .. } | Expr::Lane(..) | Expr::Splat(..) => return None,
+    };
+    Some(match ty.scalar {
+        ScalarType::I32 => v as i32 as i64,
+        _ => v,
+    })
 }
 
 /// Index into a walker's register file.
@@ -262,7 +386,8 @@ impl Program {
         let types = infer_types(kernel).expect("lowering a kernel that fails validation");
         let mut l = Lowering {
             k: kernel,
-            types,
+            types: &types,
+            counter: OpCounter::new(kernel, &types),
             loops: LoopMap::build(kernel),
             insts: Vec::new(),
             stmts: Vec::new(),
@@ -273,7 +398,6 @@ impl Program {
             arg_reg: vec![0; kernel.args.len()],
             var_regs: Vec::new(),
             tid_reg: 0,
-            ops: OpCounts::default(),
             local_reads: Vec::new(),
         };
         l.tid_reg = l.alloc(1);
@@ -316,7 +440,8 @@ impl Program {
 
 struct Lowering<'k> {
     k: &'k Kernel,
-    types: Vec<Type>,
+    types: &'k [Type],
+    counter: OpCounter<'k>,
     loops: LoopMap,
     insts: Vec<Inst>,
     stmts: Vec<StmtCode>,
@@ -331,8 +456,7 @@ struct Lowering<'k> {
     arg_reg: Vec<Reg>,
     var_regs: Vec<(Reg, Type)>,
     tid_reg: Reg,
-    /// Op counts and local memories read by the statement being lowered.
-    ops: OpCounts,
+    /// Local memories read by the statement being lowered.
     local_reads: Vec<LocalMemId>,
 }
 
@@ -370,7 +494,6 @@ impl Lowering<'_> {
 
     fn stmt(&mut self, s: &Stmt) -> StmtCode {
         self.stmt_gen += 1;
-        self.ops = OpCounts::default();
         self.local_reads.clear();
         let first = self.insts.len() as u32;
         // Operands in the walker's evaluation order; child blocks are
@@ -469,7 +592,7 @@ impl Lowering<'_> {
             },
         };
         let code = (first, self.insts.len() as u32);
-        let ops = self.ops;
+        let ops = self.counter.stmt(s);
         match (&mut kind, s) {
             (StmtKind::For { body: b, .. }, Stmt::For { body, .. })
             | (StmtKind::Critical { body: b }, Stmt::Critical { body }) => *b = self.block(body),
@@ -562,7 +685,6 @@ impl Lowering<'_> {
             return self.node_reg[slot].expect("evaluated node has registers");
         }
         let ty = self.ty(id);
-        let lanes = ty.lanes as u64;
         let k = self.k;
         let r = match k.expr(id) {
             Expr::Const(v) => match self.node_reg[slot] {
@@ -588,11 +710,6 @@ impl Lowering<'_> {
             Expr::Unary(op, a) => {
                 let ra = self.expr(*a);
                 let st = self.ty(*a).scalar;
-                if st.is_float() {
-                    self.ops.flops += lanes;
-                } else {
-                    self.ops.int_ops += lanes;
-                }
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
                     let unop = match st {
@@ -609,11 +726,6 @@ impl Lowering<'_> {
                 let ra = self.expr(*a);
                 let rb = self.expr(*b);
                 let (ta, tb) = (self.ty(*a).scalar, self.ty(*b).scalar);
-                if op.is_comparison() || !ta.is_float() {
-                    self.ops.int_ops += lanes;
-                } else {
-                    self.ops.flops += lanes;
-                }
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
                     self.binop(*op, d + l, ta, ra + l, tb, rb + l);
@@ -630,7 +742,6 @@ impl Lowering<'_> {
                 let rc = self.expr(*cond);
                 let rt = self.expr(*then_v);
                 let re = self.expr(*else_v);
-                self.ops.int_ops += lanes;
                 let c = self.truth(self.ty(*cond).scalar, rc);
                 let d = self.node_reg(id);
                 for l in 0..ty.lanes as Reg {
@@ -640,7 +751,6 @@ impl Lowering<'_> {
             }
             Expr::Cast(to, a) => {
                 let ra = self.expr(*a);
-                self.ops.int_ops += 1;
                 let from = self.ty(*a).scalar;
                 // A cast's value lives in a fresh temporary per statement,
                 // or aliases the operand when the cast preserves the value.
@@ -659,7 +769,6 @@ impl Lowering<'_> {
             }
             Expr::LoadExt { buf, index, ty } => {
                 let idx = self.index(*index);
-                self.ops.ext_loads += 1;
                 let d = self.node_reg(id);
                 self.emit(Inst::LoadExt {
                     buf: *buf,
@@ -672,7 +781,6 @@ impl Lowering<'_> {
             }
             Expr::LoadLocal { mem, index, ty } => {
                 let idx = self.index(*index);
-                self.ops.local_loads += 1;
                 let first_read = !self.local_reads.contains(mem);
                 if first_read {
                     self.local_reads.push(*mem);

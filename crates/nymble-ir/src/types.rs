@@ -34,8 +34,7 @@ impl ScalarType {
         matches!(self, ScalarType::F32 | ScalarType::F64)
     }
 
-    /// The register bits of `v` converted to this type, as
-    /// [`Value::from_i64`] converts (wrapping to i32).
+    /// The register bits of `v` converted to this type (wrapping to i32).
     #[inline(always)]
     pub(crate) fn bits_from_i64(self, v: i64) -> u64 {
         match self {
@@ -143,15 +142,6 @@ impl Value {
         }
     }
 
-    /// Truthiness for conditions (non-zero).
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::F32(v) => *v != 0.0,
-            Value::F64(v) => *v != 0.0,
-            other => other.as_i64() != 0,
-        }
-    }
-
     /// The canonical zero of a type (used to initialise variables and local
     /// memories, matching BRAM initialisation on the FPGA).
     pub fn zero(ty: Type) -> Value {
@@ -165,26 +155,6 @@ impl Value {
             z
         } else {
             Value::Vec(vec![z; ty.lanes as usize].into_boxed_slice())
-        }
-    }
-
-    /// Construct a scalar value of type `ty` from an f64 (lossy for ints).
-    pub fn from_f64(ty: ScalarType, v: f64) -> Value {
-        match ty {
-            ScalarType::I32 => Value::I32(v as i32),
-            ScalarType::I64 => Value::I64(v as i64),
-            ScalarType::F32 => Value::F32(v as f32),
-            ScalarType::F64 => Value::F64(v),
-        }
-    }
-
-    /// Construct a scalar value of type `ty` from an i64 (wrapping for i32).
-    pub fn from_i64(ty: ScalarType, v: i64) -> Value {
-        match ty {
-            ScalarType::I32 => Value::I32(v as i32),
-            ScalarType::I64 => Value::I64(v),
-            ScalarType::F32 => Value::F32(v as f32),
-            ScalarType::F64 => Value::F64(v as f64),
         }
     }
 
@@ -208,17 +178,6 @@ impl Value {
             ScalarType::I64 => Value::I64(bits as i64),
             ScalarType::F32 => Value::F32(f32::from_bits(bits as u32)),
             ScalarType::F64 => Value::F64(f64::from_bits(bits)),
-        }
-    }
-
-    /// Lane access; a scalar is its own lane 0.
-    pub fn lane(&self, i: usize) -> &Value {
-        match self {
-            Value::Vec(v) => &v[i],
-            s => {
-                assert_eq!(i, 0, "lane {i} of scalar");
-                s
-            }
         }
     }
 }
@@ -246,18 +205,14 @@ mod tests {
     fn zero_values() {
         assert_eq!(Value::zero(Type::F32), Value::F32(0.0));
         let vz = Value::zero(Type::vector(ScalarType::I32, 3));
-        assert_eq!(vz.ty(), Type::vector(ScalarType::I32, 3));
-        assert_eq!(vz.lane(2), &Value::I32(0));
+        assert_eq!(vz, Value::Vec(vec![Value::I32(0); 3].into_boxed_slice()));
     }
 
     #[test]
     fn conversions() {
         assert_eq!(Value::I32(7).as_i64(), 7);
         assert_eq!(Value::F32(2.5).as_f64(), 2.5);
-        assert!(Value::I64(1).as_bool());
-        assert!(!Value::F64(0.0).as_bool());
-        assert_eq!(Value::from_i64(ScalarType::I32, 300), Value::I32(300));
-        assert_eq!(Value::from_f64(ScalarType::F64, 0.5), Value::F64(0.5));
+        assert_eq!(Value::F64(-2.5).as_i64(), -2);
     }
 
     #[test]
@@ -285,6 +240,5 @@ mod tests {
     fn value_type_roundtrip() {
         let v = Value::Vec(vec![Value::F32(1.0), Value::F32(2.0)].into_boxed_slice());
         assert_eq!(v.ty(), Type::vector(ScalarType::F32, 2));
-        assert_eq!(v.lane(1), &Value::F32(2.0));
     }
 }

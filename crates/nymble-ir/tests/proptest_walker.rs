@@ -208,7 +208,8 @@ fn vector_load_equals_scalar_loads() {
 // ----- random typed expression DAGs against an independent oracle -------
 
 use nymble_ir::interp::DynAccess;
-use nymble_ir::tape::OpCounts;
+use nymble_ir::tape::{eval_int, IntLeaf, OpCounts};
+use nymble_ir::validate::infer_types;
 use nymble_ir::{ArgId, ExprId, UnOp, VarId};
 
 const SCALARS: [ScalarType; 4] = [
@@ -506,8 +507,11 @@ fn edge_scalar(g: &mut Rng, t: ScalarType) -> S {
     }
 }
 
-fn leaf(g: &mut Rng) -> (N, Type) {
-    let t = *g.pick(&SCALARS);
+/// A random leaf of one of `scalars`' types (the local memory and vector
+/// loads are f32).
+fn leaf(g: &mut Rng, scalars: &[ScalarType]) -> (N, Type) {
+    let t = *g.pick(scalars);
+    let f32s = scalars.contains(&ScalarType::F32);
     match g.range_u32(0, 7) {
         0 | 1 => (N::Const(edge_scalar(g, t)), Type::scalar(t)),
         2 => (N::Arg(t), Type::scalar(t)),
@@ -526,10 +530,11 @@ fn leaf(g: &mut Rng) -> (N, Type) {
                 (N::Load(t, 1, g.range_u64(0, IN_LEN)), Type::scalar(t))
             }
         }
-        _ => (
+        _ if f32s => (
             N::Load(ScalarType::F32, 4, g.range_u64(0, IN_LEN - 3)),
             Type::vector(ScalarType::F32, 4),
         ),
+        _ => (N::Load(t, 1, g.range_u64(0, IN_LEN)), Type::scalar(t)),
     }
 }
 
@@ -561,7 +566,8 @@ fn is_leaf(n: &N) -> bool {
     )
 }
 
-fn arb_dag(g: &mut Rng) -> Dag {
+/// A random DAG whose leaves, casts and select arms take `scalars`' types.
+fn arb_dag(g: &mut Rng, scalars: &[ScalarType]) -> Dag {
     let mut nodes: Vec<(N, Type)> = Vec::new();
     let size = g.range_usize(4, 24);
     while nodes.len() < size {
@@ -606,7 +612,7 @@ fn arb_dag(g: &mut Rng) -> Dag {
             5 => pick_node(g, &nodes, |_, t| t.lanes == 1).and_then(|c| {
                 if g.chance(1, 3) {
                     // Two fresh loads as arms: both are issued, in order.
-                    let t = *g.pick(&SCALARS);
+                    let t = *g.pick(scalars);
                     for _ in 0..2 {
                         let idx = g.range_u64(0, IN_LEN);
                         nodes.push((N::Load(t, 1, idx), Type::scalar(t)));
@@ -620,7 +626,7 @@ fn arb_dag(g: &mut Rng) -> Dag {
                 })
             }),
             6 => {
-                let to = *g.pick(&SCALARS);
+                let to = *g.pick(scalars);
                 pick_node(g, &nodes, |_, t| t.lanes == 1)
                     .map(|a| (N::Cast(to, a), Type::scalar(to)))
             }
@@ -632,7 +638,7 @@ fn arb_dag(g: &mut Rng) -> Dag {
             _ => pick_node(g, &nodes, |_, t| t.lanes == 1)
                 .map(|a| (N::Splat(a), Type::vector(nodes[a].1.scalar, 4))),
         };
-        nodes.push(made.unwrap_or_else(|| leaf(g)));
+        nodes.push(made.unwrap_or_else(|| leaf(g, scalars)));
     }
     let n_roots = g.range_usize(1, 4);
     let roots = (0..n_roots)
@@ -663,6 +669,8 @@ struct Layout {
     scalar_args: [ArgId; 4],
     inputs: [ArgId; 4],
     outputs: [ArgId; 4],
+    /// The expression of every DAG node.
+    nodes: Vec<ExprId>,
 }
 
 /// Build the kernel executing root statements `which` (plus the var
@@ -729,6 +737,7 @@ fn build_dag_kernel(d: &Dag, which: &[usize]) -> (nymble_ir::Kernel, Layout) {
             scalar_args,
             inputs,
             outputs,
+            nodes: ids,
         },
     )
 }
@@ -854,7 +863,7 @@ fn launch(d: &Dag, l: &Layout, n_args: usize) -> Vec<LaunchArg> {
 #[test]
 fn typed_dags_match_oracle_values_accesses_and_ops() {
     forall(256, |g| {
-        let d = arb_dag(g);
+        let d = arb_dag(g, &SCALARS);
         let all: Vec<usize> = (0..d.roots.len()).collect();
         let expects: Vec<Expect> = all.iter().map(|&r| oracle(&d, r)).collect();
 
@@ -930,4 +939,107 @@ fn i64_to_f32_rounds_through_f64() {
     let want = Value::F32(x as f64 as f32);
     assert_eq!(r.buffers[0].get(0), Some(want.clone()));
     assert_eq!(r.buffers[0].get(1), Some(want));
+}
+
+/// The tape's value of every integer scalar root of `d`, and the static
+/// walker's evaluation of the same node with the leaves the launch binds.
+fn eval_int_against_tape(d: &Dag) -> Vec<(usize, Option<i64>, i64)> {
+    let all: Vec<usize> = (0..d.roots.len()).collect();
+    let (k, l) = build_dag_kernel(d, &all);
+    let res = Interpreter::run(&k, &launch(d, &l, k.args.len()));
+    let types = infer_types(&k).unwrap();
+    // Vars 0..4 are the DAG's vars, declared first in `SCALARS` order.
+    let leaf = |leaf: IntLeaf| match leaf {
+        IntLeaf::Var(v) => d.var_init.get(v.0 as usize).map(|s| s.i()),
+        IntLeaf::Arg(a) => Some(d.args[l.scalar_args.iter().position(|&x| x == a)?].i()),
+        IntLeaf::ThreadId => Some(0),
+        IntLeaf::Load { buf, index } => {
+            let slot = l.inputs.iter().position(|&x| x == buf)?;
+            Some(d.inputs[slot].get(usize::try_from(index).ok()?)?.i())
+        }
+    };
+    d.roots
+        .iter()
+        .enumerate()
+        .map(|(r, &(node, _))| {
+            let out = &res.buffers[l.outputs[slot_of(d.nodes[node].1.scalar)].0 as usize];
+            let tape = out.get((r as u64 * SLOT) as usize).unwrap().as_i64();
+            (node, eval_int(&k, &types, l.nodes[node], &leaf), tape)
+        })
+        .collect()
+}
+
+/// Integer bound expressions: random integer DAGs (edge constants bring
+/// i32 overflow in `Binary`, shifts by 32 and more, division by zero and
+/// casts) with every integer scalar node stored as a root. Wherever
+/// `eval_int` resolves a node, it has the tape's value.
+#[test]
+fn eval_int_matches_the_tape_on_integer_dags() {
+    let resolved = std::cell::Cell::new(0u32);
+    forall(256, |g| {
+        let mut d = arb_dag(g, &[ScalarType::I32, ScalarType::I64]);
+        d.roots = (0..d.nodes.len())
+            .filter(|&i| d.nodes[i].1.lanes == 1)
+            .map(|i| (i, false))
+            .collect();
+        for (node, eval, tape) in eval_int_against_tape(&d) {
+            if let Some(v) = eval {
+                assert_eq!(v, tape, "node {node}\n{:?}", d.nodes);
+                resolved.set(resolved.get() + 1);
+            }
+        }
+    });
+    // Everything but vector nodes resolves; a DAG has up to 24 nodes.
+    assert!(resolved.get() > 1000, "{} nodes resolved", resolved.get());
+}
+
+/// The cases the random DAGs reach only by chance, one each.
+#[test]
+fn eval_int_matches_the_tape_on_edge_cases() {
+    let c32 = |v: i32| (N::Const(S::I32(v)), Type::I32);
+    let c64 = |v: i64| (N::Const(S::I64(v)), Type::I64);
+    let nodes = vec![
+        c32(i32::MAX),
+        c32(1),
+        c32(33),
+        c32(0),
+        c64(4_294_967_300),
+        (N::Bin(BinOp::Add, 0, 1), Type::I32),
+        (N::Bin(BinOp::Shl, 1, 2), Type::I32),
+        (N::Bin(BinOp::Shr, 0, 2), Type::I32),
+        (N::Bin(BinOp::Div, 0, 3), Type::I32),
+        (N::Bin(BinOp::Rem, 0, 3), Type::I32),
+        (N::Cast(ScalarType::I32, 4), Type::I32),
+        (N::Cast(ScalarType::I64, 5), Type::I64),
+        (N::Bin(BinOp::Mul, 0, 0), Type::I32),
+    ];
+    let zero = |t: ScalarType| match t {
+        ScalarType::I32 => S::I32(0),
+        ScalarType::I64 => S::I64(0),
+        ScalarType::F32 => S::F32(0.0),
+        ScalarType::F64 => S::F64(0.0),
+    };
+    let d = Dag {
+        roots: (5..nodes.len()).map(|i| (i, false)).collect(),
+        nodes,
+        args: SCALARS.map(zero),
+        var_init: SCALARS.map(zero),
+        inputs: SCALARS.map(|t| vec![zero(t); IN_LEN as usize]),
+    };
+    let want = [
+        i32::MIN as i64, // i32::MAX + 1 wraps
+        0,               // 1 << 33 shifts out of 32 bits
+        0,               // i32::MAX >> 33
+        0,               // x / 0
+        0,               // x % 0
+        4,               // (i32) 4_294_967_300
+        i32::MIN as i64, // (i64) of the wrapped sum
+        1,               // i32::MAX * i32::MAX wraps
+    ];
+    let got: Vec<(Option<i64>, i64)> = eval_int_against_tape(&d)
+        .into_iter()
+        .map(|(_, eval, tape)| (eval, tape))
+        .collect();
+    let want: Vec<(Option<i64>, i64)> = want.iter().map(|&v| (Some(v), v)).collect();
+    assert_eq!(got, want);
 }

@@ -12,6 +12,7 @@ use crate::diag::{Code, Diagnostic, PredMetric};
 use nymble_hls::deps;
 use nymble_hls::perf::{ext_accesses, model, pipeline_eligible, ThreadEval, Timing};
 use nymble_ir::stmt::Unroll;
+use nymble_ir::validate::infer_types;
 use nymble_ir::{Expr, ExprId, Kernel, Stmt, VarId};
 
 /// A finding located by pre-order statement index, priced later against
@@ -54,11 +55,14 @@ pub(crate) fn run_perf_checks(k: &Kernel, p: &Timing) -> Vec<Diagnostic> {
     let mut mem_read = vec![false; k.local_mems.len()];
     let mut mem_written = vec![false; k.local_mems.len()];
     mark_local_usage(k, &k.body, &mut mem_read, &mut mem_written);
+    let types = infer_types(k).expect("perf-linting a kernel that fails validation");
     let mut f = Finder {
         k,
         line: p.dram_line_bytes as u64,
         nt,
-        threads: (0..nt).map(|t| ThreadEval::new(k, t as i64)).collect(),
+        threads: (0..nt)
+            .map(|t| ThreadEval::new(k, &types, t as i64, &[], None))
+            .collect(),
         stmt_idx: 0,
         pending: Vec::new(),
         first_top_barrier: None,
@@ -137,42 +141,18 @@ fn mark_local_usage(k: &Kernel, block: &[Stmt], read: &mut [bool], written: &mut
         }
     }
     for s in block {
-        match s {
-            Stmt::Assign { expr, .. } => expr_reads(k, *expr, read),
-            Stmt::StoreExt { index, value, .. } => {
-                expr_reads(k, *index, read);
-                expr_reads(k, *value, read);
+        // DMA endpoints themselves don't count as compute usage: that is
+        // exactly what NP003 is probing.
+        if !matches!(s, Stmt::Preload { .. } | Stmt::WriteBack { .. }) {
+            for e in s.operands() {
+                expr_reads(k, e, read);
             }
-            Stmt::StoreLocal { mem, index, value } => {
-                written[mem.0 as usize] = true;
-                expr_reads(k, *index, read);
-                expr_reads(k, *value, read);
-            }
-            Stmt::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                expr_reads(k, *cond, read);
-                mark_local_usage(k, then_b, read, written);
-                mark_local_usage(k, else_b, read, written);
-            }
-            Stmt::For {
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                for e in [start, end, step] {
-                    expr_reads(k, *e, read);
-                }
-                mark_local_usage(k, body, read, written);
-            }
-            Stmt::Critical { body } => mark_local_usage(k, body, read, written),
-            // DMA endpoints themselves don't count as compute usage: that
-            // is exactly what NP003 is probing.
-            Stmt::Barrier | Stmt::Preload { .. } | Stmt::WriteBack { .. } => {}
+        }
+        if let Stmt::StoreLocal { mem, .. } = s {
+            written[mem.0 as usize] = true;
+        }
+        for b in s.child_blocks() {
+            mark_local_usage(k, b, read, written);
         }
     }
 }

@@ -134,30 +134,46 @@ fn run(args: &[String], out: &mut impl Write) -> std::io::Result<ExitCode> {
         Some("validate") if args.len() >= 2 => {
             let (meta, records) = load(&args[1]);
             let mut failures = 0;
-            // State intervals per thread tile [0, duration)?
-            for t in 0..meta.num_threads {
-                let mut iv: Vec<(u64, u64)> = records
-                    .iter()
-                    .filter_map(|r| match r {
-                        paraver::Record::State {
-                            thread, begin, end, ..
-                        } if thread == t => Some((begin, end)),
-                        _ => None,
-                    })
-                    .collect();
-                iv.sort_unstable();
-                if iv.is_empty() {
-                    writeln!(out, "  WARN: thread {t} has no state records")?;
-                    continue;
-                }
-                if iv[0].0 != 0 || iv.last().unwrap().1 != meta.duration {
+            // State intervals per thread tile [0, duration)? One pass
+            // groups them; a header may claim far more threads than the
+            // records name.
+            let mut iv: Vec<(u32, u64, u64)> = records
+                .iter()
+                .filter_map(|r| match r {
+                    paraver::Record::State {
+                        thread, begin, end, ..
+                    } if thread < meta.num_threads => Some((thread, begin, end)),
+                    _ => None,
+                })
+                .collect();
+            iv.sort_unstable();
+            let mut with_states = Vec::new();
+            for run in iv.chunk_by(|a, b| a.0 == b.0) {
+                let t = run[0].0;
+                with_states.push(t);
+                if run[0].1 != 0 || run[run.len() - 1].2 != meta.duration {
                     writeln!(out, "  FAIL: thread {t} timeline does not span the run")?;
                     failures += 1;
                 }
-                if iv.windows(2).any(|w| w[0].1 != w[1].0) {
+                if run.windows(2).any(|w| w[0].2 != w[1].1) {
                     writeln!(out, "  FAIL: thread {t} has gaps/overlaps")?;
                     failures += 1;
                 }
+            }
+            let missing = meta.num_threads as usize - with_states.len();
+            if missing > 0 {
+                let first: Vec<String> = (0..meta.num_threads)
+                    .filter(|t| with_states.binary_search(t).is_err())
+                    .take(5)
+                    .map(|t| t.to_string())
+                    .collect();
+                let more = if missing > first.len() { ", ..." } else { "" };
+                writeln!(
+                    out,
+                    "  WARN: {missing} of {} threads have no state records (threads {}{more})",
+                    meta.num_threads,
+                    first.join(", ")
+                )?;
             }
             match find_critical_overlap(&records, states::CRITICAL) {
                 None => writeln!(out, "  ok: no overlapping critical sections")?,

@@ -105,3 +105,39 @@ fn closed_stdout_exits_0_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
     }
 }
+
+/// A header claiming 4e9 threads, two of which have records: `validate`
+/// groups the records by thread once instead of scanning them per header
+/// thread, reports the first thread's short timeline (exit 1) and the
+/// threads without records as one line. Killed, and failed, after 10 s.
+#[test]
+fn validate_of_a_huge_thread_count_finishes() {
+    let path = write_trace(
+        "huge",
+        "#Paraver (d):100:1(2):1:1(4000000000:1)\n1:1:1:1:1:0:60:1\n1:1:1:1:4000000000:0:100:2\n",
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_prv_tool"))
+        .args(["validate", path.to_str().unwrap()])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn prv_tool");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`prv_tool validate` ran past 10 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("collect output");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout,
+        "  FAIL: thread 0 timeline does not span the run\n  \
+         WARN: 3999999998 of 4000000000 threads have no state records \
+         (threads 1, 2, 3, 4, 5, ...)\n  \
+         ok: no overlapping critical sections\n"
+    );
+}
