@@ -7,7 +7,7 @@ use crate::probe::{self, ProbeCostParams, ProbeMode, ProbePlan};
 use crate::region::RegionTree;
 use crate::schedule::{schedule, LoopSchedule, ResourceLimits};
 use nymble_ir::loops::{LoopId, LoopMap};
-use nymble_ir::stmt::{Block, Stmt};
+use nymble_ir::stmt::{Stmt, Unroll};
 use nymble_ir::validate::infer_types;
 use nymble_ir::Kernel;
 use std::convert::Infallible;
@@ -92,40 +92,23 @@ impl Accelerator {
     }
 }
 
-/// Collect `(LoopId, &Block)` for every loop (unrolled ones included; the
-/// caller skips them when scheduling).
-fn collect_loop_bodies<'k>(lm: &LoopMap, block: &'k Block, out: &mut Vec<(LoopId, &'k Block)>) {
-    for s in block {
-        match s {
-            Stmt::For { body, .. } => {
-                out.push((lm.id_of(s), body));
-                collect_loop_bodies(lm, body, out);
-            }
-            Stmt::Critical { body } => collect_loop_bodies(lm, body, out),
-            Stmt::If { then_b, else_b, .. } => {
-                collect_loop_bodies(lm, then_b, out);
-                collect_loop_bodies(lm, else_b, out);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Compile a kernel into an accelerator description. Static analysis
 /// (`nymble-lint`) is the caller's gate: run it before compiling.
 pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
     let types = infer_types(kernel).expect("compiling a kernel that fails validation");
     let lm = LoopMap::build(kernel);
-    let mut bodies = Vec::new();
-    collect_loop_bodies(&lm, &kernel.body, &mut bodies);
-
     let mut loop_schedules: Vec<Option<LoopSchedule>> = vec![None; lm.len()];
     let mut loop_dfgs: Vec<Option<Dfg>> = vec![None; lm.len()];
     let mut loop_pipelined = vec![false; lm.len()];
-    for (id, body) in bodies {
-        if lm.info(id).unrolled {
-            continue;
-        }
+    for (id, stmt) in lm.iter() {
+        let Stmt::For {
+            body,
+            unroll: Unroll::None,
+            ..
+        } = stmt
+        else {
+            continue; // unrolled: inlined into its parent's schedule
+        };
         loop_pipelined[id.0 as usize] = pipeline_eligible(body);
         let dfg = lower_block(kernel, &types, body);
         let sched = schedule(&dfg, &config.limits);

@@ -11,7 +11,7 @@
 //! of `nymble-lint`.
 
 use crate::op::{classify_binop, classify_unop, OpClass};
-use nymble_ir::{Expr, ExprId, Kernel, ScalarType, Stmt, VarId};
+use nymble_ir::{Expr, ExprId, Kernel, ScalarType, Stmt, Type, VarId};
 use std::collections::HashMap;
 
 /// Scheduler latency of an operator class, in the walker's units.
@@ -19,47 +19,21 @@ fn latency(class: OpClass) -> u64 {
     u64::from(class.latency())
 }
 
-/// Is the expression's value floating point? Comparisons are integer.
-fn expr_float(k: &Kernel, e: ExprId) -> bool {
-    match k.expr(e) {
-        Expr::Const(v) => v.ty().scalar.is_float(),
-        Expr::Arg(a) => match k.arg(*a).kind {
-            nymble_ir::ArgKind::Scalar(st) => st.is_float(),
-            nymble_ir::ArgKind::Buffer { elem, .. } => elem.is_float(),
-        },
-        Expr::ThreadId | Expr::NumThreads => false,
-        Expr::Var(v) => k.var(*v).ty.scalar.is_float(),
-        Expr::Unary(_, a) => expr_float(k, *a),
-        Expr::Binary(op, a, b) => {
-            if op.is_comparison() {
-                false
-            } else {
-                expr_float(k, *a) || expr_float(k, *b)
-            }
-        }
-        Expr::Select { then_v, else_v, .. } => expr_float(k, *then_v) || expr_float(k, *else_v),
-        Expr::Cast(ty, _) => ty.is_float(),
-        Expr::LoadExt { ty, .. } | Expr::LoadLocal { ty, .. } => ty.scalar.is_float(),
-        Expr::Lane(a, _) | Expr::Splat(a, _) => expr_float(k, *a),
-    }
-}
-
 /// Latency contributed by the operator at expression node `e` itself
 /// (its output delay relative to its inputs); leaves cost 0. Operators are
-/// classified the way the DFG lowering does (float vs integer operands).
-fn node_latency(k: &Kernel, e: ExprId) -> u64 {
-    let operand = |float: bool| {
-        if float {
+/// classified as the DFG lowering does: by the static type of the (left)
+/// operand in `types` ([`nymble_ir::validate::infer_types`]).
+fn node_latency(k: &Kernel, types: &[Type], e: ExprId) -> u64 {
+    let operand = |a: &ExprId| {
+        if types[a.0 as usize].scalar.is_float() {
             ScalarType::F32
         } else {
             ScalarType::I64
         }
     };
     latency(match k.expr(e) {
-        Expr::Unary(op, a) => classify_unop(*op, operand(expr_float(k, *a))),
-        Expr::Binary(op, a, b) => {
-            classify_binop(*op, operand(expr_float(k, *a) || expr_float(k, *b)))
-        }
+        Expr::Unary(op, a) => classify_unop(*op, operand(a)),
+        Expr::Binary(op, a, _) => classify_binop(*op, operand(a)),
         Expr::Cast(..) => OpClass::Cast,
         Expr::Select { .. } => OpClass::IntAlu,
         Expr::LoadExt { .. } => OpClass::ExtLoad,
@@ -70,31 +44,34 @@ fn node_latency(k: &Kernel, e: ExprId) -> u64 {
 
 /// Total operator latency of the whole expression tree (an upper bound on
 /// the critical path; used for pipeline depth estimates).
-fn expr_chain_latency(k: &Kernel, e: ExprId) -> u64 {
+fn expr_chain_latency(k: &Kernel, types: &[Type], e: ExprId) -> u64 {
     let children = k.expr(e).children();
     let deepest = children
         .into_iter()
-        .map(|c| expr_chain_latency(k, c))
+        .map(|c| expr_chain_latency(k, types, c))
         .max()
         .unwrap_or(0);
-    deepest + node_latency(k, e)
+    deepest + node_latency(k, types, e)
 }
 
 /// Crude pipeline-depth estimate: the summed operator-chain latency of the
 /// body's statements (an upper bound; negligible against `(trip−1)·II`).
-pub(crate) fn body_depth(k: &Kernel, body: &[Stmt]) -> u64 {
+pub(crate) fn body_depth(k: &Kernel, types: &[Type], body: &[Stmt]) -> u64 {
     body.iter()
         .map(|s| match s {
-            Stmt::Assign { expr, .. } => expr_chain_latency(k, *expr),
+            Stmt::Assign { expr, .. } => expr_chain_latency(k, types, *expr),
             Stmt::StoreExt { index, value, .. } | Stmt::StoreLocal { index, value, .. } => {
-                expr_chain_latency(k, *index).max(expr_chain_latency(k, *value)) + 1
+                expr_chain_latency(k, types, *index).max(expr_chain_latency(k, types, *value)) + 1
             }
             Stmt::If {
                 cond,
                 then_b,
                 else_b,
-            } => expr_chain_latency(k, *cond) + body_depth(k, then_b).max(body_depth(k, else_b)),
-            Stmt::For { body, .. } => body_depth(k, body),
+            } => {
+                expr_chain_latency(k, types, *cond)
+                    + body_depth(k, types, then_b).max(body_depth(k, types, else_b))
+            }
+            Stmt::For { body, .. } => body_depth(k, types, body),
             _ => 0,
         })
         .sum()
@@ -116,16 +93,21 @@ pub struct Recurrence {
 /// when evaluating `e` reads (directly or transitively) a variable whose
 /// entry in `dist` is `Some`, where `d` includes the operators between
 /// the carried read and `e`'s output.
-fn expr_dist(k: &Kernel, e: ExprId, dist: &HashMap<VarId, Option<u64>>) -> Option<u64> {
+fn expr_dist(
+    k: &Kernel,
+    types: &[Type],
+    e: ExprId,
+    dist: &HashMap<VarId, Option<u64>>,
+) -> Option<u64> {
     match k.expr(e) {
         Expr::Var(v) => dist.get(v).copied().flatten(),
         Expr::Const(_) | Expr::Arg(_) | Expr::ThreadId | Expr::NumThreads => None,
         other => {
             let through = other
                 .children()
-                .filter_map(|c| expr_dist(k, c, dist))
+                .filter_map(|c| expr_dist(k, types, c, dist))
                 .max()?;
-            Some(through + node_latency(k, e))
+            Some(through + node_latency(k, types, e))
         }
     }
 }
@@ -183,6 +165,7 @@ fn same_expr(k: &Kernel, a: ExprId, b: ExprId) -> bool {
 /// load) to the root of `root`'s tree, `None` if unreachable.
 fn path_latency_from_load(
     k: &Kernel,
+    types: &[Type],
     root: ExprId,
     is_needle: &impl Fn(&Kernel, ExprId) -> bool,
 ) -> Option<u64> {
@@ -192,9 +175,9 @@ fn path_latency_from_load(
     let through = k
         .expr(root)
         .children()
-        .filter_map(|c| path_latency_from_load(k, c, is_needle))
+        .filter_map(|c| path_latency_from_load(k, types, c, is_needle))
         .max()?;
-    Some(through + node_latency(k, root))
+    Some(through + node_latency(k, types, root))
 }
 
 /// Collect the variables assigned anywhere in a (flattened) loop body.
@@ -215,11 +198,11 @@ fn assigned_vars(body: &[Stmt], out: &mut Vec<VarId>) {
 /// Run one ordered pass over the body tracking each variable's latency
 /// distance from `target`'s carried value. An assignment *overwrites* the
 /// distance (a kill when the value no longer depends on the carry).
-fn carry_pass(k: &Kernel, body: &[Stmt], dist: &mut HashMap<VarId, Option<u64>>) {
+fn carry_pass(k: &Kernel, types: &[Type], body: &[Stmt], dist: &mut HashMap<VarId, Option<u64>>) {
     for s in body {
         match s {
             Stmt::Assign { var, expr } => {
-                let d = expr_dist(k, *expr, dist);
+                let d = expr_dist(k, types, *expr, dist);
                 dist.insert(*var, d);
             }
             Stmt::If { then_b, else_b, .. } => {
@@ -227,8 +210,8 @@ fn carry_pass(k: &Kernel, body: &[Stmt], dist: &mut HashMap<VarId, Option<u64>>)
                 // keeping the longest surviving carry distance.
                 let mut dt = dist.clone();
                 let mut de = dist.clone();
-                carry_pass(k, then_b, &mut dt);
-                carry_pass(k, else_b, &mut de);
+                carry_pass(k, types, then_b, &mut dt);
+                carry_pass(k, types, else_b, &mut de);
                 let keys: Vec<VarId> = dist
                     .keys()
                     .chain(dt.keys())
@@ -256,8 +239,10 @@ fn carry_pass(k: &Kernel, body: &[Stmt], dist: &mut HashMap<VarId, Option<u64>>)
 /// Detect loop-carried dependences in `body` (the body of a candidate
 /// pipelined loop): register recurrences (`acc = f(acc, …)`, possibly via
 /// intermediate variables) and memory recurrences (a store whose value
-/// reads the same element it overwrites).
-pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
+/// reads the same element it overwrites). `types` are the kernel's static
+/// expression types ([`nymble_ir::validate::infer_types`]), which classify
+/// each operator as the DFG lowering does.
+pub fn body_recurrences(k: &Kernel, types: &[Type], body: &[Stmt]) -> Vec<Recurrence> {
     let mut out = Vec::new();
 
     // Register recurrences: seed the target's distance at 0, run the body
@@ -268,7 +253,7 @@ pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
     for v in targets {
         let mut dist: HashMap<VarId, Option<u64>> = HashMap::new();
         dist.insert(v, Some(0));
-        carry_pass(k, body, &mut dist);
+        carry_pass(k, types, body, &mut dist);
         if let Some(Some(lat)) = dist.get(&v) {
             if *lat >= 1 {
                 out.push(Recurrence {
@@ -283,7 +268,7 @@ pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
     // Memory recurrences: a store whose stored value loads the same
     // element of the same memory. The carried path runs load → operators
     // → store, so its latency includes both memory endpoints.
-    fn scan_stores(k: &Kernel, body: &[Stmt], out: &mut Vec<Recurrence>) {
+    fn scan_stores(k: &Kernel, types: &[Type], body: &[Stmt], out: &mut Vec<Recurrence>) {
         for s in body {
             match s {
                 Stmt::StoreLocal { mem, index, value } => {
@@ -291,7 +276,7 @@ pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
                         matches!(k.expr(e), Expr::LoadLocal { mem: m, index: i, .. }
                             if m == mem && same_expr(k, *i, *index))
                     };
-                    if let Some(p) = path_latency_from_load(k, *value, &needle) {
+                    if let Some(p) = path_latency_from_load(k, types, *value, &needle) {
                         out.push(Recurrence {
                             name: k.local_mem(*mem).name.clone(),
                             latency: latency(OpClass::LocalLoad) + p + latency(OpClass::LocalStore),
@@ -304,7 +289,7 @@ pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
                         matches!(k.expr(e), Expr::LoadExt { buf: b, index: i, .. }
                             if b == buf && same_expr(k, *i, *index))
                     };
-                    if let Some(p) = path_latency_from_load(k, *value, &needle) {
+                    if let Some(p) = path_latency_from_load(k, types, *value, &needle) {
                         out.push(Recurrence {
                             name: k.arg(*buf).name.clone(),
                             latency: latency(OpClass::ExtLoad) + p + latency(OpClass::ExtStore),
@@ -313,21 +298,21 @@ pub fn body_recurrences(k: &Kernel, body: &[Stmt]) -> Vec<Recurrence> {
                     }
                 }
                 Stmt::If { then_b, else_b, .. } => {
-                    scan_stores(k, then_b, out);
-                    scan_stores(k, else_b, out);
+                    scan_stores(k, types, then_b, out);
+                    scan_stores(k, types, else_b, out);
                 }
                 _ => {}
             }
         }
     }
-    scan_stores(k, body, &mut out);
+    scan_stores(k, types, body, &mut out);
     out.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.name.cmp(&b.name)));
     out
 }
 
 /// Largest recurrence-implied II of a body (1 when no recurrence).
-pub(crate) fn recurrence_ii(k: &Kernel, body: &[Stmt]) -> u64 {
-    body_recurrences(k, body)
+pub(crate) fn recurrence_ii(k: &Kernel, types: &[Type], body: &[Stmt]) -> u64 {
+    body_recurrences(k, types, body)
         .first()
         .map(|r| r.latency)
         .unwrap_or(1)
@@ -337,7 +322,11 @@ pub(crate) fn recurrence_ii(k: &Kernel, body: &[Stmt]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nymble_ir::{KernelBuilder, MapDir, ScalarType, Type};
+    use nymble_ir::{KernelBuilder, MapDir};
+
+    fn types(k: &Kernel) -> Vec<Type> {
+        nymble_ir::validate::infer_types(k).expect("valid kernel")
+    }
 
     fn loop_body(k: &Kernel) -> &[Stmt] {
         match &k.body[..] {
@@ -362,7 +351,7 @@ mod tests {
             kb.set(acc, m);
         });
         let k = kb.finish();
-        let recs = body_recurrences(&k, loop_body(&k));
+        let recs = body_recurrences(&k, &types(&k), loop_body(&k));
         assert_eq!(recs.len(), 1, "{recs:?}");
         assert_eq!(recs[0].name, "acc");
         assert_eq!(
@@ -370,7 +359,7 @@ mod tests {
             latency(OpClass::FAdd) + latency(OpClass::FMul)
         );
         assert!(!recs[0].through_memory);
-        assert_eq!(recurrence_ii(&k, loop_body(&k)), 8);
+        assert_eq!(recurrence_ii(&k, &types(&k), loop_body(&k)), 8);
     }
 
     #[test]
@@ -388,8 +377,8 @@ mod tests {
             kb.store(c, i, cur);
         });
         let k = kb.finish();
-        assert!(body_recurrences(&k, loop_body(&k)).is_empty());
-        assert_eq!(recurrence_ii(&k, loop_body(&k)), 1);
+        assert!(body_recurrences(&k, &types(&k), loop_body(&k)).is_empty());
+        assert_eq!(recurrence_ii(&k, &types(&k), loop_body(&k)), 1);
     }
 
     #[test]
@@ -410,7 +399,7 @@ mod tests {
             kb.set(acc, m);
         });
         let k = kb.finish();
-        let recs = body_recurrences(&k, loop_body(&k));
+        let recs = body_recurrences(&k, &types(&k), loop_body(&k));
         let acc_rec = recs
             .iter()
             .find(|r| r.name == "acc")
@@ -434,7 +423,7 @@ mod tests {
             kb.store(h, i, inc);
         });
         let k = kb.finish();
-        let recs = body_recurrences(&k, loop_body(&k));
+        let recs = body_recurrences(&k, &types(&k), loop_body(&k));
         assert_eq!(recs.len(), 1, "{recs:?}");
         assert!(recs[0].through_memory);
         assert_eq!(

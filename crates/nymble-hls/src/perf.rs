@@ -24,6 +24,15 @@
 //! Both decide whether a loop pipelines with one rule,
 //! [`pipeline_eligible`]: the compiler records its answer per loop.
 //!
+//! None of a loop's static facts changes between two visits, so each walk
+//! derives them once, into one table indexed by
+//! [`LoopId`](nymble_ir::loops::LoopId) that the walkers of all threads
+//! share: the pipelined `(II, depth)` from the source (both sources fill
+//! the same entry), whether the induction variable steers a price, whether
+//! an inner loop's bounds come from memory, and a pipelined body's
+//! external accesses. A visit looks its loop up; only the source's restart
+//! term stays a per-walk switch.
+//!
 //! Sequential loops are priced as body × trip unless their iterations can
 //! cost differently. A loop of at most `EXACT_SEQ_TRIP` (16) iterations is
 //! walked iteration by iteration when its induction variable steers a
@@ -264,13 +273,7 @@ fn walk(
 ) -> Option<(PerfModel, HashMap<usize, RegionProfit>)> {
     t.validate().ok()?;
     let types = infer_types(kernel).ok()?;
-    let timer = match source {
-        LoopSource::Scheduled(accel) => Timer::Scheduled {
-            accel,
-            loops: LoopMap::build(kernel),
-        },
-        LoopSource::Symbolic => Timer::Symbolic,
-    };
+    let loops = LoopTable::build(kernel, &types, source, t);
     let nt = kernel.num_threads.max(1) as usize;
     let mut per_thread = Vec::with_capacity(nt);
     let mut contention = Vec::with_capacity(nt);
@@ -283,7 +286,7 @@ fn walk(
             ev: ThreadEval::new(kernel, &types, tid as i64, scalars, image),
             ops: OpCounter::new(kernel, &types),
             t,
-            timer: &timer,
+            loops: &loops,
             approx: vec![false; kernel.vars.len()],
             recorded: record.then(HashMap::new),
             scale: 1,
@@ -426,13 +429,80 @@ impl<'k> ThreadEval<'k> {
     }
 }
 
-/// A loop's timing source, resolved once per walk.
-enum Timer<'k> {
-    Scheduled {
-        accel: &'k Accelerator,
-        loops: LoopMap,
-    },
-    Symbolic,
+/// One loop's static facts: what the walker reads about a loop beyond its
+/// bounds, the same on every visit.
+#[derive(Default)]
+struct LoopFacts {
+    /// Pipelined `(ii, depth)`, or `None` when the loop runs sequentially.
+    pipelined: Option<(u64, u64)>,
+    /// A sequential loop's induction variable steers a price
+    /// ([`var_steers_cost`]).
+    steers: bool,
+    /// A sequential loop's body holds a loop whose bounds come from
+    /// external memory ([`has_mem_dependent_loop`]).
+    mem_bounds: bool,
+    /// A pipelined loop's external accesses ([`ext_accesses`]).
+    accesses: Vec<ExtAccess>,
+}
+
+/// Every loop's [`LoopFacts`], indexed by
+/// [`LoopId`](nymble_ir::loops::LoopId): derived once per
+/// walk from the [`LoopSource`] and shared by the walkers of all threads.
+/// Unrolled loops keep the default entry; they are priced as their body.
+struct LoopTable<'k> {
+    map: LoopMap<'k>,
+    facts: Vec<LoopFacts>,
+    /// Price restart contention: only the scheduled source does.
+    restart: bool,
+}
+
+impl<'k> LoopTable<'k> {
+    fn build(kernel: &'k Kernel, types: &[Type], source: LoopSource<'_>, t: &Timing) -> Self {
+        let map = LoopMap::build(kernel);
+        let facts = map
+            .iter()
+            .map(|(id, s)| {
+                let Stmt::For {
+                    var,
+                    body,
+                    unroll: Unroll::None,
+                    ..
+                } = s
+                else {
+                    return LoopFacts::default();
+                };
+                let pipelined = match source {
+                    LoopSource::Scheduled(accel) => accel.pipelined(id),
+                    LoopSource::Symbolic => pipeline_eligible(body).then(|| {
+                        (
+                            deps::recurrence_ii(kernel, types, body),
+                            deps::body_depth(kernel, types, body).max(t.assumed_load_latency),
+                        )
+                    }),
+                };
+                let sequential = pipelined.is_none();
+                LoopFacts {
+                    pipelined,
+                    steers: sequential && var_steers_cost(kernel, body, *var),
+                    mem_bounds: sequential && has_mem_dependent_loop(kernel, body),
+                    accesses: if sequential {
+                        Vec::new()
+                    } else {
+                        ext_accesses(kernel, body)
+                    },
+                }
+            })
+            .collect();
+        LoopTable {
+            map,
+            facts,
+            restart: matches!(source, LoopSource::Scheduled(_)),
+        }
+    }
+
+    fn facts(&self, s: &Stmt) -> &LoopFacts {
+        &self.facts[self.map.id_of(s).0 as usize]
+    }
 }
 
 /// Per-block static cost summary for one thread.
@@ -492,7 +562,7 @@ struct Walker<'k> {
     /// Prices each statement's operations as the tape counts them.
     ops: OpCounter<'k>,
     t: &'k Timing,
-    timer: &'k Timer<'k>,
+    loops: &'k LoopTable<'k>,
     /// Which bindings are first-iteration approximations (the loop's cost
     /// is body-at-iter-0 × trip) rather than exact per-iteration values.
     approx: Vec<bool>,
@@ -555,7 +625,7 @@ impl Walker<'_> {
                 ..Default::default()
             }),
             Stmt::StoreExt { value, .. } => {
-                let bytes = expr_bytes(self.ev.kernel, *value) as u64;
+                let bytes = self.ev.types[value.0 as usize].size_bytes() as u64;
                 Some(BlockCost {
                     cycles: self.seq_stmt_cycles(s),
                     dram_bytes: bytes.max(self.line() / 2),
@@ -656,21 +726,6 @@ impl Walker<'_> {
         }
     }
 
-    /// Pipelined `(ii, depth)` of a loop, or `None` when it runs
-    /// sequentially.
-    fn pipelined(&self, stmt: &Stmt, body: &[Stmt]) -> Option<(u64, u64)> {
-        match self.timer {
-            Timer::Scheduled { accel, loops } => accel.pipelined(loops.id_of(stmt)),
-            Timer::Symbolic => pipeline_eligible(body).then(|| {
-                let k = self.ev.kernel;
-                (
-                    deps::recurrence_ii(k, body),
-                    deps::body_depth(k, body).max(self.t.assumed_load_latency),
-                )
-            }),
-        }
-    }
-
     /// Cost of one non-unrolled loop with a statically known trip count.
     /// `(s0, st)` are the induction variable's start value and step.
     fn loop_cost(
@@ -683,9 +738,10 @@ impl Walker<'_> {
         if trip == 0 {
             return Some(BlockCost::default());
         }
-        if let Some((ii, depth)) = self.pipelined(stmt, body) {
+        let facts = self.loops.facts(stmt);
+        if let Some((ii, depth)) = facts.pipelined {
             // Traffic and roofline: bytes the loop moves per iteration.
-            let tr = self.iter_traffic(stmt, body);
+            let tr = self.iter_traffic(stmt, &facts.accesses);
             // Effective II: the channel serves all threads; a thread
             // cannot issue iterations faster than its share of the
             // bandwidth sustains its per-iteration line traffic.
@@ -696,9 +752,10 @@ impl Walker<'_> {
             // (`iter_stall` in the executor). `lat_iter` is that stall
             // amortized over iterations by each stream's miss frequency.
             let eff_ii = (ii + tr.lat_iter).max(mem_ii);
-            let restart = match self.timer {
-                Timer::Scheduled { .. } => self.restart_contention(trip, tr.indep_miss_freq),
-                Timer::Symbolic => 0,
+            let restart = if self.loops.restart {
+                self.restart_contention(trip, tr.indep_miss_freq)
+            } else {
+                0
             };
             return Some(BlockCost {
                 cycles: depth + restart + (trip - 1) * eff_ii,
@@ -715,11 +772,8 @@ impl Walker<'_> {
         let Stmt::For { var, .. } = stmt else {
             unreachable!("loop_cost on non-For")
         };
-        let k = self.ev.kernel;
-        let exact = (trip <= EXACT_SEQ_TRIP && var_steers_cost(k, body, *var))
-            || (self.ev.image.is_some()
-                && trip <= MAX_EXACT_WALK
-                && has_mem_dependent_loop(k, body));
+        let exact = (trip <= EXACT_SEQ_TRIP && facts.steers)
+            || (self.ev.image.is_some() && trip <= MAX_EXACT_WALK && facts.mem_bounds);
         if exact {
             // Walk every iteration with its true induction value, so
             // iteration-dependent branches and strides price exactly
@@ -796,7 +850,7 @@ impl Walker<'_> {
     /// posted, but a missing load makes the iteration wait the full round
     /// trip minus the assumed load latency already budgeted in the
     /// schedule.
-    fn iter_traffic(&mut self, stmt: &Stmt, body: &[Stmt]) -> IterTraffic {
+    fn iter_traffic(&mut self, stmt: &Stmt, accesses: &[ExtAccess]) -> IterTraffic {
         let line = self.line();
         let miss_stall = self.miss().saturating_sub(self.t.assumed_load_latency);
         let mut out = IterTraffic::default();
@@ -811,7 +865,7 @@ impl Walker<'_> {
         };
         let k = self.ev.kernel;
         let mut shared_miss_streams = 0u64;
-        for a in ext_accesses(k, body) {
+        for a in accesses {
             // Stride analysis: evaluate the index at iteration 0 and 1.
             let saved = self.ev.bind(*var, Some(s0));
             let i0 = self.ev.eval_i64(a.index);
@@ -1070,14 +1124,6 @@ pub fn ext_accesses(kernel: &Kernel, body: &[Stmt]) -> Vec<ExtAccess> {
     let mut out = Vec::new();
     walk_block(kernel, body, &mut out);
     out
-}
-
-/// Bytes moved by the value expression of an external store.
-fn expr_bytes(kernel: &Kernel, id: ExprId) -> u32 {
-    match kernel.expr(id) {
-        Expr::Const(v) => v.ty().size_bytes(),
-        _ => 4,
-    }
 }
 
 #[cfg(test)]

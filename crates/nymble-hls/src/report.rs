@@ -4,6 +4,7 @@
 use crate::accel::Accelerator;
 use crate::cost::FitReport;
 use nymble_ir::loops::{LoopId, LoopMap};
+use nymble_ir::stmt::{Stmt, Unroll};
 use nymble_ir::Kernel;
 use std::fmt::Write as _;
 
@@ -34,13 +35,13 @@ pub fn schedule_report(kernel: &Kernel, acc: &Accelerator) -> String {
         "  {:<12} {:>5} {:>6} {:>7} {:>7} {:>6} {:>6} {:>6}",
         "loop", "depth", "II", "II.rec", "II.res", "stages", "reord", "rd/it"
     );
-    for (id, info) in lm.iter() {
-        if info.unrolled {
-            let _ = writeln!(
-                s,
-                "  {:<12} (fully unrolled — inlined into parent)",
-                info.var_name
-            );
+    for (id, stmt) in lm.iter() {
+        let Stmt::For { var, unroll, .. } = stmt else {
+            unreachable!("the loop map lists loops only")
+        };
+        let name = &kernel.var(*var).name;
+        if *unroll == Unroll::Full {
+            let _ = writeln!(s, "  {name:<12} (fully unrolled — inlined into parent)");
             continue;
         }
         let Some(sched) = &acc.loop_schedules[id.0 as usize] else {
@@ -49,7 +50,7 @@ pub fn schedule_report(kernel: &Kernel, acc: &Accelerator) -> String {
         let _ = writeln!(
             s,
             "  {:<12} {:>5} {:>6} {:>7} {:>7} {:>6} {:>6} {:>6}",
-            format!("{}#{}", info.var_name, id.0),
+            format!("{name}#{}", id.0),
             sched.depth,
             sched.ii,
             sched.ii_recurrence,

@@ -119,12 +119,6 @@ impl Expr {
         };
         c.into_iter().flatten()
     }
-
-    /// True for operations whose delay cannot be statically bounded
-    /// (variable-latency operations, §III-B): external memory accesses.
-    pub fn is_vlo(&self) -> bool {
-        matches!(self, Expr::LoadExt { .. })
-    }
 }
 
 // The per-scalar helpers below are the one definition of the datapath
@@ -293,21 +287,5 @@ mod tests {
         assert_eq!(int_unop(UnOp::Neg, 5), -5);
         assert_eq!(float_unop(UnOp::Sqrt, 9.0), 3.0);
         assert_eq!(int_unop(UnOp::Not, 0), -1);
-    }
-
-    #[test]
-    fn vlo_classification() {
-        let load = Expr::LoadExt {
-            buf: ArgId(0),
-            index: ExprId(0),
-            ty: Type::F32,
-        };
-        assert!(load.is_vlo());
-        let ll = Expr::LoadLocal {
-            mem: LocalMemId(0),
-            index: ExprId(0),
-            ty: Type::F32,
-        };
-        assert!(!ll.is_vlo());
     }
 }

@@ -10,60 +10,67 @@
 //! allocated, hence stable) block vectors, so a `LoopMap` is valid only for
 //! the exact [`Kernel`] value it was built from — not for clones.
 //!
-//! [`var_steers_cost`] is the one static fact the cost walker needs about a
-//! loop beyond its identity: whether its iterations can be priced
-//! differently, or the body priced once stands for all of them.
+//! [`var_steers_cost`] answers the one question about a loop the cost
+//! walker asks beyond its timing: whether its iterations can be priced
+//! differently, or the body priced once stands for all of them. The
+//! walker derives that and its other per-loop facts once per walk, into a
+//! table indexed by [`LoopId`] (`nymble_hls::perf`); the map itself
+//! carries only identities, because every simulator lowering builds one.
 
 use crate::expr::{Expr, ExprId};
 use crate::kernel::{Kernel, VarId};
-use crate::stmt::{Block, Stmt, Unroll};
+use crate::stmt::{Block, Stmt};
 use std::collections::HashMap;
 
 /// Index of a loop in pre-order over the kernel body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopId(pub u32);
 
-/// Static facts about one loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LoopInfo {
-    /// Loop nesting depth (0 = outermost in the kernel body).
-    pub depth: u32,
-    /// `#pragma unroll` — inlined into the parent dataflow graph.
-    pub unrolled: bool,
-    /// Whether the loop body (transitively) contains external memory
-    /// accesses, i.e. variable-latency operations.
-    pub has_vlo: bool,
-    /// Whether the loop contains an inner (non-unrolled) loop.
-    pub has_inner_loop: bool,
-    /// Source-level name of the induction variable, for diagnostics.
-    pub var_name: String,
-}
-
-/// Pre-order loop numbering for one kernel instance.
-pub struct LoopMap {
+/// Pre-order loop numbering for one kernel instance: each loop's `For`
+/// statement, borrowed from the kernel.
+pub struct LoopMap<'k> {
     ids: HashMap<usize, LoopId>,
-    infos: Vec<LoopInfo>,
+    loops: Vec<&'k Stmt>,
 }
 
-impl LoopMap {
+impl<'k> LoopMap<'k> {
     /// Build the map for `k`.
-    pub fn build(k: &Kernel) -> Self {
+    pub fn build(k: &'k Kernel) -> Self {
         let mut m = LoopMap {
             ids: HashMap::new(),
-            infos: Vec::new(),
+            loops: Vec::new(),
         };
-        visit(k, &k.body, 0, &mut m);
+        m.visit(&k.body);
         m
+    }
+
+    fn visit(&mut self, b: &'k Block) {
+        for s in b {
+            match s {
+                Stmt::For { body, .. } => {
+                    self.ids
+                        .insert(s as *const Stmt as usize, LoopId(self.loops.len() as u32));
+                    self.loops.push(s);
+                    self.visit(body);
+                }
+                Stmt::Critical { body } => self.visit(body),
+                Stmt::If { then_b, else_b, .. } => {
+                    self.visit(then_b);
+                    self.visit(else_b);
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Number of loops.
     pub fn len(&self) -> usize {
-        self.infos.len()
+        self.loops.len()
     }
 
     /// True when the kernel has no loops.
     pub fn is_empty(&self) -> bool {
-        self.infos.is_empty()
+        self.loops.is_empty()
     }
 
     /// Id of a `For` statement belonging to the mapped kernel.
@@ -77,17 +84,12 @@ impl LoopMap {
             .expect("statement is not a registered loop of this kernel")
     }
 
-    /// Static info for a loop.
-    pub fn info(&self, id: LoopId) -> &LoopInfo {
-        &self.infos[id.0 as usize]
-    }
-
-    /// Iterate `(LoopId, &LoopInfo)` in pre-order.
-    pub fn iter(&self) -> impl Iterator<Item = (LoopId, &LoopInfo)> {
-        self.infos
+    /// Iterate `(LoopId, For statement)` in pre-order.
+    pub fn iter(&self) -> impl Iterator<Item = (LoopId, &'k Stmt)> + '_ {
+        self.loops
             .iter()
             .enumerate()
-            .map(|(i, info)| (LoopId(i as u32), info))
+            .map(|(i, s)| (LoopId(i as u32), *s))
     }
 }
 
@@ -145,65 +147,11 @@ fn ext_index_uses_var(k: &Kernel, id: ExprId, var: VarId) -> bool {
     }
 }
 
-fn block_has_vlo(k: &Kernel, b: &Block) -> bool {
-    fn expr_has_vlo(k: &Kernel, id: crate::expr::ExprId) -> bool {
-        let e = k.expr(id);
-        e.is_vlo() || e.children().any(|c| expr_has_vlo(k, c))
-    }
-    b.iter().any(|s| match s {
-        Stmt::Assign { expr, .. } => expr_has_vlo(k, *expr),
-        Stmt::StoreExt { .. } | Stmt::Preload { .. } | Stmt::WriteBack { .. } => true,
-        Stmt::StoreLocal { index, value, .. } => expr_has_vlo(k, *index) || expr_has_vlo(k, *value),
-        Stmt::For { body, .. } | Stmt::Critical { body } => block_has_vlo(k, body),
-        Stmt::If {
-            cond,
-            then_b,
-            else_b,
-        } => expr_has_vlo(k, *cond) || block_has_vlo(k, then_b) || block_has_vlo(k, else_b),
-        Stmt::Barrier => false,
-    })
-}
-
-fn block_has_loop(b: &Block) -> bool {
-    b.iter().any(|s| match s {
-        Stmt::For { unroll, .. } => *unroll == Unroll::None,
-        Stmt::Critical { body } => block_has_loop(body),
-        Stmt::If { then_b, else_b, .. } => block_has_loop(then_b) || block_has_loop(else_b),
-        _ => false,
-    })
-}
-
-fn visit(k: &Kernel, b: &Block, depth: u32, m: &mut LoopMap) {
-    for s in b {
-        match s {
-            Stmt::For {
-                var, body, unroll, ..
-            } => {
-                let id = LoopId(m.infos.len() as u32);
-                m.ids.insert(s as *const Stmt as usize, id);
-                m.infos.push(LoopInfo {
-                    depth,
-                    unrolled: *unroll == Unroll::Full,
-                    has_vlo: block_has_vlo(k, body),
-                    has_inner_loop: block_has_loop(body),
-                    var_name: k.var(*var).name.clone(),
-                });
-                visit(k, body, depth + 1, m);
-            }
-            Stmt::Critical { body } => visit(k, body, depth, m),
-            Stmt::If { then_b, else_b, .. } => {
-                visit(k, then_b, depth, m);
-                visit(k, else_b, depth, m);
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
+    use crate::stmt::Unroll;
     use crate::types::ScalarType;
     use crate::{MapDir, Type};
 
@@ -213,29 +161,62 @@ mod tests {
         let a = kb.buffer("A", ScalarType::F32, MapDir::To);
         let n = kb.c_i64(4);
         kb.for_range("i", n, |kb, _i| {
-            let n2 = kb.c_i64(4);
-            kb.for_range("j", n2, |kb, j| {
+            kb.for_range("j", n, |kb, j| {
                 let v = kb.load(a, j, Type::F32);
                 let x = kb.var("x", Type::F32);
                 kb.set(x, v);
             });
         });
-        let n3 = kb.c_i64(2);
-        kb.for_range("k", n3, |_, _| {});
+        let tid = kb.thread_id();
+        kb.if_(
+            tid,
+            |kb| kb.for_range("then", n, |_, _| {}),
+            |kb| kb.for_range("else", n, |_, _| {}),
+        );
+        kb.critical(|kb| kb.for_range("crit", n, |_, _| {}));
+        let (zero, one) = (kb.c_i64(0), kb.c_i64(1));
+        kb.for_unrolled("u", zero, n, one, |_, _| {});
         let k = kb.finish();
+
+        // The loops by their paths in the tree, in pre-order.
+        let child = |s: &Stmt, i: usize| match s {
+            Stmt::For { body, .. } | Stmt::Critical { body } => &body[i] as *const Stmt,
+            _ => unreachable!("not a block statement"),
+        };
+        let Stmt::If { then_b, else_b, .. } = &k.body[1] else {
+            unreachable!("if expected")
+        };
+        let by_path = [
+            &k.body[0] as *const Stmt,
+            child(&k.body[0], 0),
+            &then_b[0],
+            &else_b[0],
+            child(&k.body[2], 0),
+            &k.body[3],
+        ];
+
         let m = LoopMap::build(&k);
-        assert_eq!(m.len(), 3);
-        let infos: Vec<_> = m.iter().map(|(_, i)| i.clone()).collect();
-        assert_eq!(infos[0].var_name, "i");
-        assert_eq!(infos[0].depth, 0);
-        assert!(infos[0].has_vlo, "outer sees inner's external load");
-        assert!(infos[0].has_inner_loop);
-        assert_eq!(infos[1].var_name, "j");
-        assert_eq!(infos[1].depth, 1);
-        assert!(infos[1].has_vlo);
-        assert!(!infos[1].has_inner_loop);
-        assert_eq!(infos[2].var_name, "k");
-        assert!(!infos[2].has_vlo);
+        assert_eq!(m.len(), by_path.len());
+        let mut names = Vec::new();
+        for ((id, s), want) in m.iter().zip(by_path) {
+            assert_eq!(s as *const Stmt, want, "loop {id:?} is the wrong statement");
+            assert_eq!(m.id_of(s), id);
+            let Stmt::For { var, unroll, .. } = s else {
+                unreachable!("the map lists loops only")
+            };
+            names.push((k.var(*var).name.as_str(), *unroll == Unroll::Full));
+        }
+        assert_eq!(
+            names,
+            [
+                ("i", false),
+                ("j", false),
+                ("then", false),
+                ("else", false),
+                ("crit", false),
+                ("u", true),
+            ]
+        );
     }
 
     #[test]

@@ -442,7 +442,7 @@ struct Lowering<'k> {
     k: &'k Kernel,
     types: &'k [Type],
     counter: OpCounter<'k>,
-    loops: LoopMap,
+    loops: LoopMap<'k>,
     insts: Vec<Inst>,
     stmts: Vec<StmtCode>,
     init_regs: Vec<u64>,

@@ -12,7 +12,9 @@
 //! falsely flag.
 
 use crate::affine::{IndexSet, Term};
-use nymble_ir::{ArgId, Expr, ExprId, Kernel, LocalMemId, Stmt, VarId};
+use nymble_ir::tape::{eval_int, IntLeaf};
+use nymble_ir::validate::infer_types;
+use nymble_ir::{ArgId, BinOp, Expr, ExprId, Kernel, LocalMemId, Stmt, Type, UnOp, VarId};
 use std::collections::{HashMap, HashSet};
 
 /// Identity of an accessed memory: external buffer argument or local BRAM.
@@ -140,6 +142,8 @@ struct Ctx {
 
 pub(crate) struct Collector<'k> {
     k: &'k Kernel,
+    /// Static types of `k`'s expressions ([`infer_types`]).
+    types: &'k [Type],
     nt: usize,
     /// Per-thread variable environments.
     envs: Vec<HashMap<VarId, Val>>,
@@ -154,8 +158,10 @@ pub(crate) struct Collector<'k> {
 
 pub(crate) fn analyze(k: &Kernel) -> Analysis {
     let nt = k.num_threads.max(1) as usize;
+    let types = infer_types(k).expect("linting a kernel that fails validation");
     let mut c = Collector {
         k,
+        types: &types,
         nt,
         envs: vec![HashMap::new(); nt],
         slot_trips: Vec::new(),
@@ -276,7 +282,7 @@ impl<'k> Collector<'k> {
                     self.record_reads(*index, idx, ctx);
                     let first_read = self.sites.len();
                     self.record_reads(*value, idx, ctx);
-                    let lanes = self.lanes_of(*value);
+                    let lanes = self.types[value.0 as usize].lanes as u32;
                     let sets: Vec<IndexSet> = (0..self.nt)
                         .map(|t| self.index_set(t, *index, lanes))
                         .collect();
@@ -305,7 +311,7 @@ impl<'k> Collector<'k> {
                 Stmt::StoreLocal { mem, index, value } => {
                     self.record_reads(*index, idx, ctx);
                     self.record_reads(*value, idx, ctx);
-                    let lanes = self.lanes_of(*value);
+                    let lanes = self.types[value.0 as usize].lanes as u32;
                     let sets = (0..self.nt)
                         .map(|t| self.index_set(t, *index, lanes))
                         .collect();
@@ -585,26 +591,81 @@ impl<'k> Collector<'k> {
         IndexSet::new(lin.base, terms)
     }
 
-    /// Vector width (lanes) of an expression, for access footprints.
-    fn lanes_of(&self, e: ExprId) -> u32 {
-        match self.k.expr(e) {
-            Expr::Const(nymble_ir::Value::Vec(v)) => v.len() as u32,
-            Expr::Const(_) | Expr::Arg(_) | Expr::ThreadId | Expr::NumThreads => 1,
-            Expr::Var(v) => self.k.var(*v).ty.lanes as u32,
-            Expr::Unary(_, a) | Expr::Cast(_, a) => self.lanes_of(*a),
-            Expr::Binary(_, a, b) => self.lanes_of(*a).max(self.lanes_of(*b)),
-            Expr::Select { then_v, else_v, .. } => {
-                self.lanes_of(*then_v).max(self.lanes_of(*else_v))
+    /// Evaluate an expression to an affine value for thread `t`.
+    ///
+    /// Integer index arithmetic keeps a linear form: sums, differences,
+    /// products and left shifts by a constant, negation and integer casts,
+    /// computed exactly. An `I64` node keeps it as is; an `I32` node only
+    /// while the form stays inside 32 bits over the thread's trip counts,
+    /// where the tape's wrap changes nothing. Every other node (and any
+    /// form that overflows) is evaluated with the tape's semantics at its
+    /// static type ([`eval_int`]): a constant when its operands are
+    /// constant for the thread, [`Val::Unknown`] otherwise.
+    fn eval(&self, t: usize, e: ExprId) -> Val {
+        let (k, env) = (self.k, &self.envs[t]);
+        let lin = |c: &ExprId| match self.eval(t, *c) {
+            Val::Lin(l) => Some(l),
+            Val::Unknown => None,
+        };
+        let r = match k.expr(e) {
+            Expr::Var(v) => match env.get(v) {
+                Some(Val::Lin(l)) => Some(l.clone()),
+                _ => None,
+            },
+            Expr::Unary(UnOp::Neg, a) => lin(a).and_then(|l| l.scale(-1)),
+            Expr::Cast(_, a) => lin(a),
+            Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Shl), a, b) => {
+                match (lin(a), lin(b)) {
+                    (Some(la), Some(lb)) => match op {
+                        BinOp::Add => la.add(&lb),
+                        BinOp::Sub => la.sub(&lb),
+                        BinOp::Mul => match (la.as_const(), lb.as_const()) {
+                            (Some(c), _) => lb.scale(c),
+                            (_, Some(c)) => la.scale(c),
+                            _ => None,
+                        },
+                        _ => match lb.as_const() {
+                            Some(c @ 0..=62) => la.scale(1i64 << c),
+                            _ => None,
+                        },
+                    },
+                    _ => None,
+                }
             }
-            Expr::LoadExt { ty, .. } | Expr::LoadLocal { ty, .. } => ty.lanes as u32,
-            Expr::Lane(..) => 1,
-            Expr::Splat(_, l) => *l as u32,
+            _ => None,
+        };
+        match (r, self.types[e.0 as usize]) {
+            (Some(l), Type::I64) => Val::Lin(l),
+            (Some(l), Type::I32) if self.fits_i32(t, &l) => Val::Lin(l),
+            _ => {
+                let leaf = |l: IntLeaf| match l {
+                    IntLeaf::Var(v) => env.get(&v).and_then(Val::as_const),
+                    IntLeaf::ThreadId => Some(t as i64),
+                    // Scalar launch arguments and loaded values are
+                    // runtime values: opaque.
+                    IntLeaf::Arg(_) | IntLeaf::Load { .. } => None,
+                };
+                eval_int(k, self.types, e, &leaf).map_or(Val::Unknown, Val::konst)
+            }
         }
     }
 
-    /// Evaluate an expression to a per-thread affine value.
-    fn eval(&self, t: usize, e: ExprId) -> Val {
-        eval_expr(self.k, t, &self.envs[t], e)
+    /// Does `l` stay inside the `I32` range on every iteration thread `t`
+    /// runs? False when a loop slot's trip count is unknown.
+    fn fits_i32(&self, t: usize, l: &Lin) -> bool {
+        let (mut lo, mut hi) = (l.base as i128, l.base as i128);
+        for &(slot, c) in &l.coeffs {
+            let Some(trip) = self.slot_trips[slot as usize][t] else {
+                return false;
+            };
+            let span = c as i128 * trip.saturating_sub(1) as i128;
+            if span < 0 {
+                lo += span;
+            } else {
+                hi += span;
+            }
+        }
+        i32::MIN as i128 <= lo && hi <= i32::MAX as i128
     }
 
     /// Is `cond` provably the *same constant* for every thread? Such a
@@ -624,81 +685,5 @@ impl<'k> Collector<'k> {
             }
         }
         first.is_some()
-    }
-}
-
-/// Evaluate an expression to an affine value for thread `t` under the
-/// variable environment `env` (for the correctness walker,
-/// [`Collector`]).
-pub(crate) fn eval_expr(k: &Kernel, t: usize, env: &HashMap<VarId, Val>, e: ExprId) -> Val {
-    use nymble_ir::BinOp;
-    match k.expr(e) {
-        Expr::Const(v) => match v {
-            nymble_ir::Value::I32(x) => Val::konst(*x as i64),
-            nymble_ir::Value::I64(x) => Val::konst(*x),
-            _ => Val::Unknown,
-        },
-        // Scalar launch arguments are runtime values: opaque.
-        Expr::Arg(_) => Val::Unknown,
-        Expr::ThreadId => Val::konst(t as i64),
-        Expr::NumThreads => Val::konst(k.num_threads as i64),
-        Expr::Var(v) => env.get(v).cloned().unwrap_or(Val::Unknown),
-        Expr::Unary(nymble_ir::UnOp::Neg, a) => match eval_expr(k, t, env, *a) {
-            Val::Lin(l) => l.scale(-1).map(Val::Lin).unwrap_or(Val::Unknown),
-            Val::Unknown => Val::Unknown,
-        },
-        Expr::Unary(..) => Val::Unknown,
-        Expr::Binary(op, a, b) => {
-            let (va, vb) = (eval_expr(k, t, env, *a), eval_expr(k, t, env, *b));
-            let (la, lb) = match (va, vb) {
-                (Val::Lin(la), Val::Lin(lb)) => (la, lb),
-                _ => return Val::Unknown,
-            };
-            let r = match op {
-                BinOp::Add => la.add(&lb),
-                BinOp::Sub => la.sub(&lb),
-                BinOp::Mul => match (la.as_const(), lb.as_const()) {
-                    (Some(c), _) => lb.scale(c),
-                    (_, Some(c)) => la.scale(c),
-                    _ => None,
-                },
-                BinOp::Shl => match lb.as_const() {
-                    Some(c @ 0..=62) => la.scale(1i64 << c),
-                    _ => None,
-                },
-                // Remaining integer ops only fold when fully constant
-                // (matching the walker's i64 semantics, incl. div 0 = 0).
-                _ => match (la.as_const(), lb.as_const()) {
-                    (Some(x), Some(y)) => match op {
-                        BinOp::Div => Some(Lin::konst(if y == 0 { 0 } else { x / y })),
-                        BinOp::Rem => Some(Lin::konst(if y == 0 { 0 } else { x % y })),
-                        BinOp::Min => Some(Lin::konst(x.min(y))),
-                        BinOp::Max => Some(Lin::konst(x.max(y))),
-                        BinOp::And => Some(Lin::konst(x & y)),
-                        BinOp::Or => Some(Lin::konst(x | y)),
-                        BinOp::Xor => Some(Lin::konst(x ^ y)),
-                        BinOp::Shr => Some(Lin::konst(x >> (y & 63))),
-                        BinOp::Lt => Some(Lin::konst((x < y) as i64)),
-                        BinOp::Le => Some(Lin::konst((x <= y) as i64)),
-                        BinOp::Gt => Some(Lin::konst((x > y) as i64)),
-                        BinOp::Ge => Some(Lin::konst((x >= y) as i64)),
-                        BinOp::Eq => Some(Lin::konst((x == y) as i64)),
-                        BinOp::Ne => Some(Lin::konst((x != y) as i64)),
-                        _ => None,
-                    },
-                    _ => None,
-                },
-            };
-            r.map(Val::Lin).unwrap_or(Val::Unknown)
-        }
-        Expr::Select { .. } => Val::Unknown,
-        // Integer casts are value-preserving for in-range index math
-        // (all kernel index arithmetic is i64); float casts lose the
-        // affine shape.
-        Expr::Cast(ty, a) if !ty.is_float() => eval_expr(k, t, env, *a),
-        Expr::Cast(..) => Val::Unknown,
-        Expr::LoadExt { .. } | Expr::LoadLocal { .. } | Expr::Lane(..) | Expr::Splat(..) => {
-            Val::Unknown
-        }
     }
 }

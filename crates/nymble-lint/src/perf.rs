@@ -13,7 +13,7 @@ use nymble_hls::deps;
 use nymble_hls::perf::{ext_accesses, model, pipeline_eligible, ThreadEval, Timing};
 use nymble_ir::stmt::Unroll;
 use nymble_ir::validate::infer_types;
-use nymble_ir::{Expr, ExprId, Kernel, Stmt, VarId};
+use nymble_ir::{Expr, ExprId, Kernel, Stmt, Type, VarId};
 
 /// A finding located by pre-order statement index, priced later against
 /// the [`nymble_hls::perf::PerfModel`].
@@ -31,6 +31,8 @@ struct Pending {
 
 struct Finder<'k> {
     k: &'k Kernel,
+    /// Static types of `k`'s expressions ([`infer_types`]).
+    types: &'k [Type],
     /// DRAM line size the stride findings are priced against.
     line: u64,
     nt: usize,
@@ -58,6 +60,7 @@ pub(crate) fn run_perf_checks(k: &Kernel, p: &Timing) -> Vec<Diagnostic> {
     let types = infer_types(k).expect("perf-linting a kernel that fails validation");
     let mut f = Finder {
         k,
+        types: &types,
         line: p.dram_line_bytes as u64,
         nt,
         threads: (0..nt)
@@ -227,7 +230,7 @@ impl<'k> Finder<'k> {
     /// NP001: a pipelined loop whose recurrence chain exceeds one cycle
     /// cannot start an iteration per cycle — II is at least the chain.
     fn check_recurrence(&mut self, idx: usize, var: &VarId, body: &[Stmt], max_trip: u64) {
-        let recs = deps::body_recurrences(self.k, body);
+        let recs = deps::body_recurrences(self.k, self.types, body);
         let Some(worst) = recs.first() else { return };
         if worst.latency < 2 {
             return;

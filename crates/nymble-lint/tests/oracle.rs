@@ -141,3 +141,29 @@ fn shipped_gemm_oracle_agrees_with_the_lint() {
         assert!(trace.barriers_uniform(), "{v:?}");
     }
 }
+
+#[test]
+fn nl001_sees_the_race_an_i32_shift_makes() {
+    // `OUT[(i64)(tid << 32)] = 1.0` with the `I32` thread id: the shift
+    // wraps to 0 at 32 bits, so both threads store element 0. The lint
+    // must fold the index as the tape computes it, not as an i64 scale.
+    let mut kb = nymble_ir::KernelBuilder::new("i32_shift_race", 2);
+    let out = kb.buffer("OUT", ScalarType::F32, nymble_ir::MapDir::From);
+    let tid = kb.thread_id();
+    let by = kb.c_i32(32);
+    let shifted = kb.bin(nymble_ir::BinOp::Shl, tid, by);
+    let index = kb.cast(ScalarType::I64, shifted);
+    let one = kb.c_f32(1.0);
+    kb.store(out, index, one);
+    let k = kb.finish();
+
+    let trace = trace_of(&k);
+    let (a, b) = trace.find_conflict().expect("both threads store OUT[0]");
+    assert_eq!((a.elem, b.elem), (0, 0));
+    let report = nymble_lint::lint_kernel(&k);
+    assert!(
+        report.codes().contains(&nymble_lint::Code::NL001),
+        "{}",
+        report.render_human()
+    );
+}
