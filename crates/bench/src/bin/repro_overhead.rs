@@ -23,6 +23,9 @@
 //! `--jobs` value. The study is purely static (cost-model fits, no
 //! simulation), so `--mode` is accepted for uniformity but does not
 //! change the tables.
+//!
+//! A stdout closed by its reader (`repro_overhead | head -n 1`) ends the
+//! run with exit 0.
 
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
@@ -36,6 +39,8 @@ use nymble_hls::accel::Accelerator;
 use nymble_hls::cost::geo_mean;
 use nymble_hls::AccelCache;
 use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Node payload of the overhead-study graph.
@@ -49,8 +54,20 @@ enum OvhNode {
     Block(String),
 }
 
-fn main() {
+fn main() -> ExitCode {
     let session = Session::start("repro_overhead", &["--threads"]);
+    let mut out = std::io::stdout().lock();
+    match run(&session, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_overhead: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
     let threads = session.flag("--threads", 8u32);
     let gp = GemmParams {
         threads,
@@ -68,8 +85,12 @@ fn main() {
     let cache = AccelCache::new();
     let engine = BatchEngine::new(jobs);
 
-    println!("== E1: hardware footprint of the profiling unit — study 1 (GEMM accelerators) ==\n");
-    println!(
+    writeln!(
+        w,
+        "== E1: hardware footprint of the profiling unit — study 1 (GEMM accelerators) ==\n"
+    )?;
+    writeln!(
+        w,
         "{:<24} {:>9} {:>9} {:>8} | {:>9} {:>9} {:>8} | {:>7} {:>7} {:>9}",
         "design",
         "ALMs",
@@ -81,7 +102,7 @@ fn main() {
         "ΔALM%",
         "Δreg%",
         "Δfmax MHz"
-    );
+    )?;
     // Lint all six study designs (five GEMM versions plus π) up front, so
     // at `--lint=deny` the binary exits before compiling anything.
     let gate_kernels: Vec<_> = GemmVersion::ALL
@@ -200,9 +221,9 @@ fn main() {
     else {
         unreachable!("reduce node produced a non-block payload")
     };
-    print!("{block}");
+    write!(w, "{block}")?;
 
-    println!("\n== E2: study 2 (π accelerator) ==\n");
+    writeln!(w, "\n== E2: study 2 (π accelerator) ==\n")?;
     let OvhNode::Accel(acc) = out.reports[pi_compile.index()]
         .outcome
         .as_ref()
@@ -215,11 +236,12 @@ fn main() {
         None => prof.clone(),
     };
     if let Some(plan) = &acc.probe_plan {
-        println!("  {}", plan.summary());
+        writeln!(w, "  {}", plan.summary())?;
     }
     let with = instrumented_fit(&acc.fit, threads, &pi_prof, &op, &hls.cost);
     let o = with.overhead_vs(&acc.fit);
-    println!(
+    writeln!(
+        w,
         "  pi: ALMs {} → {} (+{:.2}%), registers {} → {} (+{:.2}%), fmax {:.1} → {:.1} MHz (−{:.1})",
         acc.fit.alms,
         with.alms,
@@ -230,12 +252,16 @@ fn main() {
         acc.fit.fmax_mhz,
         with.fmax_mhz,
         o.fmax_delta_mhz
-    );
-    println!("  (paper: registers +1.3%, ALMs +1.5%, fmax −1 MHz at 148 MHz)");
+    )?;
+    writeln!(
+        w,
+        "  (paper: registers +1.3%, ALMs +1.5%, fmax −1 MHz at 148 MHz)"
+    )?;
 
-    println!(
+    writeln!(
+        w,
         "\n== per-counter contribution (§V-B: \"each of the counters contributes similarly\") ==\n"
-    );
+    )?;
     let none = profiling_fit(
         threads,
         &ProfilingConfig {
@@ -270,16 +296,18 @@ fn main() {
             },
             &op,
         );
-        println!(
+        writeln!(
+            w,
             "  {:<10} +{:>4} ALMs, +{:>4} registers",
             name,
             f.alms - none.alms,
             f.registers - none.registers
-        );
+        )?;
     }
     let stats = cache.stats();
-    println!(
+    writeln!(
+        w,
         "\n({jobs} workers; {} designs compiled once each)",
         stats.entries
-    );
+    )
 }

@@ -18,6 +18,9 @@
 //!    analytical fast-mode prediction column. `--profile=auto[,budget=N]`
 //!    runs this section under the auto-probe plan (the untraced scaling
 //!    sections stay uninstrumented by design).
+//!
+//! A stdout closed by its reader (`repro_scale | head -n 1`) ends the run
+//! with exit 0.
 
 use bench::session::Session;
 use bench::sweep::{bundles_footer, spmv_sweep, SpmvSweepConfig};
@@ -29,6 +32,8 @@ use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::spmv::{self, Csr};
 use nymble_hls::{AccelCache, HlsConfig};
 use nymble_ir::Kernel;
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// One untraced measurement.
@@ -55,11 +60,23 @@ fn timed_run(
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let session = Session::start(
         "repro_scale",
         &["--dim", "--rows", "--cols", "--nnz", "--threads"],
     );
+    let mut out = std::io::stdout().lock();
+    match run(&session, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_scale: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {
     let dim = session.flag("--dim", 256i64);
     let rows = session.flag("--rows", 1024usize);
     let cols = session.flag("--cols", 1024usize);
@@ -86,8 +103,9 @@ fn main() {
     session.gate(&[&gate_gemm, &gate_spmv]);
 
     // §1: thread-count scaling, untraced.
-    println!("== thread-count scaling, wheel dispatch core (GEMM dim {dim}, SpMV {rows}x{cols} nnz/row {nnz}) ==\n");
-    println!(
+    writeln!(w, "== thread-count scaling, wheel dispatch core (GEMM dim {dim}, SpMV {rows}x{cols} nnz/row {nnz}) ==\n")?;
+    writeln!(
+        w,
         "{:<8} {:>8} {:>14} {:>9} {:>10} {:>12} {:>12} {:>10}",
         "workload",
         "threads",
@@ -97,7 +115,7 @@ fn main() {
         "line wakes",
         "grant wakes",
         "dma wakes"
-    );
+    )?;
     let cache = AccelCache::new();
     let spmv_launch_args = spmv_launch(&matrix);
     let mut worst_spmv_err = 0.0f64;
@@ -105,11 +123,11 @@ fn main() {
         let gk = gemm::build(GemmVersion::NoCritical, &gemm_p(t));
         let gl = bench::gemm_launch(&gemm_p(t));
         let g = timed_run(&cache, &gk, &sim, &gl);
-        print_scale_row("gemm", t, &g);
+        print_scale_row(w, "gemm", t, &g)?;
 
         let sk = spmv::build(matrix.rows as i64, t);
         let s = timed_run(&cache, &sk, &sim, &spmv_launch_args);
-        print_scale_row("spmv", t, &s);
+        print_scale_row(w, "spmv", t, &s)?;
         if let Some(r) = analytic_report(&cache, &sk, &sim, &spmv_launch_args) {
             let err = (r.total_cycles as f64 - s.result.total_cycles as f64)
                 / s.result.total_cycles as f64
@@ -119,10 +137,11 @@ fn main() {
             }
         }
     }
-    println!(
+    writeln!(
+        w,
         "\nSpMV analytical fast mode: worst error {worst_spmv_err:+.1}% across the sweep \
          (±15% bound enforced in crates/bench/tests/analytic_validation.rs)"
-    );
+    )?;
 
     // §2: SpMV with the profiling unit attached, bundles written.
     let sweep = spmv_sweep(&SpmvSweepConfig {
@@ -139,25 +158,32 @@ fn main() {
             eprintln!("spmv_t{t} trace run failed: {e}");
         }
     }
-    println!(
+    writeln!(
+        w,
         "\n== SpMV trace sweep ({jobs} workers, {} compiles for {} runs) ==\n",
         sweep.cache.misses,
         sweep.runs.len()
-    );
-    print!("{}", sweep.table);
+    )?;
+    write!(w, "{}", sweep.table)?;
     let plan = sweep
         .runs
         .iter()
         .filter_map(|(_, r)| r.outcome.as_ref().ok())
         .find_map(|pr| pr.run.accel.probe_plan.as_deref());
     if let Some(plan) = plan {
-        println!("\n{}", plan.summary());
+        writeln!(w, "\n{}", plan.summary())?;
     }
-    println!("\n{}", bundles_footer(&out));
+    writeln!(w, "\n{}", bundles_footer(&out))
 }
 
-fn print_scale_row(workload: &str, threads: u32, r: &ScaleRun) {
-    println!(
+fn print_scale_row(
+    w: &mut impl Write,
+    workload: &str,
+    threads: u32,
+    r: &ScaleRun,
+) -> std::io::Result<()> {
+    writeln!(
+        w,
         "{:<8} {:>8} {:>14} {:>9.3} {:>10.2} {:>12} {:>12} {:>10}",
         workload,
         threads,
@@ -167,5 +193,5 @@ fn print_scale_row(workload: &str, threads: u32, r: &ScaleRun) {
         r.result.devices.line_fetch_wakes,
         r.result.devices.channel_grant_wakes,
         r.result.devices.dma_wakes
-    );
+    )
 }

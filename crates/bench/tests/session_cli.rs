@@ -2,7 +2,7 @@
 //! unknown flags, malformed numeric flags and problem shapes the kernels
 //! reject are usage errors (exit 2) instead of silent defaults or panics,
 //! and unwritable output paths are one-line failures (exit 1) instead of
-//! panics.
+//! panics. A stdout closed by its reader ends the run with exit 0.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -111,4 +111,42 @@ fn out_of_range_problem_shapes_exit_2_before_building_a_kernel() {
         assert_eq!(err, format!("{name}: {reason}\n"), "{name} {args:?}");
         assert!(out.stdout.is_empty(), "{name} {args:?}: nothing ran");
     }
+}
+
+/// The reader is gone before the first line: the first write gets `EPIPE`,
+/// which ends the run quietly instead of panicking with exit 101.
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    let dir = scratch("closed");
+    let out_dir = dir.to_str().unwrap();
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_repro_scale"),
+            &[
+                "--dim",
+                "16",
+                "--rows",
+                "256",
+                "--threads",
+                "16",
+                "--jobs",
+                "2",
+                "--out",
+                out_dir,
+            ][..],
+        ),
+        (env!("CARGO_BIN_EXE_repro_overhead"), &["--jobs", "2"]),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn repro binary");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{bin}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{bin}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

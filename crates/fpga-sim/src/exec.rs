@@ -716,9 +716,12 @@ impl Executor {
         // The pair is statically dispatched so the stats derivation inlines
         // into the event loop; the caller's virtually-dispatched observer
         // sits behind a ring buffer so its per-signal indirection is paid in
-        // batches, off the dispatch fast path.
+        // batches, off the dispatch fast path. A null snoop taps nothing, so
+        // the run then steps with the statistics observer alone.
         let mut stats_snoop = StatsSnoop::new(kernel.num_threads);
-        {
+        if snoop.is_null() {
+            while sim.step(&mut stats_snoop)? == StepStatus::Running {}
+        } else {
             let mut ring = SnoopRing::new(snoop);
             let mut pair = SnoopPair::new(&mut stats_snoop, &mut ring);
             while sim.step(&mut pair)? == StepStatus::Running {}

@@ -83,14 +83,28 @@ pub trait Snoop {
     fn iteration(&mut self, _t: u64, _tid: u32) {}
     /// The run completed at cycle `t` (flush point for trace buffers).
     fn run_end(&mut self, _t: u64) {}
+    /// True when this observer taps no wire at all, so a driver may skip
+    /// delivering signals to it. Only [`NullSnoop`] says so.
+    fn is_null(&self) -> bool {
+        false
+    }
 }
 
 /// A snoop that observes nothing — simulating an accelerator built without
 /// the profiling infrastructure (the baseline of the §V-B overhead study).
+///
+/// It reports [`Snoop::is_null`], so [`Executor::run`](crate::Executor::run)
+/// steps the run with its own statistics observer alone: no signal is
+/// buffered or replayed for it, as the baseline accelerator has no wires
+/// to tap.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSnoop;
 
-impl Snoop for NullSnoop {}
+impl Snoop for NullSnoop {
+    fn is_null(&self) -> bool {
+        true
+    }
+}
 
 /// One buffered signal record (everything except `run_end`, which is a
 /// flush point and always delivered immediately).

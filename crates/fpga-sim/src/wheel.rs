@@ -1,14 +1,21 @@
-//! Hierarchical timing-wheel dispatch queue.
+//! Timing-wheel dispatch queue with a two-level occupancy bitmap.
 //!
 //! [`WheelQueue`] replaces the binary heap on the executor's hot path with a
-//! calendar queue: a wheel of [`SPAN`] single-cycle slots covering the near
-//! future plus a heap ([`ReadyQueue`]) holding far-future overflow. Discrete-
-//! event cores spend almost all their pops within a few cycles of the
-//! current time (a pipelined loop re-queues its thread II cycles ahead), so
-//! the common case is O(1) amortized: set a bit, link a node, scan a word.
-//! Far-future events — launch-ramp starts `launch_interval` apart, 50 k-cycle
-//! semaphore back-offs — land in the overflow heap and are promoted into the
-//! wheel when the cursor reaches their horizon.
+//! calendar queue: one wheel of [`SPAN`] single-cycle slots covering the
+//! near future plus a heap ([`ReadyQueue`]) holding far-future overflow.
+//! Discrete-event cores spend almost all their pops within a few cycles of
+//! the current time (a pipelined loop re-queues its thread II cycles ahead),
+//! so the common case is O(1): set two bits, link a node, and find the next
+//! occupied slot with at most three `trailing_zeros`. Far-future events —
+//! launch-ramp starts `launch_interval` apart, 50 k-cycle semaphore
+//! back-offs — land in the overflow heap and are promoted into the wheel
+//! when the cursor reaches their horizon.
+//!
+//! Occupancy is kept at two levels: 64 slot words hold one bit per slot
+//! (`SPAN = 64 × 64`), and one summary word holds one bit per non-empty
+//! slot word. Finding the next occupied slot reads the cursor's own word,
+//! then the summary, then one more slot word: no scan over empty words, so
+//! the span's width costs nothing per pop.
 //!
 //! The queue preserves the executor's dispatch contract *bit-for-bit*:
 //! `pop` yields the lexicographically smallest `(time, thread_id)`, ties on
@@ -20,6 +27,7 @@
 //!
 //! Invariants:
 //! * every wheel entry's time lies in `[cursor, cursor + SPAN)`;
+//! * summary bit `w` is set exactly when slot word `w` is non-zero;
 //! * `push` requires `time >= cursor` (the executor never schedules into the
 //!   past: wakeup times are at or after the event that computes them);
 //! * overflow entries may undercut `cursor + SPAN` after the cursor advances;
@@ -29,10 +37,12 @@
 
 use crate::queue::ReadyQueue;
 
-/// Wheel width in single-cycle slots (power of two).
-pub const SPAN: u64 = 1024;
+/// Wheel width in single-cycle slots: 64 slot words of 64 bits, so one
+/// `u64` summarizes which words are occupied.
+pub const SPAN: u64 = 4096;
 const MASK: u64 = SPAN - 1;
 const WORDS: usize = (SPAN / 64) as usize;
+const _: () = assert!(WORDS == 64, "the summary is one u64");
 /// Intrusive-list terminator.
 const NONE: u32 = u32::MAX;
 
@@ -57,6 +67,8 @@ pub struct WheelQueue {
     loc: Vec<Loc>,
     /// One bit per slot: occupied.
     bitmap: [u64; WORDS],
+    /// One bit per slot word: `bitmap[w] != 0`.
+    summary: u64,
     /// Lower bound of the wheel window; advanced to each popped time.
     cursor: u64,
     overflow: ReadyQueue,
@@ -72,6 +84,7 @@ impl WheelQueue {
             time_of: vec![0; num_threads],
             loc: vec![Loc::Out; num_threads],
             bitmap: [0; WORDS],
+            summary: 0,
             cursor: 0,
             overflow: ReadyQueue::new(num_threads),
             len: 0,
@@ -180,7 +193,7 @@ impl WheelQueue {
                 }
                 self.next[tid as usize] = NONE;
                 if self.slots[slot] == NONE {
-                    self.bitmap[slot / 64] &= !(1u64 << (slot % 64));
+                    self.clear_slot_bit(slot);
                 }
                 self.loc[tid as usize] = Loc::Out;
                 self.len -= 1;
@@ -210,6 +223,7 @@ impl WheelQueue {
             self.next[cur as usize] = tid;
         }
         self.bitmap[slot / 64] |= 1u64 << (slot % 64);
+        self.summary |= 1u64 << (slot / 64);
         self.loc[tid as usize] = Loc::Wheel;
     }
 
@@ -227,30 +241,28 @@ impl WheelQueue {
     /// First occupied slot at or after the cursor, as `(time, head_tid)`.
     ///
     /// Slot order walking forward from the cursor (wrapping once) is time
-    /// order for the in-window times the wheel holds.
+    /// order for the in-window times the wheel holds. Three reads, no loop:
+    /// the cursor's word from the cursor up; else the first non-empty word
+    /// after it, wrapping round to the cursor's word itself, whose bits
+    /// are then all below the cursor (slots of the next lap).
     fn scan_wheel(&self) -> Option<(u64, u32)> {
         let start = (self.cursor & MASK) as usize;
-        let mut word = start / 64;
-        // First word: ignore slots before the cursor's.
-        let mut bits = self.bitmap[word] & (!0u64 << (start % 64));
-        for _ in 0..=WORDS {
-            if bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                let head = self.slots[slot];
-                let time = self.time_of[head as usize];
-                // A wrapped scan can revisit the start word and see slots
-                // belonging to the *next* lap only if the window invariant
-                // broke; the debug assert in insert_wheel guards that.
-                return Some((time, head));
+        let word = start / 64;
+        let here = self.bitmap[word] & (!0u64 << (start % 64));
+        let slot = if here != 0 {
+            word * 64 + here.trailing_zeros() as usize
+        } else {
+            // Rotate the summary so the word after the cursor's is bit 0
+            // and the cursor's own word is bit 63.
+            let after = self.summary.rotate_right(word as u32 + 1);
+            if after == 0 {
+                return None;
             }
-            word = (word + 1) % WORDS;
-            bits = self.bitmap[word];
-            if word == start / 64 {
-                // Back at the start word: take the slots skipped initially.
-                bits &= !(!0u64 << (start % 64));
-            }
-        }
-        None
+            let w = (word + 1 + after.trailing_zeros() as usize) % WORDS;
+            w * 64 + self.bitmap[w].trailing_zeros() as usize
+        };
+        let head = self.slots[slot];
+        Some((self.time_of[head as usize], head))
     }
 
     /// Detach `tid`, the head of its slot list, after a successful scan.
@@ -260,9 +272,31 @@ impl WheelQueue {
         self.slots[slot] = self.next[tid as usize];
         self.next[tid as usize] = NONE;
         if self.slots[slot] == NONE {
-            self.bitmap[slot / 64] &= !(1u64 << (slot % 64));
+            self.clear_slot_bit(slot);
         }
         self.loc[tid as usize] = Loc::Out;
+    }
+
+    /// Mark `slot` empty, and its word too when that was its last slot.
+    fn clear_slot_bit(&mut self, slot: usize) {
+        let w = slot / 64;
+        self.bitmap[w] &= !(1u64 << (slot % 64));
+        if self.bitmap[w] == 0 {
+            self.summary &= !(1u64 << w);
+        }
+    }
+
+    /// Panics unless each summary bit says whether its slot word is
+    /// non-empty.
+    #[cfg(test)]
+    fn check_summary(&self) {
+        for (w, bits) in self.bitmap.iter().enumerate() {
+            assert_eq!(
+                (self.summary >> w) & 1 == 1,
+                *bits != 0,
+                "summary bit {w} disagrees with its slot word"
+            );
+        }
     }
 }
 
@@ -312,29 +346,34 @@ mod tests {
 
     #[test]
     fn overflow_entry_can_undercut_later_wheel_pushes() {
-        // Push t=2000 while the cursor is 0 (overflow), advance the cursor
-        // past 1000 by popping, then push an in-window entry at 2100: the
-        // un-promoted overflow entry must still win, for both peek and pop.
+        // Push t=SPAN+976 while the cursor is 0 (overflow), advance the
+        // cursor past 976 by popping, then push an in-window entry at
+        // SPAN+1076: the un-promoted overflow entry must still win, for both
+        // peek and pop.
         let mut q = WheelQueue::new(4);
-        q.push(2000, 3);
+        q.push(SPAN + 976, 3);
         q.push(999, 0);
         assert_eq!(q.pop(), Some((999, 0)));
-        q.push(2100, 1);
-        assert_eq!(q.peek(), Some((2000, 3)));
-        assert_eq!(q.pop(), Some((2000, 3)));
-        assert_eq!(q.pop(), Some((2100, 1)));
+        q.push(SPAN + 1076, 1);
+        assert_eq!(q.peek(), Some((SPAN + 976, 3)));
+        assert_eq!(q.pop(), Some((SPAN + 976, 3)));
+        assert_eq!(q.pop(), Some((SPAN + 1076, 1)));
     }
 
     #[test]
     fn overflow_and_wheel_tie_resolves_by_tid() {
         let mut q = WheelQueue::new(4);
-        q.push(2000, 1); // overflow at cursor 0
-        q.push(1999, 0);
-        assert_eq!(q.pop(), Some((1999, 0))); // cursor now 1999
-        q.push(2000, 2); // same time, larger tid, lands in wheel
-        assert_eq!(q.peek(), Some((2000, 1)), "overflow tid must win the tie");
-        assert_eq!(q.pop(), Some((2000, 1)));
-        assert_eq!(q.pop(), Some((2000, 2)));
+        q.push(SPAN + 976, 1); // overflow at cursor 0
+        q.push(SPAN + 975, 0);
+        assert_eq!(q.pop(), Some((SPAN + 975, 0))); // cursor now SPAN+975
+        q.push(SPAN + 976, 2); // same time, larger tid, lands in wheel
+        assert_eq!(
+            q.peek(),
+            Some((SPAN + 976, 1)),
+            "overflow tid must win the tie"
+        );
+        assert_eq!(q.pop(), Some((SPAN + 976, 1)));
+        assert_eq!(q.pop(), Some((SPAN + 976, 2)));
     }
 
     #[test]
@@ -372,6 +411,53 @@ mod tests {
     }
 
     #[test]
+    fn full_lap_wrap_finds_the_minimum_below_the_cursor_in_its_own_word() {
+        // Cursor at slot 40 of word 0; the only entry is one lap on, at
+        // slot 10 of the same word (time SPAN + 10), behind the cursor.
+        let mut q = WheelQueue::new(2);
+        q.push(40, 0);
+        assert_eq!(q.pop(), Some((40, 0)));
+        q.push(SPAN + 10, 1);
+        q.check_summary();
+        assert_eq!(q.peek(), Some((SPAN + 10, 1)));
+        assert_eq!(q.pop(), Some((SPAN + 10, 1)));
+        assert!(q.is_empty());
+        q.check_summary();
+    }
+
+    #[test]
+    fn jumps_across_63_empty_words() {
+        // Cursor in word 0, the only entry in word 63: the summary finds it
+        // without reading the 62 empty words between.
+        let mut q = WheelQueue::new(3);
+        q.push(0, 0);
+        assert_eq!(q.pop(), Some((0, 0)));
+        q.push(63 * 64 + 5, 1);
+        assert_eq!(q.pop(), Some((63 * 64 + 5, 1)));
+        // And back: cursor in word 63, the only entry in word 62 of the
+        // next lap.
+        q.push(SPAN + 62 * 64 + 1, 2);
+        assert_eq!(q.pop(), Some((SPAN + 62 * 64 + 1, 2)));
+        q.check_summary();
+    }
+
+    #[test]
+    fn removing_the_last_entry_of_a_word_clears_its_summary_bit() {
+        let mut q = WheelQueue::new(3);
+        q.push(70, 0); // word 1
+        q.push(71, 1); // word 1
+        q.push(200, 2); // word 3
+        assert_eq!(q.summary, 0b1010);
+        assert_eq!(q.remove(0), Some(70));
+        assert_eq!(q.summary, 0b1010, "word 1 still holds slot 71");
+        assert_eq!(q.remove(1), Some(71));
+        assert_eq!(q.summary, 0b1000);
+        q.check_summary();
+        assert_eq!(q.pop(), Some((200, 2)));
+        assert_eq!(q.summary, 0);
+    }
+
+    #[test]
     fn matches_scan_under_random_churn() {
         // Deterministic LCG; compare against a naive sorted scan, with times
         // generated relative to the advancing "now" so far-future pushes
@@ -400,11 +486,13 @@ mod tests {
                         };
                     q.push(t, tid);
                     model[tid as usize] = Some(t);
+                    q.check_summary();
                 }
                 Some(t) => {
                     if next() % 2 == 0 {
                         assert_eq!(q.remove(tid), Some(t));
                         model[tid as usize] = None;
+                        q.check_summary();
                     } else {
                         let want = model
                             .iter()
@@ -417,6 +505,7 @@ mod tests {
                         let (pt, ptid) = got.unwrap();
                         model[ptid as usize] = None;
                         now = pt;
+                        q.check_summary();
                     }
                 }
             }
