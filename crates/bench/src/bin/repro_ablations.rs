@@ -29,6 +29,9 @@
 //! `--mode analytical` prints the roofline predictions for the two study
 //! kernels and explains which of the ablated mechanisms the fast mode
 //! abstracts away (the grids themselves need the cycle-level simulator).
+//!
+//! A stdout closed by its reader (`repro_ablations | head -n 1`) ends the run
+//! with exit 0; any other write error is one stderr line and exit 1.
 
 use bench::args::Mode;
 use bench::engine::BatchEngine;
@@ -42,6 +45,8 @@ use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use nymble_hls::AccelCache;
 use std::fmt::Write as _;
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
 /// Node payload of the ablation graph.
 enum AblNode {
@@ -55,8 +60,20 @@ enum AblNode {
     Section(String),
 }
 
-fn main() {
+fn main() -> ExitCode {
     let session = Session::start("repro_ablations", &["--dim"]);
+    let mut out = std::io::stdout().lock();
+    match run(&session, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_ablations: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {
     let dim = session.flag("--dim", 64i64);
     let jobs = session.jobs;
     let p = GemmParams {
@@ -74,24 +91,29 @@ fn main() {
     let engine = BatchEngine::new(jobs);
 
     if session.mode == Mode::Analytical {
-        println!("== ablation kernels through the analytical fast mode (base config) ==\n");
+        writeln!(
+            w,
+            "== ablation kernels through the analytical fast mode (base config) ==\n"
+        )?;
         for (tag, k) in [("v2 (no-critical)", &v2), ("v3 (vectorized)", &v3)] {
             match analytic_report(&cache, k, &base, &launch) {
                 Some(r) => {
-                    println!(
+                    writeln!(
+                        w,
                         "  {tag:<20} {:>12} predicted cycles   bound: {}",
                         r.total_cycles, r.bound
-                    );
+                    )?;
                 }
-                None => println!("  {tag:<20} unresolvable"),
+                None => writeln!(w, "  {tag:<20} unresolvable")?,
             }
         }
-        println!(
+        writeln!(
+            w,
             "\nThe roofline model prices steady-state bandwidth and latency; it abstracts\n\
              away MSHR depth, bank hashing and line-buffer state — exactly the mechanisms\n\
              this binary ablates. Run --mode=cycle for the actual grids."
-        );
-        return;
+        )?;
+        return Ok(());
     }
 
     // --- build the whole study as one dependency graph -------------------
@@ -295,29 +317,43 @@ fn main() {
         }
     };
 
-    println!("== MSHR depth: what Partial Vectorization's gain depends on ==\n");
-    println!(
+    writeln!(
+        w,
+        "== MSHR depth: what Partial Vectorization's gain depends on ==\n"
+    )?;
+    writeln!(
+        w,
         "{:>6} {:>14} {:>14} {:>8}",
         "MSHRs", "v2 cycles", "v3 cycles", "v3 gain"
-    );
-    print!("{}", section(mshr_reduce));
+    )?;
+    write!(w, "{}", section(mshr_reduce))?;
 
-    println!("\n== DRAM bank hashing: power-of-2 strides vs the bank map ==\n");
-    print!("{}", section(hash_reduce));
+    writeln!(
+        w,
+        "\n== DRAM bank hashing: power-of-2 strides vs the bank map ==\n"
+    )?;
+    write!(w, "{}", section(hash_reduce))?;
 
-    println!("\n== per-port line buffers: sequential-stream reuse ==\n");
-    print!("{}", section(lbuf_reduce));
+    writeln!(
+        w,
+        "\n== per-port line buffers: sequential-stream reuse ==\n"
+    )?;
+    write!(w, "{}", section(lbuf_reduce))?;
 
-    println!("\n== sampling period: trace volume vs temporal resolution (§IV-B.2) ==\n");
-    println!(
+    writeln!(
+        w,
+        "\n== sampling period: trace volume vs temporal resolution (§IV-B.2) ==\n"
+    )?;
+    writeln!(
+        w,
         "{:>10} {:>12} {:>10} {:>8}",
         "period", "trace bytes", "records", "flushes"
-    );
-    print!("{}", section(period_reduce));
+    )?;
+    write!(w, "{}", section(period_reduce))?;
     // The profiled grid above ran under this plan (v3 is already cached,
     // so re-fetching it here is free).
     if let Some(plan) = &cache.get_or_compile(v3, hls).probe_plan {
-        println!("\n{}", plan.summary());
+        writeln!(w, "\n{}", plan.summary())?;
     }
 
     let stats = cache.stats();
@@ -326,8 +362,9 @@ fn main() {
         .iter()
         .filter(|r| matches!(r.kind, NodeKind::Run))
         .count();
-    println!(
+    writeln!(
+        w,
         "\n({jobs} workers; {} runs shared {} compiled kernels)",
         runs, stats.entries
-    );
+    )
 }

@@ -24,6 +24,9 @@
 //! budgeted knapsack pass pick the counters and region probes, the trace
 //! bundles gain the region hierarchy, and the diagnosis section
 //! attributes cycles to source regions.
+//!
+//! A stdout closed by its reader (`repro_gemm | head -n 1`) ends the run
+//! with exit 0; any other write error is one stderr line and exit 1.
 
 use bench::args::Mode;
 use bench::session::Session;
@@ -36,9 +39,23 @@ use nymble_hls::AccelCache;
 use paraver::analysis::{event_series, StateProfile};
 use paraver::timeline::{render_series, render_states, TimelineOptions};
 use paraver::{events, states};
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let session = Session::start("repro_gemm", &["--dim", "--threads"]);
+    let mut out = std::io::stdout().lock();
+    match run(&session, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_gemm: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {
     let dim = session.flag("--dim", 128u32) as i64;
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
@@ -64,13 +81,15 @@ fn main() {
         let launch = gemm_launch(&p);
         let mut naive = None;
         let mut prev = None;
-        println!(
+        writeln!(
+            w,
             "== T-GEMM (analytical fast mode): predicted cycles, dim {dim}, {threads} threads ==\n"
-        );
-        println!(
+        )?;
+        writeln!(
+            w,
             "{:<24} {:>14} {:>15} {:>8} {:>9}",
             "version", "cycles", "bound", "vs prev", "vs naive"
-        );
+        )?;
         for (v, k) in GemmVersion::ALL.iter().zip(&kernels) {
             match analytic_report(&cache, k, &sim, &launch) {
                 Some(r) => {
@@ -78,23 +97,24 @@ fn main() {
                     let vs_prev = prev
                         .map(|pc: u64| format!("{:.2}x", pc as f64 / r.total_cycles as f64))
                         .unwrap_or_else(|| "-".into());
-                    println!(
+                    writeln!(
+                        w,
                         "{:<24} {:>14} {:>15} {:>8} {:>8.2}x",
                         v.name(),
                         r.total_cycles,
                         r.bound.to_string(),
                         vs_prev,
                         naive_c as f64 / r.total_cycles as f64
-                    );
+                    )?;
                     prev = Some(r.total_cycles);
                 }
-                None => println!("{:<24} {:>14}", v.name(), "unresolvable"),
+                None => writeln!(w, "{:<24} {:>14}", v.name(), "unresolvable")?,
             }
         }
-        println!(
+        writeln!(w,
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
-        );
-        return;
+        )?;
+        return Ok(());
     }
 
     let sweep = gemm_sweep(&GemmSweepConfig {
@@ -106,22 +126,26 @@ fn main() {
         out: Some(out.clone()),
         jobs,
     });
-    println!("== T-GEMM: execution time and speedups (§V-C text) ==\n");
-    print!("{}", sweep.table);
+    writeln!(w, "== T-GEMM: execution time and speedups (§V-C text) ==\n")?;
+    write!(w, "{}", sweep.table)?;
     let plan = sweep
         .runs
         .iter()
         .filter_map(|(_, r)| r.outcome.as_ref().ok())
         .find_map(|run| run.accel.probe_plan.as_deref());
     if let Some(plan) = plan {
-        println!("\n{}", plan.summary());
+        writeln!(w, "\n{}", plan.summary())?;
     }
-    println!(
+    writeln!(
+        w,
         "\n({} workers; compile cache: {} kernels compiled once, {} shared reuses)",
         jobs, sweep.cache.misses, sweep.cache.hits
-    );
+    )?;
 
-    println!("\n-- automated trace diagnosis (hls_profiling::diagnose) --\n");
+    writeln!(
+        w,
+        "\n-- automated trace diagnosis (hls_profiling::diagnose) --\n"
+    )?;
     for (v, report) in &sweep.runs {
         match &report.outcome {
             Ok(run) => {
@@ -131,7 +155,7 @@ fn main() {
                     &sim,
                     &DiagnoseConfig::default(),
                 );
-                println!("{:<24} {:?}: {}", v.name(), d.bottleneck, d.advice);
+                writeln!(w, "{:<24} {:?}: {}", v.name(), d.bottleneck, d.advice)?;
                 // Under --profile=auto: attribute the run's cycles to the
                 // source regions the plan instrumented, and name the
                 // hottest one next to the state-level verdict.
@@ -139,14 +163,14 @@ fn main() {
                     let att =
                         hls_profiling::attribute_regions(&run.accel.regions, plan, &run.trace);
                     if let Some(hot) = hls_profiling::hottest_region(&att) {
-                        println!(
+                        writeln!(w,
                             "{:<24} hottest region: {} [{}] — {} cycles, {:.0}% of the kernel attributed",
                             "",
                             hot.label,
                             hot.kind.name(),
                             hot.cycles,
                             hls_profiling::diagnose::attribution_coverage(&att) * 100.0
-                        );
+                        )?;
                     }
                 }
                 // Predicted vs observed: confront each static NP finding
@@ -156,41 +180,43 @@ fn main() {
                     let idx = GemmVersion::ALL.iter().position(|x| x == v).unwrap();
                     let report = nymble_lint::perf_lint_kernel_with(&kernels[idx], &sim.timing);
                     let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
-                    print!("{}", render_confrontation(&outcomes));
+                    write!(w, "{}", render_confrontation(&outcomes))?;
                 }
             }
             Err(e) => {
-                println!("{:<24} run failed, no trace to diagnose: {e}", v.name());
+                writeln!(w, "{:<24} run failed, no trace to diagnose: {e}", v.name())?;
                 if let bench::BenchError::Sim(se) = e {
                     if let Some(hint) = hls_profiling::diagnose::sim_error_hint(se) {
-                        println!("{:<24} hint: {hint}", "");
+                        writeln!(w, "{:<24} hint: {hint}", "")?;
                     }
                 }
             }
         }
     }
-    println!(
+    writeln!(w,
         "\n(paper @512: naive 853,522,308 cycles; 1.14x, 1.93x over previous, 5.28x and 19x over naive)"
-    );
+    )?;
 
     // ---- Fig. 6: state view of the naive version -------------------------
     let naive = match &sweep.runs[0].1.outcome {
         Ok(run) => run,
         Err(e) => {
-            println!("\nnaive run failed ({e}); skipping the figure renders");
-            println!("\n{}", bundles_footer(&out));
-            return;
+            writeln!(w, "\nnaive run failed ({e}); skipping the figure renders")?;
+            writeln!(w, "\n{}", bundles_footer(&out))?;
+            return Ok(());
         }
     };
-    println!(
+    writeln!(
+        w,
         "\n== Fig. 6: Paraver state view, naive GEMM (R=Running S=Spinning C=Critical .=Idle) ==\n"
-    );
+    )?;
     let opts = TimelineOptions {
         width: 100,
         window: None,
         axis: true,
     };
-    println!(
+    writeln!(
+        w,
         "{}",
         render_states(
             &naive.trace.records,
@@ -198,23 +224,25 @@ fn main() {
             naive.trace.meta.duration,
             &opts
         )
-    );
+    )?;
     let prof = StateProfile::compute(&naive.trace.records, threads);
-    println!(
+    writeln!(
+        w,
         "time in critical sections: {:.2}%   spinning on locks: {:.2}%   (paper: 1.54% / 1.57%)",
         prof.fraction(states::CRITICAL) * 100.0,
         prof.fraction(states::SPINNING) * 100.0
-    );
+    )?;
 
     // Zoom (Fig. 6 bottom): around the first long spin interval.
     if let Some((t0, t1)) = find_spin_window(&naive.trace.records) {
-        println!("\n-- zoom [{t0}, {t1}): one thread spins while another is in its critical section --\n");
+        writeln!(w, "\n-- zoom [{t0}, {t1}): one thread spins while another is in its critical section --\n")?;
         let zopts = TimelineOptions {
             width: 100,
             window: Some((t0, t1)),
             axis: true,
         };
-        println!(
+        writeln!(
+            w,
             "{}",
             render_states(
                 &naive.trace.records,
@@ -222,11 +250,14 @@ fn main() {
                 naive.trace.meta.duration,
                 &zopts
             )
-        );
+        )?;
     }
 
     // ---- Fig. 7: relative bandwidth over relative execution time --------
-    println!("\n== Fig. 7: relative external-memory bandwidth over each version's execution ==\n");
+    writeln!(
+        w,
+        "\n== Fig. 7: relative external-memory bandwidth over each version's execution ==\n"
+    )?;
     for (v, report) in &sweep.runs {
         let Ok(run) = &report.outcome else { continue };
         let dur = run.trace.meta.duration.max(1);
@@ -249,9 +280,12 @@ fn main() {
             .zip(&series_w.bins)
             .map(|(r, w)| (r + w) as f64)
             .collect();
-        println!("{}", render_series(&total, v.name()));
+        writeln!(w, "{}", render_series(&total, v.name()))?;
     }
-    println!("\n(each row spans that version's own runtime, as in the paper's per-version panels)");
+    writeln!(
+        w,
+        "\n(each row spans that version's own runtime, as in the paper's per-version panels)"
+    )?;
 
     // ---- Figs. 8 & 9: load/compute phases, blocked vs double-buffered ----
     for (v, fig) in [(GemmVersion::Blocked, 8), (GemmVersion::DoubleBuffered, 9)] {
@@ -267,36 +301,41 @@ fn main() {
         );
         let fl = event_series(&run.trace.records, events::FLOPS, dur.div_ceil(bins), dur);
         let st = event_series(&run.trace.records, events::STALLS, dur.div_ceil(bins), dur);
-        println!(
+        writeln!(
+            w,
             "\n== Fig. {fig}: {} — throughput (top) vs compute (middle) vs stalls (bottom) ==\n",
             v.name()
-        );
-        println!(
+        )?;
+        writeln!(
+            w,
             "{}",
             render_series(
                 &bw.bins.iter().map(|&b| b as f64).collect::<Vec<_>>(),
                 "DRAM bytes"
             )
-        );
-        println!(
+        )?;
+        writeln!(
+            w,
             "{}",
             render_series(
                 &fl.bins.iter().map(|&b| b as f64).collect::<Vec<_>>(),
                 "FLOPs"
             )
-        );
-        println!(
+        )?;
+        writeln!(
+            w,
             "{}",
             render_series(
                 &st.bins.iter().map(|&b| b as f64).collect::<Vec<_>>(),
                 "stalls"
             )
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        w,
         "\n(Fig. 8: alternating load/compute phases; Fig. 9: reads overlap compute — flatter both)"
-    );
-    println!("\n{}", bundles_footer(&out));
+    )?;
+    writeln!(w, "\n{}", bundles_footer(&out))
 }
 
 /// Find a window around the first sizeable spinning interval.

@@ -13,6 +13,9 @@
 //! HLS compile. Output is byte-identical for any `--jobs` value.
 //! `--mode analytical` swaps the simulator for the roofline fast mode
 //! (predicted cycles and GFLOP/s, no traces).
+//!
+//! A stdout closed by its reader (`repro_pi | head -n 1`) ends the run
+//! with exit 0; any other write error is one stderr line and exit 1.
 
 use bench::args::Mode;
 use bench::session::Session;
@@ -25,9 +28,23 @@ use nymble_hls::AccelCache;
 use paraver::analysis::StateProfile;
 use paraver::states;
 use paraver::timeline::{render_states, TimelineOptions};
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let session = Session::start("repro_pi", &["--threads"]);
+    let mut out = std::io::stdout().lock();
+    match run(&session, &mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro_pi: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {
     let threads = session.flag("--threads", 8u32);
     let jobs = session.jobs;
     let paper = [
@@ -61,11 +78,15 @@ fn main() {
 
     if session.mode == Mode::Analytical {
         let cache = AccelCache::new();
-        println!("== π scaling (analytical fast mode): predicted cycles, {threads} threads ==\n");
-        println!(
+        writeln!(
+            w,
+            "== π scaling (analytical fast mode): predicted cycles, {threads} threads ==\n"
+        )?;
+        writeln!(
+            w,
             "{:<14} {:>14} {:>15} {:>10}",
             "iterations", "cycles", "bound", "GFLOP/s"
-        );
+        )?;
         for &(steps, paper_gflops, _) in &paper {
             let p = PiParams {
                 steps,
@@ -78,21 +99,22 @@ fn main() {
                 Some(r) => {
                     let flops = steps as f64 * kernels::reference::PI_FLOPS_PER_ITER as f64;
                     let gflops = flops / (r.total_cycles as f64 / sim.clock_hz()) / 1e9;
-                    println!(
+                    writeln!(
+                        w,
                         "{:<14} {:>14} {:>15} {:>10.3}  (paper: {paper_gflops})",
                         steps,
                         r.total_cycles,
                         r.bound.to_string(),
                         gflops
-                    );
+                    )?;
                 }
-                None => println!("{:<14} {:>14}", steps, "unresolvable"),
+                None => writeln!(w, "{:<14} {:>14}", steps, "unresolvable")?,
             }
         }
-        println!(
+        writeln!(w,
             "\n(analytical mode: no simulation, no trace bundles — run --mode=cycle for figures;\n cross-validated within 15% of the cycle-level simulator, see crates/bench/tests/analytic_validation.rs)"
-        );
-        return;
+        )?;
+        return Ok(());
     }
 
     let sweep = pi_sweep(&PiSweepConfig {
@@ -112,7 +134,7 @@ fn main() {
         .filter_map(|(_, r)| r.outcome.as_ref().ok())
         .find_map(|pr| pr.run.accel.probe_plan.as_deref());
     if let Some(plan) = plan {
-        println!("{}\n", plan.summary());
+        writeln!(w, "{}\n", plan.summary())?;
     }
 
     let mut per_iter_cycles = 0.0f64;
@@ -120,35 +142,42 @@ fn main() {
         let pr = match &report.outcome {
             Ok(pr) => pr,
             Err(e) => {
-                println!("== Fig. {fig}: π with {steps} iterations — run failed: {e} ==\n");
+                writeln!(
+                    w,
+                    "== Fig. {fig}: π with {steps} iterations — run failed: {e} ==\n"
+                )?;
                 continue;
             }
         };
         let (run, est) = (&pr.run, pr.estimate);
         let gflops = run.result.gflops(&sim);
-        println!("== Fig. {fig}: π with {steps} iterations on {threads} threads ==\n");
+        writeln!(
+            w,
+            "== Fig. {fig}: π with {steps} iterations on {threads} threads ==\n"
+        )?;
         let opts = TimelineOptions {
             width: 100,
             window: None,
             axis: true,
         };
-        println!(
+        writeln!(
+            w,
             "{}",
             render_states(&run.trace.records, threads, run.trace.meta.duration, &opts)
-        );
+        )?;
         let profst = StateProfile::compute(&run.trace.records, threads);
-        println!(
+        writeln!(w,
             "cycles {:>10}  π ≈ {est:.6}  {gflops:.3} GFLOP/s (paper: {paper_gflops})  running {:.1}% of thread time",
             run.result.total_cycles,
             profst.fraction(states::RUNNING) * 100.0,
-        );
+        )?;
         // Does the earliest thread finish before the last starts (Fig. 11)?
         let first_end = run.result.stats.per_thread[0].end_cycle;
         let last_start = run.result.stats.per_thread[threads as usize - 1].start_cycle;
         if first_end < last_start {
-            println!(
+            writeln!(w,
                 "thread 0 finished at {first_end} before thread {} started at {last_start} — the §V-D launch-overhead effect"
-            , threads - 1);
+            , threads - 1)?;
         }
         // Predicted vs observed: the π kernel is NP-clean, so this section
         // mainly guards against an unpredicted hotspot (a measured
@@ -162,22 +191,23 @@ fn main() {
             );
             let report = nymble_lint::perf_lint_kernel_with(&gate_kernel, &sim.timing);
             let outcomes = confront(&report, &run.trace, &run.result.stats, &d);
-            println!("predicted vs observed:");
-            print!("{}", render_confrontation(&outcomes));
+            writeln!(w, "predicted vs observed:")?;
+            write!(w, "{}", render_confrontation(&outcomes))?;
         }
-        println!();
+        writeln!(w)?;
 
         // Steady-state compute rate for the extrapolation below.
         let t7 = &run.result.stats.per_thread[threads as usize - 1];
         per_iter_cycles = (t7.end_cycle - t7.start_cycle) as f64 / (*steps as f64 / threads as f64);
     }
 
-    println!(
+    writeln!(
+        w,
         "== summary ({jobs} workers; {} compile for {} runs) ==\n",
         sweep.cache.misses,
         sweep.runs.len()
-    );
-    print!("{}", sweep.table);
+    )?;
+    write!(w, "{}", sweep.table)?;
 
     // §V-D extrapolation: "increasing the number of iterations to 15·10^9
     // would give us 36.84 GFLOP/s" (ignoring f32 instability).
@@ -186,10 +216,11 @@ fn main() {
     let total_cycles = launch_span + big / threads as f64 * per_iter_cycles;
     let flops = big * kernels::reference::PI_FLOPS_PER_ITER as f64;
     let gflops = flops / (total_cycles / sim.clock_hz()) / 1e9;
-    println!("\n== extrapolation to 15·10⁹ iterations (paper: 36.84 GFLOP/s, ignoring f32 instability) ==\n");
-    println!(
+    writeln!(w, "\n== extrapolation to 15·10⁹ iterations (paper: 36.84 GFLOP/s, ignoring f32 instability) ==\n")?;
+    writeln!(
+        w,
         "  predicted {total_cycles:.3e} cycles → {gflops:.2} GFLOP/s at {} MHz",
         sim.clock_mhz
-    );
-    println!("\n{}", bundles_footer(&out));
+    )?;
+    writeln!(w, "\n{}", bundles_footer(&out))
 }

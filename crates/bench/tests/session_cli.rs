@@ -136,6 +136,27 @@ fn closed_stdout_exits_0_without_a_panic() {
             ][..],
         ),
         (env!("CARGO_BIN_EXE_repro_overhead"), &["--jobs", "2"]),
+        (
+            env!("CARGO_BIN_EXE_repro_gemm"),
+            &[
+                "--dim",
+                "16",
+                "--threads",
+                "4",
+                "--jobs",
+                "2",
+                "--out",
+                out_dir,
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro_pi"),
+            &["--mode", "analytical", "--out", out_dir],
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro_ablations"),
+            &["--dim", "16", "--jobs", "2"],
+        ),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);

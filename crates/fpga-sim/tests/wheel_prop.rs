@@ -1,5 +1,5 @@
-//! Property suite: the hierarchical timing wheel against the binary-heap
-//! reference.
+//! Property suite: the timing wheel (one wheel of single-cycle slots plus
+//! an overflow heap) against the binary-heap reference.
 //!
 //! [`WheelQueue`] and [`ReadyQueue`] expose the same dispatch contract —
 //! lexicographic `(time, tid)` min order, tid tie-breaking, O(1)

@@ -15,7 +15,8 @@
 //! events in one arena of two side-by-side arrays (12 bytes a pair), and
 //! the rare communication records out of line. [`Record`] is the borrowed
 //! view of one record that [`Records::iter`] yields; nothing is allocated
-//! per record.
+//! per record. The parser sizes a stream exactly and cuts it into
+//! disjoint parts that its threads fill in place.
 
 use std::fmt;
 
@@ -194,6 +195,75 @@ impl Records {
             values: Vec::with_capacity(pairs),
             comms: Vec::new(),
         }
+    }
+
+    /// A stream of exactly as many placeholder records, pairs and comms
+    /// as `extents` hold in all, for the [`Part`]s of [`Records::parts`]
+    /// to overwrite.
+    pub(crate) fn placeholders(extents: &[Extent]) -> Self {
+        let mut total = Extent::default();
+        for &e in extents {
+            total += e;
+        }
+        let slot = Slot {
+            time: 0,
+            word: 0,
+            state_thread: 0,
+            tag: 0,
+        };
+        let comm = Comm {
+            send_thread: 0,
+            recv_thread: 0,
+            logical_send: 0,
+            physical_send: 0,
+            logical_recv: 0,
+            physical_recv: 0,
+            size: 0,
+            tag: 0,
+        };
+        Records {
+            slots: vec![slot; total.records],
+            types: vec![0; total.pairs],
+            values: vec![0; total.pairs],
+            comms: vec![comm; total.comms],
+        }
+    }
+
+    /// The stream cut into one disjoint [`Part`] per extent, in order:
+    /// part `i` owns the records, pairs and comms that follow those of
+    /// parts `0..i`.
+    ///
+    /// # Panics
+    /// If the extents add up to more than the stream holds, or to more
+    /// than `u32::MAX` pairs.
+    pub(crate) fn parts(&mut self, extents: &[Extent]) -> Vec<Part<'_>> {
+        let (mut slots, mut types, mut values, mut comms) = (
+            &mut self.slots[..],
+            &mut self.types[..],
+            &mut self.values[..],
+            &mut self.comms[..],
+        );
+        let mut base = Extent::default();
+        let parts = extents
+            .iter()
+            .map(|e| {
+                let part = Part {
+                    slots: take_front(&mut slots, e.records),
+                    types: take_front(&mut types, e.pairs),
+                    values: take_front(&mut values, e.pairs),
+                    comms: take_front(&mut comms, e.comms),
+                    base,
+                    filled: Extent::default(),
+                };
+                base += *e;
+                part
+            })
+            .collect();
+        assert!(
+            u32::try_from(base.pairs).is_ok(),
+            "more than u32::MAX event pairs"
+        );
+        parts
     }
 
     /// Number of records.
@@ -375,6 +445,101 @@ impl<'a> Iterator for Iter<'a> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.slots.size_hint()
+    }
+}
+
+/// The size of a stream or of one part of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Extent {
+    pub(crate) records: usize,
+    pub(crate) pairs: usize,
+    pub(crate) comms: usize,
+}
+
+impl std::ops::AddAssign for Extent {
+    fn add_assign(&mut self, o: Extent) {
+        self.records += o.records;
+        self.pairs += o.pairs;
+        self.comms += o.comms;
+    }
+}
+
+/// The first `n` elements of `*rest`, which keeps the others.
+fn take_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(n);
+    *rest = tail;
+    front
+}
+
+/// One part of a stream cut by [`Records::parts`], filled front to back
+/// like [`Records`] appends. Parts are disjoint, so each can be filled on
+/// its own thread.
+pub(crate) struct Part<'a> {
+    slots: &'a mut [Slot],
+    types: &'a mut [u32],
+    values: &'a mut [u64],
+    comms: &'a mut [Comm],
+    /// Where the part's pairs and comms begin in the whole stream.
+    base: Extent,
+    filled: Extent,
+}
+
+impl Part<'_> {
+    /// What the part holds so far.
+    pub(crate) fn filled(&self) -> Extent {
+        self.filled
+    }
+
+    fn push_slot(&mut self, slot: Slot) {
+        self.slots[self.filled.records] = slot;
+        self.filled.records += 1;
+    }
+
+    /// As [`Records::push_state`].
+    pub(crate) fn push_state(&mut self, thread: u32, begin: u64, end: u64, state: u32) {
+        assert_ne!(thread, NOT_STATE, "thread id out of range");
+        self.push_slot(Slot {
+            time: begin,
+            word: end,
+            state_thread: thread,
+            tag: state,
+        });
+    }
+
+    /// The types and values of the next `count` pairs, for the caller to
+    /// write before [`Part::push_event`] takes them.
+    pub(crate) fn next_pairs(&mut self, count: usize) -> (&mut [u32], &mut [u64]) {
+        let range = self.filled.pairs..self.filled.pairs + count;
+        (&mut self.types[range.clone()], &mut self.values[range])
+    }
+
+    /// As [`Records::push_event`], with the `count` pairs that
+    /// [`Part::next_pairs`] handed out.
+    pub(crate) fn push_event(&mut self, thread: u32, time: u64, count: usize) {
+        assert_ne!(thread, NOT_STATE, "thread id out of range");
+        assert!(self.filled.pairs + count <= self.types.len());
+        // `Records::parts` bounds the stream's pairs by `u32::MAX`.
+        let first = (self.base.pairs + self.filled.pairs) as u64;
+        self.filled.pairs += count;
+        self.push_slot(Slot {
+            time,
+            word: first << 32 | count as u64,
+            state_thread: NOT_STATE,
+            tag: thread,
+        });
+    }
+
+    /// As [`Records::push_comm`].
+    pub(crate) fn push_comm(&mut self, comm: Comm) {
+        self.comms[self.filled.comms] = comm;
+        let index = (self.base.comms + self.filled.comms) as u64;
+        self.filled.comms += 1;
+        self.push_slot(Slot {
+            time: comm.logical_send,
+            word: index,
+            state_thread: NOT_STATE,
+            tag: NOT_STATE,
+        });
     }
 }
 
