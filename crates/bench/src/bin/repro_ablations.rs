@@ -45,7 +45,7 @@ use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use nymble_hls::AccelCache;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Node payload of the ablation graph.
@@ -62,15 +62,7 @@ enum AblNode {
 
 fn main() -> ExitCode {
     let session = Session::start("repro_ablations", &["--dim"]);
-    let mut out = std::io::stdout().lock();
-    match run(&session, &mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_ablations: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    session.write_stdout(|out| run(&session, out))
 }
 
 fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {

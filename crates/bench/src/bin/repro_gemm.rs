@@ -39,20 +39,12 @@ use nymble_hls::AccelCache;
 use paraver::analysis::{event_series, StateProfile};
 use paraver::timeline::{render_series, render_states, TimelineOptions};
 use paraver::{events, states};
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let session = Session::start("repro_gemm", &["--dim", "--threads"]);
-    let mut out = std::io::stdout().lock();
-    match run(&session, &mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_gemm: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    session.write_stdout(|out| run(&session, out))
 }
 
 fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {

@@ -39,7 +39,6 @@ use nymble_hls::accel::Accelerator;
 use nymble_hls::cost::geo_mean;
 use nymble_hls::AccelCache;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -56,15 +55,7 @@ enum OvhNode {
 
 fn main() -> ExitCode {
     let session = Session::start("repro_overhead", &["--threads"]);
-    let mut out = std::io::stdout().lock();
-    match run(&session, &mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_overhead: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    session.write_stdout(|out| run(&session, out))
 }
 
 fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {

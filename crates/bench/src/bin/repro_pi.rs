@@ -28,20 +28,12 @@ use nymble_hls::AccelCache;
 use paraver::analysis::StateProfile;
 use paraver::states;
 use paraver::timeline::{render_states, TimelineOptions};
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let session = Session::start("repro_pi", &["--threads"]);
-    let mut out = std::io::stdout().lock();
-    match run(&session, &mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_pi: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    session.write_stdout(|out| run(&session, out))
 }
 
 fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {

@@ -32,7 +32,7 @@ use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::spmv::{self, Csr};
 use nymble_hls::{AccelCache, HlsConfig};
 use nymble_ir::Kernel;
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -65,15 +65,7 @@ fn main() -> ExitCode {
         "repro_scale",
         &["--dim", "--rows", "--cols", "--nnz", "--threads"],
     );
-    let mut out = std::io::stdout().lock();
-    match run(&session, &mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("repro_scale: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    session.write_stdout(|out| run(&session, out))
 }
 
 fn run(session: &Session, w: &mut impl Write) -> std::io::Result<()> {

@@ -13,7 +13,10 @@
 //! * [`Session::gate`] runs both static-analysis gates and exits with
 //!   status 1 when one refuses a kernel;
 //! * [`Session::out_dir`] turns an I/O failure into one line naming the
-//!   path and exit status 1, never a panic.
+//!   path and exit status 1, never a panic;
+//! * [`Session::write_stdout`] runs the binary's output through a locked
+//!   stdout: a reader that closes it early ends the run with status 0, and
+//!   any other write error is one line and status 1.
 //!
 //! Each binary keeps only its own flags (`--dim`, `--threads`, ...) and its
 //! tables. Performance is measured from outside, by hlsbench.
@@ -23,7 +26,9 @@ use crate::{lint_gate, perf_lint_gate};
 use nymble_hls::HlsConfig;
 use nymble_ir::Kernel;
 use nymble_lint::LintLevel;
+use std::io::{self, StdoutLock, Write};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::str::FromStr;
 
 /// The flags every repro binary accepts.
@@ -138,6 +143,24 @@ impl Session {
             ));
         }
         out
+    }
+
+    /// Run `body` against a locked stdout and return the exit status: 0
+    /// when it succeeds or its reader closed stdout early, 1 with one line
+    /// naming the binary on any other write error.
+    pub fn write_stdout(
+        &self,
+        body: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>,
+    ) -> ExitCode {
+        let mut out = io::stdout().lock();
+        match body(&mut out).and_then(|()| out.flush()) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{}: cannot write output: {e}", self.binary);
+                ExitCode::FAILURE
+            }
+        }
     }
 }
 

@@ -17,11 +17,21 @@
 //! size the [`Records`] stream and once to fill it, and time-sorts the
 //! result: the fixed slots move, the event pairs stay where they were
 //! decoded.
+//!
+//! A state interval is known only when it closes, but it sorts by its
+//! begin, so pushing it on close would scatter the stream. The fill pass
+//! holds closed intervals in a bounded FIFO side buffer instead and pushes
+//! them after the events decoded alongside them. An event (or region
+//! record) whose time is at most the largest begin held flushes the buffer
+//! first, so equal times keep the order in which they were decoded. The
+//! stable sort then sees long sorted runs of events and shorter, nearly
+//! sorted runs of intervals, and returns the same order as sorting the
+//! intervals pushed on close.
 
 use crate::counters::{unpack_event_record, EVENT_RECORD_BYTES};
 use crate::recorder::{
-    state_record_bytes, unpack_region_record, unpack_state_record, REGION_RECORD_BYTES, TAG_EVENT,
-    TAG_REGION, TAG_STATE,
+    state_record_bytes, state_record_cycle, state_record_field, unpack_region_record,
+    REGION_RECORD_BYTES, TAG_EVENT, TAG_REGION, TAG_STATE,
 };
 use fpga_sim::ThreadState;
 use paraver::model::Records;
@@ -78,8 +88,50 @@ fn frames(stream: &[u8], num_threads: u32) -> impl Iterator<Item = (u8, &[u8])> 
 /// Pairs of one counter-sample event record.
 const SAMPLE_PAIRS: usize = 6;
 
+/// Intervals the side buffer holds at most (384 KiB). A flush is correct
+/// at any point; a full buffer flushes so its memory stays bounded.
+const DEFERRED_CAP: usize = 16 << 10;
+
+/// Closed state intervals not yet pushed, in the order they closed.
+struct Deferred {
+    /// `(thread, begin, end, state)` of each interval.
+    intervals: Vec<(u32, u64, u64, u32)>,
+    /// The largest begin held; meaningless while `intervals` is empty.
+    max_begin: u64,
+}
+
+impl Deferred {
+    /// Hold one closed interval, flushing first when the buffer is full.
+    fn push(&mut self, thread: u32, begin: u64, end: u64, state: u32, records: &mut Records) {
+        if self.intervals.len() == DEFERRED_CAP {
+            self.flush(records);
+        }
+        if self.intervals.is_empty() || begin > self.max_begin {
+            self.max_begin = begin;
+        }
+        self.intervals.push((thread, begin, end, state));
+    }
+
+    /// Push the held intervals ahead of a record at `time` when one of
+    /// them may begin at `time`: the stable sort would otherwise put the
+    /// later-decoded record first.
+    #[inline]
+    fn flush_before(&mut self, time: u64, records: &mut Records) {
+        if !self.intervals.is_empty() && time <= self.max_begin {
+            self.flush(records);
+        }
+    }
+
+    fn flush(&mut self, records: &mut Records) {
+        for (thread, begin, end, state) in self.intervals.drain(..) {
+            records.push_state(thread, begin, end, state);
+        }
+    }
+}
+
 /// Decode a complete flushed stream into time-sorted records (stable, so
-/// equal-time records keep their stream order).
+/// equal-time records keep their stream order; an interval's place in the
+/// stream is where it closes).
 ///
 /// `total_cycles` closes the final state interval of each thread.
 ///
@@ -90,31 +142,37 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Reco
     // One pass over the frames sizes the stream: a state snapshot follows
     // one thread's transition and closes one interval, and every thread's
     // last interval closes at the end of the run.
-    let (mut slots, mut pairs) = (num_threads as usize, 0);
+    let (mut slots, mut pairs, mut snapshots) = (num_threads as usize, 0, 0);
     for (tag, _) in frames(stream, num_threads) {
         slots += 1;
-        pairs += match tag {
-            TAG_EVENT => SAMPLE_PAIRS,
-            TAG_REGION => 1,
-            _ => 0,
-        };
+        match tag {
+            TAG_EVENT => pairs += SAMPLE_PAIRS,
+            TAG_REGION => pairs += 1,
+            _ => snapshots += 1,
+        }
     }
     let mut records = Records::with_capacity(slots, pairs);
+    // A snapshot follows one thread's transition and closes at most one
+    // interval.
+    let mut deferred = Deferred {
+        intervals: Vec::with_capacity(snapshots.min(DEFERRED_CAP)),
+        max_begin: 0,
+    };
     let mut unwrap = Unwrapper::new();
     // Per-thread open interval: (state, since).
     let mut open = vec![(ThreadState::Idle, 0u64); num_threads as usize];
     for (tag, payload) in frames(stream, num_threads) {
         match tag {
             TAG_STATE => {
-                let (lo, states) = unpack_state_record(payload, num_threads);
-                let t = unwrap.full(lo);
-                for (tid, s) in states.iter().enumerate() {
-                    let (old, since) = open[tid];
-                    if *s != old {
-                        if t > since {
-                            records.push_state(tid as u32, since, t, old.paraver_state());
+                let t = unwrap.full(state_record_cycle(payload));
+                for (tid, (old, since)) in open.iter_mut().enumerate() {
+                    let s = state_record_field(payload, tid);
+                    if s != *old {
+                        if t > *since {
+                            let state = old.paraver_state();
+                            deferred.push(tid as u32, *since, t, state, &mut records);
                         }
-                        open[tid] = (*s, t);
+                        (*old, *since) = (s, t);
                     }
                 }
             }
@@ -129,11 +187,13 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Reco
                     (paraver::events::BYTES_WRITTEN, a.bytes_written),
                     (paraver::events::LOCAL_OPS, a.local_ops),
                 ];
+                deferred.flush_before(t, &mut records);
                 records.push_event(tid, t, sample);
             }
             _ => {
                 let (tid, lo, region, enter) = unpack_region_record(payload);
                 let t = unwrap.full(lo);
+                deferred.flush_before(t, &mut records);
                 records.push_event(
                     tid,
                     t,
@@ -142,6 +202,7 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Reco
             }
         }
     }
+    deferred.flush(&mut records);
     for (tid, (state, since)) in open.into_iter().enumerate() {
         if total_cycles > since {
             records.push_state(tid as u32, since, total_cycles, state.paraver_state());
@@ -155,7 +216,7 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Reco
 mod tests {
     use super::*;
     use crate::counters::{CounterBank, CounterSet};
-    use crate::recorder::{pack_region_record, StateRecorder};
+    use crate::recorder::{pack_region_record, unpack_state_record, StateRecorder};
     use paraver::model::{Record, TraceMeta};
 
     #[test]
@@ -283,5 +344,144 @@ mod tests {
         bank.add_ops(0, 1, 1, 1);
         let full = bank.sample(10, 0).unwrap();
         let _ = decode_stream(&full[..EVENT_RECORD_BYTES - 3], 1, 100);
+    }
+
+    /// Reference decoder: each interval is pushed when it closes, then the
+    /// whole stream is sorted.
+    fn reference_decode(stream: &[u8], num_threads: u32, total_cycles: u64) -> Records {
+        let mut records = Records::new();
+        let mut unwrap = Unwrapper::new();
+        let mut open = vec![(ThreadState::Idle, 0u64); num_threads as usize];
+        for (tag, payload) in frames(stream, num_threads) {
+            match tag {
+                TAG_STATE => {
+                    let (lo, states) = unpack_state_record(payload, num_threads);
+                    let t = unwrap.full(lo);
+                    for (tid, s) in states.into_iter().enumerate() {
+                        let (old, since) = open[tid];
+                        if s != old {
+                            if t > since {
+                                records.push_state(tid as u32, since, t, old.paraver_state());
+                            }
+                            open[tid] = (s, t);
+                        }
+                    }
+                }
+                TAG_EVENT => {
+                    let (tid, lo, a) = unpack_event_record(payload);
+                    let t = unwrap.full(lo);
+                    let pairs = [a.stalls, a.int_ops, a.flops, a.bytes_read];
+                    let pairs = pairs.into_iter().chain([a.bytes_written, a.local_ops]);
+                    let types = [
+                        paraver::events::STALLS,
+                        paraver::events::INT_OPS,
+                        paraver::events::FLOPS,
+                        paraver::events::BYTES_READ,
+                        paraver::events::BYTES_WRITTEN,
+                        paraver::events::LOCAL_OPS,
+                    ];
+                    records.push_event(tid, t, types.into_iter().zip(pairs));
+                }
+                _ => {
+                    let (tid, lo, region, enter) = unpack_region_record(payload);
+                    let t = unwrap.full(lo);
+                    let ty = paraver::events::region_type(region);
+                    records.push_event(tid, t, [(ty, enter as u64)]);
+                }
+            }
+        }
+        for (tid, (state, since)) in open.into_iter().enumerate() {
+            if total_cycles > since {
+                records.push_state(tid as u32, since, total_cycles, state.paraver_state());
+            }
+        }
+        records.sort_by_time();
+        records
+    }
+
+    const STATES: [ThreadState; 4] = [
+        ThreadState::Idle,
+        ThreadState::Running,
+        ThreadState::Critical,
+        ThreadState::Spinning,
+    ];
+
+    /// A random stream of up to `frames` state snapshots, counter samples
+    /// and region records on 1–8 threads, whose times step forward, stand
+    /// still and, if `backward`, step back, with line padding between some
+    /// frames. Returns the stream, its thread count and the run's end.
+    fn random_stream(g: &mut miniprop::Rng, frames: usize, backward: bool) -> (Vec<u8>, u32, u64) {
+        let n = g.range_u32(1, 9);
+        let mut rec = StateRecorder::new(n);
+        let mut bank = CounterBank::new(n, CounterSet::default());
+        let mut stream = Vec::new();
+        let mut t = g.range_u64(0, 50);
+        for _ in 0..frames {
+            t = match g.range_u32(0, 6) {
+                0 | 1 => t,
+                2 if backward => t.saturating_sub(g.range_u64(1, 30)),
+                _ => t + g.range_u64(1, 30),
+            };
+            let tid = g.range_u32(0, n);
+            match g.range_u32(0, 4) {
+                0 | 1 => {
+                    if let Some(r) = rec.transition(t, tid, *g.pick(&STATES)) {
+                        stream.extend_from_slice(r);
+                    }
+                }
+                2 => {
+                    bank.add_ops(tid, g.range_u64(1, 9), g.range_u64(0, 9), 0);
+                    stream.extend_from_slice(&bank.sample(t, tid).unwrap());
+                }
+                _ => {
+                    let region = g.range_u32(0, 4) as u16;
+                    stream.extend_from_slice(&pack_region_record(t, tid, region, g.bool()));
+                }
+            }
+            if g.chance(1, 8) {
+                stream.resize(stream.len() + g.range_usize(1, 8), 0);
+            }
+        }
+        (stream, n, t + g.range_u64(0, 20))
+    }
+
+    #[test]
+    fn decode_matches_push_on_close_then_sort() {
+        miniprop::forall(300, |g| {
+            let frames = g.range_usize(0, 80);
+            let (stream, n, total) = random_stream(g, frames, true);
+            assert_eq!(
+                decode_stream(&stream, n, total),
+                reference_decode(&stream, n, total)
+            );
+        });
+    }
+
+    /// Without backward steps no event flushes the side buffer, so more
+    /// intervals than it holds make it flush when full.
+    #[test]
+    fn a_full_side_buffer_keeps_the_order() {
+        miniprop::forall(2, |g| {
+            let (stream, n, total) = random_stream(g, 5 * DEFERRED_CAP, false);
+            assert_eq!(
+                decode_stream(&stream, n, total),
+                reference_decode(&stream, n, total)
+            );
+        });
+    }
+
+    /// A region record at the begin of an interval that closed before it
+    /// was decoded: the side buffer must flush so the interval stays first.
+    #[test]
+    fn event_at_a_deferred_begin_keeps_the_interval_first() {
+        let mut stream = Vec::new();
+        let mut rec = StateRecorder::new(2);
+        stream.extend_from_slice(rec.transition(10, 0, ThreadState::Running).unwrap());
+        stream.extend_from_slice(rec.transition(20, 0, ThreadState::Idle).unwrap());
+        stream.extend_from_slice(&pack_region_record(10, 1, 0, true));
+        let records = decode_stream(&stream, 2, 30);
+        assert_eq!(records, reference_decode(&stream, 2, 30));
+        let order: Vec<(u8, u64)> = records.iter().map(|r| (r.kind(), r.sort_time())).collect();
+        assert_eq!(order, [(1, 0), (1, 0), (1, 10), (2, 10), (1, 20)]);
     }
 }

@@ -97,16 +97,26 @@ impl StateRecorder {
     }
 }
 
+/// The 32-bit cycle stamp of a state record payload (everything after the
+/// tag byte).
+pub fn state_record_cycle(payload: &[u8]) -> u32 {
+    u32::from_le_bytes(payload[0..4].try_into().expect("4-byte cycle"))
+}
+
+/// Thread `tid`'s 2-bit state field of a state record payload, read in
+/// place.
+#[inline]
+pub fn state_record_field(payload: &[u8], tid: usize) -> ThreadState {
+    ThreadState::decode(payload[4 + tid / 4] >> ((tid % 4) * 2))
+}
+
 /// Unpack a state record payload (everything after the tag byte) produced by
 /// [`StateRecorder::transition`]. Returns `(cycle_lo32, states)`.
 pub fn unpack_state_record(payload: &[u8], n: u32) -> (u32, Vec<ThreadState>) {
-    let cycle = u32::from_le_bytes(payload[0..4].try_into().expect("4-byte cycle"));
-    let mut states = Vec::with_capacity(n as usize);
-    for i in 0..n as usize {
-        let b = payload[4 + i / 4];
-        states.push(ThreadState::decode((b >> ((i % 4) * 2)) & 0b11));
-    }
-    (cycle, states)
+    let states = (0..n as usize)
+        .map(|tid| state_record_field(payload, tid))
+        .collect();
+    (state_record_cycle(payload), states)
 }
 
 #[cfg(test)]

@@ -162,9 +162,7 @@ impl TraceData {
             &event_defs,
         )?
         .with_regions(row_regions);
-        for r in &self.records {
-            w.write(r)?;
-        }
+        w.write_records(&self.records)?;
         w.finish()
     }
 }

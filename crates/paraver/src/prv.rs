@@ -12,10 +12,160 @@
 //! The writer streams through any [`std::io::Write`]; callers hand it records
 //! in non-decreasing time order. Order and thread-range violations surface as
 //! typed [`TraceError`]s, never as a panic.
+//!
+//! One line function renders every record: it builds the line in a stack
+//! buffer, two decimal digits per step, and appends it to a byte buffer.
+//! [`TraceWriter::write`] hands each line to the output on its own.
+//! [`TraceWriter::write_records`] drains a whole [`Records`] stream in one
+//! pass: it checks order and thread range, collects consecutive lines in one
+//! reused buffer that grows only as far as the stream needs (to about
+//! 256 KiB), and hands each full buffer to the output in one `write_all`.
+//! Both stay on the calling thread.
 
 use crate::error::TraceError;
-use crate::model::{Record, TraceMeta};
+use crate::model::{Record, Records, TraceMeta};
 use std::io::{self, Write};
+
+/// Size at which [`TraceWriter::write_records`] hands its buffered lines
+/// to the output.
+const CHUNK_BYTES: usize = 256 << 10;
+
+/// Capacity of the stack line buffer. Every state and comm line fits; an
+/// event line longer than this is appended in pieces.
+const LINE_BYTES: usize = 256;
+
+/// Room one `:<u32>:<u64>` event pair needs.
+const PAIR_BYTES: usize = 1 + 10 + 1 + 20;
+
+/// `"00" "01" ... "99"`: the two-digit table of [`Line::num`].
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// One `.prv` line under construction on the stack.
+struct Line {
+    buf: [u8; LINE_BYTES],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line {
+            buf: [0; LINE_BYTES],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.buf[self.len..self.len + b.len()].copy_from_slice(b);
+        self.len += b.len();
+    }
+
+    /// Append `v` in decimal (the bytes `Display` produces), two digits
+    /// per step from the right.
+    #[inline]
+    fn num(&mut self, mut v: u64) {
+        if v < 10 {
+            self.buf[self.len] = b'0' + v as u8;
+            self.len += 1;
+            return;
+        }
+        let digits = v.ilog10() as usize + 1;
+        let out = &mut self.buf[self.len..self.len + digits];
+        let mut i = digits;
+        while v >= 100 {
+            let d = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            out[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+        }
+        if v >= 10 {
+            let d = v as usize * 2;
+            out[..2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+        } else {
+            out[0] = b'0' + v as u8;
+        }
+        self.len += digits;
+    }
+
+    /// `:<v>`.
+    #[inline]
+    fn field(&mut self, v: u64) {
+        self.bytes(b":");
+        self.num(v);
+    }
+
+    /// `<kind>:<thread>:1:1:<thread>` with Paraver's 1-based thread id.
+    #[inline]
+    fn actor(&mut self, prefix: &[u8], thread: u32) {
+        self.bytes(prefix);
+        self.num(thread as u64 + 1);
+        self.bytes(b":1:1:");
+        self.num(thread as u64 + 1);
+    }
+
+    /// Move the line's bytes to the end of `out`.
+    #[inline]
+    fn spill(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.buf[..self.len]);
+        self.len = 0;
+    }
+}
+
+/// Append `r`'s `.prv` line, newline included, to `out`, building it in
+/// `line`.
+#[inline]
+fn render(r: Record<'_>, line: &mut Line, out: &mut Vec<u8>) {
+    match r {
+        Record::State {
+            thread,
+            begin,
+            end,
+            state,
+        } => {
+            debug_assert!(begin <= end, "state interval reversed");
+            // 1:{tid}:1:1:{tid}:{begin}:{end}:{state}
+            line.actor(b"1:", thread);
+            line.field(begin);
+            line.field(end);
+            line.field(state as u64);
+        }
+        Record::Event {
+            thread,
+            time,
+            events,
+        } => {
+            debug_assert!(!events.is_empty(), "event record with no events");
+            // 2:{tid}:1:1:{tid}:{time}[:{type}:{value}]...
+            line.actor(b"2:", thread);
+            line.field(time);
+            for (ty, v) in events {
+                if line.len + PAIR_BYTES + 1 > LINE_BYTES {
+                    line.spill(out);
+                }
+                line.field(ty as u64);
+                line.field(v);
+            }
+        }
+        Record::Comm(c) => {
+            // 3:{s}:1:1:{s}:{ls}:{ps}:{r}:1:1:{r}:{lr}:{pr}:{size}:{tag}
+            line.actor(b"3:", c.send_thread);
+            line.field(c.logical_send);
+            line.field(c.physical_send);
+            line.actor(b":", c.recv_thread);
+            line.field(c.logical_recv);
+            line.field(c.physical_recv);
+            line.field(c.size);
+            line.field(c.tag);
+        }
+    }
+    line.bytes(b"\n");
+    line.spill(out);
+}
 
 /// Streaming `.prv` writer.
 pub struct TraceWriter<W: Write> {
@@ -23,27 +173,10 @@ pub struct TraceWriter<W: Write> {
     meta: TraceMeta,
     records_written: u64,
     last_time: u64,
-    /// Reusable line buffer: records are rendered with a bare decimal
-    /// formatter instead of `fmt` machinery — the writer sits on the hot
-    /// side of million-record traces and the formatting cost dominates
-    /// otherwise. Output bytes are identical to the `write!` rendering.
+    /// Reusable buffer of [`Self::write`]'s line.
     line: Vec<u8>,
-}
-
-/// Append `v` in decimal (same bytes `Display` produces).
-#[inline]
-fn push_u64(line: &mut Vec<u8>, mut v: u64) {
-    let mut tmp = [0u8; 20];
-    let mut i = tmp.len();
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    line.extend_from_slice(&tmp[i..]);
+    /// Size at which [`Self::write_records`] hands its buffer to `out`.
+    chunk_bytes: usize,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -62,6 +195,7 @@ impl<W: Write> TraceWriter<W> {
             records_written: 0,
             last_time: 0,
             line: Vec::with_capacity(128),
+            chunk_bytes: CHUNK_BYTES,
         })
     }
 
@@ -75,13 +209,9 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Write one record.
-    ///
-    /// Returns [`TraceError::OutOfOrder`] if `r.sort_time()` is earlier than
-    /// the previous record's, and [`TraceError::ThreadOutOfRange`] for a
-    /// thread id beyond the trace's thread count; the record is not written
-    /// in either case, and the writer stays usable.
-    pub fn write(&mut self, r: Record<'_>) -> Result<(), TraceError> {
+    /// Check that `r` may follow the records written so far.
+    #[inline]
+    fn check(&self, r: Record<'_>) -> Result<(), TraceError> {
         if r.sort_time() < self.last_time {
             return Err(TraceError::OutOfOrder {
                 prev: self.last_time,
@@ -90,81 +220,26 @@ impl<W: Write> TraceWriter<W> {
         }
         match r {
             Record::State { thread, .. } | Record::Event { thread, .. } => {
-                self.check_thread(thread)?
+                self.check_thread(thread)
             }
             Record::Comm(c) => {
                 self.check_thread(c.send_thread)?;
-                self.check_thread(c.recv_thread)?;
+                self.check_thread(c.recv_thread)
             }
         }
-        let line = &mut self.line;
-        line.clear();
-        match r {
-            Record::State {
-                thread,
-                begin,
-                end,
-                state,
-            } => {
-                debug_assert!(begin <= end, "state interval reversed");
-                // 1:{tid}:1:1:{tid}:{begin}:{end}:{state}
-                line.extend_from_slice(b"1:");
-                push_u64(line, (thread + 1) as u64);
-                line.extend_from_slice(b":1:1:");
-                push_u64(line, (thread + 1) as u64);
-                line.push(b':');
-                push_u64(line, begin);
-                line.push(b':');
-                push_u64(line, end);
-                line.push(b':');
-                push_u64(line, state as u64);
-            }
-            Record::Event {
-                thread,
-                time,
-                events,
-            } => {
-                debug_assert!(!events.is_empty(), "event record with no events");
-                // 2:{tid}:1:1:{tid}:{time}[:{type}:{value}]...
-                line.extend_from_slice(b"2:");
-                push_u64(line, (thread + 1) as u64);
-                line.extend_from_slice(b":1:1:");
-                push_u64(line, (thread + 1) as u64);
-                line.push(b':');
-                push_u64(line, time);
-                for (ty, v) in events {
-                    line.push(b':');
-                    push_u64(line, ty as u64);
-                    line.push(b':');
-                    push_u64(line, v);
-                }
-            }
-            Record::Comm(c) => {
-                // 3:{s}:1:1:{s}:{ls}:{ps}:{r}:1:1:{r}:{lr}:{pr}:{size}:{tag}
-                line.extend_from_slice(b"3:");
-                push_u64(line, (c.send_thread + 1) as u64);
-                line.extend_from_slice(b":1:1:");
-                push_u64(line, (c.send_thread + 1) as u64);
-                line.push(b':');
-                push_u64(line, c.logical_send);
-                line.push(b':');
-                push_u64(line, c.physical_send);
-                line.push(b':');
-                push_u64(line, (c.recv_thread + 1) as u64);
-                line.extend_from_slice(b":1:1:");
-                push_u64(line, (c.recv_thread + 1) as u64);
-                line.push(b':');
-                push_u64(line, c.logical_recv);
-                line.push(b':');
-                push_u64(line, c.physical_recv);
-                line.push(b':');
-                push_u64(line, c.size);
-                line.push(b':');
-                push_u64(line, c.tag);
-            }
-        }
-        line.push(b'\n');
-        self.out.write_all(line)?;
+    }
+
+    /// Write one record.
+    ///
+    /// Returns [`TraceError::OutOfOrder`] if `r.sort_time()` is earlier than
+    /// the previous record's, and [`TraceError::ThreadOutOfRange`] for a
+    /// thread id beyond the trace's thread count; the record is not written
+    /// in either case, and the writer stays usable.
+    pub fn write(&mut self, r: Record<'_>) -> Result<(), TraceError> {
+        self.check(r)?;
+        self.line.clear();
+        render(r, &mut Line::new(), &mut self.line);
+        self.out.write_all(&self.line)?;
         self.last_time = r.sort_time();
         self.records_written += 1;
         Ok(())
@@ -181,6 +256,33 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
+    /// Write a whole stream: the same bytes and errors as
+    /// [`Self::write_all`], handed to the output a buffer at a time.
+    ///
+    /// At the first record [`Self::write`] would refuse, the lines before
+    /// it reach the output and its error is returned.
+    pub fn write_records(&mut self, records: &Records) -> Result<(), TraceError> {
+        let (mut line, mut buf) = (Line::new(), Vec::new());
+        let mut result = Ok(());
+        for r in records {
+            if let Err(e) = self.check(r) {
+                result = Err(e);
+                break;
+            }
+            render(r, &mut line, &mut buf);
+            self.last_time = r.sort_time();
+            self.records_written += 1;
+            // Hand the buffer over before the next line could grow it
+            // past the chunk.
+            if buf.len() + LINE_BYTES > self.chunk_bytes {
+                self.out.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        self.out.write_all(&buf)?;
+        result
+    }
+
     /// Number of records written so far.
     pub fn records_written(&self) -> u64 {
         self.records_written
@@ -195,9 +297,9 @@ impl<W: Write> TraceWriter<W> {
 
 /// Writer for a full trace bundle (`.prv` + `.pcf` + `.row`).
 ///
-/// The `.prv` body goes record by record through a [`TraceWriter`]; the
-/// `.pcf` and `.row` sidecars are derived from metadata alone and are
-/// emitted by [`BundleWriter::finish`].
+/// The `.prv` body goes through a [`TraceWriter`]; the `.pcf` and `.row`
+/// sidecars are derived from metadata alone and are emitted by
+/// [`BundleWriter::finish`].
 pub struct BundleWriter {
     writer: TraceWriter<io::BufWriter<std::fs::File>>,
     path_stem: std::path::PathBuf,
@@ -239,9 +341,13 @@ impl BundleWriter {
 
     /// Write one `.prv` record (see [`TraceWriter::write`] for the typed
     /// ordering and thread-range errors).
-    #[inline]
     pub fn write(&mut self, r: Record<'_>) -> Result<(), TraceError> {
         self.writer.write(r)
+    }
+
+    /// Write a whole `.prv` body (see [`TraceWriter::write_records`]).
+    pub fn write_records(&mut self, records: &Records) -> Result<(), TraceError> {
+        self.writer.write_records(records)
     }
 
     /// Flush the `.prv` body and write the `.pcf` and `.row` sidecars.
@@ -362,6 +468,177 @@ mod tests {
         for ext in ["prv", "pcf", "row"] {
             assert!(stem.with_extension(ext).exists(), ".{ext} missing");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A value drawn to hit every digit count and both type limits.
+    fn value(g: &mut miniprop::Rng) -> u64 {
+        match g.range_u32(0, 6) {
+            0 => *g.pick(&[0, 9, 10, 99, 100, 101]),
+            1 => u32::MAX as u64,
+            2 => u64::MAX,
+            3 => g.range_u64(0, 1 << 20),
+            _ => g.u64() >> g.range_u32(0, 64),
+        }
+    }
+
+    /// A random time-ordered stream of states, events (some with more
+    /// pairs than one line buffer holds) and comms on `threads` threads.
+    fn random_stream(g: &mut miniprop::Rng, threads: u32) -> Records {
+        let mut rs = Records::new();
+        let mut t = 0u64;
+        let thread = |g: &mut miniprop::Rng| match g.range_u32(0, 3) {
+            0 => threads - 1,
+            _ => g.range_u32(0, threads.min(64)),
+        };
+        for _ in 0..g.range_usize(0, 60) {
+            t = match g.range_u32(0, 8) {
+                0 => u64::MAX,
+                1..=3 => t,
+                _ => t.saturating_add(value(g) >> g.range_u32(0, 64)),
+            };
+            match g.range_u32(0, 10) {
+                0..=3 => {
+                    let end = t.saturating_add(value(g));
+                    rs.push_state(thread(g), t, end, value(g) as u32)
+                }
+                4..=8 => {
+                    let pairs: Vec<_> = (0..g.range_usize(1, 20))
+                        .map(|_| (value(g) as u32, value(g)))
+                        .collect();
+                    rs.push_event(thread(g), t, pairs)
+                }
+                _ => rs.push_comm(Comm {
+                    send_thread: thread(g),
+                    recv_thread: thread(g),
+                    logical_send: t,
+                    physical_send: value(g),
+                    logical_recv: value(g),
+                    physical_recv: value(g),
+                    size: value(g),
+                    tag: value(g),
+                }),
+            }
+        }
+        rs
+    }
+
+    /// `r`'s line as `write!` renders it, for checking the digit path.
+    fn display_line(r: Record<'_>) -> String {
+        match r {
+            Record::State {
+                thread,
+                begin,
+                end,
+                state,
+            } => {
+                let th = thread as u64 + 1;
+                format!("1:{th}:1:1:{th}:{begin}:{end}:{state}")
+            }
+            Record::Event {
+                thread,
+                time,
+                events,
+            } => {
+                let th = thread as u64 + 1;
+                let mut line = format!("2:{th}:1:1:{th}:{time}");
+                for (ty, v) in events {
+                    line += &format!(":{ty}:{v}");
+                }
+                line
+            }
+            Record::Comm(c) => {
+                let (s, r) = (c.send_thread as u64 + 1, c.recv_thread as u64 + 1);
+                format!(
+                    "3:{s}:1:1:{s}:{}:{}:{r}:1:1:{r}:{}:{}:{}:{}",
+                    c.logical_send, c.physical_send, c.logical_recv, c.physical_recv, c.size, c.tag
+                )
+            }
+        }
+    }
+
+    /// A chunk size that hands the buffer over every line or every few.
+    fn small_chunk(g: &mut miniprop::Rng) -> usize {
+        if g.bool() {
+            1
+        } else {
+            g.range_usize(LINE_BYTES, 4 * LINE_BYTES)
+        }
+    }
+
+    #[test]
+    fn bulk_write_matches_per_record_write() {
+        miniprop::forall(300, |g| {
+            let threads = *g.pick(&[1, 3, 64, u32::MAX]);
+            let rs = random_stream(g, threads);
+            let meta = TraceMeta::new("bulk", value(g), threads);
+            let mut one = TraceWriter::new(Vec::new(), meta.clone()).unwrap();
+            for r in &rs {
+                one.write(r).unwrap();
+            }
+            let mut bulk = TraceWriter::new(Vec::new(), meta).unwrap();
+            bulk.chunk_bytes = small_chunk(g);
+            bulk.write_records(&rs).unwrap();
+            assert_eq!(bulk.records_written(), rs.len() as u64);
+            let (one, bulk) = (one.finish().unwrap(), bulk.finish().unwrap());
+            assert_eq!(
+                String::from_utf8(bulk).unwrap(),
+                String::from_utf8(one).unwrap()
+            );
+        });
+    }
+
+    #[test]
+    fn line_digits_match_display() {
+        miniprop::forall(300, |g| {
+            let rs = random_stream(g, u32::MAX);
+            let mut w = TraceWriter::new(Vec::new(), TraceMeta::new("d", 1, u32::MAX)).unwrap();
+            w.write_records(&rs).unwrap();
+            let text = String::from_utf8(w.finish().unwrap()).unwrap();
+            let want: Vec<String> = rs.iter().map(display_line).collect();
+            assert_eq!(text.lines().skip(1).collect::<Vec<_>>(), want);
+        });
+    }
+
+    /// A bad record stops the bundle with the per-record writer's error,
+    /// and the `.prv` holds exactly the header and the lines before it. At
+    /// a chunk of one byte every record follows a buffer hand-over.
+    #[test]
+    fn bulk_write_stops_at_the_first_bad_record() {
+        let dir = std::env::temp_dir().join(format!("prv-bulk-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("t");
+        miniprop::forall(100, |g| {
+            let good = random_stream(g, 4);
+            let cut = g.range_usize(0, good.len() + 1);
+            let last = good.iter().take(cut).map(|r| r.sort_time()).max();
+            let mut rs = Records::new();
+            for r in good.iter().take(cut) {
+                rs.push(r);
+            }
+            match last {
+                Some(t) if t > 0 && g.bool() => rs.push_state(0, t - 1, t, 1),
+                _ => rs.push_event(4, last.unwrap_or(0), [(1, 1)]),
+            }
+            for r in good.iter().skip(cut) {
+                rs.push(r);
+            }
+
+            let meta = TraceMeta::new("bad", 100, 4);
+            let mut one = TraceWriter::new(Vec::new(), meta.clone()).unwrap();
+            let want_err = rs.iter().try_for_each(|r| one.write(r)).unwrap_err();
+            let want = one.finish().unwrap();
+
+            let mut b = BundleWriter::create(&stem, &meta, &[], &[]).unwrap();
+            b.writer.chunk_bytes = small_chunk(g);
+            let err = b.write_records(&rs).unwrap_err();
+            drop(b);
+            assert_eq!(format!("{err:?}"), format!("{want_err:?}"));
+            let want = String::from_utf8(want).unwrap();
+            assert_eq!(want.lines().count(), 1 + cut);
+            let prv = std::fs::read(stem.with_extension("prv")).unwrap();
+            assert_eq!(String::from_utf8(prv).unwrap(), want);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,8 +17,14 @@ use hls_paraver::paraver::{analysis, events};
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
 use hls_paraver::sim::{Executor, SimConfig};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    hls_paraver::write_stdout("custom_kernel", run)
+}
+
+fn run(w: &mut impl Write) -> io::Result<()> {
     let n = 96usize;
     let threads = 6;
 
@@ -34,7 +40,7 @@ fn main() {
         kb.store(out, i, v); // both threads write OUT[0..4): NL001
     });
     let refused = kb.try_finish().expect_err("strict mode rejects the race");
-    println!("strict mode refused the racy demo kernel:\n{refused}\n");
+    writeln!(w, "strict mode refused the racy demo kernel:\n{refused}\n")?;
 
     let kernel = extra::jacobi(n as i64, threads);
     let grid = reference::gen_matrix(n, 11);
@@ -53,10 +59,11 @@ fn main() {
             assert!((got[i * n + j] - expect[i * n + j]).abs() < 1e-5);
         }
     }
-    println!(
+    writeln!(
+        w,
         "gold model matches CPU reference ({} flops)",
         gold.ops.flops
-    );
+    )?;
 
     // Step 2: gate, compile and inspect the schedule. The caller gates the
     // compile with the same analyzer — the stencil is clean, so `deny`
@@ -65,32 +72,35 @@ fn main() {
         panic!("lint gate rejected the stencil:\n{report}");
     }
     let acc = compile(&kernel, &HlsConfig::default());
-    println!("\n{}", report::schedule_report(&kernel, &acc));
+    writeln!(w, "\n{}", report::schedule_report(&kernel, &acc))?;
 
     // Step 3: timed, profiled run.
     let sim = SimConfig::default().with_fast_launch();
     let mut unit = ProfilingUnit::new(&kernel.name, threads, ProfilingConfig::default());
     let r = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
     let trace = unit.finish();
-    println!(
+    writeln!(w,
         "{} cycles, {:.3} GB/s, line-buffer hit rate {:.0}% (the four stencil taps share one port buffer)",
         r.total_cycles,
         r.throughput_gbps(&sim),
         r.stats.read_hit_rate() * 100.0
-    );
+    )?;
 
     // Step 4: what would the trace tell us? Stall intensity over time.
     let dur = trace.meta.duration.max(1);
     let stalls = analysis::event_series(&trace.records, events::STALLS, dur.div_ceil(60), dur);
-    println!(
+    writeln!(
+        w,
         "\n{}",
         hls_paraver::paraver::timeline::render_series(
             &stalls.bins.iter().map(|&b| b as f64).collect::<Vec<_>>(),
             "stall cycles"
         )
-    );
-    println!(
+    )?;
+    writeln!(
+        w,
         "total stall fraction {:.1}% — the stencil is memory-latency-bound",
         r.stats.total_stalls() as f64 / (r.total_cycles as f64 * threads as f64) * 100.0
-    );
+    )?;
+    Ok(())
 }

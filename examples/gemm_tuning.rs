@@ -15,8 +15,14 @@ use hls_paraver::paraver::states;
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
 use hls_paraver::sim::{Executor, SimConfig};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    hls_paraver::write_stdout("gemm_tuning", run)
+}
+
+fn run(w: &mut impl Write) -> io::Result<()> {
     let dim: i64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -71,23 +77,26 @@ fn main() {
         } else {
             prev as f64 / r.total_cycles as f64
         };
-        println!("{:=<74}", "");
-        println!(
+        writeln!(w, "{:=<74}", "")?;
+        writeln!(
+            w,
             "{:<24} {:>12} cycles  {:>5.2}x vs previous  (max rel err {:.1e})",
             v.name(),
             r.total_cycles,
             speedup,
             max_err
-        );
-        println!(
+        )?;
+        writeln!(
+            w,
             "  GB/s {:.3}  stalls {:.1}%  spinning {:.1}%  critical {:.1}%  line-hit {:.0}%",
             r.throughput_gbps(&sim),
             r.stats.total_stalls() as f64 / (r.total_cycles * p.threads as u64) as f64 * 100.0,
             prof.fraction(states::SPINNING) * 100.0,
             prof.fraction(states::CRITICAL) * 100.0,
             r.stats.read_hit_rate() * 100.0
-        );
-        println!("  trace says: {note}");
+        )?;
+        writeln!(w, "  trace says: {note}")?;
         prev = r.total_cycles;
     }
+    Ok(())
 }

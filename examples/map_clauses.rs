@@ -11,8 +11,14 @@
 use hls_paraver::ir::{KernelBuilder, MapDir, ScalarType};
 use hls_paraver::sim::host::{end_to_end_cycles, transfer_cost, HostConfig};
 use hls_paraver::sim::SimConfig;
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    hls_paraver::write_stdout("map_clauses", run)
+}
+
+fn run(w: &mut impl Write) -> io::Result<()> {
     let dim = 512usize;
     let n = dim * dim;
     let host = HostConfig::default();
@@ -42,28 +48,31 @@ fn main() {
     // Kernel cycles from the paper-scale measurement (EXPERIMENTS.md).
     let kernel_cycles = 69_898_123u64; // double-buffered GEMM @512
 
-    println!(
+    writeln!(
+        w,
         "GEMM {dim}x{dim} launch, f32 ({} MB per matrix)\n",
         n * 4 / 1_000_000
-    );
+    )?;
     for (name, c) in [
         ("map(to:A,B) map(from:C)", &p),
         ("pessimistic tofrom all", &q),
     ] {
-        println!(
+        writeln!(
+            w,
             "{name:<26} H2D {:>9} cy ({:>8} B)   D2H {:>9} cy ({:>8} B)   end-to-end {:>10} cy",
             c.h2d_cycles,
             c.h2d_bytes,
             c.d2h_cycles,
             c.d2h_bytes,
             end_to_end_cycles(kernel_cycles, c, &sim)
-        );
+        )?;
     }
     let saved = q.total_cycles() - p.total_cycles();
-    println!(
+    writeln!(w,
         "\nprecise map clauses save {saved} cycles ({:.2} ms at {} MHz) per launch — {:.1}% of this kernel's runtime",
         sim.cycles_to_seconds(saved) * 1e3,
         sim.clock_mhz,
         saved as f64 / kernel_cycles as f64 * 100.0
-    );
+    )?;
+    Ok(())
 }

@@ -13,13 +13,20 @@ use hls_paraver::paraver::timeline::{render_states, TimelineOptions};
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
 use hls_paraver::sim::{Executor, SimConfig};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    hls_paraver::write_stdout("pi_scaling", run)
+}
+
+fn run(w: &mut impl Write) -> io::Result<()> {
     let sim = SimConfig::default();
-    println!(
+    writeln!(
+        w,
         "host starts one thread every {} cycles — small workloads never reach full parallelism\n",
         sim.timing.launch_interval
-    );
+    )?;
     for steps in [1_000_000u64, 4_000_000, 10_000_000, 40_000_000] {
         let p = PiParams {
             steps,
@@ -45,19 +52,25 @@ fn main() {
         let r = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
         let trace = unit.finish();
         let est = r.buffers[2].to_f32()[0] * step;
-        println!(
+        writeln!(
+            w,
             "-- {steps} iterations: {:.3} GFLOP/s, pi = {est:.6} --",
             r.gflops(&sim)
-        );
+        )?;
         let opts = TimelineOptions {
             width: 90,
             axis: false,
             ..Default::default()
         };
-        println!(
+        writeln!(
+            w,
             "{}",
             render_states(&trace.records, p.threads, trace.meta.duration, &opts)
-        );
+        )?;
     }
-    println!("(R bars lengthen and overlap as iteration counts grow — Figs. 11 → 13)");
+    writeln!(
+        w,
+        "(R bars lengthen and overlap as iteration counts grow — Figs. 11 → 13)"
+    )?;
+    Ok(())
 }

@@ -14,8 +14,14 @@ use hls_paraver::paraver::timeline::{render_states, TimelineOptions};
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
 use hls_paraver::sim::{Executor, SimConfig};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    hls_paraver::write_stdout("quickstart", run)
+}
+
+fn run(w: &mut impl Write) -> io::Result<()> {
     // 1. Write a kernel with the OpenMP-flavoured builder: a dot product
     //    over 4 hardware threads with a critical-section reduction.
     let n = 4096i64;
@@ -48,8 +54,8 @@ fn main() {
 
     // 2. Compile: scheduling, stage formation, fit estimation.
     let acc = compile(&kernel, &HlsConfig::default());
-    println!("{}", report::schedule_report(&kernel, &acc));
-    println!("{}", report::fit_summary(&kernel.name, &acc.fit));
+    writeln!(w, "{}", report::schedule_report(&kernel, &acc))?;
+    writeln!(w, "{}", report::fit_summary(&kernel.name, &acc.fit))?;
 
     // 3. Run on the simulator with the profiling unit snooping the pipeline.
     let sim = SimConfig::default().with_fast_launch();
@@ -64,30 +70,33 @@ fn main() {
         LaunchArg::Buffer(vec![Value::F32(0.0)]),
     ];
     let result = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
-    println!(
+    writeln!(
+        w,
         "result = {:?} after {} cycles ({} stall cycles, {} B read)",
         result.buffers[2].to_f32()[0],
         result.total_cycles,
         result.stats.total_stalls(),
         result.stats.total(|t| t.bytes_read),
-    );
+    )?;
 
     // 4. Decode the trace buffer into Paraver records and look at it.
     let trace = unit.finish();
     let stem = std::path::Path::new("target/traces/quickstart");
     std::fs::create_dir_all(stem.parent().unwrap()).unwrap();
     trace.write_bundle(stem).unwrap();
-    println!(
+    writeln!(
+        w,
         "\nwrote {}.prv/.pcf/.row ({} records, {} trace bytes flushed)\n",
         stem.display(),
         trace.records.len(),
         trace.flushed_bytes
-    );
+    )?;
     let opts = TimelineOptions {
         width: 80,
         ..Default::default()
     };
-    println!(
+    writeln!(
+        w,
         "{}",
         render_states(
             &trace.records,
@@ -95,12 +104,14 @@ fn main() {
             trace.meta.duration,
             &opts
         )
-    );
+    )?;
     let prof = StateProfile::compute(&trace.records, kernel.num_threads);
-    println!(
+    writeln!(
+        w,
         "running {:.1}%  spinning {:.1}%  critical {:.1}%",
         prof.fraction(hls_paraver::paraver::states::RUNNING) * 100.0,
         prof.fraction(hls_paraver::paraver::states::SPINNING) * 100.0,
         prof.fraction(hls_paraver::paraver::states::CRITICAL) * 100.0,
-    );
+    )?;
+    Ok(())
 }

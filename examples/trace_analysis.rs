@@ -14,13 +14,15 @@
 
 use hls_paraver::paraver::analysis::{event_series, find_critical_overlap, StateProfile};
 use hls_paraver::paraver::histogram;
+use hls_paraver::paraver::model::{Records, TraceMeta};
 use hls_paraver::paraver::parse::parse_prv;
 use hls_paraver::paraver::{events, states, timeline};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Run the profiled naive GEMM and write its bundle; returns the `.prv`
-/// path.
-fn generate() -> Result<String, String> {
+/// path and a line on what was decoded.
+fn generate() -> Result<(String, Option<String>), String> {
     use hls_paraver::hls::accel::{compile, HlsConfig};
     use hls_paraver::ir::Value;
     use hls_paraver::kernels::gemm::{build, GemmParams, GemmVersion};
@@ -57,17 +59,18 @@ fn generate() -> Result<String, String> {
     trace
         .write_bundle(&stem)
         .map_err(|e| format!("cannot write {}: {e}", stem.display()))?;
-    println!(
+    let note = format!(
         "decoded {} records from {} flushes ({} B)\n",
         trace.records.len(),
         trace.flush_count,
         trace.flushed_bytes
     );
-    Ok(format!("{}.prv", stem.display()))
+    Ok((format!("{}.prv", stem.display()), Some(note)))
 }
 
 fn main() -> ExitCode {
-    let path = match std::env::args().nth(1).map_or_else(generate, Ok) {
+    let given = std::env::args().nth(1).map(|path| Ok((path, None)));
+    let (path, note) = match given.unwrap_or_else(generate) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("trace_analysis: {e}");
@@ -84,57 +87,84 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("analyzing {path}\n");
-    println!(
+    hls_paraver::write_stdout("trace_analysis", |w| {
+        report(w, note.as_deref(), &path, &meta, &records)
+    })
+}
+
+/// Print the analysis of the trace read from `path`.
+fn report(
+    w: &mut impl Write,
+    note: Option<&str>,
+    path: &str,
+    meta: &TraceMeta,
+    records: &Records,
+) -> io::Result<()> {
+    if let Some(note) = note {
+        writeln!(w, "{note}")?;
+    }
+    writeln!(w, "analyzing {path}\n")?;
+    writeln!(
+        w,
         "{} records over {} cycles, {} threads",
         records.len(),
         meta.duration,
         meta.num_threads
-    );
+    )?;
 
-    let prof = StateProfile::compute(&records, meta.num_threads);
-    println!("\ntime in state (all threads):");
+    let prof = StateProfile::compute(records, meta.num_threads);
+    writeln!(w, "\ntime in state (all threads):")?;
     for (id, name) in [
         (states::IDLE, "Idle"),
         (states::RUNNING, "Running"),
         (states::CRITICAL, "Critical"),
         (states::SPINNING, "Spinning"),
     ] {
-        println!("  {:<9} {:>6.2}%", name, prof.fraction(id) * 100.0);
+        writeln!(w, "  {:<9} {:>6.2}%", name, prof.fraction(id) * 100.0)?;
     }
     if let Some(imb) = prof.imbalance(states::RUNNING) {
-        println!("running-time imbalance (max/min across threads): {imb:.3}");
+        writeln!(
+            w,
+            "running-time imbalance (max/min across threads): {imb:.3}"
+        )?;
     }
 
-    match find_critical_overlap(&records, states::CRITICAL) {
-        None => println!("mutual exclusion holds: no two threads ever overlap in Critical"),
-        Some(t) => println!("VIOLATION: overlapping critical sections at cycle {t}"),
+    match find_critical_overlap(records, states::CRITICAL) {
+        None => writeln!(
+            w,
+            "mutual exclusion holds: no two threads ever overlap in Critical"
+        )?,
+        Some(t) => writeln!(w, "VIOLATION: overlapping critical sections at cycle {t}")?,
     }
 
     let dur = meta.duration.max(1);
-    let bw = event_series(&records, events::BYTES_READ, dur.div_ceil(80), dur);
-    println!(
+    let bw = event_series(records, events::BYTES_READ, dur.div_ceil(80), dur);
+    writeln!(
+        w,
         "\nread-bandwidth timeline (peak bin {} B):\n{}",
         bw.peak(),
         timeline::render_series(
             &bw.bins.iter().map(|&b| b as f64).collect::<Vec<_>>(),
             "bytes read"
         )
-    );
+    )?;
     // Paraver-style 2D histograms.
-    println!(
+    writeln!(
+        w,
         "\n{}",
-        histogram::state_duration_histogram(&records, meta.num_threads, states::CRITICAL).render()
-    );
-    println!(
+        histogram::state_duration_histogram(records, meta.num_threads, states::CRITICAL).render()
+    )?;
+    writeln!(
+        w,
         "{}",
-        histogram::event_value_histogram(&records, meta.num_threads, events::BYTES_READ).render()
-    );
+        histogram::event_value_histogram(records, meta.num_threads, events::BYTES_READ).render()
+    )?;
 
-    println!(
+    writeln!(
+        w,
         "\nstate view:\n{}",
         timeline::render_states(
-            &records,
+            records,
             meta.num_threads,
             meta.duration,
             &timeline::TimelineOptions {
@@ -142,6 +172,6 @@ fn main() -> ExitCode {
                 ..Default::default()
             }
         )
-    );
-    ExitCode::SUCCESS
+    )?;
+    Ok(())
 }
