@@ -16,7 +16,8 @@
 //!   path and exit status 1, never a panic;
 //! * [`Session::write_stdout`] runs the binary's output through a locked
 //!   stdout: a reader that closes it early ends the run with status 0, and
-//!   any other write error is one line and status 1.
+//!   any other write error is one line and status 1 (the examples share
+//!   the same [`write_stdout`]).
 //!
 //! Each binary keeps only its own flags (`--dim`, `--threads`, ...) and its
 //! tables. Performance is measured from outside, by hlsbench.
@@ -145,21 +146,31 @@ impl Session {
         out
     }
 
-    /// Run `body` against a locked stdout and return the exit status: 0
-    /// when it succeeds or its reader closed stdout early, 1 with one line
-    /// naming the binary on any other write error.
+    /// [`write_stdout`] under this binary's name.
     pub fn write_stdout(
         &self,
         body: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>,
     ) -> ExitCode {
-        let mut out = io::stdout().lock();
-        match body(&mut out).and_then(|()| out.flush()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{}: cannot write output: {e}", self.binary);
-                ExitCode::FAILURE
-            }
+        write_stdout(self.binary, body)
+    }
+}
+
+/// Run `program`'s `body` against a locked stdout and return the exit
+/// status: 0 when it succeeds or its reader closed stdout early (`| head`),
+/// 1 with one line naming `program` on any other write error. The repro
+/// binaries reach it through [`Session::write_stdout`], the examples
+/// directly.
+pub fn write_stdout(
+    program: &str,
+    body: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>,
+) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match body(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{program}: cannot write output: {e}");
+            ExitCode::FAILURE
         }
     }
 }

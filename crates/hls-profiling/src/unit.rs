@@ -162,7 +162,7 @@ impl TraceData {
             &event_defs,
         )?
         .with_regions(row_regions);
-        w.write_records(&self.records)?;
+        w.write_all(&self.records)?;
         w.finish()
     }
 }

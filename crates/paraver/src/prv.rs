@@ -16,19 +16,23 @@
 //! One line function renders every record: it builds the line in a stack
 //! buffer, two decimal digits per step, and appends it to a byte buffer.
 //! [`TraceWriter::write`] hands each line to the output on its own.
-//! [`TraceWriter::write_records`] drains a whole [`Records`] stream in one
-//! pass: it checks order and thread range, collects consecutive lines in one
-//! reused buffer that grows only as far as the stream needs (to about
-//! 256 KiB), and hands each full buffer to the output in one `write_all`.
-//! Both stay on the calling thread.
+//! [`TraceWriter::write_all`] drains a whole stream (a [`crate::Records`]
+//! body, say) in one pass: it checks order and thread range, collects
+//! consecutive lines in one reused buffer that grows only as far as the
+//! stream needs (to about 256 KiB), and hands each full buffer to the
+//! output in one `write_all`. Both stay on the calling thread.
 
 use crate::error::TraceError;
-use crate::model::{Record, Records, TraceMeta};
+use crate::model::{Record, TraceMeta};
 use std::io::{self, Write};
 
-/// Size at which [`TraceWriter::write_records`] hands its buffered lines
-/// to the output.
+/// Size at which [`TraceWriter::write_all`] hands its buffered lines to
+/// the output.
+#[cfg(not(test))]
 const CHUNK_BYTES: usize = 256 << 10;
+/// Small enough that a hand-over follows every line or every few lines.
+#[cfg(test)]
+const CHUNK_BYTES: usize = LINE_BYTES + 128;
 
 /// Capacity of the stack line buffer. Every state and comm line fits; an
 /// event line longer than this is appended in pieces.
@@ -175,8 +179,6 @@ pub struct TraceWriter<W: Write> {
     last_time: u64,
     /// Reusable buffer of [`Self::write`]'s line.
     line: Vec<u8>,
-    /// Size at which [`Self::write_records`] hands its buffer to `out`.
-    chunk_bytes: usize,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -195,7 +197,6 @@ impl<W: Write> TraceWriter<W> {
             records_written: 0,
             last_time: 0,
             line: Vec::with_capacity(128),
-            chunk_bytes: CHUNK_BYTES,
         })
     }
 
@@ -245,26 +246,18 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Write many records.
+    /// Write many records: the same bytes and errors as calling
+    /// [`Self::write`] on each, handed to the output a buffer at a time.
+    ///
+    /// At the first record [`Self::write`] would refuse, the lines before
+    /// it reach the output and its error is returned.
     pub fn write_all<'a>(
         &mut self,
         rs: impl IntoIterator<Item = Record<'a>>,
     ) -> Result<(), TraceError> {
-        for r in rs {
-            self.write(r)?;
-        }
-        Ok(())
-    }
-
-    /// Write a whole stream: the same bytes and errors as
-    /// [`Self::write_all`], handed to the output a buffer at a time.
-    ///
-    /// At the first record [`Self::write`] would refuse, the lines before
-    /// it reach the output and its error is returned.
-    pub fn write_records(&mut self, records: &Records) -> Result<(), TraceError> {
         let (mut line, mut buf) = (Line::new(), Vec::new());
         let mut result = Ok(());
-        for r in records {
+        for r in rs {
             if let Err(e) = self.check(r) {
                 result = Err(e);
                 break;
@@ -274,7 +267,7 @@ impl<W: Write> TraceWriter<W> {
             self.records_written += 1;
             // Hand the buffer over before the next line could grow it
             // past the chunk.
-            if buf.len() + LINE_BYTES > self.chunk_bytes {
+            if buf.len() + LINE_BYTES > CHUNK_BYTES {
                 self.out.write_all(&buf)?;
                 buf.clear();
             }
@@ -345,9 +338,13 @@ impl BundleWriter {
         self.writer.write(r)
     }
 
-    /// Write a whole `.prv` body (see [`TraceWriter::write_records`]).
-    pub fn write_records(&mut self, records: &Records) -> Result<(), TraceError> {
-        self.writer.write_records(records)
+    /// Write many `.prv` records in one pass (see
+    /// [`TraceWriter::write_all`]).
+    pub fn write_all<'a>(
+        &mut self,
+        rs: impl IntoIterator<Item = Record<'a>>,
+    ) -> Result<(), TraceError> {
+        self.writer.write_all(rs)
     }
 
     /// Flush the `.prv` body and write the `.pcf` and `.row` sidecars.
@@ -557,17 +554,31 @@ mod tests {
         }
     }
 
-    /// A chunk size that hands the buffer over every line or every few.
-    fn small_chunk(g: &mut miniprop::Rng) -> usize {
-        if g.bool() {
-            1
-        } else {
-            g.range_usize(LINE_BYTES, 4 * LINE_BYTES)
+    /// An output that notes the length it had reached after each write,
+    /// so a test sees where the writer handed its buffer over.
+    #[derive(Default)]
+    struct Marks {
+        bytes: Vec<u8>,
+        ends: Vec<usize>,
+    }
+
+    impl Write for Marks {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(b);
+            self.ends.push(self.bytes.len());
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 
+    /// Test builds hand the buffer over at `CHUNK_BYTES` = `LINE_BYTES` +
+    /// 128, so streams of a few lines already cross several hand-overs.
     #[test]
     fn bulk_write_matches_per_record_write() {
+        let writes = std::cell::Cell::new(0);
         miniprop::forall(300, |g| {
             let threads = *g.pick(&[1, 3, 64, u32::MAX]);
             let rs = random_stream(g, threads);
@@ -576,16 +587,18 @@ mod tests {
             for r in &rs {
                 one.write(r).unwrap();
             }
-            let mut bulk = TraceWriter::new(Vec::new(), meta).unwrap();
-            bulk.chunk_bytes = small_chunk(g);
-            bulk.write_records(&rs).unwrap();
+            let mut bulk = TraceWriter::new(Marks::default(), meta).unwrap();
+            let header_writes = bulk.out.ends.len();
+            bulk.write_all(&rs).unwrap();
             assert_eq!(bulk.records_written(), rs.len() as u64);
             let (one, bulk) = (one.finish().unwrap(), bulk.finish().unwrap());
+            writes.set(writes.get() + bulk.ends.len() - header_writes);
             assert_eq!(
-                String::from_utf8(bulk).unwrap(),
+                String::from_utf8(bulk.bytes).unwrap(),
                 String::from_utf8(one).unwrap()
             );
         });
+        assert!(writes.get() > 2000, "{} bulk writes", writes.get());
     }
 
     #[test]
@@ -593,7 +606,7 @@ mod tests {
         miniprop::forall(300, |g| {
             let rs = random_stream(g, u32::MAX);
             let mut w = TraceWriter::new(Vec::new(), TraceMeta::new("d", 1, u32::MAX)).unwrap();
-            w.write_records(&rs).unwrap();
+            w.write_all(&rs).unwrap();
             let text = String::from_utf8(w.finish().unwrap()).unwrap();
             let want: Vec<String> = rs.iter().map(display_line).collect();
             assert_eq!(text.lines().skip(1).collect::<Vec<_>>(), want);
@@ -601,16 +614,38 @@ mod tests {
     }
 
     /// A bad record stops the bundle with the per-record writer's error,
-    /// and the `.prv` holds exactly the header and the lines before it. At
-    /// a chunk of one byte every record follows a buffer hand-over.
+    /// and the `.prv` holds exactly the header and the lines before it. In
+    /// about half the cases the bad record is the first after a buffer
+    /// hand-over.
     #[test]
     fn bulk_write_stops_at_the_first_bad_record() {
         let dir = std::env::temp_dir().join(format!("prv-bulk-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let stem = dir.join("t");
+        let meta = TraceMeta::new("bad", 100, 4);
+        let after_handover = std::cell::Cell::new(0);
         miniprop::forall(100, |g| {
             let good = random_stream(g, 4);
-            let cut = g.range_usize(0, good.len() + 1);
+            // The cuts that follow a hand-over: a write of the bulk writer
+            // ends exactly where the line of the record before them ends.
+            let mut marks = TraceWriter::new(Marks::default(), meta.clone()).unwrap();
+            let mut line_end = marks.out.bytes.len();
+            marks.write_all(&good).unwrap();
+            let mut handover_cuts = Vec::new();
+            for (i, r) in good.iter().enumerate() {
+                let mut one = Vec::new();
+                render(r, &mut Line::new(), &mut one);
+                line_end += one.len();
+                if marks.out.ends.contains(&line_end) {
+                    handover_cuts.push(i + 1);
+                }
+            }
+            let cut = if !handover_cuts.is_empty() && g.bool() {
+                after_handover.set(after_handover.get() + 1);
+                *g.pick(&handover_cuts)
+            } else {
+                g.range_usize(0, good.len() + 1)
+            };
             let last = good.iter().take(cut).map(|r| r.sort_time()).max();
             let mut rs = Records::new();
             for r in good.iter().take(cut) {
@@ -624,14 +659,12 @@ mod tests {
                 rs.push(r);
             }
 
-            let meta = TraceMeta::new("bad", 100, 4);
             let mut one = TraceWriter::new(Vec::new(), meta.clone()).unwrap();
             let want_err = rs.iter().try_for_each(|r| one.write(r)).unwrap_err();
             let want = one.finish().unwrap();
 
             let mut b = BundleWriter::create(&stem, &meta, &[], &[]).unwrap();
-            b.writer.chunk_bytes = small_chunk(g);
-            let err = b.write_records(&rs).unwrap_err();
+            let err = b.write_all(&rs).unwrap_err();
             drop(b);
             assert_eq!(format!("{err:?}"), format!("{want_err:?}"));
             let want = String::from_utf8(want).unwrap();
@@ -639,6 +672,7 @@ mod tests {
             let prv = std::fs::read(stem.with_extension("prv")).unwrap();
             assert_eq!(String::from_utf8(prv).unwrap(), want);
         });
+        assert!(after_handover.get() > 20, "{}", after_handover.get());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    hls_paraver::write_stdout("custom_kernel", run)
+    bench::session::write_stdout("custom_kernel", run)
 }
 
 fn run(w: &mut impl Write) -> io::Result<()> {

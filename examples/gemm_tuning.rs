@@ -19,7 +19,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    hls_paraver::write_stdout("gemm_tuning", run)
+    bench::session::write_stdout("gemm_tuning", run)
 }
 
 fn run(w: &mut impl Write) -> io::Result<()> {

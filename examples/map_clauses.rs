@@ -15,7 +15,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    hls_paraver::write_stdout("map_clauses", run)
+    bench::session::write_stdout("map_clauses", run)
 }
 
 fn run(w: &mut impl Write) -> io::Result<()> {

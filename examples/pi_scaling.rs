@@ -17,7 +17,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    hls_paraver::write_stdout("pi_scaling", run)
+    bench::session::write_stdout("pi_scaling", run)
 }
 
 fn run(w: &mut impl Write) -> io::Result<()> {

@@ -18,7 +18,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    hls_paraver::write_stdout("quickstart", run)
+    bench::session::write_stdout("quickstart", run)
 }
 
 fn run(w: &mut impl Write) -> io::Result<()> {

@@ -87,7 +87,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    hls_paraver::write_stdout("trace_analysis", |w| {
+    bench::session::write_stdout("trace_analysis", |w| {
         report(w, note.as_deref(), &path, &meta, &records)
     })
 }

@@ -23,24 +23,3 @@ pub use nymble_hls as hls;
 pub use nymble_ir as ir;
 pub use nymble_lint as lint;
 pub use paraver;
-
-use std::io::{self, StdoutLock, Write};
-use std::process::ExitCode;
-
-/// Run an example's `body` against a locked stdout and return the exit
-/// status: 0 when it succeeds or its reader closed stdout early (`| head`),
-/// 1 with one stderr line naming `program` on any other write error.
-pub fn write_stdout(
-    program: &str,
-    body: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>,
-) -> ExitCode {
-    let mut out = io::stdout().lock();
-    match body(&mut out).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{program}: cannot write output: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
