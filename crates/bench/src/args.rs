@@ -4,9 +4,10 @@
 //! Flags are `--name value` or `--name=value` pairs. An unknown flag and a
 //! present but malformed value are both errors, never a silent default.
 //! The binaries read these through [`crate::session::Session`], which turns
-//! every error into a usage message and exit status 2.
+//! every error into a usage message and exit status 2. `--profile` parses
+//! straight into the compiler's [`ProbeMode`].
 
-use nymble_hls::{ProbeMode, DEFAULT_PROBE_BUDGET_ALMS};
+use nymble_hls::ProbeMode;
 use nymble_lint::LintLevel;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -141,26 +142,24 @@ impl Args {
         }
     }
 
-    /// The `--profile` selector: absent means [`ProfileMode::Fixed`] (the
-    /// paper's hand-chosen counter set), bare `--profile` or
-    /// `--profile=auto` enables the auto-probe plan at the default budget,
-    /// and `--profile=auto,budget=N` sets an explicit ALM budget for the
-    /// knapsack pass. A zero budget or an unknown mode is a typed error,
-    /// never a silent fallback (so `budget=0` exits cleanly instead of
-    /// panicking inside the profiling unit).
-    pub fn profile(&self) -> Result<ProfileMode, String> {
-        fn parse(v: &str) -> Result<ProfileMode, String> {
+    /// The `--profile` selector: absent or `--profile=fixed` means
+    /// [`ProbeMode::Off`] (the paper's hand-chosen counter set), bare
+    /// `--profile` or `--profile=auto` enables the auto-probe plan at the
+    /// default budget, and `--profile=auto,budget=N` sets an explicit ALM
+    /// budget for the knapsack pass. A zero budget or an unknown mode is a
+    /// typed error, never a silent fallback (so `budget=0` exits cleanly
+    /// instead of panicking inside the profiling unit).
+    pub fn profile(&self) -> Result<ProbeMode, String> {
+        fn parse(v: &str) -> Result<ProbeMode, String> {
             match v {
-                "fixed" => Ok(ProfileMode::Fixed),
-                "auto" => Ok(ProfileMode::Auto {
-                    budget_alms: DEFAULT_PROBE_BUDGET_ALMS,
-                }),
+                "fixed" => Ok(ProbeMode::Off),
+                "auto" => Ok(ProbeMode::auto()),
                 _ => match v.strip_prefix("auto,budget=") {
                     Some(b) => match b.parse::<u32>() {
                         Ok(0) => Err("--profile: a 0-ALM budget selects nothing (one \
                                       counter costs ~30 ALMs plus ~4 per thread)"
                             .to_string()),
-                        Ok(n) => Ok(ProfileMode::Auto { budget_alms: n }),
+                        Ok(n) => Ok(ProbeMode::Auto { budget_alms: n }),
                         Err(_) => Err(format!("--profile: invalid budget `{b}`")),
                     },
                     None => Err(format!(
@@ -179,38 +178,11 @@ impl Args {
                 // means auto at the default budget.
                 return match self.raw.get(i + 1).map(|s| s.as_str()) {
                     Some(n) if !n.starts_with("--") => parse(n),
-                    _ => Ok(ProfileMode::Auto {
-                        budget_alms: DEFAULT_PROBE_BUDGET_ALMS,
-                    }),
+                    _ => Ok(ProbeMode::auto()),
                 };
             }
         }
-        Ok(ProfileMode::Fixed)
-    }
-}
-
-/// How the repro binaries instrument the design: the paper's fixed
-/// counter set, or the auto-probe plan selected by the budgeted
-/// tree-knapsack pass over the static region tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProfileMode {
-    /// The hand-chosen default: every event counter, no region probes.
-    Fixed,
-    /// `--profile=auto[,budget=N]`: counters and region probes selected
-    /// at compile time against an ALM budget.
-    Auto {
-        /// ALM budget handed to the knapsack pass.
-        budget_alms: u32,
-    },
-}
-
-impl ProfileMode {
-    /// The [`ProbeMode`] this selector puts into the HLS config.
-    pub fn probe(self) -> ProbeMode {
-        match self {
-            ProfileMode::Fixed => ProbeMode::Off,
-            ProfileMode::Auto { budget_alms } => ProbeMode::Auto { budget_alms },
-        }
+        Ok(ProbeMode::Off)
     }
 }
 
@@ -347,13 +319,13 @@ mod tests {
 
     #[test]
     fn profile_flag_spellings() {
-        assert_eq!(args(&["prog"]).profile(), Ok(ProfileMode::Fixed));
+        assert_eq!(args(&["prog"]).profile(), Ok(ProbeMode::Off));
         assert_eq!(
             args(&["prog", "--profile=fixed"]).profile(),
-            Ok(ProfileMode::Fixed)
+            Ok(ProbeMode::Off)
         );
-        let auto_default = ProfileMode::Auto {
-            budget_alms: DEFAULT_PROBE_BUDGET_ALMS,
+        let auto_default = ProbeMode::Auto {
+            budget_alms: nymble_hls::DEFAULT_PROBE_BUDGET_ALMS,
         };
         assert_eq!(args(&["prog", "--profile"]).profile(), Ok(auto_default));
         assert_eq!(
@@ -366,11 +338,11 @@ mod tests {
         );
         assert_eq!(
             args(&["prog", "--profile=auto,budget=512"]).profile(),
-            Ok(ProfileMode::Auto { budget_alms: 512 })
+            Ok(ProbeMode::Auto { budget_alms: 512 })
         );
         assert_eq!(
             args(&["prog", "--profile", "auto,budget=512"]).profile(),
-            Ok(ProfileMode::Auto { budget_alms: 512 })
+            Ok(ProbeMode::Auto { budget_alms: 512 })
         );
     }
 

@@ -30,14 +30,13 @@
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
 use bench::session::Session;
-use hls_profiling::counters::CounterSet;
 use hls_profiling::overhead::{instrumented_fit, profiling_fit, OverheadParams};
 use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
 use nymble_hls::accel::Accelerator;
 use nymble_hls::cost::geo_mean;
-use nymble_hls::AccelCache;
+use nymble_hls::{AccelCache, CounterSet, ALL_COUNTER_CLASSES};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -131,11 +130,8 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
                 };
                 // Under --profile=auto the fit prices the design's own
                 // plan (counters + region probes) instead of the fixed set.
-                let prof_v = match &acc.probe_plan {
-                    Some(plan) => prof.clone().with_plan(plan.clone()),
-                    None => prof.clone(),
-                };
-                let with = instrumented_fit(&acc.fit, threads, &prof_v, op, &hls.cost);
+                let with =
+                    instrumented_fit(&acc.fit, threads, &prof.for_design(acc), op, &hls.cost);
                 let o = with.overhead_vs(&acc.fit);
                 let line = format!(
                     "{:<24} {:>9} {:>9} {:>8.1} | {:>9} {:>9} {:>8.1} | {:>6.2}% {:>6.2}% {:>9.1}",
@@ -222,14 +218,10 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
     else {
         unreachable!("compile node produced a non-accel payload")
     };
-    let pi_prof = match &acc.probe_plan {
-        Some(plan) => prof.clone().with_plan(plan.clone()),
-        None => prof.clone(),
-    };
     if let Some(plan) = &acc.probe_plan {
         writeln!(w, "  {}", plan.summary())?;
     }
-    let with = instrumented_fit(&acc.fit, threads, &pi_prof, &op, &hls.cost);
+    let with = instrumented_fit(&acc.fit, threads, &prof.for_design(acc), &op, &hls.cost);
     let o = with.overhead_vs(&acc.fit);
     writeln!(
         w,
@@ -261,28 +253,11 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
         },
         &op,
     );
-    let names = [
-        "stalls",
-        "int_ops",
-        "flops",
-        "mem_read",
-        "mem_write",
-        "local_ops",
-    ];
-    for (i, name) in names.iter().enumerate() {
-        let mut set = CounterSet::NONE;
-        match i {
-            0 => set.stalls = true,
-            1 => set.int_ops = true,
-            2 => set.flops = true,
-            3 => set.mem_read = true,
-            4 => set.mem_write = true,
-            _ => set.local_ops = true,
-        }
+    for c in ALL_COUNTER_CLASSES {
         let f = profiling_fit(
             threads,
             &ProfilingConfig {
-                counters: set,
+                counters: CounterSet::NONE.with(c),
                 ..prof.clone()
             },
             &op,
@@ -290,7 +265,7 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
         writeln!(
             w,
             "  {:<10} +{:>4} ALMs, +{:>4} registers",
-            name,
+            c.name(),
             f.alms - none.alms,
             f.registers - none.registers
         )?;

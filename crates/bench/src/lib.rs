@@ -127,7 +127,10 @@ pub fn run_profiled_with(
     launch: &[LaunchArg],
 ) -> Result<ProfiledRun, BenchError> {
     let accel = cache.get_or_compile(kernel, hls);
-    let prof = planned_prof(prof, &accel)?;
+    // Validated here so a budget that selects nothing is a typed error,
+    // not a panic inside the profiling unit.
+    let prof = prof.for_design(&accel);
+    prof.validate()?;
     let mut unit = ProfilingUnit::new(&kernel.name, kernel.num_threads, prof);
     let result = Executor::run(kernel, &accel, sim, launch, &mut unit)?;
     Ok(ProfiledRun {
@@ -135,22 +138,6 @@ pub fn run_profiled_with(
         trace: unit.finish(),
         accel,
     })
-}
-
-/// Align the shared profiling configuration with the compiled design's
-/// auto-probe plan (when the compile selected one) and validate the
-/// result, so a budget that selects nothing surfaces as a typed
-/// [`BenchError::Profiling`] instead of a panic inside the profiling unit.
-fn planned_prof(
-    prof: &ProfilingConfig,
-    accel: &Accelerator,
-) -> Result<ProfilingConfig, BenchError> {
-    let cfg = match &accel.probe_plan {
-        Some(plan) => prof.clone().with_plan(plan.clone()),
-        None => prof.clone(),
-    };
-    cfg.validate()?;
-    Ok(cfg)
 }
 
 /// Compile through the shared cache and run a kernel without profiling (the

@@ -3,8 +3,9 @@
 //! Every repro binary takes the same cross-cutting flags: `--jobs N`,
 //! `--mode cycle|analytical`, `--lint[=LEVEL]`, `--perf-lint[=LEVEL]`,
 //! `--profile[=fixed|auto[,budget=N]]` and `--out DIR`.
-//! [`Session::start`] parses them once. From there the session owns the
-//! invocation's plumbing:
+//! [`Session::start`] parses them once (`--profile` into the
+//! [`nymble_hls::ProbeMode`] that [`Session::hls`] compiles under). From
+//! there the session owns the invocation's plumbing:
 //!
 //! * an unknown flag or a malformed flag value prints its message and
 //!   exits with status 2 (usage error); the binaries' own flags go through
@@ -22,9 +23,9 @@
 //! Each binary keeps only its own flags (`--dim`, `--threads`, ...) and its
 //! tables. Performance is measured from outside, by hlsbench.
 
-use crate::args::{Args, Mode, ProfileMode};
+use crate::args::{Args, Mode};
 use crate::{lint_gate, perf_lint_gate};
-use nymble_hls::HlsConfig;
+use nymble_hls::{HlsConfig, ProbeMode};
 use nymble_ir::Kernel;
 use nymble_lint::LintLevel;
 use std::io::{self, StdoutLock, Write};
@@ -55,8 +56,9 @@ pub struct Session {
     pub lint: LintLevel,
     /// `--perf-lint`: gate level of the performance diagnostics.
     pub perf_lint: LintLevel,
-    /// `--profile`: fixed counter set or the auto-probe plan.
-    pub profile: ProfileMode,
+    /// `--profile`: the fixed counter set ([`ProbeMode::Off`]) or the
+    /// auto-probe plan.
+    pub profile: ProbeMode,
 }
 
 impl Session {
@@ -111,7 +113,7 @@ impl Session {
     /// The HLS configuration `--profile` selects.
     pub fn hls(&self) -> HlsConfig {
         HlsConfig {
-            probe: self.profile.probe(),
+            probe: self.profile,
             ..HlsConfig::default()
         }
     }
@@ -204,8 +206,8 @@ mod tests {
         assert_eq!(s.lint, LintLevel::Deny);
         assert_eq!(s.perf_lint, LintLevel::Off);
         assert_eq!(s.mode, Mode::Cycle);
-        assert_eq!(s.profile, ProfileMode::Auto { budget_alms: 512 });
-        assert_eq!(s.hls().probe, s.profile.probe());
+        assert_eq!(s.profile, ProbeMode::Auto { budget_alms: 512 });
+        assert_eq!(s.hls().probe, s.profile);
         assert_eq!(s.flag("--dim", 128u32), 128);
     }
 

@@ -8,7 +8,6 @@
 //! cost of a launch — not just the kernel cycles — can be compared across
 //! `map` strategies.
 
-use crate::config::SimConfig;
 use nymble_ir::{ArgKind, Kernel, MapDir};
 
 /// Host-interface timing parameters.
@@ -90,8 +89,10 @@ pub fn transfer_cost(kernel: &Kernel, buffer_lens: &[usize], cfg: &HostConfig) -
     cost
 }
 
-/// End-to-end launch cost: transfers + thread-start ramp + kernel cycles.
-pub fn end_to_end_cycles(kernel_cycles: u64, transfers: &TransferCost, _sim: &SimConfig) -> u64 {
+/// End-to-end launch cost: host→device transfers, the kernel's cycles and
+/// device→host transfers. A simulated run's `total_cycles` already holds
+/// the thread-start ramp, so nothing is added for it here.
+pub fn end_to_end_cycles(kernel_cycles: u64, transfers: &TransferCost) -> u64 {
     transfers.h2d_cycles + kernel_cycles + transfers.d2h_cycles
 }
 
@@ -174,6 +175,6 @@ mod tests {
             h2d_bytes: 0,
             d2h_bytes: 0,
         };
-        assert_eq!(end_to_end_cycles(1000, &t, &SimConfig::default()), 1150);
+        assert_eq!(end_to_end_cycles(1000, &t), 1150);
     }
 }

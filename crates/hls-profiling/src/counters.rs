@@ -7,61 +7,14 @@
 //! cycle, all valid values are added to the running aggregate. All
 //! aggregated events are periodically flushed to external memory. This
 //! period is user-adjustable."
+//!
+//! Which modules exist is a [`CounterSet`] (`nymble_hls::probe`, shared with
+//! the auto-probe planner); a class outside the set never accumulates, which
+//! is the per-counter ablation of §V-B ("each of the counters contributes
+//! similarly to the hardware overhead").
 
 use crate::recorder::TAG_EVENT;
-
-/// Which counter modules are instantiated (per-counter ablation of the
-/// §V-B observation that "each of the counters contributes similarly to the
-/// hardware overhead").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterSet {
-    pub stalls: bool,
-    pub int_ops: bool,
-    pub flops: bool,
-    pub mem_read: bool,
-    pub mem_write: bool,
-    pub local_ops: bool,
-}
-
-impl Default for CounterSet {
-    fn default() -> Self {
-        CounterSet {
-            stalls: true,
-            int_ops: true,
-            flops: true,
-            mem_read: true,
-            mem_write: true,
-            local_ops: true,
-        }
-    }
-}
-
-impl CounterSet {
-    /// Nothing enabled (profiling compiled out).
-    pub const NONE: CounterSet = CounterSet {
-        stalls: false,
-        int_ops: false,
-        flops: false,
-        mem_read: false,
-        mem_write: false,
-        local_ops: false,
-    };
-
-    /// Number of instantiated counter modules.
-    pub fn count(&self) -> u32 {
-        [
-            self.stalls,
-            self.int_ops,
-            self.flops,
-            self.mem_read,
-            self.mem_write,
-            self.local_ops,
-        ]
-        .iter()
-        .filter(|b| **b)
-        .count() as u32
-    }
-}
+use nymble_hls::probe::{CounterClass, CounterSet};
 
 /// Aggregation registers of one thread for one sampling period.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,38 +53,33 @@ impl CounterBank {
         }
     }
 
-    /// The instantiated counter set.
-    pub fn set(&self) -> CounterSet {
-        self.set
-    }
-
     pub fn add_stalls(&mut self, tid: u32, v: u64) {
-        if self.set.stalls {
+        if self.set.contains(CounterClass::Stalls) {
             self.agg[tid as usize].stalls += v;
         }
     }
 
     pub fn add_ops(&mut self, tid: u32, int_ops: u64, flops: u64, local_ops: u64) {
         let a = &mut self.agg[tid as usize];
-        if self.set.int_ops {
+        if self.set.contains(CounterClass::IntOps) {
             a.int_ops += int_ops;
         }
-        if self.set.flops {
+        if self.set.contains(CounterClass::Flops) {
             a.flops += flops;
         }
-        if self.set.local_ops {
+        if self.set.contains(CounterClass::LocalOps) {
             a.local_ops += local_ops;
         }
     }
 
     pub fn add_read(&mut self, tid: u32, bytes: u64) {
-        if self.set.mem_read {
+        if self.set.contains(CounterClass::MemRead) {
             self.agg[tid as usize].bytes_read += bytes;
         }
     }
 
     pub fn add_write(&mut self, tid: u32, bytes: u64) {
-        if self.set.mem_write {
+        if self.set.contains(CounterClass::MemWrite) {
             self.agg[tid as usize].bytes_written += bytes;
         }
     }
@@ -156,11 +104,6 @@ impl CounterBank {
         rec[22..26].copy_from_slice(&sat(a.bytes_written));
         rec[26..30].copy_from_slice(&sat(a.local_ops));
         Some(rec)
-    }
-
-    /// Number of threads.
-    pub fn threads(&self) -> u32 {
-        self.agg.len() as u32
     }
 }
 
@@ -217,8 +160,6 @@ mod tests {
         b.add_read(0, 100);
         b.add_stalls(0, 9);
         assert!(b.sample(10, 0).is_none());
-        assert_eq!(CounterSet::NONE.count(), 0);
-        assert_eq!(CounterSet::default().count(), 6);
     }
 
     #[test]
@@ -232,15 +173,7 @@ mod tests {
 
     #[test]
     fn partial_counter_sets() {
-        let set = CounterSet {
-            stalls: true,
-            int_ops: false,
-            flops: false,
-            mem_read: false,
-            mem_write: false,
-            local_ops: false,
-        };
-        let mut b = CounterBank::new(1, set);
+        let mut b = CounterBank::new(1, CounterSet::NONE.with(CounterClass::Stalls));
         b.add_ops(0, 100, 100, 100);
         assert!(b.sample(1, 0).is_none(), "only stalls instantiated");
         b.add_stalls(0, 1);

@@ -215,8 +215,9 @@ pub fn decode_stream(stream: &[u8], num_threads: u32, total_cycles: u64) -> Reco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::{CounterBank, CounterSet};
+    use crate::counters::CounterBank;
     use crate::recorder::{pack_region_record, unpack_state_record, StateRecorder};
+    use nymble_hls::probe::CounterSet;
     use paraver::model::{Record, TraceMeta};
 
     #[test]

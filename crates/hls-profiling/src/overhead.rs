@@ -9,6 +9,7 @@
 //! count, not with datapath size — so the *percentages* shrink as designs
 //! grow, which is exactly how this model reproduces both studies.
 
+use crate::buffer::TraceBuffer;
 use crate::unit::ProfilingConfig;
 use nymble_hls::cost::{fmax_model, CostParams, FitReport};
 use nymble_hls::ProbeCostParams;
@@ -46,19 +47,20 @@ impl Default for OverheadParams {
     }
 }
 
-/// Fit of the profiling unit alone. Under an auto-probe plan the counter
-/// population is the plan's: one module per selected event class plus one
-/// cycle counter per instrumented region, each priced by
+/// Fit of the profiling unit alone. The counter population is one module
+/// per instantiated event class plus, under an auto-probe plan, one cycle
+/// counter per instrumented region, each priced by
 /// [`OverheadParams::counters`] exactly as `nymble_hls::probe::select`
 /// budgeted it.
 pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams) -> FitReport {
     let n = num_threads as u64;
     let mut alms = 0u64;
     let mut regs = 0u64;
-    let counters = match &cfg.plan {
-        Some(plan) => (plan.counters.len() + plan.regions.len()) as u64,
-        None => cfg.counters.count() as u64,
-    };
+    let regions = cfg
+        .plan
+        .as_ref()
+        .map_or(0, |plan| plan.regions.len() as u64);
+    let counters = u64::from(cfg.counters.count()) + regions;
     alms += counters * p.counters.alms_per_counter(num_threads);
     regs += counters * p.counters.regs_per_counter(num_threads);
     if cfg.record_states {
@@ -69,7 +71,7 @@ pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams
         alms += p.flush_alms as u64 + p.avalon_alms as u64;
         regs += p.flush_regs as u64 + p.avalon_regs as u64;
     }
-    let bram_kbits = (cfg.buffer_lines as u64 * 64 * 8) / 1024;
+    let bram_kbits = (TraceBuffer::capacity_bytes_of(cfg.buffer_lines) as u64 * 8) / 1024;
     FitReport {
         alms,
         registers: regs,
@@ -104,7 +106,7 @@ pub fn instrumented_fit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::CounterSet;
+    use nymble_hls::probe::{CounterSet, ALL_COUNTER_CLASSES};
 
     fn cfg() -> ProfilingConfig {
         ProfilingConfig::default()
@@ -137,20 +139,11 @@ mod tests {
             &p,
         );
         let mut costs = Vec::new();
-        for i in 0..6 {
-            let mut set = CounterSet::NONE;
-            match i {
-                0 => set.stalls = true,
-                1 => set.int_ops = true,
-                2 => set.flops = true,
-                3 => set.mem_read = true,
-                4 => set.mem_write = true,
-                _ => set.local_ops = true,
-            }
+        for c in ALL_COUNTER_CLASSES {
             let f = profiling_fit(
                 8,
                 &ProfilingConfig {
-                    counters: set,
+                    counters: CounterSet::NONE.with(c),
                     ..cfg()
                 },
                 &p,
@@ -247,17 +240,13 @@ mod tests {
             // A random counter subset and a random superset of it.
             let mut small = CounterSet::NONE;
             let mut big = CounterSet::NONE;
-            for f in [
-                |s: &mut CounterSet, v| s.stalls = v,
-                |s: &mut CounterSet, v| s.int_ops = v,
-                |s: &mut CounterSet, v| s.flops = v,
-                |s: &mut CounterSet, v| s.mem_read = v,
-                |s: &mut CounterSet, v| s.mem_write = v,
-                |s: &mut CounterSet, v| s.local_ops = v,
-            ] {
-                let in_small = rng.bool();
-                f(&mut small, in_small);
-                f(&mut big, in_small || rng.bool());
+            for c in ALL_COUNTER_CLASSES {
+                if rng.bool() {
+                    small = small.with(c);
+                    big = big.with(c);
+                } else if rng.bool() {
+                    big = big.with(c);
+                }
             }
             let states = rng.bool();
             let mk = |set| ProfilingConfig {

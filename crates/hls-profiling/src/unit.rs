@@ -1,13 +1,21 @@
 //! The profiling unit proper: glue between the datapath snoop interface, the
 //! state recorder, the counter bank and the trace buffer.
+//!
+//! What the unit instruments is [`ProfilingConfig`]: which counter modules
+//! (a `nymble_hls::probe::CounterSet`, the type an auto-probe plan selects
+//! too), whether the state recorder exists, and the plan's region probes.
+//! [`ProfilingConfig::for_design`] aligns a configuration with a compiled
+//! design's plan; the unit, its overhead fit and the bundle writer all read
+//! that one configuration.
 
 use crate::buffer::TraceBuffer;
-use crate::counters::{CounterBank, CounterSet};
+use crate::counters::CounterBank;
 use crate::decode;
 use crate::recorder::{pack_region_record, StateRecorder};
 use fpga_sim::{Snoop, ThreadState};
-use nymble_hls::probe::{CounterClass, ProbePlan};
+use nymble_hls::probe::{CounterSet, ProbePlan};
 use nymble_hls::region::RegionKind;
+use nymble_hls::Accelerator;
 use paraver::model::{Records, TraceMeta};
 use std::fmt;
 use std::sync::Arc;
@@ -22,12 +30,12 @@ pub struct ProfilingConfig {
     pub sampling_period: u64,
     /// Trace buffer size in 512-bit lines.
     pub buffer_lines: usize,
-    /// Which counter modules are instantiated.
+    /// Which counter modules are instantiated (default: all six).
     pub counters: CounterSet,
     /// Whether the state machine/recorder is instantiated.
     pub record_states: bool,
     /// Auto-probe plan driving the instrumentation (`--profile=auto`).
-    /// When set, [`Self::with_plan`] has aligned `counters` with the plan's
+    /// When set, [`Self::with_plan`] has made `counters` the plan's
     /// selected event classes and the unit additionally emits region
     /// enter/exit records for the plan's instrumented regions.
     pub plan: Option<Arc<ProbePlan>>,
@@ -93,7 +101,7 @@ impl ProfilingConfig {
             return Err(ProfilingConfigError::ZeroBufferLines);
         }
         if let Some(plan) = &self.plan {
-            if plan.counters.is_empty() && plan.regions.is_empty() {
+            if plan.counters == CounterSet::NONE && plan.regions.is_empty() {
                 return Err(ProfilingConfigError::EmptyPlan {
                     budget_alms: plan.budget_alms,
                 });
@@ -106,20 +114,20 @@ impl ProfilingConfig {
     /// becomes exactly the plan's selected event classes, and the unit will
     /// emit region records for the plan's instrumented regions.
     pub fn with_plan(mut self, plan: Arc<ProbePlan>) -> Self {
-        let mut set = CounterSet::NONE;
-        for c in &plan.counters {
-            match c {
-                CounterClass::Stalls => set.stalls = true,
-                CounterClass::IntOps => set.int_ops = true,
-                CounterClass::Flops => set.flops = true,
-                CounterClass::MemRead => set.mem_read = true,
-                CounterClass::MemWrite => set.mem_write = true,
-                CounterClass::LocalOps => set.local_ops = true,
-            }
-        }
-        self.counters = set;
+        self.counters = plan.counters;
         self.plan = Some(plan);
         self
+    }
+
+    /// This configuration aligned with `accel`'s auto-probe plan when its
+    /// compile selected one ([`Self::with_plan`]), else unchanged: the one
+    /// step every caller takes between compiling a design and building or
+    /// pricing its profiling unit.
+    pub fn for_design(&self, accel: &Accelerator) -> ProfilingConfig {
+        match &accel.probe_plan {
+            Some(plan) => self.clone().with_plan(plan.clone()),
+            None => self.clone(),
+        }
     }
 }
 
@@ -252,7 +260,7 @@ impl ProfilingUnit {
             let boundary = self.next_sample;
             for tid in 0..self.num_threads {
                 if let Some(rec) = self.counters.sample(boundary, tid) {
-                    self.buffer.push(boundary, &rec);
+                    self.buffer.push(&rec);
                 }
             }
             self.next_sample += self.cfg.sampling_period;
@@ -282,7 +290,7 @@ impl ProfilingUnit {
             recs[1] = re.critical.map(|cr| pack_region_record(t, tid, cr, false));
         }
         for rec in recs.into_iter().flatten() {
-            self.buffer.push(t, &rec);
+            self.buffer.push(&rec);
         }
     }
 
@@ -313,7 +321,7 @@ impl Snoop for ProfilingUnit {
             return;
         }
         if let Some(rec) = self.recorder.transition(t, tid, state) {
-            self.buffer.push(t, rec);
+            self.buffer.push(rec);
         }
     }
 
@@ -342,7 +350,7 @@ impl Snoop for ProfilingUnit {
         // Final partial-period sample so no counts are lost.
         for tid in 0..self.num_threads {
             if let Some(rec) = self.counters.sample(t, tid) {
-                self.buffer.push(t, &rec);
+                self.buffer.push(&rec);
             }
         }
         // Close every open region edge: the kernel root spans first start to
@@ -352,16 +360,16 @@ impl Snoop for ProfilingUnit {
                 let i = tid as usize;
                 if re.in_critical[i] {
                     if let Some(cr) = re.critical {
-                        self.buffer.push(t, &pack_region_record(t, tid, cr, false));
+                        self.buffer.push(&pack_region_record(t, tid, cr, false));
                     }
                 }
                 if re.started[i] && re.root {
-                    self.buffer.push(t, &pack_region_record(t, tid, 0, false));
+                    self.buffer.push(&pack_region_record(t, tid, 0, false));
                 }
             }
         }
         self.total_cycles = t;
-        self.buffer.flush(t);
+        self.buffer.flush();
         self.ended = true;
     }
 }
@@ -515,7 +523,7 @@ mod tests {
         use crate::unit::ProfilingConfigError as E;
         let plan = std::sync::Arc::new(nymble_hls::probe::ProbePlan {
             budget_alms: 0,
-            counters: vec![],
+            counters: CounterSet::NONE,
             regions: vec![],
             skipped_regions: 3,
             cost_alms: 0,
@@ -619,7 +627,7 @@ mod tests {
         let p = nymble_hls::ProbeCostParams::default();
         let tight = std::sync::Arc::new(nymble_hls::probe::ProbePlan {
             budget_alms: 2 * p.alms_per_counter(2) as u32,
-            counters: vec![nymble_hls::CounterClass::Stalls],
+            counters: CounterSet::NONE.with(nymble_hls::CounterClass::Stalls),
             regions: plan.regions[..1].to_vec(),
             skipped_regions: plan.regions.len() - 1,
             cost_alms: 2 * p.alms_per_counter(2),

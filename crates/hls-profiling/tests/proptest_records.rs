@@ -4,10 +4,11 @@
 //! trace survives its `.prv` bundle.
 
 use fpga_sim::{Snoop, ThreadState};
-use hls_profiling::counters::{unpack_event_record, CounterBank, CounterSet, EVENT_RECORD_BYTES};
+use hls_profiling::counters::{unpack_event_record, CounterBank, EVENT_RECORD_BYTES};
 use hls_profiling::recorder::{unpack_state_record, StateRecorder};
 use hls_profiling::{ProfilingConfig, ProfilingUnit};
 use miniprop::{forall, Rng};
+use nymble_hls::probe::CounterSet;
 use paraver::analysis::{event_total, StateProfile};
 use paraver::model::Record;
 use paraver::parse::parse_prv;

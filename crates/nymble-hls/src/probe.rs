@@ -25,11 +25,13 @@ pub const DEFAULT_PROBE_BUDGET_ALMS: u32 = 2048;
 /// How the profiling plan is chosen for a compile.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProbeMode {
-    /// Hand-chosen fixed counter set (the paper's configuration); no plan
-    /// is attached to the accelerator.
+    /// Hand-chosen fixed counter set (the paper's configuration, the repro
+    /// binaries' `--profile=fixed` and their default); no plan is attached
+    /// to the accelerator.
     #[default]
     Off,
-    /// Derive the plan from the compiled design under an ALM budget.
+    /// Derive the plan from the compiled design under an ALM budget
+    /// (`--profile=auto[,budget=N]`).
     Auto {
         /// ALM budget for the probe hardware (counters only; the state
         /// tracker and flush engine are priced separately by
@@ -85,8 +87,8 @@ impl ProbeCostParams {
     }
 }
 
-/// One of the six event classes the paper's hand-chosen set records
-/// (mirror of `hls_profiling::CounterSet`, selectable per class here).
+/// One of the six event classes the paper's profiling unit counts, one
+/// counter module each (§IV-B.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CounterClass {
     Stalls,
@@ -122,6 +124,80 @@ impl CounterClass {
     }
 }
 
+/// Which counter modules a profiling unit instantiates: a set of
+/// [`CounterClass`]es, one bit each. The default is [`CounterSet::ALL`],
+/// the paper's hand-chosen six; an auto-probe plan selects a prefix of
+/// [`ALL_COUNTER_CLASSES`]. Iterates in that priority order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct CounterSet(u8);
+
+impl CounterSet {
+    /// No counter modules.
+    pub const NONE: CounterSet = CounterSet(0);
+    /// All six event classes.
+    pub const ALL: CounterSet = CounterSet((1 << ALL_COUNTER_CLASSES.len()) - 1);
+
+    /// This set plus `c`.
+    pub const fn with(self, c: CounterClass) -> CounterSet {
+        CounterSet(self.0 | 1 << c as u8)
+    }
+
+    /// True when `c` is instantiated (a mask test: the profiling unit asks
+    /// this on every snooped signal).
+    #[inline]
+    pub const fn contains(self, c: CounterClass) -> bool {
+        self.0 & (1 << c as u8) != 0
+    }
+
+    /// Number of instantiated counter modules.
+    pub const fn count(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    /// The classes in the set, in [`ALL_COUNTER_CLASSES`] order.
+    pub fn iter(&self) -> CounterSetIter {
+        let all: &'static [CounterClass] = &ALL_COUNTER_CLASSES;
+        CounterSetIter {
+            set: *self,
+            rest: all.iter(),
+        }
+    }
+}
+
+/// Iterator over a [`CounterSet`]'s classes ([`CounterSet::iter`]).
+pub struct CounterSetIter {
+    set: CounterSet,
+    rest: std::slice::Iter<'static, CounterClass>,
+}
+
+impl Iterator for CounterSetIter {
+    type Item = &'static CounterClass;
+    fn next(&mut self) -> Option<&'static CounterClass> {
+        let set = self.set;
+        self.rest.find(|&&c| set.contains(c))
+    }
+}
+
+impl IntoIterator for &CounterSet {
+    type Item = &'static CounterClass;
+    type IntoIter = CounterSetIter;
+    fn into_iter(self) -> CounterSetIter {
+        self.iter()
+    }
+}
+
+impl Default for CounterSet {
+    fn default() -> Self {
+        CounterSet::ALL
+    }
+}
+
+impl std::fmt::Debug for CounterSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// One selected region probe (a flattened [`crate::region::Region`], kept
 /// plan-local so a plan outlives the tree it was solved over).
 #[derive(Clone, Debug)]
@@ -145,8 +221,8 @@ pub struct PlanRegion {
 pub struct ProbePlan {
     /// The budget the plan was solved under.
     pub budget_alms: u32,
-    /// Selected event-counter classes, in priority order.
-    pub counters: Vec<CounterClass>,
+    /// Selected event-counter classes.
+    pub counters: CounterSet,
     /// Selected regions in pre-order; the kernel root comes first whenever
     /// anything at all fits the budget.
     pub regions: Vec<PlanRegion>,
@@ -161,13 +237,13 @@ pub struct ProbePlan {
 impl ProbePlan {
     /// True when `c` is a selected event class.
     pub fn has_counter(&self, c: CounterClass) -> bool {
-        self.counters.contains(&c)
+        self.counters.contains(c)
     }
 
     /// True when every class of the hand-chosen default set is selected
     /// (the golden coverage criterion).
     pub fn covers_default_set(&self) -> bool {
-        ALL_COUNTER_CLASSES.iter().all(|&c| self.has_counter(c))
+        self.counters == CounterSet::ALL
     }
 
     /// The selected region with `id`, if any.
@@ -210,7 +286,7 @@ impl ProbePlan {
     pub fn summary(&self) -> String {
         format!(
             "auto-probe plan: {} event counters, {} regions ({} skipped), {} ALMs of {} budget",
-            self.counters.len(),
+            self.counters.count(),
             self.regions.len(),
             self.skipped_regions,
             self.cost_alms,
@@ -243,7 +319,7 @@ pub fn select(
 
     let mut plan = ProbePlan {
         budget_alms,
-        counters: Vec::new(),
+        counters: CounterSet::NONE,
         regions: Vec::new(),
         skipped_regions: 0,
         cost_alms: 0,
@@ -280,7 +356,7 @@ pub fn select(
             plan.skipped_regions = region_order.len();
             return plan;
         }
-        plan.counters.push(c);
+        plan.counters = plan.counters.with(c);
     }
 
     // Tier 2: region cycle counters, highest profit first.
@@ -338,6 +414,21 @@ mod tests {
 
     fn tree(threads: u32) -> RegionTree {
         RegionTree::build(&nest_kernel(threads), &Timing::default())
+    }
+
+    #[test]
+    fn counter_sets_iterate_in_priority_order() {
+        assert_eq!(CounterSet::default(), CounterSet::ALL);
+        assert_eq!(CounterSet::ALL.count(), 6);
+        assert_eq!(CounterSet::NONE.count(), 0);
+        let all: Vec<CounterClass> = CounterSet::ALL.iter().copied().collect();
+        assert_eq!(all, ALL_COUNTER_CLASSES);
+        let set = CounterSet::NONE
+            .with(CounterClass::LocalOps)
+            .with(CounterClass::Stalls);
+        assert!(set.contains(CounterClass::Stalls) && !set.contains(CounterClass::Flops));
+        assert_eq!(set.count(), 2);
+        assert_eq!(format!("{set:?}"), "{Stalls, LocalOps}");
     }
 
     #[test]
@@ -411,11 +502,11 @@ mod tests {
         let plan = select(&t, 8, 2 * each, &p);
         assert_eq!(plan.regions.len(), 1);
         assert_eq!(plan.regions[0].id, 0);
-        assert_eq!(plan.counters, vec![CounterClass::Stalls]);
+        assert_eq!(plan.counters, CounterSet::NONE.with(CounterClass::Stalls));
         assert!(plan.skipped_regions > 0);
         // Zero budget: nothing at all.
         let empty = select(&t, 8, 0, &p);
-        assert!(empty.regions.is_empty() && empty.counters.is_empty());
+        assert!(empty.regions.is_empty() && empty.counters == CounterSet::NONE);
         assert_eq!(empty.cost_alms, 0);
     }
 

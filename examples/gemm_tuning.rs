@@ -5,6 +5,9 @@
 //! ```sh
 //! cargo run --release --example gemm_tuning -- [dim]
 //! ```
+//!
+//! A `dim` that does not parse, or that the GEMM kernels reject, prints one
+//! line and exits with status 2.
 
 use hls_paraver::hls::accel::{compile, HlsConfig};
 use hls_paraver::ir::Value;
@@ -19,20 +22,28 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench::session::write_stdout("gemm_tuning", run)
-}
-
-fn run(w: &mut impl Write) -> io::Result<()> {
-    let dim: i64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let p = GemmParams {
+    let params = match std::env::args().nth(1) {
+        None => Ok(64),
+        Some(s) => s.parse().map_err(|_| format!("invalid dim `{s}`")),
+    }
+    .map(|dim| GemmParams {
         dim,
         threads: 8,
         vec: 4,
         block: 8,
-    };
+    })
+    .and_then(|p| p.validate().map(|()| p).map_err(str::to_string));
+    match params {
+        Ok(p) => bench::session::write_stdout("gemm_tuning", |w| run(w, &p)),
+        Err(e) => {
+            eprintln!("gemm_tuning: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn run(w: &mut impl Write, p: &GemmParams) -> io::Result<()> {
+    let dim = p.dim;
     let sim = SimConfig::default().with_fast_launch();
     let d = dim as usize;
     let a = reference::gen_matrix(d, 1);
@@ -50,7 +61,7 @@ fn run(w: &mut impl Write) -> io::Result<()> {
 
     let mut prev = 0u64;
     for (v, note) in GemmVersion::ALL.iter().zip(diagnosis) {
-        let kernel = build(*v, &p);
+        let kernel = build(*v, p);
         let acc = compile(&kernel, &HlsConfig::default());
         let mut unit =
             ProfilingUnit::new(&kernel.name, kernel.num_threads, ProfilingConfig::default());

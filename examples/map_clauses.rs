@@ -64,7 +64,7 @@ fn run(w: &mut impl Write) -> io::Result<()> {
             c.h2d_bytes,
             c.d2h_cycles,
             c.d2h_bytes,
-            end_to_end_cycles(kernel_cycles, c, &sim)
+            end_to_end_cycles(kernel_cycles, c)
         )?;
     }
     let saved = q.total_cycles() - p.total_cycles();

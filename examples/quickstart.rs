@@ -5,23 +5,43 @@
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! The bundle goes to `target/traces/quickstart.{prv,pcf,row}`; when that
+//! directory cannot be created the example prints one line naming it and
+//! exits with status 1.
 
-use hls_paraver::hls::accel::{compile, HlsConfig};
+use hls_paraver::hls::accel::{compile, Accelerator, HlsConfig};
 use hls_paraver::hls::report;
-use hls_paraver::ir::{KernelBuilder, MapDir, ScalarType, Type, Value};
+use hls_paraver::ir::{Kernel, KernelBuilder, MapDir, ScalarType, Type, Value};
 use hls_paraver::paraver::analysis::StateProfile;
 use hls_paraver::paraver::timeline::{render_states, TimelineOptions};
-use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
+use hls_paraver::paraver::TraceError;
+use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit, TraceData};
 use hls_paraver::sim::memimg::LaunchArg;
-use hls_paraver::sim::{Executor, SimConfig};
+use hls_paraver::sim::{Executor, RunResult, SimConfig};
 use std::io::{self, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench::session::write_stdout("quickstart", run)
+    let (kernel, acc, result, trace) = simulate();
+    // Write the decoded trace as a Paraver bundle; a directory that cannot
+    // be created is one line on stderr and exit status 1.
+    let stem = Path::new("target/traces/quickstart");
+    let written = std::fs::create_dir_all(stem.parent().expect("the stem names a directory"))
+        .map_err(TraceError::from)
+        .and_then(|()| trace.write_bundle(stem));
+    if let Err(e) = written {
+        eprintln!("quickstart: cannot write {}: {e}", stem.display());
+        return ExitCode::FAILURE;
+    }
+    bench::session::write_stdout("quickstart", |w| {
+        print_report(w, &kernel, &acc, &result, &trace, stem)
+    })
 }
 
-fn run(w: &mut impl Write) -> io::Result<()> {
+/// Build, compile and profile the demo kernel.
+fn simulate() -> (Kernel, Accelerator, RunResult, TraceData) {
     // 1. Write a kernel with the OpenMP-flavoured builder: a dot product
     //    over 4 hardware threads with a critical-section reduction.
     let n = 4096i64;
@@ -54,8 +74,6 @@ fn run(w: &mut impl Write) -> io::Result<()> {
 
     // 2. Compile: scheduling, stage formation, fit estimation.
     let acc = compile(&kernel, &HlsConfig::default());
-    writeln!(w, "{}", report::schedule_report(&kernel, &acc))?;
-    writeln!(w, "{}", report::fit_summary(&kernel.name, &acc.fit))?;
 
     // 3. Run on the simulator with the profiling unit snooping the pipeline.
     let sim = SimConfig::default().with_fast_launch();
@@ -70,6 +88,22 @@ fn run(w: &mut impl Write) -> io::Result<()> {
         LaunchArg::Buffer(vec![Value::F32(0.0)]),
     ];
     let result = Executor::run(&kernel, &acc, &sim, &launch, &mut unit).expect("simulation failed");
+    // The unit decodes its trace buffer into Paraver records.
+    let trace = unit.finish();
+    (kernel, acc, result, trace)
+}
+
+/// Print the compile report, the run's totals and the trace's views.
+fn print_report(
+    w: &mut impl Write,
+    kernel: &Kernel,
+    acc: &Accelerator,
+    result: &RunResult,
+    trace: &TraceData,
+    stem: &Path,
+) -> io::Result<()> {
+    writeln!(w, "{}", report::schedule_report(kernel, acc))?;
+    writeln!(w, "{}", report::fit_summary(&kernel.name, &acc.fit))?;
     writeln!(
         w,
         "result = {:?} after {} cycles ({} stall cycles, {} B read)",
@@ -79,11 +113,6 @@ fn run(w: &mut impl Write) -> io::Result<()> {
         result.stats.total(|t| t.bytes_read),
     )?;
 
-    // 4. Decode the trace buffer into Paraver records and look at it.
-    let trace = unit.finish();
-    let stem = std::path::Path::new("target/traces/quickstart");
-    std::fs::create_dir_all(stem.parent().unwrap()).unwrap();
-    trace.write_bundle(stem).unwrap();
     writeln!(
         w,
         "\nwrote {}.prv/.pcf/.row ({} records, {} trace bytes flushed)\n",
