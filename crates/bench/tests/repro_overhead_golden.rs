@@ -1,7 +1,10 @@
 //! `repro_overhead`'s tables, pinned byte for byte. The study is static
 //! (cost-model fits, no simulation), so its stdout is deterministic at a
-//! fixed `--jobs` (the last line names the worker count). Both profile
-//! modes are pinned: the fixed counter set and the auto-probe plan.
+//! fixed `--jobs` (the last line names the worker count). Pinned: the
+//! binary's default paper configuration (8 threads), and at 4 threads the
+//! fixed counter set, the auto-probe plan at its default budget, and a plan
+//! truncated by a tight budget (the knapsack stops after the root counter
+//! and one event counter on π).
 //!
 //! After an intended change of the cost model, regenerate with
 //!
@@ -12,10 +15,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn check(golden: &str, extra: &[&str]) {
+fn check(golden: &str, args: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro_overhead"))
-        .args(["--threads", "4", "--jobs", "2"])
-        .args(extra)
+        .args(args)
         .output()
         .expect("spawn repro_overhead");
     assert_eq!(
@@ -41,11 +43,33 @@ fn check(golden: &str, extra: &[&str]) {
 }
 
 #[test]
+fn paper_configuration_tables_match_golden() {
+    check(
+        "repro_overhead_paper.txt",
+        &["--threads", "8", "--jobs", "2"],
+    );
+}
+
+#[test]
 fn fixed_counter_set_tables_match_golden() {
-    check("repro_overhead_fixed.txt", &[]);
+    check(
+        "repro_overhead_fixed.txt",
+        &["--threads", "4", "--jobs", "2"],
+    );
 }
 
 #[test]
 fn auto_probe_tables_match_golden() {
-    check("repro_overhead_auto.txt", &["--profile=auto"]);
+    check(
+        "repro_overhead_auto.txt",
+        &["--threads", "4", "--jobs", "2", "--profile=auto"],
+    );
+}
+
+#[test]
+fn truncated_auto_probe_plan_tables_match_golden() {
+    check(
+        "repro_overhead_budget96.txt",
+        &["--threads", "4", "--jobs", "2", "--profile=auto,budget=96"],
+    );
 }
