@@ -30,7 +30,7 @@
 use bench::engine::BatchEngine;
 use bench::graph::{NodeCtx, NodeKind, TaskGraph};
 use bench::session::Session;
-use hls_profiling::overhead::{instrumented_fit, profiling_fit, OverheadParams};
+use hls_profiling::overhead::{instrumented_fit, profiling_fit};
 use hls_profiling::ProfilingConfig;
 use kernels::gemm::{self, GemmParams, GemmVersion};
 use kernels::pi::{self, PiParams};
@@ -71,7 +71,6 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
     let jobs = session.jobs;
     let hls = session.hls();
     let prof = ProfilingConfig::default();
-    let op = OverheadParams::default();
     let cache = AccelCache::new();
     let engine = BatchEngine::new(jobs);
 
@@ -109,7 +108,7 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
     let mut graph: TaskGraph<'_, OvhNode> = TaskGraph::new();
     let mut analyze_ids = Vec::new();
     for &v in GemmVersion::ALL.iter() {
-        let (cache, hls, gp, prof, op) = (&cache, &hls, &gp, &prof, &op);
+        let (cache, hls, gp, prof) = (&cache, &hls, &gp, &prof);
         let compile = graph.add(
             NodeKind::Compile,
             format!("compile:{}", v.name()),
@@ -130,8 +129,7 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
                 };
                 // Under --profile=auto the fit prices the design's own
                 // plan (counters + region probes) instead of the fixed set.
-                let with =
-                    instrumented_fit(&acc.fit, threads, &prof.for_design(acc), op, &hls.cost);
+                let with = instrumented_fit(&acc.fit, threads, &prof.for_design(acc));
                 let o = with.overhead_vs(&acc.fit);
                 let line = format!(
                     "{:<24} {:>9} {:>9} {:>8.1} | {:>9} {:>9} {:>8.1} | {:>6.2}% {:>6.2}% {:>9.1}",
@@ -221,7 +219,7 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
     if let Some(plan) = &acc.probe_plan {
         writeln!(w, "  {}", plan.summary())?;
     }
-    let with = instrumented_fit(&acc.fit, threads, &prof.for_design(acc), &op, &hls.cost);
+    let with = instrumented_fit(&acc.fit, threads, &prof.for_design(acc));
     let o = with.overhead_vs(&acc.fit);
     writeln!(
         w,
@@ -251,7 +249,6 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
             counters: CounterSet::NONE,
             ..prof.clone()
         },
-        &op,
     );
     for c in ALL_COUNTER_CLASSES {
         let f = profiling_fit(
@@ -260,7 +257,6 @@ fn run(session: &Session, w: &mut impl std::io::Write) -> std::io::Result<()> {
                 counters: CounterSet::NONE.with(c),
                 ..prof.clone()
             },
-            &op,
         );
         writeln!(
             w,

@@ -144,7 +144,7 @@ mod tests {
         // The fit prices the BRAM of the buffer `new` builds: 512 lines of
         // 512 bits are 256 kbit.
         let cfg = crate::ProfilingConfig::default();
-        let fit = crate::overhead::profiling_fit(8, &cfg, &Default::default());
+        let fit = crate::overhead::profiling_fit(8, &cfg);
         assert_eq!(TraceBuffer::capacity_bytes_of(cfg.buffer_lines), 512 * 64);
         assert_eq!(fit.bram_kbits, 256);
     }

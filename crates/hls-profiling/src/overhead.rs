@@ -8,51 +8,36 @@
 //! absolute cost of the unit is nearly constant — counters scale with thread
 //! count, not with datapath size — so the *percentages* shrink as designs
 //! grow, which is exactly how this model reproduces both studies.
+//!
+//! Counters are priced by `nymble_hls::probe::counter_alms`/`counter_regs`,
+//! the price the auto-probe knapsack budgets with; the state tracker, the
+//! flush engine and the trace Avalon master are private constants here.
+//! [`instrumented_fit`] is the one place a fit is added to a design's.
 
 use crate::buffer::TraceBuffer;
 use crate::unit::ProfilingConfig;
-use nymble_hls::cost::{fmax_model, CostParams, FitReport};
-use nymble_hls::ProbeCostParams;
+use nymble_hls::cost::{fmax_model, FitReport};
+use nymble_hls::probe::{counter_alms, counter_regs};
 
-/// Per-module area parameters of the profiling hardware.
-#[derive(Clone, Debug)]
-pub struct OverheadParams {
-    /// Price of one counter module — the same prices the auto-probe
-    /// optimizer budgets with.
-    pub counters: ProbeCostParams,
-    /// State machine + packer ALMs, plus per-thread state register cost.
-    pub state_alms_base: u32,
-    pub state_alms_per_thread: u32,
-    pub state_regs_per_thread: u32,
-    /// Flush FSM + buffer write port.
-    pub flush_alms: u32,
-    pub flush_regs: u32,
-    /// Extra Avalon master for trace write-back.
-    pub avalon_alms: u32,
-    pub avalon_regs: u32,
-}
-
-impl Default for OverheadParams {
-    fn default() -> Self {
-        OverheadParams {
-            counters: ProbeCostParams::default(),
-            state_alms_base: 40,
-            state_alms_per_thread: 6,
-            state_regs_per_thread: 12,
-            flush_alms: 80,
-            flush_regs: 150,
-            avalon_alms: 60,
-            avalon_regs: 120,
-        }
-    }
-}
+/// State machine and packer ALMs.
+const STATE_ALMS_BASE: u64 = 40;
+/// State-tracker ALMs per thread.
+const STATE_ALMS_PER_THREAD: u64 = 6;
+/// State registers per thread.
+const STATE_REGS_PER_THREAD: u64 = 12;
+/// Flush FSM and buffer write port.
+const FLUSH_ALMS: u64 = 80;
+const FLUSH_REGS: u64 = 150;
+/// Extra Avalon master for trace write-back.
+const AVALON_ALMS: u64 = 60;
+const AVALON_REGS: u64 = 120;
 
 /// Fit of the profiling unit alone. The counter population is one module
 /// per instantiated event class plus, under an auto-probe plan, one cycle
 /// counter per instrumented region, each priced by
-/// [`OverheadParams::counters`] exactly as `nymble_hls::probe::select`
+/// [`counter_alms`]/[`counter_regs`] exactly as `nymble_hls::probe::select`
 /// budgeted it.
-pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams) -> FitReport {
+pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig) -> FitReport {
     let n = num_threads as u64;
     let mut alms = 0u64;
     let mut regs = 0u64;
@@ -61,15 +46,15 @@ pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams
         .as_ref()
         .map_or(0, |plan| plan.regions.len() as u64);
     let counters = u64::from(cfg.counters.count()) + regions;
-    alms += counters * p.counters.alms_per_counter(num_threads);
-    regs += counters * p.counters.regs_per_counter(num_threads);
+    alms += counters * counter_alms(num_threads);
+    regs += counters * counter_regs(num_threads);
     if cfg.record_states {
-        alms += p.state_alms_base as u64 + p.state_alms_per_thread as u64 * n;
-        regs += p.state_regs_per_thread as u64 * n + 32; // states + clock reg
+        alms += STATE_ALMS_BASE + STATE_ALMS_PER_THREAD * n;
+        regs += STATE_REGS_PER_THREAD * n + 32; // states + clock reg
     }
     if counters > 0 || cfg.record_states {
-        alms += p.flush_alms as u64 + p.avalon_alms as u64;
-        regs += p.flush_regs as u64 + p.avalon_regs as u64;
+        alms += FLUSH_ALMS + AVALON_ALMS;
+        regs += FLUSH_REGS + AVALON_REGS;
     }
     let bram_kbits = (TraceBuffer::capacity_bytes_of(cfg.buffer_lines) as u64 * 8) / 1024;
     FitReport {
@@ -83,15 +68,9 @@ pub fn profiling_fit(num_threads: u32, cfg: &ProfilingConfig, p: &OverheadParams
 
 /// Fit of a design *with* the profiling unit: base + unit, fmax re-derived
 /// from the combined logic (the routing-pressure effect behind the paper's
-/// 8 MHz / 1 MHz degradations).
-pub fn instrumented_fit(
-    base: &FitReport,
-    num_threads: u32,
-    cfg: &ProfilingConfig,
-    p: &OverheadParams,
-    cost: &CostParams,
-) -> FitReport {
-    let unit = profiling_fit(num_threads, cfg, p);
+/// 8 MHz / 1 MHz degradations). The one place a fit is added to a design's.
+pub fn instrumented_fit(base: &FitReport, num_threads: u32, cfg: &ProfilingConfig) -> FitReport {
+    let unit = profiling_fit(num_threads, cfg);
     let alms = base.alms + unit.alms;
     let regs = base.registers + unit.registers;
     FitReport {
@@ -99,7 +78,7 @@ pub fn instrumented_fit(
         registers: regs,
         dsps: base.dsps,
         bram_kbits: base.bram_kbits + unit.bram_kbits,
-        fmax_mhz: fmax_model(alms, regs, cost),
+        fmax_mhz: fmax_model(alms, regs),
     }
 }
 
@@ -114,9 +93,8 @@ mod tests {
 
     #[test]
     fn unit_cost_scales_with_threads_not_design() {
-        let p = OverheadParams::default();
-        let f1 = profiling_fit(1, &cfg(), &p);
-        let f8 = profiling_fit(8, &cfg(), &p);
+        let f1 = profiling_fit(1, &cfg());
+        let f8 = profiling_fit(8, &cfg());
         assert!(f8.registers > f1.registers);
         assert!(f8.alms > f1.alms);
         // Absolute size stays in the ~few-kALM class (the reason overhead
@@ -129,14 +107,12 @@ mod tests {
     fn counters_contribute_similarly() {
         // §V-B: "each of the counters contributes similarly to the hardware
         // overhead, none ... remarkably expensive".
-        let p = OverheadParams::default();
         let base = profiling_fit(
             8,
             &ProfilingConfig {
                 counters: CounterSet::NONE,
                 ..cfg()
             },
-            &p,
         );
         let mut costs = Vec::new();
         for c in ALL_COUNTER_CLASSES {
@@ -146,7 +122,6 @@ mod tests {
                     counters: CounterSet::NONE.with(c),
                     ..cfg()
                 },
-                &p,
             );
             costs.push(f.alms - base.alms);
         }
@@ -157,24 +132,22 @@ mod tests {
 
     #[test]
     fn overhead_shrinks_for_bigger_designs() {
-        let p = OverheadParams::default();
-        let cost = CostParams::default();
         let small = FitReport {
             alms: 28_000,
             registers: 48_000,
             dsps: 16,
             bram_kbits: 512,
-            fmax_mhz: fmax_model(28_000, 48_000, &cost),
+            fmax_mhz: fmax_model(28_000, 48_000),
         };
         let big = FitReport {
             alms: 110_000,
             registers: 200_000,
             dsps: 64,
             bram_kbits: 2048,
-            fmax_mhz: fmax_model(110_000, 200_000, &cost),
+            fmax_mhz: fmax_model(110_000, 200_000),
         };
-        let small_i = instrumented_fit(&small, 8, &cfg(), &p, &cost);
-        let big_i = instrumented_fit(&big, 8, &cfg(), &p, &cost);
+        let small_i = instrumented_fit(&small, 8, &cfg());
+        let big_i = instrumented_fit(&big, 8, &cfg());
         let so = small_i.overhead_vs(&small);
         let bo = big_i.overhead_vs(&big);
         assert!(so.alms_pct > bo.alms_pct);
@@ -215,14 +188,13 @@ mod tests {
             };
             let plan = nymble_hls::compile(&k, &hls).probe_plan.unwrap();
             assert!(plan.cost_alms <= budget as u64, "plan overshoots budget");
-            let p = OverheadParams::default();
             let planned = ProfilingConfig::default().with_plan(plan.clone());
             let baseline = ProfilingConfig {
                 counters: CounterSet::NONE,
                 ..cfg()
             };
-            let planned_fit = profiling_fit(8, &planned, &p);
-            let base_fit = profiling_fit(8, &baseline, &p);
+            let planned_fit = profiling_fit(8, &planned);
+            let base_fit = profiling_fit(8, &baseline);
             assert_eq!(planned_fit.alms - base_fit.alms, plan.cost_alms);
             assert_eq!(planned_fit.registers - base_fit.registers, plan.cost_regs);
         }
@@ -235,8 +207,6 @@ mod tests {
     fn more_counters_never_lower_overhead() {
         miniprop::forall(200, |rng| {
             let n = rng.range_u32(1, 300);
-            let p = OverheadParams::default();
-            let cost = CostParams::default();
             // A random counter subset and a random superset of it.
             let mut small = CounterSet::NONE;
             let mut big = CounterSet::NONE;
@@ -254,8 +224,8 @@ mod tests {
                 record_states: states,
                 ..ProfilingConfig::default()
             };
-            let fs = profiling_fit(n, &mk(small), &p);
-            let fb = profiling_fit(n, &mk(big), &p);
+            let fs = profiling_fit(n, &mk(small));
+            let fb = profiling_fit(n, &mk(big));
             assert!(fb.alms >= fs.alms, "{fb:?} < {fs:?}");
             assert!(fb.registers >= fs.registers);
             // The percentage overhead over a fixed base is monotone too.
@@ -267,11 +237,11 @@ mod tests {
                 fmax_mhz: 0.0,
             };
             let base = FitReport {
-                fmax_mhz: fmax_model(base.alms, base.registers, &cost),
+                fmax_mhz: fmax_model(base.alms, base.registers),
                 ..base
             };
-            let os = instrumented_fit(&base, n, &mk(small), &p, &cost).overhead_vs(&base);
-            let ob = instrumented_fit(&base, n, &mk(big), &p, &cost).overhead_vs(&base);
+            let os = instrumented_fit(&base, n, &mk(small)).overhead_vs(&base);
+            let ob = instrumented_fit(&base, n, &mk(big)).overhead_vs(&base);
             assert!(ob.alms_pct >= os.alms_pct);
             assert!(ob.registers_pct >= os.registers_pct);
             assert!(ob.fmax_delta_mhz >= os.fmax_delta_mhz - 1e-9);
@@ -280,7 +250,6 @@ mod tests {
 
     #[test]
     fn disabled_unit_costs_nothing_but_bram() {
-        let p = OverheadParams::default();
         let f = profiling_fit(
             8,
             &ProfilingConfig {
@@ -288,7 +257,6 @@ mod tests {
                 record_states: false,
                 ..cfg()
             },
-            &p,
         );
         assert_eq!(f.alms, 0);
         assert_eq!(f.registers, 0);

@@ -249,11 +249,6 @@ impl ProfilingUnit {
         }
     }
 
-    /// The configuration this unit was generated with.
-    pub fn config(&self) -> &ProfilingConfig {
-        &self.cfg
-    }
-
     /// Sample every thread's aggregates for all boundaries up to `t`.
     fn advance_sampling(&mut self, t: u64) {
         while t >= self.next_sample {
@@ -621,17 +616,17 @@ mod tests {
 
     #[test]
     fn plan_without_probes_for_a_state_leaves_the_stream_plain() {
+        use nymble_hls::probe::{counter_alms, counter_regs};
         // A plan whose budget only afforded the root and one counter emits
         // no critical-region records even when threads enter criticals.
         let plan = critical_kernel_plan();
-        let p = nymble_hls::ProbeCostParams::default();
         let tight = std::sync::Arc::new(nymble_hls::probe::ProbePlan {
-            budget_alms: 2 * p.alms_per_counter(2) as u32,
+            budget_alms: 2 * counter_alms(2) as u32,
             counters: CounterSet::NONE.with(nymble_hls::CounterClass::Stalls),
             regions: plan.regions[..1].to_vec(),
             skipped_regions: plan.regions.len() - 1,
-            cost_alms: 2 * p.alms_per_counter(2),
-            cost_regs: 2 * p.regs_per_counter(2),
+            cost_alms: 2 * counter_alms(2),
+            cost_regs: 2 * counter_regs(2),
         });
         let mut u = ProfilingUnit::new(
             "crit",

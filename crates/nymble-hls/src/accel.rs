@@ -1,9 +1,9 @@
 //! Top-level compilation: kernel → accelerator description.
 
-use crate::cost::{estimate_fit, CostParams, FitReport};
+use crate::cost::{estimate_fit, FitReport};
 use crate::dfg::{lower_block, Dfg};
 use crate::perf::{pipeline_eligible, Timing};
-use crate::probe::{self, ProbeCostParams, ProbeMode, ProbePlan};
+use crate::probe::{self, ProbeMode, ProbePlan};
 use crate::region::RegionTree;
 use crate::schedule::{schedule, LoopSchedule, ResourceLimits};
 use nymble_ir::loops::{LoopId, LoopMap};
@@ -14,28 +14,16 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 /// HLS compiler configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HlsConfig {
     /// Per-thread resource limits for scheduling.
     pub limits: ResourceLimits,
-    /// Analytical area/frequency model parameters.
-    pub cost: CostParams,
     /// Auto-probe mode: at [`ProbeMode::Auto`] the compiler solves a
     /// budgeted instrumentation plan over the region tree and attaches it
     /// to the accelerator for the profiling unit to follow. Part of the
     /// config fingerprint — plans solved under different budgets are
     /// different artifacts.
     pub probe: ProbeMode,
-}
-
-impl Default for HlsConfig {
-    fn default() -> Self {
-        HlsConfig {
-            limits: ResourceLimits::default(),
-            cost: CostParams::default(),
-            probe: ProbeMode::Off,
-        }
-    }
 }
 
 /// A compiled accelerator: everything the simulator, the profiling unit and
@@ -119,14 +107,7 @@ pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
     let top_dfg = lower_block(kernel, &types, &kernel.body);
     let top = schedule(&top_dfg, &config.limits);
 
-    let fit = estimate_fit(
-        kernel,
-        &loop_dfgs,
-        &loop_schedules,
-        &top_dfg,
-        &top,
-        &config.cost,
-    );
+    let fit = estimate_fit(kernel, &loop_dfgs, &loop_schedules, &top_dfg, &top);
 
     // Region analysis: always build the tree (diagnosis uses it even when
     // no probes are planned); solve the knapsack only under Auto.
@@ -137,7 +118,6 @@ pub fn compile(kernel: &Kernel, config: &HlsConfig) -> Accelerator {
             &regions,
             kernel.num_threads,
             budget_alms,
-            &ProbeCostParams::default(),
         ))),
     };
 

@@ -16,50 +16,36 @@
 //! * fmax: a routing-pressure model — a logarithmic degradation in total
 //!   logic, calibrated so designs of the paper's size close timing in the
 //!   140–150 MHz range it reports.
+//!
+//! The structural prices are private constants of this module: they
+//! describe the hardware, not a setting. The profiling unit's prices live
+//! in `hls_profiling::overhead` (counters in [`crate::probe::counter_alms`]
+//! and [`crate::probe::counter_regs`]), and `overhead::instrumented_fit` is
+//! the one place a fit is added to a design's and [`fmax_model`] re-run.
 
 use crate::dfg::Dfg;
 use crate::schedule::LoopSchedule;
 use nymble_ir::Kernel;
 
-/// Tunable parameters of the cost model.
-#[derive(Clone, Debug)]
-pub struct CostParams {
-    /// Registers latched per live value per stage (value width + valid).
-    pub regs_per_live_value: u32,
-    /// ALMs of control logic per stage.
-    pub ctrl_alms_per_stage: u32,
-    /// Registers of control logic per stage.
-    pub ctrl_regs_per_stage: u32,
-    /// Extra ALMs per reordering stage (hardware thread scheduler slice).
-    pub hts_alms_per_stage: u32,
-    /// Fixed infrastructure ALMs (Avalon interfaces, preloader, semaphore).
-    pub infra_alms: u64,
-    /// Fixed infrastructure registers.
-    pub infra_regs: u64,
-    /// Unconstrained-logic fmax ceiling in MHz.
-    pub fmax_ceiling_mhz: f64,
-    /// Routing-pressure coefficient: MHz lost per doubling of logic beyond
-    /// `fmax_knee_alms`.
-    pub fmax_mhz_per_doubling: f64,
-    /// Logic size at which routing pressure starts to bite.
-    pub fmax_knee_alms: f64,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            regs_per_live_value: 33,
-            ctrl_alms_per_stage: 40,
-            ctrl_regs_per_stage: 48,
-            hts_alms_per_stage: 110,
-            infra_alms: 13_000,
-            infra_regs: 22_000,
-            fmax_ceiling_mhz: 190.0,
-            fmax_mhz_per_doubling: 17.0,
-            fmax_knee_alms: 6_000.0,
-        }
-    }
-}
+/// Registers latched per live value per stage (value width + valid).
+const REGS_PER_LIVE_VALUE: u64 = 33;
+/// ALMs of control logic per stage.
+const CTRL_ALMS_PER_STAGE: u64 = 40;
+/// Registers of control logic per stage.
+const CTRL_REGS_PER_STAGE: u64 = 48;
+/// Extra ALMs per reordering stage (hardware thread scheduler slice).
+const HTS_ALMS_PER_STAGE: u64 = 110;
+/// Fixed infrastructure ALMs (Avalon interfaces, preloader, semaphore).
+const INFRA_ALMS: u64 = 13_000;
+/// Fixed infrastructure registers.
+const INFRA_REGS: u64 = 22_000;
+/// Unconstrained-logic fmax ceiling in MHz.
+const FMAX_CEILING_MHZ: f64 = 190.0;
+/// Routing-pressure coefficient: MHz lost per doubling of logic beyond
+/// [`FMAX_KNEE_ALMS`].
+const FMAX_MHZ_PER_DOUBLING: f64 = 17.0;
+/// Logic size at which routing pressure starts to bite.
+const FMAX_KNEE_ALMS: f64 = 6_000.0;
 
 /// Post-"fit" resource/frequency summary.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,20 +63,6 @@ pub struct FitReport {
 }
 
 impl FitReport {
-    /// Sum of two fits (before the fmax re-model — callers should re-derive
-    /// fmax from the combined logic with [`fmax_model`]).
-    pub fn combine(&self, other: &FitReport, p: &CostParams) -> FitReport {
-        let alms = self.alms + other.alms;
-        let registers = self.registers + other.registers;
-        FitReport {
-            alms,
-            registers,
-            dsps: self.dsps + other.dsps,
-            bram_kbits: self.bram_kbits + other.bram_kbits,
-            fmax_mhz: fmax_model(alms, registers, p),
-        }
-    }
-
     /// Relative overhead of `self` versus a smaller `base` design, as the
     /// paper's Table-style percentages.
     pub fn overhead_vs(&self, base: &FitReport) -> Overhead {
@@ -119,14 +91,14 @@ pub struct Overhead {
 }
 
 /// Routing-pressure frequency model.
-pub fn fmax_model(alms: u64, registers: u64, p: &CostParams) -> f64 {
+pub fn fmax_model(alms: u64, registers: u64) -> f64 {
     // Registers ease routing slightly (pipelining), ALMs dominate pressure.
     let effective = alms as f64 + registers as f64 * 0.15;
-    if effective <= p.fmax_knee_alms {
-        return p.fmax_ceiling_mhz;
+    if effective <= FMAX_KNEE_ALMS {
+        return FMAX_CEILING_MHZ;
     }
-    let doublings = (effective / p.fmax_knee_alms).log2();
-    (p.fmax_ceiling_mhz - p.fmax_mhz_per_doubling * doublings).max(40.0)
+    let doublings = (effective / FMAX_KNEE_ALMS).log2();
+    (FMAX_CEILING_MHZ - FMAX_MHZ_PER_DOUBLING * doublings).max(40.0)
 }
 
 fn dfg_area(dfg: &Dfg) -> (u64, u64, u64) {
@@ -141,21 +113,20 @@ fn dfg_area(dfg: &Dfg) -> (u64, u64, u64) {
     (alms, regs, dsps)
 }
 
-fn schedule_area(s: &LoopSchedule, num_threads: u32, p: &CostParams) -> (u64, u64) {
+fn schedule_area(s: &LoopSchedule, num_threads: u32) -> (u64, u64) {
     let mut alms = 0u64;
     let mut regs = 0u64;
     for st in &s.stages {
-        alms += p.ctrl_alms_per_stage as u64;
-        regs += p.ctrl_regs_per_stage as u64;
+        alms += CTRL_ALMS_PER_STAGE;
+        regs += CTRL_REGS_PER_STAGE;
         // Pipeline latch of the live set.
-        regs += st.live_values as u64 * p.regs_per_live_value as u64;
+        regs += st.live_values as u64 * REGS_PER_LIVE_VALUE;
         if st.reordering {
             // Per-thread context copies + HTS slice (§III-B: "the stage must
             // be able to hold the context ... of all hardware threads").
-            regs += st.live_values as u64
-                * p.regs_per_live_value as u64
-                * num_threads.saturating_sub(1) as u64;
-            alms += p.hts_alms_per_stage as u64 + 6 * num_threads as u64;
+            regs +=
+                st.live_values as u64 * REGS_PER_LIVE_VALUE * num_threads.saturating_sub(1) as u64;
+            alms += HTS_ALMS_PER_STAGE + 6 * num_threads as u64;
         }
     }
     (alms, regs)
@@ -168,10 +139,9 @@ pub fn estimate_fit(
     loop_schedules: &[Option<LoopSchedule>],
     top_dfg: &Dfg,
     top: &LoopSchedule,
-    p: &CostParams,
 ) -> FitReport {
-    let mut alms = p.infra_alms;
-    let mut regs = p.infra_regs;
+    let mut alms = INFRA_ALMS;
+    let mut regs = INFRA_REGS;
     let mut dsps = 0u64;
 
     for dfg in loop_dfgs.iter().flatten().chain([top_dfg]) {
@@ -181,7 +151,7 @@ pub fn estimate_fit(
         dsps += d;
     }
     for s in loop_schedules.iter().flatten().chain([top]) {
-        let (a, r) = schedule_area(s, kernel.num_threads, p);
+        let (a, r) = schedule_area(s, kernel.num_threads);
         alms += a;
         regs += r;
     }
@@ -204,7 +174,7 @@ pub fn estimate_fit(
         registers: regs,
         dsps,
         bram_kbits: bram_bits / 1024,
-        fmax_mhz: fmax_model(alms, regs, p),
+        fmax_mhz: fmax_model(alms, regs),
     }
 }
 
@@ -221,86 +191,20 @@ pub fn geo_mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn arb_fit(rng: &mut miniprop::Rng) -> FitReport {
-        let p = CostParams::default();
-        let alms = rng.range_u64(0, 200_000);
-        let regs = rng.range_u64(0, 400_000);
-        FitReport {
-            alms,
-            registers: regs,
-            dsps: rng.range_u64(0, 256),
-            bram_kbits: rng.range_u64(0, 4_096),
-            fmax_mhz: fmax_model(alms, regs, &p),
-        }
-    }
-
-    /// `combine` is a resource sum (fmax is re-derived from the summed
-    /// logic, not combined), so its resource components must be
-    /// commutative and associative however fits are aggregated — the
-    /// instrumented-fit path combines base + probe plan + profiling unit
-    /// in whatever order the caller wires up.
-    #[test]
-    fn combine_resource_sums_are_commutative_and_associative() {
-        miniprop::forall(200, |rng| {
-            let p = CostParams::default();
-            let (a, b, c) = (arb_fit(rng), arb_fit(rng), arb_fit(rng));
-            let ab = a.combine(&b, &p);
-            let ba = b.combine(&a, &p);
-            assert_eq!(
-                (ab.alms, ab.registers, ab.dsps, ab.bram_kbits),
-                (ba.alms, ba.registers, ba.dsps, ba.bram_kbits)
-            );
-            assert_eq!(ab.fmax_mhz, ba.fmax_mhz, "fmax depends only on sums");
-            let ab_c = ab.combine(&c, &p);
-            let a_bc = a.combine(&b.combine(&c, &p), &p);
-            assert_eq!(
-                (ab_c.alms, ab_c.registers, ab_c.dsps, ab_c.bram_kbits),
-                (a_bc.alms, a_bc.registers, a_bc.dsps, a_bc.bram_kbits)
-            );
-            assert_eq!(ab_c.fmax_mhz, a_bc.fmax_mhz);
-        });
-    }
-
-    /// Growing either operand never shrinks the combined overhead over a
-    /// fixed base: percentages and the fmax delta are monotone in the
-    /// added logic.
-    #[test]
-    fn overhead_vs_is_monotone_in_the_addition() {
-        miniprop::forall(200, |rng| {
-            let p = CostParams::default();
-            let base = arb_fit(rng);
-            let small = arb_fit(rng);
-            let extra_alms = rng.range_u64(0, 50_000);
-            let extra_regs = rng.range_u64(0, 50_000);
-            let big = FitReport {
-                alms: small.alms + extra_alms,
-                registers: small.registers + extra_regs,
-                ..small
-            };
-            let os = base.combine(&small, &p).overhead_vs(&base);
-            let ob = base.combine(&big, &p).overhead_vs(&base);
-            assert!(ob.alms_pct >= os.alms_pct, "{ob:?} < {os:?}");
-            assert!(ob.registers_pct >= os.registers_pct);
-            assert!(ob.fmax_delta_mhz >= os.fmax_delta_mhz - 1e-9);
-        });
-    }
-
     #[test]
     fn fmax_decreases_with_logic() {
-        let p = CostParams::default();
-        let small = fmax_model(5_000, 8_000, &p);
-        let big = fmax_model(80_000, 120_000, &p);
+        let small = fmax_model(5_000, 8_000);
+        let big = fmax_model(80_000, 120_000);
         assert!(small > big, "{small} <= {big}");
         assert!(big >= 40.0);
-        assert!(small <= p.fmax_ceiling_mhz);
+        assert!(small <= FMAX_CEILING_MHZ);
     }
 
     #[test]
     fn paper_scale_designs_land_in_140_150_band() {
         // A mid-size accelerator (tens of kALMs) should close timing near
         // the paper's 140–148 MHz reports.
-        let p = CostParams::default();
-        let f = fmax_model(35_000, 55_000, &p);
+        let f = fmax_model(35_000, 55_000);
         assert!((130.0..160.0).contains(&f), "fmax {f}");
     }
 
@@ -331,27 +235,5 @@ mod tests {
         let g = geo_mean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
         assert_eq!(geo_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn combine_rederives_fmax() {
-        let p = CostParams::default();
-        let a = FitReport {
-            alms: 30_000,
-            registers: 40_000,
-            dsps: 4,
-            bram_kbits: 0,
-            fmax_mhz: fmax_model(30_000, 40_000, &p),
-        };
-        let b = FitReport {
-            alms: 1_000,
-            registers: 2_000,
-            dsps: 0,
-            bram_kbits: 64,
-            fmax_mhz: 0.0,
-        };
-        let c = a.combine(&b, &p);
-        assert_eq!(c.alms, 31_000);
-        assert!(c.fmax_mhz < a.fmax_mhz, "more logic, lower fmax");
     }
 }

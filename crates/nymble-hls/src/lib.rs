@@ -43,8 +43,8 @@ pub use accel::{compile, try_compile, Accelerator, HlsConfig};
 pub use cache::{kernel_fingerprint, AccelCache, CacheStats};
 pub use cost::FitReport;
 pub use probe::{
-    CounterClass, CounterSet, PlanRegion, ProbeCostParams, ProbeMode, ProbePlan,
-    ALL_COUNTER_CLASSES, DEFAULT_PROBE_BUDGET_ALMS,
+    CounterClass, CounterSet, PlanRegion, ProbeMode, ProbePlan, ALL_COUNTER_CLASSES,
+    DEFAULT_PROBE_BUDGET_ALMS,
 };
 pub use region::{Region, RegionKind, RegionTree};
 pub use schedule::LoopSchedule;

@@ -13,8 +13,11 @@
 //! order, stopping at the first candidate the budget cannot afford. The
 //! prefix rule also makes plans monotone across budgets: a smaller
 //! budget's plan is always a subset of a larger one's.
+//!
+//! Every candidate costs one counter module, [`counter_alms`] and
+//! [`counter_regs`]: the one counter price, which
+//! `hls_profiling::overhead` charges in the profiling unit's fit too.
 
-use crate::cost::FitReport;
 use crate::region::{RegionKind, RegionTree};
 
 /// Default ALM budget of `--profile=auto` (about a third of the paper's
@@ -49,42 +52,16 @@ impl ProbeMode {
     }
 }
 
-/// Per-counter hardware prices: what the optimizer budgets with, and the
-/// counter component of the profiling unit's fit
-/// (`hls_profiling::overhead::OverheadParams` embeds this struct).
-#[derive(Clone, Debug)]
-pub struct ProbeCostParams {
-    /// Adder/valid-gating logic of one counter module.
-    pub counter_alms_base: u32,
-    /// Additional ALMs per thread source.
-    pub counter_alms_per_thread: u32,
-    /// Fixed registers of one counter module.
-    pub counter_regs_base: u32,
-    /// Aggregate registers per thread per counter.
-    pub counter_regs_per_thread: u32,
+/// ALMs of one counter module at `threads` sources: 30 of adder and
+/// valid-gating logic plus 4 per thread source.
+pub fn counter_alms(threads: u32) -> u64 {
+    30 + 4 * threads as u64
 }
 
-impl Default for ProbeCostParams {
-    fn default() -> Self {
-        ProbeCostParams {
-            counter_alms_base: 30,
-            counter_alms_per_thread: 4,
-            counter_regs_base: 20,
-            counter_regs_per_thread: 12,
-        }
-    }
-}
-
-impl ProbeCostParams {
-    /// ALMs of one counter module at `num_threads` sources.
-    pub fn alms_per_counter(&self, num_threads: u32) -> u64 {
-        self.counter_alms_base as u64 + self.counter_alms_per_thread as u64 * num_threads as u64
-    }
-
-    /// Registers of one counter module at `num_threads` sources.
-    pub fn regs_per_counter(&self, num_threads: u32) -> u64 {
-        self.counter_regs_base as u64 + self.counter_regs_per_thread as u64 * num_threads as u64
-    }
+/// Registers of one counter module at `threads` sources: 20 fixed plus a
+/// 12-register aggregate per thread.
+pub fn counter_regs(threads: u32) -> u64 {
+    20 + 12 * threads as u64
 }
 
 /// One of the six event classes the paper's profiling unit counts, one
@@ -251,19 +228,6 @@ impl ProbePlan {
         self.regions.iter().find(|r| r.id == id)
     }
 
-    /// Fit of the selected probe hardware alone (fmax is meaningless
-    /// standalone and set to 0; combine with the design fit via
-    /// [`FitReport::combine`] to re-derive it).
-    pub fn fit(&self) -> FitReport {
-        FitReport {
-            alms: self.cost_alms,
-            registers: self.cost_regs,
-            dsps: 0,
-            bram_kbits: 0,
-            fmax_mhz: 0.0,
-        }
-    }
-
     /// Selected regions as (id, label) pairs for the Paraver `.pcf` event
     /// table (pre-order).
     pub fn pcf_regions(&self) -> Vec<(u16, String)> {
@@ -305,14 +269,9 @@ impl ProbePlan {
 /// scores are monotone along ancestor chains and ties break toward the
 /// shallower pre-order index) and budget monotonicity (a smaller budget
 /// selects a prefix of a larger budget's selection).
-pub fn select(
-    tree: &RegionTree,
-    num_threads: u32,
-    budget_alms: u32,
-    params: &ProbeCostParams,
-) -> ProbePlan {
-    let alms_each = params.alms_per_counter(num_threads);
-    let regs_each = params.regs_per_counter(num_threads);
+pub fn select(tree: &RegionTree, num_threads: u32, budget_alms: u32) -> ProbePlan {
+    let alms_each = counter_alms(num_threads);
+    let regs_each = counter_regs(num_threads);
 
     let mut region_order: Vec<&crate::region::Region> = tree.regions.iter().skip(1).collect();
     region_order.sort_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
@@ -434,29 +393,22 @@ mod tests {
     #[test]
     fn default_budget_selects_everything_on_small_designs() {
         let t = tree(2);
-        let plan = select(
-            &t,
-            2,
-            DEFAULT_PROBE_BUDGET_ALMS,
-            &ProbeCostParams::default(),
-        );
+        let plan = select(&t, 2, DEFAULT_PROBE_BUDGET_ALMS);
         assert!(plan.covers_default_set(), "{plan:?}");
         assert_eq!(plan.regions.len(), t.len());
         assert_eq!(plan.skipped_regions, 0);
         assert!(plan.cost_alms <= DEFAULT_PROBE_BUDGET_ALMS as u64);
         // 4 regions + 6 event counters, uniformly priced.
-        let p = ProbeCostParams::default();
-        assert_eq!(plan.cost_alms, 10 * p.alms_per_counter(2));
-        assert_eq!(plan.cost_regs, 10 * p.regs_per_counter(2));
+        assert_eq!(plan.cost_alms, 10 * counter_alms(2));
+        assert_eq!(plan.cost_regs, 10 * counter_regs(2));
     }
 
     #[test]
     fn parents_always_selected_before_children() {
         let t = tree(4);
-        let p = ProbeCostParams::default();
-        let each = p.alms_per_counter(4);
+        let each = counter_alms(4);
         for budget in 0..=(12 * each as u32) {
-            let plan = select(&t, 4, budget, &p);
+            let plan = select(&t, 4, budget);
             for r in &plan.regions {
                 if let Some(parent) = r.parent {
                     assert!(
@@ -472,11 +424,10 @@ mod tests {
     #[test]
     fn plans_are_monotone_across_budgets() {
         let t = tree(4);
-        let p = ProbeCostParams::default();
-        let each = p.alms_per_counter(4) as u32;
+        let each = counter_alms(4) as u32;
         let mut prev: Option<ProbePlan> = None;
         for budget in (0..=12 * each).step_by(37) {
-            let plan = select(&t, 4, budget, &p);
+            let plan = select(&t, 4, budget);
             if let Some(prev) = &prev {
                 for c in &prev.counters {
                     assert!(plan.has_counter(*c), "budget {budget} lost counter {c:?}");
@@ -496,34 +447,16 @@ mod tests {
     #[test]
     fn tight_budget_prefers_root_then_stalls() {
         let t = tree(8);
-        let p = ProbeCostParams::default();
-        let each = p.alms_per_counter(8) as u32;
+        let each = counter_alms(8) as u32;
         // Exactly two counters' worth of budget: root + stalls.
-        let plan = select(&t, 8, 2 * each, &p);
+        let plan = select(&t, 8, 2 * each);
         assert_eq!(plan.regions.len(), 1);
         assert_eq!(plan.regions[0].id, 0);
         assert_eq!(plan.counters, CounterSet::NONE.with(CounterClass::Stalls));
         assert!(plan.skipped_regions > 0);
         // Zero budget: nothing at all.
-        let empty = select(&t, 8, 0, &p);
+        let empty = select(&t, 8, 0);
         assert!(empty.regions.is_empty() && empty.counters == CounterSet::NONE);
         assert_eq!(empty.cost_alms, 0);
-    }
-
-    #[test]
-    fn plan_fit_combines_into_the_design_fit() {
-        let t = tree(2);
-        let plan = select(
-            &t,
-            2,
-            DEFAULT_PROBE_BUDGET_ALMS,
-            &ProbeCostParams::default(),
-        );
-        let base = crate::compile(&nest_kernel(2), &crate::HlsConfig::default()).fit;
-        let combined = base.combine(&plan.fit(), &crate::cost::CostParams::default());
-        assert_eq!(combined.alms, base.alms + plan.cost_alms);
-        assert!(combined.fmax_mhz <= base.fmax_mhz);
-        let o = combined.overhead_vs(&base);
-        assert!(o.alms_pct > 0.0 && o.alms_pct < 15.0, "{o:?}");
     }
 }

@@ -3,13 +3,12 @@
 use crate::affine::{describe, disjoint};
 use crate::analysis::{analyze, BufKey, Site};
 use crate::diag::{Code, Diagnostic, Span};
-use crate::LintOptions;
 use nymble_ir::pretty::Listing;
 use nymble_ir::{ArgKind, Kernel, MapDir};
 use std::collections::HashSet;
 
 /// Run every pass and return diagnostics sorted by (listing position, code).
-pub(crate) fn run_checks(k: &Kernel, opts: &LintOptions) -> Vec<Diagnostic> {
+pub(crate) fn run_checks(k: &Kernel) -> Vec<Diagnostic> {
     let listing = nymble_ir::pretty::listing(k);
     let analysis = analyze(k);
     let sites = &analysis.sites;
@@ -145,18 +144,15 @@ pub(crate) fn run_checks(k: &Kernel, opts: &LintOptions) -> Vec<Diagnostic> {
     }
 
     // ---- NL004: provable out-of-bounds --------------------------------
+    // Only local memories declare a length in the IR; external buffer
+    // lengths arrive at launch time, so their accesses are not checked.
     for s in sites {
         if s.guarded {
             continue; // the guard may never hold: not provable
         }
-        let (len, name) = match s.buf {
-            BufKey::Local(m) => (Some(k.local_mem(m).len), k.local_mem(m).name.clone()),
-            BufKey::Ext(a) => (
-                opts.buffer_lens.get(&k.arg(a).name).copied(),
-                k.arg(a).name.clone(),
-            ),
-        };
-        let Some(len) = len else { continue };
+        let BufKey::Local(m) = s.buf else { continue };
+        let mem = k.local_mem(m);
+        let (len, name) = (mem.len, &mem.name);
         for t in 0..nt {
             let set = &s.sets[t];
             if !set.is_exact() {

@@ -21,7 +21,7 @@ pub enum Code {
     /// Unsynchronized read-modify-write to a `map(tofrom)` accumulator
     /// (lost update: the classic unguarded reduction).
     NL003,
-    /// Provably out-of-bounds access against a declared buffer length.
+    /// Provably out-of-bounds access to a local memory.
     NL004,
     /// Dead `map(to)` clause: the buffer is never read by the kernel.
     NL005,

@@ -10,7 +10,7 @@
 //! | NL001 | error    | cross-thread write/write or write/read overlap on a shared buffer outside `critical` (data race) |
 //! | NL002 | error    | `barrier` under thread-dependent control flow (divergence → hardware deadlock) |
 //! | NL003 | error    | unsynchronized read-modify-write to a `map(tofrom)` accumulator (lost update) |
-//! | NL004 | error    | provable out-of-bounds access against a declared buffer length |
+//! | NL004 | error    | provable out-of-bounds access to a local memory |
 //! | NL005 | warning  | dead `map(to)` clause — the buffer is never read |
 //! | NL006 | warning  | dead `map(from)` clause — the buffer is never written |
 //!
@@ -33,7 +33,8 @@
 //! interval, congruence and factor-decomposition criteria. Anything it
 //! cannot prove disjoint *and* cannot prove racy is treated conservatively
 //! in the sound direction for each check: NL001 reports may-races, NL004
-//! only proven faults.
+//! only proven faults. NL004 checks local memories, the only buffers whose
+//! length the IR declares (external buffer lengths arrive at launch time).
 //!
 //! Callers gate: [`strict_check`] plugs into `nymble_ir::builder`'s strict
 //! mode, [`enforce`]/[`enforce_perf`] gate a kernel before it is compiled,
@@ -50,7 +51,6 @@ pub use diag::{Code, Diagnostic, PredMetric, Prediction, Severity, Span};
 
 use nymble_hls::perf::Timing;
 use nymble_ir::Kernel;
-use std::collections::BTreeMap;
 
 /// How lint findings gate a compile or a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -88,16 +88,6 @@ impl std::fmt::Display for LintLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// Optional analysis inputs that are not part of the IR.
-#[derive(Clone, Debug, Default)]
-pub struct LintOptions {
-    /// Element counts of external buffers by argument name. The IR does not
-    /// declare buffer lengths (they arrive at launch time), so NL004 checks
-    /// external buffers only when a length is supplied here; local memories
-    /// always declare their length and are always checked.
-    pub buffer_lens: BTreeMap<String, u64>,
 }
 
 /// The result of linting one kernel.
@@ -167,16 +157,11 @@ impl LintReport {
     }
 }
 
-/// Lint a kernel with default options.
+/// Lint a kernel.
 pub fn lint_kernel(kernel: &Kernel) -> LintReport {
-    lint_kernel_with(kernel, &LintOptions::default())
-}
-
-/// Lint a kernel with explicit [`LintOptions`].
-pub fn lint_kernel_with(kernel: &Kernel, opts: &LintOptions) -> LintReport {
     LintReport {
         kernel: kernel.name.clone(),
-        diagnostics: checks::run_checks(kernel, opts),
+        diagnostics: checks::run_checks(kernel),
     }
 }
 

@@ -9,7 +9,7 @@ use hls_paraver::ir::Value;
 use hls_paraver::kernels::gemm::{build, GemmParams, GemmVersion};
 use hls_paraver::kernels::pi::{self, PiParams};
 use hls_paraver::kernels::reference;
-use hls_paraver::profiling::overhead::{instrumented_fit, OverheadParams};
+use hls_paraver::profiling::overhead::instrumented_fit;
 use hls_paraver::profiling::{ProfilingConfig, ProfilingUnit};
 use hls_paraver::sim::memimg::LaunchArg;
 use hls_paraver::sim::{Executor, NullSnoop, SimConfig};
@@ -166,7 +166,6 @@ fn pi_ramp_and_scaling_hold() {
 fn overhead_bands_hold() {
     let hls = HlsConfig::default();
     let prof = ProfilingConfig::default();
-    let op = OverheadParams::default();
     let gp = GemmParams::paper_scale();
     let mut reg_pcts = Vec::new();
     let mut alm_pcts = Vec::new();
@@ -174,7 +173,7 @@ fn overhead_bands_hold() {
     for v in GemmVersion::ALL {
         let k = build(v, &gp);
         let acc = compile(&k, &hls);
-        let with = instrumented_fit(&acc.fit, gp.threads, &prof, &op, &hls.cost);
+        let with = instrumented_fit(&acc.fit, gp.threads, &prof);
         let o = with.overhead_vs(&acc.fit);
         reg_pcts.push(o.registers_pct);
         alm_pcts.push(o.alms_pct);
@@ -194,7 +193,7 @@ fn overhead_bands_hold() {
     // The larger π design pays less than the smallest GEMM design.
     let k = pi::build(&PiParams::default());
     let acc = compile(&k, &hls);
-    let with = instrumented_fit(&acc.fit, 8, &prof, &op, &hls.cost);
+    let with = instrumented_fit(&acc.fit, 8, &prof);
     let o = with.overhead_vs(&acc.fit);
     assert!(o.registers_pct < max(&reg_pcts));
     assert!(o.fmax_delta_mhz <= 2.0, "π fmax delta {}", o.fmax_delta_mhz);
