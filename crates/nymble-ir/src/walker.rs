@@ -797,4 +797,52 @@ mod tests {
         assert_eq!(bursts[0].bytes, 16, "4 f32 elements in one burst");
         assert_eq!(bursts[0].byte_off, 8);
     }
+
+    /// Run a one-thread kernel over a local memory `lm` of `len` elements
+    /// of `elem`; `body` adds its statements.
+    fn run_local(elem: Type, len: u64, body: impl FnOnce(&mut KernelBuilder, LocalMemId)) {
+        let mut kb = KernelBuilder::new("oob", 1);
+        let lm = kb.local_mem("lm", elem, len);
+        body(&mut kb, lm);
+        let k = kb.finish();
+        drive_to_finish(&mut walker(&k, 0, vec![]), &mut []);
+    }
+
+    /// Load `lm[index]` into a variable.
+    fn load_at(index: i64, elem: Type, len: u64) {
+        run_local(elem, len, |kb, lm| {
+            let v = kb.var("v", elem);
+            let i = kb.c_i64(index);
+            let x = kb.load_local(lm, i, elem);
+            kb.set(v, x);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "local memory `lm` index 8 out of bounds (8)")]
+    fn local_load_one_past_the_end_panics() {
+        load_at(8, Type::F32, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "local memory `lm` index 18446744073709551615 out of bounds (8)")]
+    fn local_load_at_a_negative_index_panics() {
+        load_at(-1, Type::F32, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "local memory `lm` index 2 out of bounds (2)")]
+    fn vector_local_load_past_the_end_panics() {
+        // Lanes 8..12 of an 8-word memory.
+        load_at(2, Type::vector(ScalarType::F32, 4), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "local memory `lm` index 8 out of bounds (8)")]
+    fn local_store_past_the_end_panics() {
+        run_local(Type::F32, 8, |kb, lm| {
+            let (i, x) = (kb.c_i64(8), kb.c_f32(1.0));
+            kb.store_local(lm, i, x);
+        });
+    }
 }
