@@ -139,6 +139,25 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_dram_geometry_that_is_not_a_power_of_two() {
+        for (name, cfg) in [
+            ("dram_line_bytes", with(|c| c.timing.dram_line_bytes = 48)),
+            ("dram_banks", with(|c| c.timing.dram_banks = 12)),
+        ] {
+            let err = cfg.timing.validate().expect_err(name);
+            assert!(err.contains(name), "{name}: {err}");
+            let err = cfg.validate().expect_err(name);
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+        for (line, banks) in [(64, 16), (1, 1)] {
+            let mut c = SimConfig::default();
+            (c.timing.dram_line_bytes, c.timing.dram_banks) = (line, banks);
+            assert_eq!(c.timing.validate(), Ok(()), "{line} B lines, {banks} banks");
+            assert!(c.validate().is_ok(), "{line} B lines, {banks} banks");
+        }
+    }
+
+    #[test]
     fn unit_conversion() {
         let c = with(|c| c.clock_mhz = 100.0);
         assert!((c.cycles_to_seconds(100_000_000) - 1.0).abs() < 1e-12);

@@ -36,8 +36,11 @@ pub struct DramStats {
 pub struct Dram {
     latency: u64,
     bytes_per_cycle: u32,
-    line_bytes: u32,
+    /// log2 of the line size in bytes.
+    line_shift: u32,
     banks: Vec<u64>,
+    /// Bank count − 1: a line's bank is its (hashed) index masked.
+    bank_mask: u64,
     bank_busy: u64,
     channel_free: u64,
     bank_hash: bool,
@@ -51,13 +54,18 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Build from the simulator configuration.
+    /// Build from the simulator configuration, which must pass
+    /// [`SimConfig::validate`]: the line size and the bank count are powers
+    /// of two, so addresses map to lines and banks by shift and mask.
     pub fn new(cfg: &SimConfig) -> Self {
+        let t = &cfg.timing;
+        debug_assert!(t.dram_line_bytes.is_power_of_two() && t.dram_banks.is_power_of_two());
         Dram {
-            latency: cfg.timing.dram_latency,
-            bytes_per_cycle: cfg.timing.dram_bytes_per_cycle,
-            line_bytes: cfg.timing.dram_line_bytes,
-            banks: vec![0; cfg.timing.dram_banks as usize],
+            latency: t.dram_latency,
+            bytes_per_cycle: t.dram_bytes_per_cycle,
+            line_shift: t.dram_line_bytes.trailing_zeros(),
+            banks: vec![0; t.dram_banks as usize],
+            bank_mask: t.dram_banks as u64 - 1,
             bank_busy: cfg.timing.dram_bank_busy,
             channel_free: 0,
             bank_hash: cfg.dram_bank_hash,
@@ -67,27 +75,22 @@ impl Dram {
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
     /// Transfer `bytes` starting at absolute address `addr`, issued at cycle
     /// `t`. Returns the completion time (when the last beat of data is
     /// available at the requester). Writes are posted — callers may ignore
     /// the completion time — but still occupy channel bandwidth.
-    pub fn transfer(&mut self, t: u64, addr: u64, bytes: u32, _is_write: bool) -> u64 {
+    pub fn transfer(&mut self, t: u64, addr: u64, bytes: u32) -> u64 {
         let occupancy = (bytes.max(1)).div_ceil(self.bytes_per_cycle) as u64;
         // XOR-folded bank hashing, as DDR controllers do to spread
         // power-of-2 strides (a row-major matrix column walk would
         // otherwise hammer a single bank). Disable via config to see why.
-        let line = addr / self.line_bytes as u64;
+        let line = addr >> self.line_shift;
         let hashed = if self.bank_hash {
             line ^ (line >> 4) ^ (line >> 9)
         } else {
             line
         };
-        let bank = (hashed % self.banks.len() as u64) as usize;
+        let bank = (hashed & self.bank_mask) as usize;
         let earliest = self.channel_free.max(self.banks[bank]);
         if earliest > t {
             self.stats.contended += 1;
@@ -104,7 +107,7 @@ impl Dram {
     /// requesting thread issued the descriptor; each burst pays a setup cost
     /// (row activation for the strided tile row) plus channel occupancy.
     /// Returns completion time.
-    pub fn dma_transfer(&mut self, master: usize, t: u64, _addr: u64, bytes: u32) -> u64 {
+    pub fn dma_transfer(&mut self, master: usize, t: u64, bytes: u32) -> u64 {
         if master >= self.dma_free.len() {
             self.dma_free.resize(master + 1, 0);
         }
@@ -118,8 +121,8 @@ impl Dram {
     /// Fetch the line containing `addr` (a read miss). Returns completion.
     pub fn fetch_line(&mut self, t: u64, addr: u64) -> u64 {
         self.stats.line_fetches += 1;
-        let line_addr = addr / self.line_bytes as u64 * self.line_bytes as u64;
-        self.transfer(t, line_addr, self.line_bytes, false)
+        let line_addr = addr >> self.line_shift << self.line_shift;
+        self.transfer(t, line_addr, 1 << self.line_shift)
     }
 }
 
@@ -137,16 +140,16 @@ impl LineBuffer {
     /// `(data_ready_time, hit)`. Reads spanning multiple lines fetch each.
     pub fn read(&mut self, dram: &mut Dram, t: u64, addr: u64, bytes: u32) -> (u64, bool) {
         dram.stats.read_requests += 1;
-        let lb = dram.line_bytes() as u64;
-        let first = addr / lb;
-        let last = (addr + bytes.max(1) as u64 - 1) / lb;
+        let shift = dram.line_shift;
+        let first = addr >> shift;
+        let last = (addr + bytes.max(1) as u64 - 1) >> shift;
         if self.valid && first == last && first == self.line_addr {
             dram.stats.line_hits += 1;
             return (t.max(self.ready_at), true);
         }
         let mut done = t;
         for line in first..=last {
-            done = done.max(dram.fetch_line(t, line * lb));
+            done = done.max(dram.fetch_line(t, line << shift));
         }
         self.line_addr = last;
         self.valid = true;
@@ -182,10 +185,10 @@ mod tests {
     fn transfer_latency_and_occupancy() {
         let mut d = Dram::new(&cfg());
         // 64 B transfer: 1 cycle occupancy + 50 latency.
-        assert_eq!(d.transfer(100, 0, 64, false), 151);
+        assert_eq!(d.transfer(100, 0, 64), 151);
         // Channel now busy until 101; immediate second request (different
         // bank) queues behind the channel.
-        let t2 = d.transfer(100, 64, 64, false);
+        let t2 = d.transfer(100, 64, 64);
         assert_eq!(t2, 152);
         assert_eq!(d.stats.contended, 1);
     }
@@ -194,21 +197,21 @@ mod tests {
     fn burst_occupies_proportionally() {
         let mut d = Dram::new(&cfg());
         // 1 KiB burst = 16 channel cycles.
-        assert_eq!(d.transfer(0, 0, 1024, false), 16 + 50);
+        assert_eq!(d.transfer(0, 0, 1024), 16 + 50);
         assert_eq!(d.stats.channel_bytes, 1024);
     }
 
     #[test]
     fn bank_conflict_delays_same_bank() {
         let mut d = Dram::new(&cfg());
-        let _ = d.transfer(0, 0, 64, false); // bank 0 busy until 1+8
-        let t = d.transfer(1, 4 * 64, 64, false); // same bank (4 banks)
+        let _ = d.transfer(0, 0, 64); // bank 0 busy until 1+8
+        let t = d.transfer(1, 4 * 64, 64); // same bank (4 banks)
         assert!(t > 1 + 1 + 50, "bank precharge must delay: {t}");
         // A different bank issued at the same point only queues on the
         // channel, which frees earlier than the busy bank.
         let mut d2 = Dram::new(&cfg());
-        let _ = d2.transfer(0, 0, 64, false);
-        let t2 = d2.transfer(1, 64, 64, false); // bank 1
+        let _ = d2.transfer(0, 0, 64);
+        let t2 = d2.transfer(1, 64, 64); // bank 1
         assert!(t2 < t, "different bank {t2} must beat same bank {t}");
     }
 

@@ -521,7 +521,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                 if a.is_write {
                     let issue = th.time.max(th.write_port_free);
                     th.write_port_free = issue + 1;
-                    let _ = dram.transfer(issue, addr, a.bytes, true);
+                    let _ = dram.transfer(issue, addr, a.bytes);
                     th.line_bufs[a.buf.0 as usize].invalidate();
                     snoop.mem_write(th.time, tid, a.bytes as u64);
                 } else {
@@ -578,8 +578,7 @@ impl<S: Snoop + ?Sized> EventSink for Slice<'_, S> {
                 // The preloader queues descriptors: the thread pays only
                 // the issue cost and runs on (how Fig. 9's prefetch
                 // overlaps compute); the engine executes bursts serially.
-                let addr = base[access.buf.0 as usize] + access.byte_off;
-                let dma_done = dram.dma_transfer(ti, th.time, addr, access.bytes);
+                let dma_done = dram.dma_transfer(ti, th.time, access.bytes);
                 if access.is_write {
                     snoop.mem_write(th.time, tid, access.bytes as u64);
                 } else {

@@ -66,9 +66,10 @@ pub struct Timing {
     /// DRAM channel payload per cycle in bytes (512-bit interface = 64 B).
     pub dram_bytes_per_cycle: u32,
     /// DRAM burst/line granularity in bytes; every miss fetches a full line.
+    /// A power of two: the simulator maps an address to its line by a shift.
     pub dram_line_bytes: u32,
     /// Number of interleaved DRAM banks (a second request to a busy bank
-    /// waits).
+    /// waits). A power of two: the simulator picks a line's bank by a mask.
     pub dram_banks: u32,
     /// Extra busy time a bank holds after serving a line (precharge).
     pub dram_bank_busy: u64,
@@ -127,7 +128,8 @@ impl Default for Timing {
 impl Timing {
     /// Check the capacities the model divides by or sizes tables with:
     /// `seq_issue_width`, `dram_bytes_per_cycle`, `dram_line_bytes` and
-    /// `dram_banks` must be nonzero. The error names the first zero field.
+    /// `dram_banks` must be nonzero, and the DRAM line size and bank count
+    /// powers of two. The error names the first field that fails.
     pub fn validate(&self) -> Result<(), String> {
         for (value, name) in [
             (self.seq_issue_width, "seq_issue_width"),
@@ -139,6 +141,14 @@ impl Timing {
                 return Err(format!(
                     "{name} must be nonzero (use 1 for the minimum, not 0)"
                 ));
+            }
+        }
+        for (value, name) in [
+            (self.dram_line_bytes, "dram_line_bytes"),
+            (self.dram_banks, "dram_banks"),
+        ] {
+            if !value.is_power_of_two() {
+                return Err(format!("{name} must be a power of two, got {value}"));
             }
         }
         Ok(())

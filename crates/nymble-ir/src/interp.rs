@@ -157,7 +157,7 @@ impl Interpreter {
     /// Panics on malformed launches (wrong arg count / types) and on
     /// deadlock, which cannot occur for kernels accepted by the validator.
     pub fn run(kernel: &Kernel, launch: &[LaunchArg]) -> InterpResult {
-        Self::run_traced(kernel, launch).0
+        Self::exec(kernel, launch, false).0
     }
 
     /// [`Interpreter::run`], additionally recording every external-memory
@@ -171,6 +171,11 @@ impl Interpreter {
     /// [`DynTrace::barrier_arrivals`] (real hardware, which waits for all
     /// `num_threads`, would deadlock — that is what NL002 flags).
     pub fn run_traced(kernel: &Kernel, launch: &[LaunchArg]) -> (InterpResult, DynTrace) {
+        Self::exec(kernel, launch, true)
+    }
+
+    /// The run; external accesses are recorded only when `traced`.
+    fn exec(kernel: &Kernel, launch: &[LaunchArg], traced: bool) -> (InterpResult, DynTrace) {
         let (scalar_args, mut bufs) = bind_launch(kernel, launch);
         let prog = Arc::new(Program::lower(kernel));
         let n = kernel.num_threads as usize;
@@ -189,6 +194,9 @@ impl Interpreter {
         let mut barrier_arrivals = vec![0u64; n];
         let mut phase = vec![0u64; n];
         let mut record = |t: usize, a: &MemAccess, in_crit: bool, ph: u64| {
+            if !traced {
+                return;
+            }
             let esz = kernel.buffer_elem_size(a.buf) as u64;
             accesses.push(DynAccess {
                 thread: t as u32,

@@ -22,12 +22,14 @@
 //!   written once per walker, and variable reads, lane extracts and
 //!   value-preserving casts alias their operand's registers.
 //! * **Types.** Every instruction is specialised on the static operand
-//!   types of `validate::infer_types`. Where today's value
+//!   types of `validate::infer_types` and on its operator (`F32Add`,
+//!   `CmpILt`, …), so executing one is one dispatch. Where today's value
 //!   semantics convert an operand (arithmetic takes the left operand's
 //!   type, float comparisons run in f64, conditions test non-zero), the
-//!   lowering emits an explicit `Conv`. The arithmetic itself is the
-//!   per-scalar helpers of [`crate::expr`]; [`eval_int`], the static cost
-//!   walker's evaluator of integer bounds, calls the same helpers.
+//!   lowering emits an explicit conversion instruction. The arithmetic
+//!   itself is the per-scalar helpers of [`crate::expr`]; [`eval_int`], the
+//!   static cost walker's evaluator of integer bounds, calls the same
+//!   helpers.
 //! * **Op counts.** The profiling unit classifies compute into integer and
 //!   floating-point operations (§IV-B.2b). Every `Binary`/`Unary`/`Select`
 //!   evaluation counts one operation per lane, classified by its *result*
@@ -217,7 +219,6 @@ pub(crate) enum Conv {
 impl Conv {
     #[inline(always)]
     fn apply(self, x: u64) -> u64 {
-        let f32_of = |x: u64| f32::from_bits(x as u32);
         match self {
             Conv::F32ToI64 => f32_of(x) as i64 as u64,
             Conv::F64ToI64 => f64::from_bits(x) as i64 as u64,
@@ -232,48 +233,293 @@ impl Conv {
     }
 }
 
-/// One typed scalar instruction. Arithmetic is `(op, d, a, b)`: register
-/// `d` gets `op` of registers `a` and `b` (or of `a` alone).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Inst {
-    I64(BinOp, Reg, Reg, Reg),
-    /// i32 arithmetic: computed in i64, then wrapped.
-    I32(BinOp, Reg, Reg, Reg),
-    F32(BinOp, Reg, Reg, Reg),
-    F64(BinOp, Reg, Reg, Reg),
-    /// Comparisons give 0/1: of i64s, of f32s (in f64, exactly), of f64s.
-    CmpI(BinOp, Reg, Reg, Reg),
-    CmpF32(BinOp, Reg, Reg, Reg),
-    CmpF64(BinOp, Reg, Reg, Reg),
-    UnI64(UnOp, Reg, Reg),
-    UnI32(UnOp, Reg, Reg),
-    /// f32 unary operation, computed in f64.
-    UnF32(UnOp, Reg, Reg),
-    UnF64(UnOp, Reg, Reg),
-    Conv(Conv, Reg, Reg),
-    /// `(d, c, t, e)`: `d = c != 0 ? t : e` (`c` is a truth value or an
-    /// integer).
-    Select(Reg, Reg, Reg, Reg),
-    /// `(d, a)`: copy.
-    Mov(Reg, Reg),
-    /// External load of `lanes` elements at the i64 index in `idx`;
-    /// emits the `Access` event.
-    LoadExt {
-        buf: ArgId,
-        d: Reg,
-        idx: Reg,
-        lanes: u8,
-        elem_bytes: u8,
-    },
-    /// Local-memory load; `first_read` emits the statement's one
-    /// `LocalRead` event for this memory.
-    LoadLocal {
-        mem: LocalMemId,
-        d: Reg,
-        idx: Reg,
-        lanes: u8,
-        first_read: bool,
-    },
+// The flat instruction set. One row per operator: the operator, then its
+// instruction for each operand type. From this one table come the `Inst`
+// variants, the lowering's choice of variant (`Inst::binary`,
+// `Inst::compare`, `Inst::unary`, `Inst::conv`) and the arms of `run`, so
+// `run` dispatches once per instruction. Each arm calls a register-level
+// wrapper of a `crate::expr` helper with a constant operator, which the
+// inlined helper's `match` folds away.
+macro_rules! instruction_set {
+    (
+        arith { $($aop:ident => $ai64:ident $ai32:ident $af32:ident $af64:ident,)* }
+        bitwise { $($bop:ident => $bi64:ident $bi32:ident,)* }
+        compare { $($cop:ident => $ci:ident $cf32:ident $cf64:ident,)* }
+        unary { $($uop:ident => $ui64:ident $ui32:ident $uf32:ident $uf64:ident,)* }
+        bitwise_unary { $($nop:ident => $ni64:ident $ni32:ident,)* }
+        conv { $($conv:ident => $cv:ident,)* }
+    ) => {
+        /// One typed scalar instruction. Arithmetic is `(d, a, b)`: register
+        /// `d` gets the operator applied to registers `a` and `b` (or to `a`
+        /// alone).
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum Inst {
+            $($ai64(Reg, Reg, Reg), $ai32(Reg, Reg, Reg), $af32(Reg, Reg, Reg), $af64(Reg, Reg, Reg),)*
+            $($bi64(Reg, Reg, Reg), $bi32(Reg, Reg, Reg),)*
+            $($ci(Reg, Reg, Reg), $cf32(Reg, Reg, Reg), $cf64(Reg, Reg, Reg),)*
+            $($ui64(Reg, Reg), $ui32(Reg, Reg), $uf32(Reg, Reg), $uf64(Reg, Reg),)*
+            $($ni64(Reg, Reg), $ni32(Reg, Reg),)*
+            $($cv(Reg, Reg),)*
+            /// `(d, c, t, e)`: `d = c != 0 ? t : e` (`c` is a truth value or
+            /// an integer).
+            Select(Reg, Reg, Reg, Reg),
+            /// `(d, a)`: copy.
+            Mov(Reg, Reg),
+            /// External load of `lanes` elements at the i64 index in `idx`;
+            /// emits the `Access` event.
+            LoadExt {
+                buf: ArgId,
+                d: Reg,
+                idx: Reg,
+                lanes: u8,
+                elem_bytes: u8,
+            },
+            /// Local-memory load; `first_read` emits the statement's one
+            /// `LocalRead` event for this memory.
+            LoadLocal {
+                mem: LocalMemId,
+                d: Reg,
+                idx: Reg,
+                lanes: u8,
+                first_read: bool,
+            },
+        }
+
+        impl Inst {
+            /// The instruction computing arithmetic `op` on two operands of
+            /// type `ty`.
+            fn binary(op: BinOp, ty: ScalarType) -> fn(Reg, Reg, Reg) -> Inst {
+                use ScalarType::*;
+                match (op, ty) {
+                    $((BinOp::$aop, I64) => Inst::$ai64,
+                      (BinOp::$aop, I32) => Inst::$ai32,
+                      (BinOp::$aop, F32) => Inst::$af32,
+                      (BinOp::$aop, F64) => Inst::$af64,)*
+                    $((BinOp::$bop, I64) => Inst::$bi64,
+                      (BinOp::$bop, I32) => Inst::$bi32,)*
+                    _ => unreachable!("{op:?} on {ty:?} fails validation"),
+                }
+            }
+
+            /// The comparison `op` of two integers (`I32` or `I64`), two f32s
+            /// (`F32`, compared in f64) or two f64s (`F64`).
+            fn compare(op: BinOp, ty: ScalarType) -> fn(Reg, Reg, Reg) -> Inst {
+                use ScalarType::*;
+                match (op, ty) {
+                    $((BinOp::$cop, I32 | I64) => Inst::$ci,
+                      (BinOp::$cop, F32) => Inst::$cf32,
+                      (BinOp::$cop, F64) => Inst::$cf64,)*
+                    _ => unreachable!("{op:?} is not a comparison"),
+                }
+            }
+
+            /// The unary `op` on an operand of type `ty`.
+            fn unary(op: UnOp, ty: ScalarType) -> fn(Reg, Reg) -> Inst {
+                use ScalarType::*;
+                match (op, ty) {
+                    $((UnOp::$uop, I64) => Inst::$ui64,
+                      (UnOp::$uop, I32) => Inst::$ui32,
+                      (UnOp::$uop, F32) => Inst::$uf32,
+                      (UnOp::$uop, F64) => Inst::$uf64,)*
+                    $((UnOp::$nop, I64) => Inst::$ni64,
+                      (UnOp::$nop, I32) => Inst::$ni32,)*
+                    _ => unreachable!("{op:?} on {ty:?} fails validation"),
+                }
+            }
+
+            /// The instruction applying `conv`.
+            fn conv(conv: Conv) -> fn(Reg, Reg) -> Inst {
+                match conv {
+                    $(Conv::$conv => Inst::$cv,)*
+                }
+            }
+        }
+
+        /// Execute one statement's expression code.
+        ///
+        /// Loads read through `mem` into the register file and emit their
+        /// events; `local` holds the thread's local memories of `kernel`,
+        /// each as `len × lanes` registers.
+        #[inline]
+        pub(crate) fn run<S: EventSink + ?Sized>(
+            code: &[Inst],
+            regs: &mut [u64],
+            local: &[Vec<u64>],
+            mem: &[Buffer],
+            out: &mut Emit<'_, S>,
+            kernel: &Kernel,
+        ) {
+            for inst in code {
+                match *inst {
+                    $(Inst::$ai64(d, a, b) => regs[d as usize] = i64_bin(BinOp::$aop, regs[a as usize], regs[b as usize]),
+                      Inst::$ai32(d, a, b) => regs[d as usize] = i32_bin(BinOp::$aop, regs[a as usize], regs[b as usize]),
+                      Inst::$af32(d, a, b) => regs[d as usize] = f32_bin(BinOp::$aop, regs[a as usize], regs[b as usize]),
+                      Inst::$af64(d, a, b) => regs[d as usize] = f64_bin(BinOp::$aop, regs[a as usize], regs[b as usize]),)*
+                    $(Inst::$bi64(d, a, b) => regs[d as usize] = i64_bin(BinOp::$bop, regs[a as usize], regs[b as usize]),
+                      Inst::$bi32(d, a, b) => regs[d as usize] = i32_bin(BinOp::$bop, regs[a as usize], regs[b as usize]),)*
+                    $(Inst::$ci(d, a, b) => regs[d as usize] = i64_cmp(BinOp::$cop, regs[a as usize], regs[b as usize]),
+                      Inst::$cf32(d, a, b) => regs[d as usize] = f32_cmp(BinOp::$cop, regs[a as usize], regs[b as usize]),
+                      Inst::$cf64(d, a, b) => regs[d as usize] = f64_cmp(BinOp::$cop, regs[a as usize], regs[b as usize]),)*
+                    $(Inst::$ui64(d, a) => regs[d as usize] = i64_un(UnOp::$uop, regs[a as usize]),
+                      Inst::$ui32(d, a) => regs[d as usize] = i32_un(UnOp::$uop, regs[a as usize]),
+                      Inst::$uf32(d, a) => regs[d as usize] = f32_un(UnOp::$uop, regs[a as usize]),
+                      Inst::$uf64(d, a) => regs[d as usize] = f64_un(UnOp::$uop, regs[a as usize]),)*
+                    $(Inst::$ni64(d, a) => regs[d as usize] = i64_un(UnOp::$nop, regs[a as usize]),
+                      Inst::$ni32(d, a) => regs[d as usize] = i32_un(UnOp::$nop, regs[a as usize]),)*
+                    $(Inst::$cv(d, a) => regs[d as usize] = Conv::$conv.apply(regs[a as usize]),)*
+                    Inst::Select(d, c, t, e) => {
+                        let pick = if regs[c as usize] != 0 { t } else { e };
+                        regs[d as usize] = regs[pick as usize];
+                    }
+                    Inst::Mov(d, a) => regs[d as usize] = regs[a as usize],
+                    Inst::LoadExt {
+                        buf,
+                        d,
+                        idx,
+                        lanes,
+                        elem_bytes,
+                    } => {
+                        let i = regs[idx as usize] as i64 as u64;
+                        mem[buf.0 as usize].load(i, &mut regs[d as usize..d as usize + lanes as usize]);
+                        out.event(StepEvent::Access(MemAccess {
+                            buf,
+                            byte_off: i * elem_bytes as u64,
+                            bytes: elem_bytes as u32 * lanes as u32,
+                            is_write: false,
+                        }));
+                    }
+                    Inst::LoadLocal {
+                        mem: lm,
+                        d,
+                        idx,
+                        lanes,
+                        first_read,
+                    } => {
+                        if first_read {
+                            out.event(StepEvent::LocalRead { mem: lm });
+                        }
+                        let i = regs[idx as usize] as i64 as usize;
+                        let words = &local[lm.0 as usize];
+                        let n = lanes as usize;
+                        let w = local_word(kernel, lm, i, n, words.len());
+                        regs[d as usize..d as usize + n].copy_from_slice(&words[w..w + n]);
+                    }
+                }
+            }
+        }
+    };
+}
+
+instruction_set! {
+    arith {
+        Add => I64Add I32Add F32Add F64Add,
+        Sub => I64Sub I32Sub F32Sub F64Sub,
+        Mul => I64Mul I32Mul F32Mul F64Mul,
+        Div => I64Div I32Div F32Div F64Div,
+        Rem => I64Rem I32Rem F32Rem F64Rem,
+        Min => I64Min I32Min F32Min F64Min,
+        Max => I64Max I32Max F32Max F64Max,
+    }
+    bitwise {
+        And => I64And I32And,
+        Or => I64Or I32Or,
+        Xor => I64Xor I32Xor,
+        Shl => I64Shl I32Shl,
+        Shr => I64Shr I32Shr,
+    }
+    compare {
+        Lt => CmpILt CmpF32Lt CmpF64Lt,
+        Le => CmpILe CmpF32Le CmpF64Le,
+        Gt => CmpIGt CmpF32Gt CmpF64Gt,
+        Ge => CmpIGe CmpF32Ge CmpF64Ge,
+        Eq => CmpIEq CmpF32Eq CmpF64Eq,
+        Ne => CmpINe CmpF32Ne CmpF64Ne,
+    }
+    unary {
+        Neg => I64Neg I32Neg F32Neg F64Neg,
+        Abs => I64Abs I32Abs F32Abs F64Abs,
+        Sqrt => I64Sqrt I32Sqrt F32Sqrt F64Sqrt,
+    }
+    bitwise_unary {
+        Not => I64Not I32Not,
+    }
+    conv {
+        F32ToI64 => ConvF32ToI64,
+        F64ToI64 => ConvF64ToI64,
+        IntToF32 => ConvIntToF32,
+        IntToF64 => ConvIntToF64,
+        F32ToF64 => ConvF32ToF64,
+        F64ToF32 => ConvF64ToF32,
+        Wrap32 => ConvWrap32,
+        F32Truth => ConvF32Truth,
+        F64Truth => ConvF64Truth,
+    }
+}
+
+// Register-level wrappers of the `crate::expr` helpers: unpack the
+// operands' register bits, apply the operator, pack the result.
+
+#[inline(always)]
+fn f32_of(x: u64) -> f32 {
+    f32::from_bits(x as u32)
+}
+
+#[inline(always)]
+fn i64_bin(op: BinOp, x: u64, y: u64) -> u64 {
+    int_binop(op, x as i64, y as i64) as u64
+}
+
+/// i32 arithmetic: computed in i64, then wrapped.
+#[inline(always)]
+fn i32_bin(op: BinOp, x: u64, y: u64) -> u64 {
+    int_binop(op, x as i64, y as i64) as i32 as i64 as u64
+}
+
+#[inline(always)]
+fn f32_bin(op: BinOp, x: u64, y: u64) -> u64 {
+    f32_binop(op, f32_of(x), f32_of(y)).to_bits() as u64
+}
+
+#[inline(always)]
+fn f64_bin(op: BinOp, x: u64, y: u64) -> u64 {
+    f64_binop(op, f64::from_bits(x), f64::from_bits(y)).to_bits()
+}
+
+#[inline(always)]
+fn i64_cmp(op: BinOp, x: u64, y: u64) -> u64 {
+    cmp_i64(op, x as i64, y as i64) as u64
+}
+
+/// f32 comparison, in f64 (exactly).
+#[inline(always)]
+fn f32_cmp(op: BinOp, x: u64, y: u64) -> u64 {
+    cmp_f64(op, f32_of(x) as f64, f32_of(y) as f64) as u64
+}
+
+#[inline(always)]
+fn f64_cmp(op: BinOp, x: u64, y: u64) -> u64 {
+    cmp_f64(op, f64::from_bits(x), f64::from_bits(y)) as u64
+}
+
+#[inline(always)]
+fn i64_un(op: UnOp, x: u64) -> u64 {
+    int_unop(op, x as i64) as u64
+}
+
+#[inline(always)]
+fn i32_un(op: UnOp, x: u64) -> u64 {
+    int_unop(op, x as i64) as i32 as i64 as u64
+}
+
+/// f32 unary operation, computed in f64.
+#[inline(always)]
+fn f32_un(op: UnOp, x: u64) -> u64 {
+    (float_unop(op, f32_of(x) as f64) as f32).to_bits() as u64
+}
+
+#[inline(always)]
+fn f64_un(op: UnOp, x: u64) -> u64 {
+    float_unop(op, f64::from_bits(x)).to_bits()
 }
 
 /// A contiguous run of statements: a block of the kernel's body.
@@ -619,7 +865,7 @@ impl Lowering<'_> {
     /// A fresh register holding `conv(r)`.
     fn conv(&mut self, conv: Conv, r: Reg) -> Reg {
         let d = self.alloc(1);
-        self.emit(Inst::Conv(conv, d, r));
+        self.emit(Inst::conv(conv)(d, r));
         d
     }
 
@@ -711,14 +957,9 @@ impl Lowering<'_> {
                 let ra = self.expr(*a);
                 let st = self.ty(*a).scalar;
                 let d = self.node_reg(id);
+                let unop = Inst::unary(*op, st);
                 for l in 0..ty.lanes as Reg {
-                    let unop = match st {
-                        ScalarType::I32 => Inst::UnI32,
-                        ScalarType::I64 => Inst::UnI64,
-                        ScalarType::F32 => Inst::UnF32,
-                        ScalarType::F64 => Inst::UnF64,
-                    };
-                    self.emit(unop(*op, d + l, ra + l));
+                    self.emit(unop(d + l, ra + l));
                 }
                 d
             }
@@ -815,140 +1056,49 @@ impl Lowering<'_> {
     fn binop(&mut self, op: BinOp, d: Reg, ta: ScalarType, a: Reg, tb: ScalarType, b: Reg) {
         let inst = match ta {
             ScalarType::F32 if op.is_comparison() && tb == ScalarType::F32 => {
-                Inst::CmpF32(op, d, a, b)
+                Inst::compare(op, ScalarType::F32)(d, a, b)
             }
             ScalarType::F32 | ScalarType::F64 if op.is_comparison() => {
                 let a = self.as_f64(ta, a);
-                Inst::CmpF64(op, d, a, self.as_f64(tb, b))
+                Inst::compare(op, ScalarType::F64)(d, a, self.as_f64(tb, b))
             }
             ScalarType::I32 | ScalarType::I64 if op.is_comparison() => {
-                Inst::CmpI(op, d, a, self.as_i64(tb, b))
+                Inst::compare(op, ta)(d, a, self.as_i64(tb, b))
             }
-            ScalarType::F32 => Inst::F32(op, d, a, self.as_f32(tb, b)),
-            ScalarType::F64 => Inst::F64(op, d, a, self.as_f64(tb, b)),
-            ScalarType::I32 => Inst::I32(op, d, a, self.as_i64(tb, b)),
-            ScalarType::I64 => Inst::I64(op, d, a, self.as_i64(tb, b)),
+            ScalarType::F32 => Inst::binary(op, ta)(d, a, self.as_f32(tb, b)),
+            ScalarType::F64 => Inst::binary(op, ta)(d, a, self.as_f64(tb, b)),
+            ScalarType::I32 | ScalarType::I64 => Inst::binary(op, ta)(d, a, self.as_i64(tb, b)),
         };
         self.emit(inst);
     }
 }
 
-/// Execute one statement's expression code.
+/// The first word of element `idx` of local memory `lm`, whose `words`
+/// words hold elements of `lanes` words each.
 ///
-/// Loads read through `mem` into the register file and emit their events;
-/// `local` holds the thread's local memories of `kernel`, each as
-/// `len × lanes` registers.
-#[inline]
-pub(crate) fn run<S: EventSink + ?Sized>(
-    code: &[Inst],
-    regs: &mut [u64],
-    local: &[Vec<u64>],
-    mem: &[Buffer],
-    out: &mut Emit<'_, S>,
+/// # Panics
+/// Panics unless the whole element is inside the memory.
+#[inline(always)]
+pub(crate) fn local_word(
     kernel: &Kernel,
-) {
-    let f32_of = |x: u64| f32::from_bits(x as u32);
-    let bits32 = |x: f32| x.to_bits() as u64;
-    for inst in code {
-        match *inst {
-            Inst::I64(op, d, a, b) => {
-                let r = int_binop(op, regs[a as usize] as i64, regs[b as usize] as i64);
-                regs[d as usize] = r as u64;
-            }
-            Inst::I32(op, d, a, b) => {
-                let r = int_binop(op, regs[a as usize] as i64, regs[b as usize] as i64);
-                regs[d as usize] = r as i32 as i64 as u64;
-            }
-            Inst::F32(op, d, a, b) => {
-                let (x, y) = (f32_of(regs[a as usize]), f32_of(regs[b as usize]));
-                regs[d as usize] = bits32(f32_binop(op, x, y));
-            }
-            Inst::F64(op, d, a, b) => {
-                let (x, y) = (
-                    f64::from_bits(regs[a as usize]),
-                    f64::from_bits(regs[b as usize]),
-                );
-                regs[d as usize] = f64_binop(op, x, y).to_bits();
-            }
-            Inst::CmpI(op, d, a, b) => {
-                let r = cmp_i64(op, regs[a as usize] as i64, regs[b as usize] as i64);
-                regs[d as usize] = r as u64;
-            }
-            Inst::CmpF32(op, d, a, b) => {
-                let (x, y) = (f32_of(regs[a as usize]), f32_of(regs[b as usize]));
-                regs[d as usize] = cmp_f64(op, x as f64, y as f64) as u64;
-            }
-            Inst::CmpF64(op, d, a, b) => {
-                let (x, y) = (
-                    f64::from_bits(regs[a as usize]),
-                    f64::from_bits(regs[b as usize]),
-                );
-                regs[d as usize] = cmp_f64(op, x, y) as u64;
-            }
-            Inst::UnI64(op, d, a) => {
-                regs[d as usize] = int_unop(op, regs[a as usize] as i64) as u64
-            }
-            Inst::UnI32(op, d, a) => {
-                let r = int_unop(op, regs[a as usize] as i64);
-                regs[d as usize] = r as i32 as i64 as u64;
-            }
-            Inst::UnF32(op, d, a) => {
-                let r = float_unop(op, f32_of(regs[a as usize]) as f64);
-                regs[d as usize] = bits32(r as f32);
-            }
-            Inst::UnF64(op, d, a) => {
-                regs[d as usize] = float_unop(op, f64::from_bits(regs[a as usize])).to_bits()
-            }
-            Inst::Conv(conv, d, a) => regs[d as usize] = conv.apply(regs[a as usize]),
-            Inst::Select(d, c, t, e) => {
-                let pick = if regs[c as usize] != 0 { t } else { e };
-                regs[d as usize] = regs[pick as usize];
-            }
-            Inst::Mov(d, a) => regs[d as usize] = regs[a as usize],
-            Inst::LoadExt {
-                buf,
-                d,
-                idx,
-                lanes,
-                elem_bytes,
-            } => {
-                let i = regs[idx as usize] as i64 as u64;
-                mem[buf.0 as usize].load(i, &mut regs[d as usize..d as usize + lanes as usize]);
-                out.event(StepEvent::Access(MemAccess {
-                    buf,
-                    byte_off: i * elem_bytes as u64,
-                    bytes: elem_bytes as u32 * lanes as u32,
-                    is_write: false,
-                }));
-            }
-            Inst::LoadLocal {
-                mem: lm,
-                d,
-                idx,
-                lanes,
-                first_read,
-            } => {
-                if first_read {
-                    out.event(StepEvent::LocalRead { mem: lm });
-                }
-                let i = regs[idx as usize] as i64 as usize;
-                let words = &local[lm.0 as usize];
-                let n = lanes as usize;
-                check_local(kernel, lm, i, words.len() / n);
-                regs[d as usize..d as usize + n].copy_from_slice(&words[i * n..i * n + n]);
-            }
-        }
+    lm: LocalMemId,
+    idx: usize,
+    lanes: usize,
+    words: usize,
+) -> usize {
+    match idx.checked_mul(lanes) {
+        Some(w) if w.checked_add(lanes).is_some_and(|end| end <= words) => w,
+        _ => local_out_of_bounds(kernel, lm, idx, words / lanes),
     }
 }
 
-/// Panic unless `idx` is inside local memory `lm` of `len` elements.
-#[inline(always)]
-pub(crate) fn check_local(kernel: &Kernel, lm: LocalMemId, idx: usize, len: usize) {
-    assert!(
-        idx < len,
+#[cold]
+#[inline(never)]
+fn local_out_of_bounds(kernel: &Kernel, lm: LocalMemId, idx: usize, len: usize) -> ! {
+    panic!(
         "local memory `{}` index {} out of bounds ({})",
         kernel.local_mem(lm).name,
         idx,
         len
-    );
+    )
 }

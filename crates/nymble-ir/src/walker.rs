@@ -387,8 +387,8 @@ impl<'k> Walker<'k> {
                 let i = i64_at(idx) as usize;
                 let (v, n) = (val as usize, lanes as usize);
                 let words = &mut local[lm.0 as usize];
-                tape::check_local(kernel, lm, i, words.len() / n);
-                words[i * n..i * n + n].copy_from_slice(&regs[v..v + n]);
+                let w = tape::local_word(kernel, lm, i, n, words.len());
+                words[w..w + n].copy_from_slice(&regs[v..v + n]);
             }
             StmtKind::For {
                 loop_id,
@@ -459,13 +459,11 @@ impl<'k> Walker<'k> {
                 let scalar_size = elem.scalar.size_bytes() as u64;
                 let lanes = elem.lanes as u64;
                 let words = &mut local[lm.0 as usize];
-                let mem_len = words.len() / lanes as usize;
                 for i in 0..n {
                     // Source element index is in *scalar* elements of the
                     // buffer; each local element may be a vector.
                     let at = (doff + i) as usize;
-                    tape::check_local(kernel, lm, at, mem_len);
-                    let w = at * lanes as usize;
+                    let w = tape::local_word(kernel, lm, at, lanes as usize, words.len());
                     mem[src.0 as usize].load(soff + i * lanes, &mut words[w..w + lanes as usize]);
                 }
                 out.event(StepEvent::Burst {
