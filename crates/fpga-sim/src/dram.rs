@@ -54,23 +54,30 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Build from the simulator configuration, which must pass
-    /// [`SimConfig::validate`]: the line size and the bank count are powers
-    /// of two, so addresses map to lines and banks by shift and mask.
+    /// Build from the simulator configuration. The line size and the bank
+    /// count are powers of two, so addresses map to lines and banks by
+    /// shift and mask.
+    ///
+    /// # Panics
+    /// Panics when either is not a power of two, which
+    /// [`SimConfig::validate`] rejects.
     pub fn new(cfg: &SimConfig) -> Self {
         let t = &cfg.timing;
-        debug_assert!(t.dram_line_bytes.is_power_of_two() && t.dram_banks.is_power_of_two());
+        assert!(
+            t.dram_line_bytes.is_power_of_two() && t.dram_banks.is_power_of_two(),
+            "DRAM line size and bank count must be powers of two"
+        );
         Dram {
             latency: t.dram_latency,
             bytes_per_cycle: t.dram_bytes_per_cycle,
             line_shift: t.dram_line_bytes.trailing_zeros(),
             banks: vec![0; t.dram_banks as usize],
             bank_mask: t.dram_banks as u64 - 1,
-            bank_busy: cfg.timing.dram_bank_busy,
+            bank_busy: t.dram_bank_busy,
             channel_free: 0,
             bank_hash: cfg.dram_bank_hash,
             dma_free: Vec::new(),
-            dma_setup: cfg.timing.dma_setup,
+            dma_setup: t.dma_setup,
             stats: DramStats::default(),
         }
     }

@@ -410,6 +410,9 @@ macro_rules! instruction_set {
     };
 }
 
+// Columns: the operand type, in the order i64, i32, f32, f64. Bitwise
+// operators take integers only (validation rejects float operands), and a
+// comparison has one integer column for both widths.
 instruction_set! {
     arith {
         Add => I64Add I32Add F32Add F64Add,

@@ -359,7 +359,11 @@ impl<'k> Walker<'k> {
         match s.kind {
             StmtKind::Assign { dst, src, lanes } => {
                 let (d, a, n) = (dst as usize, src as usize, lanes as usize);
-                regs.copy_within(a..a + n, d);
+                if n == 1 {
+                    regs[d] = regs[a];
+                } else {
+                    regs.copy_within(a..a + n, d);
+                }
             }
             StmtKind::StoreExt {
                 buf,
